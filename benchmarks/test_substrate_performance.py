@@ -27,8 +27,8 @@ from repro.sim import (
     random_input_batch,
     random_key,
 )
-from repro.sim.bench import (compare_engines, compare_key_sweep,
-                             compare_pipelined_sweep, compare_sweep_vn)
+from repro.sim.bench import (ENGINES, KEY_SWEEPS, PIPELINED_SWEEP, SWEEP_VN,
+                             Sizes, compare)
 from repro.verilog import generate, parse
 
 from .conftest import write_result
@@ -144,13 +144,13 @@ def test_functional_corruption_locked_md5(benchmark, locked_md5):
 
 def test_batch_engine_speedup_at_256_vectors(results_dir, locked_md5):
     """Acceptance gate: >= 10x over per-vector simulation at 256 vectors."""
-    comparison = compare_engines(locked_md5, vectors=256,
-                                 rng=random.Random(0), repeats=3)
+    comparison = compare(ENGINES, locked_md5, Sizes(vectors=256),
+                         rng=random.Random(0), repeats=3)
     assert comparison.outputs_match
     write_result(results_dir, "batch_engine_speedup",
-                 f"design={comparison.design_name} vectors=256 "
-                 f"scalar={comparison.scalar_seconds * 1e3:.2f}ms "
-                 f"batch={comparison.batch_seconds * 1e3:.2f}ms "
+                 f"design={comparison.design} vectors=256 "
+                 f"scalar={comparison.baseline_seconds * 1e3:.2f}ms "
+                 f"batch={comparison.candidate_seconds * 1e3:.2f}ms "
                  f"speedup={comparison.speedup:.1f}x")
     assert comparison.speedup >= 10.0, (
         f"batch engine only {comparison.speedup:.1f}x faster than scalar")
@@ -163,13 +163,13 @@ def test_batch_engine_speedup_at_256_vectors(results_dir, locked_md5):
 
 def test_key_sweep_speedup_at_64_keys(results_dir, locked_md5):
     """Acceptance gate: one sweep >= 5x over the per-key batch loop."""
-    comparison = compare_key_sweep(locked_md5, keys=64, vectors=32,
-                                   rng=random.Random(0), repeats=3)
+    comparison = compare(KEY_SWEEPS, locked_md5, Sizes(keys=64, vectors=32),
+                         rng=random.Random(0), repeats=3)
     assert comparison.outputs_match
     write_result(results_dir, "key_sweep_speedup",
-                 f"design={comparison.design_name} keys=64 vectors=32 "
-                 f"loop={comparison.loop_seconds * 1e3:.2f}ms "
-                 f"sweep={comparison.sweep_seconds * 1e3:.2f}ms "
+                 f"design={comparison.design} keys=64 vectors=32 "
+                 f"loop={comparison.baseline_seconds * 1e3:.2f}ms "
+                 f"sweep={comparison.candidate_seconds * 1e3:.2f}ms "
                  f"speedup={comparison.speedup:.1f}x")
     assert comparison.speedup >= 5.0, (
         f"key sweep only {comparison.speedup:.1f}x faster than the "
@@ -223,17 +223,19 @@ def test_sweep_vn_speedup_on_kpa_shape(results_dir, era_locked_i2c):
     key cone leaves most of the plan point-invariant.  The baseline is the
     flat PR 2 sweep (every step on all S×V lanes, ``hoist=False``).
     """
-    comparison = compare_sweep_vn(era_locked_i2c, keys=64, vectors=512,
-                                  rng=random.Random(0), repeats=3)
+    comparison = compare(SWEEP_VN, era_locked_i2c,
+                         Sizes(keys=64, vn_vectors=512),
+                         rng=random.Random(0), repeats=3)
+    counters = comparison.counters
     assert comparison.outputs_match
-    assert comparison.invariant_steps > 0
-    assert comparison.hoisted_subexprs > 0
+    assert counters["invariant_steps"] > 0
+    assert counters["hoisted_subexprs"] > 0
     write_result(results_dir, "sweep_vn_speedup",
-                 f"design={comparison.design_name} keys=64 vectors=512 "
-                 f"flat={comparison.flat_seconds * 1e3:.2f}ms "
-                 f"hoisted={comparison.hoisted_seconds * 1e3:.2f}ms "
-                 f"invariant={comparison.invariant_steps}/"
-                 f"{comparison.total_steps} "
+                 f"design={comparison.design} keys=64 vectors=512 "
+                 f"flat={comparison.baseline_seconds * 1e3:.2f}ms "
+                 f"hoisted={comparison.candidate_seconds * 1e3:.2f}ms "
+                 f"invariant={counters['invariant_steps']}/"
+                 f"{counters['total_steps']} "
                  f"speedup={comparison.speedup:.2f}x")
     assert comparison.speedup >= 1.5, (
         f"sweep value-numbering only {comparison.speedup:.2f}x faster "
@@ -312,21 +314,21 @@ def test_pipelined_sweep_throughput_gate(results_dir, era_locked_i2c):
     ``max_lanes=16384``); the tiled run must deliver >= 90% of the
     unchunked throughput with bit-identical outputs.
     """
-    comparison = compare_pipelined_sweep(era_locked_i2c, keys=256,
-                                         vectors=512, max_lanes=16384,
-                                         rng=random.Random(0), repeats=3)
+    comparison = compare(PIPELINED_SWEEP, era_locked_i2c,
+                         Sizes(keys=256, vn_vectors=512, max_lanes=16384),
+                         rng=random.Random(0), repeats=3)
     assert comparison.outputs_match
-    assert comparison.chunked_peak_bytes < comparison.unchunked_peak_bytes
+    assert comparison.candidate_peak_bytes < comparison.baseline_peak_bytes
     write_result(results_dir, "pipelined_sweep_throughput",
-                 f"design={comparison.design_name} keys=256 vectors=512 "
-                 f"max_lanes=16384 tiles={comparison.tiles} "
-                 f"full={comparison.unchunked_seconds * 1e3:.2f}ms "
-                 f"tiled={comparison.chunked_seconds * 1e3:.2f}ms "
-                 f"throughput={comparison.throughput_ratio:.2f}x "
+                 f"design={comparison.design} keys=256 vectors=512 "
+                 f"max_lanes=16384 tiles={comparison.counters['tiles']} "
+                 f"full={comparison.baseline_seconds * 1e3:.2f}ms "
+                 f"tiled={comparison.candidate_seconds * 1e3:.2f}ms "
+                 f"throughput={comparison.speedup:.2f}x "
                  f"mem={comparison.memory_ratio:.2f}x")
-    assert comparison.throughput_ratio >= 0.9, (
+    assert comparison.speedup >= 0.9, (
         f"pipelined sweep delivers only "
-        f"{comparison.throughput_ratio:.2f}x of unchunked throughput")
+        f"{comparison.speedup:.2f}x of unchunked throughput")
 
 
 def test_plan_cache_hit_rate_in_attack_validation(locked_md5):

@@ -141,12 +141,12 @@ def execute_job(job: JobSpec, pair_table=None,
                 in_worker: bool = False) -> Dict:
     """Execute one job and return its (JSON-ready) record.
 
-    The lock step replays the exact seeding of the historical
-    ``SnapShotExperiment.run_cell``; the locked sample's evaluation plan —
-    compiled once through the full ``repro.sim.plan`` pass pipeline,
-    sweep-value-numbering tags included — is warmed into the process-wide
-    cache before any simulation-backed step, so every key sweep and metric
-    inside the job starts from a cache hit.
+    The lock step seeds its locker with :attr:`JobSpec.locker_seed`; the
+    locked sample's evaluation plan — compiled once through the full
+    ``repro.sim.plan`` pass pipeline, sweep-value-numbering tags
+    included — is warmed into the process-wide cache before any
+    simulation-backed step, so every key sweep and metric inside the job
+    starts from a cache hit.
 
     The whole job runs under a :func:`repro.sim.lane_limit` scope —
     ``max_lanes`` (the runner override) if set, else the job's scenario-level

@@ -46,13 +46,10 @@ class ScenarioError(ValueError):
 
 
 def cell_seed(seed: int, benchmark: str, algorithm: str) -> int:
-    """Per-(benchmark, locker) seed — the historical ``run_cell`` formula.
+    """Per-(benchmark, locker) seed behind :attr:`JobSpec.cell_seed`.
 
-    The single definition behind both :attr:`JobSpec.cell_seed` and the
-    legacy :meth:`SnapShotExperiment.run_cell
-    <repro.eval.experiment.SnapShotExperiment.run_cell>`; ``zlib.crc32``
-    keeps the value stable across processes (Python's built-in ``hash()``
-    of strings is salted per interpreter run).
+    ``zlib.crc32`` keeps the value stable across processes (Python's
+    built-in ``hash()`` of strings is salted per interpreter run).
     """
     return zlib.crc32(f"{seed}/{benchmark}/{algorithm}".encode()) & 0x7FFFFFFF
 
@@ -63,7 +60,7 @@ def key_budget(fraction: float, benchmark: str, algorithm: str,
 
     The perfectly imbalanced ``N_2046`` needs a dummy per operation for ERA
     to reach balance (Section 5, "Attack setup") — the single definition of
-    the special case shared by the job runner and the legacy experiment.
+    the special case.
     """
     if benchmark == "N_2046" and algorithm == "era":
         fraction = 1.0

@@ -725,88 +725,38 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_sim_bench(args: argparse.Namespace) -> int:
-    """Compare the simulation engines and the key-sweep fast path."""
-    from .sim.bench import (compare_engines, compare_key_sweep,
-                            compare_pipelined_sweep, compare_sweep_vn,
-                            default_suite, format_pipelined_report,
-                            format_report, format_sweep_report,
-                            format_vn_report, report_json,
-                            run_pipelined_sweep_microbenchmark,
-                            run_sweep_vn_microbenchmark)
+    """Run every applicable case of the simulation micro-benchmark table."""
+    from .sim import BatchCompileError, SimulationError
+    from .sim.bench import (Sizes, default_suite, format_comparisons,
+                            report_json, run_cases)
 
-    if args.vectors < 1:
-        raise SystemExit("error: --vectors must be positive")
-    if args.repeats < 1:
-        raise SystemExit("error: --repeats must be positive")
-    if args.keys < 1:
-        raise SystemExit("error: --keys must be positive")
-    if args.vn_vectors < 1:
-        raise SystemExit("error: --vn-vectors must be positive")
-    if args.max_lanes < 1:
-        raise SystemExit("error: --max-lanes must be positive")
-    from .sim import BatchCompileError
-
+    if args.key_file is not None and args.input is None:
+        raise SystemExit("error: --key-file needs an input design")
+    suite = None
     if args.input is not None:
-        if args.key_file is not None:
-            design = _design_from_key_metadata(args.input, args.top,
-                                               args.key_file)
-        else:
-            design = _load_design(args.input, args.top)
+        design = (_design_from_key_metadata(args.input, args.top,
+                                            args.key_file)
+                  if args.key_file is not None
+                  else _load_design(args.input, args.top))
         suite = [(design.name, design)]
-    else:
-        suite = default_suite(scale=args.scale, seed=args.seed)
 
     try:
-        results = [compare_engines(design, vectors=args.vectors,
-                                   rng=random.Random(args.seed),
-                                   repeats=args.repeats, label=label)
-                   for label, design in suite]
-        sweeps = [compare_key_sweep(design, keys=args.keys,
-                                    vectors=args.vectors,
-                                    rng=random.Random(args.seed),
-                                    repeats=args.repeats, label=label)
-                  for label, design in suite if design.is_locked]
-        if args.input is not None:
-            vn_sweeps = [compare_sweep_vn(design, keys=args.keys,
-                                          vectors=args.vn_vectors,
-                                          rng=random.Random(args.seed),
-                                          repeats=args.repeats, label=label)
-                         for label, design in suite if design.is_locked]
-        else:
-            vn_sweeps = run_sweep_vn_microbenchmark(
-                keys=args.keys, vectors=args.vn_vectors, scale=args.scale,
-                seed=args.seed, repeats=args.repeats)
-        if args.input is not None:
-            pipelined = [compare_pipelined_sweep(
-                             design, keys=args.keys, vectors=args.vn_vectors,
-                             max_lanes=args.max_lanes,
-                             rng=random.Random(args.seed),
-                             repeats=args.repeats, label=label)
-                         for label, design in suite if design.is_locked]
-        else:
-            pipelined = run_pipelined_sweep_microbenchmark(
-                keys=args.keys, vectors=args.vn_vectors,
-                max_lanes=args.max_lanes, scale=args.scale,
-                seed=args.seed, repeats=args.repeats)
+        sizes = Sizes(vectors=args.vectors, keys=args.keys,
+                      vn_vectors=args.vn_vectors, max_lanes=args.max_lanes)
+        results = run_cases(sizes=sizes, designs=suite, scale=args.scale,
+                            seed=args.seed, repeats=args.repeats)
     except BatchCompileError as exc:
         raise SystemExit(f"error: design is not batch-compilable ({exc}); "
                          "only the scalar engine can simulate it")
-    print(format_report(results))
-    if sweeps:
-        print()
-        print(format_sweep_report(sweeps))
-    if vn_sweeps:
-        print()
-        print(format_vn_report(vn_sweeps))
-    if pipelined:
-        print()
-        print(format_pipelined_report(pipelined))
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    print("\n\n".join(format_comparisons(comparisons)
+                      for comparisons in results.values() if comparisons))
     if args.avalanche:
         from .locking.metrics import avalanche_sensitivity
-        from .sim import SimulationError
 
         rows = []
-        for label, design in suite:
+        for label, design in suite or default_suite(args.scale, args.seed):
             try:
                 report = avalanche_sensitivity(
                     design, vectors=min(args.vectors, 64),
@@ -824,15 +774,10 @@ def cmd_sim_bench(args: argparse.Namespace) -> int:
             rows, title="Avalanche sensitivity (fraction of output bits "
                         "flipped per single-bit input flip)"))
     if args.json is not None:
-        args.json.write_text(json.dumps(report_json(results, sweeps,
-                                                    vn_sweeps, pipelined),
-                                        indent=2) + "\n")
+        args.json.write_text(json.dumps(report_json(results), indent=2) + "\n")
         print(f"\nJSON report written to {args.json}")
-    mismatched = (any(not item.outputs_match for item in results)
-                  or any(not item.outputs_match for item in sweeps)
-                  or any(not item.outputs_match for item in vn_sweeps)
-                  or any(not item.outputs_match for item in pipelined))
-    if mismatched:
+    if any(not item.outputs_match
+           for comparisons in results.values() for item in comparisons):
         print("\nERROR: measured paths disagree — the batch plan is "
               "unsound here.")
         return 1
@@ -1062,18 +1007,19 @@ def build_parser() -> argparse.ArgumentParser:
                                 "design suite)")
     sim_bench.add_argument("--top", default=None)
     sim_bench.add_argument("--key-file", type=Path, default=None,
-                           help="key metadata JSON produced by 'lock'; "
-                                "enables the key-sweep comparison on a "
-                                "locked input design")
+                           help="key metadata JSON produced by 'lock' for "
+                                "the input design; enables the sweep "
+                                "comparisons on it")
     sim_bench.add_argument("--vectors", type=int, default=256)
     sim_bench.add_argument("--keys", type=int, default=64,
-                           help="key hypotheses per key-sweep comparison")
+                           help="key hypotheses per sweep comparison")
     sim_bench.add_argument("--vn-vectors", type=int, default=512,
                            help="shared vectors per sweep value-numbering "
-                                "comparison (64 keys x this many lanes)")
+                                "and pipelined-sweep comparison (--keys x "
+                                "this many lanes)")
     sim_bench.add_argument("--max-lanes", type=int, default=16384,
                            help="lane cap per tile for the pipelined-sweep "
-                                "comparison (chunked vs. unchunked)")
+                                "comparison (full vs. tiled)")
     sim_bench.add_argument("--scale", type=float, default=0.25,
                            help="benchmark scale of the built-in suite")
     sim_bench.add_argument("--repeats", type=int, default=3)

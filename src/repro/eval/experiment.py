@@ -25,10 +25,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..api import registry as _registry
 from ..attacks.kpa import KpaAggregate, KpaSample, aggregate_by
-from ..attacks.snapshot import AttackResult, SnapShotAttack
-from ..bench.registry import benchmark_names, load_benchmark
+from ..attacks.snapshot import AttackResult
+from ..bench.registry import benchmark_names
 from ..locking.pairs import PairTable
-from ..rtlir.design import Design
 
 #: Locking algorithms evaluated in the paper's Fig. 6.
 DEFAULT_ALGORITHMS = ("assure", "hra", "era")
@@ -289,43 +288,3 @@ class SnapShotExperiment:
         # contract: a partial matrix would silently skew the aggregates.
         report.raise_for_failures()
         return ExperimentResult.from_records(config, report.records)
-
-    def load_design(self, benchmark: str) -> Design:
-        """Load one benchmark at the configured scale."""
-        return load_benchmark(benchmark, scale=self.config.scale,
-                              seed=self.config.seed)
-
-    def key_budget_for(self, design: Design, benchmark: str,
-                       algorithm: str) -> int:
-        """Key budget of a cell (75 % of operations; 100 % for N_2046 + ERA)."""
-        from ..api.scenario import key_budget
-
-        return key_budget(self.config.key_budget_fraction, benchmark,
-                          algorithm, design.num_operations())
-
-    def run_cell(self, design: Design, benchmark: str,
-                 algorithm: str) -> CellResult:
-        """Lock ``design`` ``n_test_lockings`` times and attack every sample."""
-        from ..api.scenario import cell_seed as derive_cell_seed
-
-        config = self.config
-        cell_seed = derive_cell_seed(config.seed, benchmark, algorithm)
-        budget = self.key_budget_for(design, benchmark, algorithm)
-        cell = CellResult(benchmark=benchmark, algorithm=algorithm,
-                          key_budget=budget,
-                          num_operations=design.num_operations())
-
-        for sample_index in range(config.n_test_lockings):
-            rng = random.Random(cell_seed + 1000 * sample_index)
-            locker = make_locker(algorithm, rng, pair_table=config.pair_table)
-            locked = locker.lock(design, key_budget=budget)
-            attack = SnapShotAttack(
-                rounds=config.relock_rounds,
-                feature_set=config.feature_set,
-                pair_table=config.pair_table,
-                time_budget=config.automl_time_budget,
-                functional_vectors=config.functional_vectors,
-                rng=random.Random(cell_seed + 1000 * sample_index + 7),
-            )
-            cell.attacks.append(attack.attack(locked.design, algorithm=algorithm))
-        return cell

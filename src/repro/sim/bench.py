@@ -1,469 +1,229 @@
 """Micro-benchmark harness for the simulation engine layers.
 
-The harness answers four questions with measurements instead of assertions:
-
-* *how much faster is the bit-parallel batch engine than the per-vector
-  scalar oracle on this design?* (:func:`compare_engines`),
-* *how much faster is a per-lane key sweep than the per-key batch loop it
-  replaces?* (:func:`compare_key_sweep`),
-* *how much sweep work does the sweep value-numbering pass hoist out of the
-  S×V lanes on the SnapShot-KPA sweep shape?* (:func:`compare_sweep_vn` —
-  the hoisted default path against the flat pre-VN evaluation of every
-  step), and
-* *what do memory-bounded pipelined sweeps cost in throughput, and what do
-  they buy in peak memory?* (:func:`compare_pipelined_sweep` — ``max_lanes``
-  point tiles against the single unchunked pass, timed and
-  ``tracemalloc``-profiled).
-
-Every comparison also cross-checks the measured paths output-for-output, so
-a reported speedup is only ever produced alongside a bit-identical result.
+The harness answers "how much faster is the candidate path than the baseline
+path it replaces, on this design?" for every fast path of the simulation
+layer, with measurements instead of assertions.  Each question is one row of
+the :data:`CASES` table: scalar vs. batch engine (``engines``), per-key
+``run_batch`` loop vs. one per-lane sweep (``key_sweeps``), flat vs. sweep
+value-numbered sweep (``sweep_vn``) and unchunked vs. ``max_lanes``-tiled
+sweep, timed and ``tracemalloc``-profiled (``pipelined_sweep``).  Every
+comparison also checks ``baseline_outputs == candidate_outputs``, so a
+reported speedup is only ever produced alongside a bit-identical result.
 
 Run it from the command line::
 
     PYTHONPATH=src python -m repro.cli sim-bench --vectors 256
     PYTHONPATH=src python -m repro.cli sim-bench --json BENCH_sim.json
 
-or programmatically via :func:`run_microbenchmark` /
-:func:`run_sweep_microbenchmark` / :func:`run_sweep_vn_microbenchmark` /
-:func:`run_pipelined_sweep_microbenchmark`.
+or programmatically via :func:`compare` (one case, one design) and
+:func:`run_cases` (every case over its default suite).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rtlir.design import Design
 from .plan import BatchSimulator
 from .simulator import CombinationalSimulator
+from .vectors import batch_to_vectors, random_input_batch, random_key
+
+#: A labelled benchmark design.
+Suite = List[Tuple[str, Design]]
+
+
+@dataclass(frozen=True)
+class Sizes:
+    """Workload sizes shared by every case (each case reads what it needs).
+
+    Attributes:
+        vectors: Input vectors of the ``engines`` and ``key_sweeps`` cases.
+        keys: Key hypotheses (sweep points) of the three sweep cases.
+        vn_vectors: Shared base lanes of the two wide-sweep cases
+            (``sweep_vn`` and ``pipelined_sweep``).
+        max_lanes: Lane cap per tile of the ``pipelined_sweep`` candidate.
+    """
+
+    vectors: int = 256
+    keys: int = 64
+    vn_vectors: int = 512
+    max_lanes: int = 16384
+
+    def __post_init__(self) -> None:
+        for name in ("vectors", "keys", "vn_vectors", "max_lanes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class Case:
+    """One row of the case table.
+
+    Attributes:
+        name: Case name, also its ``BENCH_sim.json`` section.
+        baseline: Label of the reference path (table header / JSON value).
+        candidate: Label of the fast path.
+        setup: ``setup(design, rng, sizes) -> (baseline, candidate,
+            counters)`` — the two zero-argument paths to time and the
+            sizes and plan counters reported beside them.
+        suite: ``suite(scale, seed)`` — the case's default designs.
+        locked_only: The case needs a key port; unlocked designs are skipped.
+        measure_memory: Also record the ``tracemalloc`` peak of each path.
+    """
+
+    name: str
+    baseline: str
+    candidate: str
+    setup: Callable[[Design, random.Random, Sizes], tuple]
+    suite: Callable[[float, int], Suite]
+    locked_only: bool = True
+    measure_memory: bool = False
 
 
 @dataclass
-class EngineComparison:
-    """Timing of one scalar-vs-batch comparison on one design.
+class Comparison:
+    """Timing (and optionally peak memory) of one case on one design.
 
     Attributes:
-        design_name: Name of the measured design.
-        vectors: Batch size (number of input vectors).
-        scalar_seconds: Wall time of the per-vector scalar loop.
-        batch_seconds: Wall time of one ``run_batch`` call (plan reused).
-        compile_seconds: One-off cost of compiling the evaluation plan.
-        outputs_match: True when both engines produced identical outputs.
+        case: The measured case.
+        design: Reported design name.
+        baseline_seconds: Best wall time of the baseline path.
+        candidate_seconds: Best wall time of the candidate path.
+        outputs_match: True when both paths produced identical outputs.
+        counters: Case-specific sizes and plan counters.
+        baseline_peak_bytes: ``tracemalloc`` peak of one baseline run
+            (memory-measuring cases only).
+        candidate_peak_bytes: Same for the candidate path.
     """
 
-    design_name: str
-    vectors: int
-    scalar_seconds: float
-    batch_seconds: float
-    compile_seconds: float
+    case: Case
+    design: str
+    baseline_seconds: float
+    candidate_seconds: float
     outputs_match: bool
+    counters: Dict[str, object] = field(default_factory=dict)
+    baseline_peak_bytes: Optional[int] = None
+    candidate_peak_bytes: Optional[int] = None
 
     @property
     def speedup(self) -> float:
-        """Scalar time over batch time (plan compilation excluded)."""
-        if self.batch_seconds <= 0.0:
+        """Baseline time over candidate time (1.0 = no gain)."""
+        if self.candidate_seconds <= 0.0:
             return float("inf")
-        return self.scalar_seconds / self.batch_seconds
+        return self.baseline_seconds / self.candidate_seconds
+
+    @property
+    def memory_ratio(self) -> Optional[float]:
+        """Candidate peak over baseline peak (smaller is better; ``None``
+        unless the case measures memory)."""
+        if not self.baseline_peak_bytes:
+            return None
+        return self.candidate_peak_bytes / self.baseline_peak_bytes
 
 
-def compare_engines(design: Design, vectors: int = 256,
-                    key: Optional[Sequence[int]] = None,
-                    rng: Optional[random.Random] = None,
-                    repeats: int = 3,
-                    label: Optional[str] = None) -> EngineComparison:
-    """Time both engines on the same random batch and cross-check outputs.
+# ---------------------------------------------------------------------------
+# Case setups
+# ---------------------------------------------------------------------------
 
-    Args:
-        design: Design to simulate (locked or not).
-        vectors: Batch size.
-        key: Key applied to both engines (defaults to the design's correct
-            key when it is locked).
-        rng: Random source for the input vectors.
-        repeats: Timing repetitions; the *best* time of each engine is kept,
-            which is the standard way to suppress scheduler noise in
-            micro-benchmarks.
-        label: Reported design name (defaults to ``design.name``).
 
-    Returns:
-        An :class:`EngineComparison`; ``comparison.speedup`` is the headline.
-    """
-    if vectors < 1:
-        raise ValueError("vectors must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    rng = rng or random.Random(0)
-    if key is None and design.is_locked:
-        key = design.correct_key
-
+def _engine_setup(design: Design, rng: random.Random, sizes: Sizes):
+    n = sizes.vectors
+    key = design.correct_key if design.is_locked else None
     # engine="ast" keeps the measured reference the true AST-walking oracle;
-    # the default scalar engine now executes the compiled plan itself, which
+    # the default scalar engine executes the compiled plan itself, which
     # would make this comparison plan-vs-plan.
     scalar = CombinationalSimulator(design, engine="ast")
     compile_start = time.perf_counter()
     batch = BatchSimulator(design)
-    compile_seconds = time.perf_counter() - compile_start
+    compile_ms = (time.perf_counter() - compile_start) * 1e3
+    packed = random_input_batch(design, rng, n)
+    vector_list = batch_to_vectors(packed, n)
 
-    from .vectors import batch_to_vectors, random_input_batch
-    packed = random_input_batch(design, rng, vectors)
-    vector_list = batch_to_vectors(packed, vectors)
+    def run_scalar() -> Dict[str, List[int]]:
+        outputs = [scalar.run(vector, key=key) for vector in vector_list]
+        return {name: [out[name] for out in outputs]
+                for name in scalar.output_names}
 
-    def run_scalar() -> List[dict]:
-        return [scalar.run(vector, key=key) for vector in vector_list]
+    def run_batch() -> Dict[str, List[int]]:
+        return batch.run_batch(packed, key=key, n=n)
 
-    def run_batch() -> dict:
-        return batch.run_batch(packed, key=key, n=vectors)
-
-    scalar_seconds, scalar_outputs = _best_time(run_scalar, repeats)
-    batch_seconds, batch_outputs = _best_time(run_batch, repeats)
-
-    common = set(scalar.output_names) & set(batch.output_names)
-    outputs_match = all(
-        scalar_outputs[lane][name] == batch_outputs[name][lane]
-        for lane in range(vectors) for name in common)
-
-    return EngineComparison(
-        design_name=label or design.name,
-        vectors=vectors,
-        scalar_seconds=scalar_seconds,
-        batch_seconds=batch_seconds,
-        compile_seconds=compile_seconds,
-        outputs_match=outputs_match,
-    )
+    return run_scalar, run_batch, {"vectors": n, "compile_ms": compile_ms}
 
 
-def _best_time(fn: Callable, repeats: int) -> Tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-@dataclass
-class SweepComparison:
-    """Timing of one per-key-loop vs per-lane-sweep comparison.
-
-    Attributes:
-        design_name: Name of the measured (locked) design.
-        keys: Number of key hypotheses swept.
-        vectors: Input vectors per key hypothesis.
-        loop_seconds: Wall time of ``keys`` separate ``run_batch`` calls.
-        sweep_seconds: Wall time of one ``run_sweep`` pass over all keys.
-        outputs_match: True when both paths produced identical outputs.
-        cse_steps: Shared-subexpression steps in the design's plan.
-        pruned_steps: Dead steps removed from the design's plan.
-    """
-
-    design_name: str
-    keys: int
-    vectors: int
-    loop_seconds: float
-    sweep_seconds: float
-    outputs_match: bool
-    cse_steps: int
-    pruned_steps: int
-
-    @property
-    def speedup(self) -> float:
-        """Per-key-loop time over sweep time."""
-        if self.sweep_seconds <= 0.0:
-            return float("inf")
-        return self.loop_seconds / self.sweep_seconds
-
-
-def compare_key_sweep(design: Design, keys: int = 64, vectors: int = 32,
-                      rng: Optional[random.Random] = None,
-                      repeats: int = 3,
-                      label: Optional[str] = None) -> SweepComparison:
-    """Time the per-key batch loop against one per-lane key sweep.
-
-    Both paths share one compiled plan and one input batch; the loop pays
-    the plan-interpretation overhead once per key, the sweep once in total.
-    Outputs are cross-checked entry-for-entry.
-
-    Args:
-        design: A locked design.
-        keys: Number of random key hypotheses.
-        vectors: Input vectors shared by every hypothesis.
-        rng: Random source for vectors and key hypotheses.
-        repeats: Timing repetitions (best time kept).
-        label: Reported design name (defaults to ``design.name``).
-
-    Raises:
-        ValueError: for unlocked designs or non-positive sizes.
-    """
-    if not design.is_locked:
-        raise ValueError("key-sweep comparison requires a locked design")
-    if keys < 1 or vectors < 1:
-        raise ValueError("keys and vectors must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    rng = rng or random.Random(0)
-
-    from .vectors import random_key
-
+def _sweep_inputs(design: Design, rng: random.Random, keys: int,
+                  vectors: int):
+    """One plan, one shared batch and one key list; ``run(**options)``
+    makes a zero-argument ``run_sweep`` path over them."""
     simulator = BatchSimulator(design)
     batch = simulator.random_batch(rng, vectors)
     key_list = [random_key(design.key_width, rng) for _ in range(keys)]
+
+    def run(**options) -> Callable[[], List[dict]]:
+        return lambda: simulator.run_sweep(batch, keys=key_list, n=vectors,
+                                           **options)
+
+    return simulator, batch, key_list, run
+
+
+def _key_sweep_setup(design: Design, rng: random.Random, sizes: Sizes):
+    n = sizes.vectors
+    simulator, batch, keys, run = _sweep_inputs(design, rng, sizes.keys, n)
 
     def run_loop() -> List[dict]:
-        return [simulator.run_batch(batch, key=key, n=vectors)
-                for key in key_list]
-
-    def run_sweep() -> List[dict]:
-        return simulator.run_sweep(batch, keys=key_list, n=vectors)
-
-    loop_seconds, loop_outputs = _best_time(run_loop, repeats)
-    sweep_seconds, sweep_outputs = _best_time(run_sweep, repeats)
-
-    return SweepComparison(
-        design_name=label or design.name,
-        keys=keys,
-        vectors=vectors,
-        loop_seconds=loop_seconds,
-        sweep_seconds=sweep_seconds,
-        outputs_match=loop_outputs == sweep_outputs,
-        cse_steps=simulator.plan.stats.cse_steps,
-        pruned_steps=simulator.plan.stats.pruned_steps,
-    )
-
-
-@dataclass
-class SweepVNComparison:
-    """Timing of one flat-sweep vs value-numbered-sweep comparison.
-
-    Attributes:
-        design_name: Name of the measured (locked) design.
-        keys: Number of key hypotheses swept.
-        vectors: Shared input vectors per key hypothesis.
-        flat_seconds: Wall time of the pre-VN path — every plan step
-            evaluated on all ``keys * vectors`` sweep lanes
-            (``run_sweep(..., hoist=False)``, the PR 2 baseline).
-        hoisted_seconds: Wall time of the value-numbered path —
-            point-invariant steps evaluated once on the ``vectors`` base
-            lanes (``hoist=True``, the default).
-        outputs_match: True when both paths produced identical outputs.
-        invariant_steps: Plan steps tagged point-invariant w.r.t. the key
-            port (the hoisted work).
-        total_steps: Steps in the plan.
-        hoisted_subexprs: ``$vn`` steps the sweep-VN pass carved out of
-            key-dependent assignments.
-    """
-
-    design_name: str
-    keys: int
-    vectors: int
-    flat_seconds: float
-    hoisted_seconds: float
-    outputs_match: bool
-    invariant_steps: int
-    total_steps: int
-    hoisted_subexprs: int
-
-    @property
-    def speedup(self) -> float:
-        """Flat-sweep time over value-numbered-sweep time."""
-        if self.hoisted_seconds <= 0.0:
-            return float("inf")
-        return self.flat_seconds / self.hoisted_seconds
-
-
-def compare_sweep_vn(design: Design, keys: int = 64, vectors: int = 512,
-                     rng: Optional[random.Random] = None,
-                     repeats: int = 3,
-                     label: Optional[str] = None) -> SweepVNComparison:
-    """Time the flat S×V sweep against the sweep value-numbered default.
-
-    Both paths run the *same* ``run_sweep`` call on the same plan, keys and
-    shared input batch; only the ``hoist`` toggle differs, so the measured
-    delta is exactly what the sweep value-numbering tags buy.  Outputs are
-    cross-checked entry-for-entry.
-
-    Args:
-        design: A locked design.
-        keys: Number of random key hypotheses (the SnapShot-KPA shape
-            defaults to 64).
-        vectors: Input vectors shared by every hypothesis.
-        rng: Random source for vectors and key hypotheses.
-        repeats: Timing repetitions (best time kept).
-        label: Reported design name (defaults to ``design.name``).
-
-    Raises:
-        ValueError: for unlocked designs or non-positive sizes.
-    """
-    if not design.is_locked:
-        raise ValueError("sweep-VN comparison requires a locked design")
-    if keys < 1 or vectors < 1:
-        raise ValueError("keys and vectors must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    rng = rng or random.Random(0)
-
-    from .vectors import random_key
-
-    simulator = BatchSimulator(design)
-    batch = simulator.random_batch(rng, vectors)
-    key_list = [random_key(design.key_width, rng) for _ in range(keys)]
-
-    def run_flat() -> List[dict]:
-        return simulator.run_sweep(batch, keys=key_list, n=vectors,
-                                   hoist=False)
-
-    def run_hoisted() -> List[dict]:
-        return simulator.run_sweep(batch, keys=key_list, n=vectors,
-                                   hoist=True)
-
-    flat_seconds, flat_outputs = _best_time(run_flat, repeats)
-    hoisted_seconds, hoisted_outputs = _best_time(run_hoisted, repeats)
+        return [simulator.run_batch(batch, key=key, n=n) for key in keys]
 
     stats = simulator.plan.stats
-    return SweepVNComparison(
-        design_name=label or design.name,
-        keys=keys,
-        vectors=vectors,
-        flat_seconds=flat_seconds,
-        hoisted_seconds=hoisted_seconds,
-        outputs_match=flat_outputs == hoisted_outputs,
-        invariant_steps=stats.invariant_steps,
-        total_steps=stats.steps,
-        hoisted_subexprs=stats.hoisted_subexprs,
-    )
+    return run_loop, run(), {"keys": sizes.keys, "vectors": n,
+                             "cse_steps": stats.cse_steps,
+                             "pruned_steps": stats.pruned_steps}
 
 
-@dataclass
-class PipelinedSweepComparison:
-    """Timing and peak memory of one unchunked vs pipelined-sweep comparison.
-
-    Attributes:
-        design_name: Name of the measured (locked) design.
-        keys: Number of key hypotheses swept.
-        vectors: Shared input vectors per key hypothesis.
-        max_lanes: Lane limit of the pipelined run (tile size =
-            ``max(1, max_lanes // vectors)`` points).
-        tiles: Point tiles the pipelined run streamed through.
-        unchunked_seconds: Wall time of the single S×V pass.
-        chunked_seconds: Wall time of the tiled ``max_lanes`` run.
-        unchunked_peak_bytes: ``tracemalloc`` peak of one unchunked pass.
-        chunked_peak_bytes: ``tracemalloc`` peak of one tiled run.
-        outputs_match: True when both paths produced identical outputs.
-    """
-
-    design_name: str
-    keys: int
-    vectors: int
-    max_lanes: int
-    tiles: int
-    unchunked_seconds: float
-    chunked_seconds: float
-    unchunked_peak_bytes: int
-    chunked_peak_bytes: int
-    outputs_match: bool
-
-    @property
-    def throughput_ratio(self) -> float:
-        """Pipelined throughput relative to unchunked (1.0 = no cost)."""
-        if self.chunked_seconds <= 0.0:
-            return float("inf")
-        return self.unchunked_seconds / self.chunked_seconds
-
-    @property
-    def memory_ratio(self) -> float:
-        """Pipelined peak memory relative to unchunked (smaller is better)."""
-        if self.unchunked_peak_bytes <= 0:
-            return float("inf")
-        return self.chunked_peak_bytes / self.unchunked_peak_bytes
+def _sweep_vn_setup(design: Design, rng: random.Random, sizes: Sizes):
+    # Only the hoist toggle differs, so the delta is exactly what sweep
+    # value-numbering buys.
+    n = sizes.vn_vectors
+    simulator, _, _, run = _sweep_inputs(design, rng, sizes.keys, n)
+    stats = simulator.plan.stats
+    return run(hoist=False), run(hoist=True), {
+        "keys": sizes.keys, "vectors": n,
+        "invariant_steps": stats.invariant_steps,
+        "total_steps": stats.steps,
+        "hoisted_subexprs": stats.hoisted_subexprs}
 
 
-def compare_pipelined_sweep(design: Design, keys: int = 256,
-                            vectors: int = 512, max_lanes: int = 16384,
-                            rng: Optional[random.Random] = None,
-                            repeats: int = 3,
-                            label: Optional[str] = None,
-                            ) -> PipelinedSweepComparison:
-    """Time one unchunked S×V sweep against the ``max_lanes``-tiled run.
-
-    Both paths run the *same* ``run_sweep`` call on the same plan, keys and
-    shared input batch; only the lane limit differs, so the measured delta
-    is exactly the pipelining overhead (tile-constant recomputation and
-    per-tile env rebuilds).  Outputs are cross-checked entry-for-entry;
-    results are bit-identical by construction.  Peak memory of both paths
-    is measured with ``tracemalloc`` in separate (untimed) runs, since
-    tracing slows execution.
-
-    Args:
-        design: A locked design.
-        keys: Number of random key hypotheses (sweep points).
-        vectors: Input vectors shared by every hypothesis.
-        max_lanes: Lane limit of the pipelined run; must be below
-            ``keys * vectors`` for the comparison to chunk at all.
-        rng: Random source for vectors and key hypotheses.
-        repeats: Timing repetitions (best time kept).
-        label: Reported design name (defaults to ``design.name``).
-
-    Raises:
-        ValueError: for unlocked designs or non-positive sizes.
-    """
-    import tracemalloc
-
-    if not design.is_locked:
-        raise ValueError("pipelined-sweep comparison requires a locked design")
-    if keys < 1 or vectors < 1 or max_lanes < 1:
-        raise ValueError("keys, vectors and max_lanes must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    rng = rng or random.Random(0)
-
-    from .vectors import random_key
-
-    simulator = BatchSimulator(design)
-    batch = simulator.random_batch(rng, vectors)
-    key_list = [random_key(design.key_width, rng) for _ in range(keys)]
-    tile_points = max(1, max_lanes // vectors)
-    tiles = -(-keys // tile_points)
-
-    # An explicit full-width limit keeps the reference unchunked even when a
-    # process-wide default lane limit is installed.
-    def run_unchunked() -> List[dict]:
-        return simulator.run_sweep(batch, keys=key_list, n=vectors,
-                                   max_lanes=keys * vectors)
-
-    def run_chunked() -> List[dict]:
-        return simulator.run_sweep(batch, keys=key_list, n=vectors,
-                                   max_lanes=max_lanes)
-
-    unchunked_seconds, unchunked_outputs = _best_time(run_unchunked, repeats)
-    chunked_seconds, chunked_outputs = _best_time(run_chunked, repeats)
-
-    def peak_bytes(fn: Callable) -> int:
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
-
-    return PipelinedSweepComparison(
-        design_name=label or design.name,
-        keys=keys,
-        vectors=vectors,
-        max_lanes=max_lanes,
-        tiles=tiles,
-        unchunked_seconds=unchunked_seconds,
-        chunked_seconds=chunked_seconds,
-        unchunked_peak_bytes=peak_bytes(run_unchunked),
-        chunked_peak_bytes=peak_bytes(run_chunked),
-        outputs_match=unchunked_outputs == chunked_outputs,
-    )
+def _pipelined_setup(design: Design, rng: random.Random, sizes: Sizes):
+    # Only the lane limit differs, so the delta is the pipelining overhead.
+    # The explicit full-width limit keeps the reference unchunked even under
+    # a process-wide default lane limit.
+    n, max_lanes = sizes.vn_vectors, sizes.max_lanes
+    _, _, _, run = _sweep_inputs(design, rng, sizes.keys, n)
+    tile_points = max(1, max_lanes // n)
+    return run(max_lanes=sizes.keys * n), run(max_lanes=max_lanes), {
+        "keys": sizes.keys, "vectors": n, "max_lanes": max_lanes,
+        "tiles": -(-sizes.keys // tile_points)}
 
 
-def default_suite(scale: float = 0.25,
-                  seed: int = 0) -> List[Tuple[str, Design]]:
-    """The default micro-benchmark designs: plain, locked, and imbalanced.
+# ---------------------------------------------------------------------------
+# Default design suites
+# ---------------------------------------------------------------------------
+
+
+def _era_locked(benchmark: str, scale: float, seed: int) -> Design:
+    from ..bench import load_benchmark
+    from ..locking.era import ERALocker
+
+    base = load_benchmark(benchmark, scale=scale, seed=seed)
+    budget = max(1, int(0.75 * base.num_operations()))
+    return ERALocker(rng=random.Random(seed),
+                     track_metrics=False).lock(base, budget).design
+
+
+def default_suite(scale: float = 0.25, seed: int = 0) -> Suite:
+    """The default engine-comparison designs: plain, locked, and imbalanced.
 
     The ERA-locked entry carries the heaviest shared-subexpression load
     (dummy operations duplicate operand subtrees), so it exercises the CSE
@@ -471,231 +231,171 @@ def default_suite(scale: float = 0.25,
     """
     from ..bench import load_benchmark, plus_network
     from ..locking.assure import AssureLocker
-    from ..locking.era import ERALocker
 
     plus = plus_network(128, n_inputs=8, name="plus_128")
     md5 = load_benchmark("MD5", scale=scale, seed=seed)
     budget = max(1, int(0.75 * md5.num_operations()))
     locked = AssureLocker("serial", rng=random.Random(seed),
                           track_metrics=False).lock(md5, budget).design
-    era_locked = ERALocker(rng=random.Random(seed),
-                           track_metrics=False).lock(md5, budget).design
     return [("plus_128", plus), ("md5_scaled", md5),
             ("md5_scaled_locked", locked),
-            ("md5_scaled_era", era_locked)]
+            ("md5_scaled_era", _era_locked("MD5", scale, seed))]
 
 
-def run_microbenchmark(vectors: int = 256, scale: float = 0.25,
-                       seed: int = 0,
-                       repeats: int = 3) -> List[EngineComparison]:
-    """Run :func:`compare_engines` over the default design suite."""
-    return [compare_engines(design, vectors=vectors,
-                            rng=random.Random(seed), repeats=repeats,
-                            label=label)
-            for label, design in default_suite(scale=scale, seed=seed)]
+def pipelined_suite(scale: float = 0.25, seed: int = 0) -> Suite:
+    """The headline sweep design: ERA-locked I2C_SL.
 
-
-def run_sweep_microbenchmark(keys: int = 64, vectors: int = 32,
-                             scale: float = 0.25, seed: int = 0,
-                             repeats: int = 3) -> List[SweepComparison]:
-    """Run :func:`compare_key_sweep` over the locked suite designs."""
-    return [compare_key_sweep(design, keys=keys, vectors=vectors,
-                              rng=random.Random(seed), repeats=repeats,
-                              label=label)
-            for label, design in default_suite(scale=scale, seed=seed)
-            if design.is_locked]
-
-
-def sweep_vn_suite(scale: float = 0.25,
-                   seed: int = 0) -> List[Tuple[str, Design]]:
-    """Locked designs for the sweep value-numbering comparison.
-
-    ``i2c_sl_era`` is the headline case: ERA's randomised pair selection on
-    a control-dominated design leaves most of the logic cone outside the
-    key muxes, so sweep value-numbering hoists the bulk of the plan out of
-    the S×V lanes.  The chained ``md5_scaled_era`` rides along as the
-    worst-case shape (deep key cone, little to hoist) so the report always
-    shows both ends of the spectrum.
+    ERA's randomised pair selection on a control-dominated design leaves
+    most of the logic cone outside the key muxes, so sweep value-numbering
+    hoists the bulk of the plan out of the S×V lanes; its wide sweep with
+    narrow outputs is also the memory-gate shape of the pipelined sweep.
     """
-    from ..bench import load_benchmark
-    from ..locking.era import ERALocker
-
-    designs = []
-    for name, label in (("I2C_SL", "i2c_sl_era"), ("MD5", "md5_scaled_era")):
-        base = load_benchmark(name, scale=scale, seed=seed)
-        budget = max(1, int(0.75 * base.num_operations()))
-        locked = ERALocker(rng=random.Random(seed),
-                           track_metrics=False).lock(base, budget).design
-        designs.append((label, locked))
-    return designs
+    return [("i2c_sl_era", _era_locked("I2C_SL", scale, seed))]
 
 
-def run_sweep_vn_microbenchmark(keys: int = 64, vectors: int = 512,
-                                scale: float = 0.25, seed: int = 0,
-                                repeats: int = 3) -> List[SweepVNComparison]:
-    """Run :func:`compare_sweep_vn` over the VN suite (KPA sweep shape)."""
-    return [compare_sweep_vn(design, keys=keys, vectors=vectors,
-                             rng=random.Random(seed), repeats=repeats,
-                             label=label)
-            for label, design in sweep_vn_suite(scale=scale, seed=seed)]
+def sweep_vn_suite(scale: float = 0.25, seed: int = 0) -> Suite:
+    """:func:`pipelined_suite` plus the chained worst case ``md5_scaled_era``.
 
-
-def run_pipelined_sweep_microbenchmark(keys: int = 256, vectors: int = 512,
-                                       max_lanes: int = 16384,
-                                       scale: float = 0.25, seed: int = 0,
-                                       repeats: int = 3,
-                                       ) -> List[PipelinedSweepComparison]:
-    """Run :func:`compare_pipelined_sweep` on the headline VN-suite design.
-
-    ``i2c_sl_era`` is the memory-gate shape of the perf workflow (wide sweep,
-    narrow outputs); the chained MD5 case is skipped here because chunk
-    overhead is invisible on deep key cones — the interesting number is the
-    worst case, not the best.
+    The deep MD5 key cone leaves little to hoist, so the report always shows
+    both ends of the value-numbering spectrum.
     """
-    return [compare_pipelined_sweep(design, keys=keys, vectors=vectors,
-                                    max_lanes=max_lanes,
-                                    rng=random.Random(seed), repeats=repeats,
-                                    label=label)
-            for label, design in sweep_vn_suite(scale=scale, seed=seed)
-            if label == "i2c_sl_era"]
+    return pipelined_suite(scale, seed) + [
+        ("md5_scaled_era", _era_locked("MD5", scale, seed))]
 
 
-def format_report(results: Sequence[EngineComparison]) -> str:
-    """Render comparisons as a fixed-width text table."""
-    header = (f"{'design':<20} {'vectors':>7} {'scalar [ms]':>12} "
-              f"{'batch [ms]':>11} {'compile [ms]':>13} {'speedup':>8} match")
-    lines = [header, "-" * len(header)]
-    for item in results:
-        lines.append(
-            f"{item.design_name:<20} {item.vectors:>7} "
-            f"{item.scalar_seconds * 1e3:>12.2f} "
-            f"{item.batch_seconds * 1e3:>11.2f} "
-            f"{item.compile_seconds * 1e3:>13.2f} "
-            f"{item.speedup:>7.1f}x {'yes' if item.outputs_match else 'NO'}")
-    return "\n".join(lines)
+# ---------------------------------------------------------------------------
+# The case table and the harness
+# ---------------------------------------------------------------------------
+
+ENGINES = Case("engines", "scalar", "batch", _engine_setup, default_suite,
+               locked_only=False)
+KEY_SWEEPS = Case("key_sweeps", "loop", "sweep", _key_sweep_setup,
+                  default_suite)
+SWEEP_VN = Case("sweep_vn", "flat", "hoisted", _sweep_vn_setup,
+                sweep_vn_suite)
+PIPELINED_SWEEP = Case("pipelined_sweep", "full", "tiled", _pipelined_setup,
+                       pipelined_suite, measure_memory=True)
+
+#: Every comparison ``sim-bench`` runs, in report order.
+CASES: Tuple[Case, ...] = (ENGINES, KEY_SWEEPS, SWEEP_VN, PIPELINED_SWEEP)
 
 
-def format_sweep_report(results: Sequence[SweepComparison]) -> str:
-    """Render key-sweep comparisons as a fixed-width text table."""
-    header = (f"{'design':<20} {'keys':>5} {'vectors':>7} {'loop [ms]':>10} "
-              f"{'sweep [ms]':>11} {'speedup':>8} {'cse':>4} {'dead':>5} "
-              "match")
-    lines = [header, "-" * len(header)]
-    for item in results:
-        lines.append(
-            f"{item.design_name:<20} {item.keys:>5} {item.vectors:>7} "
-            f"{item.loop_seconds * 1e3:>10.2f} "
-            f"{item.sweep_seconds * 1e3:>11.2f} "
-            f"{item.speedup:>7.1f}x {item.cse_steps:>4} "
-            f"{item.pruned_steps:>5} "
-            f"{'yes' if item.outputs_match else 'NO'}")
-    return "\n".join(lines)
+def _best_time(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
+    """Best-of-``repeats`` wall time (suppresses scheduler noise)."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
-def format_vn_report(results: Sequence[SweepVNComparison]) -> str:
-    """Render sweep value-numbering comparisons as a fixed-width table."""
-    header = (f"{'design':<20} {'keys':>5} {'vectors':>7} {'flat [ms]':>10} "
-              f"{'hoisted [ms]':>13} {'speedup':>8} {'inv/steps':>10} "
-              f"{'$vn':>4} match")
-    lines = [header, "-" * len(header)]
-    for item in results:
-        lines.append(
-            f"{item.design_name:<20} {item.keys:>5} {item.vectors:>7} "
-            f"{item.flat_seconds * 1e3:>10.2f} "
-            f"{item.hoisted_seconds * 1e3:>13.2f} "
-            f"{item.speedup:>7.1f}x "
-            f"{f'{item.invariant_steps}/{item.total_steps}':>10} "
-            f"{item.hoisted_subexprs:>4} "
-            f"{'yes' if item.outputs_match else 'NO'}")
-    return "\n".join(lines)
+def _peak_bytes(fn: Callable[[], object]) -> int:
+    """``tracemalloc`` peak of one untimed run (tracing slows execution)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def format_pipelined_report(results: Sequence[PipelinedSweepComparison]) -> str:
-    """Render pipelined-sweep comparisons as a fixed-width table."""
-    header = (f"{'design':<20} {'keys':>5} {'vectors':>7} {'max_lanes':>10} "
-              f"{'tiles':>6} {'full [ms]':>10} {'tiled [ms]':>11} "
-              f"{'thrpt':>6} {'mem':>6} match")
-    lines = [header, "-" * len(header)]
-    for item in results:
-        lines.append(
-            f"{item.design_name:<20} {item.keys:>5} {item.vectors:>7} "
-            f"{item.max_lanes:>10} {item.tiles:>6} "
-            f"{item.unchunked_seconds * 1e3:>10.2f} "
-            f"{item.chunked_seconds * 1e3:>11.2f} "
-            f"{item.throughput_ratio:>5.2f}x "
-            f"{item.memory_ratio:>5.2f}x "
-            f"{'yes' if item.outputs_match else 'NO'}")
-    return "\n".join(lines)
+def compare(case: Case, design: Design, sizes: Sizes = Sizes(),
+            rng: Optional[random.Random] = None, repeats: int = 3,
+            label: Optional[str] = None) -> Comparison:
+    """Time ``case``'s two paths on ``design`` and cross-check their outputs.
 
+    Args:
+        case: Row of the case table to run.
+        design: Design to measure (locked for ``locked_only`` cases).
+        sizes: Workload sizes.
+        rng: Random source for input vectors and key hypotheses.
+        repeats: Timing repetitions; the best time of each path is kept.
+        label: Reported design name (defaults to ``design.name``).
 
-def report_json(engine_results: Sequence[EngineComparison],
-                sweep_results: Sequence[SweepComparison],
-                vn_results: Sequence[SweepVNComparison] = (),
-                pipelined_results: Sequence[PipelinedSweepComparison] = ()
-                ) -> Dict[str, object]:
-    """Serialise benchmark results for ``BENCH_sim.json`` (CI artifact).
-
-    The layout is flat and append-friendly so the perf trajectory can be
-    diffed across PRs: per-engine timings and speedups, then per-design key
-    sweeps with their plan-optimisation counters.
+    Raises:
+        ValueError: for non-positive ``repeats`` or an unlocked design on a
+            ``locked_only`` case.
     """
-    return {
-        "engines": [
-            {
-                "design": item.design_name,
-                "vectors": item.vectors,
-                "scalar_ms": item.scalar_seconds * 1e3,
-                "batch_ms": item.batch_seconds * 1e3,
-                "compile_ms": item.compile_seconds * 1e3,
-                "speedup": item.speedup,
-                "outputs_match": item.outputs_match,
-            }
-            for item in engine_results
-        ],
-        "key_sweeps": [
-            {
-                "design": item.design_name,
-                "keys": item.keys,
-                "vectors": item.vectors,
-                "loop_ms": item.loop_seconds * 1e3,
-                "sweep_ms": item.sweep_seconds * 1e3,
-                "speedup": item.speedup,
-                "cse_steps": item.cse_steps,
-                "pruned_steps": item.pruned_steps,
-                "outputs_match": item.outputs_match,
-            }
-            for item in sweep_results
-        ],
-        "sweep_vn": [
-            {
-                "design": item.design_name,
-                "keys": item.keys,
-                "vectors": item.vectors,
-                "flat_ms": item.flat_seconds * 1e3,
-                "hoisted_ms": item.hoisted_seconds * 1e3,
-                "speedup": item.speedup,
-                "invariant_steps": item.invariant_steps,
-                "total_steps": item.total_steps,
-                "hoisted_subexprs": item.hoisted_subexprs,
-                "outputs_match": item.outputs_match,
-            }
-            for item in vn_results
-        ],
-        "pipelined_sweep": [
-            {
-                "design": item.design_name,
-                "keys": item.keys,
-                "vectors": item.vectors,
-                "max_lanes": item.max_lanes,
-                "tiles": item.tiles,
-                "unchunked_ms": item.unchunked_seconds * 1e3,
-                "chunked_ms": item.chunked_seconds * 1e3,
-                "unchunked_peak_bytes": item.unchunked_peak_bytes,
-                "chunked_peak_bytes": item.chunked_peak_bytes,
-                "throughput_ratio": item.throughput_ratio,
-                "memory_ratio": item.memory_ratio,
-                "outputs_match": item.outputs_match,
-            }
-            for item in pipelined_results
-        ],
-    }
+    if repeats < 1:
+        raise ValueError("repeats must be positive")
+    if case.locked_only and not design.is_locked:
+        raise ValueError(f"the {case.name} case requires a locked design")
+    baseline, candidate, counters = case.setup(
+        design, rng or random.Random(0), sizes)
+    baseline_seconds, baseline_outputs = _best_time(baseline, repeats)
+    candidate_seconds, candidate_outputs = _best_time(candidate, repeats)
+    result = Comparison(case=case, design=label or design.name,
+                        baseline_seconds=baseline_seconds,
+                        candidate_seconds=candidate_seconds,
+                        outputs_match=baseline_outputs == candidate_outputs,
+                        counters=counters)
+    if case.measure_memory:
+        result.baseline_peak_bytes = _peak_bytes(baseline)
+        result.candidate_peak_bytes = _peak_bytes(candidate)
+    return result
+
+
+def run_cases(sizes: Sizes = Sizes(), designs: Optional[Suite] = None,
+              scale: float = 0.25, seed: int = 0,
+              repeats: int = 3) -> Dict[str, List[Comparison]]:
+    """Run every applicable :data:`CASES` row; ``{case name: comparisons}``.
+
+    Args:
+        sizes: Workload sizes.
+        designs: Designs replacing every case's default suite (e.g. one
+            user-supplied netlist); ``locked_only`` cases skip unlocked ones.
+        scale: Benchmark scale of the default suites.
+        seed: Seed of the default suites and of every comparison's rng.
+        repeats: Timing repetitions (best time kept).
+    """
+    results: Dict[str, List[Comparison]] = {}
+    for case in CASES:
+        suite = case.suite(scale, seed) if designs is None else designs
+        results[case.name] = [
+            compare(case, design, sizes, rng=random.Random(seed),
+                    repeats=repeats, label=label)
+            for label, design in suite
+            if design.is_locked or not case.locked_only]
+    return results
+
+
+def format_comparisons(comparisons: Sequence[Comparison]) -> str:
+    """Render one case's (non-empty) comparisons as a text table."""
+    from ..eval.tables import format_table
+
+    case = comparisons[0].case
+    memory = ["mem"] if case.measure_memory else []
+    headers = ["design", *comparisons[0].counters, f"{case.baseline} [ms]",
+               f"{case.candidate} [ms]", "speedup", *memory, "match"]
+    rows = [[item.design, *item.counters.values(),
+             item.baseline_seconds * 1e3, item.candidate_seconds * 1e3,
+             f"{item.speedup:.2f}x",
+             *([f"{item.memory_ratio:.2f}x"] if memory else []),
+             "yes" if item.outputs_match else "NO"]
+            for item in comparisons]
+    return format_table(headers, rows, title=f"{case.name}: {case.baseline} "
+                                              f"vs. {case.candidate}")
+
+
+def report_json(results: Dict[str, List[Comparison]]) -> Dict[str, object]:
+    """Serialise :func:`run_cases` results for ``BENCH_sim.json``.
+
+    One section per case, and every entry has the same keys: the design,
+    the two path labels, the case counters, both times, the speedup, both
+    ``tracemalloc`` peaks and their ratio (``null`` unless the case measures
+    memory), and the output check.
+    """
+    return {name: [{"design": item.design,
+                    "baseline": item.case.baseline,
+                    "candidate": item.case.candidate,
+                    **item.counters,
+                    "baseline_ms": item.baseline_seconds * 1e3,
+                    "candidate_ms": item.candidate_seconds * 1e3,
+                    "speedup": item.speedup,
+                    "baseline_peak_bytes": item.baseline_peak_bytes,
+                    "candidate_peak_bytes": item.candidate_peak_bytes,
+                    "memory_ratio": item.memory_ratio,
+                    "outputs_match": item.outputs_match}
+                   for item in comparisons]
+            for name, comparisons in results.items()}

@@ -8,9 +8,7 @@ sweep value-numbering, lowering, dead-step pruning), and a thin executor
 (:mod:`~repro.sim.plan.executor`) runs the result — N vectors per
 bit-parallel pass, S×V sweep lanes per pass with point-invariant steps
 hoisted to the V-lane base batch, or a single lane for the scalar engine.
-
-The long-standing import surface (``repro.sim.batch``) re-exports everything
-below unchanged.
+Import its names from here or from :mod:`repro.sim`.
 """
 
 from .executor import (

@@ -23,8 +23,7 @@ the pre-lowering IR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Tuple)
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ...verilog import ast_nodes as ast
 from ..evaluator import SimulationError
@@ -67,9 +66,6 @@ class Step:
             key port, i.e. its value is identical on every point of a key
             sweep (set by the lowering tagger when sweep value-numbering is
             enabled).
-
-    Iterating a step yields the legacy ``(target, width, fn)`` triple, so
-    pre-IR consumers that unpack plan steps as tuples keep working.
     """
 
     target: str
@@ -78,11 +74,6 @@ class Step:
     reads: FrozenSet[str] = frozenset()
     kind: str = "assign"
     point_invariant: bool = False
-
-    def __iter__(self) -> Iterator:
-        yield self.target
-        yield self.width
-        yield self.fn
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Every attack-side hot loop — equivalence checks, corruption metrics, KPA
 sweeps, SnapShot's functional validation — used to recompile the same design
-into an :class:`~repro.sim.batch.EvalPlan` on every call.  Plans are pure
+into an :class:`~repro.sim.plan.EvalPlan` on every call.  Plans are pure
 functions of the netlist content, so this module caches them process-wide,
 keyed by :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`:
 

@@ -62,7 +62,7 @@ def random_input_batch(design: Design, rng: random.Random,
                        n: int) -> Dict[str, List[int]]:
     """Draw ``n`` random vectors for every data input of ``design``.
 
-    Unlike :meth:`BatchSimulator.random_batch <repro.sim.batch.BatchSimulator.random_batch>`
+    Unlike :meth:`BatchSimulator.random_batch <repro.sim.plan.BatchSimulator.random_batch>`
     this never compiles a plan, so it also serves designs that only the
     scalar engine can simulate.
     """

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.api.scenario import key_budget
+from repro.bench import load_benchmark
 from repro.eval.experiment import (
     CellResult,
     ExperimentConfig,
@@ -31,20 +33,18 @@ class TestMakeLocker:
 
 class TestBudgets:
     def test_budget_is_75_percent_by_default(self):
-        config = ExperimentConfig(scale=0.1, seed=0)
-        experiment = SnapShotExperiment(config)
-        design = experiment.load_design("MD5")
-        budget = experiment.key_budget_for(design, "MD5", "assure")
-        assert budget == int(round(0.75 * design.num_operations()))
+        fraction = ExperimentConfig().key_budget_fraction
+        operations = load_benchmark("MD5", scale=0.1, seed=0).num_operations()
+        budget = key_budget(fraction, "MD5", "assure", operations)
+        assert budget == int(round(0.75 * operations))
 
     def test_n2046_era_uses_full_budget(self):
-        config = ExperimentConfig(scale=0.02, seed=0)
-        experiment = SnapShotExperiment(config)
-        design = experiment.load_design("N_2046")
-        assert experiment.key_budget_for(design, "N_2046", "era") == \
-            design.num_operations()
-        assert experiment.key_budget_for(design, "N_2046", "assure") == \
-            int(round(0.75 * design.num_operations()))
+        fraction = ExperimentConfig().key_budget_fraction
+        operations = load_benchmark("N_2046", scale=0.02,
+                                    seed=0).num_operations()
+        assert key_budget(fraction, "N_2046", "era", operations) == operations
+        assert key_budget(fraction, "N_2046", "assure", operations) == \
+            int(round(0.75 * operations))
 
 
 class TestRunCell:
@@ -60,16 +60,6 @@ class TestRunCell:
             seed=3,
         )
 
-    def test_cell_result_shape(self, quick_config):
-        experiment = SnapShotExperiment(quick_config)
-        design = experiment.load_design("SASC")
-        cell = experiment.run_cell(design, "SASC", "assure")
-        assert cell.benchmark == "SASC"
-        assert cell.algorithm == "assure"
-        assert len(cell.attacks) == 2
-        assert 0.0 <= cell.mean_kpa <= 100.0
-        assert cell.key_budget >= 1
-
     def test_empty_cell_mean_raises(self):
         with pytest.raises(ValueError):
             CellResult("X", "assure").mean_kpa
@@ -78,6 +68,12 @@ class TestRunCell:
         result = SnapShotExperiment(quick_config).run()
         assert isinstance(result, ExperimentResult)
         assert len(result.cells) == 2  # 1 benchmark x 2 algorithms
+        for cell, algorithm in zip(result.cells, ("assure", "era")):
+            assert cell.benchmark == "SASC"
+            assert cell.algorithm == algorithm
+            assert len(cell.attacks) == 2
+            assert 0.0 <= cell.mean_kpa <= 100.0
+            assert cell.key_budget >= 1
 
         table = result.kpa_table()
         assert set(table) == {"SASC"}

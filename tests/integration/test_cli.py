@@ -515,9 +515,9 @@ class TestSimBench:
         assert designs == {"i2c_sl_era", "md5_scaled_era"}
         for entry in payload["pipelined_sweep"]:
             assert entry["outputs_match"] is True
-            assert {"max_lanes", "tiles", "throughput_ratio",
-                    "memory_ratio", "chunked_peak_bytes",
-                    "unchunked_peak_bytes"} <= set(entry)
+            assert {"max_lanes", "tiles", "speedup",
+                    "memory_ratio", "candidate_peak_bytes",
+                    "baseline_peak_bytes"} <= set(entry)
 
     def test_avalanche_flag_reports_sensitivity(self, capsys):
         code = main(["sim-bench", "--vectors", "8", "--keys", "4",
@@ -547,6 +547,12 @@ class TestSimBench:
         out = capsys.readouterr().out
         assert "sweep [ms]" in out
         assert "NO" not in out
+
+    def test_key_file_without_input_design_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sim-bench", "--key-file", str(tmp_path / "key.json"),
+                  "--vectors", "8", "--repeats", "1"])
+        assert "--key-file needs an input design" in str(excinfo.value)
 
 
 SERVICE_SCENARIO = json.dumps({

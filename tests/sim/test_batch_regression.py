@@ -20,8 +20,10 @@ from repro.locking import (
     functional_corruption,
     key_bit_sensitivity,
 )
-from repro.sim import check_equivalence, output_corruption
-from repro.sim.bench import compare_engines
+from repro.bench import plus_network
+from repro.cli import main
+from repro.sim import bench, check_equivalence, output_corruption
+from repro.sim.bench import ENGINES, Case, Sizes, compare, run_cases
 
 #: Seed benchmark profiles covered by the engine-equality regression.
 PROFILES = ["MD5", "FIR", "SASC"]
@@ -151,22 +153,56 @@ class TestFunctionalKpa:
         assert result.functional_kpa is None
 
 
-class TestMicroBenchmarkHarness:
-    def test_compare_engines_cross_checks(self):
-        design, locked = _locked_benchmark("FIR")
-        comparison = compare_engines(locked, vectors=64,
-                                     rng=random.Random(0), repeats=1)
-        assert comparison.outputs_match
-        assert comparison.vectors == 64
-        assert comparison.scalar_seconds > 0.0
-        assert comparison.batch_seconds > 0.0
+def _flipped_lane_setup(design, rng, sizes):
+    """The engine case with one output lane of the candidate flipped."""
+    scalar, batch, counters = ENGINES.setup(design, rng, sizes)
 
-    def test_compare_engines_validates_arguments(self):
+    def flipped():
+        outputs = batch()
+        outputs[next(iter(outputs))][0] ^= 1
+        return outputs
+
+    return scalar, flipped, counters
+
+
+#: A deliberately unsound case: the harness must report its mismatch.
+FLIPPED_LANE = Case(
+    "flipped_lane", "scalar", "flipped", _flipped_lane_setup,
+    lambda scale, seed: [("plus_16", plus_network(16, n_inputs=4,
+                                                  name="plus_16"))],
+    locked_only=False)
+
+
+class TestMicroBenchmarkHarness:
+    def test_engine_case_cross_checks(self):
+        design, locked = _locked_benchmark("FIR")
+        comparison = compare(ENGINES, locked, Sizes(vectors=64),
+                             rng=random.Random(0), repeats=1)
+        assert comparison.outputs_match
+        assert comparison.counters["vectors"] == 64
+        assert comparison.baseline_seconds > 0.0
+        assert comparison.candidate_seconds > 0.0
+
+    def test_harness_validates_arguments(self):
         design = load_benchmark("FIR", scale=0.1, seed=0)
         with pytest.raises(ValueError):
-            compare_engines(design, vectors=0)
+            Sizes(vectors=0)
         with pytest.raises(ValueError):
-            compare_engines(design, repeats=0)
+            compare(ENGINES, design, repeats=0)
+
+    def test_flipped_lane_case_reports_mismatch(self, monkeypatch):
+        monkeypatch.setattr(bench, "CASES", (ENGINES, FLIPPED_LANE))
+        results = run_cases(Sizes(vectors=8), scale=0.1, repeats=1)
+        assert all(item.outputs_match for item in results["engines"])
+        (flipped,) = results["flipped_lane"]
+        assert flipped.outputs_match is False
+
+    def test_sim_bench_exits_1_on_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "CASES", (FLIPPED_LANE,))
+        assert main(["sim-bench", "--vectors", "8", "--repeats", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "flipped [ms]" in out
+        assert "ERROR: measured paths disagree" in out
 
 
 class TestReviewRegressions:
@@ -174,11 +210,11 @@ class TestReviewRegressions:
         """Enabling functional_vectors must not change bit-level KPA results."""
         _, locked_a = _locked_benchmark("SASC", seed=7)
         _, locked_b = _locked_benchmark("SASC", seed=7)
-        plain = SnapShotAttack(rounds=4, time_budget=0.5,
+        plain = SnapShotAttack(rounds=4, time_budget=0.5, deterministic=True,
                                rng=random.Random(11)).attack_many([locked_a,
                                                                    locked_b])
         validated = SnapShotAttack(rounds=4, time_budget=0.5,
-                                   functional_vectors=16,
+                                   deterministic=True, functional_vectors=16,
                                    rng=random.Random(11)).attack_many(
             [locked_a, locked_b])
         for before, after in zip(plain, validated):

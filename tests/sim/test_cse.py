@@ -62,7 +62,7 @@ class TestSharedSubexpressions:
         plan = compile_plan(design)
         # (a + b) recurs four times and ((a + b) ^ c) twice.
         assert plan.stats.cse_steps >= 2
-        names = [name for name, _, _ in plan.steps]
+        names = [step.target for step in plan.steps]
         assert any(name.startswith("$cse") for name in names)
 
     def test_cse_outputs_bit_identical(self):
@@ -78,8 +78,8 @@ class TestSharedSubexpressions:
         design = Design.from_verilog(CSE_HEAVY)
         plan = compile_plan(design, cse=False)
         assert plan.stats.cse_steps == 0
-        assert all(not name.startswith("$cse")
-                   for name, _, _ in plan.steps)
+        assert all(not step.target.startswith("$cse")
+                   for step in plan.steps)
 
     def test_era_locked_design_exercises_cse(self):
         design = load_benchmark("MD5", scale=0.15, seed=0)
@@ -95,7 +95,7 @@ class TestDeadStepPruning:
     def test_unreferenced_steps_are_dropped(self):
         design = Design.from_verilog(DEAD_LOGIC)
         plan = compile_plan(design)
-        names = {name for name, _, _ in plan.steps}
+        names = {step.target for step in plan.steps}
         assert "unused1" not in names and "unused2" not in names
         assert plan.stats.pruned_steps == 2
 
@@ -105,7 +105,7 @@ class TestDeadStepPruning:
     def test_prune_disabled_keeps_every_step(self):
         design = Design.from_verilog(DEAD_LOGIC)
         plan = compile_plan(design, prune=False)
-        names = {name for name, _, _ in plan.steps}
+        names = {step.target for step in plan.steps}
         assert {"used", "unused1", "unused2", "y"} <= names
         assert plan.stats.pruned_steps == 0
 
@@ -119,7 +119,7 @@ class TestDeadStepPruning:
         endmodule
         """)
         plan = compile_plan(design)
-        names = [name for name, _, _ in plan.steps]
+        names = [step.target for step in plan.steps]
         assert names == ["s0", "s1", "s2", "y"]
         assert plan.stats.pruned_steps == 0
 
@@ -133,7 +133,7 @@ class TestDeadStepPruning:
         """)
         plan = compile_plan(design)
         # (a * b) is shared, but only by dead steps: slot and users all go.
-        names = [name for name, _, _ in plan.steps]
+        names = [step.target for step in plan.steps]
         assert names == ["y"]
 
 
