@@ -8,38 +8,52 @@ Fig. 6b average table, then checks the paper's qualitative claims.
 
 from __future__ import annotations
 
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
 from repro.bench import benchmark_names
 from repro.eval import (
-    ExperimentConfig,
     PAPER_AVERAGE_KPA,
-    SnapShotExperiment,
-    experiment_report,
+    kpa_tables_from_samples,
+    report_from_samples,
     shape_checks,
 )
 
 from .conftest import write_result
 
+ALGORITHMS = ("assure", "hra", "era")
+
+
+def fig6_scenario(benchmarks, scale, samples, rounds, time_budget,
+                  seed) -> Scenario:
+    """The Fig. 6 workload: benchmarks x ASSURE/HRA/ERA x SnapShot."""
+    return Scenario(
+        name="fig6",
+        benchmarks=tuple(benchmarks),
+        lockers=tuple(LockerSpec(name) for name in ALGORITHMS),
+        attacks=(AttackSpec("snapshot", rounds=rounds,
+                            time_budget=time_budget),),
+        samples=samples, scale=scale, seed=seed)
+
+
+def run_fig6(benchmark, scenario: Scenario):
+    """Run the scenario once under pytest-benchmark; return its samples."""
+    report = benchmark.pedantic(lambda: Runner(scenario).run(),
+                                rounds=1, iterations=1)
+    assert not report.failures, report.failures[0]["error"]
+    return report.kpa_samples()
+
 
 def test_fig6_kpa_full_suite(benchmark, results_dir, eval_scale, eval_samples,
                              eval_rounds, full_evaluation):
-    config = ExperimentConfig(
-        benchmarks=benchmark_names(),
-        algorithms=("assure", "hra", "era"),
-        scale=eval_scale,
-        n_test_lockings=eval_samples,
-        relock_rounds=eval_rounds,
-        automl_time_budget=30.0 if full_evaluation else 4.0,
-        seed=0,
-    )
-    result = benchmark.pedantic(lambda: SnapShotExperiment(config).run(),
-                                rounds=1, iterations=1)
+    samples = run_fig6(benchmark, fig6_scenario(
+        benchmark_names(), scale=eval_scale, samples=eval_samples,
+        rounds=eval_rounds, time_budget=30.0 if full_evaluation else 4.0,
+        seed=0))
 
-    report = experiment_report(result)
+    report = report_from_samples(samples, algorithms=ALGORITHMS)
     print("\n" + report)
     write_result(results_dir, "fig6_kpa", report)
 
-    average = result.average_kpa()
-    per_benchmark = result.kpa_table()
+    per_benchmark, average = kpa_tables_from_samples(samples)
     checks = shape_checks(average, per_benchmark)
 
     # The headline shape of Fig. 6b: ERA sits at the random-guess line while
@@ -66,21 +80,13 @@ def test_fig6_kpa_full_suite(benchmark, results_dir, eval_scale, eval_samples,
 
 def test_fig6_kpa_smoke_subset(benchmark, results_dir):
     """A minutes-scale smoke variant over a representative benchmark subset."""
-    config = ExperimentConfig(
-        benchmarks=["MD5", "FIR", "SASC", "N_2046", "N_1023"],
-        algorithms=("assure", "hra", "era"),
-        scale=0.1,
-        n_test_lockings=2,
-        relock_rounds=15,
-        automl_time_budget=3.0,
-        seed=1,
-    )
-    result = benchmark.pedantic(lambda: SnapShotExperiment(config).run(),
-                                rounds=1, iterations=1)
-    report = experiment_report(result)
+    samples = run_fig6(benchmark, fig6_scenario(
+        ["MD5", "FIR", "SASC", "N_2046", "N_1023"], scale=0.1, samples=2,
+        rounds=15, time_budget=3.0, seed=1))
+    report = report_from_samples(samples, algorithms=ALGORITHMS)
     print("\n" + report)
     write_result(results_dir, "fig6_kpa_smoke", report)
 
-    average = result.average_kpa()
+    _, average = kpa_tables_from_samples(samples)
     assert average["assure"] > average["era"]
     assert abs(average["era"] - 50.0) <= 20.0

@@ -21,8 +21,9 @@ import random
 import sys
 from pathlib import Path
 
+from repro.api import make_locker
 from repro.attacks import MajorityVoteAttack, RandomGuessAttack, SnapShotAttack
-from repro.eval import format_table, make_locker
+from repro.eval import format_table
 from repro.locking import odt_from_design
 from repro.rtlir import Design, analyze_design
 

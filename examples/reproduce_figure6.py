@@ -16,27 +16,28 @@ from __future__ import annotations
 
 import argparse
 
-from repro.eval import ExperimentConfig, SnapShotExperiment, experiment_report
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
 from repro.bench import benchmark_names
+from repro.eval import report_from_samples
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
+def build_scenario(args: argparse.Namespace) -> Scenario:
+    """The Fig. 6 scenario: every benchmark x ASSURE/HRA/ERA x SnapShot."""
     if args.full:
-        return ExperimentConfig(
-            benchmarks=args.benchmarks or benchmark_names(),
-            scale=1.0,
-            n_test_lockings=10,
-            relock_rounds=args.rounds or 200,
-            automl_time_budget=30.0,
-            seed=args.seed,
-        )
-    return ExperimentConfig(
-        benchmarks=args.benchmarks or ["MD5", "FIR", "SASC", "USB_PHY",
-                                       "N_2046", "N_1023"],
-        scale=args.scale,
-        n_test_lockings=args.samples,
-        relock_rounds=args.rounds or 40,
-        automl_time_budget=5.0,
+        benchmarks = args.benchmarks or benchmark_names()
+        scale, samples, rounds, budget = 1.0, 10, args.rounds or 200, 30.0
+    else:
+        benchmarks = args.benchmarks or ["MD5", "FIR", "SASC", "USB_PHY",
+                                         "N_2046", "N_1023"]
+        scale, samples, rounds, budget = (args.scale, args.samples,
+                                          args.rounds or 40, 5.0)
+    return Scenario(
+        name="figure6",
+        benchmarks=tuple(benchmarks),
+        lockers=tuple(LockerSpec(name) for name in ("assure", "hra", "era")),
+        attacks=(AttackSpec("snapshot", rounds=rounds, time_budget=budget),),
+        samples=samples,
+        scale=scale,
         seed=args.seed,
     )
 
@@ -56,15 +57,18 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    config = build_config(args)
-    print(f"Benchmarks : {', '.join(config.benchmarks)}")
-    print(f"Scale      : {config.scale}")
-    print(f"Samples    : {config.n_test_lockings} per benchmark/algorithm")
-    print(f"Relock rounds per sample: {config.relock_rounds}")
+    scenario = build_scenario(args)
+    (attack,) = scenario.attacks
+    print(f"Benchmarks : {', '.join(scenario.benchmarks)}")
+    print(f"Scale      : {scenario.scale}")
+    print(f"Samples    : {scenario.samples} per benchmark/algorithm")
+    print(f"Relock rounds per sample: {attack.rounds}")
     print()
 
-    result = SnapShotExperiment(config).run()
-    print(experiment_report(result))
+    report = Runner(scenario).run()
+    print(report_from_samples(
+        report.kpa_samples(),
+        algorithms=[spec.algorithm for spec in scenario.lockers]))
 
 
 if __name__ == "__main__":

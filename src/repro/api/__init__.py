@@ -46,6 +46,11 @@ This package is the one import surface a workload author needs:
   and the figure/table builders — including ``repro-lock report`` — read
   from it without re-simulating.
 
+The Fig. 6 evaluation has no separate pipeline: ``repro-lock evaluate``
+builds a one-attack :class:`Scenario` from its flags and runs it here, and
+its tables come from :func:`repro.eval.report_from_samples` over the
+:class:`RunReport` records.
+
 Minimal usage::
 
     from repro.api import Runner, ResultsStore, Scenario
@@ -107,7 +112,6 @@ __all__ = [
     "CoevoReport",
     "Genome",
     "run_coevo",
-    "JobExecutionError",
     "Runner",
     "RunReport",
     "execute_job",
@@ -168,7 +172,6 @@ _LAZY = {
     "CoevoReport": "coevo",
     "Genome": "coevo",
     "run_coevo": "coevo",
-    "JobExecutionError": "runner",
     "Runner": "runner",
     "RunReport": "runner",
     "execute_job": "runner",

@@ -237,7 +237,6 @@ class ExecutionRound:
         max_lanes: Runner-level lane cap forwarded to ``execute_job``.
         job_timeout: Per-job wall-clock budget in seconds, or ``None``.
         fault_plan: Optional deterministic fault-injection plan.
-        pair_table: Runtime pair-table (in-process backends only).
         emit: Outcome callback; must be called once per pending job.
     """
 
@@ -251,7 +250,6 @@ class ExecutionRound:
     job_timeout: Optional[float]
     fault_plan: Optional[object]
     emit: Callable[[JobOutcome], None]
-    pair_table: object = None
 
 
 class ExecutorBackend(ABC):
@@ -313,12 +311,12 @@ def make_backend(name: str) -> ExecutorBackend:
 class SerialBackend(ExecutorBackend):
     """Run every job in the calling process, one at a time.
 
-    The reference backend: no pickling, no worker processes, runtime
-    ``pair_table`` objects supported.  ``job_timeout`` is enforced
-    *post-hoc* — an in-process job cannot be pre-empted, so a job that
-    completes over budget is discarded and failed as ``timeout`` (timeout
-    semantics are an SLA, not best-effort: a job that only ever finishes
-    late ends up quarantined, same as under the pool backend).
+    The reference backend: no pickling, no worker processes.
+    ``job_timeout`` is enforced *post-hoc* — an in-process job cannot be
+    pre-empted, so a job that completes over budget is discarded and failed
+    as ``timeout`` (timeout semantics are an SLA, not best-effort: a job
+    that only ever finishes late ends up quarantined, same as under the pool
+    backend).
     """
 
     def run_round(self, round_: ExecutionRound) -> None:
@@ -334,8 +332,7 @@ class SerialBackend(ExecutorBackend):
                     time.sleep(delay)
                 started = time.monotonic()
                 try:
-                    record = execute_job(job, pair_table=round_.pair_table,
-                                         max_lanes=round_.max_lanes,
+                    record = execute_job(job, max_lanes=round_.max_lanes,
                                          fault_plan=round_.fault_plan,
                                          attempt=attempt)
                 except Exception:
@@ -434,10 +431,6 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def run_round(self, round_: ExecutionRound) -> None:
         """Execute one round on a fresh pool (see class docstring)."""
-        if round_.pair_table is not None:
-            raise ValueError("a runtime pair_table requires an in-process "
-                             "backend (pair tables are not picklable "
-                             "scenario data)")
         channel = self._queue()
         done: set = set()
         started: Dict[int, float] = {}

@@ -39,8 +39,8 @@ from typing import Callable, Dict, Iterable, List, Optional
 class UnknownComponentError(ValueError):
     """Raised when a name is not present in a registry.
 
-    Subclasses :class:`ValueError` because the historical factories
-    (``eval.experiment.make_locker``) raised that for unknown names.
+    Subclasses :class:`ValueError`, so callers that validate user input
+    can catch one exception type for every bad name or value.
     """
 
 
@@ -173,9 +173,8 @@ def make_locker(algorithm: str, rng: random.Random,
                 pair_table=None, track_metrics: bool = False, **options):
     """Instantiate a locking algorithm by registry name.
 
-    This is the lookup behind :func:`repro.eval.experiment.make_locker`; the
-    keyword surface matches the historical helper so existing call sites keep
-    working, and any extra ``options`` are forwarded to the factory.
+    ``pair_table`` and ``track_metrics`` go to every factory; any extra
+    ``options`` are forwarded as keywords.
 
     Raises:
         UnknownComponentError: for unregistered algorithm names.

@@ -72,27 +72,15 @@ _DESIGN_CACHE_SIZE = 8
 _LEDGER_ERROR_CHARS = 4000
 
 
-class JobExecutionError(RuntimeError):
-    """One or more jobs of a run failed past their retry budget.
-
-    :meth:`Runner.run` itself no longer raises this — a run degrades
-    gracefully, quarantining poison jobs to the failure ledger and
-    returning a report with :attr:`RunReport.failures` populated.  Callers
-    that want the historical fail-fast contract (the legacy experiment
-    pipeline does) call :meth:`RunReport.raise_for_failures`.
-    """
-
-
 _design_cache: "OrderedDict[Tuple[str, float, int], object]" = OrderedDict()
 
 
 def _load_base_design(benchmark: str, scale: float, seed: int):
     """Load a benchmark once per process and share it across jobs.
 
-    The historical experiment loop loaded each benchmark once for all its
-    cells; jobs restore that economy through this cache.  Sharing is safe
-    because lockers deep-copy the design before mutating (``in_place``
-    defaults to False).
+    Every job of a benchmark shares one generated base design through this
+    cache.  Sharing is safe because lockers deep-copy the design before
+    mutating (``in_place`` defaults to False).
     """
     from ..bench import load_benchmark
 
@@ -135,8 +123,7 @@ def key_budget_for(job: JobSpec, num_operations: int) -> int:
                       job.locker.algorithm, num_operations)
 
 
-def execute_job(job: JobSpec, pair_table=None,
-                max_lanes: Optional[int] = None,
+def execute_job(job: JobSpec, max_lanes: Optional[int] = None,
                 fault_plan=None, attempt: int = 0,
                 in_worker: bool = False) -> Dict:
     """Execute one job and return its (JSON-ready) record.
@@ -156,7 +143,6 @@ def execute_job(job: JobSpec, pair_table=None,
 
     Args:
         job: The job to execute.
-        pair_table: Runtime pair-table override for lockers and attacks.
         max_lanes: Runner-level lane cap (overrides the job's own).
         fault_plan: Optional :class:`~repro.api.faults.FaultPlan`; its
             pre-execution faults (crash/hang/transient/slow) are injected
@@ -172,10 +158,10 @@ def execute_job(job: JobSpec, pair_table=None,
         fault_plan.apply(job.job_id, attempt, in_worker=in_worker)
     effective = max_lanes if max_lanes is not None else job.max_lanes
     with lane_limit(effective if effective is not None else "auto"):
-        return _execute_job_body(job, pair_table, warm_plan_cache)
+        return _execute_job_body(job, warm_plan_cache)
 
 
-def _execute_job_body(job: JobSpec, pair_table, warm_plan_cache) -> Dict:
+def _execute_job_body(job: JobSpec, warm_plan_cache) -> Dict:
     started = time.perf_counter()
     design = _load_base_design(job.benchmark, job.scale, job.seed)
     num_operations = design.num_operations()
@@ -183,7 +169,7 @@ def _execute_job_body(job: JobSpec, pair_table, warm_plan_cache) -> Dict:
 
     locker = make_locker(job.locker.algorithm,
                          random.Random(job.locker_seed),
-                         pair_table=pair_table, **job.locker.options)
+                         **job.locker.options)
     locked = locker.lock(design, key_budget=budget)
 
     record: Dict = {
@@ -219,7 +205,6 @@ def _execute_job_body(job: JobSpec, pair_table, warm_plan_cache) -> Dict:
                              time_budget=spec.time_budget,
                              feature_set=spec.feature_set,
                              functional_vectors=spec.functional_vectors,
-                             pair_table=pair_table,
                              **spec.options)
         result = attack.attack(locked.design, algorithm=job.locker.algorithm)
         record["attack"] = spec.name
@@ -305,7 +290,8 @@ class RunReport:
         executed: Jobs actually run in this invocation.
         skipped: Jobs skipped because their store record already existed.
         records: ``{job_id: record}`` for *every* job of the scenario
-            (executed now or loaded from the store).
+            (executed now or loaded from the store), in expansion order
+            whatever the backend's completion order.
         store_path: Store directory, or ``None`` for in-memory runs.
         failures: One ledger-style entry per job that failed past its retry
             budget this run — or was skipped as known-poison on resume
@@ -322,22 +308,6 @@ class RunReport:
     store_path: Optional[str] = None
     failures: List[Dict] = field(default_factory=list)
     quarantined: int = 0
-
-    def raise_for_failures(self) -> None:
-        """Raise :class:`JobExecutionError` when any job failed.
-
-        The historical fail-fast contract for callers that prefer an
-        exception over a partial report (the legacy experiment pipeline
-        does).  Completed records were committed before quarantine, so a
-        resumed run re-executes only the failures.
-        """
-        if not self.failures:
-            return
-        summary = "; ".join(entry["job_id"] for entry in self.failures)
-        first = self.failures[0].get("error") or "(no traceback captured)"
-        raise JobExecutionError(
-            f"{len(self.failures)} job(s) failed ({summary}); completed "
-            f"jobs were committed. First failure:\n{first}")
 
     def kpa_samples(self) -> List:
         """Flatten every attack record into ``KpaSample`` objects."""
@@ -372,9 +342,6 @@ class Runner:
             after every completed (or skipped) job — the same liveness-hook
             convention as :meth:`SnapShotAttack.attack_many`.  A raising
             hook is logged and ignored: an observer must not abort the run.
-        pair_table: Runtime pair-table override handed to lockers and
-            attacks.  Pair tables are live objects, not scenario data, so
-            they are only supported for in-process runs (``jobs=1``).
         max_lanes: Runtime override of the scenario's ``max_lanes`` lane
             limit (peak lane width of one bit-parallel simulation pass).
             When both are unset, jobs run under the automatic per-plan cap
@@ -401,14 +368,13 @@ class Runner:
     Raises:
         ValueError: for a non-positive ``jobs`` count, a non-positive
             ``max_lanes``, a negative ``retries``, a non-positive
-            ``job_timeout``, ``retries`` combined with ``retry_policy``, or
-            a ``pair_table`` combined with a process pool.
+            ``job_timeout``, or ``retries`` combined with ``retry_policy``.
     """
 
     def __init__(self, scenario: Scenario, store: Optional[ResultsStore] = None,
                  jobs: int = 1, resume: bool = True,
                  progress: Optional[ProgressFn] = None,
-                 pair_table=None, max_lanes: Optional[int] = None,
+                 max_lanes: Optional[int] = None,
                  backend: Union[str, ExecutorBackend, None] = None,
                  retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
@@ -416,9 +382,6 @@ class Runner:
                  fault_plan=None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
-        if pair_table is not None and jobs > 1:
-            raise ValueError("a runtime pair_table requires jobs=1 "
-                             "(pair tables are not scenario data)")
         if max_lanes is not None and max_lanes < 1:
             raise ValueError("max_lanes must be positive")
         if retries is not None and retries < 0:
@@ -432,7 +395,6 @@ class Runner:
         self.jobs = jobs
         self.resume = resume
         self.progress = progress
-        self.pair_table = pair_table
         self.max_lanes = max_lanes
         self.backend = backend
         self.retries = retries
@@ -459,11 +421,7 @@ class Runner:
             choice = "serial" if serial else "process"
         if isinstance(choice, ExecutorBackend):
             return choice
-        backend = make_backend(choice)
-        if self.pair_table is not None and backend.name != "serial":
-            raise ValueError("a runtime pair_table requires the serial "
-                             "backend (pair tables are not scenario data)")
-        return backend
+        return make_backend(choice)
 
     def _resolve_policy(self) -> RetryPolicy:
         """The retry policy of this run (runner arg > scenario > default)."""
@@ -492,8 +450,7 @@ class Runner:
         its budget — or one failing permanently — is *quarantined*: appended
         to the store's ``failures.jsonl`` ledger, reported in
         :attr:`RunReport.failures`, and skipped by later resumes until the
-        retry budget is raised.  Call :meth:`RunReport.raise_for_failures`
-        for the historical fail-fast behaviour.
+        retry budget is raised.
 
         Raises:
             StoreError: when resuming against a store stamped by a
@@ -612,8 +569,7 @@ class Runner:
                     scenario_dict=scenario_dict, jobs=pending, chunks=chunks,
                     attempts=attempts, delays=delays, workers=self.jobs,
                     max_lanes=self.max_lanes, job_timeout=job_timeout,
-                    fault_plan=self.fault_plan, emit=emit,
-                    pair_table=self.pair_table))
+                    fault_plan=self.fault_plan, emit=emit))
 
                 for index in indices:
                     job = pending[index]
@@ -653,6 +609,10 @@ class Runner:
                 self.store.write_manifest(self.scenario,
                                           executed=report.executed,
                                           skipped=report.skipped)
+        # Backends complete jobs in cost or arrival order; consumers (the
+        # Fig. 6 tables among them) see expansion order on every backend.
+        report.records = {job.job_id: report.records[job.job_id]
+                          for job in jobs if job.job_id in report.records}
         return report
 
     # ------------------------------------------------------------ committing

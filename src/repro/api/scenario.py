@@ -8,10 +8,10 @@ and expands deterministically into a flat list of :class:`JobSpec` jobs, each
 of which is an independent lock → attack (or lock → measure) unit of work
 with a stable ``job_id`` — the key of the results store.
 
-Seed derivation is *identical* to the historical
-:class:`~repro.eval.experiment.SnapShotExperiment` pipeline: a scenario with
-one ``snapshot`` attack reproduces the Fig. 6 evaluation bit for bit at the
-same master seed, serially or across a process pool.
+Seed derivation is a pure function of ``(seed, benchmark, locker,
+sample)``: a scenario with one ``snapshot`` attack is the Fig. 6 evaluation
+(``repro-lock evaluate`` emits exactly that scenario) and reproduces it bit
+for bit at the same master seed, serially or across a process pool.
 
 Beyond the base cross product, three **matrix axes** turn one scenario into a
 parameter sweep without any code:
@@ -494,18 +494,18 @@ class JobSpec:
 
     @property
     def locker_seed(self) -> int:
-        """Seed of the locking rng (identical to the legacy pipeline)."""
+        """Seed of the locking rng."""
         return self.cell_seed + 1000 * self.sample
 
     @property
     def attack_seed(self) -> int:
         """Seed of the attack rng.
 
-        For the first attack of a scenario this is exactly the legacy
+        For the first attack of a scenario this is exactly the historical
         ``cell_seed + 1000 * sample + 7``, which keeps single-attack
-        scenarios bit-identical to :class:`SnapShotExperiment`; further
-        attacks shift by a fixed stride so every attack draws an
-        independent stream.
+        scenarios bit-identical to earlier Fig. 6 runs; further attacks
+        shift by a fixed stride so every attack draws an independent
+        stream.
         """
         return self.cell_seed + 1000 * self.sample + 7 + 1009 * self.attack_index
 
@@ -792,9 +792,10 @@ class Scenario:
         Jobs are ordered benchmark-major, then locker, then locker
         key-budget axis, then seed axis, then sample, then attacks (budget
         axis innermost) before metrics — for a scenario without matrix axes
-        the axis loops collapse to singletons and the order is the exact
-        cell order of the historical experiment loop, so serial runs and
-        progress reporting match it.  The expansion is a pure function of
+        the axis loops collapse to singletons and the order is the Fig. 6
+        cell order (benchmark rows, locker columns), which
+        :attr:`RunReport.records <repro.api.runner.RunReport.records>`
+        follows on every backend.  The expansion is a pure function of
         the scenario (declaration order, no hashing or platform-dependent
         iteration), so the run plan is stable across platforms and
         processes.
@@ -853,33 +854,3 @@ class Scenario:
                 metric=metric, metric_index=metric_index, axes=base_axes,
                 max_lanes=self.max_lanes))
         return jobs
-
-    # ------------------------------------------------------------ conversions
-
-    @classmethod
-    def from_experiment_config(cls, config,
-                               name: str = "evaluate") -> "Scenario":
-        """The scenario equivalent of a legacy ``ExperimentConfig``.
-
-        The resulting single-attack scenario reproduces
-        :meth:`SnapShotExperiment.run <repro.eval.experiment.SnapShotExperiment.run>`
-        bit for bit at the same seed — both run the same self-seeded jobs
-        with the deterministic auto-ML budget.  ``config.pair_table`` is a
-        runtime object and cannot be declared here; pass it to the
-        :class:`~repro.api.runner.Runner` instead.
-        """
-        return cls(
-            name=name,
-            benchmarks=tuple(config.benchmarks),
-            lockers=tuple(LockerSpec(algorithm=algorithm,
-                                     key_budget_fraction=config.key_budget_fraction)
-                          for algorithm in config.algorithms),
-            attacks=(AttackSpec(name="snapshot",
-                                rounds=config.relock_rounds,
-                                time_budget=config.automl_time_budget,
-                                feature_set=config.feature_set,
-                                functional_vectors=config.functional_vectors),),
-            samples=config.n_test_lockings,
-            scale=config.scale,
-            seed=config.seed,
-        )

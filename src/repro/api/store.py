@@ -480,9 +480,7 @@ class ResultsStore:
     def kpa_samples(self) -> List:
         """Flatten every stored attack record into a ``KpaSample`` list.
 
-        This is the store-backed replacement for
-        :meth:`ExperimentResult.kpa_samples` that the figure and table
-        builders consume.
+        The figure and table builders consume this list.
         """
         return kpa_samples_from_records(self.records())
 

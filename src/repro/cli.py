@@ -37,6 +37,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .api import (
+    AttackSpec,
+    LockerSpec,
     Runner,
     ResultsStore,
     Scenario,
@@ -46,18 +48,11 @@ from .api import (
     backend_names,
     locker_names,
     make_attack,
+    make_locker,
 )
 from .bench import benchmark_names, get_profile, load_benchmark
-from .eval import (
-    ExperimentConfig,
-    SnapShotExperiment,
-    experiment_report,
-    format_table,
-    make_locker,
-    report_from_samples,
-)
+from .eval import format_table, report_from_samples
 from .locking import odt_from_design
-from .locking.key import string_to_key
 from .rtlir import Design, KeyBit, analyze_design
 
 
@@ -197,40 +192,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    """Run the Fig. 6 style evaluation on a set of benchmarks.
+    """Run the Fig. 6 evaluation on a set of benchmarks.
 
-    This is a shim over the scenario API: the options are folded into an
-    :class:`ExperimentConfig`, whose scenario equivalent is executed by the
-    :class:`repro.api.Runner` (use ``--emit-scenario`` to write that scenario
-    out for ``repro-lock run``).  Results are bit-identical to the historical
-    serial pipeline at the same seed, for any ``--jobs`` count.
+    The flags build a one-attack SnapShot :class:`Scenario`
+    (``--emit-scenario`` writes it out for ``repro-lock run``), which runs
+    through the same execute-and-print path as ``run``: same records, same
+    report, same error handling.  Without ``--store`` the records stay in
+    memory.
     """
-    config = ExperimentConfig(
-        benchmarks=args.benchmarks or ["MD5", "FIR", "SASC", "N_2046", "N_1023"],
-        algorithms=tuple(args.algorithms),
-        scale=args.scale,
-        n_test_lockings=args.samples,
-        relock_rounds=args.rounds,
-        automl_time_budget=args.time_budget,
-        seed=args.seed,
-    )
-    if args.emit_scenario is not None:
-        config.to_scenario().save(args.emit_scenario)
-        print(f"Equivalent scenario written to {args.emit_scenario}")
-    store = ResultsStore(args.store) if args.store is not None else None
     try:
-        result = SnapShotExperiment(config).run(jobs=args.jobs, store=store)
-    except (ScenarioError, StoreError) as exc:
+        scenario = Scenario(
+            name="evaluate",
+            benchmarks=tuple(args.benchmarks
+                             or ("MD5", "FIR", "SASC", "N_2046", "N_1023")),
+            lockers=tuple(LockerSpec(algorithm)
+                          for algorithm in args.algorithms),
+            attacks=(AttackSpec("snapshot", rounds=args.rounds,
+                                time_budget=args.time_budget),),
+            samples=args.samples, scale=args.scale, seed=args.seed)
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = experiment_report(result)
-    print(report)
-    if store is not None:
-        print(f"\nResults store: {store.root}")
-    if args.output is not None:
-        args.output.write_text(report + "\n")
-        print(f"\nReport written to {args.output}")
-    return 0
+    if args.emit_scenario is not None:
+        scenario.save(args.emit_scenario)
+        print(f"Equivalent scenario written to {args.emit_scenario}")
+    store = ResultsStore(args.store) if args.store is not None else None
+    return _execute(scenario, store, jobs=args.jobs, output=args.output)
 
 
 def _dry_run_plan(scenario, store, args) -> int:
@@ -340,24 +327,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _dry_run_plan(scenario, store, args)
 
-    def progress(done: int, total: int, record: dict) -> None:
-        if args.quiet:
-            return
-        label = record.get("attack") or record.get("metric") or "?"
-        print(f"[{done}/{total}] {record['kind']:6s} {record['benchmark']}"
-              f"/{record['locker']}/{label} s{record['sample']}"
-              f" ({record.get('elapsed_seconds', 0.0):.2f}s)")
-
-    if args.max_lanes is not None and args.max_lanes < 1:
-        print("error: --max-lanes must be positive", file=sys.stderr)
-        return 1
-    if args.retries is not None and args.retries < 0:
-        print("error: --retries must be non-negative", file=sys.stderr)
-        return 1
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        print("error: --job-timeout must be positive", file=sys.stderr)
-        return 1
-
     fault_plan = None
     if args.fault_plan is not None:
         from .api.faults import FaultPlan, FaultPlanError
@@ -368,13 +337,36 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
+    return _execute(scenario, store, jobs=args.jobs,
+                    resume=not args.no_resume, quiet=args.quiet,
+                    max_lanes=args.max_lanes, backend=args.backend,
+                    retries=args.retries, job_timeout=args.job_timeout,
+                    fault_plan=fault_plan)
+
+
+def _execute(scenario: Scenario, store: Optional[ResultsStore], *,
+             jobs: int, resume: bool = True, quiet: bool = False,
+             output: Optional[Path] = None, **runner_options) -> int:
+    """Run a scenario and print its summary, Fig. 6 report and failures.
+
+    The execution path shared by ``run`` and ``evaluate``.  Bad runner
+    arguments (``Runner`` raises ``ValueError``) print one ``error:`` line
+    and return 1; SIGTERM/SIGINT return 130 with every finished job
+    committed; quarantined jobs are listed and return 1.  ``output``
+    additionally receives the Fig. 6 report text.
+    """
+    def progress(done: int, total: int, record: dict) -> None:
+        if quiet:
+            return
+        label = record.get("attack") or record.get("metric") or "?"
+        print(f"[{done}/{total}] {record['kind']:6s} {record['benchmark']}"
+              f"/{record['locker']}/{label} s{record['sample']}"
+              f" ({record.get('elapsed_seconds', 0.0):.2f}s)")
+
     restore_sigterm = _sigterm_as_keyboard_interrupt()
     try:
-        report = Runner(scenario, store=store, jobs=args.jobs,
-                        resume=not args.no_resume, progress=progress,
-                        max_lanes=args.max_lanes, backend=args.backend,
-                        retries=args.retries, job_timeout=args.job_timeout,
-                        fault_plan=fault_plan).run()
+        report = Runner(scenario, store=store, jobs=jobs, resume=resume,
+                        progress=progress, **runner_options).run()
     except (ScenarioError, StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -382,34 +374,46 @@ def cmd_run(args: argparse.Namespace) -> int:
         # SIGTERM/SIGINT mid-run: the backend killed its workers and the
         # runner's finally block wrote the manifest, so everything that
         # finished is committed and the store resumes cleanly.
-        print(f"\ninterrupted — completed jobs are committed in "
-              f"{store.root}; re-run the same command to resume",
-              file=sys.stderr)
+        if store is None:
+            print("\ninterrupted — no results store, nothing was kept",
+                  file=sys.stderr)
+        else:
+            print(f"\ninterrupted — completed jobs are committed in "
+                  f"{store.root}; re-run the same command to resume",
+                  file=sys.stderr)
         return 130
     finally:
         restore_sigterm()
     print(f"Scenario {scenario.name!r}: {report.total} job(s) — "
           f"{report.executed} executed, {report.skipped} skipped "
-          f"(resume {'off' if args.no_resume else 'on'})")
-    print(f"Results store: {store.root} (manifest: {store.manifest_path})")
+          f"(resume {'on' if resume else 'off'})")
+    if store is not None:
+        print(f"Results store: {store.root} (manifest: {store.manifest_path})")
 
     samples = report.kpa_samples()
     if samples:
+        text = report_from_samples(
+            samples, algorithms=[spec.algorithm for spec in scenario.lockers])
         print()
-        print(report_from_samples(
-            samples, algorithms=[spec.algorithm for spec in scenario.lockers]))
+        print(text)
+        if output is not None:
+            output.write_text(text + "\n")
+            print(f"\nReport written to {output}")
     metric_names_run = sorted({record["metric"]
                                for record in report.records.values()
                                if record.get("kind") == "metric"})
     if metric_names_run:
-        print(f"\nMetrics recorded: {', '.join(metric_names_run)} "
-              f"(see {store.jobs_dir})")
+        print(f"\nMetrics recorded: {', '.join(metric_names_run)}"
+              + (f" (see {store.jobs_dir})" if store is not None else ""))
     if report.failures:
+        ledger = (f" (ledger: {store.failures_path})"
+                  if store is not None else "")
         print(f"\n{len(report.failures)} job(s) failed past their retry "
-              f"budget (ledger: {store.failures_path}):")
+              f"budget{ledger}:")
         print(_failures_table(report.failures))
-        print("Completed jobs were committed; raise --retries to "
-              "re-execute the quarantined ones on resume.")
+        print("Completed jobs were committed; raise the retry budget "
+              "('repro-lock run --retries N') to re-execute the quarantined "
+              "ones on resume.")
         return 1
     return 0
 

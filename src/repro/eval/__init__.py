@@ -1,14 +1,9 @@
-"""Evaluation harness: the lock → attack → KPA pipeline and figure builders."""
+"""Evaluation harness: figure builders, reports and tables.
 
-from .experiment import (
-    DEFAULT_ALGORITHMS,
-    CellResult,
-    ExperimentConfig,
-    ExperimentResult,
-    SnapShotExperiment,
-    attack_result_from_record,
-    make_locker,
-)
+The Fig. 6 runs themselves are scenarios executed by :mod:`repro.api`; this
+package turns their records into figures and text.
+"""
+
 from .figures import (
     AXIS_ORDER,
     PAPER_AVERAGE_KPA,
@@ -21,13 +16,11 @@ from .figures import (
     figure5_surface,
     figure5_trajectories,
     figure6_from_store,
-    figure6_kpa,
     axis_sweeps_from_records,
     axis_sweeps_from_store,
 )
 from .reporting import (
     ShapeCheck,
-    experiment_report,
     experiment_report_from_store,
     kpa_tables_from_samples,
     report_from_samples,
@@ -46,13 +39,6 @@ from .tables import (
 )
 
 __all__ = [
-    "DEFAULT_ALGORITHMS",
-    "CellResult",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "SnapShotExperiment",
-    "attack_result_from_record",
-    "make_locker",
     "PAPER_AVERAGE_KPA",
     "AXIS_ORDER",
     "AxisSweepData",
@@ -64,11 +50,9 @@ __all__ = [
     "figure5_surface",
     "figure5_trajectories",
     "figure6_from_store",
-    "figure6_kpa",
     "axis_sweeps_from_records",
     "axis_sweeps_from_store",
     "ShapeCheck",
-    "experiment_report",
     "experiment_report_from_store",
     "kpa_tables_from_samples",
     "report_from_samples",

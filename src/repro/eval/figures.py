@@ -9,8 +9,9 @@ library is required.
   ``+``-network).
 * :func:`figure5_surface` and :func:`figure5_trajectories` — the metric
   search-space and metric-evolution views of Fig. 5.
-* :func:`figure6_kpa` — the per-benchmark and average KPA of Fig. 6 (thin
-  wrapper over :class:`~repro.eval.experiment.SnapShotExperiment`).
+* :func:`figure6_from_store` — the per-benchmark and average KPA of Fig. 6,
+  read from the results store of a scenario run (``repro-lock evaluate``
+  or ``run``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ..locking.hra import GreedyLocker, HRALocker
 from ..locking.metrics import MetricTracker, metric_surface
 from ..rtlir.design import Design
 from ..rtlir.operations import decode_operator
-from .experiment import ExperimentConfig, ExperimentResult, SnapShotExperiment
 
 # ---------------------------------------------------------------------------
 # Figure 4 — impact of operation selection on learning resilience
@@ -317,24 +317,10 @@ def figure5_trajectories(plus_imbalance: int = 25, shift_imbalance: int = 10,
 
 @dataclass
 class Figure6Data:
-    """Per-benchmark and average KPA (Fig. 6a and 6b).
-
-    ``result`` is ``None`` when the data was read back from a results store
-    rather than produced by an in-memory experiment run.
-    """
+    """Per-benchmark and average KPA (Fig. 6a and 6b)."""
 
     per_benchmark: Dict[str, Dict[str, float]]
     average: Dict[str, float]
-    result: Optional[ExperimentResult] = None
-
-
-def figure6_kpa(config: Optional[ExperimentConfig] = None) -> Figure6Data:
-    """Run the Fig. 6 evaluation and return per-benchmark and average KPA."""
-    experiment = SnapShotExperiment(config)
-    result = experiment.run()
-    return Figure6Data(per_benchmark=result.kpa_table(),
-                       average=result.average_kpa(),
-                       result=result)
 
 
 def figure6_from_store(store) -> Figure6Data:

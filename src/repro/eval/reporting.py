@@ -1,4 +1,4 @@
-"""High-level report generation combining experiment results and paper values."""
+"""Fig. 6 reports: measured KPA tables next to the paper's values."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..attacks.kpa import KpaSample, aggregate_by
-from .experiment import ExperimentResult
 from .figures import PAPER_AVERAGE_KPA
 from .tables import average_kpa_text, kpa_table_text
 
@@ -92,20 +91,14 @@ def shape_checks(average: Mapping[str, float],
     return checks
 
 
-def experiment_report(result: ExperimentResult) -> str:
-    """Render a full text report (Fig. 6a table, Fig. 6b table, shape checks)."""
-    return _render_report(result.kpa_table(), result.average_kpa(),
-                          list(result.config.algorithms))
-
-
 def kpa_tables_from_samples(samples: Sequence[KpaSample],
                             ) -> tuple:
     """Build ``(per_benchmark, average)`` KPA tables from flat samples.
 
-    The store-backed counterpart of :meth:`ExperimentResult.kpa_table` and
-    :meth:`ExperimentResult.average_kpa`, usable on any
-    :class:`~repro.attacks.kpa.KpaSample` list (e.g.
-    :meth:`repro.api.ResultsStore.kpa_samples`).
+    Works on any :class:`~repro.attacks.kpa.KpaSample` list (e.g.
+    :meth:`repro.api.RunReport.kpa_samples` or
+    :meth:`repro.api.ResultsStore.kpa_samples`); both tables keep the
+    samples' first-seen order.
     """
     grouped: Dict[str, Dict[str, List[float]]] = {}
     for sample in samples:
@@ -123,11 +116,24 @@ def kpa_tables_from_samples(samples: Sequence[KpaSample],
 
 
 def report_from_samples(samples: Sequence[KpaSample],
-                        algorithms: Optional[Sequence[str]] = None) -> str:
-    """Render the Fig. 6 style report from flat KPA samples."""
+                        algorithms: Optional[Sequence[str]] = None,
+                        benchmarks: Optional[Sequence[str]] = None) -> str:
+    """Render the Fig. 6 report (6a table, 6b table, shape checks).
+
+    Args:
+        samples: Flat KPA samples (e.g.
+            :meth:`repro.api.RunReport.kpa_samples`).
+        algorithms: Column order of Fig. 6a and row order of Fig. 6b
+            (default: sorted names).
+        benchmarks: Row order of Fig. 6a — a scenario's ``benchmarks``;
+            benchmarks not listed follow in sample order.
+    """
     per_benchmark, average = kpa_tables_from_samples(samples)
     if algorithms is None:
         algorithms = sorted(average)
+    rank = {name: index for index, name in enumerate(benchmarks or ())}
+    per_benchmark = dict(sorted(per_benchmark.items(),
+                                key=lambda item: rank.get(item[0], len(rank))))
     return _render_report(per_benchmark, average, list(algorithms))
 
 
@@ -140,7 +146,8 @@ def experiment_report_from_store(store) -> str:
     """
     scenario = store.scenario()
     algorithms = [spec.algorithm for spec in scenario.lockers]
-    return report_from_samples(store.kpa_samples(), algorithms=algorithms)
+    return report_from_samples(store.kpa_samples(), algorithms=algorithms,
+                               benchmarks=scenario.benchmarks)
 
 
 def store_context(store) -> tuple:
@@ -317,7 +324,9 @@ def store_report(store, context: Optional[tuple] = None) -> str:
     if samples:
         algorithms = ([spec.algorithm for spec in scenario.lockers]
                       if scenario is not None else None)
-        parts += ["", report_from_samples(samples, algorithms=algorithms)]
+        benchmarks = scenario.benchmarks if scenario is not None else None
+        parts += ["", report_from_samples(samples, algorithms=algorithms,
+                                          benchmarks=benchmarks)]
 
     for sweep in axis_sweeps_from_records(records):
         parts += ["", axis_sweep_table_text(sweep)]

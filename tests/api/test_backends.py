@@ -89,11 +89,6 @@ class TestRegistry:
         report = Runner(scenario, store=ResultsStore(tmp_path / "s")).run()
         assert report.executed == 2 and not report.failures
 
-    def test_pair_table_requires_the_serial_backend(self):
-        with pytest.raises(ValueError, match="serial"):
-            Runner(quick_scenario(), pair_table=object(),
-                   backend="process").run()
-
 
 class TestRetryPolicy:
     def test_attempts_is_retries_plus_one(self):

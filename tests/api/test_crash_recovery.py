@@ -11,11 +11,8 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.api import (
     AttackSpec,
-    JobExecutionError,
     LockerSpec,
     MetricSpec,
     ResultsStore,
@@ -160,8 +157,8 @@ class TestCrashedWorker:
             ["metric__SASC__era__crash-worker-test__s0"]
         assert report.failures[0]["failure"] == "crash"
         assert report.failures[0]["classification"] == "transient"
-        with pytest.raises(JobExecutionError, match="crash-worker-test"):
-            report.raise_for_failures()
+        # The entry carries the traceback of the lost worker's chunk.
+        assert "BrokenProcessPool" in report.failures[0]["error"]
         # The well-behaved job beat the crash and its record committed.
         committed = store.job_ids()
         assert len(committed) == 1

@@ -174,18 +174,3 @@ class TestExpansion:
         with pytest.raises(ScenarioError):
             JobSpec(kind="attack", benchmark="SASC", locker=LockerSpec("era"),
                     sample=0, seed=0, scale=1.0)  # missing attack spec
-
-    def test_from_experiment_config_equivalence(self):
-        from repro.eval import ExperimentConfig
-
-        config = ExperimentConfig(benchmarks=["SASC"], algorithms=("era",),
-                                  scale=0.2, n_test_lockings=3,
-                                  relock_rounds=8, automl_time_budget=2.0,
-                                  functional_vectors=16, seed=11)
-        scenario = config.to_scenario()
-        assert scenario.benchmarks == ("SASC",)
-        assert scenario.samples == 3
-        (attack,) = scenario.attacks
-        assert attack.rounds == 8
-        assert attack.functional_vectors == 16
-        assert Scenario.from_dict(scenario.to_dict()) == scenario

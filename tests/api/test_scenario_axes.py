@@ -16,9 +16,9 @@ from repro.api.scenario import format_axis_value
 
 # Golden run plan of a single-value (no matrix axes) scenario, pinned at the
 # PR 3 semantics: (job_id, locker_seed, attack-or-metric stream seed).  The
-# seeds are the literal crc32-derived values of the historical
-# ``SnapShotExperiment`` formula — if this table changes, stored runs and the
-# bit-identity with the legacy pipeline break.
+# seeds are the literal crc32-derived values of the historical Fig. 6
+# formula — if this table changes, every stored run stops resuming and
+# earlier Fig. 6 records can no longer be reproduced.
 GOLDEN_SINGLE_VALUE = [
     ("attack__SASC__assure__snapshot__s0", 1452977717, 1452977724),
     ("metric__SASC__assure__avalanche__s0", 1452977717, 1452985636),

@@ -1,7 +1,8 @@
-"""Unit tests for the experiment report and shape checks."""
+"""Unit tests for the Fig. 6 report and shape checks."""
 
-from repro.eval.experiment import ExperimentConfig, SnapShotExperiment
-from repro.eval.reporting import ShapeCheck, experiment_report, shape_checks
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
+from repro.attacks.kpa import KpaSample
+from repro.eval.reporting import ShapeCheck, report_from_samples, shape_checks
 
 
 class TestShapeChecks:
@@ -40,18 +41,29 @@ class TestShapeChecks:
 
 class TestExperimentReport:
     def test_report_contains_tables_and_checks(self):
-        config = ExperimentConfig(
-            benchmarks=["SASC"],
-            algorithms=("assure", "era"),
+        scenario = Scenario(
+            name="report-unit",
+            benchmarks=("SASC",),
+            lockers=(LockerSpec("assure"), LockerSpec("era")),
+            attacks=(AttackSpec("snapshot", rounds=5, time_budget=1.0),),
+            samples=1,
             scale=0.15,
-            n_test_lockings=1,
-            relock_rounds=5,
-            automl_time_budget=1.0,
             seed=7,
         )
-        result = SnapShotExperiment(config).run()
-        report = experiment_report(result)
+        samples = Runner(scenario).run().kpa_samples()
+        report = report_from_samples(samples, algorithms=["assure", "era"])
         assert "Fig. 6a" in report
         assert "Fig. 6b" in report
         assert "Shape checks" in report
         assert "SASC" in report
+
+    def test_rows_follow_the_listed_benchmarks(self):
+        samples = [KpaSample(design_name=name, algorithm="era", value=50.0,
+                             key_width=4)
+                   for name in ("FIR", "SASC", "I2C_SL", "MD5")]
+        report = report_from_samples(samples, algorithms=["era"],
+                                     benchmarks=["I2C_SL", "FIR", "SASC"])
+        rows = [line.split(" |")[0].strip()
+                for line in report.splitlines()[3:7]]
+        # Listed benchmarks first, in list order; the rest in sample order.
+        assert rows == ["I2C_SL", "FIR", "SASC", "MD5"]

@@ -247,6 +247,64 @@ class TestRunScenario:
         assert main(["run", str(tmp_path / "absent.json")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    def test_emitted_scenario_fingerprint_is_pinned(self, tmp_path, capsys):
+        """``evaluate`` builds the same scenario (and job ids) as always."""
+        from repro.api import Scenario
+
+        scenario_file = tmp_path / "scenario.json"
+        assert main(["evaluate", *self.EVAL_ARGS,
+                     "--emit-scenario", str(scenario_file)]) == 0
+        capsys.readouterr()
+        scenario = Scenario.from_file(scenario_file)
+        assert scenario.fingerprint() == "c0ab999f"
+        data = json.loads(scenario_file.read_text())
+        assert [locker["key_budget_fraction"]
+                for locker in data["lockers"]] == [0.75, 0.75]
+        (attack,) = data["attacks"]
+        assert (attack["name"], attack["feature_set"],
+                attack["functional_vectors"]) == ("snapshot", "pair", 0)
+
+    def test_fig6_rows_follow_the_scenario_on_every_path(self, tmp_path,
+                                                          capsys):
+        """run (serial and --jobs 2), evaluate and report: one row order."""
+        def fig6_rows(out):
+            block = out[out.index("(Fig. 6a)"):out.index("(Fig. 6b)")]
+            return [line.split(" |")[0].strip()
+                    for line in block.splitlines()[3:] if " | " in line]
+
+        scenario_file = tmp_path / "scenario.json"
+        store = tmp_path / "eval_store"
+        assert main(["evaluate", "--benchmarks", "I2C_SL", "FIR", "SASC",
+                     "--algorithms", "era", "assure", "--scale", "0.15",
+                     "--samples", "1", "--rounds", "3", "--time-budget", "1",
+                     "--store", str(store),
+                     "--emit-scenario", str(scenario_file)]) == 0
+        outputs = {"evaluate": capsys.readouterr().out}
+        for label, extra in (("run", []), ("run -j2", ["--jobs", "2"])):
+            assert main(["run", str(scenario_file), "--store",
+                         str(tmp_path / label), "-q", *extra]) == 0
+            outputs[label] = capsys.readouterr().out
+        assert main(["report", str(store)]) == 0
+        outputs["report"] = capsys.readouterr().out
+        rows = {label: fig6_rows(out) for label, out in outputs.items()}
+        assert rows == {label: ["I2C_SL", "FIR", "SASC"] for label in rows}
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{scenario}", "--max-lanes", "0"],
+        ["run", "{scenario}", "--retries", "-1"],
+        ["run", "{scenario}", "--job-timeout", "0"],
+        ["evaluate", "--benchmarks", "SASC", "--jobs", "0"],
+    ], ids=["max-lanes", "retries", "job-timeout", "evaluate-jobs"])
+    def test_bad_runner_flags_fail_cleanly(self, tmp_path, capsys, argv):
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(TestReport.SINGLE_SCENARIO)
+        argv = [arg.format(scenario=scenario_file) for arg in argv]
+        assert main([*argv, "--store", str(tmp_path / "store")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "store").exists()
+
 
 class TestReport:
     """``repro-lock report <store>``: figures from disk, no re-simulation."""

@@ -12,7 +12,8 @@ import pytest
 
 from repro.attacks import LocalityExtractor, SnapShotAttack, kpa
 from repro.bench import load_benchmark
-from repro.eval import ExperimentConfig, SnapShotExperiment, experiment_report
+from repro.api import AttackSpec, LockerSpec, Runner, Scenario
+from repro.eval import kpa_tables_from_samples, report_from_samples
 from repro.locking import AssureLocker, ERALocker, HRALocker, odt_from_design
 from repro.ml import CategoricalNB
 from repro.rtlir import Design
@@ -95,19 +96,19 @@ class TestHeadlineSecurityClaim:
 
 class TestExperimentPipeline:
     def test_tiny_experiment_produces_full_report(self):
-        config = ExperimentConfig(
-            benchmarks=["USB_PHY", "N_1023"],
-            algorithms=("assure", "era"),
+        scenario = Scenario(
+            name="e2e",
+            benchmarks=("USB_PHY", "N_1023"),
+            lockers=(LockerSpec("assure"), LockerSpec("era")),
+            attacks=(AttackSpec("snapshot", rounds=6, time_budget=1.5),),
+            samples=1,
             scale=0.1,
-            n_test_lockings=1,
-            relock_rounds=6,
-            automl_time_budget=1.5,
             seed=11,
         )
-        result = SnapShotExperiment(config).run()
-        table = result.kpa_table()
-        assert set(table) == {"USB_PHY", "N_1023"}
-        report = experiment_report(result)
+        samples = Runner(scenario).run().kpa_samples()
+        table, _ = kpa_tables_from_samples(samples)
+        assert list(table) == ["USB_PHY", "N_1023"]
+        report = report_from_samples(samples, algorithms=["assure", "era"])
         assert "Average KPA" in report
 
     def test_localities_consistent_between_defender_and_attacker_views(self):
