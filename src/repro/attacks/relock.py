@@ -8,7 +8,10 @@ of those new key bits become labelled training samples (Fig. 2 of the paper,
 
 The paper relocks with *random* ASSURE selection "so that all parts of the
 design were used for learning"; :class:`TrainingSetBuilder` follows that
-default but accepts any locker with a ``lock``/``relock`` interface.
+default.  The target is copied once per attack and every round is applied
+to, extracted from and undone on one :class:`~repro.locking.base.LockingSession`
+over that copy, so a round costs its own locking actions rather than a
+whole-design copy and registry rebuild.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..locking.assure import AssureLocker
+from ..locking.base import LockingSession
 from ..locking.pairs import PairTable
 from ..rtlir.design import Design
 from .locality import LocalityExtractor
@@ -84,9 +88,12 @@ class TrainingSetBuilder:
         Simulation-backed feature sets (``behavioral``) evaluate all of a
         round's fresh key bits as lanes of a single bit-parallel key sweep
         (:func:`repro.locking.metrics.key_bit_sensitivity`), one pass per
-        relocked copy instead of one pass per key bit; the relocked copy's
-        plan comes from the process-wide cache shared with the deployment
-        and validation steps.
+        round instead of one pass per key bit; the relocked design's plan
+        comes from the process-wide cache shared with the deployment and
+        validation steps.
+
+        The training set is bit-identical to relocking a fresh copy of the
+        target every round; ``target`` itself is never mutated.
 
         Args:
             target: The locked design to self-reference against.
@@ -104,6 +111,11 @@ class TrainingSetBuilder:
             raise ValueError("the target design must be locked")
         budget = self.relock_budget or target.key_width
         original_width = target.key_width
+        # One copy and one session per attack: every round relocks the
+        # session, extracts its new key bits and is then undone, which leaves
+        # the session exactly as a fresh one over the target.
+        session = LockingSession(target.copy(), pair_table=self.pair_table)
+        relocked = session.design
 
         feature_blocks: List[np.ndarray] = []
         label_blocks: List[np.ndarray] = []
@@ -114,10 +126,11 @@ class TrainingSetBuilder:
                 rng=random.Random(self.rng.getrandbits(64)),
                 track_metrics=False,
             )
-            relocked = locker.relock(target, key_budget=budget)
-            new_indices = range(original_width, relocked.design.key_width)
-            features, labels = self.extractor.extract_matrix(
-                relocked.design, key_indices=list(new_indices))
+            with session.tentative():
+                locker.relock(session, key_budget=budget)
+                new_indices = range(original_width, relocked.key_width)
+                features, labels = self.extractor.extract_matrix(
+                    relocked, key_indices=list(new_indices))
             feature_blocks.append(features)
             label_blocks.append(labels)
             if progress is not None:

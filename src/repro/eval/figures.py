@@ -161,30 +161,28 @@ def _training_round(locked_target: Design, scenario: str, budget: int,
     working = locked_target.copy()
     session = LockingSession(working, rng=rng)
 
-    refs = session.all_ops()
     if scenario == "serial":
         # Serial selection: the same topologically-first operations every
         # round; relocking therefore extends the test sample's locking pairs.
-        locker = AssureLocker("serial", rng=rng, track_metrics=False)
-        relocked = locker.relock(locked_target, key_budget=budget)
-        new_indices = list(range(original_width, relocked.design.key_width))
-        features, labels = extractor.extract_matrix(relocked.design,
-                                                    key_indices=new_indices)
-        return features, labels, 1.0
-
-    if scenario == "random-no-overlap":
-        candidates = [ref for ref in refs
-                      if ref.lock_count == 0 and not ref.is_dummy]
+        AssureLocker("serial", rng=rng, track_metrics=False).relock(
+            session, key_budget=budget)
+        overlap = 1.0
     else:
-        candidates = list(refs)
-    rng.shuffle(candidates)
-    selected = candidates[:budget]
-    touched = sum(1 for ref in selected if ref.lock_count > 0 or ref.is_dummy)
-    for ref in selected:
-        session.add_pair(ref)
+        refs = session.all_ops()
+        if scenario == "random-no-overlap":
+            candidates = [ref for ref in refs
+                          if ref.lock_count == 0 and not ref.is_dummy]
+        else:
+            candidates = list(refs)
+        rng.shuffle(candidates)
+        selected = candidates[:budget]
+        touched = sum(1 for ref in selected
+                      if ref.lock_count > 0 or ref.is_dummy)
+        for ref in selected:
+            session.add_pair(ref)
+        overlap = touched / max(len(selected), 1)
     new_indices = list(range(original_width, working.key_width))
     features, labels = extractor.extract_matrix(working, key_indices=new_indices)
-    overlap = touched / max(len(selected), 1)
     return features, labels, overlap
 
 

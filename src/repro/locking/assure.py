@@ -23,12 +23,12 @@ pairing of Section 3.2.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..rtlir.design import Design
 from ..rtlir.opgraph import build_operation_graph
 from ..verilog import ast_nodes as ast
-from .base import LockingError, LockingSession, OpRef
+from .base import LockAction, LockingError, LockingSession, OpRef
 from .metrics import MetricTracker
 from .pairs import PairTable, default_pair_table
 from .result import LockResult
@@ -78,27 +78,12 @@ class AssureLocker:
         Raises:
             ValueError: for a negative key budget.
         """
-        if key_budget < 0:
-            raise ValueError("key budget must be non-negative")
         target = design if in_place else design.copy()
         session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
         tracker = MetricTracker(session.odt.vector()) if self.track_metrics else None
-
-        candidates = self._ordered_candidates(session)
         existing_bits = len(target.key_bits)
-        bits_used = 0
-        locked = 0
-        for ref in candidates:
-            if bits_used >= key_budget:
-                break
-            if not self.pair_table.has_pair(ref.op):
-                continue
-            action = session.add_pair(ref)
-            bits_used += action.bits_used
-            locked += 1
-            if tracker is not None:
-                tracker.record(session.odt, bits_used)
-
+        bits_used, locked, candidates = self._add_pairs(session, key_budget,
+                                                        tracker)
         new_bits = target.key_bits[existing_bits:]
         return LockResult(
             design=target,
@@ -109,20 +94,66 @@ class AssureLocker:
             tracker=tracker,
             statistics={
                 "locked_operations": float(locked),
-                "candidate_operations": float(len(candidates)),
+                "candidate_operations": float(candidates),
             },
         )
 
-    def relock(self, design: Design, key_budget: int,
-               in_place: bool = False) -> LockResult:
-        """Relock an already locked design (self-referencing, Fig. 2).
+    def relock(self, session: LockingSession,
+               key_budget: int) -> List[LockAction]:
+        """Apply one relocking round to an open session (self-referencing, Fig. 2).
 
-        This is plain :meth:`lock` applied to a locked design: the candidate
-        set then contains both real and dummy operations, which is exactly
-        what the attacker exploits/contends with when building the training
-        set.
+        The session's design is already locked, so the candidate set holds
+        both real and dummy operations, which is exactly what the attacker
+        exploits/contends with when building the training set.  The round
+        draws its selection and key values from this locker's rng, as
+        :meth:`lock` does, so relocking a session over a copy of a design
+        yields the same design as ``lock(design, key_budget)``.  Run it
+        inside :meth:`LockingSession.tentative` to undo the round afterwards.
+
+        Args:
+            session: Session over the design to relock; it must use this
+                locker's pair table.
+            key_budget: Number of operation-locking key bits to insert.
+
+        Returns:
+            The actions applied, oldest first.
+
+        Raises:
+            ValueError: for a negative key budget.
         """
-        return self.lock(design, key_budget, in_place=in_place)
+        depth = len(session.actions)
+        self._add_pairs(session, key_budget)
+        return session.actions[depth:]
+
+    def _add_pairs(self, session: LockingSession, key_budget: int,
+                   tracker: Optional[MetricTracker] = None
+                   ) -> Tuple[int, int, int]:
+        """Lock candidates in selection order until ``key_budget`` bits are used.
+
+        Returns ``(bits_used, locked operations, candidate operations)``.
+
+        Raises:
+            ValueError: for a negative key budget.
+        """
+        if key_budget < 0:
+            raise ValueError("key budget must be non-negative")
+        candidates = self._ordered_candidates(session)
+        bits_used = 0
+        locked = 0
+        for ref in candidates:
+            if bits_used >= key_budget:
+                break
+            if not self.pair_table.has_pair(ref.op):
+                continue
+            # Key values come from this locker's rng, not the session's:
+            # relocking rounds with their own rngs share one session.
+            action = session.add_pair(ref,
+                                      correct_value=self.rng.randint(0, 1))
+            bits_used += action.bits_used
+            locked += 1
+            if tracker is not None:
+                tracker.record(session.odt, bits_used)
+        return bits_used, locked, len(candidates)
 
     # ----------------------------------------------------- selection strategies
 

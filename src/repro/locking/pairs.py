@@ -46,6 +46,12 @@ class PairTable:
                 raise PairingError(f"dummy operator {dummy!r} is not lockable")
             if real == dummy:
                 raise PairingError(f"operator {real!r} cannot pair with itself")
+        # pair_of sits on the locking hot path (the ODT marks affected pairs
+        # on every add_pair), so the op -> pair lookup is built once here.
+        pairs = {frozenset(pair): pair for pair in self.unordered_pairs()}
+        object.__setattr__(self, "_pair_by_op", {
+            real: pairs[frozenset((real, dummy))]
+            for real, dummy in self.mapping.items()})
 
     # ----------------------------------------------------------------- lookup
 
@@ -109,11 +115,11 @@ class PairTable:
     def pair_of(self, op: str) -> Tuple[str, str]:
         """Return the unordered pair that ``op`` belongs to (as ordered tuple)."""
         op = normalize_operator(op)
-        dummy = self.dummy_of(op)
-        for first, second in self.unordered_pairs():
-            if {first, second} == {op, dummy}:
-                return (first, second)
-        return (op, dummy)
+        try:
+            return self._pair_by_op[op]
+        except KeyError as exc:
+            raise PairingError(f"operator {op!r} has no locking pair in table "
+                               f"{self.name!r}") from exc
 
 
 def make_symmetric(pairs: Iterable[Tuple[str, str]], name: str) -> PairTable:

@@ -6,8 +6,8 @@ into an :class:`~repro.sim.plan.EvalPlan` on every call.  Plans are pure
 functions of the netlist content, so this module caches them process-wide,
 keyed by :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`:
 
-* independent copies of the same design (e.g. the per-round deep copies the
-  relocking loop produces from one target) share a single compilation,
+* independent copies of the same design (e.g. a locked design and the
+  copies each attack takes of it) share a single compilation,
 * a *mutated* design gets a new fingerprint and therefore a fresh plan — the
   stale entry simply ages out of the LRU.  Fingerprints auto-refresh on
   locking-style mutation (key bits or module items added, source replaced);

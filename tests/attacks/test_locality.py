@@ -66,7 +66,7 @@ class TestNestedAndNonOperationBits:
     def test_relocked_pair_resolves_nested_branch(self, plus_chain_design):
         first = AssureLocker("serial", rng=random.Random(0)).lock(
             plus_chain_design, 4)
-        second = AssureLocker("random", rng=random.Random(1)).relock(
+        second = AssureLocker("random", rng=random.Random(1)).lock(
             first.design, 4)
         localities = LocalityExtractor().extract(second.design)
         assert len(localities) == 8

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.locking import AssureLocker
+from repro.locking import AssureLocker, LockingSession
 from repro.locking.pairs import ORIGINAL_ASSURE_TABLE
 from repro.rtlir import Design
 from repro.verilog import ast
@@ -112,7 +112,7 @@ class TestSelectionStrategies:
 class TestRelocking:
     def test_relock_appends_key_bits(self, mixer_design, rng):
         first = AssureLocker("serial", rng=rng).lock(mixer_design, key_budget=3)
-        second = AssureLocker("random", rng=random.Random(5)).relock(
+        second = AssureLocker("random", rng=random.Random(5)).lock(
             first.design, key_budget=4)
         assert second.design.key_width == 7
         assert [b.index for b in second.design.key_bits] == list(range(7))
@@ -122,7 +122,7 @@ class TestRelocking:
     def test_relock_creates_nested_ternaries(self, plus_chain_design):
         first = AssureLocker("serial", rng=random.Random(0)).lock(
             plus_chain_design, key_budget=6)
-        second = AssureLocker("random", rng=random.Random(1)).relock(
+        second = AssureLocker("random", rng=random.Random(1)).lock(
             first.design, key_budget=6)
         text = second.design.to_verilog()
         # At least one branch of an existing ternary now holds another ternary.
@@ -132,6 +132,25 @@ class TestRelocking:
                        or isinstance(node.false_value, ast.TernaryOp))]
         assert nested
         assert text.count("?") == 12
+
+    @pytest.mark.parametrize("selection", ["serial", "random"])
+    def test_session_relock_matches_lock(self, mixer_design, selection):
+        first = AssureLocker("serial", rng=random.Random(0)).lock(
+            mixer_design, key_budget=3)
+        expected = AssureLocker(selection, rng=random.Random(4)).lock(
+            first.design, key_budget=4).design
+        session = LockingSession(first.design.copy())
+        actions = AssureLocker(selection, rng=random.Random(4)).relock(
+            session, key_budget=4)
+        assert len(actions) == 4
+        assert actions == session.actions
+        assert session.design.to_verilog() == expected.to_verilog()
+        assert session.design.correct_key == expected.correct_key
+
+    def test_session_relock_rejects_negative_budget(self, mixer_design, rng):
+        session = LockingSession(mixer_design)
+        with pytest.raises(ValueError):
+            AssureLocker("random", rng=rng).relock(session, key_budget=-1)
 
 
 class TestOtherTechniques:

@@ -1,10 +1,11 @@
 """Unit tests for the core locking primitives (LockingSession)."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.locking import LockingError, LockingSession
+from repro.locking import AssureLocker, LockingError, LockingSession
 from repro.rtlir import Design
 from repro.verilog import ast
 from repro.verilog.parser import parse_module
@@ -217,6 +218,84 @@ class TestUndo:
     def test_undo_with_nothing_to_undo(self, session):
         with pytest.raises(LockingError):
             session.undo_last(1)
+
+    def test_undo_removes_its_own_ref_among_equal_twins(self, session):
+        action = session.add_pair(session.ops_of_type("+")[0])
+        dummy = action.dummy_ref
+        twin = dataclasses.replace(dummy)
+        # Register the twin ahead of the dummy: a by-value ``list.remove``
+        # would drop the twin and leave the undone dummy registered.
+        session._ops.insert(0, twin)
+        session._ops_by_type[twin.op].insert(0, twin)
+        session.undo(action)
+        assert any(ref is twin for ref in session.all_ops())
+        assert any(ref is twin for ref in session.ops_of_type(twin.op))
+        assert all(ref is not dummy for ref in session.all_ops())
+        assert all(ref is not dummy for ref in session.ops_of_type(dummy.op))
+
+
+def _registry(session):
+    return [(id(ref.node), ref.op, id(ref.parent), ref.is_dummy,
+             ref.lock_count) for ref in session.all_ops()]
+
+
+def _odt_state(odt):
+    return odt._counts, odt._unpaired, odt._affected
+
+
+class TestTentativeRound:
+    """A relocking round undone by ``tentative`` leaves a fresh session."""
+
+    @pytest.fixture
+    def target(self, mixer_design):
+        return AssureLocker("serial", rng=random.Random(0)).lock(
+            mixer_design, key_budget=2).design
+
+    def test_round_restores_a_fresh_session(self, target):
+        session = LockingSession(target.copy())
+        design = session.design
+        fingerprint = design.fingerprint()
+        affected = set(session.odt._affected)
+        with session.tentative():
+            actions = AssureLocker("random", rng=random.Random(7)).relock(
+                session, key_budget=6)
+            assert len(actions) == 6
+            # The round marks pairs that undo alone would leave marked.
+            assert session.odt._affected > affected
+        assert design._fingerprint is None
+        assert design.fingerprint() == fingerprint
+
+        fresh = LockingSession(design)
+        assert session.actions == []
+        assert _registry(session) == _registry(fresh)
+        for op in ("+", "-", "*", "/", "<<"):
+            assert ([id(ref.node) for ref in session.ops_of_type(op)]
+                    == [id(ref.node) for ref in fresh.ops_of_type(op)])
+        assert _odt_state(session.odt) == _odt_state(fresh.odt)
+        assert design.key_bits == target.key_bits
+        assert design.key_port == target.key_port
+        assert design.top.find_port(design.key_port).width.width() == 2
+        assert design.to_verilog() == target.to_verilog()
+
+    def test_round_is_undone_when_the_block_raises(self, target):
+        session = LockingSession(target.copy())
+        text = session.design.to_verilog()
+        with pytest.raises(RuntimeError):
+            with session.tentative():
+                AssureLocker("random", rng=random.Random(7)).relock(
+                    session, key_budget=2)
+                raise RuntimeError("extraction failed")
+        assert session.actions == []
+        assert session.design.to_verilog() == text
+
+    def test_actions_before_the_block_are_kept(self, target):
+        session = LockingSession(target.copy())
+        session.add_pair(session.ops_of_type("+")[0])
+        locked_text = session.design.to_verilog()
+        with session.tentative():
+            session.add_pair(session.ops_of_type("-")[0])
+        assert len(session.actions) == 1
+        assert session.design.to_verilog() == locked_text
 
 
 class TestRelockingSessions:

@@ -85,8 +85,27 @@ class TestTableConstruction:
         table = make_symmetric([("+", "-")], name="tiny")
         with pytest.raises(PairingError):
             table.dummy_of("*")
+        with pytest.raises(PairingError):
+            table.pair_of("*")
 
     def test_supported_operators(self):
         table = make_symmetric([("+", "-"), ("<<", ">>")], name="tiny")
         assert set(table.supported_operators()) == {"+", "-", "<<", ">>"}
         assert len(table.unordered_pairs()) == 2
+
+
+def _scanned_pair_of(table, op):
+    """``pair_of`` by scanning ``unordered_pairs`` (the precomputed map's reference)."""
+    dummy = table.dummy_of(op)
+    for first, second in table.unordered_pairs():
+        if {first, second} == {op, dummy}:
+            return (first, second)
+    return (op, dummy)
+
+
+@pytest.mark.parametrize("table", [SYMMETRIC_PAIR_TABLE, ORIGINAL_ASSURE_TABLE],
+                         ids=lambda table: table.name)
+def test_pair_of_matches_a_scan_of_unordered_pairs(table):
+    for op in table.supported_operators():
+        assert table.pair_of(op) == _scanned_pair_of(table, op)
+    assert table.pair_of("^~") == table.pair_of("~^")

@@ -12,7 +12,7 @@ from ..conftest import MIXER_SOURCE
 class TestLockResult:
     def test_correct_key_lists_new_bits_only(self, mixer_design, rng):
         first = AssureLocker("serial", rng=rng).lock(mixer_design, 3)
-        relock = AssureLocker("random", rng=random.Random(1)).relock(
+        relock = AssureLocker("random", rng=random.Random(1)).lock(
             first.design, 2)
         assert len(relock.correct_key) == 2
         assert relock.correct_key == [bit.correct_value

@@ -63,7 +63,7 @@ class TestLockingPreservesFunction:
                              track_metrics=False).lock(
             design, max(1, design.num_operations() // 3))
         second = AssureLocker("random", rng=random.Random(seed + 1),
-                              track_metrics=False).relock(
+                              track_metrics=False).lock(
             first.design, max(1, design.num_operations() // 3))
         report = check_equivalence(design, second.design,
                                    key=second.design.correct_key,

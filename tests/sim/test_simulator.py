@@ -126,7 +126,7 @@ class TestLockingFunctionalContract:
         first = AssureLocker("serial", rng=random.Random(0),
                              track_metrics=False).lock(adder_design, 3)
         second = AssureLocker("random", rng=random.Random(1),
-                              track_metrics=False).relock(first.design, 3)
+                              track_metrics=False).lock(first.design, 3)
         report = check_equivalence(adder_design, second.design,
                                    key=second.design.correct_key,
                                    vectors=30, rng=random.Random(4))
