@@ -12,13 +12,12 @@ This package is the one import surface a workload author needs:
   metrics × samples) with validated JSON round-trips, **matrix axes**
   (``seeds`` / ``key_budget_fractions`` / ``time_budgets`` sweeps) and
   deterministic expansion into :class:`JobSpec` jobs.
-* **Runner** (:mod:`repro.api.runner`) — executes a scenario serially or on
-  a plan-cache-aware process pool with **cost-aware largest-first
-  dispatch** (:func:`schedule_chunks`), ``progress`` callbacks and
-  bit-identical results either way.
-* **Executor backends** (:mod:`repro.api.backends`) — the pluggable
-  execution seam (``"serial"`` / ``"process"``, registry-extensible via
-  :func:`register_backend`) plus the fault-tolerance primitives: per-job
+* **Runner** (:mod:`repro.api.runner`) — executes a scenario in-process
+  (``jobs=1``) or on a plan-cache-aware process pool (``jobs > 1``) with
+  **cost-aware largest-first dispatch** (:func:`schedule_chunks`),
+  ``progress`` callbacks and bit-identical results either way.
+* **Executors** (:mod:`repro.api.backends`) — :class:`SerialBackend` and
+  :class:`ProcessPoolBackend`, plus the fault-tolerance primitives: per-job
   :class:`RetryPolicy` with seeded backoff, wall-clock ``job_timeout``
   enforcement with lost-worker detection, and transient-vs-permanent
   failure classification feeding the store's ``failures.jsonl``
@@ -28,7 +27,7 @@ This package is the one import surface a workload author needs:
   (algorithm, key-budget fraction, declared option genes) evolve against
   the scenario's attack roster with KPA + avalanche fitness, each
   generation expanded into ordinary jobs and run through the Runner — so
-  the loop inherits resume, backends and determinism for free.
+  the loop inherits resume, parallelism and determinism for free.
 * **Fault injection** (:mod:`repro.api.faults`) — a deterministic, seeded
   :class:`FaultPlan` (crashes, hangs, transient errors, slow jobs, corrupt
   writes) that turns every recovery path above into an ordinary CI
@@ -122,12 +121,8 @@ __all__ = [
     "fit_cost_model",
     "fit_cost_model_from_pairs",
     "fit_cost_model_from_store",
-    "ExecutorBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "register_backend",
-    "backend_names",
-    "make_backend",
     "RetryPolicy",
     "JobOutcome",
     "TransientJobError",
@@ -182,12 +177,8 @@ _LAZY = {
     "fit_cost_model": "costmodel",
     "fit_cost_model_from_pairs": "costmodel",
     "fit_cost_model_from_store": "costmodel",
-    "ExecutorBackend": "backends",
     "SerialBackend": "backends",
     "ProcessPoolBackend": "backends",
-    "register_backend": "backends",
-    "backend_names": "backends",
-    "make_backend": "backends",
     "RetryPolicy": "backends",
     "JobOutcome": "backends",
     "TransientJobError": "backends",

@@ -1,27 +1,27 @@
-"""Pluggable executor backends and the fault-tolerance primitives above them.
+"""The two executors of scenario jobs and the fault-tolerance primitives.
 
-The :class:`~repro.api.runner.Runner` used to hard-code two execution paths
-(an in-process loop and a ``ProcessPoolExecutor`` drain).  This module turns
-that into a seam: an :class:`ExecutorBackend` executes one *round* of jobs
-and reports every job's fate through a uniform :class:`JobOutcome`, while
-the runner owns policy — retry rounds, backoff, quarantine, the failure
-ledger.  Backends register by name (:func:`register_backend`), so
-``Runner(backend="serial")`` / ``cli run --backend process`` select them and
-multi-host backends can plug in later without touching the runner.
+The :class:`~repro.api.runner.Runner` picks the executor from its ``jobs``
+count alone — ``jobs=1`` runs in-process, ``jobs > 1`` runs on a worker
+pool — and hands it one *round* of jobs at a time.  The executor reports
+every job's fate through a uniform :class:`JobOutcome`; the runner owns
+policy: retry rounds, backoff, quarantine, the failure ledger.
 
-Built-in backends:
-
-* :class:`SerialBackend` (``"serial"``) — runs jobs in the calling process.
+* :class:`SerialBackend` (``jobs=1``) — runs jobs in the calling process.
   Timeouts are *post-hoc* (a job that finishes over budget is discarded and
   failed as ``timeout``) because an in-process job cannot be pre-empted.
-* :class:`ProcessPoolBackend` (``"process"``) — a ``ProcessPoolExecutor``
+* :class:`ProcessPoolBackend` (``jobs > 1``) — a ``ProcessPoolExecutor``
   with per-job result streaming and heartbeat-based lost-worker detection:
   workers report ``start``/``done`` messages through a manager queue, the
   parent commits records as they arrive, and a job whose heartbeat exceeds
-  ``job_timeout`` gets its worker killed — the chunk's other results are
-  already home, and only genuinely unfinished jobs fail.  A crashed worker
-  (``BrokenProcessPool``) likewise fails only the jobs without a ``done``
-  message.
+  ``job_timeout`` gets its worker killed — the timeout is *pre-emptive*, so
+  a job that never returns still fails as ``timeout``.  The chunk's other
+  results are already home, and only genuinely unfinished jobs fail.  A
+  crashed worker (``BrokenProcessPool``) likewise fails only the jobs
+  without a ``done`` message.
+
+Both executors run each attempt through the same body
+(:func:`_run_attempt`): backoff sleep, ``execute_job``, and an ``ok`` or
+``error`` outcome.
 
 Fault-tolerance primitives shared with the runner:
 
@@ -43,12 +43,11 @@ import re
 import time
 import traceback
 import zlib
-from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from queue import Empty
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Type
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 #: Fate of one job attempt: completed, raised, lost with its worker, or hung.
 OUTCOME_KINDS = ("ok", "error", "crash", "timeout")
@@ -189,7 +188,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class JobOutcome:
-    """Fate of one job attempt, as reported by a backend.
+    """Fate of one job attempt, as reported by an executor.
 
     Attributes:
         index: Index of the job in the expanded scenario job list.
@@ -215,11 +214,11 @@ class JobOutcome:
 
 @dataclass
 class ExecutionRound:
-    """Everything a backend needs to execute one round of jobs.
+    """Everything an executor needs to execute one round of jobs.
 
     One round is one pass over a set of pending jobs — the first round runs
     the whole todo list, later rounds re-run the jobs whose previous
-    attempt failed transiently.  Backends call :attr:`emit` exactly once
+    attempt failed transiently.  Executors call :attr:`emit` exactly once
     per job as its fate is known (successes stream out immediately, so the
     runner commits them even if the round later loses a worker).
 
@@ -227,12 +226,12 @@ class ExecutionRound:
         scenario_dict: ``Scenario.to_dict()`` form (workers re-expand it).
         jobs: ``{index: JobSpec}`` of the pending jobs.
         chunks: Dispatch groups of job indices (scheduling is runner
-            policy; backends just execute them).
+            policy; executors just execute them).
         attempts: ``{index: prior failure count}`` — the attempt number of
             this round's execution per job.
         delays: ``{index: seconds}`` retry backoff, slept by the executor
-            before the job starts (inside the worker for pool backends, so
-            delays of different jobs overlap).
+            before the job starts (inside the worker on the pool, so delays
+            of different jobs overlap).
         workers: Worker processes available to the round.
         max_lanes: Runner-level lane cap forwarded to ``execute_job``.
         job_timeout: Per-job wall-clock budget in seconds, or ``None``.
@@ -252,106 +251,59 @@ class ExecutionRound:
     emit: Callable[[JobOutcome], None]
 
 
-class ExecutorBackend(ABC):
-    """One way of executing scenario jobs (in-process, pool, remote, ...).
+def _run_attempt(index: int, job, attempt: int, delay: float,
+                 max_lanes: Optional[int], fault_plan, in_worker: bool,
+                 on_start: Callable[[float], None]) -> JobOutcome:
+    """Run one attempt of a job: backoff, then the job body.
 
-    A backend executes the rounds the runner hands it and reports per-job
-    :class:`JobOutcome` values through ``round.emit``.  It owns *mechanism*
-    (where jobs run, how hangs and lost workers are detected); the runner
-    owns *policy* (retries, backoff, quarantine, the ledger).
+    ``on_start`` receives the monotonic start time once the backoff is
+    over, just before the body runs.  A raising body becomes an ``error``
+    outcome carrying its traceback; a returning one an ``ok`` outcome.
     """
+    from .runner import execute_job
 
-    #: Registry name of the backend (set by :func:`register_backend`).
-    name: str = "?"
-
-    @abstractmethod
-    def run_round(self, round_: ExecutionRound) -> None:
-        """Execute one round, emitting exactly one outcome per pending job."""
-
-    def close(self) -> None:
-        """Release backend resources (called once per run, in ``finally``)."""
-
-
-_BACKENDS: Dict[str, Type[ExecutorBackend]] = {}
-
-
-def register_backend(name: str) -> Callable[[Type[ExecutorBackend]],
-                                            Type[ExecutorBackend]]:
-    """Class decorator registering an :class:`ExecutorBackend` under a name.
-
-    The name becomes valid for ``Runner(backend=...)``, the scenario
-    ``backend`` field and ``cli run --backend``.
-    """
-    def decorate(cls: Type[ExecutorBackend]) -> Type[ExecutorBackend]:
-        cls.name = name
-        _BACKENDS[name] = cls
-        return cls
-    return decorate
+    if delay > 0:
+        time.sleep(delay)
+    on_start(time.monotonic())
+    try:
+        record = execute_job(job, max_lanes=max_lanes, fault_plan=fault_plan,
+                             attempt=attempt, in_worker=in_worker)
+    except Exception:
+        return JobOutcome(index=index, job_id=job.job_id, attempt=attempt,
+                          kind="error", error=traceback.format_exc())
+    return JobOutcome(index=index, job_id=job.job_id, attempt=attempt,
+                      record=record)
 
 
-def backend_names() -> List[str]:
-    """Sorted names of every registered executor backend."""
-    return sorted(_BACKENDS)
+class SerialBackend:
+    """Run every job in the calling process, one at a time (``jobs=1``).
 
-
-def make_backend(name: str) -> ExecutorBackend:
-    """Instantiate a registered backend by name.
-
-    Raises:
-        ValueError: for an unregistered name.
-    """
-    cls = _BACKENDS.get(name)
-    if cls is None:
-        raise ValueError(f"unknown executor backend {name!r}; registered: "
-                         f"{', '.join(backend_names())}")
-    return cls()
-
-
-@register_backend("serial")
-class SerialBackend(ExecutorBackend):
-    """Run every job in the calling process, one at a time.
-
-    The reference backend: no pickling, no worker processes.
+    The reference executor: no pickling, no worker processes.
     ``job_timeout`` is enforced *post-hoc* — an in-process job cannot be
     pre-empted, so a job that completes over budget is discarded and failed
     as ``timeout`` (timeout semantics are an SLA, not best-effort: a job
-    that only ever finishes late ends up quarantined, same as under the pool
-    backend).
+    that only ever finishes late ends up quarantined, same as on the pool).
     """
 
     def run_round(self, round_: ExecutionRound) -> None:
         """Execute the round's chunks sequentially in dispatch order."""
-        from .runner import execute_job
-
         for chunk in round_.chunks:
             for index in chunk:
-                job = round_.jobs[index]
-                attempt = round_.attempts.get(index, 0)
-                delay = round_.delays.get(index, 0.0)
-                if delay > 0:
-                    time.sleep(delay)
-                started = time.monotonic()
-                try:
-                    record = execute_job(job, max_lanes=round_.max_lanes,
-                                         fault_plan=round_.fault_plan,
-                                         attempt=attempt)
-                except Exception:
-                    round_.emit(JobOutcome(
-                        index=index, job_id=job.job_id, attempt=attempt,
-                        kind="error", error=traceback.format_exc()))
-                    continue
-                elapsed = time.monotonic() - started
-                if (round_.job_timeout is not None
+                started: List[float] = []
+                outcome = _run_attempt(
+                    index, round_.jobs[index], round_.attempts.get(index, 0),
+                    round_.delays.get(index, 0.0), round_.max_lanes,
+                    round_.fault_plan, False, started.append)
+                elapsed = time.monotonic() - started[0]
+                if (outcome.ok and round_.job_timeout is not None
                         and elapsed > round_.job_timeout):
-                    round_.emit(JobOutcome(
-                        index=index, job_id=job.job_id, attempt=attempt,
-                        kind="timeout",
-                        error=f"job {job.job_id!r} took {elapsed:.3f}s, over "
-                              f"the {round_.job_timeout}s job_timeout "
-                              "(serial backend enforces timeouts post-hoc)"))
-                else:
-                    round_.emit(JobOutcome(index=index, job_id=job.job_id,
-                                           attempt=attempt, record=record))
+                    outcome = JobOutcome(
+                        index=index, job_id=outcome.job_id,
+                        attempt=outcome.attempt, kind="timeout",
+                        error=f"job {outcome.job_id!r} took {elapsed:.3f}s, "
+                              f"over the {round_.job_timeout}s job_timeout "
+                              "(in-process runs enforce timeouts post-hoc)")
+                round_.emit(outcome)
 
 
 def _pool_worker(scenario_dict: Dict, indices: Sequence[int],
@@ -360,47 +312,37 @@ def _pool_worker(scenario_dict: Dict, indices: Sequence[int],
     """Worker entry point: execute a chunk, streaming per-job messages.
 
     Each job sends a ``("start", index, monotonic)`` heartbeat before its
-    body and a ``("done", index, record, error)`` result after it, so the
-    parent commits results as they happen and can tell a hung job (start
-    without done, heartbeat overdue) from a lost one (no messages at all).
-    The scenario is re-expanded here without registry validation, matching
-    the historical worker behaviour.
+    body and a ``("done", outcome)`` message after it, so the parent
+    commits results as they happen and can tell a hung job (start without
+    done, heartbeat overdue) from a lost one (no messages at all).  The
+    scenario is re-expanded here without registry validation, matching the
+    historical worker behaviour.
     """
-    from .runner import execute_job
     from .scenario import Scenario
 
-    scenario = Scenario.from_dict(scenario_dict, validate=False)
-    jobs = scenario.expand()
+    jobs = Scenario.from_dict(scenario_dict, validate=False).expand()
     for index in indices:
-        delay = delays.get(index, 0.0)
-        if delay > 0:
-            time.sleep(delay)
-        channel.put(("start", index, time.monotonic()))
-        try:
-            record = execute_job(jobs[index], max_lanes=max_lanes,
-                                 fault_plan=fault_plan,
-                                 attempt=attempts.get(index, 0),
-                                 in_worker=True)
-        except Exception:
-            channel.put(("done", index, None, traceback.format_exc()))
-        else:
-            channel.put(("done", index, record, None))
+        outcome = _run_attempt(
+            index, jobs[index], attempts.get(index, 0),
+            delays.get(index, 0.0), max_lanes, fault_plan, True,
+            lambda at, index=index: channel.put(("start", index, at)))
+        channel.put(("done", outcome))
     return list(indices)
 
 
-@register_backend("process")
-class ProcessPoolBackend(ExecutorBackend):
+class ProcessPoolBackend:
     """Run jobs on a ``ProcessPoolExecutor`` with lost-worker detection.
 
-    Results stream back per job through a manager queue rather than per
-    chunk through the future, so a worker crash (or kill) loses only the
-    jobs that had not finished — everything already reported is committed
-    by the runner the moment it arrives.  With a ``job_timeout``, the
-    parent watches each in-flight job's ``start`` heartbeat; once a job is
-    overdue past a grace margin the pool's workers are killed (there is no
-    cooperative way to stop a hung child), the hung job fails as
-    ``timeout`` and the other unfinished jobs as ``crash`` — both
-    transient, so a retry budget re-runs them on a fresh pool.
+    The executor of every ``jobs > 1`` run.  Results stream back per job
+    through a manager queue rather than per chunk through the future, so a
+    worker crash (or kill) loses only the jobs that had not finished —
+    everything already reported is committed by the runner the moment it
+    arrives.  With a ``job_timeout``, the parent watches each in-flight
+    job's ``start`` heartbeat; once a job is overdue past a grace margin the
+    pool's workers are killed (there is no cooperative way to stop a hung
+    child), the hung job fails as ``timeout`` and the other unfinished jobs
+    as ``crash`` — both transient, so a retry budget re-runs them on a
+    fresh pool.
 
     Interrupts (SIGTERM/SIGINT arriving as ``KeyboardInterrupt`` /
     ``SystemExit``) exit *gracefully*: already-reported results are drained
@@ -412,26 +354,14 @@ class ProcessPoolBackend(ExecutorBackend):
     #: Drain/heartbeat polling period of the parent loop, in seconds.
     POLL_SECONDS = 0.2
 
-    def __init__(self) -> None:
-        self._manager = None
-
-    def _queue(self):
-        """A fresh message queue from the (lazily started) manager."""
-        if self._manager is None:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-        return self._manager.Queue()
-
-    def close(self) -> None:
-        """Shut the manager process down."""
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-
     def run_round(self, round_: ExecutionRound) -> None:
         """Execute one round on a fresh pool (see class docstring)."""
-        channel = self._queue()
+        import multiprocessing
+
+        with multiprocessing.Manager() as manager:
+            self._run_pool(round_, manager.Queue())
+
+    def _run_pool(self, round_: ExecutionRound, channel) -> None:
         done: set = set()
         started: Dict[int, float] = {}
         hung: set = set()
@@ -511,19 +441,10 @@ class ProcessPoolBackend(ExecutorBackend):
             if message[0] == "start":
                 started[message[1]] = message[2]
                 continue
-            _, index, record, error = message
-            if index in done:
-                continue
-            done.add(index)
-            attempt = round_.attempts.get(index, 0)
-            job_id = round_.jobs[index].job_id
-            if error is None:
-                round_.emit(JobOutcome(index=index, job_id=job_id,
-                                       attempt=attempt, record=record))
-            else:
-                round_.emit(JobOutcome(index=index, job_id=job_id,
-                                       attempt=attempt, kind="error",
-                                       error=error))
+            outcome = message[1]
+            if outcome.index not in done:
+                done.add(outcome.index)
+                round_.emit(outcome)
 
     def _kill_overdue(self, pool: ProcessPoolExecutor,
                       round_: ExecutionRound, done: set,

@@ -17,8 +17,7 @@ holds for free:
 
 * **deterministic** — genomes are derived from the master seed with
   counter-based streams, and fitness reads deterministic records, so the
-  whole history is bit-identical serially and under
-  :class:`~repro.api.backends.ProcessPoolBackend`;
+  whole history is bit-identical serially and on the process pool;
 * **resumable mid-generation** — re-running the loop replays completed
   generations from their stores (Runner resume skips recorded jobs) and
   picks up the half-complete one;
@@ -135,7 +134,6 @@ class CoevoLoop:
             stores (``gen-000`` …); ``None`` evaluates in memory with no
             resume support.
         jobs: Worker processes per generation run.
-        backend: Executor backend override forwarded to the Runner.
         progress: Optional per-job progress hook, forwarded to the Runner.
 
     Raises:
@@ -145,8 +143,7 @@ class CoevoLoop:
 
     def __init__(self, scenario: Scenario,
                  store_root: Union[str, Path, None] = None,
-                 jobs: int = 1, backend: Optional[str] = None,
-                 progress: Optional[ProgressFn] = None) -> None:
+                 jobs: int = 1, progress: Optional[ProgressFn] = None) -> None:
         if scenario.coevo is None:
             raise CoevoError(
                 "scenario has no 'coevo' block; add one to drive the "
@@ -155,7 +152,6 @@ class CoevoLoop:
         self.spec: CoevoSpec = scenario.coevo
         self.store_root = Path(store_root) if store_root is not None else None
         self.jobs = jobs
-        self.backend = backend
         self.progress = progress
 
         self.algorithms: Tuple[str, ...] = self.spec.algorithms or tuple(
@@ -261,7 +257,6 @@ class CoevoLoop:
             max_lanes=base.max_lanes,
             retries=base.retries,
             job_timeout=base.job_timeout,
-            backend=base.backend,
         )
 
     def _fitness(self, records: Dict[str, Dict],
@@ -294,7 +289,7 @@ class CoevoLoop:
         if self.store_root is not None:
             store = ResultsStore(self.store_root / f"gen-{generation:03d}")
         runner = Runner(scenario, store=store, jobs=self.jobs,
-                        backend=self.backend, progress=self.progress)
+                        progress=self.progress)
         report = runner.run()
 
         scored = []
@@ -307,7 +302,7 @@ class CoevoLoop:
                            "fitness": fitness, "kpa": mean_kpa,
                            "avalanche": mean_avalanche})
         # The entry holds only run-independent facts, so the history is
-        # bit-identical across backends, resumes and store locations —
+        # bit-identical across ``jobs`` counts, resumes and store locations —
         # executed counts and store paths live on the CoevoReport instead.
         entry = {
             "generation": generation,
@@ -372,7 +367,7 @@ class CoevoLoop:
 
 def run_coevo(scenario: Scenario,
               store_root: Union[str, Path, None] = None,
-              jobs: int = 1, backend: Optional[str] = None,
+              jobs: int = 1,
               progress: Optional[ProgressFn] = None) -> CoevoReport:
     """Run the co-evolution loop of ``scenario`` (see :class:`CoevoLoop`).
 
@@ -380,4 +375,4 @@ def run_coevo(scenario: Scenario,
         CoevoError: for scenarios without a usable ``coevo`` block.
     """
     return CoevoLoop(scenario, store_root=store_root, jobs=jobs,
-                     backend=backend, progress=progress).run()
+                     progress=progress).run()

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the executor backends.
+"""Deterministic fault injection for the scenario runner.
 
 A :class:`FaultPlan` is a seeded, declarative description of the failures a
 run should suffer: worker crashes, hangs, transient exceptions, slow jobs
@@ -17,7 +17,7 @@ The five fault kinds and where they strike:
 kind       effect
 ========== ==================================================================
 crash      pool worker: ``os._exit`` (a lost worker, as after an OOM kill);
-           in-process backends raise :class:`InjectedCrashError` instead so
+           in-process runs raise :class:`InjectedCrashError` instead so
            the serial path stays testable
 hang       ``time.sleep(seconds)`` before the job body — with a
            ``job_timeout`` the worker is detected as lost and killed, without
@@ -62,9 +62,9 @@ class InjectedTransientError(RuntimeError):
 
 
 class InjectedCrashError(RuntimeError):
-    """A ``crash`` fault injected into an in-process backend.
+    """A ``crash`` fault injected into an in-process run.
 
-    Pool workers die for real (``os._exit``); an in-process backend cannot,
+    Pool workers die for real (``os._exit``); an in-process run cannot,
     so the crash is simulated by this exception — classified transient, like
     the lost-worker failure it stands in for.
     """

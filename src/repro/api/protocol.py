@@ -56,7 +56,6 @@ ERROR_CODES = (
     "UNKNOWN_OP",           # op not in OPS
     "INVALID_SCENARIO",     # scenario failed validation (message = cause)
     "UNKNOWN_JOB",          # job id not known to this server
-    "BACKEND_UNAVAILABLE",  # scenario names an unregistered executor backend
     "STORE_ERROR",          # results store missing/corrupt/unreadable
     "SHUTTING_DOWN",        # server no longer accepts new work
     "INTERNAL",             # unexpected server-side failure
@@ -277,7 +276,7 @@ def determinism_class(scenario) -> str:
     deterministically *unless* the attack opted out via
     ``options={"deterministic": false}`` — such records depend on wall-clock
     contention and are tagged ``"wall_clock"``; everything else is
-    ``"deterministic"`` (bit-identical across machines, backends and
+    ``"deterministic"`` (bit-identical across machines, ``jobs`` counts and
     schedules, which is what lets the server dedup resubmissions by
     scenario fingerprint).
     """

@@ -23,10 +23,11 @@ tail.  Each record carries its measured ``elapsed_seconds`` and the store
 manifest pairs it with the estimate, so the cost model can be validated from
 any finished run (``repro.cli report`` prints the comparison).
 
-Execution itself is delegated to a pluggable
-:class:`~repro.api.backends.ExecutorBackend` (``"serial"`` or ``"process"``
-built in, registry-extensible) and wrapped in a *fault-tolerance layer*:
-failed attempts are classified transient-vs-permanent
+Execution follows one rule: ``jobs=1`` runs on the in-process
+:class:`~repro.api.backends.SerialBackend` and ``jobs > 1`` on the
+:class:`~repro.api.backends.ProcessPoolBackend`, however few jobs are
+pending.  Both sit under a *fault-tolerance layer*: failed attempts are
+classified transient-vs-permanent
 (:func:`~repro.api.backends.classify_failure`), transient failures retry
 under a seeded-deterministic backoff
 (:class:`~repro.api.backends.RetryPolicy`) and per-job wall-clock timeouts,
@@ -42,7 +43,7 @@ ordinary CI regression test.
 Every job derives its random streams from ``(seed, benchmark, locker,
 sample)`` alone (see :class:`~repro.api.scenario.JobSpec`), so serial and
 parallel executions of the same scenario produce bit-identical records —
-with or without retries, under any backend.
+with or without retries, in-process or on the pool.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ import random
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backends import (ExecutorBackend, ExecutionRound, JobOutcome,
-                       RetryPolicy, classify_failure, make_backend)
+from .backends import (ExecutionRound, JobOutcome, ProcessPoolBackend,
+                       RetryPolicy, SerialBackend, classify_failure)
 from .registry import make_attack, make_locker, make_metric
 from .scenario import JobSpec, Scenario
 from .store import ResultsStore
@@ -146,7 +147,7 @@ def execute_job(job: JobSpec, max_lanes: Optional[int] = None,
         max_lanes: Runner-level lane cap (overrides the job's own).
         fault_plan: Optional :class:`~repro.api.faults.FaultPlan`; its
             pre-execution faults (crash/hang/transient/slow) are injected
-            here, before the job body, so every backend exercises the same
+            here, before the job body, so both executors exercise the same
             failure surface.
         attempt: Zero-based attempt number (feeds fault-plan decisions).
         in_worker: True inside a pool worker process, where an injected
@@ -291,7 +292,7 @@ class RunReport:
         skipped: Jobs skipped because their store record already existed.
         records: ``{job_id: record}`` for *every* job of the scenario
             (executed now or loaded from the store), in expansion order
-            whatever the backend's completion order.
+            whatever the completion order.
         store_path: Store directory, or ``None`` for in-memory runs.
         failures: One ledger-style entry per job that failed past its retry
             budget this run — or was skipped as known-poison on resume
@@ -331,12 +332,15 @@ class Runner:
         scenario: The workload description.
         store: Results store for records and resumability; ``None`` keeps all
             records in memory only (no resume support).
-        jobs: Worker processes; 1 (the default) runs in-process.  With
-            ``jobs > 1``, third-party components must be registered at
-            *import time* of a module the workers also import (built-ins
-            always are): under a spawn/forkserver start method a worker
-            that cannot resolve a component name fails that job group with
-            the registry's unknown-component error.
+        jobs: Worker processes; 1 (the default) runs in-process, any
+            larger count runs on a process pool of that size — even when
+            a single job is pending, so ``job_timeout`` is always
+            pre-emptive on the pool.  With ``jobs > 1``, third-party
+            components must be registered at *import time* of a module
+            the workers also import (built-ins always are): under a
+            spawn/forkserver start method a worker that cannot resolve a
+            component name fails that job group with the registry's
+            unknown-component error.
         resume: Skip jobs whose store record already exists (on by default).
         progress: Optional ``progress(done, total, record)`` callback fired
             after every completed (or skipped) job — the same liveness-hook
@@ -347,38 +351,30 @@ class Runner:
             When both are unset, jobs run under the automatic per-plan cap
             (:func:`repro.sim.auto_max_lanes`); tiling is bit-identical, so
             records never depend on the setting.
-        backend: Executor backend — a registry name
-            (:func:`~repro.api.backends.backend_names`) or a ready
-            :class:`~repro.api.backends.ExecutorBackend` instance.
-            Defaults to the scenario's ``backend`` field, else ``"process"``
-            when ``jobs > 1`` and ``"serial"`` otherwise.
         retries: Extra attempts per job after a transient failure (0 = fail
             into quarantine immediately).  Defaults to the scenario's
-            ``retries`` field, else 0.  Mutually exclusive with
-            ``retry_policy``.
+            ``retries`` field, else 0.
         job_timeout: Per-job wall-clock budget in seconds; a job over it is
             failed as ``timeout`` (transient — the budget is per attempt).
-            Defaults to the scenario's ``job_timeout`` field, else none.
-        retry_policy: Full :class:`~repro.api.backends.RetryPolicy` override
-            (attempt count *and* backoff shape).
+            In-process runs check it post-hoc, after the job returns; the
+            pool kills an overdue worker.  Defaults to the scenario's
+            ``job_timeout`` field, else none.
         fault_plan: Optional deterministic
             :class:`~repro.api.faults.FaultPlan` injected into every
             attempt — the chaos-testing hook.
 
     Raises:
         ValueError: for a non-positive ``jobs`` count, a non-positive
-            ``max_lanes``, a negative ``retries``, a non-positive
-            ``job_timeout``, or ``retries`` combined with ``retry_policy``.
+            ``max_lanes``, a negative ``retries`` or a non-positive
+            ``job_timeout``.
     """
 
     def __init__(self, scenario: Scenario, store: Optional[ResultsStore] = None,
                  jobs: int = 1, resume: bool = True,
                  progress: Optional[ProgressFn] = None,
                  max_lanes: Optional[int] = None,
-                 backend: Union[str, ExecutorBackend, None] = None,
                  retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  fault_plan=None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
@@ -388,45 +384,20 @@ class Runner:
             raise ValueError("retries must be non-negative")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError("job_timeout must be positive")
-        if retries is not None and retry_policy is not None:
-            raise ValueError("pass either retries or retry_policy, not both")
         self.scenario = scenario
         self.store = store
         self.jobs = jobs
         self.resume = resume
         self.progress = progress
         self.max_lanes = max_lanes
-        self.backend = backend
         self.retries = retries
         self.job_timeout = job_timeout
-        self.retry_policy = retry_policy
         self.fault_plan = fault_plan
 
     # ------------------------------------------------------------ resolution
 
-    def _resolve_backend(self, todo_size: int) -> ExecutorBackend:
-        """The backend instance this run executes on.
-
-        Explicit runner argument beats the scenario's ``backend`` field
-        beats the default (``"process"`` for ``jobs > 1``, ``"serial"``
-        otherwise).  The historical small-run optimisation is preserved:
-        when nobody *named* a backend and at most one job is pending, the
-        pool is skipped even with ``jobs > 1``.
-        """
-        choice = self.backend
-        if choice is None:
-            choice = self.scenario.backend
-        if choice is None:
-            serial = self.jobs == 1 or todo_size <= 1
-            choice = "serial" if serial else "process"
-        if isinstance(choice, ExecutorBackend):
-            return choice
-        return make_backend(choice)
-
     def _resolve_policy(self) -> RetryPolicy:
         """The retry policy of this run (runner arg > scenario > default)."""
-        if self.retry_policy is not None:
-            return self.retry_policy
         retries = self.retries
         if retries is None:
             retries = self.scenario.retries
@@ -532,7 +503,7 @@ class Runner:
             else:
                 todo.append((index, job))
 
-        backend = self._resolve_backend(len(todo))
+        executor = SerialBackend() if self.jobs == 1 else ProcessPoolBackend()
         job_timeout = self._resolve_timeout()
         scenario_dict = self.scenario.to_dict()
         pending: Dict[int, JobSpec] = dict(todo)
@@ -565,7 +536,7 @@ class Runner:
                     else:
                         _failed[outcome.index] = outcome
 
-                backend.run_round(ExecutionRound(
+                executor.run_round(ExecutionRound(
                     scenario_dict=scenario_dict, jobs=pending, chunks=chunks,
                     attempts=attempts, delays=delays, workers=self.jobs,
                     max_lanes=self.max_lanes, job_timeout=job_timeout,
@@ -576,16 +547,7 @@ class Runner:
                     if job.job_id in report.records:
                         del pending[index]
                         continue
-                    outcome = failed.get(index)
-                    if outcome is None:
-                        # Backends emit one outcome per job; a hole here is
-                        # a backend bug, handled like a lost worker so the
-                        # job is never silently dropped.
-                        outcome = JobOutcome(
-                            index=index, job_id=job.job_id,
-                            attempt=attempts[index], kind="crash",
-                            error=f"backend {backend.name!r} reported no "
-                                  f"outcome for job {job.job_id!r}")
+                    outcome = failed[index]
                     attempts[index] += 1
                     classification = classify_failure(outcome.kind,
                                                       outcome.error or "")
@@ -600,7 +562,6 @@ class Runner:
                     self._quarantine(report, job, outcome,
                                      attempts[index], classification)
         finally:
-            backend.close()
             # Whatever happened, everything committed so far is resumable:
             # the manifest reflects the records on disk, and the ledger
             # only keeps entries for jobs that still lack a record.
@@ -609,8 +570,8 @@ class Runner:
                 self.store.write_manifest(self.scenario,
                                           executed=report.executed,
                                           skipped=report.skipped)
-        # Backends complete jobs in cost or arrival order; consumers (the
-        # Fig. 6 tables among them) see expansion order on every backend.
+        # The pool completes jobs in cost or arrival order; consumers (the
+        # Fig. 6 tables among them) see expansion order either way.
         report.records = {job.job_id: report.records[job.job_id]
                           for job in jobs if job.job_id in report.records}
         return report

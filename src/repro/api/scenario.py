@@ -545,16 +545,14 @@ class Scenario:
             ``Runner(retries=...)`` / ``cli run --retries`` value overrides.
         job_timeout: Default per-job wall-clock budget in seconds; ``None``
             (the default) disables timeouts.  Overridable the same way.
-        backend: Default executor backend name (see
-            :func:`repro.api.backends.backend_names`); ``None`` picks
-            ``"process"`` for parallel runs and ``"serial"`` otherwise.
         coevo: Optional :class:`CoevoSpec` — the co-evolution search
             settings consumed by :class:`repro.api.coevo.CoevoLoop`.
             :meth:`expand` ignores it, so the scenario still runs as a
             plain workload everywhere (runner, service, report).
 
-    All three robustness fields are *run* defaults, not job data: they are
-    omitted from :meth:`to_dict` when unset, so the :meth:`fingerprint` —
+    Both robustness fields (``retries``, ``job_timeout``) are *run*
+    defaults, not job data: they are omitted from :meth:`to_dict` when
+    unset, so the :meth:`fingerprint` —
     and every store stamp — of a scenario that does not set them is
     unchanged from before they existed.  The same omission rule applies to
     ``coevo``.
@@ -572,7 +570,6 @@ class Scenario:
     max_lanes: Optional[int] = None
     retries: Optional[int] = None
     job_timeout: Optional[float] = None
-    backend: Optional[str] = None
     coevo: Optional[CoevoSpec] = None
 
     def __post_init__(self) -> None:
@@ -585,8 +582,6 @@ class Scenario:
                  f"retries must be non-negative, got {self.retries}")
         _require(self.job_timeout is None or self.job_timeout > 0,
                  f"job_timeout must be positive, got {self.job_timeout}")
-        _require(self.backend is None or bool(self.backend),
-                 "backend name must be non-empty when given")
         _require(bool(self.benchmarks), "scenario needs at least one benchmark")
         _require(bool(self.lockers), "scenario needs at least one locker")
         _require(bool(self.attacks) or bool(self.metrics),
@@ -669,11 +664,6 @@ class Scenario:
                 _require(metric_id in known_metrics,
                          f"unknown metric {metric_id!r}; registered: "
                          f"{', '.join(sorted(known_metrics))}")
-            if self.backend is not None:
-                from .backends import backend_names
-                _require(self.backend in backend_names(),
-                         f"unknown executor backend {self.backend!r}; "
-                         f"registered: {', '.join(backend_names())}")
         return self
 
     # ------------------------------------------------------------ (de)serialise
@@ -691,8 +681,7 @@ class Scenario:
         data = json.loads(json.dumps(asdict(self)))
         if not data.get("seeds"):
             data.pop("seeds", None)
-        for optional in ("max_lanes", "retries", "job_timeout", "backend",
-                         "coevo"):
+        for optional in ("max_lanes", "retries", "job_timeout", "coevo"):
             if data.get(optional) is None:
                 data.pop(optional, None)
         for component_key, axis_key in (("lockers", "key_budget_fractions"),
@@ -720,8 +709,7 @@ class Scenario:
         """
         _check_keys(data, ("name", "benchmarks", "lockers", "attacks",
                            "metrics", "samples", "scale", "seed", "seeds",
-                           "max_lanes", "retries", "job_timeout", "backend",
-                           "coevo"),
+                           "max_lanes", "retries", "job_timeout", "coevo"),
                     "scenario")
         scenario = cls(
             name=str(data.get("name", "scenario")),
@@ -742,8 +730,6 @@ class Scenario:
                      if data.get("retries") is not None else None),
             job_timeout=(float(data["job_timeout"])
                          if data.get("job_timeout") is not None else None),
-            backend=(str(data["backend"])
-                     if data.get("backend") is not None else None),
             coevo=(CoevoSpec.from_dict(data["coevo"])
                    if data.get("coevo") is not None else None),
         )
@@ -795,7 +781,7 @@ class Scenario:
         the axis loops collapse to singletons and the order is the Fig. 6
         cell order (benchmark rows, locker columns), which
         :attr:`RunReport.records <repro.api.runner.RunReport.records>`
-        follows on every backend.  The expansion is a pure function of
+        follows for any ``jobs`` count.  The expansion is a pure function of
         the scenario (declaration order, no hashing or platform-dependent
         iteration), so the run plan is stable across platforms and
         processes.

@@ -6,7 +6,7 @@ back-to-back scenario runs paid full recompilation every time.  A
 :class:`ScenarioServer` keeps one process alive across submissions: clients
 connect over a newline-delimited-JSON socket (Unix domain socket by
 default, TCP optional), submit scenarios, and every run executes through
-the existing :class:`~repro.api.runner.Runner` / backend /
+the existing :class:`~repro.api.runner.Runner` / executor /
 :class:`~repro.api.store.ResultsStore` stack *in this process*, so all
 requests share one warm plan cache and one base-design cache.
 
@@ -414,8 +414,6 @@ class ScenarioServer:
             for job in self._jobs.values():
                 states[job.state] += 1
             shutting_down = self._shutting_down
-        from .backends import backend_names
-
         return {
             "protocol": PROTOCOL_VERSION,
             "pid": os.getpid(),
@@ -425,7 +423,6 @@ class ScenarioServer:
             "workers": self.workers,
             "jobs": states,
             "plan_cache": _plan_cache_stats(),
-            "backends": backend_names(),
             "shutting_down": shutting_down,
         }
 
@@ -440,15 +437,6 @@ class ScenarioServer:
             raise ProtocolError("INVALID_REQUEST",
                                 "params need a 'scenario' object "
                                 "(the Scenario JSON form)")
-        backend = data.get("backend")
-        if backend is not None:
-            from .backends import backend_names
-
-            if backend not in backend_names():
-                raise ProtocolError(
-                    "BACKEND_UNAVAILABLE",
-                    f"unknown executor backend {backend!r}; registered: "
-                    f"{', '.join(backend_names())}")
         try:
             scenario = Scenario.from_dict(data)
         except ScenarioError as exc:

@@ -45,7 +45,6 @@ from .api import (
     ScenarioError,
     StoreError,
     attack_names,
-    backend_names,
     locker_names,
     make_attack,
     make_locker,
@@ -297,7 +296,7 @@ def _dry_run_plan(scenario, store, args) -> int:
 def _sigterm_as_keyboard_interrupt():
     """Route SIGTERM through KeyboardInterrupt for the duration of a run.
 
-    ``kill <pid>`` then behaves like Ctrl-C: the executor backend kills its
+    ``kill <pid>`` then behaves like Ctrl-C: the process pool kills its
     in-flight workers, commits everything already reported, and the runner
     writes the manifest — so the store stays cleanly resumable.  Returns a
     restore callable; a no-op off the main thread (tests drive :func:`main`
@@ -339,9 +338,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     return _execute(scenario, store, jobs=args.jobs,
                     resume=not args.no_resume, quiet=args.quiet,
-                    max_lanes=args.max_lanes, backend=args.backend,
-                    retries=args.retries, job_timeout=args.job_timeout,
-                    fault_plan=fault_plan)
+                    max_lanes=args.max_lanes, retries=args.retries,
+                    job_timeout=args.job_timeout, fault_plan=fault_plan)
 
 
 def _execute(scenario: Scenario, store: Optional[ResultsStore], *,
@@ -371,7 +369,7 @@ def _execute(scenario: Scenario, store: Optional[ResultsStore], *,
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # SIGTERM/SIGINT mid-run: the backend killed its workers and the
+        # SIGTERM/SIGINT mid-run: the pool killed its workers and the
         # runner's finally block wrote the manifest, so everything that
         # finished is committed and the store resumes cleanly.
         if store is None:
@@ -465,7 +463,7 @@ def cmd_coevo(args: argparse.Namespace) -> int:
     restore_sigterm = _sigterm_as_keyboard_interrupt()
     try:
         loop = CoevoLoop(scenario, store_root=store_root, jobs=args.jobs,
-                         backend=args.backend, progress=progress)
+                         progress=progress)
         report = loop.run()
     except (CoevoError, ScenarioError, StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -871,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", type=Path,
                      help="scenario JSON file (see repro.api.Scenario)")
     run.add_argument("-j", "--jobs", type=int, default=1,
-                     help="worker processes (default: 1, serial)")
+                     help="worker processes (default: 1, in-process; "
+                          "more run on a process pool)")
     run.add_argument("--store", type=Path, default=None,
                      help="results-store directory "
                           "(default: runs/<scenario name>)")
@@ -890,9 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap simulation sweeps at this many parallel lanes "
                           "per tile (default: scenario setting, else an "
                           "automatic per-plan memory budget)")
-    run.add_argument("--backend", choices=backend_names(), default=None,
-                     help="executor backend (default: scenario setting, else "
-                          "'process' with --jobs > 1 and 'serial' otherwise)")
     run.add_argument("--retries", type=int, default=None,
                      help="extra attempts per job after a transient failure "
                           "(crash/timeout/retryable error) before it is "
@@ -940,8 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store root for coevo.json and the per-"
                             "generation stores (default: "
                             "runs/<scenario name>-coevo)")
-    coevo.add_argument("--backend", choices=backend_names(), default=None,
-                       help="executor backend for the generation runs")
     coevo.add_argument("-q", "--quiet", action="store_true",
                        help="suppress per-job progress lines")
     coevo.set_defaults(func=cmd_coevo)

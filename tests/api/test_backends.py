@@ -1,11 +1,11 @@
-"""Executor backends: registry, retry policy, failure classification.
+"""Executors and the fault-tolerance primitives above them.
 
-The backend seam itself — backends own *mechanism* (where jobs run, how
-losses are detected), the runner owns *policy* — plus the fault-tolerance
-primitives layered on top: deterministic backoff, transient-vs-permanent
-classification, and the serial backend's post-hoc timeout semantics.
-End-to-end fault behaviour (chaos convergence, quarantine, the ledger)
-lives in ``test_fault_injection.py``.
+The execution rule itself — ``jobs=1`` runs in-process, ``jobs > 1`` on
+the pool — plus the primitives layered on top: deterministic backoff,
+transient-vs-permanent classification, and the in-process executor's
+post-hoc timeout semantics.  End-to-end fault behaviour (chaos
+convergence, quarantine, the ledger, pool timeouts) lives in
+``test_fault_injection.py``.
 """
 
 import pytest
@@ -13,24 +13,19 @@ import pytest
 from repro.api import (
     AttackSpec,
     LockerSpec,
-    ResultsStore,
+    MetricSpec,
     Runner,
     Scenario,
+    ScenarioError,
 )
 from repro.api.backends import (
-    ExecutorBackend,
-    JobOutcome,
     ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
     TRANSIENT_ERROR_NAMES,
-    backend_names,
     classify_failure,
     exception_name_from_traceback,
-    make_backend,
-    register_backend,
     register_transient_error,
-    _BACKENDS,
 )
 
 
@@ -48,46 +43,33 @@ def quick_scenario(**overrides):
     return Scenario(**base)
 
 
-class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        assert set(backend_names()) >= {"serial", "process"}
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process"), ProcessPoolBackend)
+class TestExecutionRule:
+    """``jobs`` alone picks the executor: 1 in-process, more on the pool."""
 
-    def test_unknown_backend_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            make_backend("quantum")
+    def test_jobs_picks_the_executor(self, monkeypatch):
+        """Even a single pending job goes to the pool when ``jobs > 1``, so
+        its timeout is pre-emptive (no in-process shortcut for small runs)."""
+        rounds = []
+        for cls in (SerialBackend, ProcessPoolBackend):
+            def spy(self, round_, _original=cls.run_round,
+                    _name=cls.__name__):
+                rounds.append(_name)
+                return _original(self, round_)
 
-    def test_register_backend_makes_the_name_selectable(self):
-        @register_backend("null-test")
-        class NullBackend(ExecutorBackend):
-            def run_round(self, round_):
-                for chunk in round_.chunks:
-                    for index in chunk:
-                        round_.emit(JobOutcome(
-                            index=index, job_id=round_.jobs[index].job_id,
-                            attempt=round_.attempts.get(index, 0),
-                            kind="error", error="RuntimeError: null backend"))
+            monkeypatch.setattr(cls, "run_round", spy)
+        scenario = quick_scenario(lockers=(LockerSpec("era"),), attacks=(),
+                                  metrics=(MetricSpec("avalanche",
+                                                      {"vectors": 4}),))
+        for jobs in (1, 2):
+            report = Runner(scenario, jobs=jobs).run()
+            assert report.executed == 1 and not report.failures
+        assert rounds == ["SerialBackend", "ProcessPoolBackend"]
 
-        try:
-            assert "null-test" in backend_names()
-            backend = make_backend("null-test")
-            assert backend.name == "null-test"
-            # Selectable through the runner; every job fails permanently.
-            report = Runner(quick_scenario(), backend="null-test").run()
-            assert report.executed == 0
-            assert len(report.failures) == 2
-        finally:
-            del _BACKENDS["null-test"]
-
-    def test_runner_accepts_a_backend_instance(self):
-        report = Runner(quick_scenario(), backend=SerialBackend()).run()
-        assert report.executed == 2 and not report.failures
-
-    def test_scenario_backend_field_selects_the_backend(self, tmp_path):
-        scenario = quick_scenario(backend="serial")
-        report = Runner(scenario, store=ResultsStore(tmp_path / "s")).run()
-        assert report.executed == 2 and not report.failures
+    def test_scenario_backend_key_is_rejected(self):
+        data = quick_scenario().to_dict()
+        data["backend"] = "serial"
+        with pytest.raises(ScenarioError, match="backend"):
+            Scenario.from_dict(data)
 
 
 class TestRetryPolicy:
@@ -167,9 +149,8 @@ class TestClassification:
 
 class TestSerialTimeout:
     def test_overdue_job_is_discarded_post_hoc(self):
-        """The serial backend cannot pre-empt, so a job finishing over
-        budget is failed as ``timeout`` — the SLA holds on every backend."""
-        from repro.api import MetricSpec
+        """An in-process job cannot be pre-empted, so a job finishing over
+        budget is failed as ``timeout`` — the SLA holds for any ``jobs``."""
         from repro.api.registry import METRICS, register_metric
 
         @register_metric("slow-serial-test")
@@ -202,8 +183,3 @@ class TestRunnerValidation:
     def test_non_positive_timeout_rejected(self):
         with pytest.raises(ValueError, match="job_timeout"):
             Runner(quick_scenario(), job_timeout=0.0)
-
-    def test_retries_and_retry_policy_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Runner(quick_scenario(), retries=1,
-                   retry_policy=RetryPolicy(retries=1))

@@ -140,8 +140,7 @@ class TestGoldenDeterminism:
 
     def test_process_backend_identical(self, serial_report, tmp_path):
         reference, _ = serial_report
-        parallel = run_coevo(coevo_scenario(), store_root=tmp_path,
-                             jobs=2, backend="process")
+        parallel = run_coevo(coevo_scenario(), store_root=tmp_path, jobs=2)
         assert parallel.history == reference.history
         assert parallel.best == reference.best
 

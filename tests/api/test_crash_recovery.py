@@ -170,12 +170,12 @@ class TestCrashedWorker:
 
 
 class TestSigtermMidRun:
-    """Graceful SIGTERM: kill a process-backend run, then resume it."""
+    """Graceful SIGTERM: kill a process-pool run, then resume it."""
 
     def test_sigterm_commits_drained_records_and_resumes(self, tmp_path):
         """Regression: SIGTERM used to leave ``ProcessPoolExecutor`` blocked
         in its ``with``-exit (``shutdown(wait=True)``) behind hung workers,
-        and the aborted run committed nothing.  The backend now kills its
+        and the aborted run committed nothing.  The pool now kills its
         in-flight workers and commits everything already reported, the
         runner's ``finally`` writes the manifest, and the CLI exits 130 —
         leaving a partial store a plain re-run completes."""
@@ -201,7 +201,7 @@ class TestSigtermMidRun:
             env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "run", str(scenario_path),
-             "--jobs", "2", "--backend", "process",
+             "--jobs", "2",
              "--fault-plan", str(plan_path), "--store", str(store_path),
              "-q"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,

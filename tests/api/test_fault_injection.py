@@ -9,6 +9,8 @@ fault-free serial run; past the budget a poison job is quarantined to the
 never silently dropped.
 """
 
+import time
+
 import pytest
 
 from repro.api import (
@@ -63,15 +65,14 @@ class TestChaosGate:
 
     def test_serial_backend_converges(self, baseline, tmp_path):
         report = Runner(quick_scenario(), store=ResultsStore(tmp_path / "s"),
-                        backend="serial", retries=3,
-                        fault_plan=self.PLAN).run()
+                        retries=3, fault_plan=self.PLAN).run()
         assert not report.failures
         assert stable_records(report) == baseline
 
     def test_process_backend_converges(self, baseline, tmp_path):
         store = ResultsStore(tmp_path / "s")
         report = Runner(quick_scenario(), store=store, jobs=3, retries=3,
-                        backend="process", fault_plan=self.PLAN).run()
+                        fault_plan=self.PLAN).run()
         assert not report.failures
         assert stable_records(report) == baseline
         # The store agrees with the in-memory report, and nothing poisoned
@@ -184,8 +185,8 @@ class TestProcessTimeouts:
                                   metrics=(MetricSpec("avalanche",
                                                       {"vectors": 4}),))
         store = ResultsStore(tmp_path / "s")
-        report = Runner(scenario, store=store, jobs=2, backend="process",
-                        retries=1, job_timeout=1.0, fault_plan=plan).run()
+        report = Runner(scenario, store=store, jobs=2, retries=1,
+                        job_timeout=1.0, fault_plan=plan).run()
         assert not report.failures
         assert report.executed == 2
         assert len(store.job_ids()) == 2
@@ -197,13 +198,30 @@ class TestProcessTimeouts:
                                   metrics=(MetricSpec("avalanche",
                                                       {"vectors": 4}),))
         store = ResultsStore(tmp_path / "s")
-        report = Runner(scenario, store=store, jobs=2, backend="process",
-                        retries=0, job_timeout=1.0, fault_plan=plan).run()
+        report = Runner(scenario, store=store, jobs=2, retries=0,
+                        job_timeout=1.0, fault_plan=plan).run()
         assert [e["job_id"] for e in report.failures] == \
             ["metric__SASC__era__avalanche__s0"]
         assert report.failures[0]["failure"] == "timeout"
         # The healthy job still committed.
         assert report.executed == 1
+
+    def test_single_pending_job_hang_is_pre_empted(self, tmp_path):
+        """With ``jobs > 1`` a lone pending job still runs on the pool, so
+        a hang that would never return is killed at its ``job_timeout`` —
+        the resume-after-a-hung-job case."""
+        plan = FaultPlan(seed=4, faults=(
+            FaultSpec("hang", rate=1.0, seconds=30.0),))
+        scenario = quick_scenario(lockers=(LockerSpec("era"),), attacks=(),
+                                  metrics=(MetricSpec("avalanche",
+                                                      {"vectors": 4}),))
+        started = time.monotonic()
+        report = Runner(scenario, store=ResultsStore(tmp_path / "s"),
+                        jobs=2, retries=0, job_timeout=1.0,
+                        fault_plan=plan).run()
+        assert time.monotonic() - started < 15.0
+        assert [e["failure"] for e in report.failures] == ["timeout"]
+        assert report.executed == 0
 
 
 class TestRunnerProgressHook:
@@ -232,24 +250,20 @@ class TestRunnerProgressHook:
 
 class TestScenarioRobustnessFields:
     def test_fields_are_fingerprint_stable_when_unset(self):
-        """``retries``/``job_timeout``/``backend`` are run defaults, not job
-        data: omitting them must reproduce the historical fingerprint."""
+        """``retries``/``job_timeout`` are run defaults, not job data:
+        omitting them must reproduce the historical fingerprint."""
         plain = quick_scenario()
         assert "retries" not in plain.to_dict()
         assert "job_timeout" not in plain.to_dict()
-        assert "backend" not in plain.to_dict()
-        tuned = quick_scenario(retries=2, job_timeout=60.0, backend="serial")
+        tuned = quick_scenario(retries=2, job_timeout=60.0)
         assert tuned.to_dict()["retries"] == 2
         assert tuned.fingerprint() != plain.fingerprint()
         round_trip = Scenario.from_dict(tuned.to_dict())
         assert round_trip.retries == 2
         assert round_trip.job_timeout == 60.0
-        assert round_trip.backend == "serial"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="retries"):
             quick_scenario(retries=-1)
         with pytest.raises(ValueError, match="job_timeout"):
             quick_scenario(job_timeout=0.0)
-        with pytest.raises(ValueError, match="backend"):
-            quick_scenario(backend="quantum").validate()

@@ -127,8 +127,7 @@ class TestProtocolError:
             ProtocolError("NO_SUCH_CODE", "whatever")
 
     def test_expected_codes_are_canonical(self):
-        for code in ("INVALID_SCENARIO", "UNKNOWN_JOB",
-                     "BACKEND_UNAVAILABLE", "SHUTTING_DOWN"):
+        for code in ("INVALID_SCENARIO", "UNKNOWN_JOB", "SHUTTING_DOWN"):
             assert code in ERROR_CODES
 
     def test_ops_and_version(self):

@@ -201,14 +201,13 @@ class TestErrorPaths:
         assert excinfo.value.code == "UNKNOWN_JOB"
         assert "job-9999" in excinfo.value.message
 
-    def test_backend_unavailable_lists_registered_names(self, client):
+    def test_backend_key_is_an_invalid_scenario(self, client):
         scenario = tiny_scenario().to_dict()
-        scenario["backend"] = "definitely-not-a-backend"
+        scenario["backend"] = "serial"
         with pytest.raises(ServerError) as excinfo:
             client.submit(scenario)
-        assert excinfo.value.code == "BACKEND_UNAVAILABLE"
-        assert "serial" in excinfo.value.message
-        assert "process" in excinfo.value.message
+        assert excinfo.value.code == "INVALID_SCENARIO"
+        assert "backend" in excinfo.value.message
 
     def test_unknown_op_and_malformed_request(self, server, client):
         with pytest.raises(ServerError) as excinfo:

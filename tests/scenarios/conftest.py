@@ -10,7 +10,6 @@ invariants to assert:
 {
   "description": "what this case pins down",
   "scenario": { ... complete Scenario dict ... },
-  "backend": "serial",            // optional pin; else env/auto
   "runner": {"jobs": 2, "retries": 1},   // optional Runner kwargs
   "fault_plan": { ... FaultPlan dict ... },
   "coevo": true,                  // run the co-evolution loop instead
@@ -34,8 +33,9 @@ validation failure.
 
 Environment knobs (the CI scenario-matrix job):
 
-* ``SCENARIO_CASE_BACKEND`` — default backend for cases that do not pin
-  one (the suite runs once per backend in CI).
+* ``SCENARIO_CASE_JOBS`` — default ``jobs`` count for cases whose
+  ``runner`` block does not set one (the suite runs once in-process and
+  once on the pool in CI).
 * ``SCENARIO_CASE_STORE_ROOT`` — persistent store root instead of
   ``tmp_path``, so per-case store manifests can be uploaded as artifacts.
 """
@@ -46,7 +46,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import pytest
 
@@ -80,7 +80,7 @@ def _check_bounds(value: float, bounds: Dict, what: str) -> None:
 
 
 def _run_plain_case(case: Dict, scenario: Scenario, store_root: Path,
-                    backend: Optional[str]) -> None:
+                    jobs_default: int) -> None:
     expect = case.get("expect", {})
     jobs = scenario.expand()
     if "jobs" in expect:
@@ -89,17 +89,18 @@ def _run_plain_case(case: Dict, scenario: Scenario, store_root: Path,
     if "determinism" in expect:
         assert determinism_class(scenario) == expect["determinism"]
 
-    runner_kwargs = {key: value
-                     for key, value in case.get("runner", {}).items()
-                     if key in _RUNNER_KEYS}
+    runner_kwargs = {"jobs": jobs_default}
+    runner_kwargs.update((key, value)
+                         for key, value in case.get("runner", {}).items()
+                         if key in _RUNNER_KEYS)
     unknown = set(case.get("runner", {})) - set(_RUNNER_KEYS)
     assert not unknown, f"unknown runner key(s) in case: {sorted(unknown)}"
     fault_plan = (FaultPlan.from_dict(case["fault_plan"])
                   if case.get("fault_plan") else None)
 
     store = ResultsStore(store_root)
-    report = Runner(scenario, store=store, backend=backend,
-                    fault_plan=fault_plan, **runner_kwargs).run()
+    report = Runner(scenario, store=store, fault_plan=fault_plan,
+                    **runner_kwargs).run()
 
     quarantined = expect.get("quarantined", 0)
     assert len(report.failures) == quarantined, \
@@ -136,18 +137,17 @@ def _run_plain_case(case: Dict, scenario: Scenario, store_root: Path,
 
     # Resume invariant: a second run replays from the store (quarantined
     # jobs stay skipped) and serves bit-identical records.
-    resumed = Runner(scenario, store=store, backend=backend,
-                     fault_plan=fault_plan, **runner_kwargs).run()
+    resumed = Runner(scenario, store=store, fault_plan=fault_plan,
+                     **runner_kwargs).run()
     assert resumed.executed == expect.get("resume_executes", 0)
     assert resumed.records == report.records
 
 
 def _run_coevo_case(case: Dict, scenario: Scenario, store_root: Path,
-                    backend: Optional[str]) -> None:
+                    jobs_default: int) -> None:
     expect = case.get("expect", {})
-    jobs = case.get("runner", {}).get("jobs", 1)
-    report = run_coevo(scenario, store_root=store_root, jobs=jobs,
-                       backend=backend)
+    jobs = case.get("runner", {}).get("jobs", jobs_default)
+    report = run_coevo(scenario, store_root=store_root, jobs=jobs)
     generations = expect.get("generations",
                              scenario.coevo.generations)
     assert len(report.history) == generations
@@ -161,8 +161,7 @@ def _run_coevo_case(case: Dict, scenario: Scenario, store_root: Path,
 
     # Resume invariant: replaying the loop over the same stores executes
     # nothing new and reproduces the identical history.
-    resumed = run_coevo(scenario, store_root=store_root, jobs=jobs,
-                        backend=backend)
+    resumed = run_coevo(scenario, store_root=store_root, jobs=jobs)
     assert resumed.executed_jobs == 0
     assert resumed.history == report.history
     assert resumed.best == report.best
@@ -186,14 +185,13 @@ def run_scenario_case(tmp_path: Path) -> Callable[[Path], None]:
             return
 
         scenario = Scenario.from_dict(case["scenario"])
-        # A case that pins its backend keeps it; the CI matrix env var
-        # drives everything else.
-        backend = case.get("backend") \
-            or os.environ.get("SCENARIO_CASE_BACKEND") or None
+        # A case's own ``runner.jobs`` wins; the CI matrix env var drives
+        # everything else.
+        jobs_default = int(os.environ.get("SCENARIO_CASE_JOBS") or 1)
         store_root = _case_store(case_path.stem, tmp_path)
         if case.get("coevo"):
-            _run_coevo_case(case, scenario, store_root, backend)
+            _run_coevo_case(case, scenario, store_root, jobs_default)
         else:
-            _run_plain_case(case, scenario, store_root, backend)
+            _run_plain_case(case, scenario, store_root, jobs_default)
 
     return run

@@ -1,8 +1,9 @@
 """Property-based test: locking preserves function under the correct key.
 
-For random combinational designs and every locking algorithm, the locked
-design driven with its correct key must be functionally equivalent to the
-original design on random input vectors.  This is the core functional
+For random combinational designs and every registered locking algorithm
+(aliases included, so a plugin cannot register without passing), the
+locked design driven with its correct key must be functionally equivalent
+to the original design on random input vectors.  This is the core functional
 contract of RTL locking (and of the AddPair/branch/constant transformations
 in particular).
 """
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.bench.generators import profile_design
 from repro.bench.profiles import BenchmarkProfile
-from repro.locking import AssureLocker, ERALocker, HRALocker
+from repro.api.registry import locker_names, make_locker
+from repro.locking import AssureLocker
 from repro.sim import check_equivalence
 
 #: Operators drawn by the random profiles; division/modulo are included to
@@ -34,26 +36,19 @@ def combinational_profiles(draw):
                             n_inputs=4, width=8)
 
 
-LOCKERS = {
-    "assure": lambda rng: AssureLocker("random", rng=rng, track_metrics=False),
-    "hra": lambda rng: HRALocker(rng=rng, track_metrics=False),
-    "era": lambda rng: ERALocker(rng=rng, track_metrics=False),
-}
-
-
 class TestLockingPreservesFunction:
-    @given(profile=combinational_profiles(),
-           seed=st.integers(0, 2 ** 16),
-           algorithm=st.sampled_from(sorted(LOCKERS)))
+    @given(profile=combinational_profiles(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=25, deadline=None)
-    def test_correct_key_is_functionally_transparent(self, profile, seed, algorithm):
+    def test_correct_key_is_functionally_transparent(self, profile, seed):
         design = profile_design(profile, seed=seed)
         budget = max(1, design.num_operations() // 2)
-        locked = LOCKERS[algorithm](random.Random(seed)).lock(design, budget)
-        report = check_equivalence(design, locked.design,
-                                   key=locked.design.correct_key,
-                                   vectors=12, rng=random.Random(seed + 1))
-        assert report.equivalent, (algorithm, report.first_mismatch)
+        for algorithm in locker_names(include_aliases=True):
+            locked = make_locker(algorithm, random.Random(seed)).lock(
+                design, budget)
+            report = check_equivalence(design, locked.design,
+                                       key=locked.design.correct_key,
+                                       vectors=12, rng=random.Random(seed + 1))
+            assert report.equivalent, (algorithm, report.first_mismatch)
 
     @given(profile=combinational_profiles(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=15, deadline=None)
