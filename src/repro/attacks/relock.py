@@ -8,10 +8,17 @@ of those new key bits become labelled training samples (Fig. 2 of the paper,
 
 The paper relocks with *random* ASSURE selection "so that all parts of the
 design were used for learning"; :class:`TrainingSetBuilder` follows that
-default.  The target is copied once per attack and every round is applied
+default.  The target is copied once per attack, and every round is applied
 to, extracted from and undone on one :class:`~repro.locking.base.LockingSession`
-over that copy, so a round costs its own locking actions rather than a
-whole-design copy and registry rebuild.
+over that copy.  A round costs only its own actions:
+
+* ``add_pair`` clones the real operation's operands structurally and swaps
+  one literal to widen the key port;
+* extraction reads the round's key bits from the round's actions and an
+  :class:`~repro.attacks.locality.OperationIndex` of the target built once
+  per attack (:meth:`~repro.attacks.locality.LocalityExtractor.extract_round`),
+  not from a walk of the whole design;
+* undo pops each action's dummy off the tails of the operation registry.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from ..locking.assure import AssureLocker
 from ..locking.base import LockingSession
 from ..locking.pairs import PairTable
 from ..rtlir.design import Design
-from .locality import LocalityExtractor
+from .locality import LocalityExtractor, OperationIndex
 
 _log = logging.getLogger(__name__)
 
@@ -110,12 +117,12 @@ class TrainingSetBuilder:
         if not target.is_locked:
             raise ValueError("the target design must be locked")
         budget = self.relock_budget or target.key_width
-        original_width = target.key_width
-        # One copy and one session per attack: every round relocks the
-        # session, extracts its new key bits and is then undone, which leaves
-        # the session exactly as a fresh one over the target.
+        # One copy, one session and one operation index per attack: every
+        # round relocks the session, extracts its new key bits from its own
+        # actions and is then undone, which leaves the session exactly as a
+        # fresh one over the target.
         session = LockingSession(target.copy(), pair_table=self.pair_table)
-        relocked = session.design
+        index = OperationIndex(session.design)
 
         feature_blocks: List[np.ndarray] = []
         label_blocks: List[np.ndarray] = []
@@ -127,10 +134,8 @@ class TrainingSetBuilder:
                 track_metrics=False,
             )
             with session.tentative():
-                locker.relock(session, key_budget=budget)
-                new_indices = range(original_width, relocked.key_width)
-                features, labels = self.extractor.extract_matrix(
-                    relocked, key_indices=list(new_indices))
+                actions = locker.relock(session, key_budget=budget)
+                features, labels = self.extractor.extract_round(index, actions)
             feature_blocks.append(features)
             label_blocks.append(labels)
             if progress is not None:

@@ -46,8 +46,9 @@ class LockingError(RuntimeError):
 class OpRef:
     """A live reference to one operation node inside the design being locked.
 
-    References compare by identity: the registry removes them with
-    ``list.remove``, and two distinct references may hold equal fields.
+    References compare by identity: two distinct references may hold equal
+    fields, and only the very reference that was registered may be
+    unregistered.
 
     Attributes:
         node: The :class:`~repro.verilog.ast_nodes.BinaryOp` node.
@@ -107,6 +108,10 @@ class LockingSession:
         self.pair_table = pair_table or default_pair_table()
         self.rng = rng or random.Random()
         self._requested_key_port = key_port
+        # The key port and the range this session installed on it; the
+        # range's msb is replaced in place as key bits come and go.
+        self._key_port_node: Optional[ast.Port] = None
+        self._key_range: Optional[ast.Range] = None
         self.odt: OperationDistributionTable = odt_from_design(design, self.pair_table)
         if design.is_locked:
             # Pairs already present in a locked design count as affected.
@@ -132,8 +137,15 @@ class LockingSession:
         self._ops_by_type.setdefault(ref.op, []).append(ref)
 
     def _unregister(self, ref: OpRef) -> None:
-        self._ops.remove(ref)
-        self._ops_by_type[ref.op].remove(ref)
+        # Undo is LIFO and every registration appends, so the reference to
+        # drop is the tail of both lists.
+        same_type = self._ops_by_type.get(ref.op)
+        if (not self._ops or self._ops[-1] is not ref
+                or not same_type or same_type[-1] is not ref):
+            raise LockingError("operation registry undo is only supported "
+                               "in LIFO order")
+        self._ops.pop()
+        same_type.pop()
 
     def _mark_existing_locks_affected(self) -> None:
         for bit in self.design.key_bits:
@@ -168,12 +180,25 @@ class LockingSession:
         return self.design.key_port
 
     def _update_key_port_width(self) -> None:
+        """Make the key port ``[key_width-1:0]`` wide (at least one bit).
+
+        The first call installs a range owned by this session; later calls
+        only swap that range's msb literal, with no port lookup.  The port is
+        looked up again whenever its range is no longer this session's
+        (another session on the same design resized it).
+        """
+        msb = ast.IntConst(str(max(self.design.key_width, 1) - 1))
+        port = self._key_port_node
+        if port is not None and port.width is self._key_range:
+            self._key_range.msb = msb
+            return
         assert self.design.key_port is not None
         port = self.design.top.find_port(self.design.key_port)
         if port is None:
             raise LockingError("key port disappeared from the module")
-        width = max(self.design.key_width, 1)
-        port.width = ast.Range(ast.IntConst(str(width - 1)), ast.IntConst("0"))
+        self._key_range = ast.Range(msb, ast.IntConst("0"))
+        port.width = self._key_range
+        self._key_port_node = port
 
     def _remove_key_port_if_unused(self) -> None:
         if self.design.key_width == 0 and self.design.key_port is not None:
@@ -181,6 +206,8 @@ class LockingSession:
             if port is not None:
                 self.design.top.ports.remove(port)
             self.design.key_port = None
+            self._key_port_node = None
+            self._key_range = None
 
     def _consume_key_bit(self, kind: str, correct_value: int,
                          real_op: Optional[str] = None,
@@ -200,7 +227,7 @@ class LockingSession:
         return bit
 
     def _release_key_bits(self, bits: Sequence[KeyBit]) -> None:
-        for bit in bits:
+        for bit in reversed(bits):
             if not self.design.key_bits or self.design.key_bits[-1] is not bit:
                 # Undo must be LIFO; anything else corrupts key indices.
                 raise LockingError("undo is only supported in LIFO order")
@@ -277,9 +304,8 @@ class LockingSession:
                           is_dummy=True, lock_count=1)
         self._register(dummy_ref)
 
-        self.odt.add_operation(dummy_op)
+        self.odt.add_operation(dummy_op)  # also marks the dummy's pair
         self.odt.mark_affected(real_op)
-        self.odt.mark_affected(dummy_op)
 
         action = LockAction(kind="operation", key_bits=[bit], parent=old_parent,
                             original=real_node, replacement=ternary,

@@ -1,12 +1,31 @@
 """Unit tests for training-set construction by self-referencing."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.attacks import LocalityExtractor, TrainingSetBuilder
-from repro.locking import AssureLocker, ERALocker
+from repro.api import make_locker
+from repro.api.scenario import key_budget
+from repro.attacks import FEATURE_SETS, LocalityExtractor, TrainingSetBuilder
+from repro.attacks.locality import (OperationIndex, _key_bit_index,
+                                    _key_controlled_nodes)
+from repro.bench import benchmark_names, load_benchmark
+from repro.locking import AssureLocker, ERALocker, LockingSession
+from repro.rtlir import Design
+from repro.verilog import ast
+
+#: One assign of nested operations: relocking an outer operation clones the
+#: ternaries an earlier lock of the same round put inside its operands, so
+#: one key bit of the round can occur several times.  ``z`` holds the
+#: target's own lock, which leaves every operation of ``y`` lockable.
+NESTED_SOURCE = """
+module nested (input [7:0] a, b, c, d, output [7:0] y, z);
+  assign y = ((a + b) * (c - d)) ^ ((a & b) | (c + d));
+  assign z = c / d;
+endmodule
+"""
 
 
 class TestTrainingSetBuilder:
@@ -98,3 +117,117 @@ class TestSignalContent:
                             training.features[:, 0], training.features[:, 1])
         plus_fraction = np.mean(real_ops == plus)
         assert 0.35 < plus_fraction < 0.65
+
+
+def _relock_rounds(target, rounds, budget, seed):
+    """Yield ``(design, index, actions)`` inside each round of one session."""
+    session = LockingSession(target.copy())
+    index = OperationIndex(session.design)
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        locker = AssureLocker("random", rng=random.Random(rng.getrandbits(64)),
+                              track_metrics=False)
+        with session.tentative():
+            actions = locker.relock(session, key_budget=budget)
+            yield session.design, index, actions
+
+
+def _round_bits(actions):
+    return [bit.index for action in actions for bit in action.key_bits]
+
+
+def _has_duplicates(design, bits):
+    """True when a key bit of the round controls more than one ternary."""
+    wanted = set(bits)
+    counts = Counter(_key_bit_index(node.cond, design.key_port)
+                     for node in design.top.iter_tree()
+                     if isinstance(node, ast.TernaryOp))
+    return any(counts[bit] > 1 for bit in wanted)
+
+
+def _assert_round_local_exact(design, index, actions):
+    bits = _round_bits(actions)
+    whole = _key_controlled_nodes(design)
+    local = index.round_contexts(actions)
+    assert sorted(local) == bits
+    for bit in bits:
+        # Dataclass equality: every context field must agree.
+        assert local[bit] == whole[bit], bit
+
+
+class TestRoundLocalExtraction:
+    """Round-local contexts equal the whole-design walk on the round's bits."""
+
+    @pytest.fixture
+    def nested_target(self):
+        design = Design.from_verilog(NESTED_SOURCE)
+        session = LockingSession(design, rng=random.Random(0))
+        session.add_pair(session.ops_of_type("/")[0])
+        return design
+
+    def test_contexts_match_the_whole_design_walk(self, nested_target):
+        duplicated = 0
+        for design, index, actions in _relock_rounds(nested_target, 300,
+                                                     budget=6, seed=11):
+            _assert_round_local_exact(design, index, actions)
+            duplicated += _has_duplicates(design, _round_bits(actions))
+        # The trap the round-local walk must reproduce: clones of earlier
+        # ternaries of the round duplicate key bits in most rounds.
+        assert duplicated > 100
+
+    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
+    def test_round_matrix_matches_extract_matrix(self, nested_target,
+                                                 feature_set):
+        extractor = LocalityExtractor(feature_set)
+        for design, index, actions in _relock_rounds(nested_target, 30,
+                                                     budget=6, seed=12):
+            features, labels = extractor.extract_round(index, actions)
+            expected = extractor.extract_matrix(
+                design, key_indices=_round_bits(actions))
+            assert features.shape == (len(actions), extractor.n_features)
+            assert np.array_equal(features, expected[0])
+            assert np.array_equal(labels, expected[1])
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_every_benchmark(self, name):
+        design = load_benchmark(name, scale=0.2, seed=3)
+        budget = key_budget(0.75, name, "era", design.num_operations())
+        target = make_locker("era", rng=random.Random(3)).lock(
+            design, budget).design
+        extractors = [LocalityExtractor(name) for name in FEATURE_SETS]
+        for design, index, actions in _relock_rounds(target, 3, budget,
+                                                     seed=13):
+            _assert_round_local_exact(design, index, actions)
+            for extractor in extractors:
+                features, _ = extractor.extract_round(index, actions)
+                expected, _ = extractor.extract_matrix(
+                    design, key_indices=_round_bits(actions))
+                assert np.array_equal(features, expected)
+
+    def test_an_empty_round_has_no_rows(self, nested_target):
+        index = OperationIndex(nested_target)
+        features, labels = LocalityExtractor("extended").extract_round(index, [])
+        assert features.shape == (0, 5)
+        assert labels.shape == (0,)
+
+    def test_non_operation_actions_rejected(self, nested_target):
+        session = LockingSession(nested_target)
+        index = OperationIndex(session.design)
+        constant = ast.IntConst("8'd3")
+        assign = session.design.top.items[0]
+        assign.rhs = ast.BinaryOp("+", assign.rhs, constant)
+        action = session.lock_constant(assign.rhs, constant)
+        with pytest.raises(ValueError):
+            index.round_contexts([action])
+
+    def test_lock_of_an_unindexed_dummy_rejected(self, nested_target):
+        session = LockingSession(nested_target)
+        index = OperationIndex(session.design)
+        first = session.add_pair(session.ops_of_type("+")[0])
+        second = session.add_pair(first.dummy_ref)
+        with pytest.raises(ValueError):
+            index.round_contexts([first, second])
+
+    def test_unlocked_design_cannot_be_indexed(self, mixer_design):
+        with pytest.raises(ValueError):
+            OperationIndex(mixer_design)

@@ -234,6 +234,10 @@ class TestUndo:
         assert all(ref is not dummy for ref in session.ops_of_type(dummy.op))
 
 
+def _key_port_width(design):
+    return design.top.find_port(design.key_port).width.width()
+
+
 def _registry(session):
     return [(id(ref.node), ref.op, id(ref.parent), ref.is_dummy,
              ref.lock_count) for ref in session.all_ops()]
@@ -277,6 +281,33 @@ class TestTentativeRound:
         assert design.top.find_port(design.key_port).width.width() == 2
         assert design.to_verilog() == target.to_verilog()
 
+    def test_round_restores_registry_identities_port_and_odt(self, target):
+        session = LockingSession(target.copy())
+        design = session.design
+        ops = [id(ref) for ref in session.all_ops()]
+        by_type = {op: [id(ref) for ref in session.ops_of_type(op)]
+                   for op in ("+", "-", "*", "/", "<<", ">>", "^", "&", "|")}
+        odt = _odt_state(session.odt)
+        odt_state = (dict(odt[0]), dict(odt[1]), set(odt[2]))
+        with session.tentative():
+            AssureLocker("random", rng=random.Random(3)).relock(
+                session, key_budget=6)
+            assert _key_port_width(design) == design.key_width == 8
+        assert [id(ref) for ref in session.all_ops()] == ops
+        for op, refs in by_type.items():
+            assert [id(ref) for ref in session.ops_of_type(op)] == refs
+        assert _key_port_width(design) == design.key_width == 2
+        assert _odt_state(session.odt) == odt_state
+
+    def test_out_of_order_unregister_rejected(self, target):
+        session = LockingSession(target.copy())
+        first = session.add_pair(session.ops_of_type("+")[0])
+        session.add_pair(session.ops_of_type("*")[0])
+        registry = session.all_ops()
+        with pytest.raises(LockingError):
+            session._unregister(first.dummy_ref)
+        assert session.all_ops() == registry
+
     def test_round_is_undone_when_the_block_raises(self, target):
         session = LockingSession(target.copy())
         text = session.design.to_verilog()
@@ -296,6 +327,46 @@ class TestTentativeRound:
             session.add_pair(session.ops_of_type("-")[0])
         assert len(session.actions) == 1
         assert session.design.to_verilog() == locked_text
+
+
+class TestKeyPortWidth:
+    """Every public primitive leaves the key port ``key_width`` bits wide."""
+
+    def test_standalone_primitives(self, rng):
+        design = Design.from_verilog("""
+        module m (input [3:0] a, b, output reg [3:0] y, output [3:0] z);
+          assign z = (a + b) ^ (a - b);
+          always @(*) begin
+            if (a > b) y = a + 4'd3; else y = b;
+          end
+        endmodule
+        """)
+        session = LockingSession(design, rng=rng)
+        session.add_pair(session.ops_of_type("+")[0])
+        assert _key_port_width(design) == design.key_width == 1
+        session.add_pair(session.ops_of_type("-")[0])
+        assert _key_port_width(design) == design.key_width == 2
+        branch = [n for n in design.top.iter_tree()
+                  if isinstance(n, ast.IfStatement)][0]
+        session.lock_branch(branch)
+        assert _key_port_width(design) == design.key_width == 3
+        constant = [n for n in design.top.iter_tree()
+                    if isinstance(n, ast.IntConst) and n.value == "4'd3"][0]
+        parent = [n for n in design.top.iter_tree()
+                  if any(c is constant for c in n.children())][0]
+        session.lock_constant(parent, constant)
+        assert _key_port_width(design) == design.key_width == 7
+        session.undo_last(2)
+        assert _key_port_width(design) == design.key_width == 2
+        assert "[1:0]" in design.to_verilog()
+
+    def test_second_session_on_the_same_design(self, mixer_design, rng):
+        first = LockingSession(mixer_design, rng=rng)
+        first.add_pair(first.ops_of_type("+")[0])
+        second = LockingSession(mixer_design, rng=random.Random(9))
+        second.add_pair(second.ops_of_type("*")[0])
+        first.add_pair(first.ops_of_type("-")[0])
+        assert _key_port_width(mixer_design) == mixer_design.key_width == 3
 
 
 class TestRelockingSessions:
