@@ -233,7 +233,6 @@ class ExecutionRound:
             before the job starts (inside the worker on the pool, so delays
             of different jobs overlap).
         workers: Worker processes available to the round.
-        max_lanes: Runner-level lane cap forwarded to ``execute_job``.
         job_timeout: Per-job wall-clock budget in seconds, or ``None``.
         fault_plan: Optional deterministic fault-injection plan.
         emit: Outcome callback; must be called once per pending job.
@@ -245,14 +244,13 @@ class ExecutionRound:
     attempts: Mapping[int, int]
     delays: Mapping[int, float]
     workers: int
-    max_lanes: Optional[int]
     job_timeout: Optional[float]
     fault_plan: Optional[object]
     emit: Callable[[JobOutcome], None]
 
 
-def _run_attempt(index: int, job, attempt: int, delay: float,
-                 max_lanes: Optional[int], fault_plan, in_worker: bool,
+def _run_attempt(index: int, job, attempt: int, delay: float, fault_plan,
+                 in_worker: bool,
                  on_start: Callable[[float], None]) -> JobOutcome:
     """Run one attempt of a job: backoff, then the job body.
 
@@ -266,8 +264,8 @@ def _run_attempt(index: int, job, attempt: int, delay: float,
         time.sleep(delay)
     on_start(time.monotonic())
     try:
-        record = execute_job(job, max_lanes=max_lanes, fault_plan=fault_plan,
-                             attempt=attempt, in_worker=in_worker)
+        record = execute_job(job, fault_plan=fault_plan, attempt=attempt,
+                             in_worker=in_worker)
     except Exception:
         return JobOutcome(index=index, job_id=job.job_id, attempt=attempt,
                           kind="error", error=traceback.format_exc())
@@ -292,8 +290,8 @@ class SerialBackend:
                 started: List[float] = []
                 outcome = _run_attempt(
                     index, round_.jobs[index], round_.attempts.get(index, 0),
-                    round_.delays.get(index, 0.0), round_.max_lanes,
-                    round_.fault_plan, False, started.append)
+                    round_.delays.get(index, 0.0), round_.fault_plan, False,
+                    started.append)
                 elapsed = time.monotonic() - started[0]
                 if (outcome.ok and round_.job_timeout is not None
                         and elapsed > round_.job_timeout):
@@ -308,7 +306,7 @@ class SerialBackend:
 
 def _pool_worker(scenario_dict: Dict, indices: Sequence[int],
                  attempts: Dict[int, int], delays: Dict[int, float],
-                 max_lanes: Optional[int], fault_plan, channel) -> List[int]:
+                 fault_plan, channel) -> List[int]:
     """Worker entry point: execute a chunk, streaming per-job messages.
 
     Each job sends a ``("start", index, monotonic)`` heartbeat before its
@@ -324,7 +322,7 @@ def _pool_worker(scenario_dict: Dict, indices: Sequence[int],
     for index in indices:
         outcome = _run_attempt(
             index, jobs[index], attempts.get(index, 0),
-            delays.get(index, 0.0), max_lanes, fault_plan, True,
+            delays.get(index, 0.0), fault_plan, True,
             lambda at, index=index: channel.put(("start", index, at)))
         channel.put(("done", outcome))
     return list(indices)
@@ -372,8 +370,7 @@ class ProcessPoolBackend:
                 pool.submit(_pool_worker, round_.scenario_dict, list(chunk),
                             {i: round_.attempts.get(i, 0) for i in chunk},
                             {i: round_.delays.get(i, 0.0) for i in chunk},
-                            round_.max_lanes, round_.fault_plan,
-                            channel): list(chunk)
+                            round_.fault_plan, channel): list(chunk)
                 for chunk in round_.chunks}
             while pending:
                 finished, _ = wait(pending, timeout=self.POLL_SECONDS,

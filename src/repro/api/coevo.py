@@ -254,7 +254,6 @@ class CoevoLoop:
             scale=base.scale,
             seed=base.seed,
             seeds=base.seeds,
-            max_lanes=base.max_lanes,
             retries=base.retries,
             job_timeout=base.job_timeout,
         )

@@ -124,8 +124,7 @@ def key_budget_for(job: JobSpec, num_operations: int) -> int:
                       job.locker.algorithm, num_operations)
 
 
-def execute_job(job: JobSpec, max_lanes: Optional[int] = None,
-                fault_plan=None, attempt: int = 0,
+def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
                 in_worker: bool = False) -> Dict:
     """Execute one job and return its (JSON-ready) record.
 
@@ -136,15 +135,13 @@ def execute_job(job: JobSpec, max_lanes: Optional[int] = None,
     simulation-backed step, so every key sweep and metric inside the job
     starts from a cache hit.
 
-    The whole job runs under a :func:`repro.sim.lane_limit` scope —
-    ``max_lanes`` (the runner override) if set, else the job's scenario-level
-    ``max_lanes``, else ``"auto"`` — so every simulation sweep inside it is
-    memory-bounded by default.  Tiling is bit-identical to the unchunked
-    pass, so records are unchanged.
+    The whole job runs under ``lane_limit("auto")``
+    (:func:`repro.sim.lane_limit`), so every simulation sweep inside it is
+    memory-bounded by the automatic per-plan cap.  Tiling is bit-identical
+    to the unchunked pass, so records never depend on the cap.
 
     Args:
         job: The job to execute.
-        max_lanes: Runner-level lane cap (overrides the job's own).
         fault_plan: Optional :class:`~repro.api.faults.FaultPlan`; its
             pre-execution faults (crash/hang/transient/slow) are injected
             here, before the job body, so both executors exercise the same
@@ -157,8 +154,7 @@ def execute_job(job: JobSpec, max_lanes: Optional[int] = None,
 
     if fault_plan is not None:
         fault_plan.apply(job.job_id, attempt, in_worker=in_worker)
-    effective = max_lanes if max_lanes is not None else job.max_lanes
-    with lane_limit(effective if effective is not None else "auto"):
+    with lane_limit("auto"):
         return _execute_job_body(job, warm_plan_cache)
 
 
@@ -346,11 +342,6 @@ class Runner:
             after every completed (or skipped) job — the same liveness-hook
             convention as :meth:`SnapShotAttack.attack_many`.  A raising
             hook is logged and ignored: an observer must not abort the run.
-        max_lanes: Runtime override of the scenario's ``max_lanes`` lane
-            limit (peak lane width of one bit-parallel simulation pass).
-            When both are unset, jobs run under the automatic per-plan cap
-            (:func:`repro.sim.auto_max_lanes`); tiling is bit-identical, so
-            records never depend on the setting.
         retries: Extra attempts per job after a transient failure (0 = fail
             into quarantine immediately).  Defaults to the scenario's
             ``retries`` field, else 0.
@@ -364,22 +355,18 @@ class Runner:
             attempt — the chaos-testing hook.
 
     Raises:
-        ValueError: for a non-positive ``jobs`` count, a non-positive
-            ``max_lanes``, a negative ``retries`` or a non-positive
-            ``job_timeout``.
+        ValueError: for a non-positive ``jobs`` count, a negative
+            ``retries`` or a non-positive ``job_timeout``.
     """
 
     def __init__(self, scenario: Scenario, store: Optional[ResultsStore] = None,
                  jobs: int = 1, resume: bool = True,
                  progress: Optional[ProgressFn] = None,
-                 max_lanes: Optional[int] = None,
                  retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
                  fault_plan=None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
-        if max_lanes is not None and max_lanes < 1:
-            raise ValueError("max_lanes must be positive")
         if retries is not None and retries < 0:
             raise ValueError("retries must be non-negative")
         if job_timeout is not None and job_timeout <= 0:
@@ -389,7 +376,6 @@ class Runner:
         self.jobs = jobs
         self.resume = resume
         self.progress = progress
-        self.max_lanes = max_lanes
         self.retries = retries
         self.job_timeout = job_timeout
         self.fault_plan = fault_plan
@@ -539,8 +525,8 @@ class Runner:
                 executor.run_round(ExecutionRound(
                     scenario_dict=scenario_dict, jobs=pending, chunks=chunks,
                     attempts=attempts, delays=delays, workers=self.jobs,
-                    max_lanes=self.max_lanes, job_timeout=job_timeout,
-                    fault_plan=self.fault_plan, emit=emit))
+                    job_timeout=job_timeout, fault_plan=self.fault_plan,
+                    emit=emit))
 
                 for index in indices:
                     job = pending[index]

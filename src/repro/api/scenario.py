@@ -422,7 +422,6 @@ class JobSpec:
     metric: Optional[MetricSpec] = None
     metric_index: int = 0
     axes: Tuple[Tuple[str, object], ...] = ()
-    max_lanes: Optional[int] = None
 
     def __post_init__(self) -> None:
         _require(self.kind in ("attack", "metric"),
@@ -533,12 +532,6 @@ class Scenario:
             ``seed``: the whole workload repeats once per listed seed
             (seed-robustness studies), each repetition tagged ``seed<value>``
             in the ``job_id``.
-        max_lanes: Peak lane width of one bit-parallel simulation pass in
-            every job of the scenario; sweeps wider than this stream through
-            fixed-size point tiles with bit-identical results.  ``None``
-            (the default) lets the runner derive an automatic per-plan cap
-            from the plan width, so scenario runs are memory-bounded either
-            way.
         retries: Default retry budget of the run — extra attempts a
             transiently failing job may consume before it is quarantined to
             the failure ledger.  ``None`` (the default) means 0; a
@@ -567,7 +560,6 @@ class Scenario:
     scale: float = 1.0
     seed: int = 0
     seeds: Tuple[int, ...] = ()
-    max_lanes: Optional[int] = None
     retries: Optional[int] = None
     job_timeout: Optional[float] = None
     coevo: Optional[CoevoSpec] = None
@@ -576,8 +568,6 @@ class Scenario:
         _require(bool(self.name), "scenario name is required")
         _require(self.samples >= 1, "samples must be positive")
         _require(self.scale > 0, "scale must be positive")
-        _require(self.max_lanes is None or self.max_lanes >= 1,
-                 f"max_lanes must be positive, got {self.max_lanes}")
         _require(self.retries is None or self.retries >= 0,
                  f"retries must be non-negative, got {self.retries}")
         _require(self.job_timeout is None or self.job_timeout > 0,
@@ -681,7 +671,7 @@ class Scenario:
         data = json.loads(json.dumps(asdict(self)))
         if not data.get("seeds"):
             data.pop("seeds", None)
-        for optional in ("max_lanes", "retries", "job_timeout", "coevo"):
+        for optional in ("retries", "job_timeout", "coevo"):
             if data.get(optional) is None:
                 data.pop(optional, None)
         for component_key, axis_key in (("lockers", "key_budget_fractions"),
@@ -709,7 +699,7 @@ class Scenario:
         """
         _check_keys(data, ("name", "benchmarks", "lockers", "attacks",
                            "metrics", "samples", "scale", "seed", "seeds",
-                           "max_lanes", "retries", "job_timeout", "coevo"),
+                           "retries", "job_timeout", "coevo"),
                     "scenario")
         scenario = cls(
             name=str(data.get("name", "scenario")),
@@ -724,8 +714,6 @@ class Scenario:
             scale=float(data.get("scale", 1.0)),
             seed=int(data.get("seed", 0)),
             seeds=tuple(int(value) for value in data.get("seeds", ())),
-            max_lanes=(int(data["max_lanes"])
-                       if data.get("max_lanes") is not None else None),
             retries=(int(data["retries"])
                      if data.get("retries") is not None else None),
             job_timeout=(float(data["job_timeout"])
@@ -832,11 +820,10 @@ class Scenario:
                     kind="attack", benchmark=benchmark, locker=locker,
                     sample=sample, seed=seed, scale=self.scale,
                     attack=point_attack, attack_index=attack_index,
-                    axes=axes, max_lanes=self.max_lanes))
+                    axes=axes))
         for metric_index, metric in enumerate(self.metrics):
             jobs.append(JobSpec(
                 kind="metric", benchmark=benchmark, locker=locker,
                 sample=sample, seed=seed, scale=self.scale,
-                metric=metric, metric_index=metric_index, axes=base_axes,
-                max_lanes=self.max_lanes))
+                metric=metric, metric_index=metric_index, axes=base_axes))
         return jobs

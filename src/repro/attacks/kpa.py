@@ -34,8 +34,7 @@ def kpa(predicted: Sequence[int], correct: Sequence[int]) -> float:
 
 
 def functional_kpa(design, predicted: Sequence[int], vectors: int = 64,
-                   rng: Optional[random.Random] = None,
-                   max_lanes: Optional[int] = None) -> float:
+                   rng: Optional[random.Random] = None) -> float:
     """Functional key prediction accuracy in percent.
 
     Bit-level KPA treats every key bit alike, but key bits differ in how much
@@ -57,22 +56,18 @@ def functional_kpa(design, predicted: Sequence[int], vectors: int = 64,
         predicted: Predicted key bits, indexed by key position.
         vectors: Number of random input vectors to test.
         rng: Random source for the input vectors.
-        max_lanes: Peak lane width of the underlying bit-parallel sweep —
-            see :func:`repro.sim.key_sweep` (``None`` defers to the
-            process-wide default).
 
     Raises:
         ValueError: for unlocked designs, mismatched key lengths, or a
             non-positive vector count.
     """
     return functional_kpa_many(design, [predicted], vectors=vectors,
-                               rng=rng, max_lanes=max_lanes)[0]
+                               rng=rng)[0]
 
 
 def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
                         vectors: int = 64,
-                        rng: Optional[random.Random] = None,
-                        max_lanes: Optional[int] = None) -> List[float]:
+                        rng: Optional[random.Random] = None) -> List[float]:
     """Functional KPA of many candidate keys in one bit-parallel sweep.
 
     The correct key and every candidate evaluate as lanes of a *single*
@@ -88,10 +83,6 @@ def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
         candidates: Candidate keys, each indexed by key position.
         vectors: Number of random input vectors shared by all candidates.
         rng: Random source for the input vectors.
-        max_lanes: Peak lane width of the underlying bit-parallel sweep —
-            million-lane candidate sets stream through fixed-size point
-            tiles with bit-identical results (``None`` defers to the
-            process-wide default).
 
     Returns:
         One functional-KPA percentage per candidate, in candidate order.
@@ -115,8 +106,7 @@ def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
 
     batch = random_input_batch(design, rng, vectors)
     keys = [correct] + [list(candidate) for candidate in candidates]
-    reference, *candidate_runs = key_sweep(design, batch, keys, n=vectors,
-                                           max_lanes=max_lanes)
+    reference, *candidate_runs = key_sweep(design, batch, keys, n=vectors)
     return [100.0 * (vectors - len(differing_lanes(reference, run, n=vectors)))
             / vectors for run in candidate_runs]
 

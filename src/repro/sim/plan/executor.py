@@ -1,4 +1,4 @@
-"""The plan executor: bit-slice ALU kernels and the plan-driven simulators.
+"""The plan executor: bit-slice ALU kernels and the bit-parallel simulator.
 
 This module holds the *runtime* of the plan pipeline — everything that
 happens after compilation:
@@ -6,13 +6,10 @@ happens after compilation:
 * the bit-slice ALU primitives (ripple-carry add, shift-and-add multiply,
   restoring division, barrel shifters, mask-select muxes) the compiled
   closures call into,
-* the lane packers (:func:`pack_values` / :func:`unpack_values`),
+* the lane packers (:func:`pack_values` / :func:`unpack_values`), and
 * :class:`BatchSimulator` — N input vectors per bit-parallel pass
   (:meth:`~BatchSimulator.run_batch`) and S×V (key, input) sweep lanes per
-  pass (:meth:`~BatchSimulator.run_sweep`), and
-* :func:`run_plan_vector` — the lane-width-1 interpreter the scalar
-  :class:`~repro.sim.simulator.CombinationalSimulator` executes compiled
-  plans with, so both engines share one semantics by construction.
+  pass (:meth:`~BatchSimulator.run_sweep`).
 
 ``run_sweep`` applies the sweep value-numbering tags: steps whose transitive
 inputs are point-invariant (they read neither a swept key port nor a
@@ -519,10 +516,10 @@ def default_max_lanes() -> LaneLimit:
 def lane_limit(limit: LaneLimit) -> Iterator[None]:
     """Scope a process-wide default lane limit to a ``with`` block.
 
-    The scenario runner wraps each job in ``lane_limit(job.max_lanes or
-    "auto")`` so every simulation-backed consumer inside the job — KPA
-    sweeps, corruption and avalanche metrics — runs memory-bounded without
-    threading the knob through every call site.
+    The scenario runner wraps each job in ``lane_limit("auto")`` so every
+    simulation-backed consumer inside the job — KPA sweeps, corruption and
+    avalanche metrics — runs memory-bounded without threading the knob
+    through every call site.
     """
     previous = set_default_max_lanes(limit)
     try:
@@ -622,35 +619,6 @@ def sweep_schedule(plan: EvalPlan, varying: FrozenSet[str],
         schedule = _SweepSchedule(plan, varying, flat)
         cache[key] = schedule
     return schedule
-
-
-def run_plan_vector(plan: EvalPlan, inputs: Mapping[str, int],
-                    key: Optional[Sequence[int]] = None,
-                    top_name: str = "design") -> Dict[str, int]:
-    """Evaluate a compiled plan for one input vector (lane width 1).
-
-    This is the scalar engine's fast path: the same steps, kernels and
-    widths as the batch engine, run over single-lane slices — so scalar and
-    batch results agree by construction, not by cross-check.
-
-    Raises:
-        SimulationError: for unknown input names or invalid key bits.
-    """
-    env: Dict[str, Slices] = {}
-    known = set(plan.inputs)
-    for name, value in inputs.items():
-        if name not in known:
-            raise SimulationError(f"{name!r} is not an input of "
-                                  f"{top_name!r}")
-        env[name] = pack_values([value], plan.width_of(name))
-    for name in plan.inputs:
-        if name not in env:
-            env[name] = [0] * plan.width_of(name)
-    if plan.key_port is not None and key is not None:
-        env[plan.key_port] = _fit(_pack_key_broadcast(key, 1),
-                                  plan.width_of(plan.key_port))
-    execute_steps(plan.steps, env, 1)
-    return {name: unpack_values(env[name], 1)[0] for name in plan.outputs}
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 """Combinational simulation of (locked) RTL designs.
 
 :class:`CombinationalSimulator` evaluates a design for one concrete input
-vector at a time.  Since the plan-compiler refactor it is a *lane-width-1
-interpreter over the same compiled plan the batch engine executes*
-(:func:`repro.sim.plan.executor.run_plan_vector`): one set of steps, kernels
-and width rules serves both engines, so scalar and batch agree by
-construction.  The original AST-walking evaluation survives as the fallback
-for constructs the plan compiler cannot express (and as the reference oracle
-for the cross-check suites, forced via ``engine="ast"``).
+vector at a time by walking its expression ASTs.  It shares no code with the
+compiled plans of the bit-parallel :class:`~repro.sim.plan.BatchSimulator`,
+which makes it the independent reference oracle of the cross-check suites
+and the fallback for constructs the plan compiler cannot express.
 
-Both execution modes validate the functional contract of locking:
+Both engines validate the functional contract of locking:
 
 * with the **correct key** the locked design computes the original function,
 * with a **wrong key** the outputs (generally) differ — the output-corruption
@@ -28,9 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..rtlir.design import Design
 from .evaluator import ExpressionEvaluator, SimulationError, mask
-from .plan.steps import _declared_widths, _ordered_assignments  # noqa: F401
-# (_declared_widths/_ordered_assignments stay importable from this module —
-# they moved into the plan IR with the compiler split.)
+from .plan.steps import _declared_widths, _ordered_assignments
 
 
 @dataclass
@@ -52,35 +47,19 @@ class EquivalenceReport:
         return self.mismatches / self.vectors if self.vectors else 0.0
 
 
-#: Scalar execution modes: ``plan`` (lane-width-1 over the compiled plan,
-#: with automatic AST fallback) or ``ast`` (force the AST-walking oracle).
-SCALAR_ENGINES = ("plan", "ast")
-
-
 class CombinationalSimulator:
-    """Evaluate the combinational outputs of a design.
+    """Evaluate the combinational outputs of a design, one vector at a time.
 
     Args:
         design: The design to simulate (locked or not).
-        engine: ``plan`` (the default) executes the design's cached compiled
-            plan at lane width 1 — the same steps and kernels as the batch
-            engine — and falls back to AST walking automatically when the
-            plan compiler cannot express the design.  ``ast`` forces the
-            AST-walking path; the cross-check suites use it as the
-            independent reference oracle.
 
     Raises:
         SimulationError: if the combinational assignments contain a
             dependency cycle.
-        ValueError: for unknown engine names.
     """
 
-    def __init__(self, design: Design, engine: str = "plan") -> None:
-        if engine not in SCALAR_ENGINES:
-            raise ValueError(f"unknown scalar engine {engine!r}; "
-                             f"expected one of {SCALAR_ENGINES}")
+    def __init__(self, design: Design) -> None:
         self.design = design
-        self.engine = engine
         module = design.top
         self._widths = _declared_widths(module)
         self._evaluator = ExpressionEvaluator(self._widths)
@@ -92,8 +71,6 @@ class CombinationalSimulator:
                               for name in self._inputs
                               if name != design.key_port]
         self._assignments = _ordered_assignments(module)
-        self._plan: Optional[object] = None
-        self._plan_failed = False
 
     # ------------------------------------------------------------- accessors
 
@@ -114,27 +91,9 @@ class CombinationalSimulator:
 
     # ------------------------------------------------------------- simulation
 
-    def _resolve_plan(self):
-        """The design's cached compiled plan, or None for the AST fallback."""
-        if self.engine == "ast" or self._plan_failed:
-            return None
-        if self._plan is None:
-            from .plan import BatchCompileError
-            from .plan_cache import get_plan
-            try:
-                self._plan = get_plan(self.design)
-            except BatchCompileError:
-                self._plan_failed = True
-                return None
-        return self._plan
-
     def run(self, inputs: Mapping[str, int],
             key: Optional[Sequence[int]] = None) -> Dict[str, int]:
         """Evaluate the design for one input vector.
-
-        The default engine executes the compiled plan at lane width 1 —
-        bit-identical to the batch engine by construction; designs the plan
-        compiler rejects fall back to AST walking transparently.
 
         Args:
             inputs: Values for the primary data inputs (missing inputs default
@@ -148,14 +107,6 @@ class CombinationalSimulator:
         Raises:
             SimulationError: for unknown input names or evaluation failures.
         """
-        plan = self._resolve_plan()
-        if plan is not None:
-            from .plan import run_plan_vector
-            if self.design.key_port is None:
-                key = None
-            return run_plan_vector(plan, inputs, key=key,
-                                   top_name=self.design.top_name)
-
         env: Dict[str, int] = {}
         for name, value in inputs.items():
             if name not in self._inputs:
@@ -267,11 +218,8 @@ def check_equivalence(original: Design, locked: Design, key: Sequence[int],
             return EquivalenceReport(vectors=vectors, mismatches=mismatches,
                                      first_mismatch=first)
 
-    # engine="ast": the explicit scalar engine is the *independent* AST
-    # oracle — a plan-backed scalar here would cross-check the plan
-    # compiler against itself.
-    reference = CombinationalSimulator(original, engine="ast")
-    candidate = CombinationalSimulator(locked, engine="ast")
+    reference = CombinationalSimulator(original)
+    candidate = CombinationalSimulator(locked)
     common_outputs = set(reference.output_names) & set(candidate.output_names)
 
     mismatches = 0
@@ -319,7 +267,7 @@ def output_corruption(locked: Design, correct_key: Sequence[int],
                 batch, keys=[correct_key, wrong_key], n=vectors)
             return len(differing_lanes(good, bad, n=vectors)) / vectors
 
-    simulator = CombinationalSimulator(locked, engine="ast")
+    simulator = CombinationalSimulator(locked)
     differing = 0
     for _ in range(vectors):
         vector = simulator.random_vector(rng)
@@ -332,8 +280,7 @@ def output_corruption(locked: Design, correct_key: Sequence[int],
 
 def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
               keys: Sequence[Sequence[int]], n: Optional[int] = None,
-              engine: str = "batch",
-              max_lanes: Optional[int] = None) -> List[Dict[str, List[int]]]:
+              engine: str = "batch") -> List[Dict[str, List[int]]]:
     """Outputs of ``design`` under several key hypotheses on one shared batch.
 
     The workhorse of every key-trial consumer (`functional_kpa`,
@@ -349,11 +296,8 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
         keys: Key hypotheses, one output dict per entry in the result.
         n: Lane count override, required when ``inputs`` is empty.
         engine: ``batch`` (sweep fast path, the default) or ``scalar``.
-        max_lanes: Peak lane width of one bit-parallel pass — wider sweeps
-            stream through fixed-size point tiles with bit-identical results
-            (see :meth:`BatchSimulator.run_sweep`).  ``None`` defers to the
-            process-wide default; the scalar engine is unaffected (it is
-            already memory-bounded at one lane).
+            The batch sweep runs under the process-wide lane limit (see
+            :func:`~repro.sim.plan.lane_limit`).
 
     Returns:
         One ``{output name: [value per lane]}`` dict per key, in key order.
@@ -384,11 +328,10 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
         simulators = _batch_simulators(design)
         if simulators is not None:
             (simulator,) = simulators
-            return simulator.run_sweep(inputs, keys=keys, n=lanes,
-                                       max_lanes=max_lanes)
+            return simulator.run_sweep(inputs, keys=keys, n=lanes)
 
     from .vectors import batch_to_vectors
-    simulator = CombinationalSimulator(design, engine="ast")
+    simulator = CombinationalSimulator(design)
     vectors = batch_to_vectors(inputs, lanes)
     results: List[Dict[str, List[int]]] = []
     for key in keys:

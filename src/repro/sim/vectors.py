@@ -15,6 +15,7 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from ..rtlir.design import Design
+from .plan.steps import _declared_widths
 
 
 def input_signals(design: Design) -> List[Tuple[str, int]]:
@@ -23,8 +24,6 @@ def input_signals(design: Design) -> List[Tuple[str, int]]:
     The key port of a locked design is excluded — keys are sampled and bound
     separately from the input vectors.
     """
-    from .simulator import _declared_widths
-
     module = design.top
     widths = _declared_widths(module)
     return [(port.name, widths.get(port.name, 1))
@@ -34,8 +33,6 @@ def input_signals(design: Design) -> List[Tuple[str, int]]:
 
 def output_signals(design: Design) -> List[Tuple[str, int]]:
     """Ordered ``(name, width)`` pairs of a design's output ports."""
-    from .simulator import _declared_widths
-
     module = design.top
     widths = _declared_widths(module)
     return [(port.name, widths.get(port.name, 1))

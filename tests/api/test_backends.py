@@ -65,10 +65,13 @@ class TestExecutionRule:
             assert report.executed == 1 and not report.failures
         assert rounds == ["SerialBackend", "ProcessPoolBackend"]
 
-    def test_scenario_backend_key_is_rejected(self):
+    @pytest.mark.parametrize("key, value", [("backend", "serial"),
+                                            ("max_lanes", 65536)],
+                             ids=["backend", "max_lanes"])
+    def test_scenario_backend_key_is_rejected(self, key, value):
         data = quick_scenario().to_dict()
-        data["backend"] = "serial"
-        with pytest.raises(ScenarioError, match="backend"):
+        data[key] = value
+        with pytest.raises(ScenarioError, match=key):
             Scenario.from_dict(data)
 
 

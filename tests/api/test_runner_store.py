@@ -92,22 +92,6 @@ class TestRunner:
         with pytest.raises(ValueError):
             Runner(quick_scenario(), jobs=0)
 
-    def test_max_lanes_never_changes_records(self):
-        """The memory knob tiles sweeps; records must stay bit-identical."""
-        scenario = quick_scenario(lockers=(LockerSpec("era"),))
-        unbounded = Runner(scenario).run()
-        capped = Runner(scenario, max_lanes=16).run()
-        via_scenario = Runner(quick_scenario(lockers=(LockerSpec("era"),),
-                                             max_lanes=16)).run()
-        for job_id in unbounded.records:
-            reference = strip_timing(unbounded.records[job_id])
-            assert strip_timing(capped.records[job_id]) == reference
-            assert strip_timing(via_scenario.records[job_id]) == reference
-
-    def test_rejects_nonpositive_max_lanes(self):
-        with pytest.raises(ValueError):
-            Runner(quick_scenario(), max_lanes=0)
-
 
 class TestResumableStore:
     def test_second_run_executes_zero_jobs(self, tmp_path):

@@ -134,20 +134,6 @@ class TestRoundTrip:
         assert data["name"] == "unit"
         assert data["lockers"][1]["key_budget_fraction"] == 0.5
 
-    def test_max_lanes_round_trips_and_defaults_stay_stable(self):
-        capped = small_scenario(max_lanes=4096)
-        assert Scenario.from_dict(capped.to_dict()) == capped
-        assert capped.to_dict()["max_lanes"] == 4096
-        # Unset: omitted from the dict, so pre-knob fingerprints (and the
-        # store stamps derived from them) are unchanged.
-        assert "max_lanes" not in small_scenario().to_dict()
-        assert small_scenario(max_lanes=4096).fingerprint() != \
-            small_scenario().fingerprint()
-        with pytest.raises(ScenarioError):
-            small_scenario(max_lanes=0)
-        # Every expanded job inherits the cap.
-        assert {job.max_lanes for job in capped.expand()} == {4096}
-
 
 class TestExpansion:
     def test_job_count_and_order(self):

@@ -201,13 +201,16 @@ class TestErrorPaths:
         assert excinfo.value.code == "UNKNOWN_JOB"
         assert "job-9999" in excinfo.value.message
 
-    def test_backend_key_is_an_invalid_scenario(self, client):
+    @pytest.mark.parametrize("key, value", [("backend", "serial"),
+                                            ("max_lanes", 65536)],
+                             ids=["backend", "max_lanes"])
+    def test_backend_key_is_an_invalid_scenario(self, client, key, value):
         scenario = tiny_scenario().to_dict()
-        scenario["backend"] = "serial"
+        scenario[key] = value
         with pytest.raises(ServerError) as excinfo:
             client.submit(scenario)
         assert excinfo.value.code == "INVALID_SCENARIO"
-        assert "backend" in excinfo.value.message
+        assert key in excinfo.value.message
 
     def test_unknown_op_and_malformed_request(self, server, client):
         with pytest.raises(ServerError) as excinfo:

@@ -36,8 +36,7 @@ def _run_on_both_engines(fn):
     batch_result = fn()
     original = sim_package.key_sweep
 
-    def scalar_only(design, inputs, keys, n=None, engine="batch",
-                    max_lanes=None):
+    def scalar_only(design, inputs, keys, n=None, engine="batch"):
         return original(design, inputs, keys, n=n, engine="scalar")
 
     sim_package.key_sweep = scalar_only

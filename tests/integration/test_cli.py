@@ -290,11 +290,10 @@ class TestRunScenario:
         assert rows == {label: ["I2C_SL", "FIR", "SASC"] for label in rows}
 
     @pytest.mark.parametrize("argv", [
-        ["run", "{scenario}", "--max-lanes", "0"],
         ["run", "{scenario}", "--retries", "-1"],
         ["run", "{scenario}", "--job-timeout", "0"],
         ["evaluate", "--benchmarks", "SASC", "--jobs", "0"],
-    ], ids=["max-lanes", "retries", "job-timeout", "evaluate-jobs"])
+    ], ids=["retries", "job-timeout", "evaluate-jobs"])
     def test_bad_runner_flags_fail_cleanly(self, tmp_path, capsys, argv):
         scenario_file = tmp_path / "scenario.json"
         scenario_file.write_text(TestReport.SINGLE_SCENARIO)

@@ -58,7 +58,7 @@ from repro.api.protocol import determinism_class
 CASES_DIR = Path(__file__).parent / "cases"
 
 #: Runner keyword arguments a case file may set.
-_RUNNER_KEYS = ("jobs", "retries", "job_timeout", "max_lanes")
+_RUNNER_KEYS = ("jobs", "retries", "job_timeout")
 
 
 def _case_store(case_name: str, tmp_path: Path) -> Path:

@@ -34,7 +34,7 @@ _OPERATORS = ["+", "-", "*", "/", "%", "^", "&", "|", "<<", ">>",
 
 def _cross_check(design, vectors, seed, key=None):
     """Assert batch == scalar on every lane and every output."""
-    scalar = CombinationalSimulator(design, engine="ast")
+    scalar = CombinationalSimulator(design)
     batch = BatchSimulator(design)
     assert batch.input_names == scalar.input_names
     assert batch.output_names == scalar.output_names
@@ -170,7 +170,7 @@ class TestBatchMatchesScalar:
           assign r = a % b;
         endmodule
         """, name="divz")
-        scalar = CombinationalSimulator(design, engine="ast")
+        scalar = CombinationalSimulator(design)
         batch = BatchSimulator(design)
         outputs = batch.run_batch({"a": [17, 200, 0], "b": [0, 3, 0]})
         assert outputs["q"] == [0, 66, 0]
@@ -183,7 +183,7 @@ class TestBatchApi:
     def test_missing_inputs_default_to_zero(self):
         design = plus_network(4, n_inputs=4, name="plus4")
         batch = BatchSimulator(design)
-        scalar = CombinationalSimulator(design, engine="ast")
+        scalar = CombinationalSimulator(design)
         got = batch.run_batch({"in0": [7, 9]})
         assert got["out"][0] == scalar.run({"in0": 7})["out"]
         assert got["out"][1] == scalar.run({"in0": 9})["out"]
@@ -245,14 +245,14 @@ class TestBatchApi:
     def test_run_single_vector_matches_scalar(self):
         design = plus_network(10, n_inputs=4, name="plus10")
         batch = BatchSimulator(design)
-        scalar = CombinationalSimulator(design, engine="ast")
+        scalar = CombinationalSimulator(design)
         vector = {"in0": 11, "in1": 22, "in2": 33, "in3": 44}
         assert batch.run(vector) == scalar.run(vector)
 
     def test_random_batch_matches_scalar_stream(self):
         design = plus_network(6, n_inputs=4, name="plus6")
         batch = BatchSimulator(design)
-        scalar = CombinationalSimulator(design, engine="ast")
+        scalar = CombinationalSimulator(design)
         drawn = batch.random_batch(random.Random(42), 5)
         rng = random.Random(42)
         for lane in range(5):

@@ -45,7 +45,7 @@ def _cross_check(design, vectors=12, seed=0, key=None):
     plain = BatchSimulator(design, plan=compile_plan(design, cse=False,
                                                      prune=False))
     optimised = BatchSimulator(design, plan=compile_plan(design))
-    scalar = CombinationalSimulator(design, engine="ast")
+    scalar = CombinationalSimulator(design)
     batch = random_input_batch(design, random.Random(seed), vectors)
     expected = plain.run_batch(batch, key=key, n=vectors)
     actual = optimised.run_batch(batch, key=key, n=vectors)

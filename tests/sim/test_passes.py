@@ -75,7 +75,7 @@ def _cross_check(design, passes, vectors=10, seed=0, key=None):
                                                      passes=("lower",)))
     optimised = BatchSimulator(design, plan=compile_plan(design,
                                                          passes=passes))
-    oracle = CombinationalSimulator(design, engine="ast")
+    oracle = CombinationalSimulator(design)
     batch = random_input_batch(design, random.Random(seed), vectors)
     expected = plain.run_batch(batch, key=key, n=vectors)
     actual = optimised.run_batch(batch, key=key, n=vectors)
@@ -152,7 +152,7 @@ class TestConstantFolding:
         with pytest.raises(BatchCompileError):
             compile_plan(design, fold=False)
         simulator = BatchSimulator(design, plan=compile_plan(design))
-        oracle = CombinationalSimulator(design, engine="ast")
+        oracle = CombinationalSimulator(design)
         assert simulator.run({"a": 0b1011}) == oracle.run({"a": 0b1011})
 
     def test_part_select_bounds_left_untouched(self):

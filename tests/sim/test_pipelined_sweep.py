@@ -229,7 +229,8 @@ class TestLaneLimitResolution:
 
 
 class TestConsumerThreading:
-    """The cap reaches sweeps made through the high-level helpers."""
+    """A ``lane_limit`` scope reaches sweeps made through the high-level
+    helpers, which take no lane argument of their own."""
 
     def test_key_sweep_helper(self):
         locked = _locked(algorithm="era")
@@ -237,8 +238,8 @@ class TestConsumerThreading:
         keys = [locked.correct_key] + _random_keys(locked.key_width,
                                                    POINTS - 1, 22)
         reference = key_sweep(locked, batch, keys, n=BASE)
-        assert key_sweep(locked, batch, keys, n=BASE,
-                         max_lanes=3 * BASE) == reference
+        with lane_limit(3 * BASE):
+            assert key_sweep(locked, batch, keys, n=BASE) == reference
 
     def test_functional_kpa_many(self):
         from repro.attacks.kpa import functional_kpa_many
@@ -247,8 +248,9 @@ class TestConsumerThreading:
         keys = _random_keys(locked.key_width, 4, seed=23)
         reference = functional_kpa_many(locked, keys, vectors=16,
                                         rng=random.Random(24))
-        chunked = functional_kpa_many(locked, keys, vectors=16,
-                                      rng=random.Random(24), max_lanes=32)
+        with lane_limit(32):
+            chunked = functional_kpa_many(locked, keys, vectors=16,
+                                          rng=random.Random(24))
         assert chunked == reference
 
     def test_metrics_accept_max_lanes(self):
@@ -258,13 +260,16 @@ class TestConsumerThreading:
         locked = _locked(algorithm="era")
         reference = functional_corruption(locked, vectors=16, wrong_keys=6,
                                           rng=random.Random(25))
-        chunked = functional_corruption(locked, vectors=16, wrong_keys=6,
-                                        rng=random.Random(25), max_lanes=32)
+        with lane_limit(32):
+            chunked = functional_corruption(locked, vectors=16,
+                                            wrong_keys=6,
+                                            rng=random.Random(25))
         assert chunked == reference
         reference = key_bit_sensitivity(locked, vectors=16,
                                         rng=random.Random(26))
-        chunked = key_bit_sensitivity(locked, vectors=16,
-                                      rng=random.Random(26), max_lanes=32)
+        with lane_limit(32):
+            chunked = key_bit_sensitivity(locked, vectors=16,
+                                          rng=random.Random(26))
         assert chunked == reference
 
     def test_unlocked_sweep_with_bindings_chunks(self):

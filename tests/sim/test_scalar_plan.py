@@ -1,9 +1,9 @@
-"""The scalar engine as a lane-width-1 interpreter over the compiled plan.
+"""The scalar AST walker against the plan-compiled bit-parallel engine.
 
-Three-way agreement is the acceptance bar of the engine unification:
-*plan-executed scalar* == *legacy AST-walking scalar* == *batch engine*, on
-every fixture design — plus the automatic AST fallback for constructs the
-plan compiler cannot express.
+The scalar :class:`CombinationalSimulator` shares no code with compiled
+plans, so it is the independent oracle: *scalar* == *run_batch* ==
+*key_sweep* on locked designs, and both engines reject the same bad inputs.
+The fixture-profile cross-check lives in ``test_cse.py``.
 """
 
 import random
@@ -18,39 +18,13 @@ from repro.sim import (
     CombinationalSimulator,
     SimulationError,
     batch_to_vectors,
+    key_sweep,
     random_input_batch,
     random_key,
 )
 
-FIXTURE_PROFILES = ["MD5", "FIR", "SASC", "DFT", "IIR"]
-
-
-def _uncompilable_design():
-    """Dynamic replication: only the AST walker can evaluate this."""
-    design = Design.from_verilog("""
-    module oddball (input [3:0] a, input [1:0] n, output [7:0] y);
-      assign y = {n{a}};
-    endmodule
-    """)
-    return design
-
 
 class TestThreeWayAgreement:
-    @pytest.mark.parametrize("profile", FIXTURE_PROFILES)
-    def test_plan_scalar_equals_ast_scalar_equals_batch(self, profile):
-        design = load_benchmark(profile, scale=0.15, seed=0)
-        plan_scalar = CombinationalSimulator(design)  # engine="plan"
-        ast_scalar = CombinationalSimulator(design, engine="ast")
-        batch = BatchSimulator(design)
-        inputs = random_input_batch(design, random.Random(1), 8)
-        batched = batch.run_batch(inputs, n=8)
-        for lane, vector in enumerate(batch_to_vectors(inputs, 8)):
-            via_plan = plan_scalar.run(vector)
-            via_ast = ast_scalar.run(vector)
-            assert via_plan == via_ast
-            for name, value in via_ast.items():
-                assert batched[name][lane] == value
-
     @pytest.mark.parametrize("algorithm", ["assure", "era"])
     def test_locked_designs_under_random_keys(self, algorithm):
         design = load_benchmark("SASC", scale=0.2, seed=0)
@@ -59,15 +33,19 @@ class TestThreeWayAgreement:
                               track_metrics=False) if algorithm == "assure" \
             else ERALocker(rng=random.Random(0), track_metrics=False)
         locked = locker.lock(design, budget).design
-        plan_scalar = CombinationalSimulator(locked)
-        ast_scalar = CombinationalSimulator(locked, engine="ast")
+        scalar = CombinationalSimulator(locked)
+        batch = BatchSimulator(locked)
         rng = random.Random(2)
-        for key in (locked.correct_key,
-                    random_key(locked.key_width, rng),
-                    random_key(locked.key_width, rng)):
-            vector = ast_scalar.random_vector(rng)
-            assert plan_scalar.run(vector, key=key) \
-                == ast_scalar.run(vector, key=key)
+        keys = [locked.correct_key, random_key(locked.key_width, rng),
+                random_key(locked.key_width, rng)]
+        inputs = random_input_batch(locked, rng, 4)
+        swept = key_sweep(locked, inputs, keys, n=4)
+        for key, sweep_outputs in zip(keys, swept):
+            batched = batch.run_batch(inputs, key=key, n=4)
+            assert sweep_outputs == batched
+            for lane, vector in enumerate(batch_to_vectors(inputs, 4)):
+                for name, value in scalar.run(vector, key=key).items():
+                    assert batched[name][lane] == value
 
     def test_key_defaults_to_zero_in_both_modes(self):
         design = load_benchmark("SASC", scale=0.2, seed=0)
@@ -75,37 +53,20 @@ class TestThreeWayAgreement:
         locked = AssureLocker("serial", rng=random.Random(0),
                               track_metrics=False).lock(design,
                                                         budget).design
-        vector = CombinationalSimulator(locked).random_vector(
-            random.Random(3))
-        assert CombinationalSimulator(locked).run(vector) \
-            == CombinationalSimulator(locked, engine="ast").run(vector)
+        scalar = CombinationalSimulator(locked)
+        vector = scalar.random_vector(random.Random(3))
+        zeros = [0] * locked.key_width
+        assert scalar.run(vector) == scalar.run(vector, key=zeros)
+        assert BatchSimulator(locked).run(vector) == scalar.run(vector)
 
 
 class TestFallbackAndErrors:
-    def test_uncompilable_design_falls_back_to_ast(self):
-        design = _uncompilable_design()
-        simulator = CombinationalSimulator(design)
-        oracle = CombinationalSimulator(design, engine="ast")
-        outputs = simulator.run({"a": 0b1011, "n": 2})
-        assert outputs == oracle.run({"a": 0b1011, "n": 2})
-        assert simulator._plan_failed  # fell back, permanently
-
-    def test_compilable_design_executes_the_cached_plan(self):
-        from repro.sim import clear_plan_cache, plan_cache_info
-
-        design = plus_network(16, n_inputs=4, name="plus_scalar")
-        clear_plan_cache()
-        simulator = CombinationalSimulator(design)
-        simulator.run({"in0": 1})
-        simulator.run({"in1": 2})
-        info = plan_cache_info()
-        assert info.misses == 1  # compiled once, reused
-
     def test_unknown_input_rejected_in_both_modes(self):
         design = plus_network(8, n_inputs=4, name="plus_err")
-        for engine in ("plan", "ast"):
-            with pytest.raises(SimulationError):
-                CombinationalSimulator(design, engine=engine).run({"zz": 1})
+        with pytest.raises(SimulationError):
+            CombinationalSimulator(design).run({"zz": 1})
+        with pytest.raises(SimulationError):
+            BatchSimulator(design).run({"zz": 1})
 
     def test_invalid_key_bits_rejected_in_both_modes(self):
         design = Design.from_verilog("""
@@ -116,15 +77,10 @@ class TestFallbackAndErrors:
         design.key_port = "lock_key"
         design.key_bits = [KeyBit(index=0, kind="operation",
                                   correct_value=1)]
-        for engine in ("plan", "ast"):
-            with pytest.raises(SimulationError):
-                CombinationalSimulator(design, engine=engine).run(
-                    {"a": 1}, key=[2])
-
-    def test_unknown_engine_rejected(self):
-        design = plus_network(8, n_inputs=4, name="plus_eng")
-        with pytest.raises(ValueError):
-            CombinationalSimulator(design, engine="turbo")
+        with pytest.raises(SimulationError):
+            CombinationalSimulator(design).run({"a": 1}, key=[2])
+        with pytest.raises(SimulationError):
+            BatchSimulator(design).run({"a": 1}, key=[2])
 
     def test_dependency_cycle_detected_at_init_in_both_modes(self):
         source = """
@@ -135,7 +91,7 @@ class TestFallbackAndErrors:
           assign y = v;
         endmodule
         """
-        for engine in ("plan", "ast"):
-            with pytest.raises(SimulationError):
-                CombinationalSimulator(Design.from_verilog(source),
-                                       engine=engine)
+        with pytest.raises(SimulationError):
+            CombinationalSimulator(Design.from_verilog(source))
+        with pytest.raises(SimulationError):
+            BatchSimulator(Design.from_verilog(source))

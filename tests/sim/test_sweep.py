@@ -52,7 +52,7 @@ class TestRunSweep:
     def test_equals_scalar_oracle(self):
         locked = _locked(algorithm="era")
         simulator = BatchSimulator(locked)
-        scalar = CombinationalSimulator(locked, engine="ast")
+        scalar = CombinationalSimulator(locked)
         batch = simulator.random_batch(random.Random(3), 8)
         keys = [locked.correct_key] + _random_keys(locked.key_width, 5, 4)
         swept = simulator.run_sweep(batch, keys=keys, n=8)
@@ -178,7 +178,7 @@ class TestKeySweepHelper:
         batch = random_input_batch(locked, random.Random(22), 6)
         keys = [[1, 0], [0, 1], [1, 1]]
         results = key_sweep(locked, batch, keys, n=6)  # engine="batch"
-        scalar = CombinationalSimulator(locked, engine="ast")
+        scalar = CombinationalSimulator(locked)
         for key, outputs in zip(keys, results):
             for lane, vector in enumerate(batch_to_vectors(batch, 6)):
                 expected = scalar.run(vector, key=key)
