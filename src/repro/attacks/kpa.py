@@ -47,8 +47,8 @@ def functional_kpa(design, predicted: Sequence[int], vectors: int = 64,
     some (irrelevant) bits are wrong.
 
     Both key hypotheses evaluate as lanes of one bit-parallel sweep over the
-    design's cached plan (:func:`repro.sim.key_sweep`); designs the plan
-    compiler cannot express fall back to a per-key scalar loop with
+    design's cached plan (:func:`repro.sim.sweep_differences`); designs the
+    plan compiler cannot express fall back to a per-key scalar loop with
     identical numbers.
 
     Args:
@@ -91,7 +91,7 @@ def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
         ValueError: for unlocked designs, an empty candidate list,
             mismatched key lengths, or a non-positive vector count.
     """
-    from ..sim import differing_lanes, key_sweep, random_input_batch
+    from ..sim import random_input_batch, sweep_differences
 
     if not design.is_locked:
         raise ValueError("functional KPA requires a locked design")
@@ -106,9 +106,9 @@ def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
 
     batch = random_input_batch(design, rng, vectors)
     keys = [correct] + [list(candidate) for candidate in candidates]
-    reference, *candidate_runs = key_sweep(design, batch, keys, n=vectors)
-    return [100.0 * (vectors - len(differing_lanes(reference, run, n=vectors)))
-            / vectors for run in candidate_runs]
+    differences = sweep_differences(design, batch, keys=keys, n=vectors)
+    return [100.0 * (vectors - lanes) / vectors
+            for lanes in differences.lanes]
 
 
 @dataclass

@@ -232,9 +232,10 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
     """Measure output corruption of ``design`` under sampled wrong keys.
 
     All ``wrong_keys + 1`` key hypotheses evaluate as lanes of a *single*
-    bit-parallel sweep over the design's cached plan
-    (:func:`repro.sim.key_sweep`); designs the plan compiler cannot express
-    fall back to a per-key scalar loop with identical numbers.
+    bit-parallel sweep over the design's cached plan, and the differences
+    from the correct key are counted on the bit-sliced outputs
+    (:func:`repro.sim.sweep_differences`); designs the plan compiler cannot
+    express fall back to a per-key scalar loop with identical numbers.
 
     Args:
         design: A locked :class:`~repro.rtlir.design.Design`.
@@ -246,8 +247,8 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
     Raises:
         ValueError: if the design is not locked or sizes are non-positive.
     """
-    from ..sim import (differing_lanes, key_sweep, output_signals,
-                       random_input_batch, random_wrong_key)
+    from ..sim import (output_signals, random_input_batch, random_wrong_key,
+                       sweep_differences)
 
     if not design.is_locked:
         raise ValueError("functional corruption requires a locked design")
@@ -259,21 +260,13 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
 
     batch = random_input_batch(design, rng, vectors)
     wrongs = [random_wrong_key(correct, rng) for _ in range(wrong_keys)]
-    reference, *corrupted_runs = key_sweep(design, batch, [correct] + wrongs,
-                                           n=vectors)
-    output_widths = {name: width for name, width in output_signals(design)
-                     if name in reference}
-    total_bits_per_vector = sum(output_widths.values())
-
-    per_key_rates: List[float] = []
-    flipped_bits = 0
-    for corrupted in corrupted_runs:
-        lanes = differing_lanes(reference, corrupted, n=vectors)
-        for lane in lanes:
-            for name in output_widths:
-                delta = reference[name][lane] ^ corrupted[name][lane]
-                flipped_bits += delta.bit_count()
-        per_key_rates.append(len(lanes) / vectors)
+    differences = sweep_differences(design, batch, keys=[correct] + wrongs,
+                                    n=vectors)
+    total_bits_per_vector = sum(width for name, width
+                                in output_signals(design)
+                                if name in differences.outputs)
+    per_key_rates = [lanes / vectors for lanes in differences.lanes]
+    flipped_bits = sum(differences.bits)
 
     denom = wrong_keys * vectors * max(total_bits_per_vector, 1)
     return FunctionalCorruptionReport(
@@ -299,15 +292,16 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
 
     The base key and every flipped key evaluate as lanes of a *single*
     bit-parallel sweep over the design's cached plan — one pass for
-    ``len(key_indices) + 1`` hypotheses instead of one pass each.  Designs
-    the plan compiler cannot express fall back to a per-key scalar loop with
-    identical numbers.
+    ``len(key_indices) + 1`` hypotheses instead of one pass each — and the
+    differing lanes are counted on the bit-sliced outputs
+    (:func:`repro.sim.sweep_differences`).  Designs the plan compiler cannot
+    express fall back to a per-key scalar loop with identical numbers.
 
     Raises:
         ValueError: if the design is not locked, ``vectors`` is not positive,
             or an index is out of the key's range.
     """
-    from ..sim import differing_lanes, key_sweep, random_input_batch
+    from ..sim import random_input_batch, sweep_differences
 
     if not design.is_locked:
         raise ValueError("key-bit sensitivity requires a locked design")
@@ -327,10 +321,8 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
         flipped = list(base)
         flipped[index] = 1 - flipped[index]
         keys.append(flipped)
-    reference, *flipped_runs = key_sweep(design, batch, keys, n=vectors)
-
-    return [len(differing_lanes(reference, outputs, n=vectors)) / vectors
-            for outputs in flipped_runs]
+    differences = sweep_differences(design, batch, keys=keys, n=vectors)
+    return [lanes / vectors for lanes in differences.lanes]
 
 
 @dataclass
@@ -385,14 +377,15 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
     One input signal is held at a random base value while the remaining
     inputs take ``vectors`` random context values; every probed bit flip of
     the base value becomes one sweep point of a single
-    :meth:`~repro.sim.plan.executor.BatchSimulator.run_sweep` pass — S
-    single-bit-flip points × V context lanes evaluate together instead of S
-    batch calls.  Because every point binds the *same* key, sweep
-    value-numbering treats the whole key cone as point-invariant: only the
-    probed signal's fan-out cone is re-evaluated per flip point.
-    Locked designs are evaluated under their correct key (or ``key``), so the
-    profile measures the *functional* avalanche of the design, not key
-    corruption (see :func:`functional_corruption` for that).
+    :func:`~repro.sim.sweep_differences` pass — S single-bit-flip points × V
+    context lanes evaluate together instead of S batch calls, and the
+    flipped output bits are counted on the bit-sliced outputs.  Because
+    every point binds the *same* key, sweep value-numbering treats the whole
+    key cone as point-invariant: only the probed signal's fan-out cone is
+    re-evaluated per flip point.  Locked designs are evaluated under their
+    correct key (or ``key``), so the profile measures the *functional*
+    avalanche of the design, not key corruption (see
+    :func:`functional_corruption` for that).
 
     Designs the plan compiler cannot express fall back to a scalar per-point
     loop with bit-identical numbers.
@@ -410,10 +403,8 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
         ValueError: for designs without data inputs, unknown signals,
             out-of-range bit indices or a non-positive vector count.
     """
-    from ..sim import (BatchCompileError, batch_to_vectors, cached_simulator,
-                      differing_lanes, input_signals, output_signals,
-                      random_vector_batch)
-    from ..sim.simulator import CombinationalSimulator
+    from ..sim import (input_signals, output_signals, random_vector_batch,
+                       sweep_differences)
 
     if vectors < 1:
         raise ValueError("vectors must be positive")
@@ -443,42 +434,13 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
         chosen = list(key) if key is not None else design.correct_key
         keys = [chosen] * len(bindings)
 
-    try:
-        simulator = cached_simulator(design)
-        runs = simulator.run_sweep(context, keys=keys, bindings=bindings,
-                                   n=vectors)
-    except BatchCompileError:
-        scalar = CombinationalSimulator(design)
-        chosen = None
-        if design.is_locked:
-            chosen = list(key) if key is not None else design.correct_key
-        context_vectors = batch_to_vectors(context, vectors)
-        runs = []
-        for point in bindings:
-            outputs: Dict[str, List[int]] = {name: []
-                                             for name in scalar.output_names}
-            for vector in context_vectors:
-                values = scalar.run({**vector, **point}, key=chosen)
-                for name in outputs:
-                    outputs[name].append(values[name])
-            runs.append(outputs)
-
-    reference, *flipped_runs = runs
-    output_widths = {name: w for name, w in output_signals(design)
-                     if name in reference}
-    total_bits = max(sum(output_widths.values()), 1)
-
-    per_bit: List[float] = []
-    lanes_changed: List[float] = []
-    for flipped in flipped_runs:
-        lanes = differing_lanes(reference, flipped, n=vectors)
-        flipped_bits = 0
-        for lane in lanes:
-            for name in output_widths:
-                delta = reference[name][lane] ^ flipped[name][lane]
-                flipped_bits += delta.bit_count()
-        per_bit.append(flipped_bits / (vectors * total_bits))
-        lanes_changed.append(len(lanes) / vectors)
+    differences = sweep_differences(design, context, keys=keys,
+                                    bindings=bindings, n=vectors)
+    total_bits = max(sum(w for name, w in output_signals(design)
+                         if name in differences.outputs), 1)
+    per_bit = [flipped / (vectors * total_bits)
+               for flipped in differences.bits]
+    lanes_changed = [lanes / vectors for lanes in differences.lanes]
 
     return AvalancheReport(signal=signal, base_value=base_value,
                            vectors=vectors, bit_indices=bit_indices,

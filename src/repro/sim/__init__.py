@@ -23,7 +23,8 @@ corrupted.  :func:`check_equivalence` and :func:`output_corruption` use the
 batch engine by default and fall back to the scalar oracle for constructs the
 plan compiler cannot express.
 
-On top of per-vector batching, three layers serve the attack-side hot loops:
+On top of per-vector batching, four layers serve the metric and attack hot
+loops:
 
 * :func:`key_sweep` / :meth:`BatchSimulator.run_sweep` — N key hypotheses (or
   per-point input bindings) evaluate as lanes of *one* pass instead of N
@@ -32,6 +33,11 @@ On top of per-vector batching, three layers serve the attack-side hot loops:
   :func:`lane_limit` scope every scenario job runs under) streams
   million-lane sweeps through fixed-size point tiles with bounded peak
   memory and bit-identical results,
+* :func:`sweep_differences` / :meth:`BatchSimulator.sweep_differences` — the
+  same sweep, reduced to how many lanes and output bits of each point
+  differ from point 0, counted by XOR and popcount on the slice words
+  without unpacking a lane; output corruption, key-bit sensitivity, input
+  avalanche and functional KPA all run on it,
 * :func:`get_plan` — a process-wide LRU plan cache keyed by
   :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`, so
   equivalence checks, metrics, KPA and SnapShot stop recompiling one design,
@@ -52,6 +58,7 @@ from .plan import (
     PassManager,
     PlanStats,
     Step,
+    SweepDifferences,
     auto_max_lanes,
     compile_plan,
     default_max_lanes,
@@ -78,6 +85,7 @@ from .simulator import (
     check_equivalence,
     key_sweep,
     output_corruption,
+    sweep_differences,
 )
 from .vectors import (
     batch_to_vectors,
@@ -98,6 +106,7 @@ __all__ = [
     "check_equivalence",
     "output_corruption",
     "key_sweep",
+    "sweep_differences",
     "ENGINES",
     "DEFAULT_LANE_BITS_BUDGET",
     "PASS_ORDER",
@@ -108,6 +117,7 @@ __all__ = [
     "PassManager",
     "PlanStats",
     "Step",
+    "SweepDifferences",
     "auto_max_lanes",
     "compile_plan",
     "default_max_lanes",

@@ -15,6 +15,7 @@ Import its names from here or from :mod:`repro.sim`.
 from .executor import (
     DEFAULT_LANE_BITS_BUDGET,
     BatchSimulator,
+    SweepDifferences,
     auto_max_lanes,
     classify_steps,
     default_max_lanes,
@@ -60,6 +61,7 @@ __all__ = [
     "PlanStats",
     "Slices",
     "Step",
+    "SweepDifferences",
     "WORKING_WIDTH",
     "auto_max_lanes",
     "classify_steps",

@@ -9,20 +9,23 @@ happens after compilation:
 * the lane packers (:func:`pack_values` / :func:`unpack_values`), and
 * :class:`BatchSimulator` — N input vectors per bit-parallel pass
   (:meth:`~BatchSimulator.run_batch`) and S×V (key, input) sweep lanes per
-  pass (:meth:`~BatchSimulator.run_sweep`).
+  pass (:meth:`~BatchSimulator.run_sweep`), or only how far each sweep
+  point's outputs differ from point 0's
+  (:meth:`~BatchSimulator.sweep_differences`, counted by XOR and popcount
+  on the slice words without unpacking a lane).
 
-``run_sweep`` applies the sweep value-numbering tags: steps whose transitive
-inputs are point-invariant (they read neither a swept key port nor a
-per-point bound signal) evaluate once on the V-lane base batch and their
-results are tiled across the S point blocks, instead of being re-evaluated
-on all S×V lanes.  Identical keys across all sweep points count as
-point-invariant — the avalanche-study shape, where only one probed input
+Both sweep entry points apply the sweep value-numbering tags: steps whose
+transitive inputs are point-invariant (they read neither a swept key port
+nor a per-point bound signal) evaluate once on the V-lane base batch and
+their results are tiled across the S point blocks, instead of being
+re-evaluated on all S×V lanes.  Identical keys across all sweep points count
+as point-invariant — the avalanche-study shape, where only one probed input
 varies.
 
-Both entry points accept a ``max_lanes`` limit that bounds the peak lane
+All entry points accept a ``max_lanes`` limit that bounds the peak lane
 width of any single pass: ``run_batch`` splits its lanes into fixed-size
-chunks, ``run_sweep`` splits the S sweep points into point *tiles* and
-streams each tile through pack → execute → unpack while the invariant
+chunks, the sweeps split the S sweep points into point *tiles* and stream
+each tile through pack → execute → unpack (or count) while the invariant
 base-batch work is still evaluated only once — so million-lane sweeps run in
 bounded memory with results bit-identical to the unchunked pass (chunking
 only ever partitions independent lanes).  :func:`set_default_max_lanes` /
@@ -34,8 +37,9 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from functools import lru_cache
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from ...rtlir.design import Design
 from ..evaluator import SimulationError, mask
@@ -396,6 +400,88 @@ def _unpack_values_fast(slices: Sequence[int], n: int) -> List[int]:
     return values
 
 
+def _comb_replicate(word: int, base: int, points: int) -> int:
+    """Copy a ``base``-lane slice word into each of ``points`` point blocks.
+
+    One multiplication by the block-comb constant ``0b...0001...0001``.
+    """
+    return word * _block_comb(base, points)
+
+
+@lru_cache(maxsize=64)
+def _block_comb(base: int, points: int) -> int:
+    """``points`` copies of lane 0's bit, one per ``base``-lane block."""
+    return ((1 << base * points) - 1) // ((1 << base) - 1)
+
+
+def _replicate(word: int, base: int, points: int) -> int:
+    """:func:`_comb_replicate` by byte repeat when a block is whole bytes.
+
+    The big-int multiply costs about base × tile digit products, so from a
+    few hundred base lanes on the byte repeat wins by 4x (512 lanes) to 18x
+    (2048 lanes).  Below about 128 lanes the multiply is faster, but either
+    takes well under a microsecond there.
+    """
+    if base % 8 == 0:
+        return int.from_bytes(word.to_bytes(base // 8, "little") * points,
+                              "little")
+    return _comb_replicate(word, base, points)
+
+
+class _BlockPopcount:
+    """Set bits per ``base``-lane point block, summed over many slice words.
+
+    Every word is read as its little-endian bytes.  When a block is whole
+    bytes, the byte popcounts accumulate and are summed per block at the
+    end; otherwise the lanes accumulate bit by bit.
+    """
+
+    def __init__(self, base: int, points: int) -> None:
+        import numpy as np
+
+        self.points = points
+        self.lanes = base * points
+        self.nbytes = (self.lanes + 7) // 8
+        self.whole_bytes = base % 8 == 0
+        self.counts = np.zeros(self.nbytes if self.whole_bytes
+                               else self.lanes, dtype=np.int64)
+
+    def add(self, word: int) -> None:
+        import numpy as np
+
+        data = np.frombuffer(word.to_bytes(self.nbytes, "little"),
+                             dtype=np.uint8)
+        if self.whole_bytes:
+            self.counts += np.bitwise_count(data)
+        else:
+            self.counts += np.unpackbits(data, bitorder="little",
+                                         count=self.lanes)
+
+    def per_point(self) -> List[int]:
+        return self.counts.reshape(self.points, -1).sum(axis=1).tolist()
+
+
+def _count_differences(env: Mapping[str, Slices],
+                       reference: Mapping[str, Slices], base: int,
+                       points: int) -> Tuple[List[int], List[int]]:
+    """Per point of a tile: differing lanes and flipped bits vs. ``reference``.
+
+    ``reference`` holds one ``base``-lane slice word per output bit; it is
+    replicated into every point block and XORed against the tile's words.
+    """
+    lanes = _BlockPopcount(base, points)
+    bits = _BlockPopcount(base, points)
+    any_difference = 0
+    for name, reference_slices in reference.items():
+        for expected, word in zip(reference_slices, env[name]):
+            difference = word ^ _replicate(expected, base, points)
+            if difference:
+                any_difference |= difference
+                bits.add(difference)
+    lanes.add(any_difference)
+    return lanes.per_point(), bits.per_point()
+
+
 def differing_lanes(expected: Mapping[str, Sequence[int]],
                     actual: Mapping[str, Sequence[int]],
                     names: Optional[Sequence[str]] = None,
@@ -626,6 +712,35 @@ def sweep_schedule(plan: EvalPlan, varying: FrozenSet[str],
 # ---------------------------------------------------------------------------
 
 
+class SweepDifferences(NamedTuple):
+    """How far each sweep point's outputs differ from point 0's.
+
+    Attributes:
+        outputs: The compared outputs.
+        lanes: Per point after point 0, the base lanes on which any output
+            differs from point 0.
+        bits: Per point after point 0, the output bits that differ from
+            point 0, summed over all base lanes.
+    """
+
+    outputs: Tuple[str, ...]
+    lanes: List[int]
+    bits: List[int]
+
+
+class _Sweep(NamedTuple):
+    """A validated sweep whose point-invariant work has run (V lanes)."""
+
+    schedule: _SweepSchedule
+    base: int
+    points: int
+    needed_env: Dict[str, Slices]
+    invariant_env: Dict[str, Slices]
+    bindings: List[Mapping[str, int]]
+    bound: Set[str]
+    swept_keys: Optional[List[Sequence[int]]]
+
+
 class BatchSimulator:
     """Evaluate many input vectors of a design in one bit-parallel pass.
 
@@ -840,6 +955,83 @@ class BatchSimulator:
                 counts, invalid key bits, key sweeps on unlocked designs, or
                 a non-positive ``max_lanes``.
         """
+        sweep = self._prepare_sweep(inputs, keys, bindings, n, hoist)
+        base = sweep.base
+        invariant_values = {name: unpack_values(slices, base)
+                            for name, slices in sweep.invariant_env.items()}
+        varying_outputs = sweep.schedule.varying_outputs
+        results: List[Dict[str, List[int]]] = []
+        for first, last in self._sweep_tiles(sweep, max_lanes):
+            lanes = (last - first) * base
+            # The comb multiply, not the byte repeat of sweep_differences:
+            # byte repeat speeds a flat schedule more than a hoisted one and
+            # would shrink the value-numbering ratio sim-bench gates on, for
+            # no caller's benefit — the metrics count with
+            # sweep_differences, and this path serves value cross-checks.
+            env = self._execute_tile(sweep, first, last, _comb_replicate)
+            # Point-varying outputs: one flat unpack over the tile's lanes,
+            # then sliced per point — cheaper than points * (shift/mask +
+            # unpack) on the wide sweep words.  Point-invariant outputs were
+            # unpacked once from the V-lane base batch and are copied per
+            # point.  Every point dict follows plan.outputs order.
+            flat = {name: unpack_values(env[name], lanes)
+                    for name in varying_outputs}
+            del env  # release the tile before the next one executes
+            for start in range(0, lanes, base):
+                results.append({
+                    name: (flat[name][start:start + base] if name in flat
+                           else list(invariant_values[name]))
+                    for name in self.plan.outputs})
+        return results
+
+    def sweep_differences(self, inputs: Mapping[str, Sequence[int]],
+                          keys: Optional[Sequence[Sequence[int]]] = None,
+                          bindings: Optional[Sequence[Mapping[str, int]]]
+                          = None,
+                          n: Optional[int] = None) -> SweepDifferences:
+        """Count how far every sweep point's outputs differ from point 0's.
+
+        The compare-only form of :meth:`run_sweep`: same sweep arguments,
+        same point tiles under the process-wide lane limit, same invariant
+        hoisting, but the per-lane values are never unpacked.  Each tile's output slice words are XORed against
+        point 0's (cut from the first tile and replicated into every point
+        block), the XOR words are ORed into one any-difference mask, and
+        both are popcounted per V-lane point block.  Point-invariant outputs
+        are equal on every point, so they contribute nothing.
+
+        Returns:
+            A :class:`SweepDifferences` over ``plan.outputs`` whose ``lanes``
+            and ``bits`` equal ``differing_lanes`` and the per-lane
+            ``bit_count`` of the XOR, run on :meth:`run_sweep`'s point 0 and
+            each later point.
+
+        Raises:
+            SimulationError: as :meth:`run_sweep`.
+        """
+        sweep = self._prepare_sweep(inputs, keys, bindings, n, None)
+        base = sweep.base
+        lanes: List[int] = []
+        bits: List[int] = []
+        reference: Optional[Dict[str, Slices]] = None
+        for first, last in self._sweep_tiles(sweep, None):
+            env = self._execute_tile(sweep, first, last, _replicate)
+            if reference is None:
+                block = (1 << base) - 1
+                reference = {name: [word & block for word in env[name]]
+                             for name in sweep.schedule.varying_outputs}
+            tile_lanes, tile_bits = _count_differences(env, reference, base,
+                                                       last - first)
+            del env  # release the tile before the next one executes
+            lanes.extend(tile_lanes)
+            bits.extend(tile_bits)
+        return SweepDifferences(tuple(self.plan.outputs), lanes[1:], bits[1:])
+
+    def _prepare_sweep(self, inputs: Mapping[str, Sequence[int]],
+                       keys: Optional[Sequence[Sequence[int]]],
+                       bindings: Optional[Sequence[Mapping[str, int]]],
+                       n: Optional[int],
+                       hoist: Optional[bool]) -> _Sweep:
+        """Validate a sweep and run its point-invariant work on the V lanes."""
         base = n
         for name, values in inputs.items():
             if base is None:
@@ -911,84 +1103,60 @@ class BatchSimulator:
         schedule = sweep_schedule(self.plan, frozenset(varying),
                                   flat=not do_hoist)
 
-        # Invariant work runs once on the V base lanes...
+        # Invariant work runs once on the V base lanes; only what the
+        # varying steps read is kept for tiling out to the sweep lanes, plus
+        # the swept-out outputs themselves.
         execute_steps(schedule.invariant_steps, base_env, block)
+        return _Sweep(
+            schedule=schedule, base=base, points=points,
+            needed_env={name: slices for name, slices in base_env.items()
+                        if name in schedule.needed},
+            invariant_env={name: base_env[name]
+                           for name in schedule.invariant_outputs},
+            bindings=list(bindings or ()), bound=bound,
+            swept_keys=list(keys) if keys is not None and shared_key is None
+            else None)
 
-        # ... and only what the varying steps (or the swept-out outputs)
-        # read gets tiled out to the sweep lanes, one point tile at a time.
-        needed_env = {name: slices for name, slices in base_env.items()
-                      if name in schedule.needed}
-        invariant_values = {name: unpack_values(base_env[name], base)
-                            for name in schedule.invariant_outputs}
-        point_list = list(bindings) if bindings is not None \
-            else [{}] * points
-        key_list = list(keys) if keys is not None else None
-        swept_key_port = key_port if keys is not None \
-            and shared_key is None else None
+    def _sweep_tiles(self, sweep: _Sweep,
+                     max_lanes: LaneLimit) -> List[Tuple[int, int]]:
+        """Point ranges ``[first, last)`` of the sweep's tiles, in order."""
+        limit = self._resolve_max_lanes(max_lanes, sweep.base)
+        step = sweep.points if limit is None else max(1, limit // sweep.base)
+        return [(first, min(first + step, sweep.points))
+                for first in range(0, sweep.points, step)]
 
-        limit = self._resolve_max_lanes(max_lanes, base)
-        tile_points = points if limit is None else max(1, limit // base)
-        results: List[Dict[str, List[int]]] = []
-        for first in range(0, points, tile_points):
-            last = min(first + tile_points, points)
-            results.extend(self._run_sweep_tile(
-                schedule, needed_env, invariant_values, point_list, key_list,
-                bound, swept_key_port, base, first, last))
-        return results
-
-    def _run_sweep_tile(self, schedule: _SweepSchedule,
-                        needed_env: Dict[str, Slices],
-                        invariant_values: Dict[str, List[int]],
-                        point_list: Sequence[Mapping[str, int]],
-                        key_list: Optional[Sequence[Sequence[int]]],
-                        bound: Set[str], swept_key_port: Optional[str],
-                        base: int, first: int,
-                        last: int) -> List[Dict[str, List[int]]]:
-        """Evaluate sweep points ``[first, last)`` as one bit-parallel pass.
+    def _execute_tile(self, sweep: _Sweep, first: int, last: int,
+                      replicate: Callable[[int, int, int], int]
+                      ) -> Dict[str, Slices]:
+        """Run the varying steps on sweep points ``[first, last)``.
 
         Lane-parallel kernels never mix bits across lanes, so each point
         block is independent and tiling is bit-identical to one wide pass.
         The ragged last tile simply gets narrower pack constants.
+        ``replicate`` tiles the V-lane words the varying steps read.
+
+        Returns:
+            The tile's environment, every slice word ``(last - first) * V``
+            lanes wide.
         """
-        tile_points = last - first
-        lanes = tile_points * base
-        full = (1 << lanes) - 1
-        block = (1 << base) - 1
-        # Replicating a V-lane slice into every point's lane block is one
-        # multiplication by the block-comb constant 0b...0001...0001.
-        tile = full // block
-
+        points = last - first
+        base = sweep.base
         env: Dict[str, Slices] = {
-            name: [word * tile for word in slices]
-            for name, slices in needed_env.items()
+            name: [replicate(word, base, points) for word in slices]
+            for name, slices in sweep.needed_env.items()
         }
-        for name in bound:
+        for name in sweep.bound:
             env[name] = _pack_point_values(
-                [point.get(name, 0) for point in point_list[first:last]],
+                [point.get(name, 0) for point in sweep.bindings[first:last]],
                 self.width_of(name), base)
-        if swept_key_port is not None and key_list is not None:
-            env[swept_key_port] = _fit(
-                _pack_swept_keys(key_list[first:last],
-                                 self.width_of(swept_key_port), base),
-                self.width_of(swept_key_port))
-
-        execute_steps(schedule.varying_steps, env, full)
-
-        # Point-varying outputs: one flat unpack over the tile's lanes, then
-        # sliced per point — cheaper than points * (shift/mask + unpack) on
-        # the wide sweep words.  Point-invariant outputs were unpacked once
-        # from the V-lane base batch and are copied per point.  Every point
-        # dict follows plan.outputs order, hoisted or flat.
-        flat = {name: unpack_values(env[name], lanes)
-                for name in schedule.varying_outputs}
-        results: List[Dict[str, List[int]]] = []
-        for index in range(tile_points):
-            start = index * base
-            results.append({
-                name: (flat[name][start:start + base] if name in flat
-                       else list(invariant_values[name]))
-                for name in self.plan.outputs})
-        return results
+        port = self.plan.key_port
+        if sweep.swept_keys is not None and port is not None:
+            width = self.width_of(port)
+            env[port] = _fit(_pack_swept_keys(sweep.swept_keys[first:last],
+                                              width, base), width)
+        execute_steps(sweep.schedule.varying_steps, env,
+                      (1 << points * base) - 1)
+        return env
 
     def run(self, inputs: Mapping[str, int],
             key: Optional[Sequence[int]] = None) -> Dict[str, int]:

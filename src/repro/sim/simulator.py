@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..rtlir.design import Design
 from .evaluator import ExpressionEvaluator, SimulationError, mask
+from .plan.executor import SweepDifferences
 from .plan.steps import _declared_widths, _ordered_assignments
 
 
@@ -250,32 +251,36 @@ def output_corruption(locked: Design, correct_key: Sequence[int],
     A useful locking scheme corrupts the outputs for wrong keys; 0.0 means the
     wrong key behaves exactly like the correct one (no protection on the
     tested vectors).  ``engine`` selects the bit-parallel fast path (default)
-    or the scalar reference; both produce identical rates for the same rng.
+    or the scalar reference of :func:`sweep_differences`; both produce
+    identical rates for the same rng.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown simulation engine {engine!r}; "
                          f"expected one of {ENGINES}")
-    rng = rng or random.Random()
+    if vectors < 1:
+        return 0.0
+    from .vectors import random_input_batch
+    batch = random_input_batch(locked, rng or random.Random(), vectors)
+    differences = sweep_differences(locked, batch,
+                                    keys=[correct_key, wrong_key], n=vectors,
+                                    engine=engine)
+    return differences.lanes[0] / vectors
 
-    if engine == "batch" and vectors > 0:
-        simulators = _batch_simulators(locked)
-        if simulators is not None:
-            from .plan import differing_lanes
-            (simulator,) = simulators
-            batch = simulator.random_batch(rng, vectors)
-            good, bad = simulator.run_sweep(
-                batch, keys=[correct_key, wrong_key], n=vectors)
-            return len(differing_lanes(good, bad, n=vectors)) / vectors
 
-    simulator = CombinationalSimulator(locked)
-    differing = 0
-    for _ in range(vectors):
-        vector = simulator.random_vector(rng)
-        good = simulator.run(vector, key=correct_key)
-        bad = simulator.run(vector, key=wrong_key)
-        if good != bad:
-            differing += 1
-    return differing / vectors if vectors else 0.0
+def _lane_count(inputs: Mapping[str, Sequence[int]],
+                n: Optional[int]) -> int:
+    """The shared lane count of a sweep's input batch (``n`` if given)."""
+    lanes = n
+    for name, values in inputs.items():
+        if lanes is None:
+            lanes = len(values)
+        elif len(values) != lanes:
+            raise SimulationError(
+                f"input {name!r} has {len(values)} lanes, expected {lanes}")
+    if lanes is None or lanes < 1:
+        raise SimulationError("sweep needs at least one lane "
+                              "(pass inputs or n)")
+    return lanes
 
 
 def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
@@ -283,12 +288,13 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
               engine: str = "batch") -> List[Dict[str, List[int]]]:
     """Outputs of ``design`` under several key hypotheses on one shared batch.
 
-    The workhorse of every key-trial consumer (`functional_kpa`,
-    `key_bit_sensitivity`, `functional_corruption`): all ``len(keys)``
-    hypotheses evaluate as lanes of a single bit-parallel pass over the
-    design's cached plan.  Designs the plan compiler cannot express fall back
-    to a per-key scalar loop with bit-identical results — callers never see
-    the engine switch.
+    All ``len(keys)`` hypotheses evaluate as lanes of a single bit-parallel
+    pass over the design's cached plan.  This is for callers that need the
+    output values themselves, such as the scalar-oracle cross-checks;
+    the metric consumers only count differences from the first key and use
+    :func:`sweep_differences`.  Designs the plan compiler cannot express
+    fall back to a per-key scalar loop with bit-identical results — callers
+    never see the engine switch.
 
     Args:
         design: A locked design.
@@ -311,16 +317,7 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
                          f"expected one of {ENGINES}")
     if design.key_port is None:
         raise SimulationError("cannot sweep keys of an unlocked design")
-    lanes = n
-    for name, values in inputs.items():
-        if lanes is None:
-            lanes = len(values)
-        elif len(values) != lanes:
-            raise SimulationError(
-                f"input {name!r} has {len(values)} lanes, expected {lanes}")
-    if lanes is None or lanes < 1:
-        raise SimulationError("key sweep needs at least one lane "
-                              "(pass inputs or n)")
+    lanes = _lane_count(inputs, n)
     if len(keys) < 1:
         raise SimulationError("key sweep needs at least one key hypothesis")
 
@@ -343,3 +340,81 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
                 outputs[name].append(values[name])
         results.append(outputs)
     return results
+
+
+def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
+                      keys: Optional[Sequence[Sequence[int]]] = None,
+                      bindings: Optional[Sequence[Mapping[str, int]]] = None,
+                      n: Optional[int] = None,
+                      engine: str = "batch") -> SweepDifferences:
+    """How far each sweep point's outputs differ from point 0's.
+
+    The entry point of every metric that compares simulations against a
+    reference point (output corruption, key-bit sensitivity, input
+    avalanche, functional KPA).  The batch engine evaluates the sweep of
+    :meth:`BatchSimulator.run_sweep <repro.sim.plan.BatchSimulator.run_sweep>`
+    and counts the differences on the bit-sliced words
+    (:meth:`~repro.sim.plan.BatchSimulator.sweep_differences`); the scalar
+    engine — also the fallback for designs the plan compiler cannot
+    express — simulates every vector of every point and compares values.
+    Both return identical counts.
+
+    Args:
+        design: The design to simulate.
+        inputs: Shared input batch ``{input name: [value per lane]}``.
+        keys: One key per sweep point (requires a locked design).
+        bindings: Per-point input overrides ``{input name: value}``.
+        n: Lane count override, required when ``inputs`` is empty.
+        engine: ``batch`` (the default; runs under the process-wide lane
+            limit, see :func:`~repro.sim.plan.lane_limit`) or ``scalar``.
+
+    Returns:
+        A :class:`~repro.sim.plan.SweepDifferences` with one entry per point
+        after point 0.
+
+    Raises:
+        SimulationError: for key sweeps of unlocked designs, unknown inputs,
+            or inconsistent lane or point counts.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown simulation engine {engine!r}; "
+                         f"expected one of {ENGINES}")
+    if keys is not None and design.key_port is None:
+        raise SimulationError("cannot sweep keys of an unlocked design")
+    if engine == "batch":
+        simulators = _batch_simulators(design)
+        if simulators is not None:
+            (simulator,) = simulators
+            return simulator.sweep_differences(inputs, keys=keys,
+                                               bindings=bindings, n=n)
+
+    lanes = _lane_count(inputs, n)
+    points = len(keys) if keys is not None else len(bindings or ())
+    if bindings is not None and len(bindings) != points:
+        raise SimulationError(
+            f"got {len(bindings)} bindings for {points} sweep points")
+    if points < 1:
+        raise SimulationError("sweep needs at least one point "
+                              "(pass keys or bindings)")
+
+    from .vectors import batch_to_vectors
+    simulator = CombinationalSimulator(design)
+    outputs = simulator.output_names
+    vectors = batch_to_vectors(inputs, lanes)
+    reference: List[Dict[str, int]] = []
+    differing: List[int] = []
+    flipped: List[int] = []
+    for point in range(points):
+        key = keys[point] if keys is not None else None
+        binding = bindings[point] if bindings is not None else {}
+        rows = [simulator.run({**vector, **binding}, key=key)
+                for vector in vectors]
+        if point == 0:
+            reference = rows
+            continue
+        bits = [sum((expected[name] ^ row[name]).bit_count()
+                    for name in outputs)
+                for expected, row in zip(reference, rows)]
+        differing.append(sum(1 for count in bits if count))
+        flipped.append(sum(bits))
+    return SweepDifferences(tuple(outputs), differing, flipped)

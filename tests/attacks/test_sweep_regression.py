@@ -1,11 +1,13 @@
 """Regression pins: the sweep fast path changes *speed*, never *numbers*.
 
-`functional_kpa`, `key_bit_sensitivity`, `functional_corruption` and
-`TrainingSetBuilder.build` moved from per-key batch loops onto per-lane key
-sweeps (plus the process-wide plan cache).  Every one of them must produce
-results identical to the pre-sweep implementation on seeded runs — asserted
-here both against the scalar engine (forced through the same `key_sweep`
-entry point every consumer calls) and against literal pinned values.
+`functional_kpa`, `key_bit_sensitivity`, `functional_corruption`,
+`avalanche_sensitivity` and `TrainingSetBuilder.build` moved from per-key
+batch loops onto bit-parallel sweeps (plus the process-wide plan cache), and
+then onto counting the differences on the bit-sliced outputs.  Every one of
+them must produce results identical to the pre-sweep implementation on
+seeded runs — asserted here both against the scalar engine (forced through
+the `sweep_differences` and `key_sweep` entry points the consumers call) and
+against literal pinned values.
 """
 
 import random
@@ -19,6 +21,7 @@ from repro.attacks.kpa import functional_kpa, functional_kpa_many
 from repro.bench import load_benchmark
 from repro.locking import (
     AssureLocker,
+    avalanche_sensitivity,
     flip_bits,
     functional_corruption,
     key_bit_sensitivity,
@@ -32,18 +35,35 @@ PINNED_SENSITIVITY = [0.8125, 0.0, 0.0, 0.0]
 
 
 def _run_on_both_engines(fn):
-    """Run ``fn`` once on the batch sweep and once forced through scalar."""
+    """Run ``fn`` once on the batch sweep and once forced through scalar.
+
+    Both sweep entry points of :mod:`repro.sim` are forced, so a consumer
+    cannot reach the batch engine on the "scalar" run through either; the
+    run must call at least one of them, or it would compare batch to batch.
+    """
     batch_result = fn()
-    original = sim_package.key_sweep
+    original_sweep = sim_package.key_sweep
+    original_differences = sim_package.sweep_differences
+    forced = []
 
-    def scalar_only(design, inputs, keys, n=None, engine="batch"):
-        return original(design, inputs, keys, n=n, engine="scalar")
+    def scalar_sweep(design, inputs, keys, n=None, engine="batch"):
+        forced.append("key_sweep")
+        return original_sweep(design, inputs, keys, n=n, engine="scalar")
 
-    sim_package.key_sweep = scalar_only
+    def scalar_differences(design, inputs, keys=None, bindings=None, n=None,
+                           engine="batch"):
+        forced.append("sweep_differences")
+        return original_differences(design, inputs, keys=keys,
+                                    bindings=bindings, n=n, engine="scalar")
+
+    sim_package.key_sweep = scalar_sweep
+    sim_package.sweep_differences = scalar_differences
     try:
         scalar_result = fn()
     finally:
-        sim_package.key_sweep = original
+        sim_package.key_sweep = original_sweep
+        sim_package.sweep_differences = original_differences
+    assert forced, "the scalar run never reached a sweep entry point"
     return batch_result, scalar_result
 
 
@@ -77,6 +97,17 @@ class TestSeededResultsMatchScalarEngine:
                                           rng=random.Random(9)))
         assert batch_report.per_key_rates == scalar_report.per_key_rates
         assert batch_report.avalanche == scalar_report.avalanche
+
+    @pytest.mark.parametrize("wrong_key", [False, True])
+    def test_avalanche_sensitivity(self, wrong_key):
+        locked = _locked_md5()
+        key = flip_bits(locked.correct_key, range(0, locked.key_width, 2)) \
+            if wrong_key else None
+        batch_report, scalar_report = _run_on_both_engines(
+            lambda: avalanche_sensitivity(locked, vectors=16, key=key,
+                                          rng=random.Random(10)))
+        assert batch_report == scalar_report
+        assert any(batch_report.per_bit)
 
     def test_training_set_builder_behavioral(self):
         locked = _locked_md5()
