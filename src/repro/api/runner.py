@@ -135,11 +135,6 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
     simulation-backed step, so every key sweep and metric inside the job
     starts from a cache hit.
 
-    The whole job runs under ``lane_limit("auto")``
-    (:func:`repro.sim.lane_limit`), so every simulation sweep inside it is
-    memory-bounded by the automatic per-plan cap.  Tiling is bit-identical
-    to the unchunked pass, so records never depend on the cap.
-
     Args:
         job: The job to execute.
         fault_plan: Optional :class:`~repro.api.faults.FaultPlan`; its
@@ -150,15 +145,10 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
         in_worker: True inside a pool worker process, where an injected
             crash may genuinely kill the process.
     """
-    from ..sim import lane_limit, warm_plan_cache
+    from ..sim import warm_plan_cache
 
     if fault_plan is not None:
         fault_plan.apply(job.job_id, attempt, in_worker=in_worker)
-    with lane_limit("auto"):
-        return _execute_job_body(job, warm_plan_cache)
-
-
-def _execute_job_body(job: JobSpec, warm_plan_cache) -> Dict:
     started = time.perf_counter()
     design = _load_base_design(job.benchmark, job.scale, job.seed)
     num_operations = design.num_operations()

@@ -28,11 +28,11 @@ loops:
 
 * :func:`key_sweep` / :meth:`BatchSimulator.run_sweep` — N key hypotheses (or
   per-point input bindings) evaluate as lanes of *one* pass instead of N
-  batch calls, with automatic per-key scalar fallback; a lane limit (the
-  ``max_lanes`` argument of ``run_sweep``, else the process-wide
-  :func:`lane_limit` scope every scenario job runs under) streams
-  million-lane sweeps through fixed-size point tiles with bounded peak
-  memory and bit-identical results,
+  batch calls, with automatic per-key scalar fallback; a lane cap (the
+  ``max_lanes`` argument of ``run_sweep``, else the plan's own cap from
+  :func:`auto_max_lanes`, in every context) streams million-lane sweeps
+  through fixed-size point tiles with bounded peak memory and
+  bit-identical results,
 * :func:`sweep_differences` / :meth:`BatchSimulator.sweep_differences` — the
   same sweep, reduced to how many lanes and output bits of each point
   differ from point 0, counted by XOR and popcount on the slice words
@@ -61,12 +61,9 @@ from .plan import (
     SweepDifferences,
     auto_max_lanes,
     compile_plan,
-    default_max_lanes,
     differing_lanes,
-    lane_limit,
     pack_values,
     plan_lane_bits,
-    set_default_max_lanes,
     unpack_values,
 )
 from .plan_cache import (
@@ -75,7 +72,6 @@ from .plan_cache import (
     clear_plan_cache,
     get_plan,
     plan_cache_info,
-    set_plan_cache_size,
     warm_plan_cache,
 )
 from .simulator import (
@@ -120,19 +116,15 @@ __all__ = [
     "SweepDifferences",
     "auto_max_lanes",
     "compile_plan",
-    "default_max_lanes",
     "differing_lanes",
-    "lane_limit",
     "pack_values",
     "plan_lane_bits",
-    "set_default_max_lanes",
     "unpack_values",
     "PlanCacheInfo",
     "cached_simulator",
     "clear_plan_cache",
     "get_plan",
     "plan_cache_info",
-    "set_plan_cache_size",
     "warm_plan_cache",
     "batch_to_vectors",
     "input_signals",

@@ -18,12 +18,9 @@ from .executor import (
     SweepDifferences,
     auto_max_lanes,
     classify_steps,
-    default_max_lanes,
     differing_lanes,
-    lane_limit,
     pack_values,
     plan_lane_bits,
-    set_default_max_lanes,
     unpack_values,
 )
 from .lowering import ExpressionCompiler
@@ -66,12 +63,9 @@ __all__ = [
     "auto_max_lanes",
     "classify_steps",
     "compile_plan",
-    "default_max_lanes",
     "differing_lanes",
-    "lane_limit",
     "normalize_passes",
     "pack_values",
     "plan_lane_bits",
-    "set_default_max_lanes",
     "unpack_values",
 ]

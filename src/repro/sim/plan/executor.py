@@ -22,24 +22,23 @@ re-evaluated on all S×V lanes.  Identical keys across all sweep points count
 as point-invariant — the avalanche-study shape, where only one probed input
 varies.
 
-All entry points accept a ``max_lanes`` limit that bounds the peak lane
-width of any single pass: ``run_batch`` splits its lanes into fixed-size
-chunks, the sweeps split the S sweep points into point *tiles* and stream
-each tile through pack → execute → unpack (or count) while the invariant
-base-batch work is still evaluated only once — so million-lane sweeps run in
-bounded memory with results bit-identical to the unchunked pass (chunking
-only ever partitions independent lanes).  :func:`set_default_max_lanes` /
-:func:`lane_limit` install a process-wide default limit (``"auto"`` derives
-it from the plan width, see :func:`auto_max_lanes`).
+Every pass is capped in lanes: by an explicit ``max_lanes`` argument
+where the caller passes one, else by the plan's own cap
+(:func:`auto_max_lanes`, the lane-bits budget over the plan's per-lane slice
+bits).  ``run_batch`` splits its lanes into fixed-size chunks, the sweeps
+split the S sweep points into point *tiles* and stream each tile through
+pack → execute → unpack (or count) while the invariant base-batch work is
+still evaluated only once — so million-lane sweeps run in bounded memory
+with results bit-identical to the unchunked pass (chunking only ever
+partitions independent lanes).
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
-                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from ...rtlir.design import Design
 from ..evaluator import SimulationError, mask
@@ -514,35 +513,15 @@ def _pack_key_broadcast(key: Sequence[int], full: int) -> Slices:
     return slices
 
 
-def _pack_key_lanes(keys: Sequence[Sequence[int]]) -> Slices:
-    width = max((len(k) for k in keys), default=0)
-    slices = [0] * width
-    for lane, lane_key in enumerate(keys):
-        for position, bit in enumerate(lane_key):
-            if bit not in (0, 1):
-                raise SimulationError(
-                    f"key bit {position} of lane {lane} is not 0/1")
-            if bit:
-                slices[position] |= 1 << lane
-    return slices
-
-
 # ---------------------------------------------------------------------------
 # Lane limits (memory-bounded pipelined execution)
 # ---------------------------------------------------------------------------
 
 
-#: Slice-payload budget in lane-bits behind ``max_lanes="auto"``: the
-#: automatic limit caps the live big-int payload of one pass at roughly this
-#: many bits (2**28 bits = 32 MB packed).
+#: Slice-payload budget in lane-bits behind every pass without an explicit
+#: ``max_lanes``: the plan's cap keeps the live big-int payload of one pass
+#: at roughly this many bits (2**28 bits = 32 MB packed).
 DEFAULT_LANE_BITS_BUDGET = 1 << 28
-
-#: A lane limit: ``None`` (unbounded), a positive lane count, or ``"auto"``.
-LaneLimit = Optional[Union[int, str]]
-
-#: Process-wide default lane limit applied when a call passes
-#: ``max_lanes=None`` (see :func:`set_default_max_lanes`).
-_default_max_lanes: LaneLimit = None
 
 
 def plan_lane_bits(plan: EvalPlan) -> int:
@@ -563,55 +542,14 @@ def plan_lane_bits(plan: EvalPlan) -> int:
 
 
 def auto_max_lanes(plan: EvalPlan, base: int = 1) -> int:
-    """Automatic lane limit of ``plan``: the lane-bits budget over the
-    plan's per-lane slice bits.
+    """The lane cap of ``plan``: the lane-bits budget over the plan's
+    per-lane slice bits.  Every pass without an explicit ``max_lanes`` is
+    capped by it.
 
     Never below ``base``: a sweep tile is a whole number of points, so the
     limit cannot cut below one point's V base lanes.
     """
     return max(base, DEFAULT_LANE_BITS_BUDGET // plan_lane_bits(plan))
-
-
-def set_default_max_lanes(limit: LaneLimit) -> LaneLimit:
-    """Install the process-wide default lane limit; returns the previous one.
-
-    ``None`` removes the bound (the historical single-pass behaviour), a
-    positive int caps the peak lane width of every ``run_batch``/``run_sweep``
-    pass, and ``"auto"`` derives the cap per plan via :func:`auto_max_lanes`.
-    An explicit ``max_lanes`` argument always wins over this default.
-
-    Raises:
-        ValueError: for a non-positive or otherwise invalid limit.
-    """
-    global _default_max_lanes
-    if limit is not None and limit != "auto" and int(limit) < 1:
-        raise ValueError(
-            f"default max_lanes must be positive, None or 'auto'; "
-            f"got {limit!r}")
-    previous = _default_max_lanes
-    _default_max_lanes = limit
-    return previous
-
-
-def default_max_lanes() -> LaneLimit:
-    """The process-wide default lane limit (see :func:`set_default_max_lanes`)."""
-    return _default_max_lanes
-
-
-@contextmanager
-def lane_limit(limit: LaneLimit) -> Iterator[None]:
-    """Scope a process-wide default lane limit to a ``with`` block.
-
-    The scenario runner wraps each job in ``lane_limit("auto")`` so every
-    simulation-backed consumer inside the job — KPA sweeps, corruption and
-    avalanche metrics — runs memory-bounded without threading the knob
-    through every call site.
-    """
-    previous = set_default_max_lanes(limit)
-    try:
-        yield
-    finally:
-        set_default_max_lanes(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -779,47 +717,35 @@ class BatchSimulator:
 
     # ------------------------------------------------------------ simulation
 
-    def _resolve_max_lanes(self, max_lanes: LaneLimit,
-                           base: int = 1) -> Optional[int]:
-        """Resolve an explicit or default lane limit to a lane count.
-
-        An explicit ``max_lanes`` argument wins over the process-wide
-        default installed by :func:`set_default_max_lanes`; ``"auto"``
-        derives the cap from the plan's per-lane slice bits.  ``base``
-        is the lower bound a sweep cannot tile below (one point).
+    def _resolve_max_lanes(self, max_lanes: Optional[int],
+                           base: int = 1) -> int:
+        """The lane cap of one call: an explicit ``max_lanes``, else the
+        plan's cap (:func:`auto_max_lanes`).  ``base`` is the lower bound a
+        sweep cannot tile below (one point).
         """
-        limit = max_lanes if max_lanes is not None else _default_max_lanes
-        if limit is None:
-            return None
-        if limit == "auto":
+        if max_lanes is None:
             return auto_max_lanes(self.plan, base)
-        limit = int(limit)
-        if limit < 1:
+        if max_lanes < 1:
             raise SimulationError(
-                f"max_lanes must be positive, None or 'auto'; got {limit}")
-        return limit
+                f"max_lanes must be positive or None; got {max_lanes}")
+        return max_lanes
 
     def run_batch(self, inputs: Mapping[str, Sequence[int]],
                   key: Optional[Sequence[int]] = None,
-                  keys: Optional[Sequence[Sequence[int]]] = None,
                   n: Optional[int] = None,
-                  max_lanes: LaneLimit = None) -> Dict[str, List[int]]:
+                  max_lanes: Optional[int] = None) -> Dict[str, List[int]]:
         """Evaluate the design for a batch of input vectors.
 
         Args:
             inputs: ``{input name: [value per lane]}``; all sequences must
                 share one length, missing inputs default to 0 in every lane.
             key: One key applied to every lane (broadcast).
-            keys: One key per lane (mutually exclusive with ``key``) — the
-                key-trial pattern: same inputs, a different key hypothesis in
-                every lane.
             n: Lane count override, required when ``inputs`` is empty.
             max_lanes: Peak lane width of one bit-parallel pass; larger
                 batches are split into chunks of at most this many lanes and
-                streamed through the engine (``"auto"`` derives the cap from
-                the plan width; ``None`` defers to the process-wide default
-                of :func:`set_default_max_lanes`).  Results are bit-identical
-                to the unchunked pass.
+                streamed through the engine (``None``: the plan's cap, see
+                :func:`auto_max_lanes`).  Results are bit-identical to the
+                unchunked pass.
 
         Returns:
             ``{output name: [value per lane]}``.
@@ -835,20 +761,12 @@ class BatchSimulator:
             elif len(values) != lanes:
                 raise SimulationError(
                     f"input {name!r} has {len(values)} lanes, expected {lanes}")
-        if keys is not None:
-            if key is not None:
-                raise SimulationError("pass either 'key' or 'keys', not both")
-            if lanes is None:
-                lanes = len(keys)
-            elif len(keys) != lanes:
-                raise SimulationError(
-                    f"got {len(keys)} keys for {lanes} lanes")
         if lanes is None or lanes < 1:
             raise SimulationError("batch needs at least one lane "
                                   "(pass inputs or n)")
         limit = self._resolve_max_lanes(max_lanes)
-        if limit is not None and lanes > limit:
-            return self._run_batch_chunked(inputs, key, keys, lanes, limit)
+        if lanes > limit:
+            return self._run_batch_chunked(inputs, key, lanes, limit)
         full = (1 << lanes) - 1
 
         known = set(self.plan.inputs)
@@ -863,13 +781,9 @@ class BatchSimulator:
                 env[name] = [0] * self.width_of(name)
 
         key_port = self.plan.key_port
-        if key_port is not None:
-            if key is not None:
-                env[key_port] = _fit(_pack_key_broadcast(key, full),
-                                     self.width_of(key_port))
-            elif keys is not None:
-                env[key_port] = _fit(_pack_key_lanes(keys),
-                                     self.width_of(key_port))
+        if key_port is not None and key is not None:
+            env[key_port] = _fit(_pack_key_broadcast(key, full),
+                                 self.width_of(key_port))
 
         execute_steps(self.plan.steps, env, full)
 
@@ -878,7 +792,6 @@ class BatchSimulator:
 
     def _run_batch_chunked(self, inputs: Mapping[str, Sequence[int]],
                            key: Optional[Sequence[int]],
-                           keys: Optional[Sequence[Sequence[int]]],
                            lanes: int, limit: int) -> Dict[str, List[int]]:
         """Stream a batch through :meth:`run_batch` in lane chunks.
 
@@ -890,9 +803,8 @@ class BatchSimulator:
             stop = min(start + limit, lanes)
             chunk_inputs = {name: values[start:stop]
                             for name, values in inputs.items()}
-            chunk_keys = keys[start:stop] if keys is not None else None
-            chunk = self.run_batch(chunk_inputs, key=key, keys=chunk_keys,
-                                   n=stop - start, max_lanes=stop - start)
+            chunk = self.run_batch(chunk_inputs, key=key, n=stop - start,
+                                   max_lanes=stop - start)
             for name, values in chunk.items():
                 results[name].extend(values)
         return results
@@ -902,7 +814,8 @@ class BatchSimulator:
                   bindings: Optional[Sequence[Mapping[str, int]]] = None,
                   n: Optional[int] = None,
                   hoist: Optional[bool] = None,
-                  max_lanes: LaneLimit = None) -> List[Dict[str, List[int]]]:
+                  max_lanes: Optional[int] = None
+                  ) -> List[Dict[str, List[int]]]:
         """Evaluate S sweep points over one shared input batch in one pass.
 
         A sweep is the outer product of a *base batch* (``inputs``, V lanes)
@@ -938,9 +851,8 @@ class BatchSimulator:
                 wider than this are split into point tiles of
                 ``max(1, max_lanes // V)`` points each: invariant work still
                 runs once on the V base lanes, then each tile streams through
-                pack → execute → unpack with bounded peak memory (``"auto"``
-                derives the cap from the plan width; ``None`` defers to the
-                process-wide default of :func:`set_default_max_lanes`).
+                pack → execute → unpack with bounded peak memory
+                (``None``: the plan's cap, see :func:`auto_max_lanes`).
                 Results are bit-identical to the unchunked pass; the
                 effective floor is one point (V lanes).
 
@@ -992,12 +904,13 @@ class BatchSimulator:
         """Count how far every sweep point's outputs differ from point 0's.
 
         The compare-only form of :meth:`run_sweep`: same sweep arguments,
-        same point tiles under the process-wide lane limit, same invariant
-        hoisting, but the per-lane values are never unpacked.  Each tile's output slice words are XORed against
-        point 0's (cut from the first tile and replicated into every point
-        block), the XOR words are ORed into one any-difference mask, and
-        both are popcounted per V-lane point block.  Point-invariant outputs
-        are equal on every point, so they contribute nothing.
+        same point tiles under the plan's lane cap, same invariant hoisting,
+        but the per-lane values are never unpacked.  Each tile's output
+        slice words are XORed against point 0's (cut from the first tile and
+        replicated into every point block), the XOR words are ORed into one
+        any-difference mask, and both are popcounted per V-lane point block.
+        Point-invariant outputs are equal on every point, so they contribute
+        nothing.
 
         Returns:
             A :class:`SweepDifferences` over ``plan.outputs`` whose ``lanes``
@@ -1118,10 +1031,10 @@ class BatchSimulator:
             else None)
 
     def _sweep_tiles(self, sweep: _Sweep,
-                     max_lanes: LaneLimit) -> List[Tuple[int, int]]:
+                     max_lanes: Optional[int]) -> List[Tuple[int, int]]:
         """Point ranges ``[first, last)`` of the sweep's tiles, in order."""
-        limit = self._resolve_max_lanes(max_lanes, sweep.base)
-        step = sweep.points if limit is None else max(1, limit // sweep.base)
+        step = max(1, self._resolve_max_lanes(max_lanes, sweep.base)
+                   // sweep.base)
         return [(first, min(first + step, sweep.points))
                 for first in range(0, sweep.points, step)]
 

@@ -28,7 +28,7 @@ from ..rtlir.design import Design
 from .evaluator import SimulationError
 from .plan import BatchCompileError, BatchSimulator, EvalPlan, compile_plan
 
-#: Default number of plans kept by the process-wide cache.
+#: Number of plans kept by the process-wide cache.
 DEFAULT_CACHE_SIZE = 128
 
 
@@ -44,7 +44,6 @@ class PlanCacheInfo:
 
 _lock = threading.Lock()
 _cache: "OrderedDict[str, Union[EvalPlan, BatchCompileError]]" = OrderedDict()
-_maxsize = DEFAULT_CACHE_SIZE
 _hits = 0
 _misses = 0
 
@@ -83,7 +82,7 @@ def _store(fingerprint: str,
            entry: Union[EvalPlan, BatchCompileError]) -> None:
     _cache[fingerprint] = entry
     _cache.move_to_end(fingerprint)
-    while len(_cache) > _maxsize:
+    while len(_cache) > DEFAULT_CACHE_SIZE:
         _cache.popitem(last=False)
 
 
@@ -125,19 +124,5 @@ def plan_cache_info() -> PlanCacheInfo:
     """Snapshot of the cache statistics."""
     with _lock:
         return PlanCacheInfo(hits=_hits, misses=_misses, size=len(_cache),
-                             maxsize=_maxsize)
+                             maxsize=DEFAULT_CACHE_SIZE)
 
-
-def set_plan_cache_size(maxsize: int) -> None:
-    """Resize the cache (evicting least-recently-used entries if needed).
-
-    Raises:
-        ValueError: for a non-positive size.
-    """
-    global _maxsize
-    if maxsize < 1:
-        raise ValueError("plan cache size must be positive")
-    with _lock:
-        _maxsize = maxsize
-        while len(_cache) > _maxsize:
-            _cache.popitem(last=False)

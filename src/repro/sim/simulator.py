@@ -302,8 +302,8 @@ def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
         keys: Key hypotheses, one output dict per entry in the result.
         n: Lane count override, required when ``inputs`` is empty.
         engine: ``batch`` (sweep fast path, the default) or ``scalar``.
-            The batch sweep runs under the process-wide lane limit (see
-            :func:`~repro.sim.plan.lane_limit`).
+            The batch sweep is tiled at the plan's lane cap (see
+            :func:`~repro.sim.plan.auto_max_lanes`).
 
     Returns:
         One ``{output name: [value per lane]}`` dict per key, in key order.
@@ -365,8 +365,8 @@ def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
         keys: One key per sweep point (requires a locked design).
         bindings: Per-point input overrides ``{input name: value}``.
         n: Lane count override, required when ``inputs`` is empty.
-        engine: ``batch`` (the default; runs under the process-wide lane
-            limit, see :func:`~repro.sim.plan.lane_limit`) or ``scalar``.
+        engine: ``batch`` (the default; tiled at the plan's lane cap, see
+            :func:`~repro.sim.plan.auto_max_lanes`) or ``scalar``.
 
     Returns:
         A :class:`~repro.sim.plan.SweepDifferences` with one entry per point

@@ -103,6 +103,27 @@ class TestRoundTrip:
         Runner(scenario, store=local).run()
         assert store_records(submitted["store"]) == store_records(local.root)
 
+    def test_concurrent_in_process_runs_match_direct_runs(self, tmp_path):
+        # Two worker threads, each running its scenario in-process
+        # (run_jobs=1): overlapping runs must not affect each other's
+        # records.
+        scenarios = (tiny_scenario(), metric_scenario(vectors=64))
+        instance = ScenarioServer(runs_root=tmp_path / "runs", workers=2)
+        instance.start()
+        try:
+            with ScenarioClient(instance.address) as client:
+                submitted = [client.submit(scenario)
+                             for scenario in scenarios]
+                for entry in submitted:
+                    assert client.wait(entry["job_id"])["state"] == "done"
+        finally:
+            instance.stop()
+        for index, (scenario, entry) in enumerate(zip(scenarios, submitted)):
+            local = ResultsStore(tmp_path / f"local-{index}")
+            Runner(scenario, store=local).run()
+            assert store_records(entry["store"]) == \
+                store_records(local.root)
+
     def test_resubmission_dedups_in_memory(self, server, client):
         scenario = tiny_scenario()
         first = client.submit(scenario)

@@ -212,36 +212,6 @@ class TestBatchApi:
         with pytest.raises(SimulationError):
             batch.run_batch({"d0": [1]}, key=[2] * locked.key_width)
 
-    def test_per_lane_keys_match_broadcast(self):
-        design = profile_design(BenchmarkProfile(
-            "pl", "per lane", {"+": 4, "^": 3}, sequential=False, n_inputs=3),
-            seed=1)
-        locked = AssureLocker("serial", rng=random.Random(1),
-                              track_metrics=False).lock(design, 4).design
-        batch = BatchSimulator(locked)
-        rng = random.Random(2)
-        inputs = batch.random_batch(rng, 1)
-        lanes = 10
-        wide = {name: values * lanes for name, values in inputs.items()}
-        keys = [[random.Random(100 + i).randint(0, 1)
-                 for _ in range(locked.key_width)] for i in range(lanes)]
-        per_lane = batch.run_batch(wide, keys=keys)
-        for lane, key in enumerate(keys):
-            broadcast = batch.run_batch(inputs, key=key)
-            for name in batch.output_names:
-                assert per_lane[name][lane] == broadcast[name][0]
-
-    def test_key_and_keys_mutually_exclusive(self):
-        design = profile_design(BenchmarkProfile(
-            "kx", "key exclusive", {"+": 3}, sequential=False, n_inputs=3),
-            seed=0)
-        locked = AssureLocker("serial", rng=random.Random(0),
-                              track_metrics=False).lock(design, 2).design
-        batch = BatchSimulator(locked)
-        with pytest.raises(SimulationError):
-            batch.run_batch({"d0": [1]}, key=[0] * locked.key_width,
-                            keys=[[0] * locked.key_width])
-
     def test_run_single_vector_matches_scalar(self):
         design = plus_network(10, n_inputs=4, name="plus10")
         batch = BatchSimulator(design)

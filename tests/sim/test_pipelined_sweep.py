@@ -1,6 +1,7 @@
 """Memory-bounded (chunked) sweeps: tiling must be invisible in results.
 
-``max_lanes`` caps the packed lane width of ``run_sweep``/``run_batch``; the
+``max_lanes`` caps the packed lane width of ``run_sweep``/``run_batch``
+(without it, the plan's own cap :func:`auto_max_lanes` applies); the
 executor splits the S sweep points into point tiles and streams each tile
 through the varying steps.  Because the bit-slice kernels never mix bits
 across lanes, every tiling — single-point tiles, ragged last tiles, no
@@ -8,7 +9,9 @@ chunking at all — must be *bit-identical* to the unchunked evaluation, for
 every pass subset and both hoisted and flat schedules.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,15 +23,13 @@ from repro.sim import (
     SimulationError,
     auto_max_lanes,
     compile_plan,
-    default_max_lanes,
+    get_plan,
     key_sweep,
-    lane_limit,
     plan_lane_bits,
     random_input_batch,
     random_key,
-    set_default_max_lanes,
 )
-from repro.sim.plan import PASS_ORDER
+from repro.sim.plan import PASS_ORDER, executor
 
 #: Same golden matrix as the pass tests: each optimisation alone, nothing,
 #: everything — chunking must compose with every schedule shape.
@@ -61,6 +62,26 @@ def _locked(algorithm="era", name="MD5", seed=0, scale=0.15):
 def _random_keys(width, count, seed):
     rng = random.Random(seed)
     return [random_key(width, rng) for _ in range(count)]
+
+
+def _plan_cap(plan, lanes):
+    """Shrink the lane-bits budget so ``plan``'s own cap is ``lanes``."""
+    return mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET",
+                             lanes * plan_lane_bits(plan))
+
+
+@contextlib.contextmanager
+def _recorded_tiles():
+    """Record the point range ``(first, last)`` of every executed tile."""
+    execute_tile = BatchSimulator._execute_tile
+    tiles = []
+
+    def spy(self, sweep, first, last, replicate):
+        tiles.append((first, last))
+        return execute_tile(self, sweep, first, last, replicate)
+
+    with mock.patch.object(BatchSimulator, "_execute_tile", spy):
+        yield tiles
 
 
 class TestChunkedBitIdentity:
@@ -134,15 +155,11 @@ class TestChunkedBitIdentity:
         locked = _locked()
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(9), 10)
-        keys = _random_keys(locked.key_width, 10, seed=10)
-        reference = simulator.run_batch(batch, keys=keys, n=10)
-        for cap in (1, 3, 10, 1 << 30):
-            assert simulator.run_batch(batch, keys=keys, n=10,
+        (key,) = _random_keys(locked.key_width, 1, seed=10)
+        reference = simulator.run_batch(batch, key=key, n=10)
+        for cap in (1, 3, 4, 10, 1 << 30):
+            assert simulator.run_batch(batch, key=key, n=10,
                                        max_lanes=cap) == reference
-        # Broadcast key path
-        shared = simulator.run_batch(batch, key=locked.correct_key, n=10)
-        assert simulator.run_batch(batch, key=locked.correct_key, n=10,
-                                   max_lanes=4) == shared
 
 
 class TestOutputKeyOrder:
@@ -177,7 +194,7 @@ class TestOutputKeyOrder:
 
 
 class TestLaneLimitResolution:
-    """Explicit arg > process default > unbounded; "auto" sizes from plan."""
+    """An explicit ``max_lanes`` wins; otherwise the plan's cap applies."""
 
     def test_rejects_nonpositive_cap(self):
         locked = _locked()
@@ -189,8 +206,6 @@ class TestLaneLimitResolution:
         with pytest.raises(SimulationError):
             simulator.run_batch(batch, key=locked.correct_key, n=4,
                                 max_lanes=-1)
-        with pytest.raises(ValueError):
-            set_default_max_lanes(0)
 
     def test_auto_cap_scales_with_plan_width(self):
         locked = _locked()
@@ -201,36 +216,36 @@ class TestLaneLimitResolution:
         # The cap never tiles below one point: base is the floor.
         assert auto_max_lanes(plan, base=1 << 40) == 1 << 40
 
-    def test_lane_limit_context_sets_and_restores_default(self):
+    def test_unscoped_sweep_is_tiled_at_the_plan_cap(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(17), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=18)
         reference = simulator.run_sweep(batch, keys=keys, n=BASE)
-        before = default_max_lanes()
-        with lane_limit(3 * BASE):
-            assert default_max_lanes() == 3 * BASE
+        counted = simulator.sweep_differences(batch, keys=keys, n=BASE)
+        with _plan_cap(simulator.plan, 3 * BASE), _recorded_tiles() as tiles:
             assert simulator.run_sweep(batch, keys=keys, n=BASE) == reference
-            with lane_limit("auto"):
-                assert default_max_lanes() == "auto"
-                assert simulator.run_sweep(batch, keys=keys,
-                                           n=BASE) == reference
-        assert default_max_lanes() == before
+            assert tiles == [(0, 3), (3, 6), (6, 9), (9, 12)]
+            tiles.clear()
+            assert simulator.sweep_differences(batch, keys=keys,
+                                               n=BASE) == counted
+            assert tiles == [(0, 3), (3, 6), (6, 9), (9, 12)]
 
-    def test_explicit_arg_overrides_process_default(self):
+    def test_explicit_arg_overrides_plan_cap(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(19), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=20)
         reference = simulator.run_sweep(batch, keys=keys, n=BASE)
-        with lane_limit(BASE):
+        with _plan_cap(simulator.plan, BASE), _recorded_tiles() as tiles:
             assert simulator.run_sweep(batch, keys=keys, n=BASE,
                                        max_lanes=1 << 30) == reference
+        assert tiles == [(0, POINTS)]
 
 
 class TestConsumerThreading:
-    """A ``lane_limit`` scope reaches sweeps made through the high-level
-    helpers, which take no lane argument of their own."""
+    """The plan's cap reaches sweeps made through the high-level helpers,
+    which take no lane argument of their own."""
 
     def test_key_sweep_helper(self):
         locked = _locked(algorithm="era")
@@ -238,7 +253,7 @@ class TestConsumerThreading:
         keys = [locked.correct_key] + _random_keys(locked.key_width,
                                                    POINTS - 1, 22)
         reference = key_sweep(locked, batch, keys, n=BASE)
-        with lane_limit(3 * BASE):
+        with _plan_cap(get_plan(locked), 3 * BASE):
             assert key_sweep(locked, batch, keys, n=BASE) == reference
 
     def test_functional_kpa_many(self):
@@ -248,7 +263,7 @@ class TestConsumerThreading:
         keys = _random_keys(locked.key_width, 4, seed=23)
         reference = functional_kpa_many(locked, keys, vectors=16,
                                         rng=random.Random(24))
-        with lane_limit(32):
+        with _plan_cap(get_plan(locked), 32):
             chunked = functional_kpa_many(locked, keys, vectors=16,
                                           rng=random.Random(24))
         assert chunked == reference
@@ -260,14 +275,14 @@ class TestConsumerThreading:
         locked = _locked(algorithm="era")
         reference = functional_corruption(locked, vectors=16, wrong_keys=6,
                                           rng=random.Random(25))
-        with lane_limit(32):
+        with _plan_cap(get_plan(locked), 32):
             chunked = functional_corruption(locked, vectors=16,
                                             wrong_keys=6,
                                             rng=random.Random(25))
         assert chunked == reference
         reference = key_bit_sensitivity(locked, vectors=16,
                                         rng=random.Random(26))
-        with lane_limit(32):
+        with _plan_cap(get_plan(locked), 32):
             chunked = key_bit_sensitivity(locked, vectors=16,
                                           rng=random.Random(26))
         assert chunked == reference

@@ -13,17 +13,15 @@ from repro.sim import (
     clear_plan_cache,
     get_plan,
     plan_cache_info,
-    set_plan_cache_size,
 )
+from repro.sim import plan_cache
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
     clear_plan_cache()
-    set_plan_cache_size(128)
     yield
     clear_plan_cache()
-    set_plan_cache_size(128)
 
 
 def _locked_md5(seed=0):
@@ -191,8 +189,8 @@ class TestPlanCache:
         info = plan_cache_info()
         assert info.misses == 1 and info.hits == 1
 
-    def test_lru_eviction(self):
-        set_plan_cache_size(2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(plan_cache, "DEFAULT_CACHE_SIZE", 2)
         designs = [plus_network(4 + i, n_inputs=2, name=f"p{i}")
                    for i in range(3)]
         for design in designs:
@@ -202,10 +200,6 @@ class TestPlanCache:
         before = plan_cache_info().misses
         get_plan(designs[0])
         assert plan_cache_info().misses == before + 1
-
-    def test_set_size_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            set_plan_cache_size(0)
 
     def test_consumers_share_the_cache(self):
         design = load_benchmark("FIR", scale=0.15, seed=0)

@@ -10,7 +10,9 @@ module-level :func:`repro.sim.sweep_differences` must give the same counts
 on its scalar engine, which is also the fallback for uncompilable designs.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -23,12 +25,12 @@ from repro.sim import (
     SweepDifferences,
     compile_plan,
     differing_lanes,
-    lane_limit,
+    plan_lane_bits,
     random_input_batch,
     random_key,
     sweep_differences,
 )
-from repro.sim.plan import PASS_ORDER
+from repro.sim.plan import PASS_ORDER, executor
 from repro.sim.plan.executor import _block_comb, _replicate, sweep_schedule
 from tests.attacks.test_sweep_regression import _oddball_locked
 
@@ -47,8 +49,8 @@ BASES = [64, 100, 33]
 
 POINTS = 7
 
-#: Lane caps per base width: no cap, one-point tiles, and 3-point tiles
-#: (a ragged last tile of one point over 7 points).
+#: Lane caps in points: the plan's default cap (one tile), one-point tiles,
+#: and 3-point tiles (a ragged last tile of one point over 7 points).
 LANE_CAPS = [None, 1, 3]
 
 #: Two outputs; with a shared key and ``a`` bound per point, ``y`` reads
@@ -92,7 +94,12 @@ def _expected(runs, base):
 
 
 def _assert_matches(simulator, base, lane_cap, **sweep):
-    with lane_limit(None if lane_cap is None else lane_cap * base):
+    # A lane cap of ``lane_cap`` points: the lane-bits budget shrunk so the
+    # plan's own cap is that many points' lanes.
+    budget = contextlib.nullcontext() if lane_cap is None else \
+        mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET",
+                          lane_cap * base * plan_lane_bits(simulator.plan))
+    with budget:
         runs = simulator.run_sweep(n=base, **sweep)
         counted = simulator.sweep_differences(n=base, **sweep)
     assert counted.outputs == tuple(simulator.output_names)
