@@ -179,10 +179,19 @@ def make_locker(algorithm: str, rng: random.Random,
     Raises:
         UnknownComponentError: for unregistered algorithm names.
     """
-    _ensure_builtins()
-    factory = LOCKERS.get(algorithm)
+    factory = locker_factory(algorithm)
     return factory(rng, pair_table=pair_table, track_metrics=track_metrics,
                    **options)
+
+
+def locker_factory(algorithm: str) -> Callable:
+    """The factory registered under a locking-algorithm name (or alias).
+
+    Raises:
+        UnknownComponentError: for unregistered algorithm names.
+    """
+    _ensure_builtins()
+    return LOCKERS.get(algorithm)
 
 
 def make_attack(name: str, rng: random.Random, **options):

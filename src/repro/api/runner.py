@@ -12,7 +12,11 @@ the process-wide plan cache with its locked sample's plan
 the batch-simulation consumers inside a worker — functional KPA, corruption
 metrics, avalanche studies — compile every distinct netlist once per worker
 instead of once per call.  Base benchmark designs are generated once per
-process and shared read-only across jobs (lockers copy before mutating).
+process and shared read-only across jobs (lockers copy before mutating), and
+so is each locked cell: the jobs that lock the same design with the same
+locker, seed and key budget — a sample's attack and metric jobs — share one
+:class:`~repro.locking.result.LockResult` (nothing downstream of the lock
+mutates the locked design; attacks relock a copy).
 
 Parallel dispatch is additionally *cost-aware*: :func:`schedule_chunks`
 estimates every pending job's cost (design gate count × rounds × budget, see
@@ -48,8 +52,10 @@ with or without retries, in-process or on the pool.
 
 from __future__ import annotations
 
+import json
 import logging
 import random
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -57,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .backends import (ExecutionRound, JobOutcome, ProcessPoolBackend,
                        RetryPolicy, SerialBackend, classify_failure)
-from .registry import make_attack, make_locker, make_metric
+from .registry import locker_factory, make_attack, make_locker, make_metric
 from .scenario import JobSpec, Scenario
 from .store import ResultsStore
 
@@ -66,35 +72,79 @@ ProgressFn = Callable[[int, int, Dict], None]
 
 _log = logging.getLogger(__name__)
 
-#: Base designs kept per process (jobs share them read-only).
-_DESIGN_CACHE_SIZE = 8
+#: Entries kept per process by each of the base-design and locked-cell
+#: caches (jobs share them read-only).
+_CACHE_SIZE = 8
 
 #: Characters of a failure traceback kept in a ledger entry.
 _LEDGER_ERROR_CHARS = 4000
 
 
-_design_cache: "OrderedDict[Tuple[str, float, int], object]" = OrderedDict()
+#: Guards both caches: in-process runs of ``serve --workers N`` share them
+#: across threads.
+_cache_lock = threading.Lock()
+_design_cache: "OrderedDict[Tuple, object]" = OrderedDict()
+_lock_cache: "OrderedDict[Tuple, object]" = OrderedDict()
+
+
+def _cached(cache: "OrderedDict[Tuple, object]", key: Tuple,
+            build: Callable[[], object]) -> object:
+    """Return ``cache[key]``, building and inserting it on a miss (LRU).
+
+    ``build`` runs outside the lock, so a slow build never blocks other
+    threads' hits; when two threads miss the same key at once, both build
+    and the first value stored wins, so every caller sees one object.
+    """
+    with _cache_lock:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+            return value
+    value = build()
+    with _cache_lock:
+        value = cache.setdefault(key, value)
+        cache.move_to_end(key)
+        while len(cache) > _CACHE_SIZE:
+            cache.popitem(last=False)
+    return value
 
 
 def _load_base_design(benchmark: str, scale: float, seed: int):
     """Load a benchmark once per process and share it across jobs.
 
-    Every job of a benchmark shares one generated base design through this
-    cache.  Sharing is safe because lockers deep-copy the design before
-    mutating (``in_place`` defaults to False).
+    This is the first of the runner's two per-process caches: every job of
+    a benchmark shares one generated base design, and :func:`_lock_cell`
+    then shares each locked cell of it.  Sharing is safe because nothing
+    mutates a cached object: lockers deep-copy the design before mutating
+    (``in_place`` defaults to False), and nothing downstream of the lock
+    mutates the locked design.  Both caches are bounded LRUs of
+    ``_CACHE_SIZE`` entries under one lock.
     """
     from ..bench import load_benchmark
 
-    key = (benchmark, scale, seed)
-    design = _design_cache.get(key)
-    if design is None:
-        design = load_benchmark(benchmark, scale=scale, seed=seed)
-        _design_cache[key] = design
-        while len(_design_cache) > _DESIGN_CACHE_SIZE:
-            _design_cache.popitem(last=False)
-    else:
-        _design_cache.move_to_end(key)
-    return design
+    return _cached(_design_cache, (benchmark, scale, seed),
+                   lambda: load_benchmark(benchmark, scale=scale, seed=seed))
+
+
+def _lock_cell(job: JobSpec, design, budget: int):
+    """Lock a job's cell once per process and share the ``LockResult``.
+
+    The key is the lock's full identity: the base design (benchmark, scale,
+    seed), the locker (its registered factory and canonical options), the
+    locking seed and the key budget.  The attack and metric jobs of one
+    sample share all of it, so they lock once between them.
+    """
+    spec = job.locker
+    key = (job.benchmark, job.scale, job.seed,
+           locker_factory(spec.algorithm),
+           json.dumps(spec.options, sort_keys=True), job.locker_seed, budget)
+
+    def lock():
+        locker = make_locker(spec.algorithm, random.Random(job.locker_seed),
+                             **spec.options)
+        return locker.lock(design, key_budget=budget)
+
+    return _cached(_lock_cache, key, lock)
 
 
 def _json_safe(value):
@@ -128,7 +178,8 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
                 in_worker: bool = False) -> Dict:
     """Execute one job and return its (JSON-ready) record.
 
-    The lock step seeds its locker with :attr:`JobSpec.locker_seed`; the
+    The lock step seeds its locker with :attr:`JobSpec.locker_seed` and is
+    shared by every job of the same locked cell (:func:`_lock_cell`); the
     locked sample's evaluation plan — compiled once through the full
     ``repro.sim.plan`` pass pipeline, sweep-value-numbering tags
     included — is warmed into the process-wide cache before any
@@ -154,10 +205,7 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
     num_operations = design.num_operations()
     budget = key_budget_for(job, num_operations)
 
-    locker = make_locker(job.locker.algorithm,
-                         random.Random(job.locker_seed),
-                         **job.locker.options)
-    locked = locker.lock(design, key_budget=budget)
+    locked = _lock_cell(job, design, budget)
 
     record: Dict = {
         "job_id": job.job_id,

@@ -84,13 +84,19 @@ class OperationGraph:
         return nx.dag_longest_path_length(acyclic)
 
     def _acyclic_view(self) -> nx.DiGraph:
-        graph = self.graph.copy()
+        """The graph with cycles broken: drop each found cycle's first edge.
+
+        The graph is copied at the first removal only; an acyclic graph is
+        returned as is, and callers only read the result.
+        """
+        graph = self.graph
         while True:
-            try:
-                cycle = nx.find_cycle(graph)
-            except nx.NetworkXNoCycle:
+            cycle = _find_cycle(graph)
+            if cycle is None:
                 return graph
-            graph.remove_edge(*cycle[0][:2])
+            if graph is self.graph:
+                graph = graph.copy()
+            graph.remove_edge(*cycle[0])
 
     def topological_site_order(self) -> List[OperationSite]:
         """Return sites ordered by topological position (ties by site index).
@@ -153,6 +159,68 @@ class OperationGraph:
                 if sig_nodes else 0.0
             ),
         }
+
+
+#: Sentinel of an exhausted successor iterator in :func:`_find_cycle`.
+_EXHAUSTED = object()
+
+
+def _find_cycle(graph: nx.DiGraph) -> Optional[List[Tuple[object, object]]]:
+    """``nx.find_cycle(graph)`` in one pass over the edges; None if acyclic.
+
+    An exact port of networkx's default (``source=None``,
+    ``orientation=None``) cycle search on a directed graph: the same start
+    nodes, the same edge order and the same returned cycle.  networkx runs a
+    fresh ``edge_dfs`` from every unexplored start node, and that walk
+    descends into nodes an earlier start already explored, only to skip
+    each of their edges.  Everything reachable from an explored node is
+    explored too, so those skipped edges never touch the cycle state; this
+    port does not descend into explored nodes at all, which makes one call
+    linear in the graph size instead of quadratic on long DAGs.
+    """
+    succ = graph.succ
+    explored: Set[object] = set()
+    for start in graph:
+        if start in explored:
+            continue
+        # edge_dfs state: one successor iterator per node, kept for the walk.
+        neighbours: Dict[object, object] = {}
+        stack = [start]
+        # find_cycle state: the active path's edges and nodes.
+        edges: List[Tuple[object, object]] = []
+        seen = {start}
+        active = {start}
+        previous_head = None
+        while stack:
+            tail = stack[-1]
+            if tail not in neighbours:
+                neighbours[tail] = iter(succ[tail])
+            head = next(neighbours[tail], _EXHAUSTED)
+            if head is _EXHAUSTED:
+                stack.pop()
+                continue
+            if head in explored:
+                continue
+            stack.append(head)
+            if previous_head is not None and tail != previous_head:
+                # Backtracked: pop the path back to the edge ending at tail.
+                while True:
+                    if not edges:
+                        active = {tail}
+                        break
+                    active.remove(edges.pop()[1])
+                    if edges and edges[-1][1] == tail:
+                        break
+            edges.append((tail, head))
+            if head in active:
+                for index, (edge_tail, _) in enumerate(edges):
+                    if edge_tail == head:
+                        return edges[index:]
+            seen.add(head)
+            active.add(head)
+            previous_head = head
+        explored.update(seen)
+    return None
 
 
 def _referenced_signals(expr: ast.Expression) -> List[str]:

@@ -367,3 +367,106 @@ class TestFailureLedgerConcurrency:
         # Raw check: every physical line is one complete JSON object.
         for line in store.failures_path.read_text().splitlines():
             assert json.loads(line)["failure"] == "crash"
+
+
+class TestProcessCaches:
+    """The per-process base-design and locked-cell caches of the runner."""
+
+    @pytest.fixture
+    def runner_module(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.api import runner
+
+        monkeypatch.setattr(runner, "_design_cache", OrderedDict())
+        monkeypatch.setattr(runner, "_lock_cache", OrderedDict())
+        return runner
+
+    def test_concurrent_loads_with_a_bound_of_one(self, runner_module,
+                                                  monkeypatch):
+        """Threads that evict each other's entries never see a KeyError.
+
+        ``serve --workers N`` runs jobs on several threads of one process;
+        without the cache lock, an eviction between another thread's
+        lookup and its LRU refresh raised ``KeyError``.
+        """
+        import sys
+        import threading
+        import time
+
+        import repro.bench
+
+        monkeypatch.setattr(runner_module, "_CACHE_SIZE", 1)
+        monkeypatch.setattr(repro.bench, "load_benchmark",
+                            lambda name, scale, seed: (name, scale, seed))
+        errors = []
+
+        class Name(str):
+            # Hashing yields the GIL, which widens the window between a
+            # cache lookup and its LRU refresh (both hash the key).
+            def __hash__(self):
+                time.sleep(0)
+                return str.__hash__(self)
+
+        names = [Name(f"B{index}") for index in range(3)]
+
+        def load(thread: int) -> None:
+            try:
+                for number in range(500):
+                    key = (names[(thread + number) % 3], 1.0, number % 2)
+                    assert runner_module._load_base_design(*key) == key
+            except Exception as exc:  # reported below with the thread
+                errors.append((thread, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(thread,))
+                       for thread in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(runner_module._design_cache) == 1
+
+    def test_jobs_of_one_cell_lock_once(self, runner_module, monkeypatch):
+        locks = []
+        make_locker = runner_module.make_locker
+
+        def counting_make_locker(*args, **kwargs):
+            locker = make_locker(*args, **kwargs)
+            lock = locker.lock
+
+            def counted_lock(*lock_args, **lock_kwargs):
+                locks.append(args[0])
+                return lock(*lock_args, **lock_kwargs)
+
+            locker.lock = counted_lock
+            return locker
+
+        monkeypatch.setattr(runner_module, "make_locker",
+                            counting_make_locker)
+        scenario = quick_scenario(
+            lockers=(LockerSpec("assure"),), samples=2,
+            metrics=(MetricSpec("avalanche", {"vectors": 4}),
+                     MetricSpec("key-sensitivity", {"vectors": 4})))
+        jobs = scenario.expand()
+        shared = [strip_timing(execute_job(job)) for job in jobs]
+        # Two samples, three jobs each: one lock per sample.
+        assert len(jobs) == 6 and locks == ["assure", "assure"]
+
+        runner_module._lock_cache.clear()
+        fresh = [strip_timing(execute_job(job)) for job in reversed(jobs)]
+        assert shared == list(reversed(fresh))
+        assert len(locks) == 4
+
+        # A different key budget is a different cell.
+        other = quick_scenario(
+            lockers=(LockerSpec("assure", key_budget_fraction=0.5),),
+            attacks=(), metrics=(MetricSpec("avalanche", {"vectors": 4}),))
+        execute_job(other.expand()[0])
+        assert len(locks) == 5
