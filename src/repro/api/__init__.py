@@ -112,15 +112,12 @@ __all__ = [
     "Genome",
     "run_coevo",
     "Runner",
+    "RunPlan",
     "RunReport",
     "execute_job",
     "schedule_chunks",
     "ResultsStore",
     "StoreError",
-    "CostModel",
-    "fit_cost_model",
-    "fit_cost_model_from_pairs",
-    "fit_cost_model_from_store",
     "SerialBackend",
     "ProcessPoolBackend",
     "RetryPolicy",
@@ -168,15 +165,12 @@ _LAZY = {
     "Genome": "coevo",
     "run_coevo": "coevo",
     "Runner": "runner",
+    "RunPlan": "runner",
     "RunReport": "runner",
     "execute_job": "runner",
     "schedule_chunks": "runner",
     "ResultsStore": "store",
     "StoreError": "store",
-    "CostModel": "costmodel",
-    "fit_cost_model": "costmodel",
-    "fit_cost_model_from_pairs": "costmodel",
-    "fit_cost_model_from_store": "costmodel",
     "SerialBackend": "backends",
     "ProcessPoolBackend": "backends",
     "RetryPolicy": "backends",

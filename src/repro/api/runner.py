@@ -24,8 +24,14 @@ estimates every pending job's cost (design gate count × rounds × budget, see
 and submits benchmark-affine chunks largest-first, so the expensive cells of
 a scenario matrix start immediately and the cheap ones backfill the pool's
 tail.  Each record carries its measured ``elapsed_seconds`` and the store
-manifest pairs it with the estimate, so the cost model can be validated from
-any finished run (``repro.cli report`` prints the comparison).
+manifest pairs it with the estimate, so ``repro.cli report`` can compare the
+scheduler's cost estimate with the measured wall time of any finished run.
+
+Which jobs a run executes is decided in one place, :meth:`Runner.plan`: the
+store-identity check, skipping committed records and known-poison jobs, and
+re-running unreadable records.  It reads the store and writes nothing, so
+``repro.cli run --dry-run`` reports exactly what :meth:`Runner.run` would
+execute with the same arguments.
 
 Execution follows one rule: ``jobs=1`` runs on the in-process
 :class:`~repro.api.backends.SerialBackend` and ``jobs > 1`` on the
@@ -316,6 +322,31 @@ def schedule_chunks(todo: Sequence[Tuple[int, JobSpec]],
 
 
 @dataclass
+class RunPlan:
+    """Which jobs a run executes: the read-only answer of :meth:`Runner.plan`.
+
+    Attributes:
+        jobs: The scenario's expanded job list.
+        todo: ``(index, job)`` of every job the run executes, in expansion
+            order.
+        records: ``{job_id: record}`` of committed jobs the run skips, in
+            expansion order.
+        quarantined: Ledger entries (marked ``skipped``) of known-poison
+            jobs the run skips because the retry budget was not raised.
+        unreadable: Ids of record files the run discards and re-executes.
+        overwrite: True when the store belongs to another scenario and the
+            run (``resume=False``) clears its records first.
+    """
+
+    jobs: List[JobSpec]
+    todo: List[Tuple[int, JobSpec]] = field(default_factory=list)
+    records: Dict[str, Dict] = field(default_factory=dict)
+    quarantined: List[Dict] = field(default_factory=list)
+    unreadable: List[str] = field(default_factory=list)
+    overwrite: bool = False
+
+
+@dataclass
 class RunReport:
     """Outcome of one :meth:`Runner.run` invocation.
 
@@ -435,17 +466,14 @@ class Runner:
 
     # ---------------------------------------------------------------- running
 
-    def run(self) -> RunReport:
-        """Execute the scenario and return the aggregate report.
+    def plan(self) -> RunPlan:
+        """Decide which jobs :meth:`run` executes, reading the store only.
 
-        Completed records are written to the store as they arrive, and the
-        manifest is rewritten at the end of the run.  Job failures never
-        abort the run: a transient failure (lost worker, timeout, retryable
-        exception) re-runs under the retry policy's backoff, and a job past
-        its budget — or one failing permanently — is *quarantined*: appended
-        to the store's ``failures.jsonl`` ledger, reported in
-        :attr:`RunReport.failures`, and skipped by later resumes until the
-        retry budget is raised.
+        Under ``resume`` a job is skipped when its record is committed, or
+        when the failure ledger holds it and the retry budget was not raised
+        past its recorded attempts; an unreadable record (truncated by a
+        crash mid-write) is as good as missing, so its job re-executes.
+        Without ``resume`` every job executes.
 
         Raises:
             StoreError: when resuming against a store stamped by a
@@ -457,80 +485,98 @@ class Runner:
         from .store import StoreError
 
         self.scenario.validate()
-        if self.store is not None:
-            # A run killed mid-write leaves *.tmp files behind; sweep them
-            # before anything reads the store so they never accumulate.
-            swept = self.store.sweep_temp_files()
-            if swept:
-                _log.warning("removed %d stale temp file(s) from %s",
-                             swept, self.store.root)
-            stamp = self.store.scenario_stamp()
+        plan = RunPlan(jobs=self.scenario.expand())
+        store = self.store
+        if store is not None:
+            stamp = store.scenario_stamp()
             if stamp is not None and stamp != self.scenario.fingerprint():
                 if self.resume:
                     raise StoreError(
-                        f"results store {self.store.root} was produced by a "
+                        f"results store {store.root} was produced by a "
                         f"different scenario (stamp {stamp}, this scenario "
                         f"{self.scenario.fingerprint()}); use a fresh store "
                         "directory or resume=False to overwrite")
+                plan.overwrite = True
+        if not self.resume or store is None:
+            plan.todo = list(enumerate(plan.jobs))
+            return plan
+
+        attempts = self._resolve_policy().attempts
+        ledger = store.failed_job_ids()
+        for index, job in enumerate(plan.jobs):
+            if store.has(job.job_id):
+                try:
+                    plan.records[job.job_id] = store.load(job.job_id)
+                    continue
+                except StoreError:
+                    plan.unreadable.append(job.job_id)
+            elif (job.job_id in ledger
+                  and attempts <= int(ledger[job.job_id].get("attempts", 1))):
+                plan.quarantined.append(dict(ledger[job.job_id],
+                                             skipped=True))
+                continue
+            plan.todo.append((index, job))
+        return plan
+
+    def run(self) -> RunReport:
+        """Execute the scenario and return the aggregate report.
+
+        The jobs executed are those of :meth:`plan`.  Completed records are
+        written to the store as they arrive, and the manifest is rewritten
+        at the end of the run.  Job failures never abort the run: a
+        transient failure (lost worker, timeout, retryable exception)
+        re-runs under the retry policy's backoff, and a job past its budget
+        — or one failing permanently — is *quarantined*: appended to the
+        store's ``failures.jsonl`` ledger, reported in
+        :attr:`RunReport.failures`, and skipped by later resumes until the
+        retry budget is raised.
+
+        Raises:
+            StoreError: as :meth:`plan` does.
+        """
+        plan = self.plan()
+        jobs = plan.jobs
+        store = self.store
+        if store is not None:
+            # A run killed mid-write leaves *.tmp files behind (no plan ever
+            # reads them); sweep them so they never accumulate.
+            swept = store.sweep_temp_files()
+            if swept:
+                _log.warning("removed %d stale temp file(s) from %s",
+                             swept, store.root)
+            if plan.overwrite:
                 # True overwrite: drop the foreign scenario's records so they
                 # cannot leak into this run's manifest or aggregations.
-                self.store.clear_records()
-            self.store.write_scenario_stamp(self.scenario)
-        jobs = self.scenario.expand()
+                store.clear_records()
+            store.write_scenario_stamp(self.scenario)
+            for job_id in plan.unreadable:
+                _log.warning("discarding unreadable record %r in %s; "
+                             "the job will be re-executed",
+                             job_id, store.root)
+                store.discard(job_id)
         report = RunReport(scenario=self.scenario, total=len(jobs),
-                           executed=0, skipped=0,
-                           store_path=str(self.store.root)
-                           if self.store else None)
+                           executed=0, skipped=len(plan.records),
+                           records=dict(plan.records),
+                           store_path=str(store.root) if store else None,
+                           failures=list(plan.quarantined),
+                           quarantined=len(plan.quarantined))
+        for entry in plan.quarantined:
+            _log.warning(
+                "skipping quarantined job %r (failed %s attempt(s) "
+                "previously; raise retries to re-execute)",
+                entry["job_id"], entry.get("attempts", 1))
+        # Skipped jobs still count towards progress so callers see the true
+        # completion state of a resumed run.
+        done = 0
+        for record in plan.records.values():
+            done += 1
+            self._fire_progress(done, len(jobs), record)
 
         policy = self._resolve_policy()
-        ledger: Dict[str, Dict] = {}
-        if self.resume and self.store is not None:
-            ledger = self.store.failed_job_ids()
-
-        todo: List[Tuple[int, JobSpec]] = []
-        done = 0
-        for index, job in enumerate(jobs):
-            if (self.resume and self.store is not None
-                    and self.store.has(job.job_id)):
-                try:
-                    record = self.store.load(job.job_id)
-                except StoreError:
-                    # A record truncated by a crash mid-write is as good as
-                    # missing: drop it and re-execute the job instead of
-                    # killing the whole resumed run.
-                    _log.warning("discarding unreadable record %r in %s; "
-                                 "the job will be re-executed",
-                                 job.job_id, self.store.root)
-                    self.store.discard(job.job_id)
-                    todo.append((index, job))
-                    continue
-                report.records[job.job_id] = record
-                report.skipped += 1
-                done += 1
-                # Skipped jobs still count towards progress so callers see
-                # the true completion state of a resumed run.
-                self._fire_progress(done, len(jobs), record)
-            elif (job.job_id in ledger
-                  and policy.attempts <= int(
-                      ledger[job.job_id].get("attempts", 1))):
-                # Known poison under an unchanged (or lowered) retry budget:
-                # skip it rather than burn the same attempts again.  Raising
-                # retries past the recorded attempt count re-executes it.
-                entry = dict(ledger[job.job_id])
-                entry["skipped"] = True
-                report.failures.append(entry)
-                report.quarantined += 1
-                _log.warning(
-                    "skipping quarantined job %r (failed %s attempt(s) "
-                    "previously; raise retries to re-execute)",
-                    job.job_id, ledger[job.job_id].get("attempts", 1))
-            else:
-                todo.append((index, job))
-
         executor = SerialBackend() if self.jobs == 1 else ProcessPoolBackend()
         job_timeout = self._resolve_timeout()
         scenario_dict = self.scenario.to_dict()
-        pending: Dict[int, JobSpec] = dict(todo)
+        pending: Dict[int, JobSpec] = dict(plan.todo)
         attempts: Dict[int, int] = {index: 0 for index in pending}
 
         try:

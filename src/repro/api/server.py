@@ -1,8 +1,8 @@
 """Persistent scenario service: submit jobs, stream progress, stay warm.
 
 Every workload used to be one ``cli run`` process, so the process-wide plan
-cache, the fitted cost model and the per-process design cache died with it —
-back-to-back scenario runs paid full recompilation every time.  A
+cache and the per-process design cache died with it — back-to-back
+scenario runs paid full recompilation every time.  A
 :class:`ScenarioServer` keeps one process alive across submissions: clients
 connect over a newline-delimited-JSON socket (Unix domain socket by
 default, TCP optional), submit scenarios, and every run executes through

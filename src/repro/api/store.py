@@ -28,7 +28,7 @@ sweep tables, timing-vs-estimate validation — without re-running anything.
 The manifest pairs every record's measured wall time with the scheduler's
 ``estimated_cost`` and carries the expanded ``total_jobs`` count, so a store
 also answers "is this run complete?" (:meth:`ResultsStore.completion`) and
-"was the cost model any good?".
+"was the scheduler's cost estimate any good?".
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ class ResultsStore:
 
         Each job summary pairs the measured ``elapsed_seconds`` of the
         record with the scheduler's ``estimated_cost`` for the same job, so
-        a finished store doubles as validation data for the cost model
+        a finished store doubles as validation data for the estimate
         (``repro.cli report`` renders the comparison).  ``total_jobs`` is
         the expanded size of the scenario; a store with fewer records than
         that is a *partial* run (interrupted or still filling).

@@ -219,77 +219,38 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return _execute(scenario, store, jobs=args.jobs, output=args.output)
 
 
-def _dry_run_plan(scenario, store, args) -> int:
-    """Print the expanded job plan with a calibrated wall-time ETA."""
-    from .api import fit_cost_model, fit_cost_model_from_store
+def _dry_run(scenario: Scenario, store: ResultsStore,
+             **runner_options) -> int:
+    """Print the jobs a real run with the same options would execute.
 
-    # Same identity check the real run performs: a plan computed against a
-    # store stamped by a different scenario would be fiction (its records
-    # and manifest belong to another workload).
+    The answer is :meth:`Runner.plan`, the rule the real run starts from,
+    so the two agree on every store state; nothing is written.  Errors
+    print and return exactly as :func:`_execute` does.
+    """
     try:
-        stamp = store.scenario_stamp()
-    except StoreError as exc:
+        plan = Runner(scenario, store=store, **runner_options).plan()
+    except (ScenarioError, StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if stamp is not None and stamp != scenario.fingerprint():
-        print(f"error: store {store.root} belongs to a different scenario "
-              f"(stamped {stamp}, this scenario is "
-              f"{scenario.fingerprint()})", file=sys.stderr)
-        return 1
 
-    jobs = scenario.expand()
-    pending = [job for job in jobs
-               if args.no_resume or not store.has(job.job_id)]
-
-    model = None
-    source = None
-    if args.calibrate_from is not None:
-        try:
-            manifest = json.loads(args.calibrate_from.read_text())
-            if not isinstance(manifest, dict):
-                raise ValueError("not a manifest object")
-            model = fit_cost_model(manifest)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(f"error: cannot calibrate from {args.calibrate_from}: "
-                  f"{exc}", file=sys.stderr)
-            return 1
-        source = args.calibrate_from
-    else:
-        model = fit_cost_model_from_store(store)
-        source = store.manifest_path
     per_benchmark: dict = {}
-    for job in pending:
+    for _, job in plan.todo:
         bucket = per_benchmark.setdefault(job.benchmark,
                                           {"jobs": 0, "cost": 0.0})
         bucket["jobs"] += 1
         bucket["cost"] += job.estimated_cost()
-    total_cost = sum(bucket["cost"] for bucket in per_benchmark.values())
-
-    def eta(cost: float) -> str:
-        if model is None:
-            return "-"
-        return f"{model.predict_seconds(cost):.1f}"
-
-    rows = [[benchmark, bucket["jobs"], bucket["cost"], eta(bucket["cost"])]
+    rows = [[benchmark, bucket["jobs"], bucket["cost"]]
             for benchmark, bucket in sorted(per_benchmark.items())]
-    rows.append(["TOTAL", len(pending), total_cost, eta(total_cost)])
-    print(f"Scenario {scenario.name!r}: {len(jobs)} job(s) expanded, "
-          f"{len(jobs) - len(pending)} already in {store.root}, "
-          f"{len(pending)} to execute")
+    rows.append(["TOTAL", len(plan.todo),
+                 sum((bucket["cost"] for bucket in per_benchmark.values()),
+                     0.0)])
+    print(f"Scenario {scenario.name!r}: {len(plan.jobs)} job(s) expanded, "
+          f"{len(plan.records)} already in {store.root}, "
+          f"{len(plan.quarantined)} quarantined, "
+          f"{len(plan.todo)} to execute")
     print()
-    print(format_table(["benchmark", "jobs", "est. cost", "ETA (s)"],
-                       rows, title="Dry run — nothing was executed"))
-    if model is None:
-        print("\nNo calibration data: ETAs need a completed store manifest "
-              "(re-run after a first run, or pass --calibrate-from "
-              "<manifest.json>).")
-    else:
-        print(f"\nCost model: {model.ms_per_unit:.3f} ms/unit, fitted from "
-              f"{model.jobs} job(s) in {source}")
-        if len(pending) > 1 and args.jobs > 1:
-            serial = model.predict_seconds(total_cost)
-            print(f"ETA: {serial:.1f}s serial; >= {serial / args.jobs:.1f}s "
-                  f"with --jobs {args.jobs} (perfect-split lower bound)")
+    print(format_table(["benchmark", "jobs", "est. cost"], rows,
+                       title="Dry run — nothing was executed"))
     return 0
 
 
@@ -324,7 +285,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     store = ResultsStore(args.store if args.store is not None
                          else Path("runs") / scenario.name)
     if args.dry_run:
-        return _dry_run_plan(scenario, store, args)
+        return _dry_run(scenario, store, jobs=args.jobs,
+                        resume=not args.no_resume, retries=args.retries,
+                        job_timeout=args.job_timeout)
 
     fault_plan = None
     if args.fault_plan is not None:
@@ -879,12 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-q", "--quiet", action="store_true",
                      help="suppress per-job progress lines")
     run.add_argument("--dry-run", action="store_true",
-                     help="print the expanded job plan and a wall-time ETA "
-                          "(calibrated from the store's manifest) without "
-                          "executing anything")
-    run.add_argument("--calibrate-from", type=Path, default=None,
-                     help="manifest.json of a past run to fit the "
-                          "ms-per-cost-unit model from (--dry-run ETAs)")
+                     help="print the jobs a run with the same flags would "
+                          "execute, per benchmark with their estimated "
+                          "cost, without writing anything")
     run.add_argument("--retries", type=int, default=None,
                      help="extra attempts per job after a transient failure "
                           "(crash/timeout/retryable error) before it is "

@@ -194,8 +194,8 @@ def _sweep_vn_setup(design: Design, rng: random.Random, sizes: Sizes):
 
 def _pipelined_setup(design: Design, rng: random.Random, sizes: Sizes):
     # Only the lane limit differs, so the delta is the pipelining overhead.
-    # The explicit full-width limit keeps the reference unchunked even under
-    # a process-wide default lane limit.
+    # The explicit full-width limit keeps the reference unchunked even when
+    # the plan's own cap (``auto_max_lanes``) is smaller than the sweep.
     n, max_lanes = sizes.vn_vectors, sizes.max_lanes
     _, _, _, run = _sweep_inputs(design, rng, sizes.keys, n)
     tile_points = max(1, max_lanes // n)

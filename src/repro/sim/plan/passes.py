@@ -403,24 +403,16 @@ def normalize_passes(passes: Sequence[str]) -> List[str]:
     return [name for name in PASS_ORDER if name in wanted]
 
 
-def compile_plan(design: Design, cse: bool = True, prune: bool = True,
-                 fold: bool = True, sweep_vn: bool = True,
+def compile_plan(design: Design,
                  passes: Optional[Sequence[str]] = None) -> EvalPlan:
     """Compile ``design`` into an :class:`~repro.sim.plan.steps.EvalPlan`.
 
     Args:
         design: The design to compile.
-        cse: Hoist subexpressions that occur more than once into shared
-            ``$cseN`` steps, each evaluated once per pass.
-        prune: Drop steps no combinational output transitively reads.
-        fold: Replace identifier-free subexpressions by literal constants.
-        sweep_vn: Run sweep value-numbering — tag point-invariant steps and
-            hoist point-invariant subexpressions into ``$vnN`` steps, so
-            ``run_sweep`` evaluates them once per V-lane base batch instead
-            of once per S×V sweep lane.
-        passes: Explicit pass-name list overriding the four toggles
-            (normalised onto the canonical order, ``lower`` inserted when
-            omitted).
+        passes: Pass names to run (default: every pass of
+            :data:`PASS_ORDER`; the module docstring says what each does),
+            normalised onto the canonical order with ``lower`` inserted
+            when omitted.
 
     All pass combinations are value-neutral: every compiled closure produces
     exactly its declared slice count, so outputs are bit-identical to the
@@ -432,12 +424,7 @@ def compile_plan(design: Design, cse: bool = True, prune: bool = True,
         BatchCompileError: for constructs the plan cannot express statically.
         ValueError: for unknown pass names.
     """
-    if passes is None:
-        names = [name for name, enabled
-                 in zip(PASS_ORDER, (fold, cse, sweep_vn, True, prune))
-                 if enabled]
-    else:
-        names = normalize_passes(passes)
+    names = normalize_passes(PASS_ORDER if passes is None else passes)
 
     build = PlanBuild.from_design(design)
     PassManager([PASS_FACTORIES[name]() for name in names]).run(build)

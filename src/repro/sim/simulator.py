@@ -157,11 +157,10 @@ def _batch_simulators(*designs: Design):
     Plans come from the process-wide cache, so repeated checks of the same
     designs (metric sweeps, per-sample attack validation) compile once.
     """
-    from .plan import BatchCompileError, BatchSimulator
-    from .plan_cache import get_plan
+    from .plan import BatchCompileError
+    from .plan_cache import cached_simulator
     try:
-        return [BatchSimulator(design, plan=get_plan(design))
-                for design in designs]
+        return [cached_simulator(design) for design in designs]
     except BatchCompileError:
         return None
 

@@ -108,8 +108,12 @@ class TestQuarantine:
         assert entry["classification"] == "transient"
         assert "InjectedTransientError" in entry["error"]
         assert list(store.failed_job_ids()) == [entry["job_id"]]
-        # The manifest names the quarantined jobs.
-        assert store.manifest()["quarantined_jobs"] == [entry["job_id"]]
+        # The manifest names the quarantined jobs and summarises only the
+        # committed ones: a quarantined job has no record, hence no entry.
+        manifest = store.manifest()
+        assert manifest["quarantined_jobs"] == [entry["job_id"]]
+        assert [summary["job_id"] for summary in manifest["jobs"]] == \
+            list(report.records)
 
     def test_resume_skips_known_poison(self, tmp_path):
         store = ResultsStore(tmp_path / "s")

@@ -1,6 +1,7 @@
 """Integration tests for the repro-lock command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -456,8 +457,67 @@ class TestReportJson:
         assert payload["axis_sweeps"] == []
 
 
+#: A two-job scenario (one ASSURE and one ERA attack) for the store states.
+DRY_RUN_SCENARIO = json.dumps({
+    "name": "dry-run",
+    "benchmarks": ["SASC"],
+    "lockers": ["assure", "era"],
+    "attacks": [{"name": "snapshot", "rounds": 3, "time_budget": 0.5}],
+    "samples": 1,
+    "scale": 0.15,
+    "seed": 3,
+})
+
+#: Every attempt of the ERA job fails transiently.
+POISON_ERA = json.dumps({"seed": 1, "faults": [
+    {"kind": "transient", "rate": 1.0, "match": "__era__"}]})
+
+POISONED = ("scenario", "--retries", "1", "--fault-plan", "poison")
+
+#: Store states as data: (id, the runs that build the store, the flags of
+#: the dry run and of the real run that follows it, the jobs both report).
+#: A building run is ``(scenario file, *flags)``; "truncate" cuts a record.
+STORE_STATES = [
+    ("fresh", (), (), 2),
+    ("complete", (("scenario",),), (), 0),
+    ("poisoned", (POISONED,), (), 0),
+    ("poisoned-retries-raised", (POISONED,), ("--retries", "3"), 1),
+    ("foreign-no-resume", (("foreign",),), ("--no-resume",), 2),
+    ("truncated-record", (("scenario",), "truncate"), (), 1),
+]
+
+
+def _store_state(tmp_path, capsys, setup):
+    """Write the input files, build a store from ``setup``; return both."""
+    files = {"scenario": DRY_RUN_SCENARIO, "poison": POISON_ERA,
+             "foreign": TestReport.SINGLE_SCENARIO}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    store = tmp_path / "store"
+    for step in setup:
+        if step == "truncate":
+            record = sorted((store / "jobs").glob("*.json"))[0]
+            record.write_text(record.read_text()[:20])
+            continue
+        main(["run", *(str(paths.get(arg, arg)) for arg in step),
+              "--store", str(store), "-q"])
+    capsys.readouterr()
+    return paths, store
+
+
+def _tree(root):
+    """Every path under ``root`` with its bytes; None for an absent root."""
+    if not root.exists():
+        return None
+    return {str(path.relative_to(root)):
+            path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
 class TestDryRun:
-    """``repro-lock run --dry-run``: job plan + calibrated wall-time ETA."""
+    """``repro-lock run --dry-run``: the jobs a real run would execute."""
 
     def test_dry_run_executes_nothing(self, tmp_path, capsys):
         scenario_file = tmp_path / "scenario.json"
@@ -468,71 +528,36 @@ class TestDryRun:
         out = capsys.readouterr().out
         assert "Dry run — nothing was executed" in out
         assert "1 to execute" in out
-        assert "No calibration data" in out
         assert not store.exists()
 
-    def test_dry_run_eta_calibrates_from_the_stores_manifest(self, tmp_path,
-                                                             capsys):
-        store = TestReport._run_scenario(tmp_path, capsys,
-                                         TestReport.SINGLE_SCENARIO,
-                                         "eta_store")
-        scenario_file = tmp_path / "scenario.json"
-        scenario_file.write_text(TestReport.SINGLE_SCENARIO)
-        assert main(["run", str(scenario_file), "--store", str(store),
-                     "--dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert "0 to execute" in out
-        assert "Cost model:" in out
-        assert "ms/unit" in out
-
-    def test_dry_run_calibrates_from_a_foreign_manifest(self, tmp_path,
-                                                        capsys):
-        store = TestReport._run_scenario(tmp_path, capsys,
-                                         TestReport.SINGLE_SCENARIO,
-                                         "calib_store")
-        scenario_file = tmp_path / "scenario.json"
-        scenario_file.write_text(TestReport.SINGLE_SCENARIO)
-        fresh = tmp_path / "fresh_store"
-        assert main(["run", str(scenario_file), "--store", str(fresh),
-                     "--dry-run", "--calibrate-from",
-                     str(store / "manifest.json")]) == 0
-        out = capsys.readouterr().out
-        assert "1 to execute" in out
-        assert "Cost model:" in out
-        assert "ETA (s)" in out
-
-    def test_dry_run_rejects_unreadable_calibration_source(self, tmp_path,
-                                                           capsys):
-        scenario_file = tmp_path / "scenario.json"
-        scenario_file.write_text(TestReport.SINGLE_SCENARIO)
-        assert main(["run", str(scenario_file), "--store",
-                     str(tmp_path / "s"), "--dry-run", "--calibrate-from",
-                     str(tmp_path / "absent.json")]) == 1
-        assert "cannot calibrate" in capsys.readouterr().err
+    @pytest.mark.parametrize("setup, flags, executes",
+                             [state[1:] for state in STORE_STATES],
+                             ids=[state[0] for state in STORE_STATES])
+    def test_dry_run_matches_the_real_run(self, tmp_path, capsys, setup,
+                                          flags, executes):
+        paths, store = _store_state(tmp_path, capsys, setup)
+        command = ["run", str(paths["scenario"]), "--store", str(store),
+                   *flags]
+        before = _tree(store)
+        assert main([*command, "--dry-run"]) == 0
+        assert _tree(store) == before
+        planned = re.search(r"(\d+) to execute", capsys.readouterr().out)
+        main([*command, "-q"])
+        executed = re.search(r"(\d+) executed", capsys.readouterr().out)
+        assert int(planned.group(1)) == int(executed.group(1)) == executes
 
     def test_dry_run_rejects_a_foreign_scenarios_store(self, tmp_path,
                                                        capsys):
-        """Same identity check as the real run: a plan computed against
-        another scenario's store would be fiction."""
-        store = TestReport._run_scenario(tmp_path, capsys,
-                                         TestReport.SINGLE_SCENARIO,
-                                         "foreign_store")
-        other = tmp_path / "other.json"
-        other.write_text(TestReport.MATRIX_SCENARIO)
-        assert main(["run", str(other), "--store", str(store),
-                     "--dry-run"]) == 1
-        assert "different scenario" in capsys.readouterr().err
-
-    def test_dry_run_rejects_non_object_calibration_json(self, tmp_path,
-                                                         capsys):
-        scenario_file = tmp_path / "scenario.json"
-        scenario_file.write_text(TestReport.SINGLE_SCENARIO)
-        bogus = tmp_path / "records.json"
-        bogus.write_text("[1, 2, 3]")
-        assert main(["run", str(scenario_file), "--store",
-                     str(tmp_path / "s"), "--dry-run", "--calibrate-from",
-                     str(bogus)]) == 1
-        assert "cannot calibrate" in capsys.readouterr().err
+        """Same identity check as the real run, with the same error."""
+        paths, store = _store_state(tmp_path, capsys, (("foreign",),))
+        command = ["run", str(paths["scenario"]), "--store", str(store)]
+        before = _tree(store)
+        assert main([*command, "--dry-run"]) == 1
+        error = capsys.readouterr().err
+        assert "different scenario" in error
+        assert main([*command, "-q"]) == 1
+        assert capsys.readouterr().err == error
+        assert _tree(store) == before
 
 
 class TestSimBench:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-import repro.sim
+import repro.sim.plan_cache
 from repro.locking import AssureLocker, avalanche_sensitivity
 from repro.locking.metrics import AvalancheReport
 from repro.rtlir import Design
@@ -101,12 +101,16 @@ class TestEngineEquivalence:
         batch = avalanche_sensitivity(design, signal="b", vectors=8,
                                       rng=random.Random(3))
 
+        calls = []
+
         def refuse(_design):
+            calls.append(_design)
             raise BatchCompileError("forced fallback")
 
-        monkeypatch.setattr(repro.sim, "cached_simulator", refuse)
+        monkeypatch.setattr(repro.sim.plan_cache, "cached_simulator", refuse)
         scalar = avalanche_sensitivity(design, signal="b", vectors=8,
                                        rng=random.Random(3))
+        assert calls, "the batch path was never refused"
         assert scalar.per_bit == batch.per_bit
         assert scalar.lanes_changed == batch.lanes_changed
         assert scalar.base_value == batch.base_value

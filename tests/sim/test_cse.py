@@ -42,8 +42,8 @@ endmodule
 
 
 def _cross_check(design, vectors=12, seed=0, key=None):
-    plain = BatchSimulator(design, plan=compile_plan(design, cse=False,
-                                                     prune=False))
+    plain = BatchSimulator(design, plan=compile_plan(
+        design, passes=("fold", "sweep-vn")))
     optimised = BatchSimulator(design, plan=compile_plan(design))
     scalar = CombinationalSimulator(design)
     batch = random_input_batch(design, random.Random(seed), vectors)
@@ -76,7 +76,8 @@ class TestSharedSubexpressions:
 
     def test_cse_disabled_plan_has_no_slots(self):
         design = Design.from_verilog(CSE_HEAVY)
-        plan = compile_plan(design, cse=False)
+        plan = compile_plan(design,
+                            passes=("fold", "sweep-vn", "prune"))
         assert plan.stats.cse_steps == 0
         assert all(not step.target.startswith("$cse")
                    for step in plan.steps)
@@ -104,7 +105,8 @@ class TestDeadStepPruning:
 
     def test_prune_disabled_keeps_every_step(self):
         design = Design.from_verilog(DEAD_LOGIC)
-        plan = compile_plan(design, prune=False)
+        plan = compile_plan(design,
+                            passes=("fold", "cse", "sweep-vn"))
         names = {step.target for step in plan.steps}
         assert {"used", "unused1", "unused2", "y"} <= names
         assert plan.stats.pruned_steps == 0

@@ -111,10 +111,10 @@ class TestGoldenMatrix:
         """The PR 2 CSE design stays bit-identical for every cse × prune
         × fold × sweep-vn combination."""
         design = Design.from_verilog(CSE_HEAVY)
-        for cse, prune, fold, vn in itertools.product((False, True),
-                                                      repeat=4):
-            plan = compile_plan(design, cse=cse, prune=prune, fold=fold,
-                                sweep_vn=vn)
+        optional = [name for name in PASS_ORDER if name != "lower"]
+        for flags in itertools.product((False, True), repeat=4):
+            plan = compile_plan(design, passes=[
+                name for name, on in zip(optional, flags) if on])
             simulator = BatchSimulator(design, plan=plan)
             batch = random_input_batch(design, random.Random(3), 6)
             reference = BatchSimulator(
@@ -131,7 +131,7 @@ class TestConstantFolding:
 
     def test_fold_disabled_reports_zero(self):
         design = Design.from_verilog(CONST_HEAVY)
-        plan = compile_plan(design, fold=False)
+        plan = compile_plan(design, passes=("cse", "sweep-vn", "prune"))
         assert plan.stats.folded_constants == 0
 
     def test_fold_does_not_mutate_the_design_ast(self):
@@ -150,7 +150,7 @@ class TestConstantFolding:
         from repro.sim import BatchCompileError
 
         with pytest.raises(BatchCompileError):
-            compile_plan(design, fold=False)
+            compile_plan(design, passes=("cse", "sweep-vn", "prune"))
         simulator = BatchSimulator(design, plan=compile_plan(design))
         oracle = CombinationalSimulator(design)
         assert simulator.run({"a": 0b1011}) == oracle.run({"a": 0b1011})
@@ -184,7 +184,7 @@ class TestSweepValueNumbering:
 
     def test_disabled_pass_leaves_plan_untagged(self):
         locked = _locked("era")
-        plan = compile_plan(locked, sweep_vn=False)
+        plan = compile_plan(locked, passes=("fold", "cse", "prune"))
         assert not plan.sweep_hoist
         assert plan.stats.invariant_steps == 0
         assert plan.stats.hoisted_subexprs == 0
@@ -211,15 +211,6 @@ class TestPassManagerPlumbing:
             == plan.stats.pruned_steps
         assert plan.stats.steps == prune.steps_after
 
-    def test_toggles_and_passes_list_agree(self):
-        design = Design.from_verilog(CSE_HEAVY)
-        via_toggles = compile_plan(design, cse=True, prune=False,
-                                   fold=False, sweep_vn=False)
-        via_list = compile_plan(design, passes=("cse", "lower"))
-        assert [d.name for d in via_toggles.stats.passes] \
-            == [d.name for d in via_list.stats.passes]
-        assert via_toggles.stats.cse_steps == via_list.stats.cse_steps
-
     def test_normalize_passes_inserts_lower_and_orders(self):
         assert normalize_passes(["prune", "cse"]) == ["cse", "lower",
                                                       "prune"]
@@ -236,5 +227,6 @@ class TestPassManagerPlumbing:
         design = Design.from_verilog(CSE_HEAVY)
         plan = compile_plan(design)
         assert plan.stats.cse_steps >= 2
-        no_cse = compile_plan(design, cse=False)
+        no_cse = compile_plan(design,
+                              passes=("fold", "sweep-vn", "prune"))
         assert no_cse.stats.cse_steps == 0

@@ -50,7 +50,8 @@ class TestHoistedKeySweeps:
     def test_default_follows_the_plan_toggle(self):
         locked = _locked()
         vn_plan = compile_plan(locked)
-        legacy_plan = compile_plan(locked, sweep_vn=False)
+        legacy_plan = compile_plan(locked,
+                                   passes=("fold", "cse", "prune"))
         assert vn_plan.sweep_hoist and not legacy_plan.sweep_hoist
         batch = BatchSimulator(locked, plan=vn_plan).random_batch(
             random.Random(3), 8)
