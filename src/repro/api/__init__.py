@@ -38,7 +38,7 @@ This package is the one import surface a workload author needs:
   share one warm plan cache, progress streams back live (``watch``), and
   resubmitted scenarios dedup by fingerprint into the existing store.  The
   protocol layer is a typed ``Request``/``Response``/``Event`` envelope
-  with canonical error codes and a ``determinism_class`` tag.
+  with canonical error codes.
 * **Results store** (:mod:`repro.api.store`) — one JSON record per job plus
   an aggregate manifest pairing measured wall time with the scheduler's
   cost estimates; re-runs against an existing store skip completed jobs,
@@ -137,7 +137,6 @@ __all__ = [
     "Request",
     "Response",
     "Event",
-    "determinism_class",
     "ScenarioServer",
     "ServerJob",
     "JobCancelled",
@@ -190,7 +189,6 @@ _LAZY = {
     "Request": "protocol",
     "Response": "protocol",
     "Event": "protocol",
-    "determinism_class": "protocol",
     "ScenarioServer": "server",
     "ServerJob": "server",
     "JobCancelled": "server",

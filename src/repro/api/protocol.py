@@ -25,14 +25,6 @@ on ``error["code"]``, never on message text.  ``error["message"]`` always
 carries the underlying human-readable cause (e.g. the exact
 :class:`~repro.api.scenario.ScenarioError` text behind an
 ``INVALID_SCENARIO``).
-
-Every job result carries a ``determinism_class`` tag
-(:func:`determinism_class`) that maps directly onto the scenario API's
-``deterministic`` auto-ML budget mode: ``"deterministic"`` scenarios produce
-machine- and schedule-independent records (the server's dedup-by-fingerprint
-relies on this), ``"wall_clock"`` scenarios opted out via
-``options={"deterministic": false}`` and their records may legitimately vary
-between machines.
 """
 
 from __future__ import annotations
@@ -60,9 +52,6 @@ ERROR_CODES = (
     "SHUTTING_DOWN",        # server no longer accepts new work
     "INTERNAL",             # unexpected server-side failure
 )
-
-#: Determinism classes a job result may be tagged with.
-DETERMINISM_CLASSES = ("deterministic", "wall_clock")
 
 
 class ProtocolError(Exception):
@@ -266,21 +255,3 @@ def decode_server_message(line: Union[str, bytes]) -> Union[Response, Event]:
     if "event" in data:
         return Event.from_dict(data)
     return Response.from_dict(data)
-
-
-def determinism_class(scenario) -> str:
-    """The determinism class of a scenario's records.
-
-    Maps the scenario API's ``deterministic`` auto-ML budget mode onto the
-    protocol tag: scenario runs interpret every attack's ``time_budget``
-    deterministically *unless* the attack opted out via
-    ``options={"deterministic": false}`` — such records depend on wall-clock
-    contention and are tagged ``"wall_clock"``; everything else is
-    ``"deterministic"`` (bit-identical across machines, ``jobs`` counts and
-    schedules, which is what lets the server dedup resubmissions by
-    scenario fingerprint).
-    """
-    for attack in getattr(scenario, "attacks", ()):
-        if attack.options.get("deterministic") is False:
-            return "wall_clock"
-    return "deterministic"

@@ -196,18 +196,17 @@ class AttackSpec:
     Attributes:
         name: Registry name of the attack.
         rounds: Relocking rounds of the training set.
-        time_budget: Auto-ML search budget.  The built-in ``snapshot``
-            factory interprets it *deterministically* in scenario runs (one
-            roster candidate per budget second, cheapest first) so records
-            are bit-identical across serial and parallel execution; pass
-            ``options={"deterministic": false}`` for the historical
-            wall-clock behaviour.
+        time_budget: Auto-ML search budget of the built-in ``snapshot``
+            attack: the number of roster candidates evaluated, cheapest
+            first.  It counts candidates, not seconds, so records are
+            bit-identical across machines and serial or parallel execution.
         time_budgets: Optional *budget sweep axis*.  When non-empty it
             replaces ``time_budget``: every value expands into its own job
             (same attack stream, different search budget — a controlled
             budget-scaling comparison) tagged ``tb<value>`` in the
             ``job_id``.
-        feature_set: Locality feature set (``pair``/``extended``/``behavioral``).
+        feature_set: Locality feature set, one of
+            :data:`repro.attacks.locality.FEATURE_SETS`.
         functional_vectors: Vectors for functional-KPA validation (0 = off).
         options: Extra factory keyword arguments (free-form, JSON-valued).
     """
@@ -226,6 +225,10 @@ class AttackSpec:
         for budget in (self.time_budget,) + tuple(self.time_budgets):
             _require(budget > 0, "attack time_budget must be positive")
         _check_axis(self.time_budgets, "time_budgets")
+        from ..attacks.locality import FEATURE_SETS
+        _require(self.feature_set in FEATURE_SETS,
+                 f"unknown attack feature_set {self.feature_set!r}; "
+                 f"expected one of {', '.join(FEATURE_SETS)}")
         _require(self.functional_vectors >= 0,
                  "functional_vectors must be non-negative")
         _check_options(self.options,

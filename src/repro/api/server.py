@@ -41,7 +41,6 @@ makes server-side stores bit-identical to local ones.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import queue
@@ -54,9 +53,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .protocol import (PROTOCOL_VERSION, Event, ProtocolError, Request,
-                       Response, decode_request, determinism_class, encode)
+                       Response, decode_request, encode)
 from .scenario import Scenario, ScenarioError
-from .store import ResultsStore, StoreError
+from .store import ResultsStore, StoreError, write_json_atomic
 
 _log = logging.getLogger(__name__)
 
@@ -111,7 +110,6 @@ class ServerJob:
             "fingerprint": self.fingerprint,
             "store": str(self.store_path),
             "state": self.state,
-            "determinism_class": determinism_class(self.scenario),
             "done": self.done,
             "total": self.total,
             "executed": self.executed,
@@ -639,8 +637,9 @@ def run_server(runs_root: Path, socket_path: Optional[Path] = None,
 
     Installs SIGTERM/SIGINT handlers that cancel in-flight runs at the next
     job boundary — a killed daemon leaves every store resumable.  ``ready``
-    names a file written (with the server address) once the listener is
-    bound, so scripts can wait for startup without polling the socket.
+    names a file written atomically (with the server address) once the
+    listener is bound, so scripts can wait for startup without polling the
+    socket.
     """
     import signal
 
@@ -650,8 +649,8 @@ def run_server(runs_root: Path, socket_path: Optional[Path] = None,
     server.start()
     if ready is not None:
         ready.parent.mkdir(parents=True, exist_ok=True)
-        ready.write_text(json.dumps({"address": server.address,
-                                     "pid": os.getpid()}) + "\n")
+        write_json_atomic(ready, {"address": server.address,
+                                  "pid": os.getpid()})
 
     def _graceful(signum, frame):
         _log.info("signal %s: shutting down (cancelling in-flight runs)",

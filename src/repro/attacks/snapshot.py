@@ -79,10 +79,13 @@ class SnapShotAttack:
             uses 1000; the default here is laptop-friendly and configurable).
         relock_budget: Key bits per relocking round (defaults to the target's
             own key width).
-        feature_set: Locality feature set (``pair`` or ``extended``).
+        feature_set: Locality feature set (``pair``, ``extended`` or
+            ``behavioral``; see :data:`~repro.attacks.locality.FEATURE_SETS`).
         pair_table: Pair table assumed by the attacker for relocking.
-        time_budget: Auto-ML time budget in seconds (only used for the default
-            model).
+        time_budget: Auto-ML search budget in roster candidates, cheapest
+            first (only used for the default model).  The search has no
+            wall-clock deadline, so the attack result is a pure function of
+            the target and ``rng``.
         max_training_samples: Cap on the number of training localities handed
             to the model; larger training sets are subsampled uniformly.  The
             statistical signal (operation-pair frequencies) is preserved while
@@ -95,11 +98,6 @@ class SnapShotAttack:
             per-key lanes) and the match rate is reported as
             :attr:`AttackResult.functional_kpa`.  0 (the default) skips the
             simulation entirely.
-        deterministic: Run the default auto-ML search in deterministic mode
-            (one roster candidate per budget second, no wall-clock deadline)
-            so attack results are a pure function of target and seed — the
-            mode scenario runs use to stay bit-identical across serial and
-            parallel execution.  Ignored when an explicit ``model`` is given.
         rng: Random source.
     """
 
@@ -111,7 +109,6 @@ class SnapShotAttack:
                  time_budget: float = 10.0,
                  max_training_samples: int = 20000,
                  functional_vectors: int = 0,
-                 deterministic: bool = False,
                  rng: Optional[random.Random] = None) -> None:
         if max_training_samples < 1:
             raise ValueError("max_training_samples must be positive")
@@ -125,7 +122,6 @@ class SnapShotAttack:
         self.time_budget = time_budget
         self.max_training_samples = max_training_samples
         self.functional_vectors = functional_vectors
-        self.deterministic = deterministic
         self.rng = rng or random.Random()
 
     # ------------------------------------------------------------------ steps
@@ -150,7 +146,6 @@ class SnapShotAttack:
             model = AutoMLClassifier(
                 time_budget=self.time_budget,
                 random_state=self.rng.randrange(2 ** 31),
-                deterministic=self.deterministic,
             )
         features, labels = training_set.features, training_set.labels
         if features.shape[0] > self.max_training_samples:
@@ -290,16 +285,8 @@ def _make_snapshot(rng: random.Random, rounds: int = 20,
                    pair_table: Optional[PairTable] = None,
                    time_budget: float = 10.0,
                    functional_vectors: int = 0,
-                   deterministic: bool = True,
                    **_: object) -> SnapShotAttack:
-    """The paper's ML-driven structural attack adapted to RTL.
-
-    Scenario runs default to the *deterministic* auto-ML budget (one
-    candidate per budget second instead of a wall-clock deadline), so a
-    scenario's records are bit-identical across machines, repeats, and
-    serial vs. parallel execution.
-    """
+    """The paper's ML-driven structural attack adapted to RTL."""
     return SnapShotAttack(rounds=rounds, feature_set=feature_set,
                           pair_table=pair_table, time_budget=time_budget,
-                          functional_vectors=functional_vectors,
-                          deterministic=deterministic, rng=rng)
+                          functional_vectors=functional_vectors, rng=rng)

@@ -149,12 +149,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print("error: the key metadata lists no key bits", file=sys.stderr)
         return 1
 
-    # deterministic=False keeps this command's historical semantics:
-    # --time-budget is a wall-clock bound on the auto-ML search, unlike
-    # scenario runs, which trade that for machine-independent records.
     attack = make_attack(args.attack, random.Random(args.seed),
-                         rounds=args.rounds, time_budget=args.time_budget,
-                         deterministic=False)
+                         rounds=args.rounds, time_budget=args.time_budget)
     result = attack.attack(design)
     print(f"Attack        : {args.attack}")
     print(f"Model         : {result.model_name}")
@@ -479,7 +475,7 @@ def _format_job_line(job: dict) -> str:
     total = job.get("total") or "?"
     return (f"{job.get('job_id', '?'):10s} {job.get('state', '?'):9s} "
             f"{done}/{total}  {job.get('scenario', '?')} "
-            f"[{job.get('determinism_class', '?')}] -> {job.get('store', '?')}")
+            f"-> {job.get('store', '?')}")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -791,7 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--attack", choices=attacks, default="snapshot",
                         help="registered attack (default: snapshot)")
     attack.add_argument("--rounds", type=int, default=30)
-    attack.add_argument("--time-budget", type=float, default=8.0)
+    attack.add_argument("--time-budget", type=float, default=8.0,
+                        help="search budget: how many auto-ML roster "
+                             "candidates, cheapest first, to evaluate "
+                             "(default: 8)")
     attack.add_argument("--show-key", action="store_true")
     attack.add_argument("--seed", type=int, default=0)
     attack.set_defaults(func=cmd_attack)

@@ -4,9 +4,10 @@ The paper's SnapShot adaptation feeds the extracted localities to
 auto-sklearn, which searches model families and hyper-parameters for a fixed
 time budget (600 s per attack iteration).  :class:`AutoMLClassifier`
 reproduces that behaviour on top of the from-scratch estimators of this
-package: it evaluates a roster of candidate configurations with k-fold
-cross-validation, stops when the time budget is exhausted, and refits the
-best candidate on the full training set.
+package: it evaluates the first ``time_budget`` candidate configurations of
+a cheapest-first roster with k-fold cross-validation and refits the best
+candidate on the full training set.  The budget counts candidates, not
+seconds, so the search result is a pure function of the data and the seed.
 """
 
 from __future__ import annotations
@@ -129,39 +130,29 @@ class _Pipeline:
 
 
 class AutoMLClassifier(Estimator):
-    """Time-budgeted model search with cross-validation.
+    """Budgeted model search with cross-validation.
 
     Args:
-        time_budget: Wall-clock seconds available for the search.  At least
-            one candidate is always evaluated, so a tiny budget degrades to
-            "first candidate wins" rather than failing.
+        time_budget: Search budget in roster candidates: the first
+            ``max(1, round(time_budget))`` candidates are evaluated, with no
+            wall-clock deadline.  The roster is ordered cheapest-first, so
+            the cost still scales with the budget, while the result is
+            independent of machine speed and CPU contention.  A tiny budget
+            degrades to "first candidate wins" rather than failing.
         n_splits: Cross-validation folds per candidate.
         candidates: Candidate roster; defaults to :func:`default_candidates`.
-        max_candidates: Optional hard cap on evaluated candidates.
         random_state: Seed for fold shuffling and candidate tie-breaking.
-        deterministic: Interpret the budget *deterministically* instead of
-            by wall clock: one roster candidate per budget second (at least
-            one, rounded), evaluated without any mid-search deadline.  The
-            roster is ordered cheapest-first, so the cost still scales with
-            the budget, but the search result is a pure function of the
-            data and the seed — independent of machine speed or CPU
-            contention.  This is what makes scenario runs bit-identical
-            across serial and parallel execution.
     """
 
     def __init__(self, time_budget: float = 10.0, n_splits: int = 5,
                  candidates: Optional[Sequence[CandidateSpec]] = None,
-                 max_candidates: Optional[int] = None,
-                 random_state: Optional[int] = None,
-                 deterministic: bool = False) -> None:
+                 random_state: Optional[int] = None) -> None:
         if time_budget <= 0:
             raise ValueError("time_budget must be positive")
         self.time_budget = time_budget
         self.n_splits = n_splits
         self.candidates = list(candidates) if candidates is not None else None
-        self.max_candidates = max_candidates
         self.random_state = random_state
-        self.deterministic = deterministic
 
     # ---------------------------------------------------------------- fitting
 
@@ -171,21 +162,14 @@ class AutoMLClassifier(Estimator):
         self.classes_ = np.unique(label_arr)
         roster = (self.candidates if self.candidates is not None
                   else default_candidates(self.random_state))
-        if self.max_candidates is not None:
-            roster = roster[: self.max_candidates]
-        if self.deterministic:
-            roster = roster[: max(1, int(round(self.time_budget)))]
+        roster = roster[: max(1, int(round(self.time_budget)))]
 
         rng = np.random.default_rng(self.random_state)
-        deadline = (float("inf") if self.deterministic
-                    else time.monotonic() + self.time_budget)
         self.leaderboard_: List[CandidateResult] = []
 
-        for position, spec in enumerate(roster):
-            if position > 0 and time.monotonic() > deadline:
-                break
+        for spec in roster:
             started = time.monotonic()
-            scores = self._evaluate(spec, matrix, label_arr, rng, deadline)
+            scores = self._evaluate(spec, matrix, label_arr, rng)
             elapsed = time.monotonic() - started
             if not scores:
                 continue
@@ -224,8 +208,7 @@ class AutoMLClassifier(Estimator):
         return best
 
     def _evaluate(self, spec: CandidateSpec, matrix: np.ndarray,
-                  labels: np.ndarray, rng: np.random.Generator,
-                  deadline: float) -> List[float]:
+                  labels: np.ndarray, rng: np.random.Generator) -> List[float]:
         n_samples = matrix.shape[0]
         n_splits = min(self.n_splits, n_samples) if n_samples >= 2 else 0
         if n_splits < 2:
@@ -236,8 +219,6 @@ class AutoMLClassifier(Estimator):
         scores: List[float] = []
         splitter = KFold(n_splits=n_splits, shuffle=True, rng=rng)
         for train_indices, test_indices in splitter.split(n_samples):
-            if scores and time.monotonic() > deadline:
-                break
             pipeline = _Pipeline(spec)
             try:
                 pipeline.fit(matrix[train_indices], labels[train_indices])

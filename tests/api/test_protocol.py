@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.api.protocol import (
-    DETERMINISM_CLASSES,
     ERROR_CODES,
     OPS,
     PROTOCOL_VERSION,
@@ -16,10 +15,8 @@ from repro.api.protocol import (
     decode_line,
     decode_request,
     decode_server_message,
-    determinism_class,
     encode,
 )
-from repro.api.scenario import AttackSpec, LockerSpec, Scenario
 
 
 def roundtrip(message):
@@ -135,35 +132,3 @@ class TestProtocolError:
         for op in ("submit", "status", "watch", "cancel", "report", "list",
                    "ping", "shutdown"):
             assert op in OPS
-
-
-class TestDeterminismClass:
-    def scenario(self, **attack_options):
-        return Scenario(
-            name="dc", benchmarks=("SASC",), lockers=(LockerSpec("era"),),
-            attacks=(AttackSpec("snapshot", rounds=2, time_budget=0.5,
-                                options=attack_options),),
-            samples=1, scale=0.15, seed=0)
-
-    def test_default_is_deterministic(self):
-        assert determinism_class(self.scenario()) == "deterministic"
-
-    def test_wall_clock_opt_out(self):
-        tagged = determinism_class(self.scenario(deterministic=False))
-        assert tagged == "wall_clock"
-
-    def test_explicit_true_stays_deterministic(self):
-        tagged = determinism_class(self.scenario(deterministic=True))
-        assert tagged == "deterministic"
-
-    def test_metric_only_scenario_is_deterministic(self):
-        from repro.api.scenario import MetricSpec
-
-        scenario = Scenario(name="m", benchmarks=("SASC",),
-                            lockers=(LockerSpec("era"),), attacks=(),
-                            metrics=(MetricSpec("avalanche"),),
-                            samples=1, scale=0.15, seed=0)
-        assert determinism_class(scenario) == "deterministic"
-
-    def test_classes_are_closed(self):
-        assert set(DETERMINISM_CLASSES) == {"deterministic", "wall_clock"}

@@ -7,14 +7,18 @@ that cell.  That is only sound when
 * locking is a pure function of its seed: the same seed gives the same
   netlist and the same key,
 * locking leaves its input design untouched (the base design is shared
-  too), and
-* no attack and no metric mutates the locked design it is given.
+  too),
+* no attack and no metric mutates the locked design it is given, and
+* an attack is a pure function of its seed: the same seed gives the same
+  predicted key, KPA, model and functional KPA (records, resume and the
+  server's dedup by scenario fingerprint all rest on this).
 
 The cases are data drawn from the live registries, run through one helper,
 so no plugin of the package can register without passing them.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -22,6 +26,7 @@ import pytest
 from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
                                 make_metric, metric_names)
+from repro.attacks.baselines import RandomGuessAttack
 from repro.rtlir import Design
 
 from ..conftest import MIXER_SOURCE
@@ -86,8 +91,16 @@ def check_contract(kind: str, name: str, locker: str) -> None:
         make_metric(name)(locked.design, rng=random.Random(7),
                           **METRIC_OPTIONS)
     else:
-        attack = make_attack(name, random.Random(7), **ATTACK_OPTIONS)
-        attack.attack(locked.design, algorithm=locker)
+        first, second = (
+            make_attack(name, random.Random(7), **ATTACK_OPTIONS)
+            .attack(locked.design, algorithm=locker) for _ in range(2))
+        assert len(first.predicted_key) == locked.design.key_width
+        assert 0 <= first.kpa <= 100
+        assert ((first.predicted_key, first.kpa, first.model_name,
+                 first.functional_kpa)
+                == (second.predicted_key, second.kpa, second.model_name,
+                    second.functional_kpa)), \
+            f"attack {name!r} gave two results for one seed"
     assert state(locked.design) == locked_state, \
         f"{kind} {name!r} mutated the locked design"
 
@@ -121,3 +134,20 @@ def test_a_mutating_plugin_is_caught(mutate):
             check_contract("metric", "test-mutating-metric", "assure")
     finally:
         METRICS.unregister("test-mutating-metric")
+
+
+def test_an_attack_that_is_not_a_function_of_its_seed_is_caught():
+    runs = itertools.count()
+
+    @ATTACKS.register("test-impure-attack")
+    def impure_attack(rng, **_):
+        # Same seed, but the result also depends on process state.
+        attack = RandomGuessAttack(rng)
+        attack.name = f"guess-{next(runs)}"
+        return attack
+
+    try:
+        with pytest.raises(AssertionError, match="two results for one seed"):
+            check_contract("attack", "test-impure-attack", "assure")
+    finally:
+        ATTACKS.unregister("test-impure-attack")

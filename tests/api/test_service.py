@@ -75,7 +75,6 @@ class TestRoundTrip:
         submitted = client.submit(scenario)
         assert submitted["job_id"] == "job-0001"
         assert submitted["state"] == "queued"
-        assert submitted["determinism_class"] == "deterministic"
         assert not submitted["deduplicated"]
 
         events = []

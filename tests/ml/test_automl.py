@@ -47,13 +47,39 @@ class TestSearch:
         features, labels = categorical_dataset
         model = AutoMLClassifier(time_budget=1e-3, random_state=0)
         model.fit(features, labels)
-        assert len(model.leaderboard_) >= 1
+        assert len(model.leaderboard_) == 1
 
-    def test_max_candidates_cap(self, categorical_dataset):
+    def test_budget_maps_to_candidate_count(self, categorical_dataset):
         features, labels = categorical_dataset
-        model = AutoMLClassifier(time_budget=30.0, max_candidates=3, random_state=0)
+        model = AutoMLClassifier(time_budget=3.0, random_state=0)
         model.fit(features, labels)
-        assert len(model.leaderboard_) <= 3
+        # Exactly the first three roster candidates were evaluated — no
+        # wall-clock truncation, no machine dependence.
+        assert len(model.leaderboard_) == 3
+        roster_names = [spec.name for spec in default_candidates(0)[:3]]
+        assert sorted(r.spec.name for r in model.leaderboard_) == \
+            sorted(roster_names)
+
+    def test_budget_beyond_the_roster_evaluates_it_all(self,
+                                                       categorical_dataset):
+        features, labels = categorical_dataset
+        roster = [CandidateSpec(f"tree_d{depth}",
+                                lambda depth=depth: DecisionTreeClassifier(
+                                    max_depth=depth))
+                  for depth in (2, 3)]
+        model = AutoMLClassifier(time_budget=30.0, candidates=roster,
+                                 random_state=0)
+        model.fit(features, labels)
+        assert len(model.leaderboard_) == 2
+
+    def test_repeated_fits_pick_the_same_winner(self, categorical_dataset):
+        features, labels = categorical_dataset
+        winners = set()
+        for _ in range(3):
+            model = AutoMLClassifier(time_budget=4.0, random_state=3)
+            model.fit(features, labels)
+            winners.add(model.best_model_name)
+        assert len(winners) == 1
 
     def test_custom_candidate_roster(self, categorical_dataset):
         features, labels = categorical_dataset
@@ -72,16 +98,33 @@ class TestSearch:
             AutoMLClassifier().predict([[1.0, 2.0]])
 
     def test_tiny_training_set_does_not_crash(self):
-        model = AutoMLClassifier(time_budget=2.0, max_candidates=2, random_state=0)
+        model = AutoMLClassifier(time_budget=2.0, random_state=0)
         model.fit([[1.0, 2.0], [2.0, 1.0]], [0, 1])
         assert model.predict([[1.0, 2.0]]).shape == (1,)
 
     def test_clone_preserves_configuration(self):
-        model = AutoMLClassifier(time_budget=3.0, max_candidates=4, random_state=7)
+        roster = default_candidates(7)[:4]
+        model = AutoMLClassifier(time_budget=3.0, candidates=roster,
+                                 random_state=7)
         clone = model.clone()
         assert clone.time_budget == 3.0
-        assert clone.max_candidates == 4
+        assert [spec.name for spec in clone.candidates] == \
+            [spec.name for spec in roster]
         assert clone.random_state == 7
+
+
+class TestDeterministicMode:
+    """Edge cases of the candidate-count budget, the search's only rule."""
+
+    def test_tiny_budget_still_evaluates_one_candidate(self, categorical_dataset):
+        features, labels = categorical_dataset
+        # A budget under one half rounds to zero candidates; the search
+        # still evaluates the cheapest roster candidate, which then wins.
+        model = AutoMLClassifier(time_budget=0.4, random_state=0)
+        model.fit(features, labels)
+        cheapest = default_candidates(0)[0].name
+        assert [r.spec.name for r in model.leaderboard_] == [cheapest]
+        assert model.best_model_name == cheapest
 
 
 class TestDefaultRoster:
@@ -96,40 +139,3 @@ class TestDefaultRoster:
                     "mlp": any("mlp" in n for n in names)}
         assert all(families.values())
 
-
-class TestDeterministicMode:
-    def test_budget_maps_to_candidate_count(self, categorical_dataset):
-        features, labels = categorical_dataset
-        model = AutoMLClassifier(time_budget=3.0, random_state=0,
-                                 deterministic=True)
-        model.fit(features, labels)
-        # Exactly the first three roster candidates were evaluated — no
-        # wall-clock truncation, no machine dependence.
-        assert len(model.leaderboard_) == 3
-        roster_names = [spec.name for spec in default_candidates(0)[:3]]
-        assert sorted(r.spec.name for r in model.leaderboard_) == \
-            sorted(roster_names)
-
-    def test_tiny_budget_still_evaluates_one_candidate(self, categorical_dataset):
-        features, labels = categorical_dataset
-        model = AutoMLClassifier(time_budget=1e-3, random_state=0,
-                                 deterministic=True)
-        model.fit(features, labels)
-        assert len(model.leaderboard_) == 1
-
-    def test_respects_max_candidates_cap(self, categorical_dataset):
-        features, labels = categorical_dataset
-        model = AutoMLClassifier(time_budget=10.0, max_candidates=2,
-                                 random_state=0, deterministic=True)
-        model.fit(features, labels)
-        assert len(model.leaderboard_) == 2
-
-    def test_repeated_fits_pick_the_same_winner(self, categorical_dataset):
-        features, labels = categorical_dataset
-        winners = set()
-        for _ in range(3):
-            model = AutoMLClassifier(time_budget=4.0, random_state=3,
-                                     deterministic=True)
-            model.fit(features, labels)
-            winners.add(model.best_model_name)
-        assert len(winners) == 1

@@ -15,7 +15,6 @@ invariants to assert:
   "coevo": true,                  // run the co-evolution loop instead
   "expect": {
     "jobs": 6,                    // expanded JobSpec count
-    "determinism": "deterministic",
     "records": 6,                 // default: jobs - quarantined
     "quarantined": 0,             // default: 0
     "complete": true,             // default: quarantined == 0
@@ -53,7 +52,6 @@ import pytest
 from repro.api import Runner, ResultsStore, Scenario, ScenarioError
 from repro.api.coevo import run_coevo
 from repro.api.faults import FaultPlan
-from repro.api.protocol import determinism_class
 
 CASES_DIR = Path(__file__).parent / "cases"
 
@@ -86,8 +84,6 @@ def _run_plain_case(case: Dict, scenario: Scenario, store_root: Path,
     if "jobs" in expect:
         assert len(jobs) == expect["jobs"], \
             f"expanded {len(jobs)} job(s), case expects {expect['jobs']}"
-    if "determinism" in expect:
-        assert determinism_class(scenario) == expect["determinism"]
 
     runner_kwargs = {"jobs": jobs_default}
     runner_kwargs.update((key, value)
