@@ -12,12 +12,13 @@ This package is the one import surface a workload author needs:
   metrics × samples) with validated JSON round-trips, **matrix axes**
   (``seeds`` / ``key_budget_fractions`` / ``time_budgets`` sweeps) and
   deterministic expansion into :class:`JobSpec` jobs.
-* **Runner** (:mod:`repro.api.runner`) — executes a scenario in-process
-  (``jobs=1``) or on a plan-cache-aware process pool (``jobs > 1``) with
-  **cost-aware largest-first dispatch** (:func:`schedule_chunks`),
-  ``progress`` callbacks and bit-identical results either way.
-* **Executors** (:mod:`repro.api.backends`) — :class:`SerialBackend` and
-  :class:`ProcessPoolBackend`, plus the fault-tolerance primitives: per-job
+* **Runner** (:mod:`repro.api.runner`) — decides which jobs of a scenario
+  run (:meth:`Runner.plan`) and executes them in-process (``jobs=1``) or on
+  a process pool (``jobs > 1``), with ``progress`` callbacks and
+  bit-identical results either way.
+* **Executors** (:mod:`repro.api.backends`) — :class:`SerialBackend` (runs
+  jobs in expansion order) and :class:`ProcessPoolBackend` (owns its
+  dispatch order), plus the fault-tolerance primitives: per-job
   :class:`RetryPolicy` with seeded backoff, wall-clock ``job_timeout``
   enforcement with lost-worker detection, and transient-vs-permanent
   failure classification feeding the store's ``failures.jsonl``
@@ -40,10 +41,10 @@ This package is the one import surface a workload author needs:
   protocol layer is a typed ``Request``/``Response``/``Event`` envelope
   with canonical error codes.
 * **Results store** (:mod:`repro.api.store`) — one JSON record per job plus
-  an aggregate manifest pairing measured wall time with the scheduler's
-  cost estimates; re-runs against an existing store skip completed jobs,
-  and the figure/table builders — including ``repro-lock report`` — read
-  from it without re-simulating.
+  an aggregate manifest with each job's measured wall time; re-runs
+  against an existing store skip completed jobs, and the figure/table
+  builders — including ``repro-lock report`` — read from it without
+  re-simulating.
 
 The Fig. 6 evaluation has no separate pipeline: ``repro-lock evaluate``
 builds a one-attack :class:`Scenario` from its flags and runs it here, and
@@ -115,7 +116,6 @@ __all__ = [
     "RunPlan",
     "RunReport",
     "execute_job",
-    "schedule_chunks",
     "ResultsStore",
     "StoreError",
     "SerialBackend",
@@ -167,7 +167,6 @@ _LAZY = {
     "RunPlan": "runner",
     "RunReport": "runner",
     "execute_job": "runner",
-    "schedule_chunks": "runner",
     "ResultsStore": "store",
     "StoreError": "store",
     "SerialBackend": "backends",

@@ -2,22 +2,26 @@
 
 The :class:`~repro.api.runner.Runner` picks the executor from its ``jobs``
 count alone — ``jobs=1`` runs in-process, ``jobs > 1`` runs on a worker
-pool — and hands it one *round* of jobs at a time.  The executor reports
-every job's fate through a uniform :class:`JobOutcome`; the runner owns
-policy: retry rounds, backoff, quarantine, the failure ledger.
+pool — and hands it one *round* of jobs at a time.  The executor decides
+the order the round's jobs run in and reports every job's fate through a
+uniform :class:`JobOutcome`; the runner owns policy: which jobs run, retry
+rounds, backoff, quarantine, the failure ledger.
 
-* :class:`SerialBackend` (``jobs=1``) — runs jobs in the calling process.
-  Timeouts are *post-hoc* (a job that finishes over budget is discarded and
-  failed as ``timeout``) because an in-process job cannot be pre-empted.
+* :class:`SerialBackend` (``jobs=1``) — runs jobs in the calling process,
+  in expansion order.  Timeouts are *post-hoc* (a job that finishes over
+  budget is discarded and failed as ``timeout``) because an in-process job
+  cannot be pre-empted.
 * :class:`ProcessPoolBackend` (``jobs > 1``) — a ``ProcessPoolExecutor``
-  with per-job result streaming and heartbeat-based lost-worker detection:
-  workers report ``start``/``done`` messages through a manager queue, the
-  parent commits records as they arrive, and a job whose heartbeat exceeds
-  ``job_timeout`` gets its worker killed — the timeout is *pre-emptive*, so
-  a job that never returns still fails as ``timeout``.  The chunk's other
-  results are already home, and only genuinely unfinished jobs fail.  A
-  crashed worker (``BrokenProcessPool``) likewise fails only the jobs
-  without a ``done`` message.
+  that dispatches benchmark-affine chunks, largest estimated cost first
+  (:func:`_round_chunks`), with per-job result streaming and
+  heartbeat-based lost-worker detection: workers report ``start``/``done``
+  messages through a manager queue, the parent commits records as they
+  arrive, and a job whose heartbeat exceeds ``job_timeout`` gets its worker
+  killed — the timeout is *pre-emptive*, so a job that never returns still
+  fails as ``timeout``.  The chunk's other results are already home, and
+  only genuinely unfinished jobs fail.  A crashed worker
+  (``BrokenProcessPool``) likewise fails only the jobs without a ``done``
+  message.
 
 Both executors run each attempt through the same body
 (:func:`_run_attempt`): backoff sleep, ``execute_job``, and an ``ok`` or
@@ -47,7 +51,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from queue import Empty
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .scenario import JobSpec
 
 #: Fate of one job attempt: completed, raised, lost with its worker, or hung.
 OUTCOME_KINDS = ("ok", "error", "crash", "timeout")
@@ -218,15 +224,14 @@ class ExecutionRound:
 
     One round is one pass over a set of pending jobs — the first round runs
     the whole todo list, later rounds re-run the jobs whose previous
-    attempt failed transiently.  Executors call :attr:`emit` exactly once
-    per job as its fate is known (successes stream out immediately, so the
-    runner commits them even if the round later loses a worker).
+    attempt failed transiently.  The runner decides *which* jobs run; the
+    executor decides in what order.  Executors call :attr:`emit` exactly
+    once per job as its fate is known (successes stream out immediately, so
+    the runner commits them even if the round later loses a worker).
 
     Attributes:
-        scenario_dict: ``Scenario.to_dict()`` form (workers re-expand it).
-        jobs: ``{index: JobSpec}`` of the pending jobs.
-        chunks: Dispatch groups of job indices (scheduling is runner
-            policy; executors just execute them).
+        jobs: ``{index: JobSpec}`` of the pending jobs, keyed by their index
+            in the expanded scenario job list.
         attempts: ``{index: prior failure count}`` — the attempt number of
             this round's execution per job.
         delays: ``{index: seconds}`` retry backoff, slept by the executor
@@ -238,9 +243,7 @@ class ExecutionRound:
         emit: Outcome callback; must be called once per pending job.
     """
 
-    scenario_dict: Dict
-    jobs: Mapping[int, "object"]
-    chunks: List[List[int]]
+    jobs: Mapping[int, JobSpec]
     attempts: Mapping[int, int]
     delays: Mapping[int, float]
     workers: int
@@ -249,8 +252,8 @@ class ExecutionRound:
     emit: Callable[[JobOutcome], None]
 
 
-def _run_attempt(index: int, job, attempt: int, delay: float, fault_plan,
-                 in_worker: bool,
+def _run_attempt(index: int, job: JobSpec, attempt: int, delay: float,
+                 fault_plan, in_worker: bool,
                  on_start: Callable[[float], None]) -> JobOutcome:
     """Run one attempt of a job: backoff, then the job body.
 
@@ -276,7 +279,9 @@ def _run_attempt(index: int, job, attempt: int, delay: float, fault_plan,
 class SerialBackend:
     """Run every job in the calling process, one at a time (``jobs=1``).
 
-    The reference executor: no pickling, no worker processes.
+    The reference executor: no pickling, no worker processes.  Jobs run in
+    index order, which is expansion order, so a sample's attack and metric
+    jobs run back to back and share one locked cell.
     ``job_timeout`` is enforced *post-hoc* — an in-process job cannot be
     pre-empted, so a job that completes over budget is discarded and failed
     as ``timeout`` (timeout semantics are an SLA, not best-effort: a job
@@ -284,27 +289,118 @@ class SerialBackend:
     """
 
     def run_round(self, round_: ExecutionRound) -> None:
-        """Execute the round's chunks sequentially in dispatch order."""
-        for chunk in round_.chunks:
-            for index in chunk:
-                started: List[float] = []
-                outcome = _run_attempt(
-                    index, round_.jobs[index], round_.attempts.get(index, 0),
-                    round_.delays.get(index, 0.0), round_.fault_plan, False,
-                    started.append)
-                elapsed = time.monotonic() - started[0]
-                if (outcome.ok and round_.job_timeout is not None
-                        and elapsed > round_.job_timeout):
-                    outcome = JobOutcome(
-                        index=index, job_id=outcome.job_id,
-                        attempt=outcome.attempt, kind="timeout",
-                        error=f"job {outcome.job_id!r} took {elapsed:.3f}s, "
-                              f"over the {round_.job_timeout}s job_timeout "
-                              "(in-process runs enforce timeouts post-hoc)")
-                round_.emit(outcome)
+        """Execute the round's jobs sequentially in index order."""
+        for index in sorted(round_.jobs):
+            started: List[float] = []
+            outcome = _run_attempt(
+                index, round_.jobs[index], round_.attempts.get(index, 0),
+                round_.delays.get(index, 0.0), round_.fault_plan, False,
+                started.append)
+            elapsed = time.monotonic() - started[0]
+            if (outcome.ok and round_.job_timeout is not None
+                    and elapsed > round_.job_timeout):
+                outcome = JobOutcome(
+                    index=index, job_id=outcome.job_id,
+                    attempt=outcome.attempt, kind="timeout",
+                    error=f"job {outcome.job_id!r} took {elapsed:.3f}s, "
+                          f"over the {round_.job_timeout}s job_timeout "
+                          "(in-process runs enforce timeouts post-hoc)")
+            round_.emit(outcome)
 
 
-def _pool_worker(scenario_dict: Dict, indices: Sequence[int],
+def _job_cost(job: JobSpec) -> float:
+    """Relative cost estimate used for largest-first pool scheduling.
+
+    The model is *design gate count × work volume*: the scaled benchmark's
+    operation count times, for attack jobs, ``rounds × time_budget``
+    (relocking dominates, the auto-ML search scales with its budget) plus
+    the functional-validation vectors, and for metric jobs the metric's
+    ``vectors`` option.  Units are arbitrary — only the *ordering* of
+    estimates matters to the scheduler.
+    """
+    from ..bench import get_profile
+
+    try:
+        gates = get_profile(job.benchmark).scaled(job.scale) \
+            .total_operations
+    except KeyError:
+        gates = 1
+    gates = max(1, gates)
+    if job.kind == "attack":
+        assert job.attack is not None
+        return float(gates * (job.attack.rounds * job.attack.time_budget
+                              + job.attack.functional_vectors))
+    assert job.metric is not None
+    vectors = job.metric.options.get("vectors", 32)
+    try:
+        volume = max(1.0, float(vectors))
+    except (TypeError, ValueError):
+        volume = 32.0
+    return float(gates * volume)
+
+
+def _cost_chunks(todo: Sequence[Tuple[int, JobSpec]],
+                     workers: int) -> List[List[int]]:
+    """Group pending jobs into cost-ordered dispatch chunks (largest first).
+
+    Scheduling balances two goals:
+
+    * **cache affinity** — jobs group by benchmark so one worker's
+      per-process base-design and plan caches serve all samples of the
+      designs it attacks; each group splits into at most ``workers`` chunks
+      so small scenarios still use every worker;
+    * **pool utilisation** — jobs within a group sort by
+      :func:`_job_cost` (largest first) and the chunks are dispatched
+      in descending total-cost order, the classic longest-processing-time
+      heuristic: the expensive work starts immediately and the cheap chunks
+      backfill the pool's tail instead of straggling at the end.
+
+    Within a benchmark group the jobs are dealt greedily onto up to
+    ``workers`` chunks, always to the least-loaded one (so the chunk totals
+    come out balanced — a contiguous split would concentrate all the
+    expensive sweep points of a matrix into one straggler chunk).  Ties
+    break on job index, so the dispatch order is deterministic; job
+    *records* are order-independent either way (every job is self-seeded).
+
+    Returns:
+        Chunks of indices into the expanded job list, in dispatch order.
+    """
+    groups: Dict[str, List[int]] = {}
+    costs: Dict[int, float] = {}
+    for index, job in todo:
+        groups.setdefault(job.benchmark, []).append(index)
+        costs[index] = _job_cost(job)
+    chunks: List[List[int]] = []
+    for indices in groups.values():
+        indices.sort(key=lambda i: (-costs[i], i))
+        n_chunks = min(workers, len(indices))
+        buckets: List[List[int]] = [[] for _ in range(n_chunks)]
+        loads = [0.0] * n_chunks
+        for index in indices:
+            slot = min(range(n_chunks), key=lambda b: (loads[b], b))
+            buckets[slot].append(index)
+            loads[slot] += costs[index]
+        chunks.extend(buckets)
+    chunks.sort(key=lambda chunk: (-sum(costs[i] for i in chunk), chunk[0]))
+    return chunks
+
+
+def _round_chunks(round_: ExecutionRound) -> List[List[int]]:
+    """The pool's dispatch chunks for one round.
+
+    A round whose jobs have no prior attempt (the first round) gets the
+    cost-ordered chunks of :func:`_cost_chunks`.  Retry rounds are
+    sparse; singleton chunks keep every worker busy and let per-job backoff
+    delays overlap.
+    """
+    indices = sorted(round_.jobs)
+    if any(round_.attempts.get(index, 0) for index in indices):
+        return [[index] for index in indices]
+    return _cost_chunks([(index, round_.jobs[index]) for index in indices],
+                            round_.workers)
+
+
+def _pool_worker(chunk: Sequence[Tuple[int, JobSpec]],
                  attempts: Dict[int, int], delays: Dict[int, float],
                  fault_plan, channel) -> List[int]:
     """Worker entry point: execute a chunk, streaming per-job messages.
@@ -312,20 +408,15 @@ def _pool_worker(scenario_dict: Dict, indices: Sequence[int],
     Each job sends a ``("start", index, monotonic)`` heartbeat before its
     body and a ``("done", outcome)`` message after it, so the parent
     commits results as they happen and can tell a hung job (start without
-    done, heartbeat overdue) from a lost one (no messages at all).  The
-    scenario is re-expanded here without registry validation, matching the
-    historical worker behaviour.
+    done, heartbeat overdue) from a lost one (no messages at all).
     """
-    from .scenario import Scenario
-
-    jobs = Scenario.from_dict(scenario_dict, validate=False).expand()
-    for index in indices:
+    for index, job in chunk:
         outcome = _run_attempt(
-            index, jobs[index], attempts.get(index, 0),
+            index, job, attempts.get(index, 0),
             delays.get(index, 0.0), fault_plan, True,
             lambda at, index=index: channel.put(("start", index, at)))
         channel.put(("done", outcome))
-    return list(indices)
+    return [index for index, _ in chunk]
 
 
 class ProcessPoolBackend:
@@ -364,14 +455,16 @@ class ProcessPoolBackend:
         started: Dict[int, float] = {}
         hung: set = set()
         chunk_errors: Dict[int, str] = {}
+        chunks = _round_chunks(round_)
         pool = ProcessPoolExecutor(max_workers=round_.workers)
         try:
             pending = {
-                pool.submit(_pool_worker, round_.scenario_dict, list(chunk),
+                pool.submit(_pool_worker,
+                            [(i, round_.jobs[i]) for i in chunk],
                             {i: round_.attempts.get(i, 0) for i in chunk},
                             {i: round_.delays.get(i, 0.0) for i in chunk},
-                            round_.fault_plan, channel): list(chunk)
-                for chunk in round_.chunks}
+                            round_.fault_plan, channel): chunk
+                for chunk in chunks}
             while pending:
                 finished, _ = wait(pending, timeout=self.POLL_SECONDS,
                                    return_when=FIRST_COMPLETED)
@@ -406,7 +499,7 @@ class ProcessPoolBackend:
         # Messages may still be in flight when the pool breaks; one final
         # drain after shutdown collects them.
         self._drain(channel, round_, done, started)
-        for chunk in round_.chunks:
+        for chunk in chunks:
             for index in chunk:
                 if index in done:
                     continue

@@ -6,32 +6,20 @@ whose record already exists in the attached
 :class:`~repro.api.store.ResultsStore`, and executes the remainder either
 in-process (``jobs=1``) or on a ``ProcessPoolExecutor``.
 
-Parallel runs are *plan-cache aware* (the PR 2 open item): every job warms
-the process-wide plan cache with its locked sample's plan
-(:func:`repro.sim.warm_plan_cache`) before any simulation-backed step, so
-the batch-simulation consumers inside a worker — functional KPA, corruption
-metrics, avalanche studies — compile every distinct netlist once per worker
-instead of once per call.  Base benchmark designs are generated once per
-process and shared read-only across jobs (lockers copy before mutating), and
-so is each locked cell: the jobs that lock the same design with the same
-locker, seed and key budget — a sample's attack and metric jobs — share one
+Base benchmark designs are generated once per process and shared read-only
+across jobs (lockers copy before mutating), and so is each locked cell: the
+jobs that lock the same design with the same locker, seed and key budget — a
+sample's attack and metric jobs — share one
 :class:`~repro.locking.result.LockResult` (nothing downstream of the lock
 mutates the locked design; attacks relock a copy).
-
-Parallel dispatch is additionally *cost-aware*: :func:`schedule_chunks`
-estimates every pending job's cost (design gate count × rounds × budget, see
-:meth:`JobSpec.estimated_cost <repro.api.scenario.JobSpec.estimated_cost>`)
-and submits benchmark-affine chunks largest-first, so the expensive cells of
-a scenario matrix start immediately and the cheap ones backfill the pool's
-tail.  Each record carries its measured ``elapsed_seconds`` and the store
-manifest pairs it with the estimate, so ``repro.cli report`` can compare the
-scheduler's cost estimate with the measured wall time of any finished run.
 
 Which jobs a run executes is decided in one place, :meth:`Runner.plan`: the
 store-identity check, skipping committed records and known-poison jobs, and
 re-running unreadable records.  It reads the store and writes nothing, so
 ``repro.cli run --dry-run`` reports exactly what :meth:`Runner.run` would
-execute with the same arguments.
+execute with the same arguments.  The order they execute in is the
+executor's: the serial backend runs them in expansion order, the process
+pool in its own benchmark-affine, largest-first chunks.
 
 Execution follows one rule: ``jobs=1`` runs on the in-process
 :class:`~repro.api.backends.SerialBackend` and ``jobs > 1`` on the
@@ -65,7 +53,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .backends import (ExecutionRound, JobOutcome, ProcessPoolBackend,
                        RetryPolicy, SerialBackend, classify_failure)
@@ -185,12 +173,7 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
     """Execute one job and return its (JSON-ready) record.
 
     The lock step seeds its locker with :attr:`JobSpec.locker_seed` and is
-    shared by every job of the same locked cell (:func:`_lock_cell`); the
-    locked sample's evaluation plan — compiled once through the full
-    ``repro.sim.plan`` pass pipeline, sweep-value-numbering tags
-    included — is warmed into the process-wide cache before any
-    simulation-backed step, so every key sweep and metric inside the job
-    starts from a cache hit.
+    shared by every job of the same locked cell (:func:`_lock_cell`).
 
     Args:
         job: The job to execute.
@@ -202,8 +185,6 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
         in_worker: True inside a pool worker process, where an injected
             crash may genuinely kill the process.
     """
-    from ..sim import warm_plan_cache
-
     if fault_plan is not None:
         fault_plan.apply(job.job_id, attempt, in_worker=in_worker)
     started = time.perf_counter()
@@ -239,8 +220,6 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
     if job.kind == "attack":
         assert job.attack is not None
         spec = job.attack
-        if spec.functional_vectors > 0:
-            warm_plan_cache(locked.design)
         attack = make_attack(spec.name, random.Random(job.attack_seed),
                              rounds=spec.rounds,
                              time_budget=spec.time_budget,
@@ -263,7 +242,6 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
     else:
         assert job.metric is not None
         spec_m = job.metric
-        warm_plan_cache(locked.design)
         metric = make_metric(spec_m.name)
         value = metric(locked.design, rng=random.Random(job.metric_seed),
                        **spec_m.options)
@@ -272,53 +250,6 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
 
     record["elapsed_seconds"] = round(time.perf_counter() - started, 6)
     return record
-
-
-def schedule_chunks(todo: Sequence[Tuple[int, JobSpec]],
-                    workers: int) -> List[List[int]]:
-    """Group pending jobs into cost-ordered dispatch chunks (largest first).
-
-    Scheduling balances two goals:
-
-    * **cache affinity** — jobs group by benchmark so one worker's
-      per-process base-design and plan caches serve all samples of the
-      designs it attacks; each group splits into at most ``workers`` chunks
-      so small scenarios still use every worker;
-    * **pool utilisation** — jobs within a group sort by
-      :meth:`JobSpec.estimated_cost <repro.api.scenario.JobSpec.estimated_cost>`
-      (largest first) and the chunks are dispatched in descending total-cost
-      order, the classic longest-processing-time heuristic: the expensive
-      work starts immediately and the cheap chunks backfill the pool's tail
-      instead of straggling at the end.
-
-    Within a benchmark group the jobs are dealt greedily onto up to
-    ``workers`` chunks, always to the least-loaded one (so the chunk totals
-    come out balanced — a contiguous split would concentrate all the
-    expensive sweep points of a matrix into one straggler chunk).  Ties
-    break on job index, so the dispatch order is deterministic; job
-    *records* are order-independent either way (every job is self-seeded).
-
-    Returns:
-        Chunks of indices into the expanded job list, in dispatch order.
-    """
-    groups: Dict[str, List[int]] = {}
-    costs: Dict[int, float] = {}
-    for index, job in todo:
-        groups.setdefault(job.benchmark, []).append(index)
-        costs[index] = job.estimated_cost()
-    chunks: List[List[int]] = []
-    for indices in groups.values():
-        indices.sort(key=lambda i: (-costs[i], i))
-        n_chunks = min(workers, len(indices))
-        buckets: List[List[int]] = [[] for _ in range(n_chunks)]
-        loads = [0.0] * n_chunks
-        for index in indices:
-            slot = min(range(n_chunks), key=lambda b: (loads[b], b))
-            buckets[slot].append(index)
-            loads[slot] += costs[index]
-        chunks.extend(buckets)
-    chunks.sort(key=lambda chunk: (-sum(costs[i] for i in chunk), chunk[0]))
-    return chunks
 
 
 @dataclass
@@ -575,22 +506,12 @@ class Runner:
         policy = self._resolve_policy()
         executor = SerialBackend() if self.jobs == 1 else ProcessPoolBackend()
         job_timeout = self._resolve_timeout()
-        scenario_dict = self.scenario.to_dict()
         pending: Dict[int, JobSpec] = dict(plan.todo)
         attempts: Dict[int, int] = {index: 0 for index in pending}
 
         try:
-            first_round = True
             while pending:
                 indices = sorted(pending)
-                if first_round:
-                    chunks = schedule_chunks(
-                        [(i, pending[i]) for i in indices], self.jobs)
-                else:
-                    # Retry rounds are sparse; singleton chunks keep every
-                    # worker busy and let per-job backoff delays overlap.
-                    chunks = [[i] for i in indices]
-                first_round = False
                 delays = {i: policy.delay(pending[i].job_id, attempts[i])
                           for i in indices}
                 failed: Dict[int, JobOutcome] = {}
@@ -607,10 +528,9 @@ class Runner:
                         _failed[outcome.index] = outcome
 
                 executor.run_round(ExecutionRound(
-                    scenario_dict=scenario_dict, jobs=pending, chunks=chunks,
-                    attempts=attempts, delays=delays, workers=self.jobs,
-                    job_timeout=job_timeout, fault_plan=self.fault_plan,
-                    emit=emit))
+                    jobs=pending, attempts=attempts, delays=delays,
+                    workers=self.jobs, job_timeout=job_timeout,
+                    fault_plan=self.fault_plan, emit=emit))
 
                 for index in indices:
                     job = pending[index]
@@ -640,7 +560,7 @@ class Runner:
                 self.store.write_manifest(self.scenario,
                                           executed=report.executed,
                                           skipped=report.skipped)
-        # The pool completes jobs in cost or arrival order; consumers (the
+        # The pool completes jobs in its own dispatch order; consumers (the
         # Fig. 6 tables among them) see expansion order either way.
         report.records = {job.job_id: report.records[job.job_id]
                           for job in jobs if job.job_id in report.records}

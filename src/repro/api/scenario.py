@@ -457,38 +457,6 @@ class JobSpec:
         return (f"{self.kind}__{self.benchmark}__{self.locker.display_name}"
                 f"__{target}__s{self.sample}{suffix}")
 
-    def estimated_cost(self) -> float:
-        """Relative cost estimate used for largest-first pool scheduling.
-
-        The model is *design gate count × work volume*: the scaled
-        benchmark's operation count times, for attack jobs, ``rounds ×
-        time_budget`` (relocking dominates, the auto-ML search scales with
-        its budget) plus the functional-validation vectors, and for metric
-        jobs the metric's ``vectors`` option.  Units are arbitrary — only
-        the *ordering* of estimates matters to the scheduler; the store
-        manifest records the estimate next to the measured wall time so the
-        model can be validated (``repro.cli report`` prints both).
-        """
-        from ..bench import get_profile
-
-        try:
-            gates = get_profile(self.benchmark).scaled(self.scale) \
-                .total_operations
-        except KeyError:
-            gates = 1
-        gates = max(1, gates)
-        if self.kind == "attack":
-            assert self.attack is not None
-            return float(gates * (self.attack.rounds * self.attack.time_budget
-                                  + self.attack.functional_vectors))
-        assert self.metric is not None
-        vectors = self.metric.options.get("vectors", 32)
-        try:
-            volume = max(1.0, float(vectors))
-        except (TypeError, ValueError):
-            volume = 32.0
-        return float(gates * volume)
-
     @property
     def cell_seed(self) -> int:
         """Per-(benchmark, locker) seed (see :func:`cell_seed`)."""

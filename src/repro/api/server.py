@@ -48,6 +48,7 @@ import socket
 import threading
 import time
 import traceback
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -352,10 +353,14 @@ class ScenarioServer:
                     self._send(connection, Response.failure(
                         request.id, exc.code, exc.message))
                 except Exception:
-                    _log.exception("internal error handling %r", request.op)
+                    # The traceback stays in the server log; the client
+                    # gets an id to find it there.
+                    error_id = uuid.uuid4().hex[:8]
+                    _log.exception("internal error %s handling %r",
+                                   error_id, request.op)
                     self._send(connection, Response.failure(
                         request.id, "INTERNAL",
-                        traceback.format_exc(limit=5)))
+                        f"internal error {error_id}; see server log"))
         except (OSError, ValueError):
             pass  # client went away mid-request
         finally:

@@ -23,12 +23,11 @@ whose record is already present (zero jobs executed on a complete store).
 The figure/table builders in :mod:`repro.eval` read aggregated KPA data
 straight from a store via :meth:`ResultsStore.kpa_samples`, and
 ``repro.cli report <store>`` renders the full report — figures, per-axis
-sweep tables, timing-vs-estimate validation — without re-running anything.
+sweep tables, measured wall time — without re-running anything.
 
-The manifest pairs every record's measured wall time with the scheduler's
-``estimated_cost`` and carries the expanded ``total_jobs`` count, so a store
-also answers "is this run complete?" (:meth:`ResultsStore.completion`) and
-"was the scheduler's cost estimate any good?".
+The manifest summarises every record with its measured wall time and
+carries the expanded ``total_jobs`` count, so a store also answers "is this
+run complete?" (:meth:`ResultsStore.completion`).
 """
 
 from __future__ import annotations
@@ -360,15 +359,14 @@ class ResultsStore:
                        executed: int, skipped: int) -> Path:
         """Write the aggregate manifest for a (finished or interrupted) run.
 
-        Each job summary pairs the measured ``elapsed_seconds`` of the
-        record with the scheduler's ``estimated_cost`` for the same job, so
-        a finished store doubles as validation data for the estimate
-        (``repro.cli report`` renders the comparison).  ``total_jobs`` is
-        the expanded size of the scenario; a store with fewer records than
-        that is a *partial* run (interrupted or still filling).
+        Each job summary carries the measured ``elapsed_seconds`` of its
+        record (``repro.cli report`` renders them per benchmark × locker).
+        ``total_jobs`` is the expanded size of the scenario; a store with
+        fewer records than that is a *partial* run (interrupted or still
+        filling).
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        expanded = {job.job_id: job for job in scenario.expand()}
+        expanded = {job.job_id for job in scenario.expand()}
         summaries = []
         for job_id in self.job_ids():
             try:
@@ -380,7 +378,6 @@ class ResultsStore:
                 _log.warning("skipping unreadable record %r while writing "
                              "the manifest of %s", job_id, self.root)
                 continue
-            job = expanded.get(job_id)
             summaries.append({
                 "job_id": job_id,
                 "kind": record.get("kind"),
@@ -388,8 +385,6 @@ class ResultsStore:
                 "locker": record.get("locker"),
                 "sample": record.get("sample"),
                 "elapsed_seconds": record.get("elapsed_seconds"),
-                "estimated_cost": (job.estimated_cost()
-                                   if job is not None else None),
             })
         quarantined = sorted(job_id for job_id in self.failed_job_ids()
                              if job_id in expanded)

@@ -33,6 +33,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -229,23 +230,16 @@ def _dry_run(scenario: Scenario, store: ResultsStore,
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    per_benchmark: dict = {}
-    for _, job in plan.todo:
-        bucket = per_benchmark.setdefault(job.benchmark,
-                                          {"jobs": 0, "cost": 0.0})
-        bucket["jobs"] += 1
-        bucket["cost"] += job.estimated_cost()
-    rows = [[benchmark, bucket["jobs"], bucket["cost"]]
-            for benchmark, bucket in sorted(per_benchmark.items())]
-    rows.append(["TOTAL", len(plan.todo),
-                 sum((bucket["cost"] for bucket in per_benchmark.values()),
-                     0.0)])
+    per_benchmark = Counter(job.benchmark for _, job in plan.todo)
+    rows = [[benchmark, count]
+            for benchmark, count in sorted(per_benchmark.items())]
+    rows.append(["TOTAL", len(plan.todo)])
     print(f"Scenario {scenario.name!r}: {len(plan.jobs)} job(s) expanded, "
           f"{len(plan.records)} already in {store.root}, "
           f"{len(plan.quarantined)} quarantined, "
           f"{len(plan.todo)} to execute")
     print()
-    print(format_table(["benchmark", "jobs", "est. cost"], rows,
+    print(format_table(["benchmark", "jobs"], rows,
                        title="Dry run — nothing was executed"))
     return 0
 
@@ -648,8 +642,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render figures and tables from a results store — no re-simulation.
 
     Works on complete stores (full report: Fig. 6 tables, per-axis and
-    per-(benchmark, axis) sweep tables for matrix scenarios,
-    timing-vs-estimate validation) and degrades gracefully on partial ones
+    per-(benchmark, axis) sweep tables for matrix scenarios, measured wall
+    time per benchmark × locker) and degrades gracefully on partial ones
     (interrupted runs, stores still filling): the report covers the records
     present and flags the run as PARTIAL.  ``--json`` additionally writes
     the machine-readable report (Fig. 6 + axis-sweep data with confidence
@@ -842,8 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suppress per-job progress lines")
     run.add_argument("--dry-run", action="store_true",
                      help="print the jobs a run with the same flags would "
-                          "execute, per benchmark with their estimated "
-                          "cost, without writing anything")
+                          "execute, per benchmark, without writing anything")
     run.add_argument("--retries", type=int, default=None,
                      help="extra attempts per job after a transient failure "
                           "(crash/timeout/retryable error) before it is "
@@ -910,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent scenario runs (default: 1)")
     serve.add_argument("--run-jobs", type=int, default=1,
                        help="runner worker processes per scenario "
-                            "(default: 1, serial — the bit-identical path)")
+                            "(default: 1, in-process)")
     serve.add_argument("--ready-file", type=Path, default=None,
                        help="write {address, pid} JSON here once the "
                             "listener is bound (for scripts/CI)")

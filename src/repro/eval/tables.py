@@ -118,34 +118,23 @@ def axis_sweep_table_text(sweep: "object",
 
 
 def timing_table_text(job_summaries: Sequence[Mapping],
-                      title: str = "Wall time vs. scheduler cost estimate"
+                      title: str = "Measured wall time per benchmark x locker"
                       ) -> str:
-    """Render the measured-vs-estimated cost table from manifest summaries.
+    """Render the measured wall-time table from manifest summaries.
 
     Groups the manifest's per-job summaries by (benchmark, locker) and shows
-    total measured wall time next to the scheduler's total estimated cost —
-    the validation view for :meth:`JobSpec.estimated_cost
-    <repro.api.scenario.JobSpec.estimated_cost>` (estimates are relative, so
-    the interesting signal is whether seconds-per-unit is roughly constant
-    across rows).
+    the number of jobs and their total measured ``elapsed_seconds``.
     """
     groups: Dict[tuple, Dict[str, float]] = {}
     for summary in job_summaries:
         key = (str(summary.get("benchmark")), str(summary.get("locker")))
-        bucket = groups.setdefault(key, {"jobs": 0, "elapsed": 0.0,
-                                         "cost": 0.0})
+        bucket = groups.setdefault(key, {"jobs": 0, "elapsed": 0.0})
         bucket["jobs"] += 1
         bucket["elapsed"] += float(summary.get("elapsed_seconds") or 0.0)
-        bucket["cost"] += float(summary.get("estimated_cost") or 0.0)
-    rows = []
-    for (benchmark, locker), bucket in sorted(groups.items()):
-        per_unit = (bucket["elapsed"] / bucket["cost"] * 1000.0
-                    if bucket["cost"] else float("nan"))
-        rows.append([benchmark, locker, int(bucket["jobs"]),
-                     bucket["elapsed"], bucket["cost"], per_unit])
-    return format_table(
-        ["benchmark", "locker", "jobs", "elapsed (s)", "est. cost",
-         "ms/unit"], rows, title=title)
+    rows = [[benchmark, locker, int(bucket["jobs"]), bucket["elapsed"]]
+            for (benchmark, locker), bucket in sorted(groups.items())]
+    return format_table(["benchmark", "locker", "jobs", "elapsed (s)"], rows,
+                        title=title)
 
 
 def failures_table_text(failures: Sequence[Mapping]) -> str:

@@ -72,7 +72,6 @@ from .plan_cache import (
     clear_plan_cache,
     get_plan,
     plan_cache_info,
-    warm_plan_cache,
 )
 from .simulator import (
     ENGINES,
@@ -125,7 +124,6 @@ __all__ = [
     "clear_plan_cache",
     "get_plan",
     "plan_cache_info",
-    "warm_plan_cache",
     "batch_to_vectors",
     "input_signals",
     "output_signals",

@@ -9,10 +9,11 @@ keyed by :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`:
 * independent copies of the same design (e.g. a locked design and the
   copies each attack takes of it) share a single compilation,
 * a *mutated* design gets a new fingerprint and therefore a fresh plan — the
-  stale entry simply ages out of the LRU.  Fingerprints auto-refresh on
-  locking-style mutation (key bits or module items added, source replaced);
-  for any other in-place AST surgery call
-  :meth:`Design.invalidate_fingerprint` before simulating again,
+  stale entry simply ages out of the LRU.  One rule keeps the fingerprint
+  current: :class:`~repro.locking.base.LockingSession` invalidates it on
+  every mutation it performs, and any other in-place AST edit calls
+  :meth:`Design.touch() <repro.rtlir.design.Design.touch>` before the
+  design is simulated again,
 * designs the plan compiler rejects are cached negatively, so scalar-fallback
   paths pay the failed compile once instead of per call.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..rtlir.design import Design
-from .evaluator import SimulationError
 from .plan import BatchCompileError, BatchSimulator, EvalPlan, compile_plan
 
 #: Number of plans kept by the process-wide cache.
@@ -89,26 +89,6 @@ def _store(fingerprint: str,
 def cached_simulator(design: Design) -> BatchSimulator:
     """A :class:`BatchSimulator` over the design's cached plan."""
     return BatchSimulator(design, plan=get_plan(design))
-
-
-def warm_plan_cache(design: Design) -> bool:
-    """Best-effort pre-compilation of a design's plan into the cache.
-
-    The warm-up hook of parallel scenario runners: a worker process calls
-    this once per design fingerprint it is about to attack, so every
-    simulation-backed step inside the worker (functional KPA, corruption and
-    avalanche metrics, equivalence checks) starts from a cache hit.
-
-    Returns:
-        True when a plan is now cached for the design; False when the design
-        is not batch-compilable or not simulatable at all (the scalar
-        fallback paths will handle it — warming never raises).
-    """
-    try:
-        get_plan(design)
-    except SimulationError:
-        return False
-    return True
 
 
 def clear_plan_cache() -> None:

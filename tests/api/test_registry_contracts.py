@@ -13,8 +13,15 @@ that cell.  That is only sound when
   predicted key, KPA, model and functional KPA (records, resume and the
   server's dedup by scenario fingerprint all rest on this).
 
-The cases are data drawn from the live registries, run through one helper,
-so no plugin of the package can register without passing them.
+Two more contracts make a locked design worth attacking at all:
+
+* a wrong key corrupts the outputs, and
+* one attack relock round keeps the design transparent under its full
+  correct key, and undoing the round restores the design.
+
+The cases are data drawn from the live registries, run through one helper
+per contract, so no plugin of the package can register without passing
+them.
 """
 
 import dataclasses
@@ -27,7 +34,13 @@ from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
                                 make_metric, metric_names)
 from repro.attacks.baselines import RandomGuessAttack
+from repro.bench.generators import profile_design
+from repro.bench.profiles import BenchmarkProfile
+from repro.locking import AssureLocker
+from repro.locking.base import LockingSession
+from repro.locking.metrics import functional_corruption
 from repro.rtlir import Design
+from repro.sim import check_equivalence
 
 from ..conftest import MIXER_SOURCE
 
@@ -151,3 +164,49 @@ def test_an_attack_that_is_not_a_function_of_its_seed_is_caught():
             check_contract("attack", "test-impure-attack", "assure")
     finally:
         ATTACKS.unregister("test-impure-attack")
+
+
+#: The combinational design of the locking contracts.  The mixer cannot
+#: host them: its output is registered, and the simulator ignores
+#: registered outputs, so a locker that puts every key bit in the always
+#: block shows no corruption at all.
+LOCKING_PROFILE = BenchmarkProfile(
+    name="contract", description="combinational locking-contract design",
+    operations={"+": 3, "-": 2, "*": 2, "^": 2, "&": 1, "|": 1},
+    sequential=False, n_inputs=4, width=8)
+
+#: ``(locker, seed)``: every packaged locker on three generated designs.
+LOCKING_CASES = [(locker, seed) for locker in LOCKER_NAMES
+                 for seed in (0, 1, 2)]
+
+
+def check_locking_contract(locker: str, seed: int) -> None:
+    """Wrong keys corrupt; a relock round is transparent and undoes."""
+    design = profile_design(LOCKING_PROFILE, seed=seed)
+    budget = design.num_operations() // 2
+    locked = make_locker(locker, random.Random(seed)).lock(design, budget)
+    corruption = functional_corruption(locked.design, wrong_keys=8,
+                                       rng=random.Random(seed))
+    assert corruption.mean_corruption > 0, \
+        f"wrong keys of {locker!r} never corrupt the outputs"
+
+    session = LockingSession(locked.design.copy())
+    before = state(session.design)
+    with session.tentative():
+        AssureLocker(selection="random", rng=random.Random(seed + 1),
+                     track_metrics=False).relock(session, key_budget=budget)
+        relocked = session.design
+        assert relocked.key_width > locked.design.key_width
+        report = check_equivalence(design, relocked,
+                                   key=relocked.correct_key, vectors=16,
+                                   rng=random.Random(seed))
+        assert report.equivalent, \
+            f"relocking a {locker!r} design broke it: {report.first_mismatch}"
+    assert state(session.design) == before, "undoing the round left changes"
+
+
+@pytest.mark.parametrize("locker,seed", LOCKING_CASES,
+                         ids=[f"{locker}-{seed}"
+                              for locker, seed in LOCKING_CASES])
+def test_registered_locker_corrupts_and_survives_relocking(locker, seed):
+    check_locking_contract(locker, seed)

@@ -215,43 +215,43 @@ class TestResumableStore:
 
 class TestCostAwareScheduling:
     def test_chunks_dispatch_largest_first(self):
-        from repro.api.runner import schedule_chunks
+        from repro.api.backends import _job_cost, _cost_chunks
 
         scenario = quick_scenario(benchmarks=("SASC", "MD5"), samples=2)
         todo = list(enumerate(scenario.expand()))
-        chunks = schedule_chunks(todo, workers=2)
+        chunks = _cost_chunks(todo, workers=2)
         assert sorted(i for chunk in chunks for i in chunk) == \
             [i for i, _ in todo]
         by_index = dict(todo)
-        totals = [sum(by_index[i].estimated_cost() for i in chunk)
+        totals = [sum(_job_cost(by_index[i]) for i in chunk)
                   for chunk in chunks]
         assert totals == sorted(totals, reverse=True)
         # MD5 is far larger than SASC, so its chunks lead the dispatch.
         assert by_index[chunks[0][0]].benchmark == "MD5"
 
     def test_chunks_preserve_benchmark_affinity(self):
-        from repro.api.runner import schedule_chunks
+        from repro.api.backends import _cost_chunks
 
         scenario = quick_scenario(benchmarks=("SASC", "MD5"), samples=4)
         todo = list(enumerate(scenario.expand()))
         by_index = dict(todo)
-        for chunk in schedule_chunks(todo, workers=2):
+        for chunk in _cost_chunks(todo, workers=2):
             assert len({by_index[i].benchmark for i in chunk}) == 1
 
     def test_schedule_is_deterministic(self):
-        from repro.api.runner import schedule_chunks
+        from repro.api.backends import _cost_chunks
 
         scenario = quick_scenario(samples=3)
         todo = list(enumerate(scenario.expand()))
-        assert schedule_chunks(todo, workers=2) == \
-            schedule_chunks(todo, workers=2)
+        assert _cost_chunks(todo, workers=2) == \
+            _cost_chunks(todo, workers=2)
 
     def test_chunk_loads_are_balanced_not_concentrated(self):
         """A skewed budget sweep must spread its expensive points across
         chunks (greedy LPT), not slice them contiguously into one
         straggler chunk."""
         from repro.api import AttackSpec, LockerSpec, Scenario
-        from repro.api.runner import schedule_chunks
+        from repro.api.backends import _job_cost, _cost_chunks
 
         scenario = Scenario(
             name="skew", benchmarks=("SASC",), lockers=(LockerSpec("era"),),
@@ -260,8 +260,8 @@ class TestCostAwareScheduling:
             samples=8, scale=0.15)
         todo = list(enumerate(scenario.expand()))
         by_index = dict(todo)
-        chunks = schedule_chunks(todo, workers=2)
-        totals = [sum(by_index[i].estimated_cost() for i in chunk)
+        chunks = _cost_chunks(todo, workers=2)
+        totals = [sum(_job_cost(by_index[i]) for i in chunk)
                   for chunk in chunks]
         assert len(totals) == 2
         # Perfect balance is possible here (8 heavy + 8 light jobs).
@@ -277,18 +277,6 @@ class TestCostAwareScheduling:
 
 
 class TestManifestCostData:
-    def test_manifest_pairs_wall_time_with_estimate(self, tmp_path):
-        scenario = quick_scenario()
-        store = ResultsStore(tmp_path / "store")
-        Runner(scenario, store=store).run()
-        manifest = store.manifest()
-        assert manifest["total_jobs"] == len(scenario.expand())
-        by_id = {job.job_id: job for job in scenario.expand()}
-        for summary in manifest["jobs"]:
-            assert summary["elapsed_seconds"] > 0
-            assert summary["estimated_cost"] == pytest.approx(
-                by_id[summary["job_id"]].estimated_cost())
-
     def test_completion_states(self, tmp_path):
         scenario = quick_scenario()
         store = ResultsStore(tmp_path / "store")
@@ -296,6 +284,10 @@ class TestManifestCostData:
         Runner(scenario, store=store).run()
         assert store.completion() == {"records": 2, "total": 2,
                                       "complete": True}
+        for summary in store.manifest()["jobs"]:
+            assert set(summary) == {"job_id", "kind", "benchmark", "locker",
+                                    "sample", "elapsed_seconds"}
+            assert summary["elapsed_seconds"] > 0
         store.record_path(store.job_ids()[0]).unlink()
         completion = store.completion()
         assert completion["records"] == 1 and not completion["complete"]
@@ -470,3 +462,30 @@ class TestProcessCaches:
             attacks=(), metrics=(MetricSpec("avalanche", {"vectors": 4}),))
         execute_job(other.expand()[0])
         assert len(locks) == 5
+
+    def test_serial_run_goes_in_expansion_order_and_locks_each_cell_once(
+            self, runner_module, monkeypatch):
+        """A sample's attack and metric jobs run back to back, so the
+        lock cache serves the second one even when the scenario has more
+        cells than the cache holds."""
+        made = []
+        make_locker = runner_module.make_locker
+
+        def counting_make_locker(*args, **kwargs):
+            made.append(args[0])
+            return make_locker(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "make_locker",
+                            counting_make_locker)
+        scenario = Scenario(
+            name="serial-order", benchmarks=("FIR",),
+            lockers=(LockerSpec("era"), LockerSpec("assure")),
+            attacks=(AttackSpec("snapshot", rounds=5, time_budget=1.0),),
+            metrics=(MetricSpec("avalanche", {"vectors": 64}),),
+            samples=6, scale=0.5, seed=3)
+        seen = []
+        Runner(scenario, progress=lambda done, total, record:
+               seen.append(record["job_id"])).run()
+        assert seen == [job.job_id for job in scenario.expand()]
+        # 2 lockers x 6 samples = 12 cells, each locked once.
+        assert len(made) == 12

@@ -243,7 +243,11 @@ class TestAxisValidationAndRoundTrip:
 
 
 class TestEstimatedCost:
+    """The process pool's private cost estimate (dispatch order only)."""
+
     def test_attack_cost_scales_with_rounds_budget_and_gates(self):
+        from repro.api.backends import _job_cost
+
         def job_with(benchmark="SASC", rounds=4, budget=1.0):
             scenario = Scenario(
                 name="cost", benchmarks=(benchmark,),
@@ -253,18 +257,20 @@ class TestEstimatedCost:
                 samples=1, scale=0.15)
             return scenario.expand()[0]
 
-        base = job_with().estimated_cost()
+        base = _job_cost(job_with())
         assert base > 0
-        assert job_with(rounds=8).estimated_cost() == pytest.approx(2 * base)
-        assert job_with(budget=2.0).estimated_cost() == pytest.approx(2 * base)
-        assert job_with(benchmark="MD5").estimated_cost() > base
+        assert _job_cost(job_with(rounds=8)) == pytest.approx(2 * base)
+        assert _job_cost(job_with(budget=2.0)) == pytest.approx(2 * base)
+        assert _job_cost(job_with(benchmark="MD5")) > base
 
     def test_metric_cost_uses_vectors_option(self):
+        from repro.api.backends import _job_cost
+
         scenario = Scenario(
             name="cost", benchmarks=("SASC",), lockers=(LockerSpec("era"),),
             metrics=(MetricSpec("avalanche", {"vectors": 8}),
                      MetricSpec("corruption", {"vectors": 16})),
             samples=1, scale=0.15)
         small, large = scenario.expand()
-        assert large.estimated_cost() == pytest.approx(
-            2 * small.estimated_cost())
+        assert _job_cost(large) == pytest.approx(
+            2 * _job_cost(small))

@@ -6,6 +6,7 @@ through :class:`~repro.api.client.ScenarioClient` — the same code paths
 ``cli serve``/``submit``/``watch`` use.
 """
 
+import re
 import threading
 import time
 
@@ -244,6 +245,27 @@ class TestErrorPaths:
         with pytest.raises(ServerError) as excinfo:
             client.report(store="no/such/store")
         assert excinfo.value.code == "STORE_ERROR"
+
+    def test_internal_error_reply_carries_an_id_not_a_traceback(
+            self, server, client, monkeypatch, caplog):
+        def broken_dispatch(request):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(server, "_dispatch", broken_dispatch)
+        with caplog.at_level("ERROR", logger="repro.api.server"):
+            with pytest.raises(ServerError) as excinfo:
+                client.ping()
+        assert excinfo.value.code == "INTERNAL"
+        message = excinfo.value.message
+        assert "Traceback" not in message and "handler bug" not in message
+        match = re.fullmatch(r"internal error ([0-9a-f]{8}); see server log",
+                             message)
+        assert match is not None, message
+        logged = [record for record in caplog.records
+                  if match.group(1) in record.getMessage()]
+        assert len(logged) == 1
+        assert logged[0].exc_info[0] is RuntimeError
+        assert "handler bug" in caplog.text
 
 
 class TestCancelAndShutdown:

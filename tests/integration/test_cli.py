@@ -353,7 +353,7 @@ class TestReport:
         assert "Mean KPA (%) per seed" in out
         assert "Mean KPA (%) per key_budget_fraction" in out
         assert "Mean KPA (%) per time_budget" in out
-        assert "Wall time vs. scheduler cost estimate" in out
+        assert "Measured wall time per benchmark x locker" in out
         # Nothing was re-simulated: no record file was touched.
         assert {path: path.stat().st_mtime_ns
                 for path in (store / "jobs").glob("*.json")} == jobs_before

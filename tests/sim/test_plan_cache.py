@@ -131,27 +131,6 @@ class TestTouch:
         assert get_plan(design) is get_plan(design.touch())
 
 
-class TestWarmPlanCache:
-    def test_warming_precompiles(self):
-        from repro.sim import warm_plan_cache
-
-        design = _locked_md5()
-        assert warm_plan_cache(design) is True
-        misses = plan_cache_info().misses
-        get_plan(design)
-        assert plan_cache_info().misses == misses, "warmed plan must hit"
-
-    def test_warming_never_raises_on_uncompilable_designs(self):
-        from repro.sim import warm_plan_cache
-
-        design = Design.from_verilog("""
-        module dynrep (input [3:0] a, input [1:0] n, output [7:0] y);
-          assign y = {n{a}};
-        endmodule
-        """)
-        assert warm_plan_cache(design) is False
-
-
 class TestPlanCache:
     def test_second_lookup_hits(self):
         design = _locked_md5()
