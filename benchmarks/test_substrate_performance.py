@@ -242,18 +242,11 @@ def test_sweep_vn_speedup_on_kpa_shape(results_dir, era_locked_i2c):
         "than the flat S*V sweep")
 
 
-def test_sweep_vn_stats_report_per_pass_deltas(era_locked_i2c):
-    """plan.stats carries the per-pass step deltas the gate reports."""
+def test_sweep_vn_stats_count_hoisted_work(era_locked_i2c):
+    """plan.stats carries the value-numbering counters the gate reports."""
     plan = compile_plan(era_locked_i2c)
-    names = [delta.name for delta in plan.stats.passes]
-    assert names == ["fold", "cse", "sweep-vn", "lower", "prune"]
-    lower = next(d for d in plan.stats.passes if d.name == "lower")
-    prune = next(d for d in plan.stats.passes if d.name == "prune")
-    assert lower.steps_after >= lower.steps_before  # $cse/$vn slots emitted
-    assert prune.steps_after <= prune.steps_before
     assert plan.stats.invariant_steps > 0
     assert plan.stats.hoisted_subexprs > 0
-    assert plan.sweep_hoist
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ from typing import Dict, Mapping, Optional, Union
 #: envelope changes.
 PROTOCOL_VERSION = 1
 
+#: Longest request line the server reads, newline included; a longer one
+#: gets ``REQUEST_TOO_LARGE`` and the server hangs up.
+MAX_REQUEST_BYTES = 1 << 20
+
 #: Operations the server understands (the ``op`` field of a request).
 OPS = ("ping", "submit", "status", "watch", "cancel", "report", "list",
        "shutdown")
@@ -51,6 +55,7 @@ ERROR_CODES = (
     "STORE_ERROR",          # results store missing/corrupt/unreadable
     "SHUTTING_DOWN",        # server no longer accepts new work
     "INTERNAL",             # unexpected server-side failure
+    "REQUEST_TOO_LARGE",    # request line over MAX_REQUEST_BYTES
 )
 
 

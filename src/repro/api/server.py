@@ -14,6 +14,8 @@ Mechanics:
 
 * **Typed protocol** — requests/responses/events are the envelopes of
   :mod:`repro.api.protocol`; every failure carries a canonical error code.
+  A request line longer than ``MAX_REQUEST_BYTES`` gets
+  ``REQUEST_TOO_LARGE`` and the connection is closed.
 * **Bounded worker queue** — ``workers`` threads drain a FIFO of submitted
   jobs; submissions beyond that simply queue (``status`` reports the
   position).  Default 1 worker: runs execute strictly in submission order.
@@ -51,10 +53,11 @@ import traceback
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
-from .protocol import (PROTOCOL_VERSION, Event, ProtocolError, Request,
-                       Response, decode_request, encode)
+from .protocol import (MAX_REQUEST_BYTES, PROTOCOL_VERSION, Event,
+                       ProtocolError, Request, Response, decode_request,
+                       encode)
 from .scenario import Scenario, ScenarioError
 from .store import ResultsStore, StoreError, write_json_atomic
 
@@ -333,7 +336,13 @@ class ScenarioServer:
         """Handle one client connection: a loop of NDJSON requests."""
         reader = connection.makefile("rb")
         try:
-            for line in reader:
+            while True:
+                line = reader.readline(MAX_REQUEST_BYTES + 1)
+                if not line:
+                    break
+                if len(line) > MAX_REQUEST_BYTES:
+                    self._refuse_oversized(connection, reader, line)
+                    break
                 if not line.strip():
                     continue
                 try:
@@ -369,6 +378,20 @@ class ScenarioServer:
                 connection.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+
+    def _refuse_oversized(self, connection: socket.socket, reader: BinaryIO,
+                          line: bytes) -> None:
+        """Answer an over-long request line, then read past its end.
+
+        Closing a socket with unread bytes resets the connection, and the
+        reset can drop the reply, so the rest of the line is read in
+        bounded chunks and discarded before the caller hangs up.
+        """
+        self._send(connection, Response.failure(
+            "-", "REQUEST_TOO_LARGE",
+            f"request line longer than {MAX_REQUEST_BYTES} bytes"))
+        while line and not line.endswith(b"\n"):
+            line = reader.readline(1 << 16)
 
     def _send(self, connection: socket.socket, message) -> None:
         connection.sendall(encode(message))

@@ -44,6 +44,10 @@ if TYPE_CHECKING:
 #: Supported feature-set names.
 FEATURE_SETS = ("pair", "extended", "behavioral")
 
+#: Seed of the behavioural probe's input-vector stream; fixed so the same
+#: design always yields the same behavioural features.
+BEHAVIOR_SEED = 0
+
 #: Container kind codes for the extended feature set.
 _CONTAINER_CODES = {
     "assign": 1,
@@ -79,13 +83,10 @@ class LocalityExtractor:
         feature_set: ``pair`` (paper default), ``extended`` or ``behavioral``.
         behavior_vectors: Input vectors per sensitivity probe (only used by
             the ``behavioral`` feature set).
-        behavior_seed: Seed of the probe's input-vector stream; fixed so the
-            same design always yields the same behavioural features.
     """
 
     def __init__(self, feature_set: str = "pair",
-                 behavior_vectors: int = 32,
-                 behavior_seed: int = 0) -> None:
+                 behavior_vectors: int = 32) -> None:
         if feature_set not in FEATURE_SETS:
             raise ValueError(f"unknown feature set {feature_set!r}; "
                              f"expected one of {FEATURE_SETS}")
@@ -93,7 +94,6 @@ class LocalityExtractor:
             raise ValueError("behavior_vectors must be positive")
         self.feature_set = feature_set
         self.behavior_vectors = behavior_vectors
-        self.behavior_seed = behavior_seed
 
     @property
     def n_features(self) -> int:
@@ -179,7 +179,7 @@ class LocalityExtractor:
         try:
             values = key_bit_sensitivity(
                 design, vectors=self.behavior_vectors,
-                rng=random.Random(self.behavior_seed),
+                rng=random.Random(BEHAVIOR_SEED),
                 key_indices=indices)
         except SimulationError:
             return {}

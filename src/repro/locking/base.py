@@ -97,17 +97,16 @@ class LockingSession:
             existing key bits are preserved and new ones are appended.
         pair_table: Locking-pair table; defaults to the fixed symmetric table.
         rng: Random source for key values and operation selection.
-        key_port: Name of the key input port to create (ignored when the
-            design is already locked and has one).
+
+    The key port the session creates, when the design has none yet, is
+    named :data:`~repro.rtlir.design.DEFAULT_KEY_PORT` (uniquified).
     """
 
     def __init__(self, design: Design, pair_table: Optional[PairTable] = None,
-                 rng: Optional[random.Random] = None,
-                 key_port: str = DEFAULT_KEY_PORT) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.design = design
         self.pair_table = pair_table or default_pair_table()
         self.rng = rng or random.Random()
-        self._requested_key_port = key_port
         # The key port and the range this session installed on it; the
         # range's msb is replaced in place as key bits come and go.
         self._key_port_node: Optional[ast.Port] = None
@@ -172,7 +171,7 @@ class LockingSession:
 
     def _ensure_key_port(self) -> str:
         if self.design.key_port is None:
-            name = unique_name(self.design.top, self._requested_key_port)
+            name = unique_name(self.design.top, DEFAULT_KEY_PORT)
             self.design.key_port = name
             port = ast.Port(name, direction="input", net_type="wire",
                             width=ast.Range(ast.IntConst("0"), ast.IntConst("0")))

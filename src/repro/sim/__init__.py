@@ -11,11 +11,13 @@ Two engines, cross-checked against each other:
   of the staged plan compiler in :mod:`repro.sim.plan` (IR → passes →
   executor).
 
-The plan pipeline runs ordered, individually-toggleable passes — constant
-folding, common-subexpression elimination, **sweep value-numbering** (tag
-point-invariant steps so :meth:`BatchSimulator.run_sweep` evaluates them
-once per V-lane base batch instead of once per S×V sweep lane), and
-dead-step pruning — each reported as a step delta in ``plan.stats``.
+:func:`compile_plan` always runs the same five passes in one order —
+constant folding, common-subexpression elimination, **sweep
+value-numbering** (hoist point-invariant subexpressions of key-dependent
+assignments into their own steps, so :meth:`BatchSimulator.run_sweep`
+evaluates them once per V-lane base batch instead of once per S×V sweep
+lane), lowering and dead-step pruning — and counts what they did in
+``plan.stats``.
 
 Both validate the locking contract — with the correct key the locked design
 is functionally equivalent to the original, with a wrong key the outputs are
@@ -50,12 +52,9 @@ loops:
 from .evaluator import ExpressionEvaluator, SimulationError, mask
 from .plan import (
     DEFAULT_LANE_BITS_BUDGET,
-    PASS_ORDER,
     BatchCompileError,
     BatchSimulator,
     EvalPlan,
-    PassDelta,
-    PassManager,
     PlanStats,
     Step,
     SweepDifferences,
@@ -104,12 +103,9 @@ __all__ = [
     "sweep_differences",
     "ENGINES",
     "DEFAULT_LANE_BITS_BUDGET",
-    "PASS_ORDER",
     "BatchCompileError",
     "BatchSimulator",
     "EvalPlan",
-    "PassDelta",
-    "PassManager",
     "PlanStats",
     "Step",
     "SweepDifferences",

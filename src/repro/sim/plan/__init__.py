@@ -2,9 +2,9 @@
 
 ``repro.sim.plan`` is the compilation pipeline behind the bit-parallel
 engine.  A design lowers once into a flat plan of typed steps
-(:mod:`~repro.sim.plan.steps`), an ordered and individually-toggleable pass
-list optimises it (:mod:`~repro.sim.plan.passes`: constant folding, CSE,
-sweep value-numbering, lowering, dead-step pruning), and a thin executor
+(:mod:`~repro.sim.plan.steps`), five passes that always run in one order
+optimise it (:mod:`~repro.sim.plan.passes`: constant folding, CSE, sweep
+value-numbering, lowering, dead-step pruning), and a thin executor
 (:mod:`~repro.sim.plan.executor`) runs the result — N vectors per
 bit-parallel pass, or S×V sweep lanes per pass with point-invariant steps
 hoisted to the V-lane base batch.  The scalar engine does not use plans: it
@@ -24,20 +24,12 @@ from .executor import (
     unpack_values,
 )
 from .lowering import ExpressionCompiler
-from .passes import (
-    PASS_FACTORIES,
-    PASS_ORDER,
-    PassManager,
-    PlanBuild,
-    compile_plan,
-    normalize_passes,
-)
+from .passes import PlanBuild, compile_plan
 from .steps import (
     WORKING_WIDTH,
     BatchCompileError,
     CompiledExpr,
     EvalPlan,
-    PassDelta,
     PlanStats,
     Slices,
     Step,
@@ -50,10 +42,6 @@ __all__ = [
     "DEFAULT_LANE_BITS_BUDGET",
     "EvalPlan",
     "ExpressionCompiler",
-    "PASS_FACTORIES",
-    "PASS_ORDER",
-    "PassDelta",
-    "PassManager",
     "PlanBuild",
     "PlanStats",
     "Slices",
@@ -64,7 +52,6 @@ __all__ = [
     "classify_steps",
     "compile_plan",
     "differing_lanes",
-    "normalize_passes",
     "pack_values",
     "plan_lane_bits",
     "unpack_values",

@@ -14,7 +14,7 @@ happens after compilation:
   (:meth:`~BatchSimulator.sweep_differences`, counted by XOR and popcount
   on the slice words without unpacking a lane).
 
-Both sweep entry points apply the sweep value-numbering tags: steps whose
+Both sweep entry points hoist point-invariant work: steps whose
 transitive inputs are point-invariant (they read neither a swept key port
 nor a per-point bound signal) evaluate once on the V-lane base batch and
 their results are tiled across the S point blocks, instead of being
@@ -813,7 +813,7 @@ class BatchSimulator:
                   keys: Optional[Sequence[Sequence[int]]] = None,
                   bindings: Optional[Sequence[Mapping[str, int]]] = None,
                   n: Optional[int] = None,
-                  hoist: Optional[bool] = None,
+                  hoist: bool = True,
                   max_lanes: Optional[int] = None
                   ) -> List[Dict[str, List[int]]]:
         """Evaluate S sweep points over one shared input batch in one pass.
@@ -825,11 +825,11 @@ class BatchSimulator:
         loop ``[run_batch(inputs, key=k) for k in keys]``, which pays the
         plan-interpretation overhead S times instead of once.
 
-        When the plan was compiled with sweep value-numbering (the default),
-        point-invariant steps — those reading neither a swept key port nor a
-        per-point bound signal, directly or transitively — are evaluated
-        *once* on the V base lanes and their results tiled across the S
-        point blocks, instead of being re-evaluated on all S×V lanes.
+        With ``hoist`` (the default), point-invariant steps — those reading
+        neither a swept key port nor a per-point bound signal, directly or
+        transitively — are evaluated *once* on the V base lanes and their
+        results tiled across the S point blocks, instead of being
+        re-evaluated on all S×V lanes.
         Identical keys on every point (the avalanche-study shape) make the
         whole key cone point-invariant too.  Results are bit-identical
         either way.
@@ -844,9 +844,8 @@ class BatchSimulator:
                 bound in one point but omitted in another defaults to 0 for
                 the latter.  The key port must be swept via ``keys``.
             n: Base lane count override, required when ``inputs`` is empty.
-            hoist: Override the plan's sweep-hoist default (``False`` forces
-                the flat S×V evaluation of every step — the pre-VN
-                behaviour, kept for benchmarking and debugging).
+            hoist: ``False`` forces the flat S×V evaluation of every step —
+                the pre-VN behaviour, kept for benchmarking and debugging.
             max_lanes: Peak lane width of one bit-parallel pass.  Sweeps
                 wider than this are split into point tiles of
                 ``max(1, max_lanes // V)`` points each: invariant work still
@@ -921,7 +920,7 @@ class BatchSimulator:
         Raises:
             SimulationError: as :meth:`run_sweep`.
         """
-        sweep = self._prepare_sweep(inputs, keys, bindings, n, None)
+        sweep = self._prepare_sweep(inputs, keys, bindings, n, True)
         base = sweep.base
         lanes: List[int] = []
         bits: List[int] = []
@@ -943,7 +942,7 @@ class BatchSimulator:
                        keys: Optional[Sequence[Sequence[int]]],
                        bindings: Optional[Sequence[Mapping[str, int]]],
                        n: Optional[int],
-                       hoist: Optional[bool]) -> _Sweep:
+                       hoist: bool) -> _Sweep:
         """Validate a sweep and run its point-invariant work on the V lanes."""
         base = n
         for name, values in inputs.items():
@@ -1012,9 +1011,8 @@ class BatchSimulator:
             base_env[key_port] = _fit(_pack_key_broadcast(shared_key, block),
                                       self.width_of(key_port))
 
-        do_hoist = self.plan.sweep_hoist if hoist is None else bool(hoist)
         schedule = sweep_schedule(self.plan, frozenset(varying),
-                                  flat=not do_hoist)
+                                  flat=not hoist)
 
         # Invariant work runs once on the V base lanes; only what the
         # varying steps read is kept for tiling out to the sweep lanes, plus

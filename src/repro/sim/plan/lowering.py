@@ -42,10 +42,9 @@ class ExpressionCompiler:
             ``$cseN`` steps (computed by the CSE pass).
         invariant: Structural keys of point-invariant subexpressions to
             hoist into ``$vnN`` steps (computed by the sweep-VN pass).
-            A key present in both sets is emitted as a ``$cseN`` step, so
-            CSE statistics stay comparable whether or not sweep
-            value-numbering runs; the step is tagged point-invariant by the
-            lowering tagger either way.
+            A key present in both sets is emitted as a ``$cseN`` step; the
+            sweep executor hoists it all the same, since it reads no
+            point-varying source.
     """
 
     def __init__(self, widths: Mapping[str, int],

@@ -13,11 +13,10 @@ objects — the intermediate representation every optimisation pass in
   :mod:`repro.sim.plan.lowering`).
 
 The :class:`EvalPlan` is the finished artefact the executor runs; its
-:class:`PlanStats` records what every pass did (per-pass step deltas in
-:attr:`PlanStats.passes`).  This module also hosts the pieces of structural
-identity the passes share: :func:`structural_key` (equal keys compile to
-equal values) and the assignment-collection helpers that turn a module into
-the pre-lowering IR.
+:class:`PlanStats` counts what the passes did.  This module also hosts the
+pieces of structural identity the passes share: :func:`structural_key`
+(equal keys compile to equal values) and the assignment-collection helpers
+that turn a module into the pre-lowering IR.
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ class Step:
         kind: ``"assign"`` for module assignments, ``"cse"`` for shared
             ``$cseN`` subexpression slots, ``"invariant"`` for ``$vnN``
             slots hoisted by sweep value-numbering.
-        point_invariant: True when the step's transitive inputs exclude the
-            key port, i.e. its value is identical on every point of a key
-            sweep (set by the lowering tagger when sweep value-numbering is
-            enabled).
     """
 
     target: str
@@ -73,25 +68,6 @@ class Step:
     fn: Optional[CompiledExpr] = None
     reads: FrozenSet[str] = frozenset()
     kind: str = "assign"
-    point_invariant: bool = False
-
-
-@dataclass(frozen=True)
-class PassDelta:
-    """Step-count effect of one pass run (``plan.stats.passes`` entry).
-
-    Attributes:
-        name: Pass name (``fold``, ``cse``, ``sweep-vn``, ``lower``,
-            ``prune``).
-        steps_before: IR step count when the pass started.
-        steps_after: IR step count when the pass finished.
-        detail: One-line human-readable summary of what the pass did.
-    """
-
-    name: str
-    steps_before: int
-    steps_after: int
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -109,11 +85,11 @@ class PlanStats:
         hoisted_subexprs: ``$vnN`` steps emitted by sweep value-numbering for
             point-invariant subexpressions inside point-varying assignments
             (before pruning).
-        invariant_steps: Steps of the final plan tagged ``point_invariant``
-            — the work :meth:`BatchSimulator.run_sweep
+        invariant_steps: Steps of the final plan whose transitive inputs
+            exclude the key port — the work :meth:`BatchSimulator.run_sweep
             <repro.sim.plan.executor.BatchSimulator.run_sweep>` evaluates
-            once per V-lane base batch instead of once per S×V sweep lane.
-        passes: Per-pass step deltas, in execution order.
+            once per V-lane base batch instead of once per S×V sweep lane
+            (when hoisting pays off for the plan).
     """
 
     steps: int = 0
@@ -122,7 +98,6 @@ class PlanStats:
     folded_constants: int = 0
     hoisted_subexprs: int = 0
     invariant_steps: int = 0
-    passes: Tuple[PassDelta, ...] = ()
 
 
 @dataclass
@@ -135,10 +110,7 @@ class EvalPlan:
         outputs: Combinational output names in declaration order.
         widths: Declared signal widths.
         key_port: Name of the key input port, if any.
-        stats: Per-pass optimisation statistics of the compile.
-        sweep_hoist: True when sweep value-numbering ran and tagged the
-            steps, i.e. the executor may hoist point-invariant steps out of
-            the per-point lanes of a sweep by default.
+        stats: Optimisation statistics of the compile.
     """
 
     steps: List[Step]
@@ -147,7 +119,6 @@ class EvalPlan:
     widths: Dict[str, int]
     key_port: Optional[str]
     stats: PlanStats = field(default_factory=PlanStats)
-    sweep_hoist: bool = False
 
     def width_of(self, name: str) -> int:
         """Declared width of a signal (working width when unknown)."""

@@ -19,6 +19,10 @@ Two more contracts make a locked design worth attacking at all:
 * one attack relock round keeps the design transparent under its full
   correct key, and undoing the round restores the design.
 
+And every benchmark locked by every locker simulates the same on the
+compiled bit-parallel plan as on the scalar AST oracle, which shares no
+code with plans, under the correct key and under a wrong key.
+
 The cases are data drawn from the live registries, run through one helper
 per contract, so no plugin of the package can register without passing
 them.
@@ -34,13 +38,16 @@ from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
                                 make_metric, metric_names)
 from repro.attacks.baselines import RandomGuessAttack
+from repro.bench import benchmark_names, load_benchmark
 from repro.bench.generators import profile_design
 from repro.bench.profiles import BenchmarkProfile
 from repro.locking import AssureLocker
 from repro.locking.base import LockingSession
 from repro.locking.metrics import functional_corruption
 from repro.rtlir import Design
-from repro.sim import check_equivalence
+from repro.sim import (BatchSimulator, CombinationalSimulator,
+                       batch_to_vectors, check_equivalence,
+                       random_input_batch)
 
 from ..conftest import MIXER_SOURCE
 
@@ -210,3 +217,37 @@ def check_locking_contract(locker: str, seed: int) -> None:
                               for locker, seed in LOCKING_CASES])
 def test_registered_locker_corrupts_and_survives_relocking(locker, seed):
     check_locking_contract(locker, seed)
+
+
+#: ``(benchmark, locker)``: every benchmark locked by every packaged locker.
+SIMULATION_CASES = [(name, locker) for name in benchmark_names()
+                    for locker in LOCKER_NAMES]
+
+#: Input vectors of each plan-vs-oracle comparison.
+SIMULATION_VECTORS = 8
+
+
+def check_plan_matches_oracle(benchmark: str, locker: str) -> None:
+    """Plan outputs equal the scalar oracle's, right key and wrong key."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    locked = make_locker(locker, random.Random(0)).lock(design,
+                                                        budget).design
+    wrong = [1 - bit for bit in locked.correct_key]
+    batch = random_input_batch(locked, random.Random(1), SIMULATION_VECTORS)
+    vectors = batch_to_vectors(batch, SIMULATION_VECTORS)
+    plan, oracle = BatchSimulator(locked), CombinationalSimulator(locked)
+    for key in (locked.correct_key, wrong):
+        outputs = plan.run_batch(batch, key=key, n=SIMULATION_VECTORS)
+        expected = [oracle.run(vector, key=key) for vector in vectors]
+        assert [{name: values[lane] for name, values in outputs.items()}
+                for lane in range(SIMULATION_VECTORS)] == expected, \
+            f"{benchmark} locked by {locker!r}: plan and oracle disagree"
+
+
+# ``benchmark`` would clash with the pytest-benchmark fixture name.
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_locked_benchmark_plan_matches_scalar_oracle(design_name, locker):
+    check_plan_matches_oracle(design_name, locker)

@@ -1,12 +1,13 @@
 """Scenario service end-to-end tests: server, client, protocol contract.
 
 Every test runs a real :class:`~repro.api.server.ScenarioServer` in-process
-on a per-test Unix socket (TCP in one transport test) and talks to it
-through :class:`~repro.api.client.ScenarioClient` — the same code paths
-``cli serve``/``submit``/``watch`` use.
+on a per-test Unix socket (TCP in the transport and oversized-request
+tests) and talks to it through :class:`~repro.api.client.ScenarioClient` —
+the same code paths ``cli serve``/``submit``/``watch`` use.
 """
 
 import re
+import socket
 import threading
 import time
 
@@ -21,6 +22,8 @@ from repro.api import (
     Scenario,
 )
 from repro.api.client import ScenarioClient, ServerError, parse_address
+from repro.api.protocol import (MAX_REQUEST_BYTES, Request,
+                                decode_server_message, encode)
 from repro.api.server import ScenarioServer
 
 
@@ -240,6 +243,38 @@ class TestErrorPaths:
         with pytest.raises(ServerError) as excinfo:
             client.call("status", {})  # missing job_id
         assert excinfo.value.code == "INVALID_REQUEST"
+
+    @pytest.mark.parametrize("overshoot", [1, 3 * MAX_REQUEST_BYTES],
+                             ids=["one-byte", "3MiB"])
+    def test_oversized_request_is_refused_and_hung_up(self, tmp_path,
+                                                      overshoot):
+        # A well-formed ping, padded past the limit; over TCP, where
+        # closing with unread bytes would reset the connection.
+        size = MAX_REQUEST_BYTES + overshoot
+        line = encode(Request(op="ping", id="big", params={"pad": ""}))
+        line = encode(Request(op="ping", id="big",
+                              params={"pad": "x" * (size - len(line))}))
+        assert len(line) == size
+        server = ScenarioServer(runs_root=tmp_path / "runs",
+                                host="127.0.0.1", port=0)
+        server.start()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                sock.sendall(line)
+                with sock.makefile("rb") as reader:
+                    reply = decode_server_message(reader.readline())
+                    assert reply.error["code"] == "REQUEST_TOO_LARGE"
+                    assert reader.readline() == b""  # the server hung up
+            with ScenarioClient(server.address) as fresh:
+                assert fresh.ping()["protocol"] == 1
+        finally:
+            server.stop()
+
+    def test_request_at_the_limit_is_answered(self, server, client):
+        line = encode(Request(op="ping", id="req-1", params={"pad": ""}))
+        pad = "x" * (MAX_REQUEST_BYTES - len(line))
+        assert client.call("ping", {"pad": pad})["protocol"] == 1
 
     def test_report_on_missing_store(self, client):
         with pytest.raises(ServerError) as excinfo:

@@ -1,8 +1,7 @@
 """Common-subexpression elimination and dead-step pruning in compile_plan.
 
 Both passes are pure plan-shape optimisations: the compiled closures must
-produce values bit-identical to the unoptimised plan and to the scalar
-oracle on every design, while the plan itself gets smaller (dead steps) or
+produce values bit-identical to the scalar oracle on every design, while the plan itself gets smaller (dead steps) or
 cheaper (shared subtrees evaluated once per pass).
 """
 
@@ -42,14 +41,10 @@ endmodule
 
 
 def _cross_check(design, vectors=12, seed=0, key=None):
-    plain = BatchSimulator(design, plan=compile_plan(
-        design, passes=("fold", "sweep-vn")))
     optimised = BatchSimulator(design, plan=compile_plan(design))
     scalar = CombinationalSimulator(design)
     batch = random_input_batch(design, random.Random(seed), vectors)
-    expected = plain.run_batch(batch, key=key, n=vectors)
     actual = optimised.run_batch(batch, key=key, n=vectors)
-    assert actual == expected
     for lane, vector in enumerate(batch_to_vectors(batch, vectors)):
         reference = scalar.run(vector, key=key)
         for name, value in reference.items():
@@ -74,14 +69,6 @@ class TestSharedSubexpressions:
         assert all(not name.startswith("$cse")
                    for name in simulator.output_names)
 
-    def test_cse_disabled_plan_has_no_slots(self):
-        design = Design.from_verilog(CSE_HEAVY)
-        plan = compile_plan(design,
-                            passes=("fold", "sweep-vn", "prune"))
-        assert plan.stats.cse_steps == 0
-        assert all(not step.target.startswith("$cse")
-                   for step in plan.steps)
-
     def test_era_locked_design_exercises_cse(self):
         design = load_benchmark("MD5", scale=0.15, seed=0)
         budget = max(1, int(0.75 * design.num_operations()))
@@ -102,14 +89,6 @@ class TestDeadStepPruning:
 
     def test_pruning_keeps_outputs_identical(self):
         _cross_check(Design.from_verilog(DEAD_LOGIC))
-
-    def test_prune_disabled_keeps_every_step(self):
-        design = Design.from_verilog(DEAD_LOGIC)
-        plan = compile_plan(design,
-                            passes=("fold", "cse", "sweep-vn"))
-        names = {step.target for step in plan.steps}
-        assert {"used", "unused1", "unused2", "y"} <= names
-        assert plan.stats.pruned_steps == 0
 
     def test_transitive_liveness_is_preserved(self):
         design = Design.from_verilog("""

@@ -6,7 +6,7 @@ executor splits the S sweep points into point tiles and streams each tile
 through the varying steps.  Because the bit-slice kernels never mix bits
 across lanes, every tiling — single-point tiles, ragged last tiles, no
 chunking at all — must be *bit-identical* to the unchunked evaluation, for
-every pass subset and both hoisted and flat schedules.
+both hoisted and flat schedules.
 """
 
 import contextlib
@@ -29,18 +29,7 @@ from repro.sim import (
     random_input_batch,
     random_key,
 )
-from repro.sim.plan import PASS_ORDER, executor
-
-#: Same golden matrix as the pass tests: each optimisation alone, nothing,
-#: everything — chunking must compose with every schedule shape.
-PASS_SUBSETS = [
-    ("lower",),
-    ("fold", "lower"),
-    ("cse", "lower"),
-    ("sweep-vn", "lower"),
-    ("lower", "prune"),
-    PASS_ORDER,
-]
+from repro.sim.plan import executor
 
 #: Lane caps exercised against 12 points x 8 base lanes (96 lanes total):
 #: single-point tiles, a ragged last tile (5+5+2 points), and a cap far above
@@ -85,15 +74,12 @@ def _recorded_tiles():
 
 
 class TestChunkedBitIdentity:
-    """Chunked == unchunked, across pass subsets, hoisting, and tilings."""
+    """Chunked == unchunked, across hoisting and tilings."""
 
-    @pytest.mark.parametrize("passes", PASS_SUBSETS,
-                             ids=["+".join(p) for p in PASS_SUBSETS])
     @pytest.mark.parametrize("max_lanes", LANE_CAPS)
-    def test_key_sweep_matrix(self, passes, max_lanes):
+    def test_key_sweep_matrix(self, max_lanes):
         locked = _locked(algorithm="era")
-        simulator = BatchSimulator(locked,
-                                   plan=compile_plan(locked, passes=passes))
+        simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(1), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=2)
         reference = simulator.run_sweep(batch, keys=keys, n=BASE)
@@ -101,7 +87,7 @@ class TestChunkedBitIdentity:
                                       max_lanes=max_lanes)
         assert chunked == reference
 
-    @pytest.mark.parametrize("hoist", [None, False])
+    @pytest.mark.parametrize("hoist", [True, False])
     @pytest.mark.parametrize("max_lanes", LANE_CAPS)
     def test_hoisted_and_flat_schedules(self, hoist, max_lanes):
         locked = _locked(algorithm="assure")
@@ -169,7 +155,7 @@ class TestOutputKeyOrder:
     their key order; flat schedules returned varying-first dicts.
     """
 
-    @pytest.mark.parametrize("hoist", [None, False])
+    @pytest.mark.parametrize("hoist", [True, False])
     def test_result_keys_match_plan_outputs(self, hoist):
         locked = _locked(algorithm="era")
         simulator = BatchSimulator(locked)
@@ -184,7 +170,7 @@ class TestOutputKeyOrder:
         batch = simulator.random_batch(random.Random(13), 4)
         keys = _random_keys(locked.key_width, 3, seed=14)
         orders = set()
-        for hoist in (None, False):
+        for hoist in (True, False):
             for max_lanes in (None, BASE):
                 for point in simulator.run_sweep(batch, keys=keys, n=4,
                                                  hoist=hoist,

@@ -4,8 +4,8 @@
 tile's output slices against point 0's and popcounts them per point block.
 Its counts must equal what the value path gives — ``run_sweep``, then
 ``differing_lanes`` and the per-lane ``bit_count`` of the XOR against
-point 0 — for every pass subset, every tiling, key and binding sweeps,
-hoisted outputs, and base widths that are and are not whole bytes.  The
+point 0 — for every tiling, key and binding sweeps, hoisted outputs,
+and base widths that are and are not whole bytes.  The
 module-level :func:`repro.sim.sweep_differences` must give the same counts
 on its scalar engine, which is also the fallback for uncompilable designs.
 """
@@ -23,26 +23,15 @@ from repro.sim import (
     BatchSimulator,
     SimulationError,
     SweepDifferences,
-    compile_plan,
     differing_lanes,
     plan_lane_bits,
     random_input_batch,
     random_key,
     sweep_differences,
 )
-from repro.sim.plan import PASS_ORDER, executor
+from repro.sim.plan import executor
 from repro.sim.plan.executor import _block_comb, _replicate, sweep_schedule
 from tests.attacks.test_sweep_regression import _oddball_locked
-
-#: Each optimisation alone, nothing, everything (as in the pass tests).
-PASS_SUBSETS = [
-    ("lower",),
-    ("fold", "lower"),
-    ("cse", "lower"),
-    ("sweep-vn", "lower"),
-    ("lower", "prune"),
-    PASS_ORDER,
-]
 
 #: Base widths: whole bytes (byte-repeat tiling, byte popcounts) and not.
 BASES = [64, 100, 33]
@@ -119,13 +108,10 @@ class TestReplicate:
 
 
 class TestKeySweeps:
-    @pytest.mark.parametrize("passes", PASS_SUBSETS,
-                             ids=["+".join(p) for p in PASS_SUBSETS])
     @pytest.mark.parametrize("lane_cap", LANE_CAPS)
-    def test_pass_subsets_and_tilings(self, passes, lane_cap):
+    def test_tilings(self, lane_cap):
         locked = _locked_md5()
-        simulator = BatchSimulator(locked,
-                                   plan=compile_plan(locked, passes=passes))
+        simulator = BatchSimulator(locked)
         rng = random.Random(1)
         batch = simulator.random_batch(rng, 64)
         keys = [locked.correct_key] + [random_key(locked.key_width, rng)
@@ -137,12 +123,9 @@ class TestKeySweeps:
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("lane_cap", LANE_CAPS)
-    @pytest.mark.parametrize("passes", [PASS_ORDER, ("lower",)],
-                             ids=["hoisted", "flat"])
-    def test_base_widths(self, base, lane_cap, passes):
+    def test_base_widths(self, base, lane_cap):
         locked = _locked_md5()
-        simulator = BatchSimulator(locked,
-                                   plan=compile_plan(locked, passes=passes))
+        simulator = BatchSimulator(locked)
         rng = random.Random(base)
         batch = simulator.random_batch(rng, base)
         keys = [random_key(locked.key_width, rng) for _ in range(POINTS)]

@@ -1,6 +1,6 @@
 """Sweep value-numbering in the executor: hoisted sweeps stay bit-identical.
 
-``run_sweep`` with hoisting (the default on VN-compiled plans) must be
+``run_sweep`` with hoisting (its default) must be
 indistinguishable from the flat S×V evaluation and from the per-key
 ``run_batch`` loop — for key sweeps, shared-key (avalanche-shape) sweeps,
 binding sweeps and their combinations.  The vectorised lane packers are
@@ -47,20 +47,18 @@ class TestHoistedKeySweeps:
         loop = [simulator.run_batch(batch, key=key, n=16) for key in keys]
         assert hoisted == flat == loop
 
-    def test_default_follows_the_plan_toggle(self):
+    def test_default_is_the_hoisted_schedule(self):
         locked = _locked()
-        vn_plan = compile_plan(locked)
-        legacy_plan = compile_plan(locked,
-                                   passes=("fold", "cse", "prune"))
-        assert vn_plan.sweep_hoist and not legacy_plan.sweep_hoist
-        batch = BatchSimulator(locked, plan=vn_plan).random_batch(
-            random.Random(3), 8)
-        keys = [random_key(locked.key_width, random.Random(4))
-                for _ in range(6)]
-        assert BatchSimulator(locked, plan=vn_plan).run_sweep(
-            batch, keys=keys, n=8) \
-            == BatchSimulator(locked, plan=legacy_plan).run_sweep(
-                batch, keys=keys, n=8)
+        plan = compile_plan(locked)
+        simulator = BatchSimulator(locked, plan=plan)
+        batch = simulator.random_batch(random.Random(3), 8)
+        rng = random.Random(4)
+        keys = [random_key(locked.key_width, rng) for _ in range(6)]
+        default = simulator.run_sweep(batch, keys=keys, n=8)
+        assert list(plan._sweep_schedules) \
+            == [(frozenset({locked.key_port}), False)]
+        assert default == simulator.run_sweep(batch, keys=keys, n=8,
+                                              hoist=False)
 
     def test_wide_sweep_exercises_fast_packers(self):
         """512 base lanes × 8 points crosses every vectorised threshold."""
