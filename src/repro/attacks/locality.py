@@ -230,6 +230,14 @@ class _ControlContext:
     container_code: int
 
 
+def operation_code(op: str) -> int:
+    """Feature code of operator ``op`` (``NO_OPERATION`` if it has none)."""
+    try:
+        return encode_operator(normalize_operator(op))
+    except KeyError:
+        return NO_OPERATION
+
+
 def _branch_operation_code(expr: ast.Expression) -> int:
     """Encode the dominant operation of a ternary branch.
 
@@ -241,11 +249,7 @@ def _branch_operation_code(expr: ast.Expression) -> int:
     node = expr
     for _ in range(64):  # depth guard
         if isinstance(node, ast.BinaryOp):
-            op = normalize_operator(node.op)
-            try:
-                return encode_operator(op)
-            except KeyError:
-                return NO_OPERATION
+            return operation_code(node.op)
         if isinstance(node, ast.TernaryOp):
             node = node.true_value
             continue
@@ -319,10 +323,7 @@ def _context(ternary: ast.TernaryOp, parent: Optional[ast.Node], depth: int,
              container_code: int) -> _ControlContext:
     parent_code = NO_OPERATION
     if isinstance(parent, ast.BinaryOp):
-        try:
-            parent_code = encode_operator(normalize_operator(parent.op))
-        except KeyError:
-            parent_code = NO_OPERATION
+        parent_code = operation_code(parent.op)
     return _ControlContext(
         true_code=_branch_operation_code(ternary.true_value),
         false_code=_branch_operation_code(ternary.false_value),

@@ -8,17 +8,26 @@ of those new key bits become labelled training samples (Fig. 2 of the paper,
 
 The paper relocks with *random* ASSURE selection "so that all parts of the
 design were used for learning"; :class:`TrainingSetBuilder` follows that
-default.  The target is copied once per attack, and every round is applied
-to, extracted from and undone on one :class:`~repro.locking.base.LockingSession`
-over that copy.  A round costs only its own actions:
+default.  Every round is undone before the next, so each round starts from
+the target itself.  Two paths build the rows, and both equal relocking a
+fresh copy of the target every round:
 
-* ``add_pair`` clones the real operation's operands structurally and swaps
-  one literal to widen the key port;
-* extraction reads the round's key bits from the round's actions and an
+* ``pair`` (the paper's features) works at the type level.  A row is the
+  code of the locked operation and of its dummy, swapped when the drawn key
+  value is 0, so the rows depend only on the target's candidate operation
+  types and on each round's rng draws.  The candidates' codes are listed once
+  per attack and each round's draws are replayed over them
+  (:func:`~repro.locking.assure.random_round_draws`): no design copy, no
+  session and no AST edit.
+* ``extended`` and ``behavioral`` read the structure (and behaviour) of the
+  relocked design.  The target is copied once per attack, and every round is
+  applied to, extracted from and undone on one
+  :class:`~repro.locking.base.LockingSession` over that copy.  ``add_pair``
+  clones the real operation's operands structurally; extraction reads the
+  round's key bits from the round's actions and an
   :class:`~repro.attacks.locality.OperationIndex` of the target built once
-  per attack (:meth:`~repro.attacks.locality.LocalityExtractor.extract_round`),
-  not from a walk of the whole design;
-* undo pops each action's dummy off the tails of the operation registry.
+  per attack (:meth:`~repro.attacks.locality.LocalityExtractor.extract_round`);
+  undo pops each action's dummy off the tails of the operation registry.
 """
 
 from __future__ import annotations
@@ -30,11 +39,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..locking.assure import AssureLocker
+from ..locking.assure import AssureLocker, random_round_draws
 from ..locking.base import LockingSession
-from ..locking.pairs import PairTable
+from ..locking.pairs import PairTable, default_pair_table
 from ..rtlir.design import Design
-from .locality import LocalityExtractor, OperationIndex
+from .locality import LocalityExtractor, OperationIndex, operation_code
 
 _log = logging.getLogger(__name__)
 
@@ -66,9 +75,9 @@ class TrainingSetBuilder:
     Args:
         extractor: Locality extractor (shared with the deployment step so the
             feature space matches).
-        relock_budget: Key bits added per relocking round; defaults to the
-            number of key bits already present in the target (i.e. the same
-            budget the defender used).
+        relock_budget: Key bits added per relocking round (positive);
+            defaults to the number of key bits already present in the target
+            (i.e. the same budget the defender used).
         rounds: Number of relocking rounds.
         pair_table: Pair table used for relocking (the attacker knows the
             locking scheme, threat-model assumption 2).
@@ -81,6 +90,8 @@ class TrainingSetBuilder:
                  rng: Optional[random.Random] = None) -> None:
         if rounds < 1:
             raise ValueError("at least one relocking round is required")
+        if relock_budget is not None and relock_budget < 1:
+            raise ValueError("relock_budget must be positive")
         self.extractor = extractor or LocalityExtractor()
         self.relock_budget = relock_budget
         self.rounds = rounds
@@ -92,15 +103,19 @@ class TrainingSetBuilder:
               ) -> TrainingSet:
         """Relock ``target`` ``rounds`` times and extract labelled localities.
 
-        Simulation-backed feature sets (``behavioral``) evaluate all of a
-        round's fresh key bits as lanes of a single bit-parallel key sweep
+        The ``pair`` feature set replays each round's draws over the
+        target's operation types (:meth:`_pair_rows`); the other feature
+        sets relock one session over a copy of the target
+        (:meth:`_session_rows`).  Simulation-backed feature sets
+        (``behavioral``) evaluate all of a round's fresh key bits as lanes of
+        a single bit-parallel key sweep
         (:func:`repro.locking.metrics.key_bit_sensitivity`), one pass per
         round instead of one pass per key bit; the relocked design's plan
         comes from the process-wide cache shared with the deployment and
         validation steps.
 
-        The training set is bit-identical to relocking a fresh copy of the
-        target every round; ``target`` itself is never mutated.
+        Either way the training set is bit-identical to relocking a fresh
+        copy of the target every round; ``target`` itself is never mutated.
 
         Args:
             target: The locked design to self-reference against.
@@ -116,7 +131,52 @@ class TrainingSetBuilder:
         """
         if not target.is_locked:
             raise ValueError("the target design must be locked")
-        budget = self.relock_budget or target.key_width
+        budget = (target.key_width if self.relock_budget is None
+                  else self.relock_budget)
+        if self.extractor.feature_set == "pair":
+            features, labels = self._pair_rows(target, budget, progress)
+        else:
+            features, labels = self._session_rows(target, budget, progress)
+        return TrainingSet(features=features, labels=labels, rounds=self.rounds,
+                           bits_per_round=budget)
+
+    def _pair_rows(self, target: Design, budget: int,
+                   progress: Optional[Callable[[int, int], None]]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of the ``pair`` feature set, without relocking any design.
+
+        A ``pair`` row is the code of the locked operation and the code of
+        its dummy, swapped when the drawn key value is 0, and that value is
+        its label.  Every round is undone before the next, so all rounds
+        choose from the same candidates: the target's sites that are not
+        key-controlled and have a pair, in registry order.  Replaying each
+        round's rng draws (:func:`~repro.locking.assure.random_round_draws`)
+        over those candidates' codes therefore yields exactly the rows of
+        :meth:`_session_rows`.
+        """
+        table = self.pair_table or default_pair_table()
+        codes = np.array(
+            [(operation_code(site.op), operation_code(table.dummy_of(site.op)))
+             for site in target.sites()
+             if not site.key_controlled and table.has_pair(site.op)],
+            dtype=float).reshape(-1, 2)
+        positions: List[int] = []
+        values: List[int] = []
+        for round_index in range(self.rounds):
+            draws = random_round_draws(random.Random(self.rng.getrandbits(64)),
+                                       len(codes), budget)
+            positions.extend(position for position, _ in draws)
+            values.extend(value for _, value in draws)
+            _report_progress(progress, round_index + 1, self.rounds)
+        labels = np.array(values, dtype=int)
+        picked = codes[np.array(positions, dtype=int)]
+        features = np.where(labels[:, None] == 1, picked, picked[:, ::-1])
+        return features, labels
+
+    def _session_rows(self, target: Design, budget: int,
+                      progress: Optional[Callable[[int, int], None]]
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of any feature set, by relocking one session over a copy."""
         # One copy, one session and one operation index per attack: every
         # round relocks the session, extracts its new key bits from its own
         # actions and is then undone, which leaves the session exactly as a
@@ -138,15 +198,17 @@ class TrainingSetBuilder:
                 features, labels = self.extractor.extract_round(index, actions)
             feature_blocks.append(features)
             label_blocks.append(labels)
-            if progress is not None:
-                try:
-                    progress(round_index + 1, self.rounds)
-                except Exception:
-                    _log.warning("progress hook raised on round %d/%d; "
-                                 "continuing", round_index + 1, self.rounds,
-                                 exc_info=True)
+            _report_progress(progress, round_index + 1, self.rounds)
+        return np.vstack(feature_blocks), np.concatenate(label_blocks)
 
-        features = np.vstack(feature_blocks) if feature_blocks else np.zeros((0, self.extractor.n_features))
-        labels = np.concatenate(label_blocks) if label_blocks else np.zeros((0,), dtype=int)
-        return TrainingSet(features=features, labels=labels, rounds=self.rounds,
-                           bits_per_round=budget)
+
+def _report_progress(progress: Optional[Callable[[int, int], None]],
+                     done: int, rounds: int) -> None:
+    """Call ``progress(done, rounds)``; a raising hook is logged and ignored."""
+    if progress is None:
+        return
+    try:
+        progress(done, rounds)
+    except Exception:
+        _log.warning("progress hook raised on round %d/%d; continuing",
+                     done, rounds, exc_info=True)

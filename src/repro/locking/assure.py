@@ -137,6 +137,8 @@ class AssureLocker:
         """
         if key_budget < 0:
             raise ValueError("key budget must be non-negative")
+        # random_round_draws replays the random-selection draws of this
+        # method and _ordered_candidates; keep the two in step.
         candidates = self._ordered_candidates(session)
         bits_used = 0
         locked = 0
@@ -235,6 +237,27 @@ class AssureLocker:
             tracker=None,
             statistics={"locked_branches": float(locked)},
         )
+
+
+def random_round_draws(rng: random.Random, candidates: int,
+                       key_budget: int) -> List[Tuple[int, int]]:
+    """Replay the draws of one random-selection locking round, with no design.
+
+    A random :class:`AssureLocker` round over a session whose ``candidates``
+    lockable operations all have a pair (and so each cost one key bit)
+    shuffles them once and then draws one key value per lock, for the first
+    ``key_budget`` of them (:meth:`AssureLocker._add_pairs`).  This returns
+    those draws, taken from ``rng`` in the same order, as ``(candidate
+    position, key value)`` per locked operation, oldest first.
+
+    Raises:
+        ValueError: for a negative key budget.
+    """
+    if key_budget < 0:
+        raise ValueError("key budget must be non-negative")
+    order = list(range(candidates))
+    rng.shuffle(order)
+    return [(position, rng.randint(0, 1)) for position in order[:key_budget]]
 
 
 def _lockable_constants(design: Design):

@@ -107,17 +107,21 @@ class CategoricalNB(Estimator):
         matrix = check_features(features, n_features=self.n_features_)
         n_classes = len(self.classes_)
         log_posterior = np.tile(np.log(self.priors_ + 1e-12), (matrix.shape[0], 1))
+        # One column's terms are added to every row at once, in column
+        # order, so each element sees the same additions as a row loop.
         for column in range(self.n_features_):
             categories = self.categories_[column]
             log_prob = self.log_prob_[column]
+            values = matrix[:, column]
+            # categories_ is sorted (np.unique): look each value up by
+            # bisection and keep only exact matches.
+            positions = np.minimum(np.searchsorted(categories, values),
+                                   len(categories) - 1)
+            seen = categories[positions] == values
             # Unseen category -> uniform smoothed probability.
             fallback = np.log(np.full(n_classes, 1.0 / log_prob.shape[1]))
-            for row in range(matrix.shape[0]):
-                matches = np.flatnonzero(categories == matrix[row, column])
-                if matches.size:
-                    log_posterior[row] += log_prob[:, matches[0]]
-                else:
-                    log_posterior[row] += fallback
+            log_posterior += np.where(seen[:, None], log_prob[:, positions].T,
+                                      fallback)
         shifted = log_posterior - log_posterior.max(axis=1, keepdims=True)
         probabilities = np.exp(shifted)
         return probabilities / probabilities.sum(axis=1, keepdims=True)

@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.api import make_locker
+from repro.api import locker_names, make_locker
 from repro.api.scenario import key_budget
 from repro.attacks import FEATURE_SETS, LocalityExtractor, TrainingSetBuilder
 from repro.attacks.locality import (OperationIndex, _key_bit_index,
                                     _key_controlled_nodes)
 from repro.bench import benchmark_names, load_benchmark
-from repro.locking import AssureLocker, ERALocker, LockingSession
+from repro.locking import (ORIGINAL_ASSURE_TABLE, AssureLocker, ERALocker,
+                           LockingSession)
 from repro.rtlir import Design
 from repro.verilog import ast
 
@@ -27,6 +28,15 @@ module nested (input [7:0] a, b, c, d, output [7:0] y, z);
 endmodule
 """
 
+#: A module with one if-statement and no binary operation.
+BRANCH_ONLY_SOURCE = """
+module branchy (input s, input [7:0] a, b, output reg [7:0] y);
+  always @(*) begin
+    if (s) y = a; else y = b;
+  end
+endmodule
+"""
+
 
 class TestTrainingSetBuilder:
     def test_unlocked_target_rejected(self, mixer_design, rng):
@@ -36,6 +46,12 @@ class TestTrainingSetBuilder:
     def test_invalid_round_count(self):
         with pytest.raises(ValueError):
             TrainingSetBuilder(rounds=0)
+
+    @pytest.mark.parametrize("relock_budget", [0, -1])
+    def test_non_positive_relock_budget_rejected(self, relock_budget):
+        """Regression: a zero budget used to fall back to the key width."""
+        with pytest.raises(ValueError):
+            TrainingSetBuilder(relock_budget=relock_budget)
 
     def test_training_set_size(self, mixer_design, rng):
         target = AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
@@ -231,3 +247,88 @@ class TestRoundLocalExtraction:
     def test_unlocked_design_cannot_be_indexed(self, mixer_design):
         with pytest.raises(ValueError):
             OperationIndex(mixer_design)
+
+
+#: The type-level ``pair`` path against relocking a fresh copy of the target
+#: every round.  Every benchmark at PAIR_SCALE is locked by every registered
+#: locker under each table of PAIR_TABLES, once per seed of PAIR_SEEDS, then
+#: relocked for PAIR_ROUNDS rounds with every budget of RELOCK_BUDGETS.
+PAIR_SCALE = 0.1
+PAIR_SEEDS = (5,)
+PAIR_ROUNDS = 2
+
+#: Relock pair tables: the fixed symmetric default and the leaky original.
+PAIR_TABLES = (None, ORIGINAL_ASSURE_TABLE)
+
+#: Relock budgets per target: its key width, a small fixed budget, and more
+#: bits than the target has operations (so every candidate is locked).
+RELOCK_BUDGETS = (
+    lambda target: target.key_width,
+    lambda target: 3,
+    lambda target: target.num_operations() + 1,
+)
+
+
+def _fresh_copy_rows(target, table, budget, rounds, seed):
+    """Reference rows: lock a fresh copy of ``target`` in every round."""
+    extractor = LocalityExtractor("pair")
+    master = random.Random(seed)
+    features, labels = [], []
+    for _ in range(rounds):
+        locker = AssureLocker("random", pair_table=table,
+                              rng=random.Random(master.getrandbits(64)),
+                              track_metrics=False)
+        result = locker.lock(target, budget)
+        rows, values = extractor.extract_matrix(
+            result.design,
+            key_indices=[bit.index for bit in result.new_key_bits])
+        features.append(rows)
+        labels.append(values)
+    return np.vstack(features), np.concatenate(labels)
+
+
+def _check_pair_rows(name, locker, table, seed):
+    """The ``pair`` training set equals the fresh-copy reference bit for bit."""
+    design = load_benchmark(name, scale=PAIR_SCALE, seed=seed)
+    budget = key_budget(0.5, name, locker, design.num_operations())
+    target = make_locker(locker, rng=random.Random(seed),
+                         pair_table=table).lock(design, budget).design
+    for relock_budget in RELOCK_BUDGETS:
+        bits = relock_budget(target)
+        training = TrainingSetBuilder(
+            relock_budget=bits, rounds=PAIR_ROUNDS, pair_table=table,
+            rng=random.Random(seed)).build(target)
+        features, labels = _fresh_copy_rows(target, table, bits,
+                                            PAIR_ROUNDS, seed)
+        case = (name, locker, table and table.name, seed, bits)
+        assert training.features.dtype == features.dtype, case
+        assert training.labels.dtype == labels.dtype, case
+        assert training.features.shape == features.shape, case
+        assert np.array_equal(training.features, features), case
+        assert np.array_equal(training.labels, labels), case
+
+
+class TestTypeLevelPairRows:
+    """The ``pair`` path matches relocking a fresh copy every round."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_every_benchmark_locker_table_and_budget(self, name):
+        for locker in locker_names():
+            for table in PAIR_TABLES:
+                for seed in PAIR_SEEDS:
+                    _check_pair_rows(name, locker, table, seed)
+
+    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
+    def test_a_round_that_locks_nothing_keeps_the_row_shape(self,
+                                                            feature_set):
+        # A branch-locked target with no binary operation to relock.
+        design = Design.from_verilog(BRANCH_ONLY_SOURCE)
+        target = AssureLocker(rng=random.Random(0)).lock_branches(
+            design, 1).design
+        extractor = LocalityExtractor(feature_set)
+        training = TrainingSetBuilder(extractor=extractor, rounds=2,
+                                      rng=random.Random(1)).build(target)
+        assert training.features.shape == (0, extractor.n_features)
+        assert training.features.dtype == np.float64
+        assert training.labels.shape == (0,)
+        assert training.labels.dtype == np.dtype(int)

@@ -175,10 +175,49 @@ class TestNaiveBayes:
         with pytest.raises(ValueError):
             CategoricalNB(alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])  # the auto-ML roster's
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    def test_categorical_nb_predict_proba_is_bit_identical_to_a_row_loop(
+            self, alpha, n_classes):
+        rng = np.random.default_rng(100 * n_classes + int(10 * alpha))
+        for _ in range(25):
+            n_features = int(rng.integers(1, 4))
+            features = rng.integers(0, 6, size=(int(rng.integers(1, 40)),
+                                                n_features)).astype(float)
+            labels = rng.integers(0, n_classes, size=features.shape[0])
+            model = CategoricalNB(alpha=alpha).fit(features, labels)
+            # Values 0..8: categories 6..8 are never seen in training.
+            queries = rng.integers(0, 9, size=(int(rng.integers(0, 30)),
+                                               n_features)).astype(float)
+            expected = _categorical_nb_row_loop(model, queries)
+            actual = model.predict_proba(queries)
+            assert actual.shape == expected.shape
+            assert np.array_equal(actual.view(np.uint64),
+                                  expected.view(np.uint64))
+
     def test_gaussian_nb_priors(self):
         features, labels = make_separable(n=100)
         model = GaussianNB().fit(features, labels)
         assert model.priors_.sum() == pytest.approx(1.0)
+
+
+def _categorical_nb_row_loop(model, matrix):
+    """``CategoricalNB.predict_proba`` computed one row at a time."""
+    n_classes = len(model.classes_)
+    log_posterior = np.tile(np.log(model.priors_ + 1e-12), (matrix.shape[0], 1))
+    for column in range(model.n_features_):
+        categories = model.categories_[column]
+        log_prob = model.log_prob_[column]
+        fallback = np.log(np.full(n_classes, 1.0 / log_prob.shape[1]))
+        for row in range(matrix.shape[0]):
+            matches = np.flatnonzero(categories == matrix[row, column])
+            if matches.size:
+                log_posterior[row] += log_prob[:, matches[0]]
+            else:
+                log_posterior[row] += fallback
+    shifted = log_posterior - log_posterior.max(axis=1, keepdims=True)
+    probabilities = np.exp(shifted)
+    return probabilities / probabilities.sum(axis=1, keepdims=True)
 
 
 class TestBoosting:
