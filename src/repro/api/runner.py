@@ -109,7 +109,8 @@ def _load_base_design(benchmark: str, scale: float, seed: int):
     This is the first of the runner's two per-process caches: every job of
     a benchmark shares one generated base design, and :func:`_lock_cell`
     then shares each locked cell of it.  Sharing is safe because nothing
-    mutates a cached object: lockers deep-copy the design before mutating
+    mutates a cached object: lockers copy the design
+    (:meth:`~repro.rtlir.design.Design.copy`) before mutating it
     (``in_place`` defaults to False), and nothing downstream of the lock
     mutates the locked design.  Both caches are bounded LRUs of
     ``_CACHE_SIZE`` entries under one lock.

@@ -1,8 +1,11 @@
 """Benchmark design generators.
 
-Every generator emits Verilog source text and parses it into a
-:class:`~repro.rtlir.design.Design`, which doubles as an end-to-end exercise
-of the frontend.  Three generator families exist:
+Every generator builds the :class:`~repro.verilog.ast_nodes.Source` tree of
+its design directly, with the node types, field values and item order the
+parser produces from the equivalent Verilog text, so loading a benchmark
+costs no lexing or parsing.  Each node is created fresh: the tree shares no
+node between two parents, which :meth:`~repro.rtlir.design.Design.copy`
+relies on.  Three generator families exist:
 
 * :func:`plus_network` — the structurally regular ``+``-network used in the
   paper's learning-resilience discussion (Fig. 4) and as ``N_2046``,
@@ -16,10 +19,11 @@ of the frontend.  Three generator families exist:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..rtlir.design import Design
 from ..rtlir.operations import OPERATOR_CLASSES
+from ..verilog import ast_nodes as ast
 from .profiles import BenchmarkProfile
 
 #: Operators whose result is a single bit in the generated designs.
@@ -57,25 +61,21 @@ def _homogeneous_network(operators: Sequence[str], n_operations: int, width: int
     if n_inputs < 2:
         raise ValueError("the network needs at least two inputs")
 
-    lines: List[str] = []
     inputs = [f"in{i}" for i in range(n_inputs)]
-    ports = ["  input [%d:0] %s" % (width - 1, n) for n in inputs]
-    ports.append(f"  output [{width - 1}:0] out")
-    lines.append(f"module {name} (")
-    lines.append(",\n".join(ports))
-    lines.append(");")
+    ports = [_port(n, "input", width) for n in inputs]
+    ports.append(_port("out", "output", width))
 
+    items: List[ast.ModuleItem] = []
     signals = list(inputs)
     for index in range(n_operations):
         op = operators[index % len(operators)]
         left = signals[index % len(signals)]
         right = signals[(index * 7 + 3) % len(signals)]
         wire = f"t{index}"
-        lines.append(f"  wire [{width - 1}:0] {wire} = {left} {op} {right};")
+        items.append(_wire(wire, width, _binary(op, left, right)))
         signals.append(wire)
-    lines.append(f"  assign out = t{n_operations - 1};")
-    lines.append("endmodule")
-    return Design.from_verilog("\n".join(lines) + "\n", name=name)
+    items.append(_assign("out", ast.Identifier(f"t{n_operations - 1}")))
+    return _design(name, ports, items, name)
 
 
 def profile_design(profile: BenchmarkProfile, seed: Optional[int] = None,
@@ -113,16 +113,14 @@ def profile_design(profile: BenchmarkProfile, seed: Optional[int] = None,
     rng.shuffle(operator_sequence)
 
     inputs = [f"d{i}" for i in range(n_inputs)]
-    lines: List[str] = [f"module {module_name} ("]
-    port_lines = ["  input clk", "  input rst_n"]
-    port_lines += [f"  input [{width - 1}:0] {n}" for n in inputs]
-    port_lines.append(f"  output [{width - 1}:0] data_out")
-    port_lines.append(f"  output [{width - 1}:0] status_out")
+    ports = [_port("clk", "input"), _port("rst_n", "input")]
+    ports += [_port(n, "input", width) for n in inputs]
+    ports.append(_port("data_out", "output", width))
+    ports.append(_port("status_out", "output", width))
     if profile.sequential:
-        port_lines.append(f"  output reg [{width - 1}:0] state_q")
-    lines.append(",\n".join(port_lines))
-    lines.append(");")
+        ports.append(_port("state_q", "output", width, net_type="reg"))
 
+    items: List[ast.ModuleItem] = []
     vector_signals = list(inputs)
     scalar_signals: List[str] = []
     for index, op in enumerate(operator_sequence):
@@ -130,39 +128,43 @@ def profile_design(profile: BenchmarkProfile, seed: Optional[int] = None,
         right = _pick_operand(vector_signals, rng, avoid=left)
         wire = f"n{index}"
         if op in _SCALAR_RESULT_OPS:
-            lines.append(f"  wire {wire} = {left} {op} {right};")
+            items.append(_wire(wire, None, _binary(op, left, right)))
             scalar_signals.append(wire)
         elif op in ("<<", ">>", "<<<", ">>>"):
             shift = rng.randint(1, max(1, width // 2))
-            lines.append(f"  wire [{width - 1}:0] {wire} = {left} {op} {shift};")
+            items.append(_wire(wire, width, ast.BinaryOp(
+                op, ast.Identifier(left), ast.IntConst(str(shift)))))
             vector_signals.append(wire)
         else:
-            lines.append(f"  wire [{width - 1}:0] {wire} = {left} {op} {right};")
+            items.append(_wire(wire, width, _binary(op, left, right)))
             vector_signals.append(wire)
 
     data_feed = vector_signals[-1]
     status_parts = scalar_signals[-width:] if scalar_signals else []
-    lines.append(f"  assign data_out = {data_feed};")
+    items.append(_assign("data_out", ast.Identifier(data_feed)))
     if status_parts:
-        concat = ", ".join(reversed(status_parts))
-        lines.append("  assign status_out = {" + concat + "};")
+        items.append(_assign("status_out", ast.Concat(
+            [ast.Identifier(part) for part in reversed(status_parts)])))
     else:
-        lines.append(f"  assign status_out = {vector_signals[-2]};")
+        items.append(_assign("status_out", ast.Identifier(vector_signals[-2])))
 
     if profile.sequential:
-        select = scalar_signals[0] if scalar_signals else f"{inputs[0]}[0]"
+        select: ast.Expression = (
+            ast.Identifier(scalar_signals[0]) if scalar_signals
+            else ast.BitSelect(ast.Identifier(inputs[0]), ast.IntConst("0")))
         hold = vector_signals[-2]
-        lines.append("  always @(posedge clk or negedge rst_n) begin")
-        lines.append("    if (!rst_n)")
-        lines.append("      state_q <= 0;")
-        lines.append(f"    else if ({select})")
-        lines.append(f"      state_q <= {data_feed};")
-        lines.append("    else")
-        lines.append(f"      state_q <= {hold};")
-        lines.append("  end")
+        update = ast.IfStatement(
+            ast.UnaryOp("!", ast.Identifier("rst_n")),
+            _register("state_q", ast.IntConst("0")),
+            ast.IfStatement(select,
+                            _register("state_q", ast.Identifier(data_feed)),
+                            _register("state_q", ast.Identifier(hold))))
+        items.append(ast.AlwaysBlock(
+            [ast.SensitivityItem(ast.Identifier("clk"), "posedge"),
+             ast.SensitivityItem(ast.Identifier("rst_n"), "negedge")],
+            ast.Block([update])))
 
-    lines.append("endmodule")
-    return Design.from_verilog("\n".join(lines) + "\n", name=profile.name)
+    return _design(module_name, ports, items, profile.name)
 
 
 def _pick_operand(signals: List[str], rng: random.Random,
@@ -181,3 +183,47 @@ def _pick_operand(signals: List[str], rng: random.Random,
         alternatives = [s for s in candidates if s != avoid]
         choice = rng.choice(alternatives)
     return choice
+
+
+# ---------------------------------------------------------------- AST builders
+# Each call returns fresh nodes, as the parser does for every token it reads.
+
+def _range(width: Optional[int]) -> Optional[ast.Range]:
+    """``[width-1:0]``, or no range for a scalar (``width`` None)."""
+    if width is None:
+        return None
+    return ast.Range(ast.IntConst(str(width - 1)), ast.IntConst("0"))
+
+
+def _port(name: str, direction: str, width: Optional[int] = None,
+          net_type: Optional[str] = None) -> ast.Port:
+    """An ANSI header port ``direction [net_type] [range] name``."""
+    return ast.Port(name, direction=direction, net_type=net_type,
+                    width=_range(width))
+
+
+def _binary(op: str, left: str, right: str) -> ast.BinaryOp:
+    """``left op right`` over two signal names."""
+    return ast.BinaryOp(op, ast.Identifier(left), ast.Identifier(right))
+
+
+def _wire(name: str, width: Optional[int],
+          init: ast.Expression) -> ast.NetDeclaration:
+    """``wire [range] name = init;``"""
+    return ast.NetDeclaration("wire", [name], width=_range(width), init=init)
+
+
+def _assign(name: str, rhs: ast.Expression) -> ast.ContinuousAssign:
+    """``assign name = rhs;``"""
+    return ast.ContinuousAssign(ast.Identifier(name), rhs)
+
+
+def _register(name: str, rhs: ast.Expression) -> ast.NonBlockingAssign:
+    """``name <= rhs;``"""
+    return ast.NonBlockingAssign(ast.Identifier(name), rhs)
+
+
+def _design(module_name: str, ports: List[ast.Port],
+            items: List[ast.ModuleItem], name: str) -> Design:
+    return Design(ast.Source([ast.Module(module_name, ports, items)]),
+                  name=name)

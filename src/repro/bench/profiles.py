@@ -10,7 +10,7 @@ contains — and regenerated as a synthetic design with the same profile
 The locking algorithms, the security metrics and the SnapShot attack only
 depend on the operation-type distribution and the dataflow connectivity, so a
 profile-faithful synthetic stand-in preserves the behaviour the paper
-measures (see DESIGN.md, substitution table).
+measures (see ``docs/benchmarks.md``, profile substitution table).
 
 Profile shapes follow the functional character of each core:
 

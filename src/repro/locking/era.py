@@ -12,7 +12,8 @@ fully balanced design such as ``N_1023``), the paper's Algorithm 3 would make
 no progress.  To keep the security invariant *and* terminate, this
 implementation applies one *balanced* lock step (the pair-mode branch of
 Algorithm 1, which adds one dummy of each type and therefore preserves
-``ODT[T] = 0``).  The deviation is documented in DESIGN.md.
+``ODT[T] = 0``).  The deviation is listed in ``docs/architecture.md``
+("Deviations from the paper").
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ bundles
 * the name of the top module under protection,
 * the key input port and the per-bit key records (:class:`KeyBit`),
 
-and offers parsing/serialisation round trips, deep copies, and convenience
-accessors for operation sites.
+and offers parsing/serialisation round trips, structural copies, and
+convenience accessors for operation sites.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..verilog import ast_nodes as ast
 from ..verilog.codegen import generate
 from ..verilog.parser import parse
+from ..verilog.transform import clone
 from .sites import SiteCollection, collect_sites
 
 #: Default name of the key input port added by the locking engine.
@@ -216,8 +217,22 @@ class Design:
         return generate(self.source)
 
     def copy(self) -> "Design":
-        """Return an independent deep copy (AST and key records)."""
-        return copy.deepcopy(self)
+        """Return an independent copy (AST and key records).
+
+        The source is copied structurally with
+        :func:`~repro.verilog.transform.clone`, which keeps no memo: it is
+        exact only while the AST is a tree, i.e. no node is reachable twice.
+        The parser, the benchmark generators and every locker build trees;
+        AST surgery that shares one node between two parents would leave
+        the copy with two distinct nodes where the original has one.  Each
+        key bit is copied with its own ``metadata`` dict, and the copy
+        starts without a memoized fingerprint.
+        """
+        key_bits = [dataclasses.replace(bit, metadata=dict(bit.metadata))
+                    for bit in self.key_bits]
+        return Design(clone(self.source), top_name=self.top_name,
+                      key_port=self.key_port, key_bits=key_bits,
+                      name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Design(name={self.name!r}, top={self.top_name!r}, "

@@ -23,6 +23,11 @@ And every benchmark locked by every locker simulates the same on the
 compiled bit-parallel plan as on the scalar AST oracle, which shares no
 code with plans, under the correct key and under a wrong key.
 
+Every locked design is a tree (no AST node reachable twice), which is what
+lets :meth:`Design.copy` clone it structurally: the copy renders and
+fingerprints the same, shares no node, list, key bit or metadata dict with
+the original, and locking it in place leaves the original alone.
+
 The cases are data drawn from the live registries, run through one helper
 per contract, so no plugin of the package can register without passing
 them.
@@ -251,3 +256,50 @@ def check_plan_matches_oracle(benchmark: str, locker: str) -> None:
                               for name, locker in SIMULATION_CASES])
 def test_locked_benchmark_plan_matches_scalar_oracle(design_name, locker):
     check_plan_matches_oracle(design_name, locker)
+
+
+
+def mutable_parts(design: Design):
+    """``{id: object}`` of every AST node, list, key bit and metadata dict."""
+    parts = {}
+    for node in design.source.iter_tree():
+        assert id(node) not in parts, \
+            f"{type(node).__name__} node reachable twice: not a tree"
+        parts[id(node)] = node
+        parts.update((id(value), value) for value in vars(node).values()
+                     if isinstance(value, list))
+    for bit in design.key_bits:
+        parts[id(bit)] = bit
+        parts[id(bit.metadata)] = bit.metadata
+    return parts
+
+
+def check_copy_contract(benchmark: str, locker: str) -> None:
+    """A locked design is a tree, and its copy is equal but independent."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    locked = make_locker(locker, random.Random(5)).lock(design,
+                                                        budget).design
+    original = mutable_parts(locked)
+    text, bits = locked.to_verilog(), state(locked)[2]
+
+    duplicate = locked.copy()
+    assert duplicate.to_verilog() == text
+    assert duplicate.fingerprint() == locked.fingerprint()
+    shared = original.keys() & mutable_parts(duplicate).keys()
+    assert not shared, \
+        f"the copy shares {[type(original[i]).__name__ for i in shared]}"
+
+    make_locker(locker, random.Random(6)).lock(duplicate, BUDGET,
+                                               in_place=True)
+    assert duplicate.key_width > locked.key_width
+    assert locked.to_verilog() == text, "locking the copy changed the original"
+    assert state(locked)[2] == bits
+
+
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_locked_design_is_a_tree_and_copies_independently(design_name,
+                                                          locker):
+    check_copy_contract(design_name, locker)

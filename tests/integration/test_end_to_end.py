@@ -69,7 +69,8 @@ class TestHeadlineSecurityClaim:
 
         assert assure_kpa >= 90.0
         # ERA keeps the attack at chance level *on average* (single samples of
-        # a one-pair design are bimodal, see DESIGN.md).
+        # a one-pair design are bimodal, see docs/architecture.md, "Deviations
+        # from the paper").
         assert sum(era_kpas) / len(era_kpas) <= assure_kpa - 20.0
 
     def test_era_balances_realistic_benchmark_and_blunts_attack(self):

@@ -29,8 +29,8 @@ def doc_json_blocks():
 
 
 def test_docs_tree_exists():
-    for page in ("architecture.md", "scenario-format.md", "performance.md",
-                 "robustness.md"):
+    for page in ("architecture.md", "benchmarks.md", "scenario-format.md",
+                 "performance.md", "robustness.md"):
         path = REPO_ROOT / "docs" / page
         assert path.exists(), f"missing docs page {path}"
         assert path.read_text().strip(), f"empty docs page {path}"
