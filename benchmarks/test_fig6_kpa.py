@@ -57,9 +57,9 @@ def test_fig6_kpa_full_suite(benchmark, results_dir, eval_scale, eval_samples,
     checks = shape_checks(average, per_benchmark)
 
     # The headline shape of Fig. 6b: ERA sits at the random-guess line while
-    # ASSURE and HRA leak.  (The HRA margin is smaller than the paper's
-    # because its randomised pair-mode steps diversify the target key bits —
-    # see EXPERIMENTS.md.)
+    # ASSURE and HRA leak.  (The HRA margin is smaller than the paper's —
+    # see "Fig. 6 HRA margin" under "Deviations from the paper" in
+    # docs/architecture.md.)
     assert checks["era_random"].holds, checks["era_random"].detail
     assert checks["assure_above_era"].holds, checks["assure_above_era"].detail
     assert average["hra"] > average["era"] + 2.0, average

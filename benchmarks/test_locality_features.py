@@ -1,10 +1,13 @@
-"""Ablation — locality feature set (paper's pair encoding vs. extended context).
+"""Ablation — locality feature set (paper's pair encoding vs. richer localities).
 
 The RTL SnapShot locality of the paper is the bare operation pair
-``[C1, C2]``.  This ablation compares it against an extended locality that
-adds structural context (parent operation, ternary nesting depth, container
-kind), showing that (a) the pair encoding already captures the leak and
-(b) extra structural context does not rescue the attack against ERA-balanced
+``[C1, C2]``.  This ablation compares it against two richer localities: the
+``extended`` set adds structural context (parent operation, ternary nesting
+depth, container kind) and the ``behavioral`` set adds a simulated output
+sensitivity per key bit.  Each is run against ASSURE, HRA and ERA targets
+over three seeds, and each cell is the mean KPA with its 95 % confidence
+half-width.  The table shows that (a) the pair encoding already captures the
+leak and (b) extra context does not rescue the attack against ERA-balanced
 designs — the defence works at the information level, not the feature level.
 """
 
@@ -13,10 +16,10 @@ from __future__ import annotations
 import random
 import statistics
 
-from repro.attacks import SnapShotAttack
+from repro.attacks import FEATURE_SETS, SnapShotAttack
 from repro.bench import load_benchmark
 from repro.eval import format_table
-from repro.locking import AssureLocker, ERALocker
+from repro.locking import AssureLocker, ERALocker, HRALocker
 from repro.ml import RandomForestClassifier
 
 from .conftest import write_result
@@ -24,43 +27,77 @@ from .conftest import write_result
 BENCHMARKS = ["MD5", "RSA", "SHA256"]
 SCALE = 0.15
 ROUNDS = 25
+SEEDS = (0, 1, 2)
+
+#: Two-sided 95 % quantile of Student's t with ``len(SEEDS) - 1`` = 2
+#: degrees of freedom.
+T_95 = 4.303
+
+#: Target lockers, in column order, by their attack ``algorithm`` name.
+TARGETS = {
+    "assure": lambda rng: AssureLocker("serial", rng=rng),
+    "hra": lambda rng: HRALocker(rng=rng),
+    "era": lambda rng: ERALocker(rng=rng),
+}
+
+#: Table columns: every (feature set, target) pair.
+COLUMNS = [(feature_set, algorithm) for feature_set in FEATURE_SETS
+           for algorithm in TARGETS]
+
+
+def _kpas(name, seed):
+    """KPA of every column on benchmark ``name`` for one seed."""
+    design = load_benchmark(name, scale=SCALE, seed=seed)
+    budget = int(0.75 * design.num_operations())
+    targets = {algorithm: make(random.Random(seed)).lock(design, budget).design
+               for algorithm, make in TARGETS.items()}
+    kpas = {}
+    for feature_set, algorithm in COLUMNS:
+        attack = SnapShotAttack(
+            model=RandomForestClassifier(n_estimators=30, random_state=seed),
+            rounds=ROUNDS, feature_set=feature_set,
+            rng=random.Random(7 + seed))
+        kpas[feature_set, algorithm] = attack.attack(
+            targets[algorithm], algorithm=algorithm).kpa
+    return kpas
 
 
 def _run_feature_comparison():
-    rows = []
+    """Per benchmark, the seeds' KPAs of every column."""
+    samples = {}
     for name in BENCHMARKS:
-        design = load_benchmark(name, scale=SCALE, seed=0)
-        budget = int(0.75 * design.num_operations())
-        assure_target = AssureLocker("serial", rng=random.Random(0)).lock(
-            design, budget).design
-        era_target = ERALocker(rng=random.Random(0)).lock(design, budget).design
-        row = [name]
-        for feature_set in ("pair", "extended"):
-            attack = SnapShotAttack(
-                model=RandomForestClassifier(n_estimators=30, random_state=0),
-                rounds=ROUNDS, feature_set=feature_set,
-                rng=random.Random(7))
-            row.append(attack.attack(assure_target, algorithm="assure").kpa)
-            row.append(attack.attack(era_target, algorithm="era").kpa)
-        rows.append(row)
-    return rows
+        runs = [_kpas(name, seed) for seed in SEEDS]
+        samples[name] = {column: [run[column] for run in runs]
+                         for column in COLUMNS}
+    return samples
+
+
+def _cell(values):
+    half = T_95 * statistics.stdev(values) / len(values) ** 0.5
+    return f"{statistics.mean(values):.1f} ±{half:.1f}"
 
 
 def test_locality_feature_ablation(benchmark, results_dir):
-    rows = benchmark.pedantic(_run_feature_comparison, rounds=1, iterations=1)
+    samples = benchmark.pedantic(_run_feature_comparison, rounds=1,
+                                 iterations=1)
     table = format_table(
-        ["benchmark",
-         "ASSURE KPA (pair)", "ERA KPA (pair)",
-         "ASSURE KPA (extended)", "ERA KPA (extended)"],
-        rows,
-        title="Locality feature-set ablation (75 % budget)")
+        ["benchmark"] + [f"{algorithm.upper()} ({feature_set})"
+                         for feature_set, algorithm in COLUMNS],
+        [[name] + [_cell(samples[name][column]) for column in COLUMNS]
+         for name in BENCHMARKS],
+        title=("Locality feature-set ablation: KPA %, mean ±95 % CI over "
+               f"seeds {', '.join(map(str, SEEDS))} (75 % budget)"))
     print("\n" + table)
     write_result(results_dir, "ablation_locality_features", table)
 
-    assure_pair = [row[1] for row in rows]
-    era_pair = [row[2] for row in rows]
-    assure_extended = [row[3] for row in rows]
-    era_extended = [row[4] for row in rows]
+    def benchmark_means(feature_set, algorithm):
+        return [statistics.mean(samples[name][feature_set, algorithm])
+                for name in BENCHMARKS]
+
+    assure_pair = benchmark_means("pair", "assure")
+    era_pair = benchmark_means("pair", "era")
+    assure_extended = benchmark_means("extended", "assure")
+    era_extended = benchmark_means("extended", "era")
 
     # The paper's bare pair encoding already extracts the ASSURE leak.
     assert statistics.mean(assure_pair) > 55.0

@@ -9,7 +9,8 @@ takes hours, exactly like the original evaluation.
 
 The output is the Fig. 6a per-benchmark KPA table, the Fig. 6b average KPA
 table side by side with the paper's numbers, and the shape checks the
-reproduction is judged by (see EXPERIMENTS.md).
+reproduction is judged by (see "Fig. 6 HRA margin" under "Deviations from
+the paper" in docs/architecture.md).
 """
 
 from __future__ import annotations

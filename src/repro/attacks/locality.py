@@ -18,28 +18,19 @@ Three feature sets are provided:
   oracle-free (any attacker can simulate the locked RTL under keys of their
   choosing) and is evaluated with the bit-parallel batch engine, one compiled
   plan and ``key_width + 1`` passes per design.
-
-A relocking round changes the design only where its own actions applied, so
-:meth:`LocalityExtractor.extract_round` reads a round's key bits from those
-actions and an :class:`OperationIndex` of the target built once per attack,
-instead of walking the whole design as :meth:`~LocalityExtractor.extract`
-does.  Both read contexts with the same walker and agree exactly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rtlir.design import Design, KeyBit
 from ..rtlir.operations import NO_OPERATION, encode_operator, normalize_operator
 from ..verilog import ast_nodes as ast
-
-if TYPE_CHECKING:
-    from ..locking.base import LockAction
 
 #: Supported feature-set names.
 FEATURE_SETS = ("pair", "extended", "behavioral")
@@ -132,31 +123,6 @@ class LocalityExtractor:
             if wanted is None or bit.index in wanted]
         localities.sort(key=lambda loc: loc.key_index)
         return localities
-
-    def extract_round(self, index: "OperationIndex",
-                      actions: Sequence["LockAction"]
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Features and labels of the key bits one relocking round added.
-
-        The result equals ``extract_matrix(index.design, key_indices=...)``
-        over the round's key bits, but the structural contexts come from
-        :meth:`OperationIndex.round_contexts`, which costs the round's own
-        actions rather than a walk of the whole design.
-
-        Args:
-            index: Index of the design as it was before the round.
-            actions: The round's ``add_pair`` actions, oldest first.
-        """
-        design = index.design
-        bits = [bit for action in actions for bit in action.key_bits]
-        contexts = index.round_contexts(actions)
-        sensitivities = self._sensitivity_profile(
-            design, {bit.index for bit in bits})
-        rows = [self._feature_row(bit, contexts, sensitivities) for bit in bits]
-        features = np.array(rows, dtype=float).reshape(len(rows),
-                                                       self.n_features)
-        labels = np.array([bit.correct_value for bit in bits], dtype=int)
-        return features, labels
 
     def _sensitivity_profile(self, design: Design,
                              wanted: Optional[set] = None) -> Dict[int, float]:
@@ -298,25 +264,14 @@ def _key_controlled_nodes(design: Design) -> Dict[int, _ControlContext]:
     assert key_port is not None
     contexts: Dict[int, _ControlContext] = {}
     for item in design.top.items:
-        _collect_contexts(item, None, 0, _container_code(item), key_port,
-                          contexts)
-    return contexts
-
-
-def _collect_contexts(root: ast.Node, parent: Optional[ast.Node], depth: int,
-                      container_code: int, key_port: str,
-                      contexts: Dict[int, _ControlContext]) -> None:
-    """Record the context of every key-controlled ternary under ``root``.
-
-    ``parent`` and ``depth`` are those of ``root`` itself; a later occurrence
-    of a key bit's ternary overwrites an earlier one.
-    """
-    for node, node_parent, node_depth in _walk(root, parent, depth):
-        if isinstance(node, ast.TernaryOp):
+        container_code = _container_code(item)
+        for node, parent, depth in _walk(item):
+            if not isinstance(node, ast.TernaryOp):
+                continue
             index = _key_bit_index(node.cond, key_port)
             if index is not None:
-                contexts[index] = _context(node, node_parent, node_depth,
-                                           container_code)
+                contexts[index] = _context(node, parent, depth, container_code)
+    return contexts
 
 
 def _context(ternary: ast.TernaryOp, parent: Optional[ast.Node], depth: int,
@@ -333,116 +288,17 @@ def _context(ternary: ast.TernaryOp, parent: Optional[ast.Node], depth: int,
     )
 
 
-def _walk(root: ast.Node, parent: Optional[ast.Node], depth: int
-          ) -> Iterator[Tuple[ast.Node, Optional[ast.Node], int]]:
+def _walk(root: ast.Node) -> Iterator[Tuple[ast.Node, Optional[ast.Node], int]]:
     """Yield ``(node, parent, ternary_depth)`` for ``root``'s subtree in pre-order.
 
     ``ternary_depth`` counts the :class:`~repro.verilog.ast_nodes.TernaryOp`
-    nodes strictly above a node, starting from ``depth`` at ``root``.
+    nodes strictly above a node; ``root`` has no parent and depth 0.
     """
-    stack = [(root, parent, depth)]
+    stack: List[Tuple[ast.Node, Optional[ast.Node], int]] = [(root, None, 0)]
     while stack:
         node, parent, depth = stack.pop()
         yield node, parent, depth
         if isinstance(node, ast.TernaryOp):
             depth += 1
-        children = list(node.children())
-        for child in reversed(children):
+        for child in reversed(list(node.children())):
             stack.append((child, node, depth))
-
-
-class OperationIndex:
-    """Where each operation of a design sits, for round-local extraction.
-
-    Built once per attack over the design a relocking session starts from:
-    for every :class:`~repro.verilog.ast_nodes.BinaryOp` under the top
-    module's items it keeps the ternary depth, the container code of its
-    item and its nearest ``BinaryOp`` ancestor.  Rounds that are undone
-    before the next one starts leave every indexed node in place, so the
-    index stays valid for the whole attack.
-
-    Raises:
-        ValueError: if the design is not locked.
-    """
-
-    def __init__(self, design: Design) -> None:
-        if not design.is_locked or design.key_port is None:
-            raise ValueError("cannot index an unlocked design")
-        self.design = design
-        #: id(BinaryOp) -> (ternary depth, container code, id of the nearest
-        #: BinaryOp ancestor or None).
-        self._ops: Dict[int, Tuple[int, int, Optional[int]]] = {}
-        nearest: Dict[int, int] = {}  # id(node) -> nearest BinaryOp at or above
-        for item in design.top.items:
-            container = _container_code(item)
-            for node, parent, depth in _walk(item, None, 0):
-                above = nearest.get(id(parent))
-                if isinstance(node, ast.BinaryOp):
-                    self._ops[id(node)] = (depth, container, above)
-                    nearest[id(node)] = id(node)
-                elif above is not None:
-                    nearest[id(node)] = above
-
-    def round_contexts(self, actions: Sequence["LockAction"]
-                       ) -> Dict[int, _ControlContext]:
-        """Contexts of the key bits added by ``actions``, from those actions alone.
-
-        Equal, field for field, to :func:`_key_controlled_nodes` of the
-        design after the round, restricted to the round's key bits.
-
-        Every ternary of the round ends up inside the ternary of a *root*:
-        an action with no operation locked by the round at or above its real
-        operation (the first action on a node is the root of later ones on
-        the same node).  Each round key bit therefore occurs, clones
-        included, only inside its root's ternary, which sits where the
-        root's real operation sat: at the action's ``parent`` and the
-        operation's indexed ternary depth and container.  Walking each
-        root's ternary from there visits those occurrences in the same order
-        as the whole-design walk, so the last occurrence wins exactly as it
-        does there.  A root no other action belongs to holds one occurrence,
-        whose context is read directly.
-
-        Raises:
-            ValueError: for an action that is not an ``add_pair``, or one
-                that locks an operation the index does not hold (such as a
-                dummy made earlier in the same round).
-        """
-        first_lock: Dict[int, int] = {}
-        for position, action in enumerate(actions):
-            if action.kind != "operation":
-                raise ValueError("round-local extraction needs add_pair "
-                                 f"actions, not {action.kind!r}")
-            if id(action.original) not in self._ops:
-                raise ValueError("action locks an operation that was not in "
-                                 "the design when it was indexed")
-            first_lock.setdefault(id(action.original), position)
-
-        roots: List[int] = []
-        owned: set = set()  # roots that other actions belong to
-        for position, action in enumerate(actions):
-            outermost = id(action.original)
-            above = self._ops[outermost][2]
-            while above is not None:
-                if above in first_lock:
-                    outermost = above
-                above = self._ops[above][2]
-            root = first_lock[outermost]
-            if root == position:
-                roots.append(position)
-            else:
-                owned.add(root)
-
-        key_port = self.design.key_port
-        assert key_port is not None
-        contexts: Dict[int, _ControlContext] = {}
-        for position in roots:
-            action = actions[position]
-            depth, container, _ = self._ops[id(action.original)]
-            if position in owned:
-                _collect_contexts(action.replacement, action.parent, depth,
-                                  container, key_port, contexts)
-            else:
-                contexts[action.key_bits[0].index] = _context(
-                    action.replacement, action.parent, depth, container)
-        return {bit.index: contexts[bit.index]
-                for action in actions for bit in action.key_bits}

@@ -23,11 +23,11 @@ fresh copy of the target every round:
   relocked design.  The target is copied once per attack, and every round is
   applied to, extracted from and undone on one
   :class:`~repro.locking.base.LockingSession` over that copy.  ``add_pair``
-  clones the real operation's operands structurally; extraction reads the
-  round's key bits from the round's actions and an
-  :class:`~repro.attacks.locality.OperationIndex` of the target built once
-  per attack (:meth:`~repro.attacks.locality.LocalityExtractor.extract_round`);
-  undo pops each action's dummy off the tails of the operation registry.
+  clones the real operation's operands structurally; each round's key bits
+  are read with
+  :meth:`~repro.attacks.locality.LocalityExtractor.extract_matrix` on the
+  session's design, the same extraction the deployment step uses; undo pops
+  each action's dummy off the tails of the operation registry.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..locking.assure import AssureLocker, random_round_draws
 from ..locking.base import LockingSession
 from ..locking.pairs import PairTable, default_pair_table
 from ..rtlir.design import Design
-from .locality import LocalityExtractor, OperationIndex, operation_code
+from .locality import LocalityExtractor, operation_code
 
 _log = logging.getLogger(__name__)
 
@@ -105,10 +105,12 @@ class TrainingSetBuilder:
 
         The ``pair`` feature set replays each round's draws over the
         target's operation types (:meth:`_pair_rows`); the other feature
-        sets relock one session over a copy of the target
-        (:meth:`_session_rows`).  Simulation-backed feature sets
-        (``behavioral``) evaluate all of a round's fresh key bits as lanes of
-        a single bit-parallel key sweep
+        sets relock one session over a copy of the target and read each
+        round's new key bits with
+        :meth:`~repro.attacks.locality.LocalityExtractor.extract_matrix` on
+        the session's design (:meth:`_session_rows`).  Simulation-backed
+        feature sets (``behavioral``) evaluate all of a round's fresh key
+        bits as lanes of a single bit-parallel key sweep
         (:func:`repro.locking.metrics.key_bit_sensitivity`), one pass per
         round instead of one pass per key bit; the relocked design's plan
         comes from the process-wide cache shared with the deployment and
@@ -177,12 +179,11 @@ class TrainingSetBuilder:
                       progress: Optional[Callable[[int, int], None]]
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Rows of any feature set, by relocking one session over a copy."""
-        # One copy, one session and one operation index per attack: every
-        # round relocks the session, extracts its new key bits from its own
-        # actions and is then undone, which leaves the session exactly as a
-        # fresh one over the target.
+        # One copy and one session per attack: every round relocks the
+        # session, extracts its new key bits from the session's design and
+        # is then undone, which leaves the session exactly as a fresh one
+        # over the target.
         session = LockingSession(target.copy(), pair_table=self.pair_table)
-        index = OperationIndex(session.design)
 
         feature_blocks: List[np.ndarray] = []
         label_blocks: List[np.ndarray] = []
@@ -195,7 +196,10 @@ class TrainingSetBuilder:
             )
             with session.tentative():
                 actions = locker.relock(session, key_budget=budget)
-                features, labels = self.extractor.extract_round(index, actions)
+                features, labels = self.extractor.extract_matrix(
+                    session.design,
+                    key_indices=[bit.index for action in actions
+                                 for bit in action.key_bits])
             feature_blocks.append(features)
             label_blocks.append(labels)
             _report_progress(progress, round_index + 1, self.rounds)

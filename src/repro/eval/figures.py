@@ -451,6 +451,7 @@ def axis_sweeps_from_store(store,
                                     per_benchmark=per_benchmark)
 
 
-#: KPA values reported by the paper (Fig. 6b) — used by EXPERIMENTS.md and by
-#: the shape checks in the benchmark harness.
+#: KPA values reported by the paper (Fig. 6b) — compared in "Fig. 6 HRA
+#: margin" of docs/architecture.md and by the shape checks in the benchmark
+#: harness.
 PAPER_AVERAGE_KPA = {"assure": 74.78, "hra": 74.26, "era": 47.92}

@@ -56,9 +56,10 @@ def shape_checks(average: Mapping[str, float],
             detail=f"ASSURE {assure:.1f} % vs ERA {era:.1f} %",
         )
     if hra is not None and era is not None:
-        # HRA's randomised pair-mode steps diversify the target key bits, so
-        # its measured advantage over ERA is smaller here than in the paper
-        # (see EXPERIMENTS.md); the claim checked is that HRA still leaks.
+        # HRA's measured advantage over ERA is smaller here than in the
+        # paper (see "Fig. 6 HRA margin" under "Deviations from the paper"
+        # in docs/architecture.md); the claim checked is that HRA still
+        # leaks.
         checks["hra_above_era"] = ShapeCheck(
             claim="HRA (75 % budget) still leaks more than ERA",
             holds=hra > era + 2.0,

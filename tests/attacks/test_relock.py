@@ -9,8 +9,7 @@ import pytest
 from repro.api import locker_names, make_locker
 from repro.api.scenario import key_budget
 from repro.attacks import FEATURE_SETS, LocalityExtractor, TrainingSetBuilder
-from repro.attacks.locality import (OperationIndex, _key_bit_index,
-                                    _key_controlled_nodes)
+from repro.attacks.locality import _key_bit_index
 from repro.bench import benchmark_names, load_benchmark
 from repro.locking import (ORIGINAL_ASSURE_TABLE, AssureLocker, ERALocker,
                            LockingSession)
@@ -135,127 +134,18 @@ class TestSignalContent:
         assert 0.35 < plus_fraction < 0.65
 
 
-def _relock_rounds(target, rounds, budget, seed):
-    """Yield ``(design, index, actions)`` inside each round of one session."""
-    session = LockingSession(target.copy())
-    index = OperationIndex(session.design)
-    rng = random.Random(seed)
-    for _ in range(rounds):
-        locker = AssureLocker("random", rng=random.Random(rng.getrandbits(64)),
-                              track_metrics=False)
-        with session.tentative():
-            actions = locker.relock(session, key_budget=budget)
-            yield session.design, index, actions
+#: Every feature set against relocking a fresh copy of the target every
+#: round.  For ``pair``, every benchmark at ROWS_SCALE is locked by every
+#: registered locker under each table of PAIR_TABLES, once per seed of
+#: ROWS_SEEDS, then relocked for ROWS_ROUNDS rounds with every budget of
+#: RELOCK_BUDGETS; the session feature sets (SESSION_SETS) use the default
+#: table and the key-width budget only.
+ROWS_SCALE = 0.1
+ROWS_SEEDS = (5,)
+ROWS_ROUNDS = 2
 
-
-def _round_bits(actions):
-    return [bit.index for action in actions for bit in action.key_bits]
-
-
-def _has_duplicates(design, bits):
-    """True when a key bit of the round controls more than one ternary."""
-    wanted = set(bits)
-    counts = Counter(_key_bit_index(node.cond, design.key_port)
-                     for node in design.top.iter_tree()
-                     if isinstance(node, ast.TernaryOp))
-    return any(counts[bit] > 1 for bit in wanted)
-
-
-def _assert_round_local_exact(design, index, actions):
-    bits = _round_bits(actions)
-    whole = _key_controlled_nodes(design)
-    local = index.round_contexts(actions)
-    assert sorted(local) == bits
-    for bit in bits:
-        # Dataclass equality: every context field must agree.
-        assert local[bit] == whole[bit], bit
-
-
-class TestRoundLocalExtraction:
-    """Round-local contexts equal the whole-design walk on the round's bits."""
-
-    @pytest.fixture
-    def nested_target(self):
-        design = Design.from_verilog(NESTED_SOURCE)
-        session = LockingSession(design, rng=random.Random(0))
-        session.add_pair(session.ops_of_type("/")[0])
-        return design
-
-    def test_contexts_match_the_whole_design_walk(self, nested_target):
-        duplicated = 0
-        for design, index, actions in _relock_rounds(nested_target, 300,
-                                                     budget=6, seed=11):
-            _assert_round_local_exact(design, index, actions)
-            duplicated += _has_duplicates(design, _round_bits(actions))
-        # The trap the round-local walk must reproduce: clones of earlier
-        # ternaries of the round duplicate key bits in most rounds.
-        assert duplicated > 100
-
-    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
-    def test_round_matrix_matches_extract_matrix(self, nested_target,
-                                                 feature_set):
-        extractor = LocalityExtractor(feature_set)
-        for design, index, actions in _relock_rounds(nested_target, 30,
-                                                     budget=6, seed=12):
-            features, labels = extractor.extract_round(index, actions)
-            expected = extractor.extract_matrix(
-                design, key_indices=_round_bits(actions))
-            assert features.shape == (len(actions), extractor.n_features)
-            assert np.array_equal(features, expected[0])
-            assert np.array_equal(labels, expected[1])
-
-    @pytest.mark.parametrize("name", benchmark_names())
-    def test_every_benchmark(self, name):
-        design = load_benchmark(name, scale=0.2, seed=3)
-        budget = key_budget(0.75, name, "era", design.num_operations())
-        target = make_locker("era", rng=random.Random(3)).lock(
-            design, budget).design
-        extractors = [LocalityExtractor(name) for name in FEATURE_SETS]
-        for design, index, actions in _relock_rounds(target, 3, budget,
-                                                     seed=13):
-            _assert_round_local_exact(design, index, actions)
-            for extractor in extractors:
-                features, _ = extractor.extract_round(index, actions)
-                expected, _ = extractor.extract_matrix(
-                    design, key_indices=_round_bits(actions))
-                assert np.array_equal(features, expected)
-
-    def test_an_empty_round_has_no_rows(self, nested_target):
-        index = OperationIndex(nested_target)
-        features, labels = LocalityExtractor("extended").extract_round(index, [])
-        assert features.shape == (0, 5)
-        assert labels.shape == (0,)
-
-    def test_non_operation_actions_rejected(self, nested_target):
-        session = LockingSession(nested_target)
-        index = OperationIndex(session.design)
-        constant = ast.IntConst("8'd3")
-        assign = session.design.top.items[0]
-        assign.rhs = ast.BinaryOp("+", assign.rhs, constant)
-        action = session.lock_constant(assign.rhs, constant)
-        with pytest.raises(ValueError):
-            index.round_contexts([action])
-
-    def test_lock_of_an_unindexed_dummy_rejected(self, nested_target):
-        session = LockingSession(nested_target)
-        index = OperationIndex(session.design)
-        first = session.add_pair(session.ops_of_type("+")[0])
-        second = session.add_pair(first.dummy_ref)
-        with pytest.raises(ValueError):
-            index.round_contexts([first, second])
-
-    def test_unlocked_design_cannot_be_indexed(self, mixer_design):
-        with pytest.raises(ValueError):
-            OperationIndex(mixer_design)
-
-
-#: The type-level ``pair`` path against relocking a fresh copy of the target
-#: every round.  Every benchmark at PAIR_SCALE is locked by every registered
-#: locker under each table of PAIR_TABLES, once per seed of PAIR_SEEDS, then
-#: relocked for PAIR_ROUNDS rounds with every budget of RELOCK_BUDGETS.
-PAIR_SCALE = 0.1
-PAIR_SEEDS = (5,)
-PAIR_ROUNDS = 2
+#: The feature sets that relock one session over a copy of the target.
+SESSION_SETS = tuple(name for name in FEATURE_SETS if name != "pair")
 
 #: Relock pair tables: the fixed symmetric default and the leaky original.
 PAIR_TABLES = (None, ORIGINAL_ASSURE_TABLE)
@@ -269,43 +159,58 @@ RELOCK_BUDGETS = (
 )
 
 
-def _fresh_copy_rows(target, table, budget, rounds, seed):
-    """Reference rows: lock a fresh copy of ``target`` in every round."""
-    extractor = LocalityExtractor("pair")
+def _has_duplicates(design, bits):
+    """True when a key bit of the round controls more than one ternary."""
+    wanted = set(bits)
+    counts = Counter(_key_bit_index(node.cond, design.key_port)
+                     for node in design.top.iter_tree()
+                     if isinstance(node, ast.TernaryOp))
+    return any(counts[bit] > 1 for bit in wanted)
+
+
+def _check_rows(target, feature_set, table, budget, rounds, seed):
+    """The training set equals the fresh-copy reference bit for bit.
+
+    The reference locks a fresh copy of ``target`` in every round and reads
+    the new key bits with ``extract_matrix``.  Returns the number of
+    reference rounds in which a new key bit controls more than one ternary.
+    """
+    extractor = LocalityExtractor(feature_set)
+    training = TrainingSetBuilder(
+        extractor=extractor, relock_budget=budget, rounds=rounds,
+        pair_table=table, rng=random.Random(seed)).build(target)
     master = random.Random(seed)
-    features, labels = [], []
+    features, labels, duplicated = [], [], 0
     for _ in range(rounds):
         locker = AssureLocker("random", pair_table=table,
                               rng=random.Random(master.getrandbits(64)),
                               track_metrics=False)
         result = locker.lock(target, budget)
-        rows, values = extractor.extract_matrix(
-            result.design,
-            key_indices=[bit.index for bit in result.new_key_bits])
+        bits = [bit.index for bit in result.new_key_bits]
+        rows, values = extractor.extract_matrix(result.design,
+                                                key_indices=bits)
         features.append(rows)
         labels.append(values)
-    return np.vstack(features), np.concatenate(labels)
+        duplicated += _has_duplicates(result.design, bits)
+    features, labels = np.vstack(features), np.concatenate(labels)
+    case = (target.top.name, feature_set, table and table.name, budget, seed)
+    assert training.features.dtype == features.dtype, case
+    assert training.labels.dtype == labels.dtype, case
+    assert training.features.shape == features.shape, case
+    assert np.array_equal(training.features, features), case
+    assert np.array_equal(training.labels, labels), case
+    return duplicated
 
 
-def _check_pair_rows(name, locker, table, seed):
-    """The ``pair`` training set equals the fresh-copy reference bit for bit."""
-    design = load_benchmark(name, scale=PAIR_SCALE, seed=seed)
+def _check_benchmark(name, locker, feature_set, table, seed, budgets):
+    """Lock benchmark ``name`` with ``locker``; check its rows per budget."""
+    design = load_benchmark(name, scale=ROWS_SCALE, seed=seed)
     budget = key_budget(0.5, name, locker, design.num_operations())
     target = make_locker(locker, rng=random.Random(seed),
                          pair_table=table).lock(design, budget).design
-    for relock_budget in RELOCK_BUDGETS:
-        bits = relock_budget(target)
-        training = TrainingSetBuilder(
-            relock_budget=bits, rounds=PAIR_ROUNDS, pair_table=table,
-            rng=random.Random(seed)).build(target)
-        features, labels = _fresh_copy_rows(target, table, bits,
-                                            PAIR_ROUNDS, seed)
-        case = (name, locker, table and table.name, seed, bits)
-        assert training.features.dtype == features.dtype, case
-        assert training.labels.dtype == labels.dtype, case
-        assert training.features.shape == features.shape, case
-        assert np.array_equal(training.features, features), case
-        assert np.array_equal(training.labels, labels), case
+    for relock_budget in budgets:
+        _check_rows(target, feature_set, table, relock_budget(target),
+                    ROWS_ROUNDS, seed)
 
 
 class TestTypeLevelPairRows:
@@ -315,8 +220,9 @@ class TestTypeLevelPairRows:
     def test_every_benchmark_locker_table_and_budget(self, name):
         for locker in locker_names():
             for table in PAIR_TABLES:
-                for seed in PAIR_SEEDS:
-                    _check_pair_rows(name, locker, table, seed)
+                for seed in ROWS_SEEDS:
+                    _check_benchmark(name, locker, "pair", table, seed,
+                                     RELOCK_BUDGETS)
 
     @pytest.mark.parametrize("feature_set", FEATURE_SETS)
     def test_a_round_that_locks_nothing_keeps_the_row_shape(self,
@@ -332,3 +238,30 @@ class TestTypeLevelPairRows:
         assert training.features.dtype == np.float64
         assert training.labels.shape == (0,)
         assert training.labels.dtype == np.dtype(int)
+
+
+class TestSessionRows:
+    """``extended`` and ``behavioral`` match relocking a fresh copy every round."""
+
+    @pytest.fixture
+    def nested_target(self):
+        design = Design.from_verilog(NESTED_SOURCE)
+        session = LockingSession(design, rng=random.Random(0))
+        session.add_pair(session.ops_of_type("/")[0])
+        return design
+
+    @pytest.mark.parametrize("feature_set", SESSION_SETS)
+    def test_nested_rounds_that_duplicate_key_bits(self, nested_target,
+                                                   feature_set):
+        duplicated = _check_rows(nested_target, feature_set, None, budget=6,
+                                 rounds=300, seed=11)
+        # The clone trap: relocking an outer operation clones the ternaries
+        # an earlier pair of the same round put inside its operands.
+        assert duplicated > 100
+
+    @pytest.mark.parametrize("feature_set", SESSION_SETS)
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_every_benchmark_and_locker(self, name, feature_set):
+        for locker in locker_names():
+            _check_benchmark(name, locker, feature_set, None, ROWS_SEEDS[0],
+                             RELOCK_BUDGETS[:1])
