@@ -1,14 +1,11 @@
-"""Ablation — locality feature set (paper's pair encoding vs. richer localities).
+"""Locality features — the paper's pair encoding against ASSURE, HRA and ERA.
 
 The RTL SnapShot locality of the paper is the bare operation pair
-``[C1, C2]``.  This ablation compares it against two richer localities: the
-``extended`` set adds structural context (parent operation, ternary nesting
-depth, container kind) and the ``behavioral`` set adds a simulated output
-sensitivity per key bit.  Each is run against ASSURE, HRA and ERA targets
-over three seeds, and each cell is the mean KPA with its 95 % confidence
-half-width.  The table shows that (a) the pair encoding already captures the
-leak and (b) extra context does not rescue the attack against ERA-balanced
-designs — the defence works at the information level, not the feature level.
+``[C1, C2]``.  It is run against ASSURE, HRA and ERA targets over three
+seeds, and each cell is the mean KPA with its 95 % confidence half-width.
+The table shows that (a) the pair encoding already captures the ASSURE leak
+and (b) ERA-balanced designs hold the attack near the random-guess line —
+the defence works at the information level, not the feature level.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 import random
 import statistics
 
-from repro.attacks import FEATURE_SETS, SnapShotAttack
+from repro.attacks import SnapShotAttack
 from repro.bench import load_benchmark
 from repro.eval import format_table
 from repro.locking import AssureLocker, ERALocker, HRALocker
@@ -40,35 +37,28 @@ TARGETS = {
     "era": lambda rng: ERALocker(rng=rng),
 }
 
-#: Table columns: every (feature set, target) pair.
-COLUMNS = [(feature_set, algorithm) for feature_set in FEATURE_SETS
-           for algorithm in TARGETS]
-
 
 def _kpas(name, seed):
-    """KPA of every column on benchmark ``name`` for one seed."""
+    """KPA of every target on benchmark ``name`` for one seed."""
     design = load_benchmark(name, scale=SCALE, seed=seed)
     budget = int(0.75 * design.num_operations())
-    targets = {algorithm: make(random.Random(seed)).lock(design, budget).design
-               for algorithm, make in TARGETS.items()}
     kpas = {}
-    for feature_set, algorithm in COLUMNS:
+    for algorithm, make in TARGETS.items():
+        target = make(random.Random(seed)).lock(design, budget).design
         attack = SnapShotAttack(
             model=RandomForestClassifier(n_estimators=30, random_state=seed),
-            rounds=ROUNDS, feature_set=feature_set,
-            rng=random.Random(7 + seed))
-        kpas[feature_set, algorithm] = attack.attack(
-            targets[algorithm], algorithm=algorithm).kpa
+            rounds=ROUNDS, rng=random.Random(7 + seed))
+        kpas[algorithm] = attack.attack(target, algorithm=algorithm).kpa
     return kpas
 
 
-def _run_feature_comparison():
-    """Per benchmark, the seeds' KPAs of every column."""
+def _run_pair_kpas():
+    """Per benchmark, the seeds' KPAs of every target."""
     samples = {}
     for name in BENCHMARKS:
         runs = [_kpas(name, seed) for seed in SEEDS]
-        samples[name] = {column: [run[column] for run in runs]
-                         for column in COLUMNS}
+        samples[name] = {algorithm: [run[algorithm] for run in runs]
+                         for algorithm in TARGETS}
     return samples
 
 
@@ -77,32 +67,23 @@ def _cell(values):
     return f"{statistics.mean(values):.1f} ±{half:.1f}"
 
 
-def test_locality_feature_ablation(benchmark, results_dir):
-    samples = benchmark.pedantic(_run_feature_comparison, rounds=1,
-                                 iterations=1)
+def test_pair_locality_kpa(benchmark, results_dir):
+    samples = benchmark.pedantic(_run_pair_kpas, rounds=1, iterations=1)
     table = format_table(
-        ["benchmark"] + [f"{algorithm.upper()} ({feature_set})"
-                         for feature_set, algorithm in COLUMNS],
-        [[name] + [_cell(samples[name][column]) for column in COLUMNS]
+        ["benchmark"] + [f"{algorithm.upper()} (pair)"
+                         for algorithm in TARGETS],
+        [[name] + [_cell(samples[name][algorithm]) for algorithm in TARGETS]
          for name in BENCHMARKS],
-        title=("Locality feature-set ablation: KPA %, mean ±95 % CI over "
+        title=("Pair locality KPA %, mean ±95 % CI over "
                f"seeds {', '.join(map(str, SEEDS))} (75 % budget)"))
     print("\n" + table)
-    write_result(results_dir, "ablation_locality_features", table)
+    write_result(results_dir, "pair_locality_kpa", table)
 
-    def benchmark_means(feature_set, algorithm):
-        return [statistics.mean(samples[name][feature_set, algorithm])
+    def benchmark_means(algorithm):
+        return [statistics.mean(samples[name][algorithm])
                 for name in BENCHMARKS]
 
-    assure_pair = benchmark_means("pair", "assure")
-    era_pair = benchmark_means("pair", "era")
-    assure_extended = benchmark_means("extended", "assure")
-    era_extended = benchmark_means("extended", "era")
-
     # The paper's bare pair encoding already extracts the ASSURE leak.
-    assert statistics.mean(assure_pair) > 55.0
-    # Extended context does not change the qualitative picture: ASSURE still
-    # leaks, ERA still holds the attack near the random-guess line.
-    assert statistics.mean(assure_extended) > 55.0
-    assert statistics.mean(era_pair) <= 65.0
-    assert statistics.mean(era_extended) <= 65.0
+    assert statistics.mean(benchmark_means("assure")) > 55.0
+    # ERA holds the attack near the random-guess line.
+    assert statistics.mean(benchmark_means("era")) <= 65.0

@@ -224,7 +224,6 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
         attack = make_attack(spec.name, random.Random(job.attack_seed),
                              rounds=spec.rounds,
                              time_budget=spec.time_budget,
-                             feature_set=spec.feature_set,
                              functional_vectors=spec.functional_vectors,
                              **spec.options)
         result = attack.attack(locked.design, algorithm=job.locker.algorithm)

@@ -205,8 +205,10 @@ class AttackSpec:
             (same attack stream, different search budget — a controlled
             budget-scaling comparison) tagged ``tb<value>`` in the
             ``job_id``.
-        feature_set: Locality feature set, one of
-            :data:`repro.attacks.locality.FEATURE_SETS`.
+        feature_set: Locality feature set; ``"pair"`` (the paper's
+            ``[C1, C2]``) is the only legal value.  The field stays so
+            stored scenarios, their fingerprints and records keep loading,
+            and a scenario naming a removed set fails validation.
         functional_vectors: Vectors for functional-KPA validation (0 = off).
         options: Extra factory keyword arguments (free-form, JSON-valued).
     """

@@ -75,8 +75,7 @@ class MajorityVoteAttack:
         """Build the pair-majority table from relocking and predict the key."""
         if not target.is_locked:
             raise ValueError("the target design must be locked")
-        extractor = LocalityExtractor("pair")
-        builder = TrainingSetBuilder(extractor=extractor, rounds=self.rounds,
+        builder = TrainingSetBuilder(rounds=self.rounds,
                                      relock_budget=self.relock_budget,
                                      pair_table=self.pair_table,
                                      rng=random.Random(self.rng.getrandbits(64)))
@@ -88,7 +87,7 @@ class MajorityVoteAttack:
         majority = {pair: int(round(np.mean(values)))
                     for pair, values in votes.items()}
 
-        target_features, _ = extractor.extract_matrix(target)
+        target_features, _ = LocalityExtractor().extract_matrix(target)
         predicted = []
         for row in target_features:
             pair = (row[0], row[1])
@@ -130,8 +129,7 @@ class PairAsymmetryAttack:
         """Predict each key bit from pair-table asymmetry alone."""
         if not target.is_locked:
             raise ValueError("the target design must be locked")
-        extractor = LocalityExtractor("pair")
-        localities = extractor.extract(target)
+        localities = LocalityExtractor().extract(target)
         predicted: List[int] = []
         resolved = 0
         for locality in localities:

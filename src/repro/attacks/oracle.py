@@ -131,7 +131,6 @@ def _make_oracle_budget(rng: random.Random, base: str = "majority",
                         oracle_queries: int = 64, vectors: int = 16,
                         rounds: int = 20,
                         time_budget: float = 10.0,
-                        feature_set: str = "pair",
                         functional_vectors: int = 0,
                         pair_table=None,
                         **_: object) -> OracleBudgetAttack:
@@ -139,6 +138,5 @@ def _make_oracle_budget(rng: random.Random, base: str = "majority",
     return OracleBudgetAttack(base=base, oracle_queries=oracle_queries,
                               vectors=vectors, rng=rng,
                               rounds=rounds, time_budget=time_budget,
-                              feature_set=feature_set,
                               functional_vectors=functional_vectors,
                               pair_table=pair_table)

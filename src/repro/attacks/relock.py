@@ -9,25 +9,11 @@ of those new key bits become labelled training samples (Fig. 2 of the paper,
 The paper relocks with *random* ASSURE selection "so that all parts of the
 design were used for learning"; :class:`TrainingSetBuilder` follows that
 default.  Every round is undone before the next, so each round starts from
-the target itself.  Two paths build the rows, and both equal relocking a
-fresh copy of the target every round:
-
-* ``pair`` (the paper's features) works at the type level.  A row is the
-  code of the locked operation and of its dummy, swapped when the drawn key
-  value is 0, so the rows depend only on the target's candidate operation
-  types and on each round's rng draws.  The candidates' codes are listed once
-  per attack and each round's draws are replayed over them
-  (:func:`~repro.locking.assure.random_round_draws`): no design copy, no
-  session and no AST edit.
-* ``extended`` and ``behavioral`` read the structure (and behaviour) of the
-  relocked design.  The target is copied once per attack, and every round is
-  applied to, extracted from and undone on one
-  :class:`~repro.locking.base.LockingSession` over that copy.  ``add_pair``
-  clones the real operation's operands structurally; each round's key bits
-  are read with
-  :meth:`~repro.attacks.locality.LocalityExtractor.extract_matrix` on the
-  session's design, the same extraction the deployment step uses; undo pops
-  each action's dummy off the tails of the operation registry.
+the target itself.  The rows are built at the type level, from each round's
+rng draws over the target's candidate operation types
+(:meth:`TrainingSetBuilder.build`): no design copy, no session and no AST
+edit, and still bit-identical to relocking a fresh copy of the target every
+round.
 """
 
 from __future__ import annotations
@@ -35,15 +21,14 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..locking.assure import AssureLocker, random_round_draws
-from ..locking.base import LockingSession
+from ..locking.assure import random_round_draws
 from ..locking.pairs import PairTable, default_pair_table
 from ..rtlir.design import Design
-from .locality import LocalityExtractor, operation_code
+from .locality import operation_code
 
 _log = logging.getLogger(__name__)
 
@@ -73,8 +58,6 @@ class TrainingSetBuilder:
     """Build a SnapShot training set by relocking the target design.
 
     Args:
-        extractor: Locality extractor (shared with the deployment step so the
-            feature space matches).
         relock_budget: Key bits added per relocking round (positive);
             defaults to the number of key bits already present in the target
             (i.e. the same budget the defender used).
@@ -84,15 +67,13 @@ class TrainingSetBuilder:
         rng: Random source.
     """
 
-    def __init__(self, extractor: Optional[LocalityExtractor] = None,
-                 relock_budget: Optional[int] = None, rounds: int = 20,
+    def __init__(self, relock_budget: Optional[int] = None, rounds: int = 20,
                  pair_table: Optional[PairTable] = None,
                  rng: Optional[random.Random] = None) -> None:
         if rounds < 1:
             raise ValueError("at least one relocking round is required")
         if relock_budget is not None and relock_budget < 1:
             raise ValueError("relock_budget must be positive")
-        self.extractor = extractor or LocalityExtractor()
         self.relock_budget = relock_budget
         self.rounds = rounds
         self.pair_table = pair_table
@@ -103,21 +84,15 @@ class TrainingSetBuilder:
               ) -> TrainingSet:
         """Relock ``target`` ``rounds`` times and extract labelled localities.
 
-        The ``pair`` feature set replays each round's draws over the
-        target's operation types (:meth:`_pair_rows`); the other feature
-        sets relock one session over a copy of the target and read each
-        round's new key bits with
-        :meth:`~repro.attacks.locality.LocalityExtractor.extract_matrix` on
-        the session's design (:meth:`_session_rows`).  Simulation-backed
-        feature sets (``behavioral``) evaluate all of a round's fresh key
-        bits as lanes of a single bit-parallel key sweep
-        (:func:`repro.locking.metrics.key_bit_sensitivity`), one pass per
-        round instead of one pass per key bit; the relocked design's plan
-        comes from the process-wide cache shared with the deployment and
-        validation steps.
-
-        Either way the training set is bit-identical to relocking a fresh
-        copy of the target every round; ``target`` itself is never mutated.
+        A row is the code of the locked operation and the code of its dummy,
+        swapped when the drawn key value is 0, and that value is its label.
+        Every round is undone before the next, so all rounds choose from the
+        same candidates: the target's sites that are not key-controlled and
+        have a pair, in registry order.  Replaying each round's rng draws
+        (:func:`~repro.locking.assure.random_round_draws`) over those
+        candidates' codes therefore yields exactly the rows that relocking a
+        fresh copy of the target every round and extracting the new key
+        bits' localities would; ``target`` itself is never mutated.
 
         Args:
             target: The locked design to self-reference against.
@@ -135,27 +110,6 @@ class TrainingSetBuilder:
             raise ValueError("the target design must be locked")
         budget = (target.key_width if self.relock_budget is None
                   else self.relock_budget)
-        if self.extractor.feature_set == "pair":
-            features, labels = self._pair_rows(target, budget, progress)
-        else:
-            features, labels = self._session_rows(target, budget, progress)
-        return TrainingSet(features=features, labels=labels, rounds=self.rounds,
-                           bits_per_round=budget)
-
-    def _pair_rows(self, target: Design, budget: int,
-                   progress: Optional[Callable[[int, int], None]]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows of the ``pair`` feature set, without relocking any design.
-
-        A ``pair`` row is the code of the locked operation and the code of
-        its dummy, swapped when the drawn key value is 0, and that value is
-        its label.  Every round is undone before the next, so all rounds
-        choose from the same candidates: the target's sites that are not
-        key-controlled and have a pair, in registry order.  Replaying each
-        round's rng draws (:func:`~repro.locking.assure.random_round_draws`)
-        over those candidates' codes therefore yields exactly the rows of
-        :meth:`_session_rows`.
-        """
         table = self.pair_table or default_pair_table()
         codes = np.array(
             [(operation_code(site.op), operation_code(table.dummy_of(site.op)))
@@ -173,37 +127,8 @@ class TrainingSetBuilder:
         labels = np.array(values, dtype=int)
         picked = codes[np.array(positions, dtype=int)]
         features = np.where(labels[:, None] == 1, picked, picked[:, ::-1])
-        return features, labels
-
-    def _session_rows(self, target: Design, budget: int,
-                      progress: Optional[Callable[[int, int], None]]
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows of any feature set, by relocking one session over a copy."""
-        # One copy and one session per attack: every round relocks the
-        # session, extracts its new key bits from the session's design and
-        # is then undone, which leaves the session exactly as a fresh one
-        # over the target.
-        session = LockingSession(target.copy(), pair_table=self.pair_table)
-
-        feature_blocks: List[np.ndarray] = []
-        label_blocks: List[np.ndarray] = []
-        for round_index in range(self.rounds):
-            locker = AssureLocker(
-                selection="random",
-                pair_table=self.pair_table,
-                rng=random.Random(self.rng.getrandbits(64)),
-                track_metrics=False,
-            )
-            with session.tentative():
-                actions = locker.relock(session, key_budget=budget)
-                features, labels = self.extractor.extract_matrix(
-                    session.design,
-                    key_indices=[bit.index for action in actions
-                                 for bit in action.key_bits])
-            feature_blocks.append(features)
-            label_blocks.append(labels)
-            _report_progress(progress, round_index + 1, self.rounds)
-        return np.vstack(feature_blocks), np.concatenate(label_blocks)
+        return TrainingSet(features=features, labels=labels, rounds=self.rounds,
+                           bits_per_round=budget)
 
 
 def _report_progress(progress: Optional[Callable[[int, int], None]],

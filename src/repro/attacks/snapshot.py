@@ -79,8 +79,6 @@ class SnapShotAttack:
             uses 1000; the default here is laptop-friendly and configurable).
         relock_budget: Key bits per relocking round (defaults to the target's
             own key width).
-        feature_set: Locality feature set (``pair``, ``extended`` or
-            ``behavioral``; see :data:`~repro.attacks.locality.FEATURE_SETS`).
         pair_table: Pair table assumed by the attacker for relocking.
         time_budget: Auto-ML search budget in roster candidates, cheapest
             first (only used for the default model).  The search has no
@@ -104,7 +102,7 @@ class SnapShotAttack:
     name = "snapshot-rtl"
 
     def __init__(self, model: Optional[Estimator] = None, rounds: int = 20,
-                 relock_budget: Optional[int] = None, feature_set: str = "pair",
+                 relock_budget: Optional[int] = None,
                  pair_table: Optional[PairTable] = None,
                  time_budget: float = 10.0,
                  max_training_samples: int = 20000,
@@ -117,7 +115,6 @@ class SnapShotAttack:
         self.model = model
         self.rounds = rounds
         self.relock_budget = relock_budget
-        self.feature_set = feature_set
         self.pair_table = pair_table
         self.time_budget = time_budget
         self.max_training_samples = max_training_samples
@@ -128,9 +125,7 @@ class SnapShotAttack:
 
     def build_training_set(self, target: Design) -> TrainingSet:
         """Step 1+2: relock the target and extract labelled localities."""
-        extractor = LocalityExtractor(self.feature_set)
         builder = TrainingSetBuilder(
-            extractor=extractor,
             relock_budget=self.relock_budget,
             rounds=self.rounds,
             pair_table=self.pair_table,
@@ -159,8 +154,7 @@ class SnapShotAttack:
 
     def predict_key(self, model: Estimator, target: Design) -> List[int]:
         """Step 4: extract the target localities and predict its key bits."""
-        extractor = LocalityExtractor(self.feature_set)
-        features, _ = extractor.extract_matrix(target)
+        features, _ = LocalityExtractor().extract_matrix(target)
         predictions = model.predict(features)
         return [int(v) for v in predictions]
 
@@ -200,7 +194,8 @@ class SnapShotAttack:
             metadata={
                 "rounds": training_set.rounds,
                 "relock_budget": training_set.bits_per_round,
-                "feature_set": self.feature_set,
+                # The only feature set; kept so records keep their shape.
+                "feature_set": "pair",
                 "locking_algorithm": algorithm or "unknown",
                 "training_label_balance": training_set.label_balance(),
             },
@@ -281,12 +276,11 @@ from ..api.registry import register_attack  # noqa: E402
 
 @register_attack("snapshot", aliases=("snapshot-rtl",))
 def _make_snapshot(rng: random.Random, rounds: int = 20,
-                   feature_set: str = "pair",
                    pair_table: Optional[PairTable] = None,
                    time_budget: float = 10.0,
                    functional_vectors: int = 0,
                    **_: object) -> SnapShotAttack:
     """The paper's ML-driven structural attack adapted to RTL."""
-    return SnapShotAttack(rounds=rounds, feature_set=feature_set,
-                          pair_table=pair_table, time_budget=time_budget,
+    return SnapShotAttack(rounds=rounds, pair_table=pair_table,
+                          time_budget=time_budget,
                           functional_vectors=functional_vectors, rng=rng)

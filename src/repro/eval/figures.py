@@ -127,7 +127,7 @@ def figure4_observation_analysis(n_operations: int = 64,
 def _observation_pool_for(design: Design, scenario: str, budget: int,
                           training_rounds: int,
                           rng: random.Random) -> ObservationPool:
-    extractor = LocalityExtractor("pair")
+    extractor = LocalityExtractor()
 
     # --- test sample -------------------------------------------------------
     test_selection = "serial" if scenario == "serial" else "random"
@@ -156,7 +156,7 @@ def _training_round(locked_target: Design, scenario: str, budget: int,
     """One training (relocking) round on a copy of the locked target."""
     from ..locking.base import LockingSession  # deferred to keep import DAG flat
 
-    extractor = LocalityExtractor("pair")
+    extractor = LocalityExtractor()
     original_width = locked_target.key_width
     working = locked_target.copy()
     session = LockingSession(working, rng=rng)

@@ -107,8 +107,8 @@ class AssureLocker:
         exploits/contends with when building the training set.  The round
         draws its selection and key values from this locker's rng, as
         :meth:`lock` does, so relocking a session over a copy of a design
-        yields the same design as ``lock(design, key_budget)``.  Run it
-        inside :meth:`LockingSession.tentative` to undo the round afterwards.
+        yields the same design as ``lock(design, key_budget)``.
+        ``session.undo_last(len(actions))`` undoes the round.
 
         Args:
             session: Session over the design to relock; it must use this

@@ -8,9 +8,7 @@
 * the live :class:`~repro.locking.odt.OperationDistributionTable`,
 * the key-bit records and the key input port of the design,
 * an undo stack so heuristics can tentatively apply a lock, evaluate the
-  security metric and roll back (Algorithm 4, line 17), and so relocking
-  can apply a whole round and restore the session afterwards
-  (:meth:`LockingSession.tentative`).
+  security metric and roll back (Algorithm 4, line 17).
 
 Three locking primitives are provided, mirroring ASSURE's three techniques:
 
@@ -26,9 +24,8 @@ Three locking primitives are provided, mirroring ASSURE's three techniques:
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..rtlir.design import DEFAULT_KEY_PORT, Design, KeyBit
 from ..rtlir.operations import normalize_operator
@@ -422,22 +419,6 @@ class LockingSession:
             if not self.actions:
                 raise LockingError("no actions left to undo")
             self.undo(self.actions[-1])
-
-    @contextmanager
-    def tentative(self) -> Iterator["LockingSession"]:
-        """Undo every action applied inside the block when it exits.
-
-        The design, key port, registry and ODT return to their state at
-        entry.  :meth:`undo` restores ODT counts but leaves affected marks
-        set, so the ODT is snapshotted and restored as a whole.
-        """
-        depth = len(self.actions)
-        odt = self.odt.copy()
-        try:
-            yield self
-        finally:
-            self.undo_last(len(self.actions) - depth)
-            self.odt = odt
 
 
 def _negate_condition(cond: ast.Expression) -> ast.Expression:

@@ -276,30 +276,24 @@ def functional_corruption(design, correct_key: Optional[Sequence[int]] = None,
     )
 
 
-def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
-                        vectors: int = 32,
-                        rng: Optional[random.Random] = None,
-                        key_indices: Optional[Sequence[int]] = None,
-                        ) -> List[float]:
+def key_bit_sensitivity(design, vectors: int = 32,
+                        rng: Optional[random.Random] = None) -> List[float]:
     """Per-key-bit output sensitivity of a locked design.
 
-    Entry ``j`` is the fraction of input vectors whose outputs change when
-    key bit ``key_indices[j]`` (all key bits when ``key_indices`` is omitted)
-    is flipped relative to ``base_key``.  The base key defaults to all
-    zeros — a key hypothesis an *attacker* can evaluate without knowing the
-    secret — so the profile doubles as an oracle-free behavioural feature
-    (see the ``behavioral`` locality feature set).
+    Entry ``i`` is the fraction of input vectors whose outputs change when
+    key bit ``i`` is flipped relative to the all-zero key, a key hypothesis
+    an *attacker* can evaluate without knowing the secret.
 
     The base key and every flipped key evaluate as lanes of a *single*
     bit-parallel sweep over the design's cached plan — one pass for
-    ``len(key_indices) + 1`` hypotheses instead of one pass each — and the
+    ``key_width + 1`` hypotheses instead of one pass each — and the
     differing lanes are counted on the bit-sliced outputs
     (:func:`repro.sim.sweep_differences`).  Designs the plan compiler cannot
     express fall back to a per-key scalar loop with identical numbers.
 
     Raises:
-        ValueError: if the design is not locked, ``vectors`` is not positive,
-            or an index is out of the key's range.
+        ValueError: if the design is not locked or ``vectors`` is not
+            positive.
     """
     from ..sim import random_input_batch, sweep_differences
 
@@ -308,19 +302,11 @@ def key_bit_sensitivity(design, base_key: Optional[Sequence[int]] = None,
     if vectors < 1:
         raise ValueError("vectors must be positive")
     rng = rng or random.Random()
-    base = list(base_key) if base_key is not None \
-        else [0] * design.key_width
-    indices = list(key_indices) if key_indices is not None \
-        else list(range(design.key_width))
-    if any(index < 0 or index >= design.key_width for index in indices):
-        raise ValueError("key index out of range")
+    width = design.key_width
 
     batch = random_input_batch(design, rng, vectors)
-    keys: List[List[int]] = [base]
-    for index in indices:
-        flipped = list(base)
-        flipped[index] = 1 - flipped[index]
-        keys.append(flipped)
+    keys = [[0] * width] + [[int(bit == index) for bit in range(width)]
+                            for index in range(width)]
     differences = sweep_differences(design, batch, keys=keys, n=vectors)
     return [lanes / vectors for lanes in differences.lanes]
 

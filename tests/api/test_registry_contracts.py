@@ -17,7 +17,9 @@ Two more contracts make a locked design worth attacking at all:
 
 * a wrong key corrupts the outputs, and
 * one attack relock round keeps the design transparent under its full
-  correct key, and undoing the round restores the design.
+  correct key, leaves the design it copied alone, and undoing the round
+  restores the design; this holds on generated designs and on every
+  benchmark locked by every locker.
 
 And every benchmark locked by every locker simulates the same on the
 compiled bit-parallel plan as on the scalar AST oracle, which shares no
@@ -201,19 +203,30 @@ def check_locking_contract(locker: str, seed: int) -> None:
                                        rng=random.Random(seed))
     assert corruption.mean_corruption > 0, \
         f"wrong keys of {locker!r} never corrupt the outputs"
+    check_relock_round(design, locked.design, budget, seed,
+                       f"a {locker!r} design")
 
-    session = LockingSession(locked.design.copy())
+
+def check_relock_round(design: Design, locked: Design, budget: int,
+                       seed: int, label: str) -> None:
+    """Relock a session over a copy of ``locked``: transparent, undoable.
+
+    ``design`` is the unlocked original ``locked`` was made from.
+    """
+    target = state(locked)
+    session = LockingSession(locked.copy())
     before = state(session.design)
-    with session.tentative():
-        AssureLocker(selection="random", rng=random.Random(seed + 1),
-                     track_metrics=False).relock(session, key_budget=budget)
-        relocked = session.design
-        assert relocked.key_width > locked.design.key_width
-        report = check_equivalence(design, relocked,
-                                   key=relocked.correct_key, vectors=16,
-                                   rng=random.Random(seed))
-        assert report.equivalent, \
-            f"relocking a {locker!r} design broke it: {report.first_mismatch}"
+    actions = AssureLocker(selection="random", rng=random.Random(seed + 1),
+                           track_metrics=False).relock(session,
+                                                       key_budget=budget)
+    relocked = session.design
+    assert relocked.key_width > locked.key_width
+    assert state(locked) == target, f"relocking a copy of {label} changed it"
+    report = check_equivalence(design, relocked, key=relocked.correct_key,
+                               vectors=16, rng=random.Random(seed))
+    assert report.equivalent, \
+        f"relocking {label} broke it: {report.first_mismatch}"
+    session.undo_last(len(actions))
     assert state(session.design) == before, "undoing the round left changes"
 
 
@@ -256,6 +269,23 @@ def check_plan_matches_oracle(benchmark: str, locker: str) -> None:
                               for name, locker in SIMULATION_CASES])
 def test_locked_benchmark_plan_matches_scalar_oracle(design_name, locker):
     check_plan_matches_oracle(design_name, locker)
+
+
+def check_benchmark_relock(benchmark: str, locker: str) -> None:
+    """A relock round of a locked benchmark is transparent and undoes."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    locked = make_locker(locker, random.Random(0)).lock(design,
+                                                        budget).design
+    check_relock_round(design, locked, budget, seed=0,
+                       label=f"{benchmark} locked by {locker!r}")
+
+
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_locked_benchmark_survives_relocking(design_name, locker):
+    check_benchmark_relock(design_name, locker)
 
 
 

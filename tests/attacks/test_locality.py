@@ -2,13 +2,11 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.attacks import LocalityExtractor
 from repro.locking import AssureLocker, LockingSession
 from repro.rtlir import Design, encode_operator
-from repro.verilog import ast
 
 
 class TestExtraction:
@@ -57,10 +55,6 @@ class TestExtraction:
         assert features.shape == (0, 2)
         assert labels.shape == (0,)
 
-    def test_invalid_feature_set(self):
-        with pytest.raises(ValueError):
-            LocalityExtractor("deluxe")
-
 
 class TestNestedAndNonOperationBits:
     def test_relocked_pair_resolves_nested_branch(self, plus_chain_design):
@@ -90,66 +84,3 @@ class TestNestedAndNonOperationBits:
         assert len(localities) == 4
         assert all(loc.kind == "constant" for loc in localities)
         assert all(loc.features.tolist() == [0.0, 0.0] for loc in localities)
-
-
-class TestExtendedFeatures:
-    def test_extended_feature_width(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 3).design
-        extractor = LocalityExtractor("extended")
-        assert extractor.n_features == 5
-        features, _ = extractor.extract_matrix(locked)
-        assert features.shape == (3, 5)
-
-    def test_extended_features_include_container_code(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 6).design
-        features, _ = LocalityExtractor("extended").extract_matrix(locked)
-        container_codes = set(features[:, 4].astype(int).tolist())
-        # The mixer has locked operations in both assigns and the always block.
-        assert len(container_codes) >= 2
-
-    def test_extended_parent_code(self, rng):
-        design = Design.from_verilog("""
-        module p (input [3:0] a, b, c, output [3:0] y);
-          assign y = (a + b) * c;
-        endmodule
-        """)
-        session = LockingSession(design, rng=rng)
-        add_ref = session.ops_of_type("+")[0]
-        session.add_pair(add_ref)
-        features, _ = LocalityExtractor("extended").extract_matrix(design)
-        assert features[0, 2] == encode_operator("*")
-
-
-class TestBehavioralFeatures:
-    def test_behavioral_feature_width(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 3).design
-        extractor = LocalityExtractor("behavioral")
-        assert extractor.n_features == 3
-        features, labels = extractor.extract_matrix(locked)
-        assert features.shape == (3, 3)
-        assert labels.shape == (3,)
-
-    def test_behavioral_pair_columns_match_pair_set(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 4).design
-        pair_features, _ = LocalityExtractor("pair").extract_matrix(locked)
-        behavioral, _ = LocalityExtractor("behavioral").extract_matrix(locked)
-        assert np.array_equal(behavioral[:, :2], pair_features)
-
-    def test_behavioral_sensitivity_in_unit_interval(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
-        features, _ = LocalityExtractor(
-            "behavioral", behavior_vectors=16).extract_matrix(locked)
-        sensitivities = features[:, 2]
-        assert np.all(sensitivities >= 0.0) and np.all(sensitivities <= 1.0)
-        # Combinationally observable key bits must show some sensitivity.
-        assert sensitivities.max() > 0.0
-
-    def test_behavioral_extraction_is_deterministic(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 4).design
-        first, _ = LocalityExtractor("behavioral").extract_matrix(locked)
-        second, _ = LocalityExtractor("behavioral").extract_matrix(locked)
-        assert np.array_equal(first, second)
-
-    def test_invalid_behavior_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            LocalityExtractor("behavioral", behavior_vectors=0)

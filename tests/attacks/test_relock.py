@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import locker_names, make_locker
 from repro.api.scenario import key_budget
-from repro.attacks import FEATURE_SETS, LocalityExtractor, TrainingSetBuilder
+from repro.attacks import LocalityExtractor, TrainingSetBuilder
 from repro.attacks.locality import _key_bit_index
 from repro.bench import benchmark_names, load_benchmark
 from repro.locking import (ORIGINAL_ASSURE_TABLE, AssureLocker, ERALocker,
@@ -84,10 +84,9 @@ class TestTrainingSetBuilder:
 
     def test_feature_space_matches_extractor(self, mixer_design, rng):
         target = AssureLocker("serial", rng=rng).lock(mixer_design, 3).design
-        extractor = LocalityExtractor("extended")
-        training = TrainingSetBuilder(extractor=extractor, rounds=2,
+        training = TrainingSetBuilder(rounds=2,
                                       rng=random.Random(5)).build(target)
-        assert training.features.shape[1] == extractor.n_features
+        assert training.features.shape[1] == LocalityExtractor.n_features
 
     def test_build_survives_a_raising_progress_hook(self, mixer_design, rng,
                                                     caplog):
@@ -134,18 +133,13 @@ class TestSignalContent:
         assert 0.35 < plus_fraction < 0.65
 
 
-#: Every feature set against relocking a fresh copy of the target every
-#: round.  For ``pair``, every benchmark at ROWS_SCALE is locked by every
-#: registered locker under each table of PAIR_TABLES, once per seed of
-#: ROWS_SEEDS, then relocked for ROWS_ROUNDS rounds with every budget of
-#: RELOCK_BUDGETS; the session feature sets (SESSION_SETS) use the default
-#: table and the key-width budget only.
+#: The training rows against relocking a fresh copy of the target every
+#: round: every benchmark at ROWS_SCALE is locked by every registered
+#: locker under each table of PAIR_TABLES, once per seed of ROWS_SEEDS, then
+#: relocked for ROWS_ROUNDS rounds with every budget of RELOCK_BUDGETS.
 ROWS_SCALE = 0.1
 ROWS_SEEDS = (5,)
 ROWS_ROUNDS = 2
-
-#: The feature sets that relock one session over a copy of the target.
-SESSION_SETS = tuple(name for name in FEATURE_SETS if name != "pair")
 
 #: Relock pair tables: the fixed symmetric default and the leaky original.
 PAIR_TABLES = (None, ORIGINAL_ASSURE_TABLE)
@@ -168,17 +162,17 @@ def _has_duplicates(design, bits):
     return any(counts[bit] > 1 for bit in wanted)
 
 
-def _check_rows(target, feature_set, table, budget, rounds, seed):
+def _check_rows(target, table, budget, rounds, seed):
     """The training set equals the fresh-copy reference bit for bit.
 
     The reference locks a fresh copy of ``target`` in every round and reads
     the new key bits with ``extract_matrix``.  Returns the number of
     reference rounds in which a new key bit controls more than one ternary.
     """
-    extractor = LocalityExtractor(feature_set)
+    extractor = LocalityExtractor()
     training = TrainingSetBuilder(
-        extractor=extractor, relock_budget=budget, rounds=rounds,
-        pair_table=table, rng=random.Random(seed)).build(target)
+        relock_budget=budget, rounds=rounds, pair_table=table,
+        rng=random.Random(seed)).build(target)
     master = random.Random(seed)
     features, labels, duplicated = [], [], 0
     for _ in range(rounds):
@@ -193,7 +187,7 @@ def _check_rows(target, feature_set, table, budget, rounds, seed):
         labels.append(values)
         duplicated += _has_duplicates(result.design, bits)
     features, labels = np.vstack(features), np.concatenate(labels)
-    case = (target.top.name, feature_set, table and table.name, budget, seed)
+    case = (target.top.name, table and table.name, budget, seed)
     assert training.features.dtype == features.dtype, case
     assert training.labels.dtype == labels.dtype, case
     assert training.features.shape == features.shape, case
@@ -202,66 +196,44 @@ def _check_rows(target, feature_set, table, budget, rounds, seed):
     return duplicated
 
 
-def _check_benchmark(name, locker, feature_set, table, seed, budgets):
+def _check_benchmark(name, locker, table, seed, budgets):
     """Lock benchmark ``name`` with ``locker``; check its rows per budget."""
     design = load_benchmark(name, scale=ROWS_SCALE, seed=seed)
     budget = key_budget(0.5, name, locker, design.num_operations())
     target = make_locker(locker, rng=random.Random(seed),
                          pair_table=table).lock(design, budget).design
     for relock_budget in budgets:
-        _check_rows(target, feature_set, table, relock_budget(target),
-                    ROWS_ROUNDS, seed)
+        _check_rows(target, table, relock_budget(target), ROWS_ROUNDS, seed)
 
 
 class TestTypeLevelPairRows:
-    """The ``pair`` path matches relocking a fresh copy every round."""
+    """The type-level rows match relocking a fresh copy every round."""
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_every_benchmark_locker_table_and_budget(self, name):
         for locker in locker_names():
             for table in PAIR_TABLES:
                 for seed in ROWS_SEEDS:
-                    _check_benchmark(name, locker, "pair", table, seed,
+                    _check_benchmark(name, locker, table, seed,
                                      RELOCK_BUDGETS)
 
-    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
-    def test_a_round_that_locks_nothing_keeps_the_row_shape(self,
-                                                            feature_set):
+    def test_a_round_that_locks_nothing_keeps_the_row_shape(self):
         # A branch-locked target with no binary operation to relock.
         design = Design.from_verilog(BRANCH_ONLY_SOURCE)
         target = AssureLocker(rng=random.Random(0)).lock_branches(
             design, 1).design
-        extractor = LocalityExtractor(feature_set)
-        training = TrainingSetBuilder(extractor=extractor, rounds=2,
+        training = TrainingSetBuilder(rounds=2,
                                       rng=random.Random(1)).build(target)
-        assert training.features.shape == (0, extractor.n_features)
+        assert training.features.shape == (0, LocalityExtractor.n_features)
         assert training.features.dtype == np.float64
         assert training.labels.shape == (0,)
         assert training.labels.dtype == np.dtype(int)
 
-
-class TestSessionRows:
-    """``extended`` and ``behavioral`` match relocking a fresh copy every round."""
-
-    @pytest.fixture
-    def nested_target(self):
+    def test_nested_rounds_that_duplicate_key_bits(self):
         design = Design.from_verilog(NESTED_SOURCE)
         session = LockingSession(design, rng=random.Random(0))
         session.add_pair(session.ops_of_type("/")[0])
-        return design
-
-    @pytest.mark.parametrize("feature_set", SESSION_SETS)
-    def test_nested_rounds_that_duplicate_key_bits(self, nested_target,
-                                                   feature_set):
-        duplicated = _check_rows(nested_target, feature_set, None, budget=6,
-                                 rounds=300, seed=11)
+        duplicated = _check_rows(design, None, budget=6, rounds=300, seed=11)
         # The clone trap: relocking an outer operation clones the ternaries
         # an earlier pair of the same round put inside its operands.
         assert duplicated > 100
-
-    @pytest.mark.parametrize("feature_set", SESSION_SETS)
-    @pytest.mark.parametrize("name", benchmark_names())
-    def test_every_benchmark_and_locker(self, name, feature_set):
-        for locker in locker_names():
-            _check_benchmark(name, locker, feature_set, None, ROWS_SEEDS[0],
-                             RELOCK_BUDGETS[:1])

@@ -233,6 +233,62 @@ class TestUndo:
         assert all(ref is not dummy for ref in session.all_ops())
         assert all(ref is not dummy for ref in session.ops_of_type(dummy.op))
 
+    def test_out_of_order_unregister_rejected(self, session):
+        first = session.add_pair(session.ops_of_type("+")[0])
+        session.add_pair(session.ops_of_type("*")[0])
+        registry = session.all_ops()
+        with pytest.raises(LockingError):
+            session._unregister(first.dummy_ref)
+        assert session.all_ops() == registry
+
+    def test_undoing_a_relock_round_keeps_the_actions_before_it(
+            self, mixer_design):
+        target = AssureLocker("serial", rng=random.Random(0)).lock(
+            mixer_design, key_budget=2).design
+        session = LockingSession(target.copy())
+        session.add_pair(session.ops_of_type("+")[0])
+        locked_text = session.design.to_verilog()
+        actions = AssureLocker("random", rng=random.Random(7)).relock(
+            session, key_budget=2)
+        assert len(actions) == 2
+        session.undo_last(len(actions))
+        assert len(session.actions) == 1
+        assert session.design.to_verilog() == locked_text
+
+    def test_undoing_a_relock_round_restores_the_session(self, mixer_design):
+        target = AssureLocker("serial", rng=random.Random(0)).lock(
+            mixer_design, key_budget=2).design
+        session = LockingSession(target.copy())
+        design = session.design
+        fingerprint = design.fingerprint()
+        registry = _registry(session)
+        by_type = {op: [id(ref) for ref in session.ops_of_type(op)]
+                   for op in ("+", "-", "*", "/", "<<", ">>", "^", "&", "|")}
+        counts, unpaired, _ = _odt_state(session.odt)
+        counts, unpaired = dict(counts), dict(unpaired)
+
+        actions = AssureLocker("random", rng=random.Random(7)).relock(
+            session, key_budget=6)
+        assert len(actions) == 6
+        assert _key_port_width(design) == design.key_width == 8
+        session.undo_last(len(actions))
+
+        assert session.actions == []
+        assert design._fingerprint is None
+        assert design.fingerprint() == fingerprint
+        assert design.to_verilog() == target.to_verilog()
+        assert design.key_bits == target.key_bits
+        assert design.key_port == target.key_port
+        assert _key_port_width(design) == design.key_width == 2
+        # Same registry entries, same objects, same order: a fresh session
+        # on the restored design would register exactly these.
+        assert _registry(session) == registry
+        assert _registry(session) == _registry(LockingSession(design))
+        for op, refs in by_type.items():
+            assert [id(ref) for ref in session.ops_of_type(op)] == refs
+        # Undo restores the ODT counts; affected marks stay set.
+        assert _odt_state(session.odt)[:2] == (counts, unpaired)
+
 
 def _key_port_width(design):
     return design.top.find_port(design.key_port).width.width()
@@ -245,88 +301,6 @@ def _registry(session):
 
 def _odt_state(odt):
     return odt._counts, odt._unpaired, odt._affected
-
-
-class TestTentativeRound:
-    """A relocking round undone by ``tentative`` leaves a fresh session."""
-
-    @pytest.fixture
-    def target(self, mixer_design):
-        return AssureLocker("serial", rng=random.Random(0)).lock(
-            mixer_design, key_budget=2).design
-
-    def test_round_restores_a_fresh_session(self, target):
-        session = LockingSession(target.copy())
-        design = session.design
-        fingerprint = design.fingerprint()
-        affected = set(session.odt._affected)
-        with session.tentative():
-            actions = AssureLocker("random", rng=random.Random(7)).relock(
-                session, key_budget=6)
-            assert len(actions) == 6
-            # The round marks pairs that undo alone would leave marked.
-            assert session.odt._affected > affected
-        assert design._fingerprint is None
-        assert design.fingerprint() == fingerprint
-
-        fresh = LockingSession(design)
-        assert session.actions == []
-        assert _registry(session) == _registry(fresh)
-        for op in ("+", "-", "*", "/", "<<"):
-            assert ([id(ref.node) for ref in session.ops_of_type(op)]
-                    == [id(ref.node) for ref in fresh.ops_of_type(op)])
-        assert _odt_state(session.odt) == _odt_state(fresh.odt)
-        assert design.key_bits == target.key_bits
-        assert design.key_port == target.key_port
-        assert design.top.find_port(design.key_port).width.width() == 2
-        assert design.to_verilog() == target.to_verilog()
-
-    def test_round_restores_registry_identities_port_and_odt(self, target):
-        session = LockingSession(target.copy())
-        design = session.design
-        ops = [id(ref) for ref in session.all_ops()]
-        by_type = {op: [id(ref) for ref in session.ops_of_type(op)]
-                   for op in ("+", "-", "*", "/", "<<", ">>", "^", "&", "|")}
-        odt = _odt_state(session.odt)
-        odt_state = (dict(odt[0]), dict(odt[1]), set(odt[2]))
-        with session.tentative():
-            AssureLocker("random", rng=random.Random(3)).relock(
-                session, key_budget=6)
-            assert _key_port_width(design) == design.key_width == 8
-        assert [id(ref) for ref in session.all_ops()] == ops
-        for op, refs in by_type.items():
-            assert [id(ref) for ref in session.ops_of_type(op)] == refs
-        assert _key_port_width(design) == design.key_width == 2
-        assert _odt_state(session.odt) == odt_state
-
-    def test_out_of_order_unregister_rejected(self, target):
-        session = LockingSession(target.copy())
-        first = session.add_pair(session.ops_of_type("+")[0])
-        session.add_pair(session.ops_of_type("*")[0])
-        registry = session.all_ops()
-        with pytest.raises(LockingError):
-            session._unregister(first.dummy_ref)
-        assert session.all_ops() == registry
-
-    def test_round_is_undone_when_the_block_raises(self, target):
-        session = LockingSession(target.copy())
-        text = session.design.to_verilog()
-        with pytest.raises(RuntimeError):
-            with session.tentative():
-                AssureLocker("random", rng=random.Random(7)).relock(
-                    session, key_budget=2)
-                raise RuntimeError("extraction failed")
-        assert session.actions == []
-        assert session.design.to_verilog() == text
-
-    def test_actions_before_the_block_are_kept(self, target):
-        session = LockingSession(target.copy())
-        session.add_pair(session.ops_of_type("+")[0])
-        locked_text = session.design.to_verilog()
-        with session.tentative():
-            session.add_pair(session.ops_of_type("-")[0])
-        assert len(session.actions) == 1
-        assert session.design.to_verilog() == locked_text
 
 
 class TestKeyPortWidth:

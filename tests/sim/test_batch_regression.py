@@ -221,24 +221,3 @@ class TestReviewRegressions:
             assert before.predicted_key == after.predicted_key
             assert before.kpa == after.kpa
         assert all(r.functional_kpa is not None for r in validated)
-
-    def test_key_bit_sensitivity_restricted_indices(self):
-        _, locked = _locked_benchmark("FIR")
-        full = key_bit_sensitivity(locked, vectors=16, rng=random.Random(5))
-        subset = [0, locked.key_width - 1]
-        restricted = key_bit_sensitivity(locked, vectors=16,
-                                         rng=random.Random(5),
-                                         key_indices=subset)
-        assert restricted == [full[subset[0]], full[subset[1]]]
-        with pytest.raises(ValueError):
-            key_bit_sensitivity(locked, key_indices=[locked.key_width])
-
-    def test_restricted_behavioral_extraction_matches_full(self):
-        from repro.attacks import LocalityExtractor
-        _, locked = _locked_benchmark("SASC")
-        extractor = LocalityExtractor("behavioral", behavior_vectors=16)
-        full, _ = extractor.extract_matrix(locked)
-        subset = [1, 3]
-        restricted, _ = extractor.extract_matrix(locked, key_indices=subset)
-        for row, index in enumerate(subset):
-            assert restricted[row].tolist() == full[index].tolist()
