@@ -12,16 +12,18 @@ rounds, backoff, quarantine, the failure ledger.
   budget is discarded and failed as ``timeout``) because an in-process job
   cannot be pre-empted.
 * :class:`ProcessPoolBackend` (``jobs > 1``) — a ``ProcessPoolExecutor``
-  that dispatches benchmark-affine chunks, largest estimated cost first
-  (:func:`_round_chunks`), with per-job result streaming and
-  heartbeat-based lost-worker detection: workers report ``start``/``done``
+  with one dispatch rule for every round: each pending job is its own
+  task, submitted largest estimated cost first (:func:`_job_cost`, ties on
+  index).  The executor hands each task to the next free worker, so this is
+  longest-processing-time list scheduling.  Workers report ``start``/``done``
   messages through a manager queue, the parent commits records as they
   arrive, and a job whose heartbeat exceeds ``job_timeout`` gets its worker
   killed — the timeout is *pre-emptive*, so a job that never returns still
-  fails as ``timeout``.  The chunk's other results are already home, and
-  only genuinely unfinished jobs fail.  A crashed worker
-  (``BrokenProcessPool``) likewise fails only the jobs without a ``done``
-  message.
+  fails as ``timeout``.  Results already reported are home, and only
+  genuinely unfinished jobs fail.  A crashed worker (``BrokenProcessPool``)
+  likewise fails only the jobs without a ``done`` message.  Workers run
+  with SIGTERM's default action, so a killed worker dies instead of raising
+  an interrupt the parent would mistake for its own.
 
 Both executors run each attempt through the same body
 (:func:`_run_attempt`): backoff sleep, ``execute_job``, and an ``ok`` or
@@ -44,6 +46,7 @@ Fault-tolerance primitives shared with the runner:
 from __future__ import annotations
 
 import re
+import signal
 import time
 import traceback
 import zlib
@@ -51,7 +54,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from queue import Empty
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .scenario import JobSpec
 
@@ -339,94 +342,52 @@ def _job_cost(job: JobSpec) -> float:
     return float(gates * volume)
 
 
-def _cost_chunks(todo: Sequence[Tuple[int, JobSpec]],
-                     workers: int) -> List[List[int]]:
-    """Group pending jobs into cost-ordered dispatch chunks (largest first).
+#: A pool worker's end of the parent's message queue (set by
+#: :func:`_init_worker`; ``None`` outside pool workers).
+_channel = None
 
-    Scheduling balances two goals:
 
-    * **cache affinity** — jobs group by benchmark so one worker's
-      per-process base-design and plan caches serve all samples of the
-      designs it attacks; each group splits into at most ``workers`` chunks
-      so small scenarios still use every worker;
-    * **pool utilisation** — jobs within a group sort by
-      :func:`_job_cost` (largest first) and the chunks are dispatched
-      in descending total-cost order, the classic longest-processing-time
-      heuristic: the expensive work starts immediately and the cheap chunks
-      backfill the pool's tail instead of straggling at the end.
+def _init_worker(channel) -> None:
+    """Pool-worker initializer: default SIGTERM, and the message channel.
 
-    Within a benchmark group the jobs are dealt greedily onto up to
-    ``workers`` chunks, always to the least-loaded one (so the chunk totals
-    come out balanced — a contiguous split would concentrate all the
-    expensive sweep points of a matrix into one straggler chunk).  Ties
-    break on job index, so the dispatch order is deterministic; job
-    *records* are order-independent either way (every job is self-seeded).
+    Workers fork from a parent that may route SIGTERM into
+    ``KeyboardInterrupt`` (``cli run``, ``cli serve``).  A worker that
+    inherited that handler would turn the pool's own kill of a hung job
+    into an exception shipped home through its future, which the parent
+    reads as a user interrupt.  With the default action the killed worker
+    simply dies, and the pool reports it as lost.
 
-    Returns:
-        Chunks of indices into the expanded job list, in dispatch order.
+    The channel is handed over once per worker rather than once per task:
+    every unpickled manager proxy opens its own connection to the manager.
     """
-    groups: Dict[str, List[int]] = {}
-    costs: Dict[int, float] = {}
-    for index, job in todo:
-        groups.setdefault(job.benchmark, []).append(index)
-        costs[index] = _job_cost(job)
-    chunks: List[List[int]] = []
-    for indices in groups.values():
-        indices.sort(key=lambda i: (-costs[i], i))
-        n_chunks = min(workers, len(indices))
-        buckets: List[List[int]] = [[] for _ in range(n_chunks)]
-        loads = [0.0] * n_chunks
-        for index in indices:
-            slot = min(range(n_chunks), key=lambda b: (loads[b], b))
-            buckets[slot].append(index)
-            loads[slot] += costs[index]
-        chunks.extend(buckets)
-    chunks.sort(key=lambda chunk: (-sum(costs[i] for i in chunk), chunk[0]))
-    return chunks
+    global _channel
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _channel = channel
 
 
-def _round_chunks(round_: ExecutionRound) -> List[List[int]]:
-    """The pool's dispatch chunks for one round.
+def _pool_worker(index: int, job: JobSpec, attempt: int, delay: float,
+                 fault_plan) -> None:
+    """Worker entry point: execute one job, streaming its messages.
 
-    A round whose jobs have no prior attempt (the first round) gets the
-    cost-ordered chunks of :func:`_cost_chunks`.  Retry rounds are
-    sparse; singleton chunks keep every worker busy and let per-job backoff
-    delays overlap.
-    """
-    indices = sorted(round_.jobs)
-    if any(round_.attempts.get(index, 0) for index in indices):
-        return [[index] for index in indices]
-    return _cost_chunks([(index, round_.jobs[index]) for index in indices],
-                            round_.workers)
-
-
-def _pool_worker(chunk: Sequence[Tuple[int, JobSpec]],
-                 attempts: Dict[int, int], delays: Dict[int, float],
-                 fault_plan, channel) -> List[int]:
-    """Worker entry point: execute a chunk, streaming per-job messages.
-
-    Each job sends a ``("start", index, monotonic)`` heartbeat before its
+    The job sends a ``("start", index, monotonic)`` heartbeat before its
     body and a ``("done", outcome)`` message after it, so the parent
     commits results as they happen and can tell a hung job (start without
     done, heartbeat overdue) from a lost one (no messages at all).
     """
-    for index, job in chunk:
-        outcome = _run_attempt(
-            index, job, attempts.get(index, 0),
-            delays.get(index, 0.0), fault_plan, True,
-            lambda at, index=index: channel.put(("start", index, at)))
-        channel.put(("done", outcome))
-    return [index for index, _ in chunk]
+    outcome = _run_attempt(index, job, attempt, delay, fault_plan, True,
+                           lambda at: _channel.put(("start", index, at)))
+    _channel.put(("done", outcome))
 
 
 class ProcessPoolBackend:
     """Run jobs on a ``ProcessPoolExecutor`` with lost-worker detection.
 
-    The executor of every ``jobs > 1`` run.  Results stream back per job
-    through a manager queue rather than per chunk through the future, so a
-    worker crash (or kill) loses only the jobs that had not finished —
-    everything already reported is committed by the runner the moment it
-    arrives.  With a ``job_timeout``, the parent watches each in-flight
+    The executor of every ``jobs > 1`` run.  Each job is one task,
+    submitted in ``(-_job_cost, index)`` order.  Results stream back through
+    a manager queue rather than through the futures, so a worker crash (or
+    kill), which breaks every pending future at once, loses only the jobs
+    that had not finished — everything already reported is committed by the
+    runner the moment it arrives.  With a ``job_timeout``, the parent watches each in-flight
     job's ``start`` heartbeat; once a job is overdue past a grace margin the
     pool's workers are killed (there is no cooperative way to stop a hung
     child), the hung job fails as ``timeout`` and the other unfinished jobs
@@ -454,31 +415,31 @@ class ProcessPoolBackend:
         done: set = set()
         started: Dict[int, float] = {}
         hung: set = set()
-        chunk_errors: Dict[int, str] = {}
-        chunks = _round_chunks(round_)
-        pool = ProcessPoolExecutor(max_workers=round_.workers)
+        errors: Dict[int, str] = {}
+        order = sorted(round_.jobs,
+                       key=lambda i: (-_job_cost(round_.jobs[i]), i))
+        pool = ProcessPoolExecutor(max_workers=round_.workers,
+                                   initializer=_init_worker,
+                                   initargs=(channel,))
         try:
             pending = {
-                pool.submit(_pool_worker,
-                            [(i, round_.jobs[i]) for i in chunk],
-                            {i: round_.attempts.get(i, 0) for i in chunk},
-                            {i: round_.delays.get(i, 0.0) for i in chunk},
-                            round_.fault_plan, channel): chunk
-                for chunk in chunks}
+                pool.submit(_pool_worker, index, round_.jobs[index],
+                            round_.attempts.get(index, 0),
+                            round_.delays.get(index, 0.0),
+                            round_.fault_plan): index
+                for index in order}
             while pending:
                 finished, _ = wait(pending, timeout=self.POLL_SECONDS,
                                    return_when=FIRST_COMPLETED)
                 self._drain(channel, round_, done, started)
                 for future in finished:
-                    chunk = pending.pop(future)
+                    index = pending.pop(future)
                     try:
                         future.result()
                     except Exception:
-                        # BrokenProcessPool and friends: every job of the
-                        # chunk without a "done" message is lost.
-                        error = traceback.format_exc()
-                        for index in chunk:
-                            chunk_errors.setdefault(index, error)
+                        # BrokenProcessPool and friends: the job is lost
+                        # unless its "done" message already arrived.
+                        errors[index] = traceback.format_exc()
                 if round_.job_timeout is not None and pending:
                     self._kill_overdue(pool, round_, done, started, hung)
         except BaseException:
@@ -499,26 +460,25 @@ class ProcessPoolBackend:
         # Messages may still be in flight when the pool breaks; one final
         # drain after shutdown collects them.
         self._drain(channel, round_, done, started)
-        for chunk in chunks:
-            for index in chunk:
-                if index in done:
-                    continue
-                job_id = round_.jobs[index].job_id
-                attempt = round_.attempts.get(index, 0)
-                if index in hung:
-                    round_.emit(JobOutcome(
-                        index=index, job_id=job_id, attempt=attempt,
-                        kind="timeout",
-                        error=f"no heartbeat progress on job {job_id!r} "
-                              f"within job_timeout={round_.job_timeout}s; "
-                              "its worker was killed"))
-                else:
-                    round_.emit(JobOutcome(
-                        index=index, job_id=job_id, attempt=attempt,
-                        kind="crash",
-                        error=chunk_errors.get(
-                            index, f"worker lost before finishing job "
-                                   f"{job_id!r}")))
+        for index in order:
+            if index in done:
+                continue
+            job_id = round_.jobs[index].job_id
+            attempt = round_.attempts.get(index, 0)
+            if index in hung:
+                round_.emit(JobOutcome(
+                    index=index, job_id=job_id, attempt=attempt,
+                    kind="timeout",
+                    error=f"no heartbeat progress on job {job_id!r} "
+                          f"within job_timeout={round_.job_timeout}s; "
+                          "its worker was killed"))
+            else:
+                round_.emit(JobOutcome(
+                    index=index, job_id=job_id, attempt=attempt,
+                    kind="crash",
+                    error=errors.get(
+                        index, f"worker lost before finishing job "
+                               f"{job_id!r}")))
 
     def _drain(self, channel, round_: ExecutionRound, done: set,
                started: Dict[int, float]) -> None:

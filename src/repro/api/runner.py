@@ -19,7 +19,7 @@ re-running unreadable records.  It reads the store and writes nothing, so
 ``repro.cli run --dry-run`` reports exactly what :meth:`Runner.run` would
 execute with the same arguments.  The order they execute in is the
 executor's: the serial backend runs them in expansion order, the process
-pool in its own benchmark-affine, largest-first chunks.
+pool submits each job as its own task, largest estimated cost first.
 
 Execution follows one rule: ``jobs=1`` runs on the in-process
 :class:`~repro.api.backends.SerialBackend` and ``jobs > 1`` on the

@@ -13,7 +13,7 @@ what distinguishes the restricted metric ``M_r_sec`` from the global metric
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -127,11 +127,6 @@ class OperationDistributionTable:
         if self.pair_table.has_pair(op):
             self._affected.add(frozenset(self.pair_table.pair_of(op)))
 
-    def set_affected(self, pairs: Iterable[Tuple[str, str]]) -> None:
-        """Mark an explicit set of pairs as affected (used when re-wrapping)."""
-        for first, second in pairs:
-            self._affected.add(frozenset((first, second)))
-
     def clear_affected(self) -> None:
         """Reset the affected-pair tracking."""
         self._affected.clear()
@@ -165,14 +160,6 @@ class OperationDistributionTable:
             else:
                 values.append(0.0)
         return np.array(values, dtype=float)
-
-    def copy(self) -> "OperationDistributionTable":
-        """Return an independent copy of the table."""
-        clone = OperationDistributionTable({}, self.pair_table)
-        clone._counts = dict(self._counts)
-        clone._unpaired = dict(self._unpaired)
-        clone._affected = set(self._affected)
-        return clone
 
     # -------------------------------------------------------------- rendering
 

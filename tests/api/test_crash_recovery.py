@@ -3,7 +3,7 @@
 A run can die at any point — kill -9 mid-write, an OOM-killed worker, a
 truncated record from a full disk.  None of those may poison the *next* run:
 unreadable records are re-executed instead of aborting the resume, a crashed
-worker costs only its own chunk while every other job still commits, and
+worker costs only its own job while every other job still commits, and
 ``*.json.tmp`` leftovers of interrupted atomic writes are swept on start.
 """
 
@@ -35,6 +35,22 @@ def quick_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def _cli_env():
+    """The environment of a ``python -m repro.cli`` subprocess."""
+    src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src_root) + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    return env
+
+
+def _stable(records):
+    """``{job_id: record}`` without the wall-time field."""
+    return {job_id: {k: v for k, v in record.items()
+                     if k != "elapsed_seconds"}
+            for job_id, record in records.items()}
 
 
 class TestCorruptRecordResume:
@@ -134,12 +150,12 @@ def _crash_worker(design, rng=None, delay=2.5, **_):
 
 
 class TestCrashedWorker:
-    def test_dead_worker_fails_its_chunk_and_commits_the_rest(self, tmp_path):
+    def test_dead_worker_fails_its_job_and_commits_the_rest(self, tmp_path):
         """Regression: ``BrokenProcessPool`` used to propagate out of the
         drain loop, aborting the run before surviving results were
         committed and masking which jobs actually failed."""
-        # One locker -> exactly two jobs -> one job per worker chunk, so
-        # the crash takes down only its own chunk.
+        # One locker -> exactly two jobs -> one job per worker, so the
+        # crash takes down only its own job.
         scenario = quick_scenario(
             lockers=(LockerSpec("era"),),
             attacks=(),
@@ -157,13 +173,13 @@ class TestCrashedWorker:
             ["metric__SASC__era__crash-worker-test__s0"]
         assert report.failures[0]["failure"] == "crash"
         assert report.failures[0]["classification"] == "transient"
-        # The entry carries the traceback of the lost worker's chunk.
+        # The entry carries the traceback of the lost worker's job.
         assert "BrokenProcessPool" in report.failures[0]["error"]
         # The well-behaved job beat the crash and its record committed.
         committed = store.job_ids()
         assert len(committed) == 1
         assert "avalanche" in committed[0]
-        # Resume re-executes only the crashed chunk's jobs.
+        # Resume re-executes only the crashed job.
         assert {job.job_id for job in scenario.expand()} - set(committed) == \
             {job.job_id for job in scenario.expand()
              if "crash-worker-test" in job.job_id}
@@ -195,16 +211,12 @@ class TestSigtermMidRun:
         }))
         store_path = tmp_path / "store"
 
-        src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath(src_root) + os.pathsep + \
-            env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "run", str(scenario_path),
              "--jobs", "2",
              "--fault-plan", str(plan_path), "--store", str(store_path),
              "-q"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
 
         store = ResultsStore(store_path)
@@ -241,10 +253,69 @@ class TestSigtermMidRun:
 
         baseline = Runner(quick_scenario(samples=2),
                           store=ResultsStore(tmp_path / "baseline")).run()
+        assert _stable(report.records) == _stable(baseline.records)
 
-        def stable(records):
-            return {job_id: {k: v for k, v in record.items()
-                             if k != "elapsed_seconds"}
-                    for job_id, record in records.items()}
 
-        assert stable(report.records) == stable(baseline.records)
+class TestHungWorkerUnderCli:
+    """The pool's kill of a hung worker under ``cli run``."""
+
+    def test_killed_hung_job_retries_instead_of_interrupting(self, tmp_path):
+        """Regression: pool workers inherited the CLI's SIGTERM ->
+        ``KeyboardInterrupt`` handler, so the pool's own ``terminate()`` of
+        a hung job raised inside that job, came home through its future and
+        stopped the run as a user interrupt (exit 130, one record of two).
+        Workers now run with SIGTERM's default action: the hung job fails
+        as ``timeout``, its retry completes, and the CLI exits 0."""
+        import subprocess
+        import sys
+
+        scenario = quick_scenario(
+            lockers=(LockerSpec("era"), LockerSpec("assure")), attacks=(),
+            metrics=(MetricSpec("avalanche", {"vectors": 4}),), scale=0.1)
+        scenario_path = tmp_path / "scenario.json"
+        scenario.save(scenario_path)
+        # The ERA job's first attempt hangs far past the job timeout.
+        plan_path = tmp_path / "hang.json"
+        plan_path.write_text(json.dumps({
+            "seed": 4,
+            "faults": [{"kind": "hang", "rate": 1.0, "match": "era",
+                        "attempts": [0], "seconds": 30.0}],
+        }))
+        store_path = tmp_path / "store"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(scenario_path),
+             "--jobs", "2", "--retries", "1", "--job-timeout", "1",
+             "--fault-plan", str(plan_path), "--store", str(store_path),
+             "-q"],
+            env=_cli_env(), capture_output=True, text=True, timeout=120)
+
+        assert completed.returncode == 0, completed.stderr
+        store = ResultsStore(store_path)
+        assert len(store.job_ids()) == 2
+        baseline = Runner(scenario,
+                          store=ResultsStore(tmp_path / "baseline")).run()
+        assert _stable({record["job_id"]: record
+                        for record in store.records()}) == \
+            _stable(baseline.records)
+
+
+class TestWorkerInitializer:
+    def test_workers_run_with_the_default_sigterm_action(self, monkeypatch):
+        """A pool worker must not keep a SIGTERM handler inherited from its
+        parent, or the pool's kill of a hung job raises inside the job
+        instead of ending the worker."""
+        import signal
+
+        from repro.api import backends
+
+        def as_interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGTERM, as_interrupt)
+        monkeypatch.setattr(backends, "_channel", None)
+        try:
+            backends._init_worker("channel")
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            assert backends._channel == "channel"
+        finally:
+            signal.signal(signal.SIGTERM, previous)

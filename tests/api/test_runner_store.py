@@ -213,59 +213,106 @@ class TestResumableStore:
         assert "Average KPA" in report and "SASC" in report
 
 
-class TestCostAwareScheduling:
-    def test_chunks_dispatch_largest_first(self):
-        from repro.api.backends import _job_cost, _cost_chunks
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the pool's executor with one that runs tasks in-process.
 
-        scenario = quick_scenario(benchmarks=("SASC", "MD5"), samples=2)
-        todo = list(enumerate(scenario.expand()))
-        chunks = _cost_chunks(todo, workers=2)
-        assert sorted(i for chunk in chunks for i in chunk) == \
-            [i for i, _ in todo]
-        by_index = dict(todo)
-        totals = [sum(_job_cost(by_index[i]) for i in chunk)
-                  for chunk in chunks]
-        assert totals == sorted(totals, reverse=True)
-        # MD5 is far larger than SASC, so its chunks lead the dispatch.
-        assert by_index[chunks[0][0]].benchmark == "MD5"
+    Returns ``(submitted, lost)``: the job indices in ``submit`` order, and
+    a set of indices whose tasks fail as a broken pool would fail them,
+    without running.
+    """
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
 
-    def test_chunks_preserve_benchmark_affinity(self):
-        from repro.api.backends import _cost_chunks
+    from repro.api import backends
 
-        scenario = quick_scenario(benchmarks=("SASC", "MD5"), samples=4)
-        todo = list(enumerate(scenario.expand()))
-        by_index = dict(todo)
-        for chunk in _cost_chunks(todo, workers=2):
-            assert len({by_index[i].benchmark for i in chunk}) == 1
+    submitted, lost = [], set()
 
-    def test_schedule_is_deterministic(self):
-        from repro.api.backends import _cost_chunks
+    class InlineExecutor:
+        """Runs each task in the calling process when it is submitted.
 
-        scenario = quick_scenario(samples=3)
-        todo = list(enumerate(scenario.expand()))
-        assert _cost_chunks(todo, workers=2) == \
-            _cost_chunks(todo, workers=2)
+        It hands the worker channel over as the initializer would, but
+        leaves this process's SIGTERM handler alone.
+        """
 
-    def test_chunk_loads_are_balanced_not_concentrated(self):
-        """A skewed budget sweep must spread its expensive points across
-        chunks (greedy LPT), not slice them contiguously into one
-        straggler chunk."""
-        from repro.api import AttackSpec, LockerSpec, Scenario
-        from repro.api.backends import _job_cost, _cost_chunks
+        def __init__(self, max_workers, initializer, initargs):
+            monkeypatch.setattr(backends, "_channel", initargs[0])
 
-        scenario = Scenario(
-            name="skew", benchmarks=("SASC",), lockers=(LockerSpec("era"),),
-            attacks=(AttackSpec("snapshot", rounds=4,
-                                time_budgets=(1.0, 16.0)),),
-            samples=8, scale=0.15)
-        todo = list(enumerate(scenario.expand()))
-        by_index = dict(todo)
-        chunks = _cost_chunks(todo, workers=2)
-        totals = [sum(_job_cost(by_index[i]) for i in chunk)
-                  for chunk in chunks]
-        assert len(totals) == 2
-        # Perfect balance is possible here (8 heavy + 8 light jobs).
-        assert max(totals) <= 1.25 * min(totals)
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            future = Future()
+            if args[0] in lost:
+                future.set_exception(BrokenProcessPool("worker died"))
+            else:
+                future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(backends, "ProcessPoolExecutor", InlineExecutor)
+    return submitted, lost
+
+
+def run_pool_round(jobs, attempt=0):
+    """One ``ProcessPoolBackend`` round over ``jobs``; its outcomes."""
+    from repro.api.backends import ExecutionRound, ProcessPoolBackend
+
+    outcomes = []
+    ProcessPoolBackend().run_round(ExecutionRound(
+        jobs=jobs, attempts={index: attempt for index in jobs},
+        delays={}, workers=2, job_timeout=None, fault_plan=None,
+        emit=outcomes.append))
+    return outcomes
+
+
+def avalanche_jobs():
+    """Four cheap metric jobs, SASC (small) before MD5 (large)."""
+    scenario = quick_scenario(
+        benchmarks=("SASC", "MD5"), attacks=(),
+        metrics=(MetricSpec("avalanche", {"vectors": 4}),))
+    return dict(enumerate(scenario.expand()))
+
+
+class TestLargestFirstDispatch:
+    """Every pool round submits one task per job, in ``(-_job_cost, index)``
+    order, so the executor's free workers take the largest jobs first."""
+
+    def test_every_round_submits_one_task_per_job_largest_first(
+            self, inline_pool):
+        from repro.api.backends import _job_cost
+
+        submitted, _ = inline_pool
+        jobs = avalanche_jobs()
+        retried = {index: jobs[index] for index in jobs if index % 2}
+        for pending, attempt in ((jobs, 0), (retried, 1)):
+            submitted.clear()
+            outcomes = run_pool_round(pending, attempt)
+            expected = sorted(pending,
+                              key=lambda i: (-_job_cost(pending[i]), i))
+            assert submitted == expected
+            # MD5 is far larger than SASC, so its jobs lead the dispatch.
+            assert pending[submitted[0]].benchmark == "MD5"
+            assert sorted(outcome.index for outcome in outcomes) == \
+                sorted(pending)
+            assert all(outcome.ok and outcome.attempt == attempt
+                       for outcome in outcomes)
+        # Expansion order lists SASC first, so the rule reorders the round.
+        assert list(jobs) != sorted(jobs,
+                                    key=lambda i: (-_job_cost(jobs[i]), i))
+
+    def test_a_lost_task_fails_only_its_own_job(self, inline_pool):
+        """A task whose future breaks fails as ``crash`` with that
+        future's traceback; every other job of the round still succeeds."""
+        _, lost = inline_pool
+        jobs = avalanche_jobs()
+        lost.add(1)
+        outcomes = {outcome.index: outcome for outcome in run_pool_round(jobs)}
+        assert sorted(outcomes) == sorted(jobs)
+        assert outcomes[1].kind == "crash"
+        assert "BrokenProcessPool" in outcomes[1].error
+        assert outcomes[1].job_id == jobs[1].job_id
+        assert all(outcomes[index].ok for index in jobs if index != 1)
 
     def test_cost_scheduled_parallel_run_stays_bit_identical(self):
         scenario = quick_scenario(benchmarks=("SASC",), samples=2)

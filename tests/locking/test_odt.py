@@ -112,13 +112,6 @@ class TestVectors:
             else:
                 assert np.isnan(optimal[position])
 
-    def test_copy_is_independent(self):
-        odt = make_odt({"+": 3})
-        clone = odt.copy()
-        clone.add_operation("-")
-        assert odt["+"] == 3
-        assert clone["+"] == 2
-
 
 class TestAlternativeTables:
     def test_custom_table(self):
