@@ -255,7 +255,8 @@ def test_sweep_vn_stats_count_hoisted_work(era_locked_i2c):
 
 
 #: Fixed peak-memory budget of the 10^6-lane sweep gate.  Measured peaks:
-#: ~19 MB chunked (1.5x headroom), ~38 MB unchunked — so the gate fails
+#: ~19 MB chunked (1.5x headroom), ~36 MB unchunked (~38 MB before each
+#: tile value was dropped after its last reader) — so the gate fails
 #: without chunking and the budget is a real bound, not a formality.
 PIPELINED_SWEEP_MEMORY_BUDGET_BYTES = 28 * 1024 * 1024
 

@@ -30,15 +30,17 @@ split the S sweep points into point *tiles* and stream each tile through
 pack → execute → unpack (or count) while the invariant base-batch work is
 still evaluated only once — so million-lane sweeps run in bounded memory
 with results bit-identical to the unchunked pass (chunking only ever
-partitions independent lanes).
+partitions independent lanes).  Within a pass, every value is dropped after
+its last reader (:func:`release_schedule`), so a pass holds only its live
+values.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Callable, Collection, Dict, FrozenSet, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from ...rtlir.design import Design
 from ..evaluator import SimulationError, mask
@@ -264,39 +266,67 @@ def _bit_matrix(arr: "object", width: int) -> "object":
 
 def _bit_columns_to_words(bits: "object") -> Slices:
     """Pack each column of a ``(lanes, width)`` bit matrix into one slice int."""
-    return _bit_rows_to_words(bits.T)
-
-
-def _bit_rows_to_words(rows: "object") -> Slices:
-    """Pack each row of a ``(width, lanes)`` bit matrix into one slice int."""
     import numpy as np
 
-    packed = np.packbits(np.ascontiguousarray(rows), axis=1,
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1,
                          bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _spread_point_bits(rows: "object", base: int) -> Slices:
+    """One slice word per row of a ``(width, points)`` 0/1 matrix.
+
+    ``base`` is a multiple of 8, so a point's bit becomes ``base // 8``
+    bytes of ``0xFF`` or ``0x00``: each row is repeated at byte level and
+    read with one ``int.from_bytes``.  Only one row's bytes — one packed
+    slice word — are held at a time.
+    """
+    import numpy as np
+
+    block_bytes = base // 8
+    return [int.from_bytes(np.repeat(row * np.uint8(0xFF),
+                                     block_bytes).tobytes(), "little")
+            for row in rows]
+
+
+def _key_bit_matrix(keys: Sequence[Sequence[int]]) -> "object":
+    """``(points, key length)`` uint8 bits of equal-length integer keys.
+
+    ``None`` for ragged or non-integer keys, which the set-bit loop
+    validates one bit at a time.
+
+    Raises:
+        SimulationError: naming the first point and position whose bit is
+            not 0/1.
+    """
+    import numpy as np
+
+    try:
+        arr = np.array(keys)
+    except ValueError:
+        return None
+    if arr.ndim != 2 or arr.dtype.kind not in "biu":
+        return None
+    bad = np.argwhere((arr < 0) | (arr > 1))
+    if len(bad):
+        point, position = (int(bad[0][0]), int(bad[0][1]))
+        raise SimulationError(
+            f"key bit {position} of sweep point {point} is not 0/1")
+    return arr.astype(np.uint8)
+
+
 def _pack_swept_keys(keys: Sequence[Sequence[int]], width: int,
                      base: int) -> Slices:
-    """Pack one key per sweep point into S×V-lane slices (point blocks)."""
-    points = len(keys)
-    block = (1 << base) - 1
-    if points * base >= _FAST_PACK_LANES \
-            and len({len(key) for key in keys}) == 1:
-        import numpy as np
+    """Pack one key per sweep point into S×V-lane slices (point blocks).
 
-        try:
-            arr = np.array(keys, dtype=np.uint8)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is not None:
-            bad = np.argwhere(arr > 1)
-            if len(bad):
-                point, position = (int(bad[0][0]), int(bad[0][1]))
-                raise SimulationError(
-                    f"key bit {position} of sweep point {point} is not 0/1")
-            rows = np.repeat(arr[:, :width].T, base, axis=1)
-            return _fit(_bit_rows_to_words(rows), width)
+    Whole-byte point blocks take :func:`_spread_point_bits`; other base
+    widths (and ragged or non-integer keys) the set-bit loop.
+    """
+    if base % 8 == 0:
+        bits = _key_bit_matrix(keys)
+        if bits is not None:
+            return _fit(_spread_point_bits(bits[:, :width].T, base), width)
+    block = (1 << base) - 1
     slices = [0] * width
     for index, point_key in enumerate(keys):
         shift = index * base
@@ -312,21 +342,22 @@ def _pack_swept_keys(keys: Sequence[Sequence[int]], width: int,
 
 def _pack_point_values(values: Sequence[int], width: int,
                        base: int) -> Slices:
-    """Broadcast one value per sweep point over its V-lane block."""
-    points = len(values)
-    block = (1 << base) - 1
-    if points * base >= _FAST_PACK_LANES and width <= 64:
+    """Broadcast one value per sweep point over its V-lane block.
+
+    Whole-byte point blocks take :func:`_spread_point_bits`; other base
+    widths the set-bit loop.
+    """
+    if base % 8 == 0:
         import numpy as np
 
-        try:
-            arr = np.array(values, dtype=np.uint64)
-        except (TypeError, OverflowError):
-            arr = np.array([mask(int(value), width) for value in values],
-                           dtype=np.uint64)
-        if width < 64:
-            arr = arr & np.uint64((1 << width) - 1)
-        rows = np.repeat(_bit_matrix(arr, width).T, base, axis=1)
-        return _bit_rows_to_words(rows)
+        nbytes = (width + 7) // 8
+        data = b"".join(mask(int(value), width).to_bytes(nbytes, "little")
+                        for value in values)
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)
+                             .reshape(len(values), nbytes),
+                             axis=1, bitorder="little", count=width)
+        return _spread_point_bits(bits.T, base)
+    block = (1 << base) - 1
     slices = [0] * width
     for index, point_value in enumerate(values):
         value = mask(int(point_value), width)
@@ -519,18 +550,22 @@ def _pack_key_broadcast(key: Sequence[int], full: int) -> Slices:
 
 
 #: Slice-payload budget in lane-bits behind every pass without an explicit
-#: ``max_lanes``: the plan's cap keeps the live big-int payload of one pass
-#: at roughly this many bits (2**28 bits = 32 MB packed).
+#: ``max_lanes``: the plan's cap keeps the sum of all of one pass's slots
+#: at or under this many bits (2**28 bits = 32 MB packed).  A pass drops
+#: each value after its last reader, so its live payload — the plan's peak
+#: live set, in a key sweep mostly the swept key port — stays well below.
 DEFAULT_LANE_BITS_BUDGET = 1 << 28
 
 
 def plan_lane_bits(plan: EvalPlan) -> int:
-    """Slice bits one evaluation lane of ``plan`` keeps live, summed.
+    """Slice bits of every slot of ``plan`` per evaluation lane, summed.
 
-    The memory model of a bit-parallel pass: every input and every step
-    target holds ``width`` slice words of ``lanes`` bits each for the whole
-    pass, so the peak packed payload is roughly ``plan_lane_bits(plan) *
-    lanes`` bits.  The sum is cached on the plan object.
+    Every input and every step target holds ``width`` slice words of
+    ``lanes`` bits each while it is live, so ``plan_lane_bits(plan) *
+    lanes`` bounds a pass's packed payload from above.  The bound is loose
+    on purpose: a pass drops each value after its last reader
+    (:func:`release_schedule`), so what it holds at once is the plan's
+    peak live set, not the sum.  The sum is cached on the plan object.
     """
     bits = getattr(plan, "_lane_bits", None)
     if bits is None:
@@ -544,7 +579,9 @@ def plan_lane_bits(plan: EvalPlan) -> int:
 def auto_max_lanes(plan: EvalPlan, base: int = 1) -> int:
     """The lane cap of ``plan``: the lane-bits budget over the plan's
     per-lane slice bits.  Every pass without an explicit ``max_lanes`` is
-    capped by it.
+    capped by it.  The cap budgets the sum of all slots
+    (:func:`plan_lane_bits`), so a pass's live payload, its peak live set,
+    stays under the budget with room to spare.
 
     Never below ``base``: a sweep tile is a whole number of points, so the
     limit cannot cut below one point's V base lanes.
@@ -557,11 +594,38 @@ def auto_max_lanes(plan: EvalPlan, base: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def execute_steps(steps: Sequence[Step], env: Dict[str, Slices],
-                  full: int) -> None:
-    """Run ``steps`` in order, writing each result into ``env``."""
-    for step in steps:
+#: Per step of a step list, the names ``env`` drops once that step has run.
+Release = List[Tuple[str, ...]]
+
+
+def release_schedule(steps: Sequence[Step], keep: Collection[str]) -> Release:
+    """The names each step of ``steps`` is the last to read or write.
+
+    Every name outside ``keep`` is dropped right after its last use, so a
+    pass holds only its live values: the inputs and results later steps
+    still read, plus the ``keep`` names the caller reads afterwards.
+    Inputs no step reads stay.
+    """
+    last_use: Dict[str, int] = {}
+    for index, step in enumerate(steps):
+        for name in step.reads:
+            last_use[name] = index
+        last_use[step.target] = index
+    release: List[List[str]] = [[] for _ in steps]
+    for name, index in last_use.items():
+        if name not in keep:
+            release[index].append(name)
+    return [tuple(names) for names in release]
+
+
+def execute_steps(steps: Sequence[Step], env: Dict[str, Slices], full: int,
+                  release: Release) -> None:
+    """Run ``steps`` in order, writing each result into ``env`` and
+    dropping the names of ``release`` (see :func:`release_schedule`)."""
+    for step, dead in zip(steps, release):
         env[step.target] = _fit(step.fn(env, full), step.width)
+        for name in dead:
+            env.pop(name, None)
 
 
 def classify_steps(steps: Sequence[Step], inputs: Sequence[str],
@@ -586,7 +650,8 @@ def classify_steps(steps: Sequence[Step], inputs: Sequence[str],
 
 
 class _SweepSchedule:
-    """Cached step split + tiling plan of ``run_sweep`` for one varying set.
+    """Cached step split, tiling plan and release schedules of the sweeps
+    for one varying set.
 
     Classification depends only on the plan and on which sources vary per
     point, so it is computed once per (plan, varying-set) pair and reused by
@@ -595,7 +660,8 @@ class _SweepSchedule:
     """
 
     __slots__ = ("invariant_steps", "varying_steps", "needed",
-                 "invariant_outputs", "varying_outputs")
+                 "invariant_outputs", "varying_outputs",
+                 "invariant_release", "varying_release")
 
     def __init__(self, plan: EvalPlan, varying: FrozenSet[str],
                  flat: bool) -> None:
@@ -617,17 +683,23 @@ class _SweepSchedule:
             self.invariant_outputs: Tuple[str, ...] = ()
             self.varying_outputs = tuple(plan.outputs)
             self.needed: FrozenSet[str] = frozenset(plan.inputs)
-            return
-        self.invariant_steps = invariant
-        self.varying_steps = point_varying
-        self.invariant_outputs = tuple(name for name in plan.outputs
-                                       if name in targets)
-        self.varying_outputs = tuple(name for name in plan.outputs
-                                     if name not in targets)
-        needed: Set[str] = set()
-        for step in self.varying_steps:
-            needed.update(step.reads)
-        self.needed = frozenset(needed)
+        else:
+            self.invariant_steps = invariant
+            self.varying_steps = point_varying
+            self.invariant_outputs = tuple(name for name in plan.outputs
+                                           if name in targets)
+            self.varying_outputs = tuple(name for name in plan.outputs
+                                         if name not in targets)
+            needed: Set[str] = set()
+            for step in self.varying_steps:
+                needed.update(step.reads)
+            self.needed = frozenset(needed)
+        # The invariant pass keeps what the tiles read and the hoisted
+        # outputs; a tile keeps only its point-varying outputs.
+        self.invariant_release = release_schedule(
+            self.invariant_steps, self.needed | set(self.invariant_outputs))
+        self.varying_release = release_schedule(self.varying_steps,
+                                                self.varying_outputs)
 
 
 def sweep_schedule(plan: EvalPlan, varying: FrozenSet[str],
@@ -643,6 +715,16 @@ def sweep_schedule(plan: EvalPlan, varying: FrozenSet[str],
         schedule = _SweepSchedule(plan, varying, flat)
         cache[key] = schedule
     return schedule
+
+
+def batch_release(plan: EvalPlan) -> Release:
+    """The (cached) release schedule of ``run_batch``: it keeps the
+    plan's outputs."""
+    release = getattr(plan, "_batch_release", None)
+    if release is None:
+        release = release_schedule(plan.steps, plan.outputs)
+        plan._batch_release = release  # type: ignore[attr-defined]
+    return release
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +867,7 @@ class BatchSimulator:
             env[key_port] = _fit(_pack_key_broadcast(key, full),
                                  self.width_of(key_port))
 
-        execute_steps(self.plan.steps, env, full)
+        execute_steps(self.plan.steps, env, full, batch_release(self.plan))
 
         return {name: unpack_values(env[name], lanes)
                 for name in self.plan.outputs}
@@ -1017,7 +1099,8 @@ class BatchSimulator:
         # Invariant work runs once on the V base lanes; only what the
         # varying steps read is kept for tiling out to the sweep lanes, plus
         # the swept-out outputs themselves.
-        execute_steps(schedule.invariant_steps, base_env, block)
+        execute_steps(schedule.invariant_steps, base_env, block,
+                      schedule.invariant_release)
         return _Sweep(
             schedule=schedule, base=base, points=points,
             needed_env={name: slices for name, slices in base_env.items()
@@ -1047,7 +1130,8 @@ class BatchSimulator:
         ``replicate`` tiles the V-lane words the varying steps read.
 
         Returns:
-            The tile's environment, every slice word ``(last - first) * V``
+            The tile's point-varying outputs (every other value is dropped
+            after its last reader), every slice word ``(last - first) * V``
             lanes wide.
         """
         points = last - first
@@ -1066,7 +1150,8 @@ class BatchSimulator:
             env[port] = _fit(_pack_swept_keys(sweep.swept_keys[first:last],
                                               width, base), width)
         execute_steps(sweep.schedule.varying_steps, env,
-                      (1 << points * base) - 1)
+                      (1 << points * base) - 1,
+                      sweep.schedule.varying_release)
         return env
 
     def run(self, inputs: Mapping[str, int],

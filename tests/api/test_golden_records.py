@@ -29,6 +29,8 @@ GOLDEN = {
         6, "0a172dd172b347149cafeae60c14a20fa8fb636ada3a40ce08db9def2c7d837c"),
     "scenario_matrix.json": (
         12, "843b9d6c4f3f8a2108211a5a33f2357f6dc31a13b68b8552132cb4f6a9dfa1ef"),
+    "scenario_metrics.json": (
+        6, "604730540ede6bf1ff14092bd8f1589cec36fc8cb13f873ea4dd7c068b5f1423"),
 }
 
 #: ``scenario_coevo.json``: ``{generation store: (record count, digest)}``

@@ -25,6 +25,10 @@ And every benchmark locked by every locker simulates the same on the
 compiled bit-parallel plan as on the scalar AST oracle, which shares no
 code with plans, under the correct key and under a wrong key.
 
+Tiled sweeps of every benchmark locked by every locker, which drop each
+value after its last reader, equal per-point ``run_batch``; no step drops a
+value a later step reads or the caller keeps.
+
 Every locked design is a tree (no AST node reachable twice), which is what
 lets :meth:`Design.copy` clone it structurally: the copy renders and
 fingerprints the same, shares no node, list, key bit or metadata dict with
@@ -38,6 +42,7 @@ them.
 import dataclasses
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -53,8 +58,11 @@ from repro.locking.base import LockingSession
 from repro.locking.metrics import functional_corruption
 from repro.rtlir import Design
 from repro.sim import (BatchSimulator, CombinationalSimulator,
-                       batch_to_vectors, check_equivalence,
-                       random_input_batch)
+                       batch_to_vectors, check_equivalence, differing_lanes,
+                       input_signals, plan_lane_bits, random_input_batch,
+                       random_wrong_key)
+from repro.sim.plan import executor
+from repro.sim.plan.executor import batch_release
 
 from ..conftest import MIXER_SOURCE
 
@@ -333,3 +341,95 @@ def check_copy_contract(benchmark: str, locker: str) -> None:
 def test_locked_design_is_a_tree_and_copies_independently(design_name,
                                                           locker):
     check_copy_contract(design_name, locker)
+
+
+#: Base lanes of the release-rule sweeps: whole bytes and not.
+RELEASE_BASES = (8, 12)
+
+#: Sweep points of the release-rule sweeps; tiles of two points make three
+#: tiles, the last one ragged.
+RELEASE_POINTS, RELEASE_TILE_POINTS = 5, 2
+
+
+def check_release_schedule(steps, release, keep) -> None:
+    """Each name outside ``keep`` is dropped once, after its last use."""
+    assert len(release) == len(steps)
+    used = set()
+    read_later = set()
+    for index in range(len(steps) - 1, -1, -1):
+        dropped = set(release[index])
+        assert not dropped & set(keep), f"step {index} drops a kept name"
+        assert not dropped & read_later, \
+            f"step {index} drops {sorted(dropped & read_later)} too early"
+        assert not dropped & used, "a name is dropped twice"
+        used |= dropped
+        read_later |= steps[index].reads
+    written = {step.target for step in steps}
+    assert used == (read_later | written) - set(keep), \
+        "a value outlives its last use"
+
+
+def _count_differences(reference, outputs):
+    lanes = len(differing_lanes(reference, outputs))
+    bits = sum((reference[name][lane] ^ outputs[name][lane]).bit_count()
+               for name in reference for lane in range(len(reference[name])))
+    return lanes, bits
+
+
+def check_release_rule(benchmark: str, locker: str) -> None:
+    """Tiled sweeps that drop each value after its last reader equal
+    per-point ``run_batch``, for a key sweep (the key cone varies) and a
+    binding sweep under one shared key (the key cone is hoisted)."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    locked = make_locker(locker, random.Random(0)).lock(design,
+                                                        budget).design
+    simulator = BatchSimulator(locked)
+    plan = simulator.plan
+    rng = random.Random(3)
+    probe, width = max(input_signals(locked), key=lambda item: item[1])
+    for base in RELEASE_BASES:
+        batch = random_input_batch(locked, rng, base)
+        keys = [locked.correct_key] + [random_wrong_key(locked.correct_key,
+                                                        rng)
+                                       for _ in range(RELEASE_POINTS - 1)]
+        context = {name: values for name, values in batch.items()
+                   if name != probe}
+        values = [rng.getrandbits(width) for _ in range(RELEASE_POINTS)]
+        sweeps = [
+            ({"inputs": batch, "keys": keys},
+             [simulator.run_batch(batch, key=key, n=base) for key in keys]),
+            ({"inputs": context, "keys": [locked.correct_key] * len(values),
+              "bindings": [{probe: value} for value in values]},
+             [simulator.run_batch({**context, probe: [value] * base},
+                                  key=locked.correct_key, n=base)
+              for value in values]),
+        ]
+        lanes = RELEASE_TILE_POINTS * base
+        for sweep, expected in sweeps:
+            with mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET",
+                                   lanes * plan_lane_bits(plan)):
+                swept = simulator.run_sweep(n=base, max_lanes=lanes, **sweep)
+                counted = simulator.sweep_differences(n=base, **sweep)
+            label = f"{benchmark} locked by {locker!r}, {base} base lanes"
+            assert swept == expected, f"{label}: run_sweep differs"
+            assert list(zip(counted.lanes, counted.bits)) == [
+                _count_differences(expected[0], outputs)
+                for outputs in expected[1:]], \
+                f"{label}: sweep_differences differs"
+    check_release_schedule(plan.steps, batch_release(plan), plan.outputs)
+    for schedule in plan._sweep_schedules.values():
+        kept = schedule.needed | set(schedule.invariant_outputs)
+        check_release_schedule(schedule.invariant_steps,
+                               schedule.invariant_release, kept)
+        check_release_schedule(schedule.varying_steps,
+                               schedule.varying_release,
+                               schedule.varying_outputs)
+
+
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_tiled_sweeps_drop_values_after_their_last_reader(design_name,
+                                                          locker):
+    check_release_rule(design_name, locker)

@@ -283,3 +283,35 @@ class TestConsumerThreading:
         reference = simulator.run_sweep(shared, bindings=bindings, n=6)
         assert simulator.run_sweep(shared, bindings=bindings, n=6,
                                    max_lanes=12) == reference
+
+
+#: Peak-memory budget of one ``key_bit_sensitivity`` call on ERA-locked MD5
+#: (scale 1.0, 2048 vectors: 205 sweep points of 2048 lanes).  Measured
+#: tracemalloc peaks: 30.5 MiB when swept keys were packed through a
+#: one-byte-per-lane bit array and tiles held every step's value, 23.7 MiB
+#: with byte-block key packing alone, 7.1 MiB with byte-block packing and
+#: each value dropped after its last reader — so each half of that change
+#: is needed to pass.
+KEY_SENSITIVITY_MEMORY_BUDGET_BYTES = 12 * 1024 * 1024
+
+
+def test_key_sensitivity_sweep_holds_only_live_values():
+    """A wide metric sweep's peak is its live set, not every step's value."""
+    import tracemalloc
+
+    from repro.locking.metrics import key_bit_sensitivity
+
+    locked = _locked(algorithm="era", scale=1.0)
+    # Compile and cache the plan outside the measured call.
+    key_bit_sensitivity(locked, vectors=16, rng=random.Random(0))
+    tracemalloc.start()
+    try:
+        per_bit = key_bit_sensitivity(locked, vectors=2048,
+                                      rng=random.Random(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(per_bit) == locked.key_width
+    assert peak <= KEY_SENSITIVITY_MEMORY_BUDGET_BYTES, (
+        f"key-sensitivity sweep peaked at {peak / 2**20:.1f} MiB, over the "
+        f"{KEY_SENSITIVITY_MEMORY_BUDGET_BYTES / 2**20:.0f} MiB budget")

@@ -4,7 +4,8 @@
 indistinguishable from the flat S×V evaluation and from the per-key
 ``run_batch`` loop — for key sweeps, shared-key (avalanche-shape) sweeps,
 binding sweeps and their combinations.  The vectorised lane packers are
-pinned against their set-bit-loop counterparts as well.
+pinned against their set-bit-loop counterparts as well (the sweep packers
+in ``test_packers.py``).
 """
 
 import random
@@ -16,8 +17,6 @@ from repro.locking import AssureLocker, ERALocker
 from repro.sim import BatchSimulator, compile_plan, pack_values, unpack_values
 from repro.sim.plan.executor import (
     _FAST_PACK_LANES,
-    _pack_point_values,
-    _pack_swept_keys,
     classify_steps,
     sweep_schedule,
 )
@@ -203,35 +202,3 @@ class TestVectorisedPackers:
         slices = pack_values(values, 8)
         assert unpack_values(slices, len(values))[:2] \
             == [mask(-1, 8), mask(1 << 70, 8)]
-
-    def test_swept_key_packer_fast_equals_loop(self):
-        rng = random.Random(1)
-        keys = [[rng.randint(0, 1) for _ in range(10)] for _ in range(16)]
-        fast = _pack_swept_keys(keys, 10, 32)   # 512 lanes: vectorised
-        slow = _pack_swept_keys(keys, 10, 2)    # 32 lanes: loop
-        for position in range(10):
-            for point in range(16):
-                fast_block = (fast[position] >> (point * 32)) & 0xFFFFFFFF
-                slow_block = (slow[position] >> (point * 2)) & 0b11
-                assert (fast_block != 0) == (slow_block != 0) \
-                    == bool(keys[point][position])
-
-    def test_swept_key_packer_validates_bits(self):
-        keys = [[0, 1]] * 15 + [[0, 2]]
-        with pytest.raises(SimulationError, match="sweep point 15"):
-            _pack_swept_keys(keys, 2, 32)
-        with pytest.raises(SimulationError):
-            _pack_swept_keys(keys, 2, 2)  # loop path: same rejection
-
-    def test_point_value_packer_fast_equals_loop(self):
-        rng = random.Random(2)
-        values = [rng.getrandbits(8) for _ in range(16)]
-        fast = _pack_point_values(values, 8, 32)
-        slow = _pack_point_values(values, 8, 2)
-        for position in range(8):
-            for point in range(16):
-                bit = (values[point] >> position) & 1
-                fast_block = (fast[position] >> (point * 32)) & 0xFFFFFFFF
-                slow_block = (slow[position] >> (point * 2)) & 0b11
-                assert (fast_block == (0xFFFFFFFF if bit else 0))
-                assert (slow_block == (0b11 if bit else 0))
