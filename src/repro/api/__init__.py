@@ -23,12 +23,6 @@ This package is the one import surface a workload author needs:
   enforcement with lost-worker detection, and transient-vs-permanent
   failure classification feeding the store's ``failures.jsonl``
   quarantine ledger.
-* **Co-evolution** (:mod:`repro.api.coevo`) — a seeded locker-vs-attack
-  search loop (:class:`CoevoLoop` / :func:`run_coevo`): locker genomes
-  (algorithm, key-budget fraction, declared option genes) evolve against
-  the scenario's attack roster with KPA + avalanche fitness, each
-  generation expanded into ordinary jobs and run through the Runner — so
-  the loop inherits resume, parallelism and determinism for free.
 * **Fault injection** (:mod:`repro.api.faults`) — a deterministic, seeded
   :class:`FaultPlan` (crashes, hangs, transient errors, slow jobs, corrupt
   writes) that turns every recovery path above into an ordinary CI
@@ -101,17 +95,11 @@ __all__ = [
     "register_metric",
     # Lazily resolved (see __getattr__):
     "AttackSpec",
-    "CoevoSpec",
     "JobSpec",
     "LockerSpec",
     "MetricSpec",
     "Scenario",
     "ScenarioError",
-    "CoevoError",
-    "CoevoLoop",
-    "CoevoReport",
-    "Genome",
-    "run_coevo",
     "Runner",
     "RunPlan",
     "RunReport",
@@ -152,17 +140,11 @@ __all__ = [
 #: that cycle open.
 _LAZY = {
     "AttackSpec": "scenario",
-    "CoevoSpec": "scenario",
     "JobSpec": "scenario",
     "LockerSpec": "scenario",
     "MetricSpec": "scenario",
     "Scenario": "scenario",
     "ScenarioError": "scenario",
-    "CoevoError": "coevo",
-    "CoevoLoop": "coevo",
-    "CoevoReport": "coevo",
-    "Genome": "coevo",
-    "run_coevo": "coevo",
     "Runner": "runner",
     "RunPlan": "runner",
     "RunReport": "runner",

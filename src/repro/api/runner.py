@@ -208,7 +208,7 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
         "key_width": locked.design.key_width,
     }
     if job.locker.label is not None:
-        # Labelled lockers (option variants, coevo genomes) tag their
+        # Labelled lockers (option variants, key budgets) tag their
         # records so aggregations can tell configurations of the same
         # algorithm apart; unlabelled jobs keep the historical record shape.
         record["locker_label"] = job.locker.label

@@ -134,7 +134,7 @@ class LockerSpec:
         options: Extra factory keyword arguments (free-form, JSON-valued).
         label: Optional display/job-id name of this locker entry.  Labels
             let one scenario hold *several configurations of the same
-            algorithm* (option variants, co-evolution genomes) side by side:
+            algorithm* (option variants, key budgets) side by side:
             the ``job_id`` and the records' ``locker_label`` use the label,
             while seeds stay algorithm-based — so a configuration's results
             depend only on its parameters, never on what it was called.
@@ -287,119 +287,6 @@ class MetricSpec:
 
 
 @dataclass(frozen=True)
-class CoevoSpec:
-    """Co-evolution settings of a scenario (see :mod:`repro.api.coevo`).
-
-    The spec describes the *search*, not the workload: a scenario carrying a
-    ``coevo`` block still expands, validates and runs exactly like a plain
-    scenario (``expand()`` ignores the block), so the file round-trips
-    through every existing tool — including ``repro.api.server`` — unchanged.
-    The :class:`~repro.api.coevo.CoevoLoop` reads the block to evolve locker
-    configurations (algorithm choice, key-budget fraction, declared option
-    genes) against the scenario's attack roster, scoring each genome by KPA
-    resistance and avalanche sensitivity.
-
-    Attributes:
-        generations: Evolution rounds to run.
-        population: Locker genomes per generation.
-        elites: Top genomes carried into the next generation unchanged.
-        algorithms: Candidate locking algorithms of the genome's algorithm
-            gene; empty means "the scenario's own lockers' algorithms".
-        fraction_min: Lower bound of the key-budget-fraction gene.
-        fraction_max: Upper bound of the key-budget-fraction gene.
-        mutation_rate: Per-gene mutation probability of an offspring.
-        mutation_scale: Fraction-gene perturbation size, relative to the
-            ``[fraction_min, fraction_max]`` interval.
-        option_space: ``{option name: [candidate JSON values]}`` — extra
-            locker-factory option genes; each genome carries one candidate
-            per option.
-        kpa_weight: Fitness weight of attack resistance (``100 − mean
-            KPA`` over the scenario's attack roster).
-        avalanche_weight: Fitness weight of the avalanche-sensitivity term
-            (``100 × mean sensitivity`` of the locked samples).
-        avalanche_vectors: Vectors of the avalanche metric jobs the loop
-            appends when the scenario does not measure avalanche itself.
-    """
-
-    generations: int = 4
-    population: int = 4
-    elites: int = 1
-    algorithms: Tuple[str, ...] = ()
-    fraction_min: float = 0.25
-    fraction_max: float = 1.0
-    mutation_rate: float = 0.35
-    mutation_scale: float = 0.2
-    option_space: Dict[str, Tuple] = field(default_factory=dict)
-    kpa_weight: float = 1.0
-    avalanche_weight: float = 0.25
-    avalanche_vectors: int = 8
-
-    def __post_init__(self) -> None:
-        # Normalise gene-value containers so directly constructed specs
-        # compare equal to their JSON round-trips.
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "option_space",
-                           {name: tuple(values) for name, values
-                            in self.option_space.items()})
-        _require(self.generations >= 1, "coevo generations must be positive")
-        _require(self.population >= 1, "coevo population must be positive")
-        _require(0 <= self.elites < self.population,
-                 f"coevo elites must be in [0, population), got "
-                 f"{self.elites} of {self.population}")
-        for bound in (self.fraction_min, self.fraction_max):
-            _require(0.0 < bound <= 1.0,
-                     f"coevo fraction bounds must be in (0, 1], got {bound}")
-        _require(self.fraction_min <= self.fraction_max,
-                 "coevo fraction_min must not exceed fraction_max")
-        _require(0.0 <= self.mutation_rate <= 1.0,
-                 f"coevo mutation_rate must be in [0, 1], "
-                 f"got {self.mutation_rate}")
-        _require(self.mutation_scale > 0,
-                 "coevo mutation_scale must be positive")
-        for name, values in self.option_space.items():
-            _require(bool(name), "coevo option_space names must be non-empty")
-            _require(len(tuple(values)) >= 1,
-                     f"coevo option_space entry {name!r} needs at least one "
-                     "candidate value")
-        _require(self.kpa_weight >= 0 and self.avalanche_weight >= 0,
-                 "coevo fitness weights must be non-negative")
-        _require(self.kpa_weight > 0 or self.avalanche_weight > 0,
-                 "coevo needs at least one positive fitness weight")
-        _require(self.avalanche_vectors >= 1,
-                 "coevo avalanche_vectors must be positive")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready dict form (round-trips via :meth:`from_dict`)."""
-        return json.loads(json.dumps(asdict(self)))
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CoevoSpec":
-        """Build from a mapping (the ``coevo`` block of a scenario file)."""
-        _check_keys(data, ("generations", "population", "elites",
-                           "algorithms", "fraction_min", "fraction_max",
-                           "mutation_rate", "mutation_scale", "option_space",
-                           "kpa_weight", "avalanche_weight",
-                           "avalanche_vectors"), "coevo")
-        option_space = {str(name): tuple(values) for name, values
-                        in dict(data.get("option_space", {})).items()}
-        return cls(
-            generations=int(data.get("generations", 4)),
-            population=int(data.get("population", 4)),
-            elites=int(data.get("elites", 1)),
-            algorithms=tuple(str(name)
-                             for name in data.get("algorithms", ())),
-            fraction_min=float(data.get("fraction_min", 0.25)),
-            fraction_max=float(data.get("fraction_max", 1.0)),
-            mutation_rate=float(data.get("mutation_rate", 0.35)),
-            mutation_scale=float(data.get("mutation_scale", 0.2)),
-            option_space=option_space,
-            kpa_weight=float(data.get("kpa_weight", 1.0)),
-            avalanche_weight=float(data.get("avalanche_weight", 0.25)),
-            avalanche_vectors=int(data.get("avalanche_vectors", 8)),
-        )
-
-
-@dataclass(frozen=True)
 class JobSpec:
     """One independent unit of work of an expanded scenario.
 
@@ -511,17 +398,12 @@ class Scenario:
             ``Runner(retries=...)`` / ``cli run --retries`` value overrides.
         job_timeout: Default per-job wall-clock budget in seconds; ``None``
             (the default) disables timeouts.  Overridable the same way.
-        coevo: Optional :class:`CoevoSpec` — the co-evolution search
-            settings consumed by :class:`repro.api.coevo.CoevoLoop`.
-            :meth:`expand` ignores it, so the scenario still runs as a
-            plain workload everywhere (runner, service, report).
 
     Both robustness fields (``retries``, ``job_timeout``) are *run*
     defaults, not job data: they are omitted from :meth:`to_dict` when
     unset, so the :meth:`fingerprint` —
     and every store stamp — of a scenario that does not set them is
-    unchanged from before they existed.  The same omission rule applies to
-    ``coevo``.
+    unchanged from before they existed.
     """
 
     name: str = "scenario"
@@ -535,7 +417,6 @@ class Scenario:
     seeds: Tuple[int, ...] = ()
     retries: Optional[int] = None
     job_timeout: Optional[float] = None
-    coevo: Optional[CoevoSpec] = None
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "scenario name is required")
@@ -611,12 +492,6 @@ class Scenario:
                 _require(spec.algorithm in known_lockers,
                          f"unknown locking algorithm {spec.algorithm!r}; "
                          f"registered: {', '.join(sorted(known_lockers))}")
-            if self.coevo is not None:
-                for algorithm in self.coevo.algorithms:
-                    _require(algorithm in known_lockers,
-                             f"unknown coevo algorithm {algorithm!r}; "
-                             f"registered: "
-                             f"{', '.join(sorted(known_lockers))}")
             known_attacks = set(attack_names(include_aliases=True))
             for attack_id in attack_ids:
                 _require(attack_id in known_attacks,
@@ -644,7 +519,7 @@ class Scenario:
         data = json.loads(json.dumps(asdict(self)))
         if not data.get("seeds"):
             data.pop("seeds", None)
-        for optional in ("retries", "job_timeout", "coevo"):
+        for optional in ("retries", "job_timeout"):
             if data.get(optional) is None:
                 data.pop(optional, None)
         for component_key, axis_key in (("lockers", "key_budget_fractions"),
@@ -672,8 +547,7 @@ class Scenario:
         """
         _check_keys(data, ("name", "benchmarks", "lockers", "attacks",
                            "metrics", "samples", "scale", "seed", "seeds",
-                           "retries", "job_timeout", "coevo"),
-                    "scenario")
+                           "retries", "job_timeout"), "scenario")
         scenario = cls(
             name=str(data.get("name", "scenario")),
             benchmarks=tuple(data.get("benchmarks", ())),
@@ -691,8 +565,6 @@ class Scenario:
                      if data.get("retries") is not None else None),
             job_timeout=(float(data["job_timeout"])
                          if data.get("job_timeout") is not None else None),
-            coevo=(CoevoSpec.from_dict(data["coevo"])
-                   if data.get("coevo") is not None else None),
         )
         if validate:
             scenario.validate()

@@ -16,11 +16,9 @@ from .kpa import (
     aggregate_by,
     average_kpa,
     functional_kpa,
-    functional_kpa_many,
     kpa,
 )
 from .locality import FEATURE_SETS, Locality, LocalityExtractor
-from .oracle import OracleBudgetAttack
 from .relock import TrainingSet, TrainingSetBuilder
 from .snapshot import AttackResult, SnapShotAttack
 
@@ -34,12 +32,10 @@ __all__ = [
     "aggregate_by",
     "average_kpa",
     "functional_kpa",
-    "functional_kpa_many",
     "kpa",
     "FEATURE_SETS",
     "Locality",
     "LocalityExtractor",
-    "OracleBudgetAttack",
     "TrainingSet",
     "TrainingSetBuilder",
     "AttackResult",

@@ -61,54 +61,21 @@ def functional_kpa(design, predicted: Sequence[int], vectors: int = 64,
         ValueError: for unlocked designs, mismatched key lengths, or a
             non-positive vector count.
     """
-    return functional_kpa_many(design, [predicted], vectors=vectors,
-                               rng=rng)[0]
-
-
-def functional_kpa_many(design, candidates: Sequence[Sequence[int]],
-                        vectors: int = 64,
-                        rng: Optional[random.Random] = None) -> List[float]:
-    """Functional KPA of many candidate keys in one bit-parallel sweep.
-
-    The correct key and every candidate evaluate as lanes of a *single*
-    pass over one shared input batch — the key-trial pattern of attack
-    post-processing (model ensembles, per-bit flips, beam candidates) at the
-    cost of one batch call instead of ``len(candidates) + 1``.  On plans
-    compiled with sweep value-numbering (the default), the point-invariant
-    part of the design additionally evaluates once on the shared batch
-    instead of once per candidate (see ``plan.stats.invariant_steps``).
-
-    Args:
-        design: A locked :class:`~repro.rtlir.design.Design`.
-        candidates: Candidate keys, each indexed by key position.
-        vectors: Number of random input vectors shared by all candidates.
-        rng: Random source for the input vectors.
-
-    Returns:
-        One functional-KPA percentage per candidate, in candidate order.
-
-    Raises:
-        ValueError: for unlocked designs, an empty candidate list,
-            mismatched key lengths, or a non-positive vector count.
-    """
     from ..sim import random_input_batch, sweep_differences
 
     if not design.is_locked:
         raise ValueError("functional KPA requires a locked design")
     correct = design.correct_key
-    if not candidates:
-        raise ValueError("at least one candidate key is required")
-    if any(len(candidate) != len(correct) for candidate in candidates):
+    if len(predicted) != len(correct):
         raise ValueError("predicted and correct keys must have equal length")
     if vectors < 1:
         raise ValueError("vectors must be positive")
     rng = rng or random.Random()
 
     batch = random_input_batch(design, rng, vectors)
-    keys = [correct] + [list(candidate) for candidate in candidates]
-    differences = sweep_differences(design, batch, keys=keys, n=vectors)
-    return [100.0 * (vectors - lanes) / vectors
-            for lanes in differences.lanes]
+    differences = sweep_differences(design, batch,
+                                    keys=[correct, list(predicted)], n=vectors)
+    return 100.0 * (vectors - differences.lanes[0]) / vectors
 
 
 @dataclass

@@ -10,7 +10,6 @@ and attacked without writing Python:
 * ``repro-lock evaluate --benchmarks MD5 FIR``        — run the Fig. 6 style evaluation
 * ``repro-lock run      scenario.json --jobs 4``      — run a declarative scenario (resumable)
 * ``repro-lock report   runs/<name>``                 — re-render figures/tables from a results store
-* ``repro-lock coevo    scenario.json``               — evolve locker genomes against the attack roster
 * ``repro-lock sim-bench --json BENCH_sim.json``      — micro-benchmark the simulation engines
 * ``repro-lock serve    --runs-root runs``            — persistent scenario service (warm plan cache)
 * ``repro-lock submit   scenario.json --watch``       — submit a scenario to a running server
@@ -374,81 +373,6 @@ def _failures_table(failures: List[dict]) -> str:
     from .eval.tables import failures_table_text
 
     return failures_table_text(failures)
-
-
-def _genome_table(population: List[dict]) -> str:
-    """Render one generation's scored genomes as an aligned table."""
-    rows = [(entry["label"], entry["algorithm"], f"{entry['fraction']:.4f}",
-             json.dumps(entry["options"], sort_keys=True),
-             f"{entry['fitness']:.3f}", f"{entry['kpa']:.2f}",
-             f"{entry['avalanche']:.4f}")
-            for entry in population]
-    header = ("genome", "algorithm", "fraction", "options", "fitness",
-              "kpa%", "avalanche")
-    widths = [max(len(header[col]), *(len(row[col]) for row in rows))
-              for col in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-                 .rstrip() for row in rows)
-    return "\n".join(lines)
-
-
-def cmd_coevo(args: argparse.Namespace) -> int:
-    """Run the locker-vs-attack co-evolution loop of a scenario file."""
-    from .api.coevo import CoevoError, CoevoLoop
-
-    try:
-        scenario = Scenario.from_file(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    store_root = (args.store if args.store is not None
-                  else Path("runs") / f"{scenario.name}-coevo")
-
-    def progress(done: int, total: int, record: dict) -> None:
-        if args.quiet:
-            return
-        label = record.get("locker_label", record.get("locker", "?"))
-        print(f"  [{done}/{total}] {record['kind']:6s} "
-              f"{record['benchmark']}/{label} s{record['sample']}")
-
-    restore_sigterm = _sigterm_as_keyboard_interrupt()
-    try:
-        loop = CoevoLoop(scenario, store_root=store_root, jobs=args.jobs,
-                         progress=progress)
-        report = loop.run()
-    except (CoevoError, ScenarioError, StoreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print(f"\ninterrupted — completed generations are committed under "
-              f"{store_root}; re-run the same command to resume",
-              file=sys.stderr)
-        return 130
-    finally:
-        restore_sigterm()
-
-    for entry in report.history:
-        print(f"Generation {entry['generation']} "
-              f"({entry['jobs']} job(s), best fitness "
-              f"{entry['best']['fitness']:.3f}):")
-        print(_genome_table(entry["population"]))
-        print()
-    best = report.best or {}
-    print(f"Co-evolution '{scenario.name}': {len(report.history)} "
-          f"generation(s), {report.total_jobs} job(s) — "
-          f"{report.executed_jobs} executed, "
-          f"{report.total_jobs - report.executed_jobs} resumed")
-    print(f"Best genome: {best.get('label')} "
-          f"(algorithm={best.get('algorithm')}, "
-          f"fraction={best.get('fraction')}, "
-          f"options={json.dumps(best.get('options', {}), sort_keys=True)}) "
-          f"fitness={best.get('fitness'):.3f} "
-          f"kpa={best.get('kpa'):.2f}% avalanche={best.get('avalanche'):.4f}")
-    print(f"History: {Path(store_root) / 'coevo.json'} "
-          f"(per-generation stores: {store_root}/gen-*)")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -871,22 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "of reading the store locally (socket path or "
                              "tcp:HOST:PORT)")
     report.set_defaults(func=cmd_report)
-
-    coevo = subparsers.add_parser(
-        "coevo",
-        help="run the locker-vs-attack co-evolution loop of a scenario")
-    coevo.add_argument("scenario", type=Path,
-                       help="scenario JSON file with a 'coevo' block "
-                            "(see docs/scenario-format.md)")
-    coevo.add_argument("-j", "--jobs", type=int, default=1,
-                       help="worker processes per generation (default: 1)")
-    coevo.add_argument("--store", type=Path, default=None,
-                       help="store root for coevo.json and the per-"
-                            "generation stores (default: "
-                            "runs/<scenario name>-coevo)")
-    coevo.add_argument("-q", "--quiet", action="store_true",
-                       help="suppress per-job progress lines")
-    coevo.set_defaults(func=cmd_coevo)
 
     serve = subparsers.add_parser(
         "serve", help="run the persistent scenario service (warm plan cache)")

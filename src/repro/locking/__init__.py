@@ -41,7 +41,6 @@ from .metrics import (
     restricted_metric,
     security_metric,
 )
-from .multiround import MultiRoundLocker
 from .odt import OperationDistributionTable, odt_from_design
 from .pairs import (
     ORIGINAL_ASSURE_TABLE,
@@ -84,7 +83,6 @@ __all__ = [
     "modified_euclidean",
     "restricted_metric",
     "security_metric",
-    "MultiRoundLocker",
     "OperationDistributionTable",
     "odt_from_design",
     "ORIGINAL_ASSURE_TABLE",

@@ -29,6 +29,12 @@ Tiled sweeps of every benchmark locked by every locker, which drop each
 value after its last reader, equal per-point ``run_batch``; no step drops a
 value a later step reads or the caller keeps.
 
+Locking every benchmark with every locker is a function of the seed and
+leaves the benchmark alone, the same contract the runner's shared cells
+rest on, and wrong keys corrupt every locked benchmark.  What ``lock``
+writes for every locked benchmark, Verilog plus key metadata, reads back
+the way ``attack`` reads it as the design locking made.
+
 Every locked design is a tree (no AST node reachable twice), which is what
 lets :meth:`Design.copy` clone it structurally: the copy renders and
 fingerprints the same, shares no node, list, key bit or metadata dict with
@@ -53,6 +59,7 @@ from repro.attacks.baselines import RandomGuessAttack
 from repro.bench import benchmark_names, load_benchmark
 from repro.bench.generators import profile_design
 from repro.bench.profiles import BenchmarkProfile
+from repro.cli import _design_from_key_metadata, main
 from repro.locking import AssureLocker
 from repro.locking.base import LockingSession
 from repro.locking.metrics import functional_corruption
@@ -71,8 +78,7 @@ BUDGET = 4
 
 #: Tiny settings for every attack; factories ignore options they lack.
 ATTACK_OPTIONS = {"rounds": 2, "time_budget": 1.0, "feature_set": "pair",
-                  "functional_vectors": 8, "oracle_queries": 8,
-                  "vectors": 8}
+                  "functional_vectors": 8}
 
 #: Tiny settings for every metric; metrics ignore options they lack.
 METRIC_OPTIONS = {"vectors": 8, "wrong_keys": 2}
@@ -294,6 +300,67 @@ def check_benchmark_relock(benchmark: str, locker: str) -> None:
                               for name, locker in SIMULATION_CASES])
 def test_locked_benchmark_survives_relocking(design_name, locker):
     check_benchmark_relock(design_name, locker)
+
+
+def check_benchmark_lock(benchmark: str, locker: str) -> None:
+    """Locking a benchmark is a function of its seed, leaves the benchmark
+    alone, and wrong keys corrupt the locked benchmark's outputs."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    design_state = state(design)
+    first, second = (make_locker(locker, random.Random(0)).lock(design,
+                                                                budget).design
+                     for _ in range(2))
+    label = f"{benchmark} locked by {locker!r}"
+    assert state(design) == design_state, f"{label}: locking mutated it"
+    assert state(first) == state(second), \
+        f"{label}: the same seed gave a different locked design or key"
+    corruption = functional_corruption(first, wrong_keys=8,
+                                       rng=random.Random(0))
+    assert corruption.mean_corruption > 0, \
+        f"{label}: wrong keys never corrupt the outputs"
+
+
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_locked_benchmark_is_seeded_and_wrong_keys_corrupt(design_name,
+                                                           locker):
+    check_benchmark_lock(design_name, locker)
+
+
+def check_lock_handoff(benchmark: str, locker: str, directory) -> None:
+    """``lock`` on a benchmark's Verilog writes the design locking makes,
+    and ``attack``'s reader restores its netlist and every key bit field
+    the key metadata carries."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    source = directory / f"{benchmark}.v"
+    output, key_file = directory / "locked.v", directory / "key.json"
+    source.write_text(design.to_verilog())
+    assert main(["lock", str(source), "-a", locker, "--seed", "0",
+                 "--key-bits", str(budget), "-o", str(output),
+                 "--key-file", str(key_file)]) == 0
+    expected = make_locker(locker, random.Random(0)).lock(design,
+                                                          budget).design
+    read = _design_from_key_metadata(output, None, key_file)
+    label = f"{benchmark} locked by {locker!r}"
+    assert read.to_verilog() == expected.to_verilog(), \
+        f"{label}: the written netlist differs"
+    assert read.fingerprint() == expected.fingerprint()
+    assert read.key_port == expected.key_port
+    assert ([(bit.index, bit.kind, bit.correct_value, bit.real_op,
+              bit.dummy_op) for bit in read.key_bits]
+            == [(bit.index, bit.kind, bit.correct_value, bit.real_op,
+                 bit.dummy_op) for bit in expected.key_bits]), \
+        f"{label}: the key metadata reads back different key bits"
+
+
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_locked_benchmark_files_read_back(design_name, locker, tmp_path):
+    check_lock_handoff(design_name, locker, tmp_path)
 
 
 

@@ -78,7 +78,7 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="options must not override"):
             MetricSpec("avalanche", options={"design": None})
         # Genuinely free-form options remain allowed.
-        AttackSpec("oracle-budget", options={"oracle_queries": 16})
+        AttackSpec("majority", options={"ensemble_size": 3})
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ScenarioError, match="unknown scenario field"):

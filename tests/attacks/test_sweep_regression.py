@@ -15,7 +15,7 @@ import pytest
 
 import repro.sim as sim_package
 from repro.attacks import TrainingSetBuilder
-from repro.attacks.kpa import functional_kpa, functional_kpa_many
+from repro.attacks.kpa import functional_kpa
 from repro.bench import load_benchmark
 from repro.locking import (
     AssureLocker,
@@ -134,20 +134,10 @@ class TestPinnedValues:
                                       rng=random.Random(1))
         assert profile[:4] == PINNED_SENSITIVITY
 
-    def test_functional_kpa_many_matches_singles(self):
+    def test_functional_kpa_correct_key_scores_full(self):
         locked = _locked_md5()
-        candidates = [
-            locked.correct_key,
-            flip_bits(locked.correct_key, [0]),
-            flip_bits(locked.correct_key, range(locked.key_width)),
-        ]
-        many = functional_kpa_many(locked, candidates, vectors=24,
-                                   rng=random.Random(2))
-        singles = [functional_kpa(locked, candidate, vectors=24,
-                                  rng=random.Random(2))
-                   for candidate in candidates]
-        assert many == singles
-        assert many[0] == 100.0
+        assert functional_kpa(locked, locked.correct_key, vectors=24,
+                              rng=random.Random(2)) == 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ invariants to assert:
   "scenario": { ... complete Scenario dict ... },
   "runner": {"jobs": 2, "retries": 1},   // optional Runner kwargs
   "fault_plan": { ... FaultPlan dict ... },
-  "coevo": true,                  // run the co-evolution loop instead
   "expect": {
     "jobs": 6,                    // expanded JobSpec count
     "records": 6,                 // default: jobs - quarantined
@@ -20,9 +19,7 @@ invariants to assert:
     "complete": true,             // default: quarantined == 0
     "kpa": {"min": 0, "max": 100, "mean_min": 0, "mean_max": 100},
     "metrics": {"avalanche": {"field": "mean", "min": 0, "max": 1}},
-    "resume_executes": 0,         // default: 0
-    "generations": 2,             // coevo cases: history length
-    "best_fitness_min": 0.0       // coevo cases: winner sanity bound
+    "resume_executes": 0          // default: 0
   }
 }
 ```
@@ -50,7 +47,6 @@ from typing import Callable, Dict
 import pytest
 
 from repro.api import Runner, ResultsStore, Scenario, ScenarioError
-from repro.api.coevo import run_coevo
 from repro.api.faults import FaultPlan
 
 CASES_DIR = Path(__file__).parent / "cases"
@@ -139,30 +135,6 @@ def _run_plain_case(case: Dict, scenario: Scenario, store_root: Path,
     assert resumed.records == report.records
 
 
-def _run_coevo_case(case: Dict, scenario: Scenario, store_root: Path,
-                    jobs_default: int) -> None:
-    expect = case.get("expect", {})
-    jobs = case.get("runner", {}).get("jobs", jobs_default)
-    report = run_coevo(scenario, store_root=store_root, jobs=jobs)
-    generations = expect.get("generations",
-                             scenario.coevo.generations)
-    assert len(report.history) == generations
-    for entry in report.history:
-        assert len(entry["population"]) == scenario.coevo.population
-    assert report.best is not None
-    if "best_fitness_min" in expect:
-        assert report.best["fitness"] >= expect["best_fitness_min"]
-    history_path = store_root / "coevo.json"
-    assert history_path.exists()
-
-    # Resume invariant: replaying the loop over the same stores executes
-    # nothing new and reproduces the identical history.
-    resumed = run_coevo(scenario, store_root=store_root, jobs=jobs)
-    assert resumed.executed_jobs == 0
-    assert resumed.history == report.history
-    assert resumed.best == report.best
-
-
 @pytest.fixture
 def run_scenario_case(tmp_path: Path) -> Callable[[Path], None]:
     """Execute one declarative case file and assert its invariants."""
@@ -185,9 +157,6 @@ def run_scenario_case(tmp_path: Path) -> Callable[[Path], None]:
         # everything else.
         jobs_default = int(os.environ.get("SCENARIO_CASE_JOBS") or 1)
         store_root = _case_store(case_path.stem, tmp_path)
-        if case.get("coevo"):
-            _run_coevo_case(case, scenario, store_root, jobs_default)
-        else:
-            _run_plain_case(case, scenario, store_root, jobs_default)
+        _run_plain_case(case, scenario, store_root, jobs_default)
 
     return run

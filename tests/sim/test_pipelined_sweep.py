@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 from repro.bench import load_benchmark, plus_network
-from repro.locking import AssureLocker, ERALocker
+from repro.locking import AssureLocker, ERALocker, flip_bits
 from repro.sim import (
     BatchSimulator,
     DEFAULT_LANE_BITS_BUDGET,
@@ -242,17 +242,21 @@ class TestConsumerThreading:
         with _plan_cap(get_plan(locked), 3 * BASE):
             assert key_sweep(locked, batch, keys, n=BASE) == reference
 
-    def test_functional_kpa_many(self):
-        from repro.attacks.kpa import functional_kpa_many
+    def test_functional_kpa(self):
+        from repro.attacks.kpa import functional_kpa
 
+        # Single-bit flips score anywhere from 0 to 100; a 16-lane cap puts
+        # the correct key and the candidate in separate tiles.
         locked = _locked(algorithm="era")
-        keys = _random_keys(locked.key_width, 4, seed=23)
-        reference = functional_kpa_many(locked, keys, vectors=16,
-                                        rng=random.Random(24))
-        with _plan_cap(get_plan(locked), 32):
-            chunked = functional_kpa_many(locked, keys, vectors=16,
-                                          rng=random.Random(24))
+        keys = [flip_bits(locked.correct_key, [bit])
+                for bit in range(locked.key_width)]
+        reference = [functional_kpa(locked, key, vectors=16,
+                                    rng=random.Random(24)) for key in keys]
+        with _plan_cap(get_plan(locked), 16), _recorded_tiles() as tiles:
+            chunked = [functional_kpa(locked, key, vectors=16,
+                                      rng=random.Random(24)) for key in keys]
         assert chunked == reference
+        assert tiles == [(0, 1), (1, 2)] * len(keys)
 
     def test_metrics_accept_max_lanes(self):
         from repro.locking.metrics import (functional_corruption,
