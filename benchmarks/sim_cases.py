@@ -1,22 +1,19 @@
-"""Micro-benchmark harness for the simulation engine layers.
+"""The simulation case table: each fast path against the path it replaces.
 
-The harness answers "how much faster is the candidate path than the baseline
-path it replaces, on this design?" for every fast path of the simulation
-layer, with measurements instead of assertions.  Each question is one row of
-the :data:`CASES` table: scalar vs. batch engine (``engines``), per-key
-``run_batch`` loop vs. one per-lane sweep (``key_sweeps``), flat vs. sweep
-value-numbered sweep (``sweep_vn``) and unchunked vs. ``max_lanes``-tiled
-sweep, timed and ``tracemalloc``-profiled (``pipelined_sweep``).  Every
-comparison also checks ``baseline_outputs == candidate_outputs``, so a
-reported speedup is only ever produced alongside a bit-identical result.
+Every question is one row of :data:`CASES`: scalar vs. batch engine
+(``engines``), per-key ``run_batch`` loop vs. one per-lane sweep
+(``key_sweeps``), flat vs. sweep value-numbered sweep (``sweep_vn``) and
+unchunked vs. ``max_lanes``-tiled sweep, timed and
+``tracemalloc``-profiled (``pipelined_sweep``).  Every comparison also
+checks ``baseline_outputs == candidate_outputs``, so a reported speedup is
+only ever produced alongside a bit-identical result.
 
-Run it from the command line::
+The gates in ``test_substrate_performance.py`` call :func:`compare`; its
+case-table test runs :func:`run_cases`, fails through
+:func:`assert_outputs_match` if any two paths disagree and writes
+``results/BENCH_sim.json`` (:func:`report_json`)::
 
-    PYTHONPATH=src python -m repro.cli sim-bench --vectors 256
-    PYTHONPATH=src python -m repro.cli sim-bench --json BENCH_sim.json
-
-or programmatically via :func:`compare` (one case, one design) and
-:func:`run_cases` (every case over its default suite).
+    PYTHONPATH=src python -m pytest benchmarks/test_substrate_performance.py -q -k case_table
 """
 
 from __future__ import annotations
@@ -25,12 +22,14 @@ import random
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..rtlir.design import Design
-from .plan import BatchSimulator
-from .simulator import CombinationalSimulator
-from .vectors import batch_to_vectors, random_input_batch, random_key
+from repro.rtlir.design import Design
+from repro.sim import BatchSimulator, CombinationalSimulator
+from repro.sim.plan.executor import (_comb_replicate, _fit, _pack_swept_keys,
+                                     batch_release, execute_steps,
+                                     pack_values, unpack_values)
+from repro.sim.vectors import batch_to_vectors, random_input_batch, random_key
 
 #: A labelled benchmark design.
 Suite = List[Tuple[str, Design]]
@@ -65,12 +64,12 @@ class Case:
 
     Attributes:
         name: Case name, also its ``BENCH_sim.json`` section.
-        baseline: Label of the reference path (table header / JSON value).
+        baseline: Label of the reference path.
         candidate: Label of the fast path.
         setup: ``setup(design, rng, sizes) -> (baseline, candidate,
             counters)`` — the two zero-argument paths to time and the
             sizes and plan counters reported beside them.
-        suite: ``suite(scale, seed)`` — the case's default designs.
+        suite: ``suite(scale, seed)`` — the case's designs.
         locked_only: The case needs a key port; unlocked designs are skipped.
         measure_memory: Also record the ``tracemalloc`` peak of each path.
     """
@@ -123,6 +122,37 @@ class Comparison:
         if not self.baseline_peak_bytes:
             return None
         return self.candidate_peak_bytes / self.baseline_peak_bytes
+
+
+# ---------------------------------------------------------------------------
+# The flat sweep reference
+# ---------------------------------------------------------------------------
+
+
+def flat_sweep(simulator: BatchSimulator, inputs: Mapping[str, Sequence[int]],
+               keys: Sequence[Sequence[int]], n: int) -> List[dict]:
+    """``run_sweep``'s result with every plan step on all S×V lanes.
+
+    The sweep before value-numbering: the base batch is packed at V lanes
+    and each input word tiled into the S point blocks by the comb multiply,
+    one key is packed per point, and the whole plan runs on the S×V lanes.
+    No argument checks and no point tiles: the reference of the
+    ``sweep_vn`` gate, at sizes far below every plan's lane cap.
+    """
+    plan = simulator.plan
+    port, points, lanes = plan.key_port, len(keys), len(keys) * n
+    env = {}
+    for name in plan.inputs:
+        width = plan.width_of(name)
+        words = pack_values(inputs[name], width) if name in inputs \
+            else [0] * width
+        env[name] = [_comb_replicate(word, n, points) for word in words]
+    env[port] = _fit(_pack_swept_keys(keys, plan.width_of(port), n),
+                     plan.width_of(port))
+    execute_steps(plan.steps, env, (1 << lanes) - 1, batch_release(plan))
+    values = {name: unpack_values(env[name], lanes) for name in plan.outputs}
+    return [{name: values[name][start:start + n] for name in plan.outputs}
+            for start in range(0, lanes, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +210,12 @@ def _key_sweep_setup(design: Design, rng: random.Random, sizes: Sizes):
 
 
 def _sweep_vn_setup(design: Design, rng: random.Random, sizes: Sizes):
-    # Only the hoist toggle differs, so the delta is exactly what sweep
-    # value-numbering buys.
+    # The reference evaluates the same steps without hoisting, so the delta
+    # is what sweep value-numbering buys.
     n = sizes.vn_vectors
-    simulator, _, _, run = _sweep_inputs(design, rng, sizes.keys, n)
+    simulator, batch, keys, run = _sweep_inputs(design, rng, sizes.keys, n)
     stats = simulator.plan.stats
-    return run(hoist=False), run(hoist=True), {
+    return (lambda: flat_sweep(simulator, batch, keys, n)), run(), {
         "keys": sizes.keys, "vectors": n,
         "invariant_steps": stats.invariant_steps,
         "total_steps": stats.steps,
@@ -205,13 +235,13 @@ def _pipelined_setup(design: Design, rng: random.Random, sizes: Sizes):
 
 
 # ---------------------------------------------------------------------------
-# Default design suites
+# Design suites
 # ---------------------------------------------------------------------------
 
 
 def _era_locked(benchmark: str, scale: float, seed: int) -> Design:
-    from ..bench import load_benchmark
-    from ..locking.era import ERALocker
+    from repro.bench import load_benchmark
+    from repro.locking.era import ERALocker
 
     base = load_benchmark(benchmark, scale=scale, seed=seed)
     budget = max(1, int(0.75 * base.num_operations()))
@@ -220,14 +250,14 @@ def _era_locked(benchmark: str, scale: float, seed: int) -> Design:
 
 
 def default_suite(scale: float = 0.25, seed: int = 0) -> Suite:
-    """The default engine-comparison designs: plain, locked, and imbalanced.
+    """The engine-comparison designs: plain, locked, and imbalanced.
 
     The ERA-locked entry carries the heaviest shared-subexpression load
     (dummy operations duplicate operand subtrees), so it exercises the CSE
     pass of the plan compiler.
     """
-    from ..bench import load_benchmark, plus_network
-    from ..locking.assure import AssureLocker
+    from repro.bench import load_benchmark, plus_network
+    from repro.locking.assure import AssureLocker
 
     plus = plus_network(128, n_inputs=8, name="plus_128")
     md5 = load_benchmark("MD5", scale=scale, seed=seed)
@@ -273,7 +303,7 @@ SWEEP_VN = Case("sweep_vn", "flat", "hoisted", _sweep_vn_setup,
 PIPELINED_SWEEP = Case("pipelined_sweep", "full", "tiled", _pipelined_setup,
                        pipelined_suite, measure_memory=True)
 
-#: Every comparison ``sim-bench`` runs, in report order.
+#: Every comparison :func:`run_cases` makes, in report order.
 CASES: Tuple[Case, ...] = (ENGINES, KEY_SWEEPS, SWEEP_VN, PIPELINED_SWEEP)
 
 
@@ -333,46 +363,30 @@ def compare(case: Case, design: Design, sizes: Sizes = Sizes(),
     return result
 
 
-def run_cases(sizes: Sizes = Sizes(), designs: Optional[Suite] = None,
-              scale: float = 0.25, seed: int = 0,
+def run_cases(sizes: Sizes = Sizes(), scale: float = 0.25, seed: int = 0,
               repeats: int = 3) -> Dict[str, List[Comparison]]:
-    """Run every applicable :data:`CASES` row; ``{case name: comparisons}``.
+    """Run every :data:`CASES` row over its suite; ``{case name:
+    comparisons}`` (``locked_only`` cases skip unlocked designs).
 
     Args:
         sizes: Workload sizes.
-        designs: Designs replacing every case's default suite (e.g. one
-            user-supplied netlist); ``locked_only`` cases skip unlocked ones.
-        scale: Benchmark scale of the default suites.
-        seed: Seed of the default suites and of every comparison's rng.
+        scale: Benchmark scale of the suites.
+        seed: Seed of the suites and of every comparison's rng.
         repeats: Timing repetitions (best time kept).
     """
-    results: Dict[str, List[Comparison]] = {}
-    for case in CASES:
-        suite = case.suite(scale, seed) if designs is None else designs
-        results[case.name] = [
-            compare(case, design, sizes, rng=random.Random(seed),
-                    repeats=repeats, label=label)
-            for label, design in suite
-            if design.is_locked or not case.locked_only]
-    return results
+    return {case.name: [compare(case, design, sizes, rng=random.Random(seed),
+                                repeats=repeats, label=label)
+                        for label, design in case.suite(scale, seed)
+                        if design.is_locked or not case.locked_only]
+            for case in CASES}
 
 
-def format_comparisons(comparisons: Sequence[Comparison]) -> str:
-    """Render one case's (non-empty) comparisons as a text table."""
-    from ..eval.tables import format_table
-
-    case = comparisons[0].case
-    memory = ["mem"] if case.measure_memory else []
-    headers = ["design", *comparisons[0].counters, f"{case.baseline} [ms]",
-               f"{case.candidate} [ms]", "speedup", *memory, "match"]
-    rows = [[item.design, *item.counters.values(),
-             item.baseline_seconds * 1e3, item.candidate_seconds * 1e3,
-             f"{item.speedup:.2f}x",
-             *([f"{item.memory_ratio:.2f}x"] if memory else []),
-             "yes" if item.outputs_match else "NO"]
-            for item in comparisons]
-    return format_table(headers, rows, title=f"{case.name}: {case.baseline} "
-                                              f"vs. {case.candidate}")
+def assert_outputs_match(results: Dict[str, List[Comparison]]) -> None:
+    """Fail, naming each ``case/design``, where two paths disagree."""
+    disagree = [f"{name}/{item.design}" for name, items in results.items()
+                for item in items if not item.outputs_match]
+    assert not disagree, ("measured paths disagree, the batch plan is "
+                          f"unsound here: {', '.join(disagree)}")
 
 
 def report_json(results: Dict[str, List[Comparison]]) -> Dict[str, object]:

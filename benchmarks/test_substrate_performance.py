@@ -11,6 +11,7 @@ asserted explicitly.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,16 +23,17 @@ from repro.rtlir import Design
 from repro.sim import (
     BatchSimulator,
     CombinationalSimulator,
+    batch_to_vectors,
     compile_plan,
-    key_sweep,
     random_input_batch,
     random_key,
 )
-from repro.sim.bench import (ENGINES, KEY_SWEEPS, PIPELINED_SWEEP, SWEEP_VN,
-                             Sizes, compare)
 from repro.verilog import generate, parse
 
 from .conftest import write_result
+from .sim_cases import (ENGINES, KEY_SWEEPS, PIPELINED_SWEEP, SWEEP_VN,
+                        Sizes, assert_outputs_match, compare, report_json,
+                        run_cases)
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +189,13 @@ def test_key_sweep_bit_identical_to_scalar_oracle(request, fixture_name):
     batch = random_input_batch(design, rng, 16)
     keys = [design.correct_key] + [random_key(design.key_width, rng)
                                    for _ in range(7)]
-    fast = key_sweep(design, batch, keys, n=16, engine="batch")
-    slow = key_sweep(design, batch, keys, n=16, engine="scalar")
-    assert fast == slow
+    swept = BatchSimulator(design).run_sweep(batch, keys=keys, n=16)
+    scalar = CombinationalSimulator(design)
+    vectors = batch_to_vectors(batch, 16)
+    for key, outputs in zip(keys, swept):
+        rows = [scalar.run(vector, key=key) for vector in vectors]
+        assert outputs == {name: [row[name] for row in rows]
+                           for name in scalar.output_names}
 
 
 def test_key_sweep_throughput_era_md5(benchmark, era_locked_md5):
@@ -220,8 +226,8 @@ def test_sweep_vn_speedup_on_kpa_shape(results_dir, era_locked_i2c):
 
     64 key hypotheses over one shared 512-vector batch — the SnapShot
     functional-KPA pattern — on an ERA-locked control-style design whose
-    key cone leaves most of the plan point-invariant.  The baseline is the
-    flat PR 2 sweep (every step on all S×V lanes, ``hoist=False``).
+    key cone leaves most of the plan point-invariant.  The baseline is
+    ``sim_cases.flat_sweep``, every step on all S×V lanes.
     """
     comparison = compare(SWEEP_VN, era_locked_i2c,
                          Sizes(keys=64, vn_vectors=512),
@@ -337,3 +343,35 @@ def test_plan_cache_hit_rate_in_attack_validation(locked_md5):
     info = plan_cache_info()
     assert info.misses == 1
     assert info.hits == 4
+
+
+# ---------------------------------------------------------------------------
+# The whole case table
+# ---------------------------------------------------------------------------
+
+
+def test_case_table_writes_bench_sim_json(results_dir):
+    """Every case on its suite at the default sizes; both paths of every
+    comparison must agree, and the numbers go to ``BENCH_sim.json``."""
+    results = run_cases(Sizes(), scale=0.25, seed=0, repeats=3)
+    assert_outputs_match(results)
+    payload = report_json(results)
+    assert set(payload) == {"engines", "key_sweeps", "sweep_vn",
+                            "pipelined_sweep"}
+    common = {"design", "baseline", "candidate", "baseline_ms",
+              "candidate_ms", "speedup", "baseline_peak_bytes",
+              "candidate_peak_bytes", "memory_ratio", "outputs_match"}
+    counters = {"engines": {"vectors", "compile_ms"},
+                "key_sweeps": {"keys", "vectors", "cse_steps",
+                               "pruned_steps"},
+                "sweep_vn": {"keys", "vectors", "invariant_steps",
+                             "total_steps", "hoisted_subexprs"},
+                "pipelined_sweep": {"keys", "vectors", "max_lanes", "tiles"}}
+    for name, entries in payload.items():
+        assert entries, f"{name}: no comparisons"
+        for entry in entries:
+            assert set(entry) == common | counters[name], name
+    assert {entry["design"] for entry in payload["sweep_vn"]} \
+        == {"i2c_sl_era", "md5_scaled_era"}
+    (results_dir / "BENCH_sim.json").write_text(
+        json.dumps(payload, indent=2) + "\n")

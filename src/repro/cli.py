@@ -10,7 +10,6 @@ and attacked without writing Python:
 * ``repro-lock evaluate --benchmarks MD5 FIR``        — run the Fig. 6 style evaluation
 * ``repro-lock run      scenario.json --jobs 4``      — run a declarative scenario (resumable)
 * ``repro-lock report   runs/<name>``                 — re-render figures/tables from a results store
-* ``repro-lock sim-bench --json BENCH_sim.json``      — micro-benchmark the simulation engines
 * ``repro-lock serve    --runs-root runs``            — persistent scenario service (warm plan cache)
 * ``repro-lock submit   scenario.json --watch``       — submit a scenario to a running server
 * ``repro-lock status   [job-0001]``                  — server/job status over the service protocol
@@ -603,66 +602,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sim_bench(args: argparse.Namespace) -> int:
-    """Run every applicable case of the simulation micro-benchmark table."""
-    from .sim import BatchCompileError, SimulationError
-    from .sim.bench import (Sizes, default_suite, format_comparisons,
-                            report_json, run_cases)
-
-    if args.key_file is not None and args.input is None:
-        raise SystemExit("error: --key-file needs an input design")
-    suite = None
-    if args.input is not None:
-        design = (_design_from_key_metadata(args.input, args.top,
-                                            args.key_file)
-                  if args.key_file is not None
-                  else _load_design(args.input, args.top))
-        suite = [(design.name, design)]
-
-    try:
-        sizes = Sizes(vectors=args.vectors, keys=args.keys,
-                      vn_vectors=args.vn_vectors, max_lanes=args.max_lanes)
-        results = run_cases(sizes=sizes, designs=suite, scale=args.scale,
-                            seed=args.seed, repeats=args.repeats)
-    except BatchCompileError as exc:
-        raise SystemExit(f"error: design is not batch-compilable ({exc}); "
-                         "only the scalar engine can simulate it")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    print("\n\n".join(format_comparisons(comparisons)
-                      for comparisons in results.values() if comparisons))
-    if args.avalanche:
-        from .locking.metrics import avalanche_sensitivity
-
-        rows = []
-        for label, design in suite or default_suite(args.scale, args.seed):
-            try:
-                report = avalanche_sensitivity(
-                    design, vectors=min(args.vectors, 64),
-                    rng=random.Random(args.seed))
-            except (SimulationError, ValueError) as exc:
-                rows.append([label, "-", "-", "-", "-", f"({exc})"])
-                continue
-            rows.append([label, report.signal, len(report.bit_indices),
-                         f"{report.mean_sensitivity:.3f}",
-                         f"{report.min_sensitivity:.3f}",
-                         f"{report.max_sensitivity:.3f}"])
-        print()
-        print(format_table(
-            ["design", "probed input", "bits", "mean", "min", "max"],
-            rows, title="Avalanche sensitivity (fraction of output bits "
-                        "flipped per single-bit input flip)"))
-    if args.json is not None:
-        args.json.write_text(json.dumps(report_json(results), indent=2) + "\n")
-        print(f"\nJSON report written to {args.json}")
-    if any(not item.outputs_match
-           for comparisons in results.values() for item in comparisons):
-        print("\nERROR: measured paths disagree — the batch plan is "
-              "unsound here.")
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -852,41 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("-q", "--quiet", action="store_true",
                        help="only print the final state line")
     watch.set_defaults(func=cmd_watch)
-
-    sim_bench = subparsers.add_parser(
-        "sim-bench",
-        help="micro-benchmark the batch simulation engine vs. the scalar one")
-    sim_bench.add_argument("input", nargs="?", type=Path, default=None,
-                           help="Verilog file to measure (default: built-in "
-                                "design suite)")
-    sim_bench.add_argument("--top", default=None)
-    sim_bench.add_argument("--key-file", type=Path, default=None,
-                           help="key metadata JSON produced by 'lock' for "
-                                "the input design; enables the sweep "
-                                "comparisons on it")
-    sim_bench.add_argument("--vectors", type=int, default=256)
-    sim_bench.add_argument("--keys", type=int, default=64,
-                           help="key hypotheses per sweep comparison")
-    sim_bench.add_argument("--vn-vectors", type=int, default=512,
-                           help="shared vectors per sweep value-numbering "
-                                "and pipelined-sweep comparison (--keys x "
-                                "this many lanes)")
-    sim_bench.add_argument("--max-lanes", type=int, default=16384,
-                           help="lane cap per tile for the pipelined-sweep "
-                                "comparison (full vs. tiled)")
-    sim_bench.add_argument("--scale", type=float, default=0.25,
-                           help="benchmark scale of the built-in suite")
-    sim_bench.add_argument("--repeats", type=int, default=3)
-    sim_bench.add_argument("--seed", type=int, default=0)
-    sim_bench.add_argument("--json", type=Path, nargs="?",
-                           const=Path("BENCH_sim.json"), default=None,
-                           help="write per-engine timings and speedups as "
-                                "JSON (default path: BENCH_sim.json)")
-    sim_bench.add_argument("--avalanche", action="store_true",
-                           help="also report per-design input avalanche "
-                                "sensitivity (single-bit flips, one "
-                                "bit-parallel sweep per design)")
-    sim_bench.set_defaults(func=cmd_sim_bench)
 
     return parser
 

@@ -25,28 +25,25 @@ corrupted.  :func:`check_equivalence` and :func:`output_corruption` use the
 batch engine by default and fall back to the scalar oracle for constructs the
 plan compiler cannot express.
 
-On top of per-vector batching, four layers serve the metric and attack hot
+On top of per-vector batching, three layers serve the metric and attack hot
 loops:
 
-* :func:`key_sweep` / :meth:`BatchSimulator.run_sweep` — N key hypotheses (or
-  per-point input bindings) evaluate as lanes of *one* pass instead of N
-  batch calls, with automatic per-key scalar fallback; a lane cap (the
-  ``max_lanes`` argument of ``run_sweep``, else the plan's own cap from
-  :func:`auto_max_lanes`, in every context) streams million-lane sweeps
-  through fixed-size point tiles with bounded peak memory and
-  bit-identical results,
-* :func:`sweep_differences` / :meth:`BatchSimulator.sweep_differences` — the
-  same sweep, reduced to how many lanes and output bits of each point
-  differ from point 0, counted by XOR and popcount on the slice words
-  without unpacking a lane; output corruption, key-bit sensitivity, input
-  avalanche and functional KPA all run on it,
+* :func:`sweep_differences` / :meth:`BatchSimulator.sweep_differences` — N
+  key hypotheses (or per-point input bindings) evaluate as lanes of *one*
+  pass instead of N batch calls, reduced to how many lanes and output bits
+  of each point differ from point 0, counted by XOR and popcount on the
+  slice words without unpacking a lane; output corruption, key-bit
+  sensitivity, input avalanche and functional KPA all run on it, and
+  designs the plan compiler cannot express fall back to the scalar engine.
+  A lane cap (the plan's own cap from :func:`auto_max_lanes`, or the
+  ``max_lanes`` argument of :meth:`BatchSimulator.run_sweep`, the value
+  form of the same sweep) streams million-lane sweeps through fixed-size
+  point tiles with bounded peak memory and bit-identical results,
 * :func:`get_plan` — a process-wide LRU plan cache keyed by
   :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`, so
   equivalence checks, metrics, KPA and SnapShot stop recompiling one design,
 * :mod:`repro.sim.vectors` — the single seeded random-vector/key sampler all
   consumers draw from, making sweeps reproducible from one ``rng``.
-
-:mod:`repro.sim.bench` measures the speedups.
 """
 
 from .evaluator import ExpressionEvaluator, SimulationError, mask
@@ -77,7 +74,6 @@ from .simulator import (
     CombinationalSimulator,
     EquivalenceReport,
     check_equivalence,
-    key_sweep,
     output_corruption,
     sweep_differences,
 )
@@ -99,7 +95,6 @@ __all__ = [
     "EquivalenceReport",
     "check_equivalence",
     "output_corruption",
-    "key_sweep",
     "sweep_differences",
     "ENGINES",
     "DEFAULT_LANE_BITS_BUDGET",

@@ -9,18 +9,21 @@ happens after compilation:
 * the lane packers (:func:`pack_values` / :func:`unpack_values`), and
 * :class:`BatchSimulator` — N input vectors per bit-parallel pass
   (:meth:`~BatchSimulator.run_batch`) and S×V (key, input) sweep lanes per
-  pass (:meth:`~BatchSimulator.run_sweep`), or only how far each sweep
-  point's outputs differ from point 0's
-  (:meth:`~BatchSimulator.sweep_differences`, counted by XOR and popcount
-  on the slice words without unpacking a lane).
+  pass, counted as how far each sweep point's outputs differ from point 0's
+  (:meth:`~BatchSimulator.sweep_differences`, by XOR and popcount on the
+  slice words without unpacking a lane — what the metrics and functional
+  KPA call) or unpacked into per-point values
+  (:meth:`~BatchSimulator.run_sweep`, the value form the tests and
+  benchmarks check the counts and the per-key loop against).
 
-Both sweep entry points hoist point-invariant work: steps whose
-transitive inputs are point-invariant (they read neither a swept key port
-nor a per-point bound signal) evaluate once on the V-lane base batch and
-their results are tiled across the S point blocks, instead of being
-re-evaluated on all S×V lanes.  Identical keys across all sweep points count
-as point-invariant — the avalanche-study shape, where only one probed input
-varies.
+Both sweep forms take the same arguments, checked once by
+:func:`check_sweep` (which the scalar engine calls too), and hoist
+point-invariant work: steps whose transitive inputs are point-invariant
+(they read neither a swept key port nor a per-point bound signal) evaluate
+once on the V-lane base batch and their results are tiled across the S
+point blocks, instead of being re-evaluated on all S×V lanes.  Identical
+keys across all sweep points count as point-invariant — the
+avalanche-study shape, where only one probed input varies.
 
 Every pass is capped in lanes: by an explicit ``max_lanes`` argument
 where the caller passes one, else by the plan's own cap
@@ -663,37 +666,34 @@ class _SweepSchedule:
                  "invariant_outputs", "varying_outputs",
                  "invariant_release", "varying_release")
 
-    def __init__(self, plan: EvalPlan, varying: FrozenSet[str],
-                 flat: bool) -> None:
-        if not flat:
-            invariant, point_varying = classify_steps(
-                plan.steps, plan.inputs, set(varying))
-            targets = {step.target for step in invariant}
-            # Hoisting pays off when a meaningful share of the plan leaves
-            # the S×V lanes (or a whole output can be extracted once from
-            # the V-lane base batch); for key-cone-dominated plans the
-            # base-batch bookkeeping would only add overhead, so fall back
-            # to the flat schedule.
-            profitable = any(name in targets for name in plan.outputs) \
-                or 2 * len(invariant) >= len(plan.steps)
-            flat = not profitable
-        if flat:
-            self.invariant_steps: List[Step] = []
-            self.varying_steps: List[Step] = list(plan.steps)
-            self.invariant_outputs: Tuple[str, ...] = ()
-            self.varying_outputs = tuple(plan.outputs)
-            self.needed: FrozenSet[str] = frozenset(plan.inputs)
-        else:
-            self.invariant_steps = invariant
-            self.varying_steps = point_varying
-            self.invariant_outputs = tuple(name for name in plan.outputs
-                                           if name in targets)
+    def __init__(self, plan: EvalPlan, varying: FrozenSet[str]) -> None:
+        invariant, point_varying = classify_steps(
+            plan.steps, plan.inputs, set(varying))
+        targets = {step.target for step in invariant}
+        # Hoisting pays off when a meaningful share of the plan leaves
+        # the S×V lanes (or a whole output can be extracted once from
+        # the V-lane base batch); for key-cone-dominated plans the
+        # base-batch bookkeeping would only add overhead, so fall back
+        # to the flat schedule.
+        profitable = any(name in targets for name in plan.outputs) \
+            or 2 * len(invariant) >= len(plan.steps)
+        if profitable:
+            self.invariant_steps: List[Step] = invariant
+            self.varying_steps: List[Step] = point_varying
+            self.invariant_outputs: Tuple[str, ...] = tuple(
+                name for name in plan.outputs if name in targets)
             self.varying_outputs = tuple(name for name in plan.outputs
                                          if name not in targets)
             needed: Set[str] = set()
             for step in self.varying_steps:
                 needed.update(step.reads)
-            self.needed = frozenset(needed)
+            self.needed: FrozenSet[str] = frozenset(needed)
+        else:
+            self.invariant_steps = []
+            self.varying_steps = list(plan.steps)
+            self.invariant_outputs = ()
+            self.varying_outputs = tuple(plan.outputs)
+            self.needed = frozenset(plan.inputs)
         # The invariant pass keeps what the tiles read and the hoisted
         # outputs; a tile keeps only its point-varying outputs.
         self.invariant_release = release_schedule(
@@ -702,18 +702,17 @@ class _SweepSchedule:
                                                 self.varying_outputs)
 
 
-def sweep_schedule(plan: EvalPlan, varying: FrozenSet[str],
-                   flat: bool = False) -> _SweepSchedule:
+def sweep_schedule(plan: EvalPlan,
+                   varying: FrozenSet[str]) -> _SweepSchedule:
     """The (cached) sweep schedule of ``plan`` for one set of varying sources."""
     cache = getattr(plan, "_sweep_schedules", None)
     if cache is None:
         cache = {}
         plan._sweep_schedules = cache  # type: ignore[attr-defined]
-    key = (varying, flat)
-    schedule = cache.get(key)
+    schedule = cache.get(varying)
     if schedule is None:
-        schedule = _SweepSchedule(plan, varying, flat)
-        cache[key] = schedule
+        schedule = _SweepSchedule(plan, varying)
+        cache[varying] = schedule
     return schedule
 
 
@@ -759,6 +758,75 @@ class _Sweep(NamedTuple):
     bindings: List[Mapping[str, int]]
     bound: Set[str]
     swept_keys: Optional[List[Sequence[int]]]
+
+
+def check_sweep(inputs: Mapping[str, Sequence[int]],
+                keys: Optional[Sequence[Sequence[int]]],
+                bindings: Optional[Sequence[Mapping[str, int]]],
+                n: Optional[int], design_inputs: Collection[str],
+                key_port: Optional[str],
+                top: str) -> Tuple[int, int, Set[str]]:
+    """Check one sweep's arguments; every engine calls this first.
+
+    The batch sweeps of :class:`BatchSimulator` and the scalar engine of
+    :func:`repro.sim.sweep_differences` share it, so a bad sweep raises the
+    same error whichever engine would have run it.
+
+    Args:
+        inputs: Shared base batch ``{input name: [value per lane]}``.
+        keys: One key per sweep point, or ``None``.
+        bindings: Per-point input overrides, or ``None``.
+        n: Base lane count override.
+        design_inputs: The design's primary inputs (key port included).
+        key_port: The design's key port (``None`` when unlocked).
+        top: The design's top module name, for the messages.
+
+    Returns:
+        ``(base lanes, sweep points, names bound in any point)``.
+
+    Raises:
+        SimulationError: for inconsistent lane or point counts, key sweeps
+            of unlocked designs, unknown signals, a bound key port, or an
+            input that is both shared and bound.
+    """
+    base = n
+    for name, values in inputs.items():
+        if base is None:
+            base = len(values)
+        elif len(values) != base:
+            raise SimulationError(
+                f"input {name!r} has {len(values)} lanes, expected {base}")
+    if base is None or base < 1:
+        raise SimulationError("sweep needs at least one base lane "
+                              "(pass inputs or n)")
+    points = len(keys) if keys is not None else None
+    if bindings is not None:
+        if points is None:
+            points = len(bindings)
+        elif len(bindings) != points:
+            raise SimulationError(
+                f"got {len(bindings)} bindings for {points} sweep points")
+    if points is None or points < 1:
+        raise SimulationError("sweep needs at least one point "
+                              "(pass keys or bindings)")
+    if keys is not None and key_port is None:
+        raise SimulationError("cannot sweep keys of an unlocked design")
+    bound: Set[str] = set()
+    for point in bindings or ():
+        bound.update(point)
+    for name in bound:
+        if name not in design_inputs:
+            raise SimulationError(f"{name!r} is not an input of {top!r}")
+        if name == key_port:
+            raise SimulationError(
+                "sweep the key port via 'keys', not 'bindings'")
+    for name in inputs:
+        if name not in design_inputs:
+            raise SimulationError(f"{name!r} is not an input of {top!r}")
+        if name in bound:
+            raise SimulationError(
+                f"input {name!r} is both shared and swept per point")
+    return base, points, bound
 
 
 class BatchSimulator:
@@ -895,7 +963,6 @@ class BatchSimulator:
                   keys: Optional[Sequence[Sequence[int]]] = None,
                   bindings: Optional[Sequence[Mapping[str, int]]] = None,
                   n: Optional[int] = None,
-                  hoist: bool = True,
                   max_lanes: Optional[int] = None
                   ) -> List[Dict[str, List[int]]]:
         """Evaluate S sweep points over one shared input batch in one pass.
@@ -907,14 +974,14 @@ class BatchSimulator:
         loop ``[run_batch(inputs, key=k) for k in keys]``, which pays the
         plan-interpretation overhead S times instead of once.
 
-        With ``hoist`` (the default), point-invariant steps — those reading
-        neither a swept key port nor a per-point bound signal, directly or
-        transitively — are evaluated *once* on the V base lanes and their
-        results tiled across the S point blocks, instead of being
-        re-evaluated on all S×V lanes.
-        Identical keys on every point (the avalanche-study shape) make the
-        whole key cone point-invariant too.  Results are bit-identical
-        either way.
+        Point-invariant steps — those reading neither a swept key port nor
+        a per-point bound signal, directly or transitively — are evaluated
+        *once* on the V base lanes and their results tiled across the S
+        point blocks, instead of being re-evaluated on all S×V lanes
+        (unless the plan's schedule falls back to the flat split, see
+        :func:`sweep_schedule`).  Identical keys on every point (the
+        avalanche-study shape) make the whole key cone point-invariant too.
+        Results are bit-identical either way.
 
         Args:
             inputs: Shared base batch ``{input name: [value per lane]}``; all
@@ -926,8 +993,6 @@ class BatchSimulator:
                 bound in one point but omitted in another defaults to 0 for
                 the latter.  The key port must be swept via ``keys``.
             n: Base lane count override, required when ``inputs`` is empty.
-            hoist: ``False`` forces the flat S×V evaluation of every step —
-                the pre-VN behaviour, kept for benchmarking and debugging.
             max_lanes: Peak lane width of one bit-parallel pass.  Sweeps
                 wider than this are split into point tiles of
                 ``max(1, max_lanes // V)`` points each: invariant work still
@@ -948,7 +1013,7 @@ class BatchSimulator:
                 counts, invalid key bits, key sweeps on unlocked designs, or
                 a non-positive ``max_lanes``.
         """
-        sweep = self._prepare_sweep(inputs, keys, bindings, n, hoist)
+        sweep = self._prepare_sweep(inputs, keys, bindings, n)
         base = sweep.base
         invariant_values = {name: unpack_values(slices, base)
                             for name, slices in sweep.invariant_env.items()}
@@ -958,9 +1023,10 @@ class BatchSimulator:
             lanes = (last - first) * base
             # The comb multiply, not the byte repeat of sweep_differences:
             # byte repeat speeds a flat schedule more than a hoisted one and
-            # would shrink the value-numbering ratio sim-bench gates on, for
-            # no caller's benefit — the metrics count with
-            # sweep_differences, and this path serves value cross-checks.
+            # would shrink the value-numbering ratio that the sweep_vn gate
+            # in benchmarks/ asserts, for no caller's benefit — the metrics
+            # count with sweep_differences, and this path serves value
+            # cross-checks.
             env = self._execute_tile(sweep, first, last, _comb_replicate)
             # Point-varying outputs: one flat unpack over the tile's lanes,
             # then sliced per point — cheaper than points * (shift/mask +
@@ -1002,7 +1068,7 @@ class BatchSimulator:
         Raises:
             SimulationError: as :meth:`run_sweep`.
         """
-        sweep = self._prepare_sweep(inputs, keys, bindings, n, True)
+        sweep = self._prepare_sweep(inputs, keys, bindings, n)
         base = sweep.base
         lanes: List[int] = []
         bits: List[int] = []
@@ -1023,46 +1089,13 @@ class BatchSimulator:
     def _prepare_sweep(self, inputs: Mapping[str, Sequence[int]],
                        keys: Optional[Sequence[Sequence[int]]],
                        bindings: Optional[Sequence[Mapping[str, int]]],
-                       n: Optional[int],
-                       hoist: bool) -> _Sweep:
+                       n: Optional[int]) -> _Sweep:
         """Validate a sweep and run its point-invariant work on the V lanes."""
-        base = n
-        for name, values in inputs.items():
-            if base is None:
-                base = len(values)
-            elif len(values) != base:
-                raise SimulationError(
-                    f"input {name!r} has {len(values)} lanes, expected {base}")
-        if base is None or base < 1:
-            raise SimulationError("sweep needs at least one base lane "
-                                  "(pass inputs or n)")
-        points = len(keys) if keys is not None else None
-        if bindings is not None:
-            if points is None:
-                points = len(bindings)
-            elif len(bindings) != points:
-                raise SimulationError(
-                    f"got {len(bindings)} bindings for {points} sweep points")
-        if points is None or points < 1:
-            raise SimulationError("sweep needs at least one point "
-                                  "(pass keys or bindings)")
         key_port = self.plan.key_port
-        if keys is not None and key_port is None:
-            raise SimulationError("cannot sweep keys of an unlocked design")
-
+        base, points, bound = check_sweep(inputs, keys, bindings, n,
+                                          set(self.plan.inputs), key_port,
+                                          self.design.top_name)
         block = (1 << base) - 1
-
-        known = set(self.plan.inputs)
-        bound: Set[str] = set()
-        for point in bindings or ():
-            bound.update(point)
-        for name in bound:
-            if name not in known:
-                raise SimulationError(f"{name!r} is not an input of "
-                                      f"{self.design.top_name!r}")
-            if name == key_port:
-                raise SimulationError(
-                    "sweep the key port via 'keys', not 'bindings'")
 
         # Point-varying sources: per-point bound signals, and the key port
         # unless every point binds the same key (then it broadcasts).
@@ -1077,15 +1110,9 @@ class BatchSimulator:
 
         # Base environment at V lanes: shared inputs and zero defaults for
         # everything that is not swept per point.
-        base_env: Dict[str, Slices] = {}
-        for name, values in inputs.items():
-            if name not in known:
-                raise SimulationError(f"{name!r} is not an input of "
-                                      f"{self.design.top_name!r}")
-            if name in bound:
-                raise SimulationError(
-                    f"input {name!r} is both shared and swept per point")
-            base_env[name] = pack_values(values, self.width_of(name))
+        base_env: Dict[str, Slices] = {
+            name: pack_values(values, self.width_of(name))
+            for name, values in inputs.items()}
         for name in self.plan.inputs:
             if name not in base_env and name not in varying:
                 base_env[name] = [0] * self.width_of(name)
@@ -1093,8 +1120,7 @@ class BatchSimulator:
             base_env[key_port] = _fit(_pack_key_broadcast(shared_key, block),
                                       self.width_of(key_port))
 
-        schedule = sweep_schedule(self.plan, frozenset(varying),
-                                  flat=not hoist)
+        schedule = sweep_schedule(self.plan, frozenset(varying))
 
         # Invariant work runs once on the V base lanes; only what the
         # varying steps read is kept for tiling out to the sweep lanes, plus

@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..rtlir.design import Design
 from .evaluator import ExpressionEvaluator, SimulationError, mask
-from .plan.executor import SweepDifferences
+from .plan.executor import SweepDifferences, check_sweep
 from .plan.steps import _declared_widths, _ordered_assignments
 
 
@@ -266,81 +266,6 @@ def output_corruption(locked: Design, correct_key: Sequence[int],
     return differences.lanes[0] / vectors
 
 
-def _lane_count(inputs: Mapping[str, Sequence[int]],
-                n: Optional[int]) -> int:
-    """The shared lane count of a sweep's input batch (``n`` if given)."""
-    lanes = n
-    for name, values in inputs.items():
-        if lanes is None:
-            lanes = len(values)
-        elif len(values) != lanes:
-            raise SimulationError(
-                f"input {name!r} has {len(values)} lanes, expected {lanes}")
-    if lanes is None or lanes < 1:
-        raise SimulationError("sweep needs at least one lane "
-                              "(pass inputs or n)")
-    return lanes
-
-
-def key_sweep(design: Design, inputs: Mapping[str, Sequence[int]],
-              keys: Sequence[Sequence[int]], n: Optional[int] = None,
-              engine: str = "batch") -> List[Dict[str, List[int]]]:
-    """Outputs of ``design`` under several key hypotheses on one shared batch.
-
-    All ``len(keys)`` hypotheses evaluate as lanes of a single bit-parallel
-    pass over the design's cached plan.  This is for callers that need the
-    output values themselves, such as the scalar-oracle cross-checks;
-    the metric consumers only count differences from the first key and use
-    :func:`sweep_differences`.  Designs the plan compiler cannot express
-    fall back to a per-key scalar loop with bit-identical results — callers
-    never see the engine switch.
-
-    Args:
-        design: A locked design.
-        inputs: Shared input batch ``{input name: [value per lane]}``.
-        keys: Key hypotheses, one output dict per entry in the result.
-        n: Lane count override, required when ``inputs`` is empty.
-        engine: ``batch`` (sweep fast path, the default) or ``scalar``.
-            The batch sweep is tiled at the plan's lane cap (see
-            :func:`~repro.sim.plan.auto_max_lanes`).
-
-    Returns:
-        One ``{output name: [value per lane]}`` dict per key, in key order.
-
-    Raises:
-        SimulationError: for unlocked designs, unknown inputs or
-            inconsistent lane counts.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown simulation engine {engine!r}; "
-                         f"expected one of {ENGINES}")
-    if design.key_port is None:
-        raise SimulationError("cannot sweep keys of an unlocked design")
-    lanes = _lane_count(inputs, n)
-    if len(keys) < 1:
-        raise SimulationError("key sweep needs at least one key hypothesis")
-
-    if engine == "batch":
-        simulators = _batch_simulators(design)
-        if simulators is not None:
-            (simulator,) = simulators
-            return simulator.run_sweep(inputs, keys=keys, n=lanes)
-
-    from .vectors import batch_to_vectors
-    simulator = CombinationalSimulator(design)
-    vectors = batch_to_vectors(inputs, lanes)
-    results: List[Dict[str, List[int]]] = []
-    for key in keys:
-        outputs: Dict[str, List[int]] = {name: []
-                                         for name in simulator.output_names}
-        for vector in vectors:
-            values = simulator.run(vector, key=key)
-            for name in outputs:
-                outputs[name].append(values[name])
-        results.append(outputs)
-    return results
-
-
 def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
                       keys: Optional[Sequence[Sequence[int]]] = None,
                       bindings: Optional[Sequence[Mapping[str, int]]] = None,
@@ -372,14 +297,13 @@ def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
         after point 0.
 
     Raises:
-        SimulationError: for key sweeps of unlocked designs, unknown inputs,
-            or inconsistent lane or point counts.
+        SimulationError: for every sweep
+            :func:`~repro.sim.plan.executor.check_sweep` rejects, with the
+            same message on both engines.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown simulation engine {engine!r}; "
                          f"expected one of {ENGINES}")
-    if keys is not None and design.key_port is None:
-        raise SimulationError("cannot sweep keys of an unlocked design")
     if engine == "batch":
         simulators = _batch_simulators(design)
         if simulators is not None:
@@ -387,17 +311,12 @@ def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
             return simulator.sweep_differences(inputs, keys=keys,
                                                bindings=bindings, n=n)
 
-    lanes = _lane_count(inputs, n)
-    points = len(keys) if keys is not None else len(bindings or ())
-    if bindings is not None and len(bindings) != points:
-        raise SimulationError(
-            f"got {len(bindings)} bindings for {points} sweep points")
-    if points < 1:
-        raise SimulationError("sweep needs at least one point "
-                              "(pass keys or bindings)")
-
-    from .vectors import batch_to_vectors
     simulator = CombinationalSimulator(design)
+    lanes, points, _ = check_sweep(inputs, keys, bindings, n,
+                                   set(simulator.input_names),
+                                   design.key_port,
+                                   design.top_name)
+    from .vectors import batch_to_vectors
     outputs = simulator.output_names
     vectors = batch_to_vectors(inputs, lanes)
     reference: List[Dict[str, int]] = []

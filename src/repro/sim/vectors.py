@@ -1,8 +1,8 @@
 """Seeded random-vector and key sampling shared by every simulation consumer.
 
-Before this module existed, :mod:`repro.locking.metrics`, :mod:`repro.attacks.kpa`
-and :mod:`repro.sim.bench` each rolled their own input-vector loops.  All of
-them now draw through the helpers below, which consume the ``random.Random``
+Before this module existed, :mod:`repro.locking.metrics` and
+:mod:`repro.attacks.kpa` each rolled their own input-vector loops.  Both
+now draw through the helpers below, which consume the ``random.Random``
 stream in one canonical order — *vector-major, input-minor*, key port
 excluded — so a shared seed produces identical test vectors everywhere: in
 the scalar oracle, in the batch engine, and across the scalar fallback of the

@@ -5,8 +5,8 @@
 sweeps (plus the process-wide plan cache), and then onto counting the
 differences on the bit-sliced outputs.  Every one of them must produce results identical to the pre-sweep implementation on
 seeded runs — asserted here both against the scalar engine (forced through
-the `sweep_differences` and `key_sweep` entry points the consumers call) and
-against literal pinned values.
+`sweep_differences`, the sweep entry point the consumers call) and against
+literal pinned values.
 """
 
 import random
@@ -25,7 +25,7 @@ from repro.locking import (
     key_bit_sensitivity,
 )
 from repro.rtlir import Design, KeyBit
-from repro.sim import check_equivalence, key_sweep, output_corruption
+from repro.sim import check_equivalence, output_corruption
 
 #: Pinned literals (exact rationals of deterministic integer simulations).
 PINNED_WRONG_KEY_FKPA = 3.125
@@ -35,18 +35,12 @@ PINNED_SENSITIVITY = [0.8125, 0.0, 0.0, 0.0]
 def _run_on_both_engines(fn):
     """Run ``fn`` once on the batch sweep and once forced through scalar.
 
-    Both sweep entry points of :mod:`repro.sim` are forced, so a consumer
-    cannot reach the batch engine on the "scalar" run through either; the
-    run must call at least one of them, or it would compare batch to batch.
+    :func:`repro.sim.sweep_differences` is forced onto its scalar engine;
+    the run must call it, or it would compare batch to batch.
     """
     batch_result = fn()
-    original_sweep = sim_package.key_sweep
     original_differences = sim_package.sweep_differences
     forced = []
-
-    def scalar_sweep(design, inputs, keys, n=None, engine="batch"):
-        forced.append("key_sweep")
-        return original_sweep(design, inputs, keys, n=n, engine="scalar")
 
     def scalar_differences(design, inputs, keys=None, bindings=None, n=None,
                            engine="batch"):
@@ -54,14 +48,12 @@ def _run_on_both_engines(fn):
         return original_differences(design, inputs, keys=keys,
                                     bindings=bindings, n=n, engine="scalar")
 
-    sim_package.key_sweep = scalar_sweep
     sim_package.sweep_differences = scalar_differences
     try:
         scalar_result = fn()
     finally:
-        sim_package.key_sweep = original_sweep
         sim_package.sweep_differences = original_differences
-    assert forced, "the scalar run never reached a sweep entry point"
+    assert forced, "the scalar run never reached sweep_differences"
     return batch_result, scalar_result
 
 

@@ -560,83 +560,6 @@ class TestDryRun:
         assert _tree(store) == before
 
 
-class TestSimBench:
-    def test_suite_reports_engines_and_sweeps(self, capsys):
-        code = main(["sim-bench", "--vectors", "16", "--keys", "8",
-                     "--scale", "0.1", "--repeats", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "scalar [ms]" in out
-        assert "sweep [ms]" in out
-        assert "NO" not in out
-
-    def test_json_report_written(self, tmp_path, capsys):
-        json_path = tmp_path / "BENCH_sim.json"
-        code = main(["sim-bench", "--vectors", "16", "--keys", "8",
-                     "--scale", "0.1", "--repeats", "1",
-                     "--vn-vectors", "64", "--json", str(json_path)])
-        assert code == 0
-        payload = json.loads(json_path.read_text())
-        assert {"engines", "key_sweeps", "sweep_vn",
-                "pipelined_sweep"} == set(payload)
-        assert payload["engines"], "engine comparisons missing"
-        assert payload["key_sweeps"], "key-sweep comparisons missing"
-        assert payload["sweep_vn"], "sweep-VN comparisons missing"
-        assert payload["pipelined_sweep"], "pipelined comparisons missing"
-        for entry in payload["engines"]:
-            assert entry["outputs_match"] is True
-            assert entry["speedup"] > 0
-        for entry in payload["key_sweeps"]:
-            assert entry["outputs_match"] is True
-            assert {"cse_steps", "pruned_steps"} <= set(entry)
-        for entry in payload["sweep_vn"]:
-            assert entry["outputs_match"] is True
-            assert {"invariant_steps", "total_steps",
-                    "hoisted_subexprs"} <= set(entry)
-        designs = {entry["design"] for entry in payload["sweep_vn"]}
-        assert designs == {"i2c_sl_era", "md5_scaled_era"}
-        for entry in payload["pipelined_sweep"]:
-            assert entry["outputs_match"] is True
-            assert {"max_lanes", "tiles", "speedup",
-                    "memory_ratio", "candidate_peak_bytes",
-                    "baseline_peak_bytes"} <= set(entry)
-
-    def test_avalanche_flag_reports_sensitivity(self, capsys):
-        code = main(["sim-bench", "--vectors", "8", "--keys", "4",
-                     "--scale", "0.1", "--repeats", "1", "--avalanche"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Avalanche sensitivity" in out
-        assert "probed input" in out
-
-    def test_single_design_sweep_needs_key_metadata(self, design_file,
-                                                    tmp_path, capsys):
-        locked = tmp_path / "locked.v"
-        key_file = tmp_path / "key.json"
-        assert main(["lock", str(design_file), "-a", "assure",
-                     "--key-bits", "4", "-o", str(locked),
-                     "--key-file", str(key_file)]) == 0
-        capsys.readouterr()
-        # A bare Verilog file has no key metadata: engines table only.
-        assert main(["sim-bench", str(locked), "--vectors", "8",
-                     "--keys", "4", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "scalar [ms]" in out
-        assert "sweep [ms]" not in out
-        # With --key-file the locked design gets a key-sweep comparison.
-        assert main(["sim-bench", str(locked), "--key-file", str(key_file),
-                     "--vectors", "8", "--keys", "4", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep [ms]" in out
-        assert "NO" not in out
-
-    def test_key_file_without_input_design_is_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sim-bench", "--key-file", str(tmp_path / "key.json"),
-                  "--vectors", "8", "--repeats", "1"])
-        assert "--key-file needs an input design" in str(excinfo.value)
-
-
 SERVICE_SCENARIO = json.dumps({
     "name": "cli-svc",
     "benchmarks": ["SASC"],

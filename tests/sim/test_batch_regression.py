@@ -21,9 +21,11 @@ from repro.locking import (
     key_bit_sensitivity,
 )
 from repro.bench import plus_network
-from repro.cli import main
-from repro.sim import bench, check_equivalence, output_corruption
-from repro.sim.bench import ENGINES, Case, Sizes, compare, run_cases
+from repro.sim import check_equivalence, output_corruption
+
+from benchmarks import sim_cases
+from benchmarks.sim_cases import (ENGINES, Case, Sizes, assert_outputs_match,
+                                  compare, run_cases)
 
 #: Seed benchmark profiles covered by the engine-equality regression.
 PROFILES = ["MD5", "FIR", "SASC"]
@@ -165,7 +167,7 @@ def _flipped_lane_setup(design, rng, sizes):
     return scalar, flipped, counters
 
 
-#: A deliberately unsound case: the harness must report its mismatch.
+#: A deliberately unsound case: the case table must fail on it.
 FLIPPED_LANE = Case(
     "flipped_lane", "scalar", "flipped", _flipped_lane_setup,
     lambda scale, seed: [("plus_16", plus_network(16, n_inputs=4,
@@ -191,18 +193,14 @@ class TestMicroBenchmarkHarness:
             compare(ENGINES, design, repeats=0)
 
     def test_flipped_lane_case_reports_mismatch(self, monkeypatch):
-        monkeypatch.setattr(bench, "CASES", (ENGINES, FLIPPED_LANE))
+        monkeypatch.setattr(sim_cases, "CASES", (ENGINES, FLIPPED_LANE))
         results = run_cases(Sizes(vectors=8), scale=0.1, repeats=1)
         assert all(item.outputs_match for item in results["engines"])
         (flipped,) = results["flipped_lane"]
         assert flipped.outputs_match is False
-
-    def test_sim_bench_exits_1_on_mismatch(self, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "CASES", (FLIPPED_LANE,))
-        assert main(["sim-bench", "--vectors", "8", "--repeats", "1"]) == 1
-        out = capsys.readouterr().out
-        assert "flipped [ms]" in out
-        assert "ERROR: measured paths disagree" in out
+        with pytest.raises(AssertionError,
+                           match="disagree.*: flipped_lane/plus_16$"):
+            assert_outputs_match(results)
 
 
 class TestReviewRegressions:

@@ -6,7 +6,7 @@ executor splits the S sweep points into point tiles and streams each tile
 through the varying steps.  Because the bit-slice kernels never mix bits
 across lanes, every tiling — single-point tiles, ragged last tiles, no
 chunking at all — must be *bit-identical* to the unchunked evaluation, for
-both hoisted and flat schedules.
+both the hoisted schedule and the flat fallback the plan may pick.
 """
 
 import contextlib
@@ -19,17 +19,21 @@ from repro.bench import load_benchmark, plus_network
 from repro.locking import AssureLocker, ERALocker, flip_bits
 from repro.sim import (
     BatchSimulator,
+    CombinationalSimulator,
     DEFAULT_LANE_BITS_BUDGET,
     SimulationError,
     auto_max_lanes,
+    batch_to_vectors,
+    cached_simulator,
     compile_plan,
     get_plan,
-    key_sweep,
     plan_lane_bits,
     random_input_batch,
     random_key,
+    sweep_differences,
 )
 from repro.sim.plan import executor
+from repro.sim.plan.executor import sweep_schedule
 
 #: Lane caps exercised against 12 points x 8 base lanes (96 lanes total):
 #: single-point tiles, a ragged last tile (5+5+2 points), and a cap far above
@@ -51,6 +55,19 @@ def _locked(algorithm="era", name="MD5", seed=0, scale=0.15):
 def _random_keys(width, count, seed):
     rng = random.Random(seed)
     return [random_key(width, rng) for _ in range(count)]
+
+
+#: A design whose key sweep hoists invariant steps (and the ``data_out``
+#: output), and one whose key cone makes the plan fall back to flat.
+SCHEDULES = [("I2C_SL", "era", True), ("MD5", "assure", False)]
+
+
+def _scheduled(name, algorithm, hoisted):
+    """The locked design, checked to sweep on the expected schedule."""
+    locked = _locked(algorithm=algorithm, name=name, scale=0.25)
+    schedule = sweep_schedule(get_plan(locked), frozenset({locked.key_port}))
+    assert bool(schedule.invariant_steps) is hoisted
+    return locked
 
 
 def _plan_cap(plan, lanes):
@@ -87,17 +104,18 @@ class TestChunkedBitIdentity:
                                       max_lanes=max_lanes)
         assert chunked == reference
 
-    @pytest.mark.parametrize("hoist", [True, False])
+    @pytest.mark.parametrize("schedule", SCHEDULES,
+                             ids=["hoisted", "flat"])
     @pytest.mark.parametrize("max_lanes", LANE_CAPS)
-    def test_hoisted_and_flat_schedules(self, hoist, max_lanes):
-        locked = _locked(algorithm="assure")
+    def test_hoisted_and_flat_schedules(self, schedule, max_lanes):
+        locked = _scheduled(*schedule)
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(3), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=4)
-        reference = simulator.run_sweep(batch, keys=keys, n=BASE, hoist=hoist)
-        chunked = simulator.run_sweep(batch, keys=keys, n=BASE, hoist=hoist,
+        chunked = simulator.run_sweep(batch, keys=keys, n=BASE,
                                       max_lanes=max_lanes)
-        assert chunked == reference
+        assert chunked == [simulator.run_batch(batch, key=key, n=BASE)
+                           for key in keys]
 
     @pytest.mark.parametrize("max_lanes", LANE_CAPS)
     def test_bindings_and_shared_key(self, max_lanes):
@@ -155,28 +173,27 @@ class TestOutputKeyOrder:
     their key order; flat schedules returned varying-first dicts.
     """
 
-    @pytest.mark.parametrize("hoist", [True, False])
-    def test_result_keys_match_plan_outputs(self, hoist):
-        locked = _locked(algorithm="era")
+    @pytest.mark.parametrize("schedule", SCHEDULES,
+                             ids=["hoisted", "flat"])
+    def test_result_keys_match_plan_outputs(self, schedule):
+        locked = _scheduled(*schedule)
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(11), 4)
         keys = _random_keys(locked.key_width, 3, seed=12)
-        for point in simulator.run_sweep(batch, keys=keys, n=4, hoist=hoist):
+        for point in simulator.run_sweep(batch, keys=keys, n=4):
             assert list(point) == list(simulator.plan.outputs)
 
     def test_key_order_identical_across_paths(self):
-        locked = _locked(algorithm="era")
+        locked = _scheduled(*SCHEDULES[0])
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(13), 4)
         keys = _random_keys(locked.key_width, 3, seed=14)
         orders = set()
-        for hoist in (True, False):
-            for max_lanes in (None, BASE):
-                for point in simulator.run_sweep(batch, keys=keys, n=4,
-                                                 hoist=hoist,
-                                                 max_lanes=max_lanes):
-                    orders.add(tuple(point))
-        assert len(orders) == 1
+        for max_lanes in (None, BASE):
+            for point in simulator.run_sweep(batch, keys=keys, n=4,
+                                             max_lanes=max_lanes):
+                orders.add(tuple(point))
+        assert orders == {tuple(simulator.plan.outputs)}
 
 
 class TestLaneLimitResolution:
@@ -233,14 +250,26 @@ class TestConsumerThreading:
     """The plan's cap reaches sweeps made through the high-level helpers,
     which take no lane argument of their own."""
 
-    def test_key_sweep_helper(self):
+    def test_sweep_helper(self):
         locked = _locked(algorithm="era")
         batch = random_input_batch(locked, random.Random(21), BASE)
         keys = [locked.correct_key] + _random_keys(locked.key_width,
                                                    POINTS - 1, 22)
-        reference = key_sweep(locked, batch, keys, n=BASE)
-        with _plan_cap(get_plan(locked), 3 * BASE):
-            assert key_sweep(locked, batch, keys, n=BASE) == reference
+        reference = sweep_differences(locked, batch, keys=keys, n=BASE)
+        scalar = CombinationalSimulator(locked)
+        vectors = batch_to_vectors(batch, BASE)
+        loop = []
+        for key in keys:
+            rows = [scalar.run(vector, key=key) for vector in vectors]
+            loop.append({name: [row[name] for row in rows]
+                         for name in scalar.output_names})
+        with _plan_cap(get_plan(locked), 3 * BASE), \
+                _recorded_tiles() as tiles:
+            assert cached_simulator(locked).run_sweep(
+                batch, keys=keys, n=BASE) == loop
+            assert sweep_differences(locked, batch, keys=keys,
+                                     n=BASE) == reference
+        assert tiles == [(0, 3), (3, 6), (6, 9), (9, 12)] * 2
 
     def test_functional_kpa(self):
         from repro.attacks.kpa import functional_kpa

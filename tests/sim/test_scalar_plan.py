@@ -2,7 +2,7 @@
 
 The scalar :class:`CombinationalSimulator` shares no code with compiled
 plans, so it is the independent oracle: *scalar* == *run_batch* ==
-*key_sweep* on locked designs, and both engines reject the same bad inputs.
+*run_sweep* on locked designs, and both engines reject the same bad inputs.
 The fixture-profile cross-check lives in ``test_cse.py``.
 """
 
@@ -18,7 +18,6 @@ from repro.sim import (
     CombinationalSimulator,
     SimulationError,
     batch_to_vectors,
-    key_sweep,
     random_input_batch,
     random_key,
 )
@@ -39,7 +38,7 @@ class TestThreeWayAgreement:
         keys = [locked.correct_key, random_key(locked.key_width, rng),
                 random_key(locked.key_width, rng)]
         inputs = random_input_batch(locked, rng, 4)
-        swept = key_sweep(locked, inputs, keys, n=4)
+        swept = batch.run_sweep(inputs, keys=keys, n=4)
         for key, sweep_outputs in zip(keys, swept):
             batched = batch.run_batch(inputs, key=key, n=4)
             assert sweep_outputs == batched

@@ -1,9 +1,10 @@
 """Per-lane sweep API: one pass over N (key, input) points, loop semantics.
 
 ``run_sweep`` must be indistinguishable from the per-key ``run_batch`` loop
-it replaces, point for point and bit for bit; ``key_sweep`` must additionally
-hide the engine entirely — scalar fallback and batch sweep return the same
-structures with the same numbers.
+it replaces, point for point and bit for bit, and from a scalar loop
+(``CombinationalSimulator.run`` per key, per vector); ``sweep_differences``
+must hide the engine — a design the plan compiler rejects falls back to the
+scalar engine with the same counts.
 """
 
 import random
@@ -14,13 +15,15 @@ from repro.bench import load_benchmark, plus_network
 from repro.locking import AssureLocker, ERALocker
 from repro.rtlir import Design, KeyBit
 from repro.sim import (
+    BatchCompileError,
     BatchSimulator,
     CombinationalSimulator,
     SimulationError,
     batch_to_vectors,
-    key_sweep,
+    differing_lanes,
     random_input_batch,
     random_key,
+    sweep_differences,
 )
 
 
@@ -52,15 +55,10 @@ class TestRunSweep:
     def test_equals_scalar_oracle(self):
         locked = _locked(algorithm="era")
         simulator = BatchSimulator(locked)
-        scalar = CombinationalSimulator(locked)
         batch = simulator.random_batch(random.Random(3), 8)
         keys = [locked.correct_key] + _random_keys(locked.key_width, 5, 4)
         swept = simulator.run_sweep(batch, keys=keys, n=8)
-        for key, outputs in zip(keys, swept):
-            for lane, vector in enumerate(batch_to_vectors(batch, 8)):
-                expected = scalar.run(vector, key=key)
-                for name, value in expected.items():
-                    assert outputs[name][lane] == value
+        assert swept == _scalar_sweep(locked, batch, keys, 8)
 
     def test_single_point_equals_run_batch(self):
         locked = _locked()
@@ -99,39 +97,6 @@ class TestRunSweep:
             batch = {**shared, swept_name: [binding[swept_name]] * 4}
             assert outputs == simulator.run_batch(batch, key=key, n=4)
 
-    def test_rejects_inconsistent_shapes(self):
-        locked = _locked()
-        simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(9), 4)
-        keys = _random_keys(locked.key_width, 2, 10)
-        short = dict(batch)
-        short[next(iter(short))] = [0, 1]
-        with pytest.raises(SimulationError):
-            simulator.run_sweep(short, keys=keys, n=4)
-        with pytest.raises(SimulationError):
-            simulator.run_sweep(batch, keys=keys, bindings=[{}], n=4)
-        with pytest.raises(SimulationError):
-            simulator.run_sweep(batch, keys=[], n=4)
-        with pytest.raises(SimulationError):
-            simulator.run_sweep({}, keys=keys)
-
-    def test_rejects_key_sweep_of_unlocked_design(self):
-        design = plus_network(8, n_inputs=4, name="plus8")
-        simulator = BatchSimulator(design)
-        batch = simulator.random_batch(random.Random(11), 2)
-        with pytest.raises(SimulationError):
-            simulator.run_sweep(batch, keys=[[0], [1]], n=2)
-
-    def test_rejects_key_port_binding_and_shared_swept_overlap(self):
-        locked = _locked()
-        simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(12), 2)
-        with pytest.raises(SimulationError):
-            simulator.run_sweep(batch, bindings=[{locked.key_port: 1}], n=2)
-        name = next(iter(batch))
-        with pytest.raises(SimulationError):
-            simulator.run_sweep(batch, bindings=[{name: 1}], n=2)
-
     def test_rejects_invalid_key_bits(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
@@ -142,8 +107,20 @@ class TestRunSweep:
 
 
 # ---------------------------------------------------------------------------
-# The engine-hiding key_sweep helper (batch fast path + scalar fallback)
+# The scalar oracle and the scalar fallback of sweep_differences
 # ---------------------------------------------------------------------------
+
+
+def _scalar_sweep(design, batch, keys, n):
+    """``CombinationalSimulator.run`` per key, per vector, as sweep results."""
+    simulator = CombinationalSimulator(design)
+    vectors = batch_to_vectors(batch, n)
+    results = []
+    for key in keys:
+        rows = [simulator.run(vector, key=key) for vector in vectors]
+        results.append({name: [row[name] for row in rows]
+                        for name in simulator.output_names})
+    return results
 
 
 def _uncompilable_locked_design():
@@ -164,36 +141,24 @@ def _uncompilable_locked_design():
     return design
 
 
-class TestKeySweepHelper:
-    def test_batch_and_scalar_engines_agree(self):
-        locked = _locked(algorithm="era")
+class TestScalarOracle:
+    def test_run_sweep_equals_scalar_loop(self):
+        locked = _locked(algorithm="assure")
         batch = random_input_batch(locked, random.Random(20), 10)
         keys = [locked.correct_key] + _random_keys(locked.key_width, 4, 21)
-        fast = key_sweep(locked, batch, keys, n=10, engine="batch")
-        slow = key_sweep(locked, batch, keys, n=10, engine="scalar")
-        assert fast == slow
+        swept = BatchSimulator(locked).run_sweep(batch, keys=keys, n=10)
+        assert swept == _scalar_sweep(locked, batch, keys, 10)
 
     def test_scalar_fallback_on_uncompilable_design(self):
         locked = _uncompilable_locked_design()
+        with pytest.raises(BatchCompileError):
+            BatchSimulator(locked)
         batch = random_input_batch(locked, random.Random(22), 6)
         keys = [[1, 0], [0, 1], [1, 1]]
-        results = key_sweep(locked, batch, keys, n=6)  # engine="batch"
-        scalar = CombinationalSimulator(locked)
-        for key, outputs in zip(keys, results):
-            for lane, vector in enumerate(batch_to_vectors(batch, 6)):
-                expected = scalar.run(vector, key=key)
-                for name, value in expected.items():
-                    assert outputs[name][lane] == value
-
-    def test_rejects_unlocked_and_empty(self):
-        design = plus_network(8, n_inputs=4, name="plus8u")
-        batch = random_input_batch(design, random.Random(23), 2)
-        with pytest.raises(SimulationError):
-            key_sweep(design, batch, [[0]], n=2)
-        locked = _locked()
-        locked_batch = random_input_batch(locked, random.Random(24), 2)
-        with pytest.raises(SimulationError):
-            key_sweep(locked, locked_batch, [], n=2)
-        with pytest.raises(ValueError):
-            key_sweep(locked, locked_batch, [locked.correct_key],
-                      engine="turbo")
+        counted = sweep_differences(locked, batch, keys=keys, n=6)
+        assert counted == sweep_differences(locked, batch, keys=keys, n=6,
+                                            engine="scalar")
+        reference, *others = _scalar_sweep(locked, batch, keys, 6)
+        assert counted.lanes == [len(differing_lanes(reference, outputs))
+                                 for outputs in others]
+        assert all(counted.lanes)

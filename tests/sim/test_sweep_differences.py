@@ -31,7 +31,7 @@ from repro.sim import (
 )
 from repro.sim.plan import executor
 from repro.sim.plan.executor import _block_comb, _replicate, sweep_schedule
-from tests.attacks.test_sweep_regression import _oddball_locked
+from tests.attacks.test_sweep_regression import UNCOMPILABLE, _oddball_locked
 
 #: Base widths: whole bytes (byte-repeat tiling, byte popcounts) and not.
 BASES = [64, 100, 33]
@@ -53,6 +53,43 @@ endmodule
 """
 
 
+#: Bad sweeps held as data: (id, locked design?, sweep arguments, the
+#: SimulationError message every engine raises; ``{top}`` is the design's
+#: top module).
+BAD_SWEEPS = [
+    ("ragged-inputs", True,
+     {"inputs": {"a": [1, 2], "b": [3]}, "keys": [[1, 0]]},
+     "input 'b' has 1 lanes, expected 2"),
+    ("n-disagrees-with-inputs", True,
+     {"inputs": {"a": [1, 2]}, "keys": [[1, 0]], "n": 3},
+     "input 'a' has 2 lanes, expected 3"),
+    ("no-lanes", True, {"inputs": {}, "keys": [[1, 0]]},
+     "sweep needs at least one base lane (pass inputs or n)"),
+    ("zero-lanes", True, {"inputs": {}, "keys": [[1, 0]], "n": 0},
+     "sweep needs at least one base lane (pass inputs or n)"),
+    ("no-points", True, {"inputs": {"a": [1]}},
+     "sweep needs at least one point (pass keys or bindings)"),
+    ("empty-keys", True, {"inputs": {"a": [1]}, "keys": []},
+     "sweep needs at least one point (pass keys or bindings)"),
+    ("bindings-per-point", True,
+     {"inputs": {"b": [1]}, "keys": [[1, 0], [0, 1]], "bindings": [{"a": 1}]},
+     "got 1 bindings for 2 sweep points"),
+    ("keys-of-unlocked-design", False, {"inputs": {"a": [1]}, "keys": [[0]]},
+     "cannot sweep keys of an unlocked design"),
+    ("unknown-shared-input", True, {"inputs": {"zz": [1]}, "keys": [[1, 0]]},
+     "'zz' is not an input of {top!r}"),
+    ("unknown-bound-input", True,
+     {"inputs": {"a": [1]}, "bindings": [{"zz": 1}]},
+     "'zz' is not an input of {top!r}"),
+    ("key-port-bound", True,
+     {"inputs": {"a": [1]}, "bindings": [{"lock_key": 1}]},
+     "sweep the key port via 'keys', not 'bindings'"),
+    ("input-shared-and-bound", True,
+     {"inputs": {"a": [1]}, "bindings": [{"a": 2}]},
+     "input 'a' is both shared and swept per point"),
+]
+
+
 def _locked_md5(seed=0, scale=0.15):
     design = load_benchmark("MD5", scale=scale, seed=seed)
     budget = max(1, int(0.75 * design.num_operations()))
@@ -60,8 +97,10 @@ def _locked_md5(seed=0, scale=0.15):
                      track_metrics=False).lock(design, budget).design
 
 
-def _split_locked():
+def _split_locked(locked=True):
     design = Design.from_verilog(SPLIT)
+    if not locked:
+        return design
     design.key_port = "lock_key"
     design.key_bits = [
         KeyBit(index=0, kind="operation", correct_value=1),
@@ -241,3 +280,30 @@ class TestEntryPoint:
                                   engine=engine)
             with pytest.raises(SimulationError):
                 sweep_differences(locked, batch, n=8, engine=engine)
+
+
+class TestBadSweeps:
+    """One set of checks (``check_sweep``), one message, on every engine —
+    the batch sweep, the scalar engine, the scalar fallback an
+    uncompilable design takes from the batch entry, and ``run_sweep``."""
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar", "fallback",
+                                        "run_sweep"])
+    @pytest.mark.parametrize("locked,sweep,message",
+                             [case[1:] for case in BAD_SWEEPS],
+                             ids=[case[0] for case in BAD_SWEEPS])
+    def test_every_engine_raises_the_same_error(self, engine, locked, sweep,
+                                                message):
+        if engine == "fallback":
+            design = _oddball_locked() if locked \
+                else Design.from_verilog(UNCOMPILABLE)
+        else:
+            design = _split_locked(locked)
+        with pytest.raises(SimulationError) as excinfo:
+            if engine == "run_sweep":
+                BatchSimulator(design).run_sweep(**sweep)
+            else:
+                sweep_differences(design, **sweep,
+                                  engine="scalar" if engine == "scalar"
+                                  else "batch")
+        assert str(excinfo.value) == message.format(top=design.top_name)

@@ -1,11 +1,11 @@
 """Sweep value-numbering in the executor: hoisted sweeps stay bit-identical.
 
-``run_sweep`` with hoisting (its default) must be
-indistinguishable from the flat S×V evaluation and from the per-key
-``run_batch`` loop — for key sweeps, shared-key (avalanche-shape) sweeps,
-binding sweeps and their combinations.  The vectorised lane packers are
-pinned against their set-bit-loop counterparts as well (the sweep packers
-in ``test_packers.py``).
+``run_sweep`` must be indistinguishable from the per-key ``run_batch`` loop
+whichever schedule the plan picks — hoisted (ERA-locked I2C_SL) or the flat
+fallback (key-cone-dominated SASC and MD5) — for key sweeps, shared-key
+(avalanche-shape) sweeps, binding sweeps and their combinations.  The
+vectorised lane packers are pinned against their set-bit-loop counterparts
+as well (the sweep packers in ``test_packers.py``).
 """
 
 import random
@@ -33,18 +33,25 @@ def _locked(name="I2C_SL", algorithm="era", scale=0.25, seed=0):
     return locker.lock(design, budget).design
 
 
+def _hoists(plan, varying):
+    """True when the sweep schedule for ``varying`` runs invariant steps."""
+    return bool(sweep_schedule(plan, frozenset(varying)).invariant_steps)
+
+
 class TestHoistedKeySweeps:
-    @pytest.mark.parametrize("name", ["I2C_SL", "SASC", "MD5"])
-    def test_hoisted_equals_flat_equals_loop(self, name):
+    @pytest.mark.parametrize("name,hoisted", [("I2C_SL", True),
+                                              ("SASC", False),
+                                              ("MD5", False)])
+    def test_either_schedule_equals_loop(self, name, hoisted):
         locked = _locked(name)
         simulator = BatchSimulator(locked)
         batch = simulator.random_batch(random.Random(1), 16)
         keys = [random_key(locked.key_width, random.Random(2))
                 for _ in range(12)]
-        hoisted = simulator.run_sweep(batch, keys=keys, n=16, hoist=True)
-        flat = simulator.run_sweep(batch, keys=keys, n=16, hoist=False)
+        swept = simulator.run_sweep(batch, keys=keys, n=16)
         loop = [simulator.run_batch(batch, key=key, n=16) for key in keys]
-        assert hoisted == flat == loop
+        assert swept == loop
+        assert _hoists(simulator.plan, {locked.key_port}) is hoisted
 
     def test_default_is_the_hoisted_schedule(self):
         locked = _locked()
@@ -53,11 +60,12 @@ class TestHoistedKeySweeps:
         batch = simulator.random_batch(random.Random(3), 8)
         rng = random.Random(4)
         keys = [random_key(locked.key_width, rng) for _ in range(6)]
-        default = simulator.run_sweep(batch, keys=keys, n=8)
-        assert list(plan._sweep_schedules) \
-            == [(frozenset({locked.key_port}), False)]
-        assert default == simulator.run_sweep(batch, keys=keys, n=8,
-                                              hoist=False)
+        swept = simulator.run_sweep(batch, keys=keys, n=8)
+        assert list(plan._sweep_schedules) == [frozenset({locked.key_port})]
+        assert plan.stats.invariant_steps > 0
+        assert _hoists(plan, {locked.key_port})
+        assert swept == [simulator.run_batch(batch, key=key, n=8)
+                         for key in keys]
 
     def test_wide_sweep_exercises_fast_packers(self):
         """512 base lanes × 8 points crosses every vectorised threshold."""
@@ -66,11 +74,9 @@ class TestHoistedKeySweeps:
         batch = simulator.random_batch(random.Random(5), 512)
         keys = [random_key(locked.key_width, random.Random(6))
                 for _ in range(8)]
-        hoisted = simulator.run_sweep(batch, keys=keys, n=512, hoist=True)
-        flat = simulator.run_sweep(batch, keys=keys, n=512, hoist=False)
-        assert hoisted == flat
-        spot = simulator.run_batch(batch, key=keys[3], n=512)
-        assert hoisted[3] == spot
+        swept = simulator.run_sweep(batch, keys=keys, n=512)
+        assert swept == [simulator.run_batch(batch, key=key, n=512)
+                         for key in keys]
 
 
 class TestSharedKeyAndBindingSweeps:
@@ -85,12 +91,12 @@ class TestSharedKeyAndBindingSweeps:
         context = random_vector_batch(signals[1:], random.Random(7), 8)
         bindings = [{probe: value} for value in (0, 1, 5, 255)]
         keys = [locked.correct_key] * len(bindings)
-        hoisted = simulator.run_sweep(context, keys=keys, bindings=bindings,
-                                      n=8, hoist=True)
-        flat = simulator.run_sweep(context, keys=keys, bindings=bindings,
-                                   n=8, hoist=False)
-        assert hoisted == flat
-        for binding, outputs in zip(bindings, hoisted):
+        swept = simulator.run_sweep(context, keys=keys, bindings=bindings,
+                                    n=8)
+        # The shared key is not a varying source: its cone is hoisted.
+        assert list(simulator.plan._sweep_schedules) == [frozenset({probe})]
+        assert _hoists(simulator.plan, {probe})
+        for binding, outputs in zip(bindings, swept):
             batch = {**context, probe: [binding[probe]] * 8}
             assert outputs == simulator.run_batch(batch,
                                                   key=locked.correct_key,
@@ -103,12 +109,8 @@ class TestSharedKeyAndBindingSweeps:
         shared = {name: values for name, values in base.items()
                   if name != "in2"}
         bindings = [{"in2": 0}, {"in2": 9}, {}]
-        hoisted = simulator.run_sweep(shared, bindings=bindings, n=6,
-                                      hoist=True)
-        flat = simulator.run_sweep(shared, bindings=bindings, n=6,
-                                   hoist=False)
-        assert hoisted == flat
-        for binding, outputs in zip(bindings, hoisted):
+        swept = simulator.run_sweep(shared, bindings=bindings, n=6)
+        for binding, outputs in zip(bindings, swept):
             value = binding.get("in2", 0)
             batch = {**shared, "in2": [value] * 6}
             assert outputs == simulator.run_batch(batch, n=6)
@@ -155,8 +157,8 @@ class TestScheduleAndClassifier:
         first = sweep_schedule(plan, frozenset({locked.key_port}))
         second = sweep_schedule(plan, frozenset({locked.key_port}))
         assert first is second
-        flat = sweep_schedule(plan, frozenset({locked.key_port}), flat=True)
-        assert flat is not first and not flat.invariant_steps
+        other = sweep_schedule(plan, frozenset())
+        assert other is not first and not other.varying_steps
 
     def test_key_cone_dominated_plan_falls_back_to_flat(self):
         """MD5's key cone covers nearly the whole plan: hoisting would only
