@@ -2,9 +2,11 @@
 
 Every question is one row of :data:`CASES`: scalar vs. batch engine
 (``engines``), per-key ``run_batch`` loop vs. one per-lane sweep
-(``key_sweeps``), flat vs. sweep value-numbered sweep (``sweep_vn``) and
+(``key_sweeps``), flat vs. sweep value-numbered sweep (``sweep_vn``),
 unchunked vs. ``max_lanes``-tiled sweep, timed and
-``tracemalloc``-profiled (``pipelined_sweep``).  Every comparison also
+``tracemalloc``-profiled (``pipelined_sweep``), and the tiled count of
+single-bit key flips vs. the cone path of ``sweep_differences``
+(``key_flips``).  Every comparison also
 checks ``baseline_outputs == candidate_outputs``, so a reported speedup is
 only ever produced alongside a bit-identical result.
 
@@ -25,10 +27,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.rtlir.design import Design
-from repro.sim import BatchSimulator, CombinationalSimulator
-from repro.sim.plan.executor import (_comb_replicate, _fit, _pack_swept_keys,
-                                     batch_release, execute_steps,
-                                     pack_values, unpack_values)
+from repro.sim import BatchSimulator, CombinationalSimulator, differing_lanes
+from repro.sim.plan.executor import (_comb_replicate, _key_bit_matrix,
+                                     _pack_swept_keys, batch_release,
+                                     execute_steps, key_cones, pack_values,
+                                     unpack_values)
 from repro.sim.vectors import batch_to_vectors, random_input_batch, random_key
 
 #: A labelled benchmark design.
@@ -41,9 +44,10 @@ class Sizes:
 
     Attributes:
         vectors: Input vectors of the ``engines`` and ``key_sweeps`` cases.
-        keys: Key hypotheses (sweep points) of the three sweep cases.
-        vn_vectors: Shared base lanes of the two wide-sweep cases
-            (``sweep_vn`` and ``pipelined_sweep``).
+        keys: Key hypotheses (sweep points) of the three random-key sweep
+            cases (``key_flips`` sweeps one point per key bit).
+        vn_vectors: Shared base lanes of the three wide-sweep cases
+            (``sweep_vn``, ``pipelined_sweep`` and ``key_flips``).
         max_lanes: Lane cap per tile of the ``pipelined_sweep`` candidate.
     """
 
@@ -147,8 +151,8 @@ def flat_sweep(simulator: BatchSimulator, inputs: Mapping[str, Sequence[int]],
         words = pack_values(inputs[name], width) if name in inputs \
             else [0] * width
         env[name] = [_comb_replicate(word, n, points) for word in words]
-    env[port] = _fit(_pack_swept_keys(keys, plan.width_of(port), n),
-                     plan.width_of(port))
+    env[port] = _pack_swept_keys(_key_bit_matrix(keys, plan.width_of(port)),
+                                 n)
     execute_steps(plan.steps, env, (1 << lanes) - 1, batch_release(plan))
     values = {name: unpack_values(env[name], lanes) for name in plan.outputs}
     return [{name: values[name][start:start + n] for name in plan.outputs}
@@ -234,6 +238,39 @@ def _pipelined_setup(design: Design, rng: random.Random, sizes: Sizes):
         "tiles": -(-sizes.keys // tile_points)}
 
 
+def _key_flips_setup(design: Design, rng: random.Random, sizes: Sizes):
+    # Key-sensitivity's sweep: the all-zero key, then each one-hot key.
+    # The reference counts the differences on run_sweep's values, so it
+    # runs every varying step on all S×V lanes in tiles; the candidate
+    # re-runs only each flipped bit's cone.
+    n = sizes.vn_vectors
+    simulator = BatchSimulator(design)
+    batch = simulator.random_batch(rng, n)
+    zeros = [0] * design.key_width
+    keys = [zeros] + [zeros[:index] + [1] + zeros[index + 1:]
+                      for index in range(design.key_width)]
+
+    def tiled() -> Tuple[List[int], List[int]]:
+        reference, *others = simulator.run_sweep(batch, keys=keys, n=n)
+        lanes, bits = [], []
+        for run in others:
+            differing = differing_lanes(reference, run, n=n)
+            lanes.append(len(differing))
+            bits.append(sum((reference[name][lane]
+                             ^ run[name][lane]).bit_count()
+                            for lane in differing for name in reference))
+        return lanes, bits
+
+    def cones() -> Tuple[List[int], List[int]]:
+        counted = simulator.sweep_differences(batch, keys=keys, n=n)
+        return counted.lanes, counted.bits
+
+    plan = simulator.plan
+    return tiled, cones, {
+        "keys": len(keys), "vectors": n, "total_steps": len(plan.steps),
+        "cone_steps": sum(len(cone) for cone in key_cones(plan).steps)}
+
+
 # ---------------------------------------------------------------------------
 # Design suites
 # ---------------------------------------------------------------------------
@@ -290,6 +327,12 @@ def sweep_vn_suite(scale: float = 0.25, seed: int = 0) -> Suite:
         ("md5_scaled_era", _era_locked("MD5", scale, seed))]
 
 
+def key_flips_suite(scale: float = 0.25, seed: int = 0) -> Suite:
+    """ERA-locked MD5, the heaviest key-sensitivity design of the suites:
+    its deep key cone leaves the tiles little to hoist."""
+    return [("md5_scaled_era", _era_locked("MD5", scale, seed))]
+
+
 # ---------------------------------------------------------------------------
 # The case table and the harness
 # ---------------------------------------------------------------------------
@@ -302,9 +345,12 @@ SWEEP_VN = Case("sweep_vn", "flat", "hoisted", _sweep_vn_setup,
                 sweep_vn_suite)
 PIPELINED_SWEEP = Case("pipelined_sweep", "full", "tiled", _pipelined_setup,
                        pipelined_suite, measure_memory=True)
+KEY_FLIPS = Case("key_flips", "tiled", "cones", _key_flips_setup,
+                 key_flips_suite)
 
 #: Every comparison :func:`run_cases` makes, in report order.
-CASES: Tuple[Case, ...] = (ENGINES, KEY_SWEEPS, SWEEP_VN, PIPELINED_SWEEP)
+CASES: Tuple[Case, ...] = (ENGINES, KEY_SWEEPS, SWEEP_VN, PIPELINED_SWEEP,
+                           KEY_FLIPS)
 
 
 def _best_time(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:

@@ -357,7 +357,7 @@ def test_case_table_writes_bench_sim_json(results_dir):
     assert_outputs_match(results)
     payload = report_json(results)
     assert set(payload) == {"engines", "key_sweeps", "sweep_vn",
-                            "pipelined_sweep"}
+                            "pipelined_sweep", "key_flips"}
     common = {"design", "baseline", "candidate", "baseline_ms",
               "candidate_ms", "speedup", "baseline_peak_bytes",
               "candidate_peak_bytes", "memory_ratio", "outputs_match"}
@@ -366,7 +366,9 @@ def test_case_table_writes_bench_sim_json(results_dir):
                                "pruned_steps"},
                 "sweep_vn": {"keys", "vectors", "invariant_steps",
                              "total_steps", "hoisted_subexprs"},
-                "pipelined_sweep": {"keys", "vectors", "max_lanes", "tiles"}}
+                "pipelined_sweep": {"keys", "vectors", "max_lanes", "tiles"},
+                "key_flips": {"keys", "vectors", "total_steps",
+                              "cone_steps"}}
     for name, entries in payload.items():
         assert entries, f"{name}: no comparisons"
         for entry in entries:

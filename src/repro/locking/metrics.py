@@ -284,11 +284,12 @@ def key_bit_sensitivity(design, vectors: int = 32,
     key bit ``i`` is flipped relative to the all-zero key, a key hypothesis
     an *attacker* can evaluate without knowing the secret.
 
-    The base key and every flipped key evaluate as lanes of a *single*
-    bit-parallel sweep over the design's cached plan — one pass for
-    ``key_width + 1`` hypotheses instead of one pass each — and the
-    differing lanes are counted on the bit-sliced outputs
-    (:func:`repro.sim.sweep_differences`).  Designs the plan compiler cannot
+    The base key and every flipped key form one sweep over the design's
+    cached plan (:func:`repro.sim.sweep_differences`).  Each flipped key
+    differs from the base key in one bit, so the sweep takes the cone path:
+    the plan runs once on the vectors under the all-zero key, and each
+    flip re-runs only the fan-out cone of its bit; the differing lanes are
+    counted on the bit-sliced outputs.  Designs the plan compiler cannot
     express fall back to a per-key scalar loop with identical numbers.
 
     Raises:
@@ -305,8 +306,9 @@ def key_bit_sensitivity(design, vectors: int = 32,
     width = design.key_width
 
     batch = random_input_batch(design, rng, vectors)
-    keys = [[0] * width] + [[int(bit == index) for bit in range(width)]
-                            for index in range(width)]
+    zeros = [0] * width
+    keys = [zeros] + [zeros[:index] + [1] + zeros[index + 1:]
+                      for index in range(width)]
     differences = sweep_differences(design, batch, keys=keys, n=vectors)
     return [lanes / vectors for lanes in differences.lanes]
 

@@ -12,7 +12,8 @@ happens after compilation:
   pass, counted as how far each sweep point's outputs differ from point 0's
   (:meth:`~BatchSimulator.sweep_differences`, by XOR and popcount on the
   slice words without unpacking a lane — what the metrics and functional
-  KPA call) or unpacked into per-point values
+  KPA call; sweeps of single-bit key flips re-run only the flipped bit's
+  fan-out cone, :func:`key_cones`) or unpacked into per-point values
   (:meth:`~BatchSimulator.run_sweep`, the value form the tests and
   benchmarks check the counts and the per-key loop against).
 
@@ -42,8 +43,9 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import (Callable, Collection, Dict, FrozenSet, List, Mapping,
-                    NamedTuple, Optional, Sequence, Set, Tuple)
+from itertools import repeat
+from typing import (Callable, Collection, Dict, FrozenSet, Iterable, List,
+                    Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
 from ...rtlir.design import Design
 from ..evaluator import SimulationError, mask
@@ -292,54 +294,58 @@ def _spread_point_bits(rows: "object", base: int) -> Slices:
             for row in rows]
 
 
-def _key_bit_matrix(keys: Sequence[Sequence[int]]) -> "object":
-    """``(points, key length)`` uint8 bits of equal-length integer keys.
+def _key_bit_matrix(keys: Sequence[Sequence[int]], width: int) -> "object":
+    """The ``(points, width)`` uint8 bit matrix of one key per sweep point.
 
-    ``None`` for ragged or non-integer keys, which the set-bit loop
-    validates one bit at a time.
+    Integer keys are checked in one vectorised pass; other element types
+    (rare) bit by bit, with the same rule and message.
 
     Raises:
-        SimulationError: naming the first point and position whose bit is
-            not 0/1.
+        SimulationError: naming the first point whose key is not ``width``
+            bits long, else the first point and position whose bit is not
+            0/1.
     """
     import numpy as np
 
+    for point, key in enumerate(keys):
+        if len(key) != width:
+            raise SimulationError(f"key of sweep point {point} has "
+                                  f"{len(key)} bits, expected {width}")
     try:
         arr = np.array(keys)
-    except ValueError:
-        return None
-    if arr.ndim != 2 or arr.dtype.kind not in "biu":
-        return None
-    bad = np.argwhere((arr < 0) | (arr > 1))
-    if len(bad):
-        point, position = (int(bad[0][0]), int(bad[0][1]))
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    integer = arr is not None and arr.dtype.kind in "biu"
+    if integer:
+        bad = np.argwhere((arr != 0) & (arr != 1))[:1].tolist()
+    else:
+        bad = [(point, position) for point, key in enumerate(keys)
+               for position, bit in enumerate(key) if bit not in (0, 1)][:1]
+    if bad:
+        point, position = bad[0]
         raise SimulationError(
             f"key bit {position} of sweep point {point} is not 0/1")
-    return arr.astype(np.uint8)
+    if not integer:
+        arr = np.array([[int(bit) for bit in key] for key in keys])
+    return arr.astype(np.uint8).reshape(len(keys), width)
 
 
-def _pack_swept_keys(keys: Sequence[Sequence[int]], width: int,
-                     base: int) -> Slices:
+def _pack_swept_keys(bits: "object", base: int) -> Slices:
     """Pack one key per sweep point into S×V-lane slices (point blocks).
 
+    ``bits`` is a ``(points, width)`` 0/1 matrix (:func:`_key_bit_matrix`).
     Whole-byte point blocks take :func:`_spread_point_bits`; other base
-    widths (and ragged or non-integer keys) the set-bit loop.
+    widths OR each point's block into the slices its set bits select.
     """
+    import numpy as np
+
     if base % 8 == 0:
-        bits = _key_bit_matrix(keys)
-        if bits is not None:
-            return _fit(_spread_point_bits(bits[:, :width].T, base), width)
+        return _spread_point_bits(bits.T, base)
     block = (1 << base) - 1
-    slices = [0] * width
-    for index, point_key in enumerate(keys):
-        shift = index * base
-        for position, bit in enumerate(point_key):
-            if bit not in (0, 1):
-                raise SimulationError(
-                    f"key bit {position} of sweep point {index} "
-                    "is not 0/1")
-            if bit and position < width:
-                slices[position] |= block << shift
+    slices = [0] * bits.shape[1]
+    points, positions = np.nonzero(bits)
+    for point, position in zip(points.tolist(), positions.tolist()):
+        slices[position] |= block << (point * base)
     return slices
 
 
@@ -622,9 +628,10 @@ def release_schedule(steps: Sequence[Step], keep: Collection[str]) -> Release:
 
 
 def execute_steps(steps: Sequence[Step], env: Dict[str, Slices], full: int,
-                  release: Release) -> None:
+                  release: Iterable[Tuple[str, ...]]) -> None:
     """Run ``steps`` in order, writing each result into ``env`` and
-    dropping the names of ``release`` (see :func:`release_schedule`)."""
+    dropping the names of ``release`` (see :func:`release_schedule`;
+    ``repeat(())`` drops nothing)."""
     for step, dead in zip(steps, release):
         env[step.target] = _fit(step.fn(env, full), step.width)
         for name in dead:
@@ -716,6 +723,62 @@ def sweep_schedule(plan: EvalPlan,
     return schedule
 
 
+class _KeyCones(NamedTuple):
+    """The plan work each flipped key bit disturbs.
+
+    Attributes:
+        steps: Per key bit, the steps that read it, directly or
+            transitively, in plan order (its fan-out cone).
+        outputs: Per key bit, the plan outputs its cone writes.
+        base_release: The release schedule of the cone path's base pass:
+            it keeps the outputs and every name a key-dependent step reads.
+    """
+
+    steps: List[List[Step]]
+    outputs: List[List[str]]
+    base_release: Release
+
+
+def key_cones(plan: EvalPlan) -> _KeyCones:
+    """The (cached) fan-out cone of every key bit of a locked ``plan``.
+
+    A step is in bit ``i``'s cone when it reads bit ``i`` of the key port
+    (:attr:`Step.key_bits`) or the target of a step in that cone; one pass
+    over the plan propagates each step's key-bit mask.  Every other step
+    reads only values a flip of bit ``i`` leaves unchanged.
+    """
+    cones = getattr(plan, "_key_cones", None)
+    if cones is not None:
+        return cones
+    width = plan.width_of(plan.key_port)
+    steps: List[List[Step]] = [[] for _ in range(width)]
+    outputs: List[List[str]] = [[] for _ in range(width)]
+    is_output = set(plan.outputs)
+    keep: Set[str] = set(plan.outputs)
+    masks: Dict[str, int] = {}
+    for step in plan.steps:
+        bits = 0
+        for bit in step.key_bits:
+            bits |= 1 << bit
+        for name in step.reads:
+            bits |= masks.get(name, 0)
+        if not bits:
+            continue
+        masks[step.target] = bits
+        keep.update(step.reads)
+        output = step.target in is_output
+        while bits:
+            low = bits & -bits
+            bit = low.bit_length() - 1
+            steps[bit].append(step)
+            if output:
+                outputs[bit].append(step.target)
+            bits ^= low
+    cones = _KeyCones(steps, outputs, release_schedule(plan.steps, keep))
+    plan._key_cones = cones  # type: ignore[attr-defined]
+    return cones
+
+
 def batch_release(plan: EvalPlan) -> Release:
     """The (cached) release schedule of ``run_batch``: it keeps the
     plan's outputs."""
@@ -747,6 +810,23 @@ class SweepDifferences(NamedTuple):
     bits: List[int]
 
 
+class CheckedSweep(NamedTuple):
+    """The shape of a sweep :func:`check_sweep` accepted.
+
+    Attributes:
+        base: Base lanes V.
+        points: Sweep points S.
+        bound: Names bound in any point.
+        key_bits: ``(S, key width)`` uint8 matrix of the swept keys, or
+            ``None`` without keys.
+    """
+
+    base: int
+    points: int
+    bound: Set[str]
+    key_bits: Optional["object"]
+
+
 class _Sweep(NamedTuple):
     """A validated sweep whose point-invariant work has run (V lanes)."""
 
@@ -757,15 +837,15 @@ class _Sweep(NamedTuple):
     invariant_env: Dict[str, Slices]
     bindings: List[Mapping[str, int]]
     bound: Set[str]
-    swept_keys: Optional[List[Sequence[int]]]
+    swept_keys: Optional["object"]
 
 
 def check_sweep(inputs: Mapping[str, Sequence[int]],
                 keys: Optional[Sequence[Sequence[int]]],
                 bindings: Optional[Sequence[Mapping[str, int]]],
                 n: Optional[int], design_inputs: Collection[str],
-                key_port: Optional[str],
-                top: str) -> Tuple[int, int, Set[str]]:
+                key_port: Optional[str], key_width: int,
+                top: str) -> CheckedSweep:
     """Check one sweep's arguments; every engine calls this first.
 
     The batch sweeps of :class:`BatchSimulator` and the scalar engine of
@@ -779,15 +859,18 @@ def check_sweep(inputs: Mapping[str, Sequence[int]],
         n: Base lane count override.
         design_inputs: The design's primary inputs (key port included).
         key_port: The design's key port (``None`` when unlocked).
+        key_width: The key port's width (ignored when unlocked).
         top: The design's top module name, for the messages.
 
     Returns:
-        ``(base lanes, sweep points, names bound in any point)``.
+        The sweep's :class:`CheckedSweep`; its key matrix is what the
+        batch sweeps pack and compare.
 
     Raises:
         SimulationError: for inconsistent lane or point counts, key sweeps
-            of unlocked designs, unknown signals, a bound key port, or an
-            input that is both shared and bound.
+            of unlocked designs, unknown signals, a bound key port, an
+            input that is both shared and bound, a key that is not
+            ``key_width`` bits long, or a key bit that is not 0/1.
     """
     base = n
     for name, values in inputs.items():
@@ -826,7 +909,9 @@ def check_sweep(inputs: Mapping[str, Sequence[int]],
         if name in bound:
             raise SimulationError(
                 f"input {name!r} is both shared and swept per point")
-    return base, points, bound
+    key_bits = _key_bit_matrix(keys, key_width) if keys is not None \
+        else None
+    return CheckedSweep(base, points, bound, key_bits)
 
 
 class BatchSimulator:
@@ -1013,7 +1098,9 @@ class BatchSimulator:
                 counts, invalid key bits, key sweeps on unlocked designs, or
                 a non-positive ``max_lanes``.
         """
-        sweep = self._prepare_sweep(inputs, keys, bindings, n)
+        sweep = self._prepare_sweep(inputs, bindings,
+                                    self._check_sweep(inputs, keys, bindings,
+                                                      n))
         base = sweep.base
         invariant_values = {name: unpack_values(slices, base)
                             for name, slices in sweep.invariant_env.items()}
@@ -1059,6 +1146,19 @@ class BatchSimulator:
         Point-invariant outputs are equal on every point, so they contribute
         nothing.
 
+        **Single-bit key flips evaluate only their cone.**  A key sweep
+        without bindings in which every later point's key differs from
+        point 0's in at most one bit, with V at or under the plan's lane
+        cap, takes the cone path instead of the tiles: the whole plan runs
+        once on the V lanes under point 0's key, keeping the outputs and
+        every value a cone reads, and each point flipping bit ``i``
+        re-runs only bit ``i``'s fan-out cone (:func:`key_cones`) on a copy
+        of what that cone reads, with key slice ``i`` inverted.  Only the
+        cone's outputs are compared; a point equal to point 0 runs nothing.
+        Every step outside the cone reads values the flip leaves unchanged
+        and the kernels are lane-parallel, so the counts are those of the
+        tiles.
+
         Returns:
             A :class:`SweepDifferences` over ``plan.outputs`` whose ``lanes``
             and ``bits`` equal ``differing_lanes`` and the per-lane
@@ -1068,7 +1168,11 @@ class BatchSimulator:
         Raises:
             SimulationError: as :meth:`run_sweep`.
         """
-        sweep = self._prepare_sweep(inputs, keys, bindings, n)
+        check = self._check_sweep(inputs, keys, bindings, n)
+        flips = self._single_flips(check)
+        if flips is not None:
+            return self._cone_differences(inputs, check, flips)
+        sweep = self._prepare_sweep(inputs, bindings, check)
         base = sweep.base
         lanes: List[int] = []
         bits: List[int] = []
@@ -1086,39 +1190,102 @@ class BatchSimulator:
             bits.extend(tile_bits)
         return SweepDifferences(tuple(self.plan.outputs), lanes[1:], bits[1:])
 
-    def _prepare_sweep(self, inputs: Mapping[str, Sequence[int]],
-                       keys: Optional[Sequence[Sequence[int]]],
-                       bindings: Optional[Sequence[Mapping[str, int]]],
-                       n: Optional[int]) -> _Sweep:
-        """Validate a sweep and run its point-invariant work on the V lanes."""
+    def _check_sweep(self, inputs: Mapping[str, Sequence[int]],
+                     keys: Optional[Sequence[Sequence[int]]],
+                     bindings: Optional[Sequence[Mapping[str, int]]],
+                     n: Optional[int]) -> CheckedSweep:
+        """:func:`check_sweep` against this simulator's plan."""
         key_port = self.plan.key_port
-        base, points, bound = check_sweep(inputs, keys, bindings, n,
-                                          set(self.plan.inputs), key_port,
-                                          self.design.top_name)
+        return check_sweep(inputs, keys, bindings, n, set(self.plan.inputs),
+                           key_port,
+                           self.width_of(key_port) if key_port else 0,
+                           self.design.top_name)
+
+    def _base_env(self, inputs: Mapping[str, Sequence[int]],
+                  varying: Collection[str], key_row: Optional["object"],
+                  block: int) -> Dict[str, Slices]:
+        """The V-lane environment: shared inputs, zero defaults for every
+        input outside ``varying``, and ``key_row`` broadcast on the key
+        port."""
+        env: Dict[str, Slices] = {
+            name: pack_values(values, self.width_of(name))
+            for name, values in inputs.items()}
+        for name in self.plan.inputs:
+            if name not in env and name not in varying:
+                env[name] = [0] * self.width_of(name)
+        if key_row is not None:
+            env[self.plan.key_port] = [block if bit else 0
+                                       for bit in key_row.tolist()]
+        return env
+
+    def _single_flips(self, check: CheckedSweep) -> Optional[List[int]]:
+        """Per point after point 0, the one key bit it flips (-1: none), or
+        ``None`` unless the sweep takes the cone path (a key sweep without
+        bindings, no point flipping two bits, V within the plan's cap)."""
+        key_bits = check.key_bits
+        if key_bits is None or check.bound \
+                or check.base > auto_max_lanes(self.plan):
+            return None
+        flipped = key_bits[1:] != key_bits[0]
+        counts = flipped.sum(axis=1)
+        if counts.size and counts.max() > 1:
+            return None
+        positions = flipped.argmax(axis=1)
+        positions[counts == 0] = -1
+        return positions.tolist()
+
+    def _cone_differences(self, inputs: Mapping[str, Sequence[int]],
+                          check: CheckedSweep,
+                          flips: List[int]) -> SweepDifferences:
+        """:meth:`sweep_differences` of single-bit key flips, one cone per
+        flipped bit over one all-values base pass (see that method)."""
+        # No flip, or a flip whose cone is empty, changes nothing.
+        counted: Dict[int, Tuple[int, int]] = dict.fromkeys(flips, (0, 0))
+        if any(bit >= 0 for bit in counted):
+            cones = key_cones(self.plan)
+            full = (1 << check.base) - 1
+            port = self.plan.key_port
+            env = self._base_env(inputs, (), check.key_bits[0], full)
+            execute_steps(self.plan.steps, env, full, cones.base_release)
+            for bit in counted:
+                if bit < 0 or not cones.steps[bit]:
+                    continue
+                point_env = dict(env)
+                key = list(env[port])
+                key[bit] ^= full
+                point_env[port] = key
+                execute_steps(cones.steps[bit], point_env, full, repeat(()))
+                any_difference = flipped = 0
+                for name in cones.outputs[bit]:
+                    for word, expected in zip(point_env[name], env[name]):
+                        difference = word ^ expected
+                        if difference:
+                            any_difference |= difference
+                            flipped += difference.bit_count()
+                counted[bit] = (any_difference.bit_count(), flipped)
+        return SweepDifferences(tuple(self.plan.outputs),
+                                [counted[bit][0] for bit in flips],
+                                [counted[bit][1] for bit in flips])
+
+    def _prepare_sweep(self, inputs: Mapping[str, Sequence[int]],
+                       bindings: Optional[Sequence[Mapping[str, int]]],
+                       check: CheckedSweep) -> _Sweep:
+        """Run a checked sweep's point-invariant work on the V lanes."""
+        key_port = self.plan.key_port
+        base, points, bound, key_bits = check
         block = (1 << base) - 1
 
         # Point-varying sources: per-point bound signals, and the key port
         # unless every point binds the same key (then it broadcasts).
         varying: Set[str] = set(bound)
-        shared_key: Optional[List[int]] = None
-        if keys is not None:
-            first = list(keys[0])
-            if all(list(point_key) == first for point_key in keys):
-                shared_key = first
-            else:
-                varying.add(key_port)
+        shared = key_bits is not None and bool((key_bits == key_bits[0]).all())
+        if key_bits is not None and not shared:
+            varying.add(key_port)
 
         # Base environment at V lanes: shared inputs and zero defaults for
         # everything that is not swept per point.
-        base_env: Dict[str, Slices] = {
-            name: pack_values(values, self.width_of(name))
-            for name, values in inputs.items()}
-        for name in self.plan.inputs:
-            if name not in base_env and name not in varying:
-                base_env[name] = [0] * self.width_of(name)
-        if shared_key is not None and key_port is not None:
-            base_env[key_port] = _fit(_pack_key_broadcast(shared_key, block),
-                                      self.width_of(key_port))
+        base_env = self._base_env(inputs, varying,
+                                  key_bits[0] if shared else None, block)
 
         schedule = sweep_schedule(self.plan, frozenset(varying))
 
@@ -1134,8 +1301,7 @@ class BatchSimulator:
             invariant_env={name: base_env[name]
                            for name in schedule.invariant_outputs},
             bindings=list(bindings or ()), bound=bound,
-            swept_keys=list(keys) if keys is not None and shared_key is None
-            else None)
+            swept_keys=key_bits if key_port in varying else None)
 
     def _sweep_tiles(self, sweep: _Sweep,
                      max_lanes: Optional[int]) -> List[Tuple[int, int]]:
@@ -1170,11 +1336,9 @@ class BatchSimulator:
             env[name] = _pack_point_values(
                 [point.get(name, 0) for point in sweep.bindings[first:last]],
                 self.width_of(name), base)
-        port = self.plan.key_port
-        if sweep.swept_keys is not None and port is not None:
-            width = self.width_of(port)
-            env[port] = _fit(_pack_swept_keys(sweep.swept_keys[first:last],
-                                              width, base), width)
+        if sweep.swept_keys is not None:
+            env[self.plan.key_port] = _pack_swept_keys(
+                sweep.swept_keys[first:last], base)
         execute_steps(sweep.schedule.varying_steps, env,
                       (1 << points * base) - 1,
                       sweep.schedule.varying_release)

@@ -18,12 +18,15 @@ The compiler consumes the annotations the analysis passes computed:
 
 Per emitted step the compiler records the set of signal/slot names its
 closure reads — the dependency edges dead-step pruning and the sweep
-classifier walk.
+classifier walk — and the key-port bits it reads directly: a static bit-
+or part-select of the key port reads only the selected bits, any other read
+of the port (whole, or by a dynamic index) reads every bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from ...verilog import ast_nodes as ast
 from ..evaluator import SimulationError
@@ -45,22 +48,26 @@ class ExpressionCompiler:
             A key present in both sets is emitted as a ``$cseN`` step; the
             sweep executor hoists it all the same, since it reads no
             point-varying source.
+        key_port: The design's key port, whose reads are recorded per bit.
     """
 
     def __init__(self, widths: Mapping[str, int],
                  default_width: int = WORKING_WIDTH,
                  shared: FrozenSet[tuple] = frozenset(),
-                 invariant: FrozenSet[tuple] = frozenset()) -> None:
+                 invariant: FrozenSet[tuple] = frozenset(),
+                 key_port: Optional[str] = None) -> None:
         self.widths = dict(widths)
         self.default_width = default_width
         self.shared = shared
         self.invariant = invariant
+        self.key_port = key_port
         self._key_memo: Dict[int, tuple] = {}
         self._hoist_slots: Dict[tuple, Tuple[str, int]] = {}
         self._cse_count = 0
         self._vn_count = 0
         self._pending_steps: List[Step] = []
-        self._dep_stack: List[Set[str]] = []
+        # Per step being compiled: (names read, key-port bits read).
+        self._dep_stack: List[Tuple[Set[str], Set[int]]] = []
 
     def width_of(self, name: str) -> int:
         return self.widths.get(name, self.default_width)
@@ -75,16 +82,26 @@ class ExpressionCompiler:
         """Number of invariant-subexpression (``$vnN``) slots emitted so far."""
         return self._vn_count
 
-    def _record_dep(self, name: str) -> None:
+    def _record_dep(self, name: str,
+                    key_bits: Optional[Iterable[int]] = None) -> None:
+        """Record a read of ``name``; a read of the key port reads
+        ``key_bits`` (default: every bit of the port)."""
         if self._dep_stack:
-            self._dep_stack[-1].add(name)
+            names, bits = self._dep_stack[-1]
+            names.add(name)
+            if name == self.key_port:
+                width = self.width_of(name)
+                bits.update(range(width) if key_bits is None
+                            else (bit for bit in key_bits if bit < width))
 
     def compile_step(self, expr: ast.Expression
-                     ) -> Tuple[CompiledExpr, int, Set[str]]:
-        """Compile a top-level assignment: ``(closure, width, read names)``."""
-        self._dep_stack.append(set())
+                     ) -> Tuple[CompiledExpr, int, Set[str], Set[int]]:
+        """Compile a top-level assignment: ``(closure, width, read names,
+        key-port bits read)``."""
+        self._dep_stack.append((set(), set()))
         fn, width = self.compile(expr)
-        return fn, width, self._dep_stack.pop()
+        names, key_bits = self._dep_stack.pop()
+        return fn, width, names, key_bits
 
     def take_pending_steps(self) -> List[Step]:
         """Drain hoisted steps emitted since the last call (dependency order)."""
@@ -104,9 +121,9 @@ class ExpressionCompiler:
             if is_shared or key in self.invariant:
                 slot_info = self._hoist_slots.get(key)
                 if slot_info is None:
-                    self._dep_stack.append(set())
+                    self._dep_stack.append((set(), set()))
                     fn, width = self._compile(expr)
-                    deps = self._dep_stack.pop()
+                    deps, key_bits = self._dep_stack.pop()
                     if is_shared:
                         slot = f"$cse{self._cse_count}"
                         self._cse_count += 1
@@ -120,7 +137,9 @@ class ExpressionCompiler:
                     self._hoist_slots[key] = slot_info
                     self._pending_steps.append(
                         Step(target=slot, width=width, fn=fn,
-                             reads=frozenset(deps), kind=kind))
+                             reads=frozenset(deps),
+                             key_bits=tuple(sorted(key_bits)),
+                             kind=kind))
                 slot, width = slot_info
                 self._record_dep(slot)
 
@@ -135,18 +154,7 @@ class ExpressionCompiler:
         working = max(self.default_width, 1)
 
         if isinstance(expr, ast.Identifier):
-            name = expr.name
-            width = self.width_of(name)
-            self._record_dep(name)
-
-            def read(env: Dict[str, Slices], full: int,
-                     _name: str = name) -> Slices:
-                try:
-                    return env[_name]
-                except KeyError:
-                    raise SimulationError(f"signal {_name!r} has no value")
-
-            return read, width
+            return self._compile_read(expr.name)
 
         if isinstance(expr, ast.IntConst):
             try:
@@ -210,8 +218,9 @@ class ExpressionCompiler:
             return replicate, count * pw
 
         if isinstance(expr, ast.BitSelect):
-            target_fn, wt = self.compile(expr.target)
             index = static_int(expr.index)
+            target_fn, wt = self._compile_select_target(
+                expr.target, None if index is None else [index])
             if index is not None:
 
                 def bit_static(env: Dict[str, Slices], full: int,
@@ -240,7 +249,8 @@ class ExpressionCompiler:
             if msb < lsb:
                 msb, lsb = lsb, msb
             width = msb - lsb + 1
-            target_fn, _ = self.compile(expr.target)
+            target_fn, _ = self._compile_select_target(
+                expr.target, range(lsb, msb + 1))
 
             def part(env: Dict[str, Slices], full: int) -> Slices:
                 value = target_fn(env, full)
@@ -257,7 +267,8 @@ class ExpressionCompiler:
                     "indexed part-select bounds are not static constants")
             lsb = base if expr.direction == "+:" else base - width + 1
             lsb = max(lsb, 0)
-            target_fn, _ = self.compile(expr.target)
+            target_fn, _ = self._compile_select_target(
+                expr.target, range(lsb, lsb + width))
 
             def indexed(env: Dict[str, Slices], full: int) -> Slices:
                 value = target_fn(env, full)
@@ -268,6 +279,30 @@ class ExpressionCompiler:
 
         raise BatchCompileError(
             f"cannot compile expression of type {type(expr).__name__}")
+
+    def _compile_read(self, name: str,
+                      key_bits: Optional[Iterable[int]] = None
+                      ) -> Tuple[CompiledExpr, int]:
+        """A signal read; ``key_bits`` are the key-port bits it reads."""
+        self._record_dep(name, key_bits)
+
+        def read(env: Dict[str, Slices], full: int,
+                 _name: str = name) -> Slices:
+            try:
+                return env[_name]
+            except KeyError:
+                raise SimulationError(f"signal {_name!r} has no value")
+
+        return read, self.width_of(name)
+
+    def _compile_select_target(self, target: ast.Expression,
+                               selected: Optional[Iterable[int]]
+                               ) -> Tuple[CompiledExpr, int]:
+        """The target of a select; a key-port target reads only the
+        ``selected`` bits (``None``: a dynamic index, every bit)."""
+        if isinstance(target, ast.Identifier) and target.name == self.key_port:
+            return self._compile_read(target.name, selected)
+        return self.compile(target)
 
     # ------------------------------------------------------------- binary ops
 

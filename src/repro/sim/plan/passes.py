@@ -263,14 +263,16 @@ def _lower(build: PlanBuild) -> None:
     """Lower the assignment IR into executable bit-slice steps."""
     compiler = ExpressionCompiler(build.widths,
                                   shared=build.shared,
-                                  invariant=build.invariant_keys)
+                                  invariant=build.invariant_keys,
+                                  key_port=build.key_port)
     steps: List[Step] = []
     driven: Set[str] = set()
     for name, expr in build.assignments:
-        fn, _, reads = compiler.compile_step(expr)
+        fn, _, reads, key_bits = compiler.compile_step(expr)
         steps.extend(compiler.take_pending_steps())
         steps.append(Step(target=name, width=compiler.width_of(name),
-                          fn=fn, reads=frozenset(reads)))
+                          fn=fn, reads=frozenset(reads),
+                          key_bits=tuple(sorted(key_bits))))
         driven.add(name)
     build.outputs = [name for name in build.output_ports
                      if name in driven]

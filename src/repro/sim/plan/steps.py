@@ -58,6 +58,10 @@ class Step:
             lowering pass has run).
         reads: Signal/slot names the closure reads — the dependency edges
             used by dead-step pruning and by the sweep classifier.
+        key_bits: Positions of the key port the closure reads directly, in
+            ascending order: the selected bits of a static bit- or
+            part-select, every bit of a whole-port read or a dynamic index.  Transitively, the cones of
+            single-bit key flips (:func:`~repro.sim.plan.executor.key_cones`).
         kind: ``"assign"`` for module assignments, ``"cse"`` for shared
             ``$cseN`` subexpression slots, ``"invariant"`` for ``$vnN``
             slots hoisted by sweep value-numbering.
@@ -67,6 +71,7 @@ class Step:
     width: int
     fn: Optional[CompiledExpr] = None
     reads: FrozenSet[str] = frozenset()
+    key_bits: Tuple[int, ...] = ()
     kind: str = "assign"
 
 

@@ -312,10 +312,10 @@ def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],
                                                bindings=bindings, n=n)
 
     simulator = CombinationalSimulator(design)
-    lanes, points, _ = check_sweep(inputs, keys, bindings, n,
-                                   set(simulator.input_names),
-                                   design.key_port,
-                                   design.top_name)
+    key_port = design.key_port
+    lanes, points, _, _ = check_sweep(
+        inputs, keys, bindings, n, set(simulator.input_names), key_port,
+        simulator.width_of(key_port) if key_port else 0, design.top_name)
     from .vectors import batch_to_vectors
     outputs = simulator.output_names
     vectors = batch_to_vectors(inputs, lanes)

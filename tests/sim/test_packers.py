@@ -6,8 +6,11 @@ V is a multiple of 8 the packers write each point's block as V/8 bytes of
 ``0xFF`` or ``0x00``; other base widths OR each point's block into the
 slices it sets.  Both must equal :func:`reference_pack` — the set-bit loop
 kept here as the reference — for every case below: base widths that are
-and are not whole bytes, one-hot and random keys, a ragged last tile, and
-keys shorter and longer than the port.
+and are not whole bytes, one-hot and random keys, and a ragged last tile.
+
+Swept keys are packed from the key matrix :func:`_key_bit_matrix` builds
+once per sweep; it rejects a key of the wrong length or with a bit that is
+not 0/1, naming the point (and the position).
 """
 
 import random
@@ -16,7 +19,8 @@ import pytest
 
 from repro.sim import SimulationError
 from repro.sim.evaluator import mask
-from repro.sim.plan.executor import _pack_point_values, _pack_swept_keys
+from repro.sim.plan.executor import (_key_bit_matrix, _pack_point_values,
+                                     _pack_swept_keys)
 
 #: Base lane counts: below a byte, ragged bytes, and whole bytes.
 BASES = [1, 7, 8, 12, 16, 2048]
@@ -52,14 +56,11 @@ def random_keys(length, count=9, seed=0):
     return [[rng.randint(0, 1) for _ in range(length)] for _ in range(count)]
 
 
-#: ``(case name, keys)``: point keys of port length and of shorter and
-#: longer lengths (bits past the port are dropped, missing ones read 0).
+#: ``(case name, keys)``: one key of port length per point.
 KEY_CASES = [
     ("one-hot", one_hot_keys(PORT)),
     ("random", random_keys(PORT)),
-    ("short", random_keys(PORT - 4, seed=1)),
-    ("long", random_keys(PORT + 5, seed=2)),
-    ("one-hot-long", one_hot_keys(PORT + 3)),
+    ("all-ones", [[1] * PORT] * 3),
 ]
 
 #: ``(case name, width, point values)``: per-point bound values, including
@@ -71,9 +72,13 @@ VALUE_CASES = [
 ]
 
 
+def pack_keys(keys, base):
+    return _pack_swept_keys(_key_bit_matrix(keys, PORT), base)
+
+
 def run_key_case(keys, base):
     expected = reference_pack([key_value(key) for key in keys], PORT, base)
-    assert _pack_swept_keys(keys, PORT, base) == expected
+    assert pack_keys(keys, base) == expected
 
 
 def run_value_case(width, values, base):
@@ -111,28 +116,45 @@ def test_point_values_equal_the_set_bit_loop(name, width, values, base):
 @pytest.mark.parametrize("base", BASES)
 def test_ragged_last_tile_packs_the_same_blocks(base):
     keys = one_hot_keys(PORT)  # 11 points: tiles of 4, 4 and 3
-    run_tiled_case(lambda tile: _pack_swept_keys(tile, PORT, base), keys,
-                   base, 4)
+    run_tiled_case(lambda tile: pack_keys(tile, base), keys, base, 4)
     values = VALUE_CASES[0][2]  # 9 points: tiles of 4, 4 and 1
     run_tiled_case(lambda tile: _pack_point_values(tile, 8, base), values,
                    base, 4)
 
 
-#: ``(case name, keys, point, position)`` of the first bad bit.
+def _keys_with(point, position, bit, points=6):
+    """Port-length zero keys, with ``bit`` at ``(point, position)``."""
+    keys = [[0] * PORT for _ in range(points)]
+    keys[point][position] = bit
+    return keys
+
+
+#: ``(case name, keys, message)``: the first fault the key matrix names.
 BAD_KEY_CASES = [
-    ("two", [[0, 1, 0]] * 5 + [[0, 0, 2]], 5, 2),
-    ("negative", [[0, 1, 0], [1, -1, 0]], 1, 1),
-    ("past-the-port", [[0] * (PORT + 2), [0] * (PORT + 1) + [3]], 1,
-     PORT + 1),
-    ("ragged", [[0, 1], [1, 0, 1], [0, 7]], 2, 1),
+    ("two", _keys_with(5, 2, 2), "key bit 2 of sweep point 5 is not 0/1"),
+    ("negative", _keys_with(1, 1, -1),
+     "key bit 1 of sweep point 1 is not 0/1"),
+    ("fraction", _keys_with(3, PORT - 1, 0.5),
+     f"key bit {PORT - 1} of sweep point 3 is not 0/1"),
+    ("text", _keys_with(0, 4, "1"), "key bit 4 of sweep point 0 is not 0/1"),
+    ("short", [[0] * PORT, [0] * (PORT - 4)],
+     f"key of sweep point 1 has {PORT - 4} bits, expected {PORT}"),
+    ("long", [[0] * (PORT + 2)],
+     f"key of sweep point 0 has {PORT + 2} bits, expected {PORT}"),
+    ("ragged", [[0] * PORT, [0] * PORT, [0, 7]],
+     f"key of sweep point 2 has 2 bits, expected {PORT}"),
 ]
 
 
-@pytest.mark.parametrize("base", BASES)
-@pytest.mark.parametrize("name,keys,point,position", BAD_KEY_CASES,
+@pytest.mark.parametrize("name,keys,message", BAD_KEY_CASES,
                          ids=[name for name, *_ in BAD_KEY_CASES])
-def test_non_binary_key_bit_names_point_and_position(name, keys, point,
-                                                     position, base):
-    with pytest.raises(SimulationError,
-                       match=f"key bit {position} of sweep point {point} "):
-        _pack_swept_keys(keys, PORT, base)
+def test_key_matrix_names_the_first_bad_key(name, keys, message):
+    with pytest.raises(SimulationError) as excinfo:
+        _key_bit_matrix(keys, PORT)
+    assert str(excinfo.value) == message
+
+
+def test_key_matrix_accepts_booleans():
+    keys = [[True, False] * (PORT // 2), [False] * PORT]
+    assert _key_bit_matrix(keys, PORT).tolist() == \
+        [[int(bit) for bit in key] for key in keys]

@@ -274,18 +274,27 @@ class TestConsumerThreading:
     def test_functional_kpa(self):
         from repro.attacks.kpa import functional_kpa
 
-        # Single-bit flips score anywhere from 0 to 100; a 16-lane cap puts
-        # the correct key and the candidate in separate tiles.
+        # Single-bit flips score anywhere from 0 to 100 and take the cone
+        # path, which runs no tile.  Two-bit flips take the tiles: a 16-lane
+        # cap puts the correct key and the candidate in separate tiles.
         locked = _locked(algorithm="era")
-        keys = [flip_bits(locked.correct_key, [bit])
-                for bit in range(locked.key_width)]
-        reference = [functional_kpa(locked, key, vectors=16,
-                                    rng=random.Random(24)) for key in keys]
-        with _plan_cap(get_plan(locked), 16), _recorded_tiles() as tiles:
-            chunked = [functional_kpa(locked, key, vectors=16,
-                                      rng=random.Random(24)) for key in keys]
-        assert chunked == reference
-        assert tiles == [(0, 1), (1, 2)] * len(keys)
+        width = locked.key_width
+        single = [flip_bits(locked.correct_key, [bit])
+                  for bit in range(width)]
+        double = [flip_bits(locked.correct_key, [bit, (bit + 1) % width])
+                  for bit in range(width)]
+        for keys, expected_tiles in ((single, []),
+                                     (double, [(0, 1), (1, 2)] * width)):
+            reference = [functional_kpa(locked, key, vectors=16,
+                                        rng=random.Random(24))
+                         for key in keys]
+            with _plan_cap(get_plan(locked), 16), \
+                    _recorded_tiles() as tiles:
+                chunked = [functional_kpa(locked, key, vectors=16,
+                                          rng=random.Random(24))
+                           for key in keys]
+            assert chunked == reference
+            assert tiles == expected_tiles
 
     def test_metrics_accept_max_lanes(self):
         from repro.locking.metrics import (functional_corruption,

@@ -8,6 +8,8 @@ point 0 — for every tiling, key and binding sweeps, hoisted outputs,
 and base widths that are and are not whole bytes.  The
 module-level :func:`repro.sim.sweep_differences` must give the same counts
 on its scalar engine, which is also the fallback for uncompilable designs.
+Sweeps of single-bit key flips take the cone path and run no tile; their
+counts are held to both references in one case table (``CONE_CASES``).
 """
 
 import contextlib
@@ -17,7 +19,7 @@ from unittest import mock
 import pytest
 
 from repro.bench import load_benchmark
-from repro.locking import ERALocker, flip_bits
+from repro.locking import AssureLocker, ERALocker, HRALocker, flip_bits
 from repro.rtlir import Design, KeyBit
 from repro.sim import (
     BatchSimulator,
@@ -30,8 +32,10 @@ from repro.sim import (
     sweep_differences,
 )
 from repro.sim.plan import executor
-from repro.sim.plan.executor import _block_comb, _replicate, sweep_schedule
+from repro.sim.plan.executor import (_block_comb, _replicate, key_cones,
+                                     sweep_schedule)
 from tests.attacks.test_sweep_regression import UNCOMPILABLE, _oddball_locked
+from tests.sim.test_pipelined_sweep import _recorded_tiles
 
 #: Base widths: whole bytes (byte-repeat tiling, byte popcounts) and not.
 BASES = [64, 100, 33]
@@ -87,6 +91,13 @@ BAD_SWEEPS = [
     ("input-shared-and-bound", True,
      {"inputs": {"a": [1]}, "bindings": [{"a": 2}]},
      "input 'a' is both shared and swept per point"),
+    ("key-too-short", True, {"inputs": {"a": [1]}, "keys": [[1, 0], [1]]},
+     "key of sweep point 1 has 1 bits, expected 2"),
+    ("key-too-long", True, {"inputs": {"a": [1]}, "keys": [[1, 0, 1]]},
+     "key of sweep point 0 has 3 bits, expected 2"),
+    ("key-bit-not-binary", True,
+     {"inputs": {"a": [1]}, "keys": [[1, 0], [2, 0]]},
+     "key bit 0 of sweep point 1 is not 0/1"),
 ]
 
 
@@ -307,3 +318,190 @@ class TestBadSweeps:
                                   engine="scalar" if engine == "scalar"
                                   else "batch")
         assert str(excinfo.value) == message.format(top=design.top_name)
+
+
+# ---------------------------------------------------------------------------
+# Single-bit key flips: the cone path against the tiles and the scalar engine
+# ---------------------------------------------------------------------------
+
+#: Reads the key whole (``lock_key == ...``) and by a static bit-select.
+WHOLE_KEY = """
+module whole (input [7:0] a, input [7:0] b, input [2:0] lock_key,
+              output [7:0] x, output [7:0] y);
+  assign x = (lock_key == 3'd5) ? (a + b) : (a ^ b);
+  assign y = lock_key[1] ? (b - a) : (a & b);
+endmodule
+"""
+
+#: Reads the key by a dynamic index and by a static bit-select.
+DYNAMIC_KEY = """
+module dynamic (input [7:0] a, input [3:0] lock_key,
+                output [1:0] x, output [7:0] y);
+  assign x = {lock_key[a[1:0]], lock_key[3]};
+  assign y = lock_key[2] ? (a + 8'd1) : (a - 8'd1);
+endmodule
+"""
+
+#: Reads the key by part-selects (``[3:1]``, ``[5 +: 2]``) and a bit-select;
+#: bit 7 is never read.
+PART_KEY = """
+module part (input [7:0] a, input [7:0] b, input [7:0] lock_key,
+             output [7:0] x, output [7:0] y, output [1:0] z);
+  assign x = lock_key[3:1] + a;
+  assign y = lock_key[0] ? (a * b) : (a + b);
+  assign z = lock_key[5 +: 2] ^ b[1:0];
+endmodule
+"""
+
+#: Per custom design, the key bits each assignment reads directly.
+KEY_READS = {
+    "whole": (WHOLE_KEY, {"x": {0, 1, 2}, "y": {1}}),
+    "dynamic": (DYNAMIC_KEY, {"x": {0, 1, 2, 3}, "y": {2}}),
+    "part": (PART_KEY, {"x": {1, 2, 3}, "y": {0}, "z": {5, 6}}),
+}
+
+
+def _custom_locked(name):
+    source, _ = KEY_READS[name]
+    design = Design.from_verilog(source)
+    design.key_port = "lock_key"
+    width = BatchSimulator(design).width_of("lock_key")
+    design.key_bits = [KeyBit(index=index, kind="operation",
+                              correct_value=index % 2)
+                       for index in range(width)]
+    return design
+
+
+def _locked_by(algorithm, seed=0, scale=0.15):
+    design = load_benchmark("MD5", scale=scale, seed=seed)
+    budget = max(1, int(0.75 * design.num_operations()))
+    rng = random.Random(seed)
+    locker = {"era": lambda: ERALocker(rng=rng, track_metrics=False),
+              "assure": lambda: AssureLocker("serial", rng=rng,
+                                             track_metrics=False),
+              "hra": lambda: HRALocker(rng=rng, track_metrics=False)}
+    return locker[algorithm]().lock(design, budget).design
+
+
+def _cone_design(name):
+    return _custom_locked(name) if name in KEY_READS else _locked_by(name)
+
+
+#: Cone-path cases held as data: (id, design, V, point-0 key, flips,
+#: tiled?).  ``flips`` lists the key bits each later point flips against
+#: point 0 (``()``: a point equal to point 0); ``"each"`` is every single
+#: bit, then a point equal to point 0.  Every case but the two-bit flip
+#: must take the cone path and run no tile.
+CONE_CASES = [
+    ("era-v1", "era", 1, "zero", "each", False),
+    ("assure-v5", "assure", 5, "correct", "each", False),
+    ("hra-v16", "hra", 16, "random", "each", False),
+    ("era-v2047", "era", 2047, "correct", [(4,), (4,)], False),
+    ("whole-key-v16", "whole", 16, "random", "each", False),
+    ("dynamic-index-v5", "dynamic", 5, "correct", "each", False),
+    ("part-select-v2047", "part", 2047, "random", "each", False),
+    ("two-bit-flip-v16", "era", 16, "correct", [(4,), (6, 7), ()], True),
+]
+
+
+def run_cone_case(design, base, point0, flips, tiled):
+    """Counts of one single-flip sweep equal the tiles' and the scalar
+    engine's; ``tiled`` says whether the sweep may run tiles."""
+    simulator = BatchSimulator(design)
+    rng = random.Random(base)
+    width = design.key_width
+    key0 = {"zero": [0] * width, "correct": design.correct_key,
+            "random": random_key(width, rng)}[point0]
+    if flips == "each":
+        flips = [(bit,) for bit in range(width)] + [()]
+    keys = [key0] + [flip_bits(key0, list(bits)) for bits in flips]
+    batch = simulator.random_batch(rng, base)
+    with _recorded_tiles() as tiles:
+        counted = simulator.sweep_differences(batch, keys=keys, n=base)
+    assert bool(tiles) == tiled
+    runs = simulator.run_sweep(batch, keys=keys, n=base)
+    assert (counted.lanes, counted.bits) == _expected(runs, base)
+    assert counted == sweep_differences(design, batch, keys=keys, n=base,
+                                        engine="scalar")
+    for index, bits in enumerate(flips):
+        if not bits:
+            assert counted.lanes[index] == counted.bits[index] == 0
+    return counted
+
+
+class TestConePath:
+    """Single-bit key flips evaluate only the flipped bit's fan-out cone;
+    the counts stay those of the tiles and of the scalar engine."""
+
+    @pytest.mark.parametrize("design,base,point0,flips,tiled",
+                             [case[1:] for case in CONE_CASES],
+                             ids=[case[0] for case in CONE_CASES])
+    def test_counts_equal_the_references(self, design, base, point0, flips,
+                                         tiled):
+        counted = run_cone_case(_cone_design(design), base, point0, flips,
+                                tiled)
+        assert any(counted.lanes)
+
+    @pytest.mark.parametrize("name", sorted(KEY_READS))
+    def test_lowering_records_the_key_bits_read(self, name):
+        plan = BatchSimulator(_custom_locked(name)).plan
+        _, expected = KEY_READS[name]
+        recorded = {step.target: set(step.key_bits) for step in plan.steps
+                    if step.target in expected}
+        assert recorded == expected
+
+    def test_unread_key_bit_has_an_empty_cone(self):
+        plan = BatchSimulator(_custom_locked("part")).plan
+        cones = key_cones(plan)
+        assert cones.steps[7] == [] and cones.outputs[7] == []
+        assert cones.outputs[5] == ["z"]
+
+    def test_wide_base_takes_the_tiles(self):
+        # Above the plan's lane cap, V lanes of every value would not fit
+        # the lane budget: the sweep keeps the tiles.
+        design = _custom_locked("whole")
+        simulator = BatchSimulator(design)
+        rng = random.Random(7)
+        batch = simulator.random_batch(rng, 64)
+        keys = [[0, 0, 0], [1, 0, 0], [0, 0, 1]]
+        budget = 32 * plan_lane_bits(simulator.plan)
+        with mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET", budget), \
+                _recorded_tiles() as tiles:
+            counted = simulator.sweep_differences(batch, keys=keys, n=64)
+        assert tiles
+        assert counted == simulator.sweep_differences(batch, keys=keys, n=64)
+
+    def test_bindings_take_the_tiles(self):
+        # Per-point bindings vary a data input too: no single-bit cone.
+        design = _custom_locked("whole")
+        simulator = BatchSimulator(design)
+        batch = {"b": [value * 37 % 256 for value in range(16)]}
+        keys = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        bindings = [{"a": 3}, {"a": 3}, {"a": 200}]
+        with _recorded_tiles() as tiles:
+            counted = simulator.sweep_differences(batch, keys=keys,
+                                                  bindings=bindings, n=16)
+        assert tiles
+        assert counted == sweep_differences(design, batch, keys=keys,
+                                            bindings=bindings, n=16,
+                                            engine="scalar")
+
+    def test_cones_are_computed_once_per_plan(self):
+        plan = BatchSimulator(_custom_locked("dynamic")).plan
+        assert key_cones(plan) is key_cones(plan)
+
+    @pytest.mark.parametrize("algorithm", ["era", "assure", "hra"])
+    def test_key_bit_sensitivity_equals_the_tiles(self, algorithm):
+        from repro.locking.metrics import key_bit_sensitivity
+
+        design = _locked_by(algorithm)
+        vectors = 24
+        batch = random_input_batch(design, random.Random(9), vectors)
+        zeros = [0] * design.key_width
+        keys = [zeros] + [flip_bits(zeros, [bit])
+                          for bit in range(design.key_width)]
+        runs = BatchSimulator(design).run_sweep(batch, keys=keys, n=vectors)
+        lanes, _ = _expected(runs, vectors)
+        assert key_bit_sensitivity(design, vectors=vectors,
+                                   rng=random.Random(9)) \
+            == [count / vectors for count in lanes]
