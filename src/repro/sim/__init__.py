@@ -12,12 +12,12 @@ Two engines, cross-checked against each other:
   executor).
 
 :func:`compile_plan` always runs the same five passes in one order —
-constant folding, common-subexpression elimination, **sweep
-value-numbering** (hoist point-invariant subexpressions of key-dependent
-assignments into their own steps, so :meth:`BatchSimulator.run_sweep`
-evaluates them once per V-lane base batch instead of once per S×V sweep
-lane), lowering and dead-step pruning — and counts what they did in
-``plan.stats``.
+dead-assignment pruning, constant folding, common-subexpression
+elimination, **sweep value-numbering** (hoist point-invariant
+subexpressions of key-dependent assignments into their own steps, so
+:meth:`BatchSimulator.run_sweep` evaluates them once per V-lane base batch
+instead of once per S×V sweep lane) and lowering — and counts what they
+did in ``plan.stats``.
 
 Both validate the locking contract — with the correct key the locked design
 is functionally equivalent to the original, with a wrong key the outputs are

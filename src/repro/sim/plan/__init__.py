@@ -3,8 +3,8 @@
 ``repro.sim.plan`` is the compilation pipeline behind the bit-parallel
 engine.  A design lowers once into a flat plan of typed steps
 (:mod:`~repro.sim.plan.steps`), five passes that always run in one order
-optimise it (:mod:`~repro.sim.plan.passes`: constant folding, CSE, sweep
-value-numbering, lowering, dead-step pruning), and a thin executor
+optimise it (:mod:`~repro.sim.plan.passes`: dead-assignment pruning,
+constant folding, CSE, sweep value-numbering, lowering), and a thin executor
 (:mod:`~repro.sim.plan.executor`) runs the result — N vectors per
 bit-parallel pass, or S×V sweep lanes per pass with point-invariant steps
 hoisted to the V-lane base batch.  The scalar engine does not use plans: it

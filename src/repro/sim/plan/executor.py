@@ -544,13 +544,18 @@ def differing_lanes(expected: Mapping[str, Sequence[int]],
                    for name in compared)]
 
 
-def _pack_key_broadcast(key: Sequence[int], full: int) -> Slices:
-    slices: Slices = []
+def check_key(key: Sequence[int], width: int) -> None:
+    """Check the one key a run applies to every lane; both engines call it.
+
+    Raises:
+        SimulationError: for a key that is not ``width`` bits long, else
+            naming the first position whose bit is not 0/1.
+    """
+    if len(key) != width:
+        raise SimulationError(f"key has {len(key)} bits, expected {width}")
     for position, bit in enumerate(key):
         if bit not in (0, 1):
             raise SimulationError(f"key bit {position} is not 0/1")
-        slices.append(full if bit else 0)
-    return slices
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +992,9 @@ class BatchSimulator:
 
         Raises:
             SimulationError: for unknown input names, inconsistent lane
-                counts, invalid key bits, or a non-positive ``max_lanes``.
+                counts, a key that is not as wide as the key port or has
+                a bit that is not 0/1 (:func:`check_key`), or a
+                non-positive ``max_lanes``.
         """
         lanes = n
         for name, values in inputs.items():
@@ -1017,8 +1024,8 @@ class BatchSimulator:
 
         key_port = self.plan.key_port
         if key_port is not None and key is not None:
-            env[key_port] = _fit(_pack_key_broadcast(key, full),
-                                 self.width_of(key_port))
+            check_key(key, self.width_of(key_port))
+            env[key_port] = [full if bit else 0 for bit in key]
 
         execute_steps(self.plan.steps, env, full, batch_release(self.plan))
 

@@ -17,8 +17,8 @@ The compiler consumes the annotations the analysis passes computed:
   base batch instead of once per S×V sweep lane.
 
 Per emitted step the compiler records the set of signal/slot names its
-closure reads — the dependency edges dead-step pruning and the sweep
-classifier walk — and the key-port bits it reads directly: a static bit-
+closure reads — the dependency edges the sweep classifier and the release
+schedules walk — and the key-port bits it reads directly: a static bit-
 or part-select of the key port reads only the selected bits, any other read
 of the port (whole, or by a dynamic index) reads every bit.
 """

@@ -3,8 +3,13 @@
 :func:`compile_plan` turns a design into an :class:`~repro.sim.plan.steps.EvalPlan`
 by running five passes over a mutable :class:`PlanBuild`:
 
-``fold`` → ``cse`` → ``sweep-vn`` → ``lower`` → ``prune``
+``prune`` → ``fold`` → ``cse`` → ``sweep-vn`` → ``lower``
 
+* **prune** (:func:`_prune`) — assignments no output port transitively
+  reads are dropped, so every later pass walks only live logic.  It runs
+  on the topologically ordered assignments and reuses the read sets the
+  ordering computed.  Nothing is left to prune after lowering: every
+  ``$cseN``/``$vnN`` slot is emitted where a live step reads it.
 * **fold** (:func:`_fold`) — identifier-free subexpressions are evaluated
   once at compile time with the *scalar* expression evaluator and replaced
   by literal constants, preserving each node's static operand-width
@@ -19,8 +24,6 @@ by running five passes over a mutable :class:`PlanBuild`:
   work once per V-lane base batch instead of once per S×V sweep lane.
 * **lower** (:func:`_lower`) — AST expressions → bit-slice closures via
   :class:`~repro.sim.plan.lowering.ExpressionCompiler`.
-* **prune** (:func:`_prune`) — steps no combinational output transitively
-  reads are dropped.
 
 Every pass is value-neutral: plan outputs equal the scalar AST oracle's,
 which shares no code with plans (``tests/sim/test_passes.py``,
@@ -49,14 +52,16 @@ class PlanBuild:
     """Mutable build state the passes transform.
 
     Before the ``lower`` pass the IR is the ``assignments`` list (name →
-    AST expression, topologically ordered) plus analysis annotations
-    (``shared``, ``invariant_keys``); afterwards it is the ``steps`` list of
-    lowered :class:`~repro.sim.plan.steps.Step` objects.
+    AST expression, topologically ordered) with each assignment's read set
+    (``reads``, itself excluded) plus analysis annotations (``shared``,
+    ``invariant_keys``); afterwards it is the ``steps`` list of lowered
+    :class:`~repro.sim.plan.steps.Step` objects.
     """
 
     top_name: str
     widths: Dict[str, int]
     assignments: List[Tuple[str, ast.Expression]]
+    reads: Dict[str, FrozenSet[str]]
     inputs: List[str]
     output_ports: List[str]
     key_port: Optional[str]
@@ -77,16 +82,39 @@ class PlanBuild:
             SimulationError: for combinational dependency cycles.
         """
         module = design.top
+        assignments, reads = _ordered_assignments(module)
         return cls(
             top_name=design.top_name,
             widths=_declared_widths(module),
-            assignments=_ordered_assignments(module),
+            assignments=assignments,
+            reads=reads,
             inputs=[port.name for port in module.ports
                     if port.direction == "input"],
             output_ports=[port.name for port in module.ports
                           if port.direction == "output"],
             key_port=design.key_port,
         )
+
+
+# ---------------------------------------------------------------------------
+# Dead-assignment pruning
+# ---------------------------------------------------------------------------
+
+
+def _prune(build: PlanBuild) -> None:
+    """Drop assignments no output port transitively reads.
+
+    Every reader of an assignment comes after it in the topological order,
+    so one reverse walk decides liveness.
+    """
+    live: Set[str] = set(build.output_ports)
+    kept: List[Tuple[str, ast.Expression]] = []
+    for name, expr in reversed(build.assignments):
+        if name in live:
+            kept.append((name, expr))
+            live.update(build.reads[name])
+    build.pruned_steps = len(build.assignments) - len(kept)
+    build.assignments = kept[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +275,7 @@ def _sweep_vn(build: PlanBuild) -> None:
                 collect(child)
 
     for name, expr in build.assignments:
-        if expression_reads(expr) & dependent:
+        if build.reads[name] & dependent:
             dependent.add(name)
             collect(expr)
 
@@ -255,7 +283,7 @@ def _sweep_vn(build: PlanBuild) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lowering and pruning
+# Lowering
 # ---------------------------------------------------------------------------
 
 
@@ -281,38 +309,25 @@ def _lower(build: PlanBuild) -> None:
     build.steps = steps
 
 
-def _prune(build: PlanBuild) -> None:
-    """Drop steps no combinational output transitively reads."""
-    live: Set[str] = set(build.outputs)
-    kept: List[Step] = []
-    pruned = 0
-    for step in reversed(build.steps):
-        if step.target in live:
-            kept.append(step)
-            live.update(step.reads)
-        else:
-            pruned += 1
-    build.steps = kept[::-1]
-    build.pruned_steps = pruned
-
-
 def compile_plan(design: Design) -> EvalPlan:
     """Compile ``design`` into an :class:`~repro.sim.plan.steps.EvalPlan`.
 
-    Runs fold → cse → sweep-vn → lower → prune (the module docstring says
-    what each does).  Every pass is value-neutral: outputs are bit-identical
-    to the scalar oracle's.
+    Runs prune → fold → cse → sweep-vn → lower (the module docstring says
+    what each does), so only live logic is compiled.  Every pass is
+    value-neutral: outputs are bit-identical to the scalar oracle's.
 
     Raises:
-        SimulationError: for combinational dependency cycles.
-        BatchCompileError: for constructs the plan cannot express statically.
+        SimulationError: for combinational dependency cycles, dead logic
+            included (the ordering sees every assignment).
+        BatchCompileError: for constructs the plan cannot express statically
+            in logic an output reads.
     """
     build = PlanBuild.from_design(design)
+    _prune(build)
     _fold(build)
     _cse(build)
     _sweep_vn(build)
     _lower(build)
-    _prune(build)
 
     # Steps a key sweep hoists: the executor's own classifier, so the
     # count and the runtime hoisting can never diverge.

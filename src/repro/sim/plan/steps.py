@@ -6,7 +6,7 @@ objects — the intermediate representation every optimisation pass in
 
 * what it **writes** (``target``, with its exact slice ``width``),
 * what it **reads** (``reads`` — signal and slot names; the dependency edges
-  dead-step pruning and sweep classification walk),
+  the sweep classifier and the release schedules walk),
 * where it came from (``kind`` — a module assignment, a shared ``$cseN``
   subexpression, or a hoisted point-invariant ``$vnN`` subexpression), and
 * its executable form (``fn`` — a bit-slice closure produced by
@@ -57,7 +57,7 @@ class Step:
         fn: The bit-slice closure computing the value (``None`` until the
             lowering pass has run).
         reads: Signal/slot names the closure reads — the dependency edges
-            used by dead-step pruning and by the sweep classifier.
+            used by the sweep classifier and the release schedules.
         key_bits: Positions of the key port the closure reads directly, in
             ascending order: the selected bits of a static bit- or
             part-select, every bit of a whole-port read or a dynamic index.  Transitively, the cones of
@@ -82,14 +82,14 @@ class PlanStats:
     Attributes:
         steps: Steps in the final plan (synthetic slots included).
         cse_steps: Shared ``$cseN`` steps emitted for subexpressions that
-            occur more than once (before pruning).
-        pruned_steps: Steps removed because no combinational output depends
-            on them (dead assignments and unused slots alike).
+            occur more than once in live assignments.
+        pruned_steps: Assignments dropped before compilation because no
+            output port transitively reads them.
         folded_constants: Identifier-free subexpressions replaced by literal
             constants by the folding pass.
         hoisted_subexprs: ``$vnN`` steps emitted by sweep value-numbering for
-            point-invariant subexpressions inside point-varying assignments
-            (before pruning).
+            point-invariant subexpressions inside live point-varying
+            assignments.
         invariant_steps: Steps of the final plan whose transitive inputs
             exclude the key port — the work :meth:`BatchSimulator.run_sweep
             <repro.sim.plan.executor.BatchSimulator.run_sweep>` evaluates
@@ -238,8 +238,24 @@ def _declared_widths(module: ast.Module) -> Dict[str, int]:
 
 
 def _ordered_assignments(module: ast.Module
-                         ) -> List[Tuple[str, ast.Expression]]:
-    """Collect combinational assignments and order them by dependencies."""
+                         ) -> Tuple[List[Tuple[str, ast.Expression]],
+                                    Dict[str, FrozenSet[str]]]:
+    """Collect combinational assignments and order them by dependencies.
+
+    Rounds visit the pending assignments in declaration order and emit each
+    one whose reads are no longer pending, so a module declared in
+    dependency order is emitted as declared, in one round.  Each
+    expression is walked once, for its read set.
+
+    Returns:
+        ``(order, reads)``: the ``(name, expression)`` pairs in dependency
+        order, and each assignment's read set (the signals its expression
+        reads, itself excluded).
+
+    Raises:
+        SimulationError: for combinational dependency cycles, naming every
+            assignment the cycle leaves unordered.
+    """
     assignments: Dict[str, ast.Expression] = {}
     for item in module.items:
         if isinstance(item, ast.NetDeclaration) and item.init is not None:
@@ -248,24 +264,23 @@ def _ordered_assignments(module: ast.Module
             target = _target_name(item.lhs)
             if target is not None:
                 assignments[target] = item.rhs
+    reads = {name: expression_reads(expr) - {name}
+             for name, expr in assignments.items()}
 
-    # Topological order over "signal depends on signal" edges.
     order: List[Tuple[str, ast.Expression]] = []
     pending = dict(assignments)
+    unresolved = pending.keys()
     while pending:
         progressed = False
         for name in list(pending):
-            deps = {ident.name for ident in pending[name].iter_tree()
-                    if isinstance(ident, ast.Identifier)}
-            unresolved = deps & set(pending) - {name}
-            if not unresolved:
+            if unresolved.isdisjoint(reads[name]):
                 order.append((name, pending.pop(name)))
                 progressed = True
         if not progressed:
             raise SimulationError(
                 "combinational dependency cycle involving: "
                 + ", ".join(sorted(pending)))
-    return order
+    return order, reads
 
 
 def _target_name(lhs: ast.Expression) -> Optional[str]:

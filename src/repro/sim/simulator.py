@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..rtlir.design import Design
 from .evaluator import ExpressionEvaluator, SimulationError, mask
-from .plan.executor import SweepDifferences, check_sweep
+from .plan.executor import SweepDifferences, check_key, check_sweep
 from .plan.steps import _declared_widths, _ordered_assignments
 
 
@@ -71,7 +71,7 @@ class CombinationalSimulator:
         self._data_signals = [(name, self.width_of(name))
                               for name in self._inputs
                               if name != design.key_port]
-        self._assignments = _ordered_assignments(module)
+        self._assignments, _ = _ordered_assignments(module)
 
     # ------------------------------------------------------------- accessors
 
@@ -106,7 +106,10 @@ class CombinationalSimulator:
             ``{output name: value}`` for every combinational output.
 
         Raises:
-            SimulationError: for unknown input names or evaluation failures.
+            SimulationError: for unknown input names, a key that is not as
+                wide as the key port or has a bit that is not 0/1
+                (:func:`~repro.sim.plan.executor.check_key`), or evaluation
+                failures.
         """
         env: Dict[str, int] = {}
         for name, value in inputs.items():
@@ -117,8 +120,11 @@ class CombinationalSimulator:
         for name in self._inputs:
             env.setdefault(name, 0)
 
-        if self.design.key_port is not None and key is not None:
-            env[self.design.key_port] = _pack_key(key)
+        key_port = self.design.key_port
+        if key_port is not None and key is not None:
+            check_key(key, self.width_of(key_port))
+            env[key_port] = sum(bit << position
+                                for position, bit in enumerate(key))
 
         for name, expr in self._assignments:
             env[name] = mask(self._evaluator.evaluate(expr, env),
@@ -131,15 +137,6 @@ class CombinationalSimulator:
         from .vectors import random_vector_batch
         batch = random_vector_batch(self._data_signals, rng, 1)
         return {name: values[0] for name, values in batch.items()}
-
-
-def _pack_key(key: Sequence[int]) -> int:
-    value = 0
-    for position, bit in enumerate(key):
-        if bit not in (0, 1):
-            raise SimulationError(f"key bit {position} is not 0/1")
-        value |= bit << position
-    return value
 
 
 # ---------------------------------------------------------------------------

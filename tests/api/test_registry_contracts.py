@@ -23,7 +23,9 @@ Two more contracts make a locked design worth attacking at all:
 
 And every benchmark locked by every locker simulates the same on the
 compiled bit-parallel plan as on the scalar AST oracle, which shares no
-code with plans, under the correct key and under a wrong key.
+code with plans, under the correct key and under a wrong key.  Its plan
+holds only live steps, and it pruned exactly the assignments no output
+reads, counted here from the design without the plan compiler.
 
 Tiled sweeps of every benchmark locked by every locker, which drop each
 value after its last reader, equal per-point ``run_batch``; no step drops a
@@ -68,8 +70,9 @@ from repro.sim import (BatchSimulator, CombinationalSimulator,
                        batch_to_vectors, check_equivalence, differing_lanes,
                        input_signals, plan_lane_bits, random_input_batch,
                        random_wrong_key)
-from repro.sim.plan import executor
+from repro.sim.plan import compile_plan, executor
 from repro.sim.plan.executor import batch_release
+from repro.verilog import ast_nodes as ast
 
 from ..conftest import MIXER_SOURCE
 
@@ -283,6 +286,54 @@ def check_plan_matches_oracle(benchmark: str, locker: str) -> None:
                               for name, locker in SIMULATION_CASES])
 def test_locked_benchmark_plan_matches_scalar_oracle(design_name, locker):
     check_plan_matches_oracle(design_name, locker)
+
+
+def dead_assignments(design: Design) -> int:
+    """Assignments of ``design`` no output port transitively reads."""
+    reads = {}
+    for item in design.top.items:
+        if isinstance(item, ast.NetDeclaration) and item.init is not None:
+            target, expr = item.names[0], item.init
+        elif isinstance(item, ast.ContinuousAssign) \
+                and isinstance(item.lhs, ast.Identifier):
+            target, expr = item.lhs.name, item.rhs
+        else:
+            continue
+        reads[target] = {node.name for node in expr.iter_tree()
+                         if isinstance(node, ast.Identifier)}
+    live = set()
+    frontier = [port.name for port in design.top.ports
+                if port.direction == "output"]
+    while frontier:
+        name = frontier.pop()
+        if name not in live:
+            live.add(name)
+            frontier.extend(reads.get(name, ()))
+    return len(set(reads) - live)
+
+
+def check_plan_is_live(benchmark: str, locker: str) -> None:
+    """Every plan step is an output or read by a later step, and the plan
+    pruned exactly the design's dead assignments."""
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    locked = make_locker(locker, random.Random(0)).lock(design,
+                                                        budget).design
+    plan = compile_plan(locked)
+    label = f"{benchmark} locked by {locker!r}"
+    live = set(plan.outputs)
+    for step in reversed(plan.steps):
+        assert step.target in live, \
+            f"{label}: no output reads step {step.target!r}"
+        live.update(step.reads)
+    assert plan.stats.pruned_steps == dead_assignments(locked), label
+
+
+@pytest.mark.parametrize("design_name,locker", SIMULATION_CASES,
+                         ids=[f"{name}-{locker}"
+                              for name, locker in SIMULATION_CASES])
+def test_locked_benchmark_plan_holds_only_live_steps(design_name, locker):
+    check_plan_is_live(design_name, locker)
 
 
 def check_benchmark_relock(benchmark: str, locker: str) -> None:

@@ -1,8 +1,10 @@
-"""Common-subexpression elimination and dead-step pruning in compile_plan.
+"""Common-subexpression elimination and dead-assignment pruning in compile_plan.
 
 Both passes are pure plan-shape optimisations: the compiled closures must
 produce values bit-identical to the scalar oracle on every design, while the plan itself gets smaller (dead steps) or
-cheaper (shared subtrees evaluated once per pass).
+cheaper (shared subtrees evaluated once per pass).  Pruning runs first, so
+the later passes see only live assignments: dead code shares no
+subexpression and cannot fail the lowering, but its cycles still raise.
 """
 
 import random
@@ -15,6 +17,7 @@ from repro.rtlir import Design
 from repro.sim import (
     BatchSimulator,
     CombinationalSimulator,
+    SimulationError,
     batch_to_vectors,
     compile_plan,
     random_input_batch,
@@ -116,6 +119,52 @@ class TestDeadStepPruning:
         # (a * b) is shared, but only by dead steps: slot and users all go.
         names = [step.target for step in plan.steps]
         assert names == ["y"]
+        assert plan.stats.pruned_steps == 2
+        assert plan.stats.cse_steps == 0
+
+    def test_subtree_shared_with_dead_code_is_not_hoisted(self):
+        design = Design.from_verilog("""
+        module half (input [7:0] a, input [7:0] b, output [8:0] y);
+          wire [8:0] dead = (a * b) ^ 1;
+          assign y = (a * b) + 1;
+        endmodule
+        """)
+        plan = compile_plan(design)
+        # (a * b) occurs twice, but once in dead code: the live step
+        # computes it inline, with no slot.
+        assert [step.target for step in plan.steps] == ["y"]
+        assert plan.stats.cse_steps == 0
+        assert plan.stats.pruned_steps == 1
+        _cross_check(design)
+
+    def test_dead_code_the_lowering_rejects_does_not_block_the_plan(self):
+        design = Design.from_verilog("""
+        module deadsel (input [7:0] a, input [2:0] n, output [8:0] y);
+          wire [7:0] dead = a[n:0];
+          assign y = a + 1;
+        endmodule
+        """)
+        # A part-select with a signal bound has no static bit-slice form;
+        # it is dead, so the plan never lowers it.
+        plan = compile_plan(design)
+        assert [step.target for step in plan.steps] == ["y"]
+        assert plan.stats.pruned_steps == 1
+        _cross_check(design)
+
+    def test_cycle_in_dead_code_still_raises(self):
+        design = Design.from_verilog("""
+        module deadloop (input [3:0] a, output [3:0] y);
+          wire [3:0] p, q;
+          assign p = q + a;
+          assign q = p ^ 1;
+          assign y = a;
+        endmodule
+        """)
+        message = "combinational dependency cycle involving: p, q"
+        with pytest.raises(SimulationError, match=message):
+            compile_plan(design)
+        with pytest.raises(SimulationError, match=message):
+            CombinationalSimulator(design)
 
 
 @pytest.mark.parametrize("profile", ["MD5", "FIR", "SASC", "DFT", "IIR"])

@@ -23,6 +23,7 @@ from repro.locking import AssureLocker, ERALocker, HRALocker, flip_bits
 from repro.rtlir import Design, KeyBit
 from repro.sim import (
     BatchSimulator,
+    CombinationalSimulator,
     SimulationError,
     SweepDifferences,
     differing_lanes,
@@ -98,6 +99,17 @@ BAD_SWEEPS = [
     ("key-bit-not-binary", True,
      {"inputs": {"a": [1]}, "keys": [[1, 0], [2, 0]]},
      "key bit 0 of sweep point 1 is not 0/1"),
+]
+
+
+#: Bad keys of a broadcast-key run held as data: (id, the key applied to
+#: every lane of the 2-bit ``lock_key`` port, the SimulationError message
+#: every engine raises).
+BAD_KEYS = [
+    ("key-too-short", [1], "key has 1 bits, expected 2"),
+    ("key-too-long", [0, 0, 1], "key has 3 bits, expected 2"),
+    ("empty-key", [], "key has 0 bits, expected 2"),
+    ("key-bit-not-binary", [1, 2], "key bit 1 is not 0/1"),
 ]
 
 
@@ -318,6 +330,29 @@ class TestBadSweeps:
                                   engine="scalar" if engine == "scalar"
                                   else "batch")
         assert str(excinfo.value) == message.format(top=design.top_name)
+
+
+class TestBadKeys:
+    """The one key of ``run`` / ``run_batch``: one check (``check_key``),
+    one message, on the batch engine (one pass and lane chunks) and the
+    scalar engine."""
+
+    @pytest.mark.parametrize("engine", ["batch", "batch-chunked",
+                                        "batch-run", "scalar"])
+    @pytest.mark.parametrize("key,message", [case[1:] for case in BAD_KEYS],
+                             ids=[case[0] for case in BAD_KEYS])
+    def test_every_engine_raises_the_same_error(self, engine, key, message):
+        design = _split_locked()
+        with pytest.raises(SimulationError) as excinfo:
+            if engine == "scalar":
+                CombinationalSimulator(design).run({"a": 1}, key=key)
+            elif engine == "batch-run":
+                BatchSimulator(design).run({"a": 1}, key=key)
+            else:
+                BatchSimulator(design).run_batch(
+                    {"a": [1, 2, 3]}, key=key,
+                    max_lanes=1 if engine == "batch-chunked" else None)
+        assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------
