@@ -28,8 +28,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.rtlir.design import Design
 from repro.sim import BatchSimulator, CombinationalSimulator, differing_lanes
-from repro.sim.plan.executor import (_comb_replicate, _key_bit_matrix,
-                                     _pack_swept_keys, batch_release,
+from repro.sim.plan.executor import (_key_bit_matrix, _pack_swept_keys,
+                                     batch_release, block_lanes,
                                      execute_steps, key_cones, pack_values,
                                      unpack_values)
 from repro.sim.vectors import batch_to_vectors, random_input_batch, random_key
@@ -133,6 +133,12 @@ class Comparison:
 # ---------------------------------------------------------------------------
 
 
+def _block_comb(block: int, points: int) -> int:
+    """``points`` copies of lane 0's bit, one per ``block``-lane block:
+    multiplying a block-lane word by it copies the word into every block."""
+    return ((1 << block * points) - 1) // ((1 << block) - 1)
+
+
 def flat_sweep(simulator: BatchSimulator, inputs: Mapping[str, Sequence[int]],
                keys: Sequence[Sequence[int]], n: int) -> List[dict]:
     """``run_sweep``'s result with every plan step on all S×V lanes.
@@ -140,23 +146,26 @@ def flat_sweep(simulator: BatchSimulator, inputs: Mapping[str, Sequence[int]],
     The sweep before value-numbering: the base batch is packed at V lanes
     and each input word tiled into the S point blocks by the comb multiply,
     one key is packed per point, and the whole plan runs on the S×V lanes.
-    No argument checks and no point tiles: the reference of the
-    ``sweep_vn`` gate, at sizes far below every plan's lane cap.
+    A point block is V rounded up to whole bytes, as in ``run_sweep``; its
+    pad lanes are not read.  No argument checks and no point tiles: the
+    reference of the ``sweep_vn`` gate, at sizes far below every plan's
+    lane cap.
     """
     plan = simulator.plan
-    port, points, lanes = plan.key_port, len(keys), len(keys) * n
+    port, points, block = plan.key_port, len(keys), block_lanes(n)
+    lanes, comb = points * block, _block_comb(block, points)
     env = {}
     for name in plan.inputs:
         width = plan.width_of(name)
         words = pack_values(inputs[name], width) if name in inputs \
             else [0] * width
-        env[name] = [_comb_replicate(word, n, points) for word in words]
+        env[name] = [word * comb for word in words]
     env[port] = _pack_swept_keys(_key_bit_matrix(keys, plan.width_of(port)),
-                                 n)
+                                 block)
     execute_steps(plan.steps, env, (1 << lanes) - 1, batch_release(plan))
     values = {name: unpack_values(env[name], lanes) for name in plan.outputs}
     return [{name: values[name][start:start + n] for name in plan.outputs}
-            for start in range(0, lanes, n)]
+            for start in range(0, lanes, block)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +241,7 @@ def _pipelined_setup(design: Design, rng: random.Random, sizes: Sizes):
     # the plan's own cap (``auto_max_lanes``) is smaller than the sweep.
     n, max_lanes = sizes.vn_vectors, sizes.max_lanes
     _, _, _, run = _sweep_inputs(design, rng, sizes.keys, n)
-    tile_points = max(1, max_lanes // n)
+    tile_points = max(1, max_lanes // block_lanes(n))
     return run(max_lanes=sizes.keys * n), run(max_lanes=max_lanes), {
         "keys": sizes.keys, "vectors": n, "max_lanes": max_lanes,
         "tiles": -(-sizes.keys // tile_points)}

@@ -26,6 +26,12 @@ point blocks, instead of being re-evaluated on all S×V lanes.  Identical
 keys across all sweep points count as point-invariant — the
 avalanche-study shape, where only one probed input varies.
 
+A point block is V rounded up to whole bytes, B lanes, so every packer,
+the block replicate and the per-block popcount work on bytes.  The B − V
+pad lanes of a block are computed like any other lane and never read:
+value sweeps slice each point's V lanes at stride B, counts mask every
+XOR word to the V lanes of each block.
+
 Every pass is capped in lanes: by an explicit ``max_lanes`` argument
 where the caller passes one, else by the plan's own cap
 (:func:`auto_max_lanes`, the lane-bits budget over the plan's per-lane slice
@@ -42,9 +48,8 @@ values.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import repeat
-from typing import (Callable, Collection, Dict, FrozenSet, Iterable, List,
+from typing import (Collection, Dict, FrozenSet, Iterable, List,
                     Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
 from ...rtlir.design import Design
@@ -278,17 +283,17 @@ def _bit_columns_to_words(bits: "object") -> Slices:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _spread_point_bits(rows: "object", base: int) -> Slices:
+def _spread_point_bits(rows: "object", block: int) -> Slices:
     """One slice word per row of a ``(width, points)`` 0/1 matrix.
 
-    ``base`` is a multiple of 8, so a point's bit becomes ``base // 8``
+    ``block`` is a multiple of 8, so a point's bit becomes ``block // 8``
     bytes of ``0xFF`` or ``0x00``: each row is repeated at byte level and
     read with one ``int.from_bytes``.  Only one row's bytes — one packed
     slice word — are held at a time.
     """
     import numpy as np
 
-    block_bytes = base // 8
+    block_bytes = block // 8
     return [int.from_bytes(np.repeat(row * np.uint8(0xFF),
                                      block_bytes).tobytes(), "little")
             for row in rows]
@@ -330,52 +335,26 @@ def _key_bit_matrix(keys: Sequence[Sequence[int]], width: int) -> "object":
     return arr.astype(np.uint8).reshape(len(keys), width)
 
 
-def _pack_swept_keys(bits: "object", base: int) -> Slices:
-    """Pack one key per sweep point into S×V-lane slices (point blocks).
+def _pack_swept_keys(bits: "object", block: int) -> Slices:
+    """Pack one key per sweep point into its ``block``-lane point block.
 
     ``bits`` is a ``(points, width)`` 0/1 matrix (:func:`_key_bit_matrix`).
-    Whole-byte point blocks take :func:`_spread_point_bits`; other base
-    widths OR each point's block into the slices its set bits select.
     """
-    import numpy as np
-
-    if base % 8 == 0:
-        return _spread_point_bits(bits.T, base)
-    block = (1 << base) - 1
-    slices = [0] * bits.shape[1]
-    points, positions = np.nonzero(bits)
-    for point, position in zip(points.tolist(), positions.tolist()):
-        slices[position] |= block << (point * base)
-    return slices
+    return _spread_point_bits(bits.T, block)
 
 
 def _pack_point_values(values: Sequence[int], width: int,
-                       base: int) -> Slices:
-    """Broadcast one value per sweep point over its V-lane block.
+                       block: int) -> Slices:
+    """Broadcast one value per sweep point over its ``block``-lane block."""
+    import numpy as np
 
-    Whole-byte point blocks take :func:`_spread_point_bits`; other base
-    widths the set-bit loop.
-    """
-    if base % 8 == 0:
-        import numpy as np
-
-        nbytes = (width + 7) // 8
-        data = b"".join(mask(int(value), width).to_bytes(nbytes, "little")
-                        for value in values)
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)
-                             .reshape(len(values), nbytes),
-                             axis=1, bitorder="little", count=width)
-        return _spread_point_bits(bits.T, base)
-    block = (1 << base) - 1
-    slices = [0] * width
-    for index, point_value in enumerate(values):
-        value = mask(int(point_value), width)
-        shift = index * base
-        while value:
-            low = value & -value
-            slices[low.bit_length() - 1] |= block << shift
-            value ^= low
-    return slices
+    nbytes = (width + 7) // 8
+    data = b"".join(mask(int(value), width).to_bytes(nbytes, "little")
+                    for value in values)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)
+                         .reshape(len(values), nbytes),
+                         axis=1, bitorder="little", count=width)
+    return _spread_point_bits(bits.T, block)
 
 
 #: Lane count from which :func:`unpack_values` switches to the vectorised
@@ -439,62 +418,38 @@ def _unpack_values_fast(slices: Sequence[int], n: int) -> List[int]:
     return values
 
 
-def _comb_replicate(word: int, base: int, points: int) -> int:
-    """Copy a ``base``-lane slice word into each of ``points`` point blocks.
-
-    One multiplication by the block-comb constant ``0b...0001...0001``.
-    """
-    return word * _block_comb(base, points)
+def block_lanes(base: int) -> int:
+    """Lanes of one sweep point's block in a tile: V rounded up to whole
+    bytes."""
+    return (base + 7) // 8 * 8
 
 
-@lru_cache(maxsize=64)
-def _block_comb(base: int, points: int) -> int:
-    """``points`` copies of lane 0's bit, one per ``base``-lane block."""
-    return ((1 << base * points) - 1) // ((1 << base) - 1)
-
-
-def _replicate(word: int, base: int, points: int) -> int:
-    """:func:`_comb_replicate` by byte repeat when a block is whole bytes.
-
-    The big-int multiply costs about base × tile digit products, so from a
-    few hundred base lanes on the byte repeat wins by 4x (512 lanes) to 18x
-    (2048 lanes).  Below about 128 lanes the multiply is faster, but either
-    takes well under a microsecond there.
-    """
-    if base % 8 == 0:
-        return int.from_bytes(word.to_bytes(base // 8, "little") * points,
-                              "little")
-    return _comb_replicate(word, base, points)
+def _replicate(word: int, block: int, points: int) -> int:
+    """Copy a slice word of at most ``block`` lanes into each of
+    ``points`` point blocks, by byte repeat (a block is whole bytes)."""
+    return int.from_bytes(word.to_bytes(block // 8, "little") * points,
+                          "little")
 
 
 class _BlockPopcount:
-    """Set bits per ``base``-lane point block, summed over many slice words.
+    """Set bits per ``block``-lane point block, summed over many slice words.
 
-    Every word is read as its little-endian bytes.  When a block is whole
-    bytes, the byte popcounts accumulate and are summed per block at the
-    end; otherwise the lanes accumulate bit by bit.
+    Every word is read as its little-endian bytes; the byte popcounts
+    accumulate and are summed per block at the end.
     """
 
-    def __init__(self, base: int, points: int) -> None:
+    def __init__(self, block: int, points: int) -> None:
         import numpy as np
 
         self.points = points
-        self.lanes = base * points
-        self.nbytes = (self.lanes + 7) // 8
-        self.whole_bytes = base % 8 == 0
-        self.counts = np.zeros(self.nbytes if self.whole_bytes
-                               else self.lanes, dtype=np.int64)
+        self.nbytes = block // 8 * points
+        self.counts = np.zeros(self.nbytes, dtype=np.int64)
 
     def add(self, word: int) -> None:
         import numpy as np
 
-        data = np.frombuffer(word.to_bytes(self.nbytes, "little"),
-                             dtype=np.uint8)
-        if self.whole_bytes:
-            self.counts += np.bitwise_count(data)
-        else:
-            self.counts += np.unpackbits(data, bitorder="little",
-                                         count=self.lanes)
+        self.counts += np.bitwise_count(np.frombuffer(
+            word.to_bytes(self.nbytes, "little"), dtype=np.uint8))
 
     def per_point(self) -> List[int]:
         return self.counts.reshape(self.points, -1).sum(axis=1).tolist()
@@ -502,18 +457,22 @@ class _BlockPopcount:
 
 def _count_differences(env: Mapping[str, Slices],
                        reference: Mapping[str, Slices], base: int,
+                       block: int,
                        points: int) -> Tuple[List[int], List[int]]:
     """Per point of a tile: differing lanes and flipped bits vs. ``reference``.
 
-    ``reference`` holds one ``base``-lane slice word per output bit; it is
-    replicated into every point block and XORed against the tile's words.
+    ``reference`` holds one V-lane slice word per output bit; it is
+    replicated into every ``block``-lane point block and XORed against the
+    tile's words.  Each XOR word is masked to the V lanes of every block,
+    so the pad lanes never count.
     """
-    lanes = _BlockPopcount(base, points)
-    bits = _BlockPopcount(base, points)
+    lanes = _BlockPopcount(block, points)
+    bits = _BlockPopcount(block, points)
+    valid = _replicate((1 << base) - 1, block, points)
     any_difference = 0
     for name, reference_slices in reference.items():
         for expected, word in zip(reference_slices, env[name]):
-            difference = word ^ _replicate(expected, base, points)
+            difference = (word ^ _replicate(expected, block, points)) & valid
             if difference:
                 any_difference |= difference
                 bits.add(difference)
@@ -598,7 +557,7 @@ def auto_max_lanes(plan: EvalPlan, base: int = 1) -> int:
     stays under the budget with room to spare.
 
     Never below ``base``: a sweep tile is a whole number of points, so the
-    limit cannot cut below one point's V base lanes.
+    limit cannot cut below one point's block of lanes.
     """
     return max(base, DEFAULT_LANE_BITS_BUDGET // plan_lane_bits(plan))
 
@@ -833,10 +792,16 @@ class CheckedSweep(NamedTuple):
 
 
 class _Sweep(NamedTuple):
-    """A validated sweep whose point-invariant work has run (V lanes)."""
+    """A validated sweep whose point-invariant work has run (V lanes).
+
+    ``block`` is the lanes of one point block in a tile: V rounded up to
+    whole bytes.  Its ``block - base`` pad lanes are computed like any
+    other lane and never read.
+    """
 
     schedule: _SweepSchedule
     base: int
+    block: int
     points: int
     needed_env: Dict[str, Slices]
     invariant_env: Dict[str, Slices]
@@ -1087,7 +1052,8 @@ class BatchSimulator:
             n: Base lane count override, required when ``inputs`` is empty.
             max_lanes: Peak lane width of one bit-parallel pass.  Sweeps
                 wider than this are split into point tiles of
-                ``max(1, max_lanes // V)`` points each: invariant work still
+                ``max(1, max_lanes // B)`` points each, where a point's
+                block B is V rounded up to whole bytes: invariant work still
                 runs once on the V base lanes, then each tile streams through
                 pack → execute → unpack with bounded peak memory
                 (``None``: the plan's cap, see :func:`auto_max_lanes`).
@@ -1108,29 +1074,24 @@ class BatchSimulator:
         sweep = self._prepare_sweep(inputs, bindings,
                                     self._check_sweep(inputs, keys, bindings,
                                                       n))
-        base = sweep.base
+        base, block = sweep.base, sweep.block
         invariant_values = {name: unpack_values(slices, base)
                             for name, slices in sweep.invariant_env.items()}
         varying_outputs = sweep.schedule.varying_outputs
         results: List[Dict[str, List[int]]] = []
         for first, last in self._sweep_tiles(sweep, max_lanes):
-            lanes = (last - first) * base
-            # The comb multiply, not the byte repeat of sweep_differences:
-            # byte repeat speeds a flat schedule more than a hoisted one and
-            # would shrink the value-numbering ratio that the sweep_vn gate
-            # in benchmarks/ asserts, for no caller's benefit — the metrics
-            # count with sweep_differences, and this path serves value
-            # cross-checks.
-            env = self._execute_tile(sweep, first, last, _comb_replicate)
+            lanes = (last - first) * block
+            env = self._execute_tile(sweep, first, last)
             # Point-varying outputs: one flat unpack over the tile's lanes,
-            # then sliced per point — cheaper than points * (shift/mask +
-            # unpack) on the wide sweep words.  Point-invariant outputs were
-            # unpacked once from the V-lane base batch and are copied per
-            # point.  Every point dict follows plan.outputs order.
+            # then each point's V lanes sliced at stride B, leaving its pad
+            # lanes — cheaper than points * (shift/mask + unpack) on the
+            # wide sweep words.  Point-invariant outputs were unpacked once
+            # from the V-lane base batch and are copied per point.  Every
+            # point dict follows plan.outputs order.
             flat = {name: unpack_values(env[name], lanes)
                     for name in varying_outputs}
             del env  # release the tile before the next one executes
-            for start in range(0, lanes, base):
+            for start in range(0, lanes, block):
                 results.append({
                     name: (flat[name][start:start + base] if name in flat
                            else list(invariant_values[name]))
@@ -1148,8 +1109,9 @@ class BatchSimulator:
         same point tiles under the plan's lane cap, same invariant hoisting,
         but the per-lane values are never unpacked.  Each tile's output
         slice words are XORed against point 0's (cut from the first tile and
-        replicated into every point block), the XOR words are ORed into one
-        any-difference mask, and both are popcounted per V-lane point block.
+        replicated into every point block) and masked to the V lanes of
+        every block, the XOR words are ORed into one any-difference mask,
+        and both are popcounted per point block.
         Point-invariant outputs are equal on every point, so they contribute
         nothing.
 
@@ -1185,13 +1147,13 @@ class BatchSimulator:
         bits: List[int] = []
         reference: Optional[Dict[str, Slices]] = None
         for first, last in self._sweep_tiles(sweep, None):
-            env = self._execute_tile(sweep, first, last, _replicate)
+            env = self._execute_tile(sweep, first, last)
             if reference is None:
-                block = (1 << base) - 1
-                reference = {name: [word & block for word in env[name]]
+                first_point = (1 << base) - 1
+                reference = {name: [word & first_point for word in env[name]]
                              for name in sweep.schedule.varying_outputs}
-            tile_lanes, tile_bits = _count_differences(env, reference, base,
-                                                       last - first)
+            tile_lanes, tile_bits = _count_differences(
+                env, reference, base, sweep.block, last - first)
             del env  # release the tile before the next one executes
             lanes.extend(tile_lanes)
             bits.extend(tile_bits)
@@ -1210,10 +1172,10 @@ class BatchSimulator:
 
     def _base_env(self, inputs: Mapping[str, Sequence[int]],
                   varying: Collection[str], key_row: Optional["object"],
-                  block: int) -> Dict[str, Slices]:
+                  full: int) -> Dict[str, Slices]:
         """The V-lane environment: shared inputs, zero defaults for every
         input outside ``varying``, and ``key_row`` broadcast on the key
-        port."""
+        port (lane mask ``full``)."""
         env: Dict[str, Slices] = {
             name: pack_values(values, self.width_of(name))
             for name, values in inputs.items()}
@@ -1221,7 +1183,7 @@ class BatchSimulator:
             if name not in env and name not in varying:
                 env[name] = [0] * self.width_of(name)
         if key_row is not None:
-            env[self.plan.key_port] = [block if bit else 0
+            env[self.plan.key_port] = [full if bit else 0
                                        for bit in key_row.tolist()]
         return env
 
@@ -1277,10 +1239,11 @@ class BatchSimulator:
     def _prepare_sweep(self, inputs: Mapping[str, Sequence[int]],
                        bindings: Optional[Sequence[Mapping[str, int]]],
                        check: CheckedSweep) -> _Sweep:
-        """Run a checked sweep's point-invariant work on the V lanes."""
+        """Run a checked sweep's point-invariant work on the V lanes and
+        lay out its tiles: a point block is V rounded up to whole bytes."""
         key_port = self.plan.key_port
         base, points, bound, key_bits = check
-        block = (1 << base) - 1
+        full = (1 << base) - 1
 
         # Point-varying sources: per-point bound signals, and the key port
         # unless every point binds the same key (then it broadcasts).
@@ -1292,17 +1255,18 @@ class BatchSimulator:
         # Base environment at V lanes: shared inputs and zero defaults for
         # everything that is not swept per point.
         base_env = self._base_env(inputs, varying,
-                                  key_bits[0] if shared else None, block)
+                                  key_bits[0] if shared else None, full)
 
         schedule = sweep_schedule(self.plan, frozenset(varying))
 
         # Invariant work runs once on the V base lanes; only what the
         # varying steps read is kept for tiling out to the sweep lanes, plus
         # the swept-out outputs themselves.
-        execute_steps(schedule.invariant_steps, base_env, block,
+        execute_steps(schedule.invariant_steps, base_env, full,
                       schedule.invariant_release)
         return _Sweep(
-            schedule=schedule, base=base, points=points,
+            schedule=schedule, base=base, block=block_lanes(base),
+            points=points,
             needed_env={name: slices for name, slices in base_env.items()
                         if name in schedule.needed},
             invariant_env={name: base_env[name]
@@ -1313,41 +1277,41 @@ class BatchSimulator:
     def _sweep_tiles(self, sweep: _Sweep,
                      max_lanes: Optional[int]) -> List[Tuple[int, int]]:
         """Point ranges ``[first, last)`` of the sweep's tiles, in order."""
-        step = max(1, self._resolve_max_lanes(max_lanes, sweep.base)
-                   // sweep.base)
+        step = max(1, self._resolve_max_lanes(max_lanes, sweep.block)
+                   // sweep.block)
         return [(first, min(first + step, sweep.points))
                 for first in range(0, sweep.points, step)]
 
-    def _execute_tile(self, sweep: _Sweep, first: int, last: int,
-                      replicate: Callable[[int, int, int], int]
-                      ) -> Dict[str, Slices]:
+    def _execute_tile(self, sweep: _Sweep, first: int,
+                      last: int) -> Dict[str, Slices]:
         """Run the varying steps on sweep points ``[first, last)``.
 
         Lane-parallel kernels never mix bits across lanes, so each point
         block is independent and tiling is bit-identical to one wide pass.
-        The ragged last tile simply gets narrower pack constants.
-        ``replicate`` tiles the V-lane words the varying steps read.
+        The ragged last tile simply gets narrower pack constants.  The
+        V-lane words the varying steps read are byte-repeated into every
+        B-lane block, zero on its pad lanes.
 
         Returns:
             The tile's point-varying outputs (every other value is dropped
-            after its last reader), every slice word ``(last - first) * V``
+            after its last reader), every slice word ``(last - first) * B``
             lanes wide.
         """
         points = last - first
-        base = sweep.base
+        block = sweep.block
         env: Dict[str, Slices] = {
-            name: [replicate(word, base, points) for word in slices]
+            name: [_replicate(word, block, points) for word in slices]
             for name, slices in sweep.needed_env.items()
         }
         for name in sweep.bound:
             env[name] = _pack_point_values(
                 [point.get(name, 0) for point in sweep.bindings[first:last]],
-                self.width_of(name), base)
+                self.width_of(name), block)
         if sweep.swept_keys is not None:
             env[self.plan.key_port] = _pack_swept_keys(
-                sweep.swept_keys[first:last], base)
+                sweep.swept_keys[first:last], block)
         execute_steps(sweep.schedule.varying_steps, env,
-                      (1 << points * base) - 1,
+                      (1 << points * block) - 1,
                       sweep.schedule.varying_release)
         return env
 

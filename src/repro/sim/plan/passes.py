@@ -43,7 +43,7 @@ from ..evaluator import ExpressionEvaluator, SimulationError
 from .executor import classify_steps
 from .lowering import ExpressionCompiler
 from .steps import (HOISTABLE, WORKING_WIDTH, EvalPlan, PlanStats, Step,
-                    _declared_widths, _ordered_assignments, expression_reads,
+                    _declared_widths, _ordered_assignments,
                     shared_subexpressions, structural_key)
 
 
@@ -186,42 +186,41 @@ def _fold(build: PlanBuild) -> None:
     """
     evaluator = ExpressionEvaluator(build.widths,
                                     default_width=WORKING_WIDTH)
-    folded = 0
 
-    def fold(node: ast.Expression) -> ast.Expression:
-        nonlocal folded
-        if isinstance(node, _FOLDABLE) and not expression_reads(node):
-            literal = _fold_literal(node, evaluator)
-            if literal is not None:
-                folded += 1
-                return literal
-            return node
-        replacement = None
+    def fold(node: ast.Expression) -> Tuple[ast.Expression, bool, int]:
+        # One bottom-up walk: (node folded, whether it reads a signal,
+        # literals made).  A foldable node that reads no signal becomes one
+        # literal, dropping the folds made below it.  Part-select bounds
+        # are walked for their reads only.
+        reads, made, replacement = isinstance(node, ast.Identifier), 0, None
         for field_name in node._fields:
-            if isinstance(node, ast.PartSelect) \
-                    and field_name in ("msb", "lsb"):
-                continue
             value = getattr(node, field_name)
-            if isinstance(value, ast.Expression):
-                new_child = fold(value)
-                if new_child is not value:
-                    if replacement is None:
-                        replacement = copy.copy(node)
-                    setattr(replacement, field_name, new_child)
-            elif isinstance(value, (list, tuple)):
-                new_items = [fold(item)
-                             if isinstance(item, ast.Expression) else item
-                             for item in value]
-                if any(new is not old
-                       for new, old in zip(new_items, value)):
-                    if replacement is None:
-                        replacement = copy.copy(node)
-                    setattr(replacement, field_name, list(new_items))
-        return replacement if replacement is not None else node
+            many = isinstance(value, (list, tuple))
+            new_items, field_made, changed = [], 0, False
+            for old in value if many else (value,):
+                new = old
+                if isinstance(old, ast.Expression):
+                    new, new_reads, new_made = fold(old)
+                    reads = reads or new_reads
+                    field_made += new_made
+                new_items.append(new)
+                changed = changed or new is not old
+            if not changed or (isinstance(node, ast.PartSelect)
+                               and field_name in ("msb", "lsb")):
+                continue
+            made += field_made
+            if replacement is None:
+                replacement = copy.copy(node)
+            setattr(replacement, field_name,
+                    new_items if many else new_items[0])
+        if isinstance(node, _FOLDABLE) and not reads:
+            literal = _fold_literal(node, evaluator)
+            return (node, False, 0) if literal is None else (literal, False, 1)
+        return replacement if replacement is not None else node, reads, made
 
-    build.assignments = [(name, fold(expr))
-                         for name, expr in build.assignments]
-    build.folded_constants = folded
+    folded = [(name, *fold(expr)) for name, expr in build.assignments]
+    build.assignments = [(name, expr) for name, expr, _, _ in folded]
+    build.folded_constants = sum(made for _, _, _, made in folded)
 
 
 # ---------------------------------------------------------------------------
@@ -253,33 +252,34 @@ def _sweep_vn(build: PlanBuild) -> None:
     The pass walks key-port dependence through the topologically ordered
     assignments; assignments outside the key cone are fully point-invariant
     already, and the sweep executor hoists them out of the S×V lanes on its
-    own.  For assignments *inside* the cone it collects the maximal
-    hoistable subexpressions whose transitive reads avoid the key cone —
+    own.  For assignments *inside* the cone one bottom-up walk collects the
+    maximal hoistable subexpressions whose reads avoid the key cone —
     the value-numbered ``$vnN`` slots, each evaluated once per V-lane base
     batch however many sweep points re-use it.
     """
     if build.key_port is None:
         return
     dependent: Set[str] = {build.key_port}
-    memo: Dict[int, tuple] = {}
-    keys: Set[tuple] = set()
+    found: List[ast.Expression] = []
 
-    def collect(node: ast.Expression) -> None:
-        if isinstance(node, HOISTABLE) \
-                and not (expression_reads(node) & dependent):
-            if _worth_hoisting(node):
-                keys.add(structural_key(node, memo))
-            return
+    def collect(node: ast.Expression) -> bool:
+        # Whether ``node`` reads the key cone; a hoistable node that does
+        # not replaces the nodes ``found`` below it, so only maximal ones stay.
+        start = len(found)
+        varying = isinstance(node, ast.Identifier) and node.name in dependent
         for child in node.children():
-            if isinstance(child, ast.Expression):
-                collect(child)
+            varying |= collect(child)
+        if not varying and isinstance(node, HOISTABLE):
+            del found[start:]
+            found.append(node)
+        return varying
 
     for name, expr in build.assignments:
         if build.reads[name] & dependent:
             dependent.add(name)
             collect(expr)
-
-    build.invariant_keys = frozenset(keys)
+    build.invariant_keys = frozenset(structural_key(node, {}) for node
+                                     in found if _worth_hoisting(node))
 
 
 # ---------------------------------------------------------------------------

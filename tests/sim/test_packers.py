@@ -1,12 +1,12 @@
 """The sweep packers against the set-bit loop, with the cases held as data.
 
-A sweep tile lays S points of V base lanes side by side; a swept key bit or
-a per-point bound value is broadcast over its point's V-lane block.  When
-V is a multiple of 8 the packers write each point's block as V/8 bytes of
-``0xFF`` or ``0x00``; other base widths OR each point's block into the
-slices it sets.  Both must equal :func:`reference_pack` — the set-bit loop
-kept here as the reference — for every case below: base widths that are
-and are not whole bytes, one-hot and random keys, and a ragged last tile.
+A sweep tile lays S point blocks side by side, each V base lanes rounded
+up to whole bytes; a swept key bit or a per-point bound value is broadcast
+over its point's block.  The packers write each point's B-lane block as
+B/8 bytes of ``0xFF`` or ``0x00``, and must equal :func:`reference_pack` —
+the set-bit loop kept here as the reference — for every case below:
+block widths from one byte up, one-hot and random keys, and a ragged last
+tile.
 
 Swept keys are packed from the key matrix :func:`_key_bit_matrix` builds
 once per sweep; it rejects a key of the wrong length or with a bit that is
@@ -22,8 +22,8 @@ from repro.sim.evaluator import mask
 from repro.sim.plan.executor import (_key_bit_matrix, _pack_point_values,
                                      _pack_swept_keys)
 
-#: Base lane counts: below a byte, ragged bytes, and whole bytes.
-BASES = [1, 7, 8, 12, 16, 2048]
+#: Point block widths, always whole bytes: one, two, three and 256 bytes.
+BASES = [8, 16, 24, 2048]
 
 #: Port width the keys are packed into.
 PORT = 10

@@ -82,9 +82,9 @@ def _recorded_tiles():
     execute_tile = BatchSimulator._execute_tile
     tiles = []
 
-    def spy(self, sweep, first, last, replicate):
+    def spy(self, sweep, first, last):
         tiles.append((first, last))
-        return execute_tile(self, sweep, first, last, replicate)
+        return execute_tile(self, sweep, first, last)
 
     with mock.patch.object(BatchSimulator, "_execute_tile", spy):
         yield tiles

@@ -10,6 +10,9 @@ module-level :func:`repro.sim.sweep_differences` must give the same counts
 on its scalar engine, which is also the fallback for uncompilable designs.
 Sweeps of single-bit key flips take the cone path and run no tile; their
 counts are held to both references in one case table (``CONE_CASES``).
+A tile's point block is V rounded up to whole bytes; at base widths that
+are not, ``PADDED_CASES`` hold the values to a per-point ``run_batch``
+loop and the counts to the scalar engine, neither of which pads.
 """
 
 import contextlib
@@ -33,7 +36,7 @@ from repro.sim import (
     sweep_differences,
 )
 from repro.sim.plan import executor
-from repro.sim.plan.executor import (_block_comb, _replicate, key_cones,
+from repro.sim.plan.executor import (_replicate, block_lanes, key_cones,
                                      sweep_schedule)
 from tests.attacks.test_sweep_regression import UNCOMPILABLE, _oddball_locked
 from tests.sim.test_pipelined_sweep import _recorded_tiles
@@ -144,13 +147,18 @@ def _expected(runs, base):
     return lanes, bits
 
 
+def _point_cap(simulator, base, lane_cap):
+    """A lane cap of ``lane_cap`` points (``None``: the plan's own): the
+    lane-bits budget shrunk so the plan's cap is that many point blocks."""
+    if lane_cap is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET",
+                             lane_cap * block_lanes(base)
+                             * plan_lane_bits(simulator.plan))
+
+
 def _assert_matches(simulator, base, lane_cap, **sweep):
-    # A lane cap of ``lane_cap`` points: the lane-bits budget shrunk so the
-    # plan's own cap is that many points' lanes.
-    budget = contextlib.nullcontext() if lane_cap is None else \
-        mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET",
-                          lane_cap * base * plan_lane_bits(simulator.plan))
-    with budget:
+    with _point_cap(simulator, base, lane_cap):
         runs = simulator.run_sweep(n=base, **sweep)
         counted = simulator.sweep_differences(n=base, **sweep)
     assert counted.outputs == tuple(simulator.output_names)
@@ -162,11 +170,14 @@ class TestReplicate:
     @pytest.mark.parametrize("base", [8, 64, 100, 33, 1])
     @pytest.mark.parametrize("points", [1, 2, 7, 64])
     def test_equals_comb_multiply(self, base, points):
+        # A V-lane word into point blocks of V rounded up to whole bytes;
+        # the reference is the comb multiply, one copy of lane 0's bit per
+        # block.
+        block = block_lanes(base)
         rng = random.Random(base * 1000 + points)
-        comb = ((1 << base * points) - 1) // ((1 << base) - 1)
+        comb = ((1 << block * points) - 1) // ((1 << block) - 1)
         for word in (0, 1, (1 << base) - 1, rng.getrandbits(base)):
-            assert _replicate(word, base, points) == word * comb
-            assert _block_comb(base, points) == comb
+            assert _replicate(word, block, points) == word * comb
 
 
 class TestKeySweeps:
@@ -540,3 +551,78 @@ class TestConePath:
         assert key_bit_sensitivity(design, vectors=vectors,
                                    rng=random.Random(9)) \
             == [count / vectors for count in lanes]
+
+
+# ---------------------------------------------------------------------------
+# Padded point blocks: odd V against references that share no sweep code
+# ---------------------------------------------------------------------------
+
+#: ``z`` XORs a key bit into an input bit, so the pad lanes of a block
+#: (where the shared inputs are zero) still differ between points under
+#: different keys; with ``a`` bound per point, ``x`` differs on them
+#: between bindings.  With a shared key, ``y`` and ``z`` are hoisted.
+PADDED = """
+module padded (input [7:0] a, input [7:0] b, input [2:0] lock_key,
+               output [8:0] x, output [7:0] y, output z);
+  assign x = lock_key[0] ? (a + b) : (a - b);
+  assign y = lock_key[1] ? (b ^ 8'h5a) : (b + 8'd1);
+  assign z = lock_key[2] ^ b[0];
+endmodule
+"""
+
+#: Per-point keys: point ``p`` binds the bits of ``p``, so point 3 flips two
+#: bits of point 0's key and the sweep runs the tiles, not the cones.
+PADDED_KEYS = [[point >> bit & 1 for bit in range(3)]
+               for point in range(POINTS)]
+
+#: Sweep shapes: (id, per-point keys?, ``a`` bound per point?).
+PADDED_SHAPES = [("keys", True, False), ("shared-key-bindings", False, True),
+                 ("keys-bindings", True, True)]
+
+#: (id, V, per-point keys?, bindings?, lane cap in points): no base width
+#: is whole bytes, so every block has pad lanes.
+PADDED_CASES = [(f"v{base}-{shape}-cap{cap}", base, keyed, bound, cap)
+                for base in (1, 4, 7, 9, 33, 100, 2047)
+                for shape, keyed, bound in PADDED_SHAPES
+                for cap in LANE_CAPS]
+
+
+def run_padded_case(base, keyed, bound, lane_cap):
+    """``run_sweep`` equals the per-point ``run_batch`` loop and
+    ``sweep_differences`` the scalar engine, in tiles of ``lane_cap``
+    points."""
+    design = Design.from_verilog(PADDED)
+    design.key_port = "lock_key"
+    design.key_bits = [KeyBit(index=index, kind="operation", correct_value=1)
+                       for index in range(3)]
+    simulator = BatchSimulator(design)
+    rng = random.Random(base)
+    keys = PADDED_KEYS if keyed else [design.correct_key] * POINTS
+    bindings = [{"a": rng.getrandbits(8)} for _ in range(POINTS)] \
+        if bound else None
+    batch = {name: [rng.getrandbits(8) for _ in range(base)]
+             for name in (("b",) if bound else ("a", "b"))}
+    with _point_cap(simulator, base, lane_cap), _recorded_tiles() as tiles:
+        runs = simulator.run_sweep(batch, keys=keys, bindings=bindings,
+                                   n=base)
+        counted = simulator.sweep_differences(batch, keys=keys,
+                                              bindings=bindings, n=base)
+    assert len(tiles) == 2 * -(-POINTS // (lane_cap or POINTS))
+    assert len(runs) == POINTS
+    for point, (run, key) in enumerate(zip(runs, keys)):
+        point_inputs = dict(batch)
+        for name, value in (bindings[point] if bound else {}).items():
+            point_inputs[name] = [value] * base
+        assert run == simulator.run_batch(point_inputs, key=key, n=base)
+    assert counted == sweep_differences(design, batch, keys=keys,
+                                        bindings=bindings, n=base,
+                                        engine="scalar")
+    assert any(counted.lanes)
+
+
+@pytest.mark.parametrize("base,keyed,bound,lane_cap",
+                         [case[1:] for case in PADDED_CASES],
+                         ids=[case[0] for case in PADDED_CASES])
+def test_padded_blocks_equal_unpadded_references(base, keyed, bound,
+                                                 lane_cap):
+    run_padded_case(base, keyed, bound, lane_cap)
