@@ -59,6 +59,11 @@ class MajorityVoteAttack:
     The attacker relocks the target (like SnapShot) but instead of training a
     model it simply records, for every observed ``(C1, C2)`` pair, which key
     value occurred more often, and replays that majority on the target.
+
+    A pair seen equally often with key values 0 and 1 predicts 0, because
+    ``round(np.mean(...))`` rounds the tied 0.5 half to even.  Fig. 4's
+    :func:`~repro.eval.figures._replay_pair_majority` instead scores such a
+    tie 0.5; stored records depend on both rules.
     """
 
     name = "majority-vote"

@@ -33,7 +33,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .api import (
     AttackSpec,
@@ -50,6 +50,7 @@ from .api import (
 )
 from .bench import benchmark_names, get_profile, load_benchmark
 from .eval import format_table, report_from_samples
+from .eval.tables import failures_table_text
 from .locking import odt_from_design
 from .rtlir import Design, KeyBit, analyze_design
 
@@ -359,19 +360,12 @@ def _execute(scenario: Scenario, store: Optional[ResultsStore], *,
                   if store is not None else "")
         print(f"\n{len(report.failures)} job(s) failed past their retry "
               f"budget{ledger}:")
-        print(_failures_table(report.failures))
+        print(failures_table_text(report.failures))
         print("Completed jobs were committed; raise the retry budget "
               "('repro-lock run --retries N') to re-execute the quarantined "
               "ones on resume.")
         return 1
     return 0
-
-
-def _failures_table(failures: List[dict]) -> str:
-    """Render ledger entries as the failed-jobs table of run/report output."""
-    from .eval.tables import failures_table_text
-
-    return failures_table_text(failures)
 
 
 # ---------------------------------------------------------------------------

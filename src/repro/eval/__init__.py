@@ -17,11 +17,9 @@ from .figures import (
     figure5_trajectories,
     figure6_from_store,
     axis_sweeps_from_records,
-    axis_sweeps_from_store,
 )
 from .reporting import (
     ShapeCheck,
-    experiment_report_from_store,
     kpa_tables_from_samples,
     report_from_samples,
     shape_checks,
@@ -51,9 +49,7 @@ __all__ = [
     "figure5_trajectories",
     "figure6_from_store",
     "axis_sweeps_from_records",
-    "axis_sweeps_from_store",
     "ShapeCheck",
-    "experiment_report_from_store",
     "kpa_tables_from_samples",
     "report_from_samples",
     "shape_checks",

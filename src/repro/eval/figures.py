@@ -206,7 +206,9 @@ def _replay_pair_majority(pool: ObservationPool, test_features: np.ndarray,
     """Replay the learned pair → majority-key rule on the test sample.
 
     Pairs never observed during training, and pairs whose observations are
-    perfectly tied, contribute the 0.5 expectation of a coin flip.
+    perfectly tied, contribute the 0.5 expectation of a coin flip.  (The
+    ``majority`` attack, :class:`~repro.attacks.baselines.MajorityVoteAttack`,
+    predicts 0 on such a tie instead; stored records depend on both rules.)
     """
     correct = 0.0
     total = 0
@@ -442,13 +444,6 @@ def axis_sweeps_from_records(records,
                                     counts=counts, kpa_ci=kpa_ci,
                                     benchmark=benchmark))
     return sweeps
-
-
-def axis_sweeps_from_store(store,
-                           per_benchmark: bool = False) -> List[AxisSweepData]:
-    """Per-axis sweep data straight from a results store (no re-simulation)."""
-    return axis_sweeps_from_records(store.records(),
-                                    per_benchmark=per_benchmark)
 
 
 #: KPA values reported by the paper (Fig. 6b) — compared in "Fig. 6 HRA

@@ -138,19 +138,6 @@ def report_from_samples(samples: Sequence[KpaSample],
     return _render_report(per_benchmark, average, list(algorithms))
 
 
-def experiment_report_from_store(store) -> str:
-    """Render the Fig. 6 style report straight from a results store.
-
-    The store's manifest provides the scenario (and therefore the algorithm
-    column order); KPA data comes from the per-job records — nothing is kept
-    in memory between the run and the report.
-    """
-    scenario = store.scenario()
-    algorithms = [spec.algorithm for spec in scenario.lockers]
-    return report_from_samples(store.kpa_samples(), algorithms=algorithms,
-                               benchmarks=scenario.benchmarks)
-
-
 def store_context(store) -> tuple:
     """Shared (manifest, scenario, records) loading of the store reports.
 

@@ -16,16 +16,7 @@ from .assure import AssureLocker
 from .base import LockAction, LockingError, LockingSession, OpRef
 from .era import ERALocker
 from .hra import GreedyLocker, HRALocker
-from .key import (
-    flip_bits,
-    hamming_distance,
-    int_to_key,
-    key_accuracy,
-    key_to_int,
-    key_to_string,
-    random_key,
-    string_to_key,
-)
+from .key import flip_bits
 from .lockstep import lock_step, undo_step
 from .metrics import (
     AvalancheReport,
@@ -62,13 +53,6 @@ __all__ = [
     "GreedyLocker",
     "HRALocker",
     "flip_bits",
-    "hamming_distance",
-    "int_to_key",
-    "key_accuracy",
-    "key_to_int",
-    "key_to_string",
-    "random_key",
-    "string_to_key",
     "lock_step",
     "undo_step",
     "AvalancheReport",

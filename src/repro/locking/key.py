@@ -1,77 +1,11 @@
 """Key handling utilities.
 
-Keys are represented as lists of bits (index 0 = key input bit 0).  The
-utilities here generate random keys, convert between representations and
-compare predicted keys against the correct key of a locked design.
+Keys are represented as lists of bits (index 0 = key input bit 0).
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Sequence
-
-
-def random_key(width: int, rng: Optional[random.Random] = None) -> List[int]:
-    """Return a uniformly random key of ``width`` bits."""
-    if width < 0:
-        raise ValueError("key width must be non-negative")
-    rng = rng or random.Random()
-    return [rng.randint(0, 1) for _ in range(width)]
-
-
-def key_to_int(bits: Sequence[int]) -> int:
-    """Pack a key bit list (index 0 = LSB) into an integer."""
-    value = 0
-    for position, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"key bit at position {position} is not 0/1: {bit!r}")
-        value |= bit << position
-    return value
-
-
-def int_to_key(value: int, width: int) -> List[int]:
-    """Unpack an integer into ``width`` key bits (index 0 = LSB)."""
-    if value < 0:
-        raise ValueError("key value must be non-negative")
-    if width < 0:
-        raise ValueError("key width must be non-negative")
-    if value >> width:
-        raise ValueError(f"value {value} does not fit into {width} bits")
-    return [(value >> position) & 1 for position in range(width)]
-
-
-def key_to_string(bits: Sequence[int]) -> str:
-    """Render a key as a bit string, MSB first (matches Verilog literals)."""
-    return "".join(str(int(bit)) for bit in reversed(list(bits)))
-
-
-def string_to_key(text: str) -> List[int]:
-    """Parse an MSB-first bit string into a key bit list."""
-    stripped = text.strip().replace("_", "")
-    if not all(c in "01" for c in stripped):
-        raise ValueError(f"invalid key string {text!r}")
-    return [int(c) for c in reversed(stripped)]
-
-
-def hamming_distance(first: Sequence[int], second: Sequence[int]) -> int:
-    """Number of differing bit positions between two equal-length keys."""
-    if len(first) != len(second):
-        raise ValueError("keys must have equal width")
-    return sum(1 for a, b in zip(first, second) if int(a) != int(b))
-
-
-def key_accuracy(predicted: Sequence[int], correct: Sequence[int]) -> float:
-    """Fraction of correctly predicted key bits (0.0-1.0).
-
-    This is the per-design building block of the KPA metric used in the
-    evaluation (Section 5).
-    """
-    if len(correct) == 0:
-        raise ValueError("correct key is empty")
-    if len(predicted) != len(correct):
-        raise ValueError("predicted and correct keys must have equal width")
-    matches = sum(1 for p, c in zip(predicted, correct) if int(p) == int(c))
-    return matches / len(correct)
+from typing import Iterable, List, Sequence
 
 
 def flip_bits(key: Sequence[int], positions: Iterable[int]) -> List[int]:

@@ -93,11 +93,6 @@ class OperationDistributionTable:
                 return False
         return True
 
-    def imbalance_summary(self) -> Dict[Tuple[str, str], int]:
-        """Return ``{(T, T'): ODT[T]}`` for every pair."""
-        return {(first, second): self.value(first)
-                for first, second in self.pairs()}
-
     # --------------------------------------------------------------- mutation
 
     def add_operation(self, op: str, mark_affected: bool = True) -> None:

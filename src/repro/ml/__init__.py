@@ -22,18 +22,12 @@ from .boosting import AdaBoostClassifier
 from .forest import RandomForestClassifier
 from .knn import KNeighborsClassifier
 from .logistic import LogisticRegression
-from .metrics import (
-    accuracy,
-    balanced_accuracy,
-    confusion_matrix,
-    log_loss,
-    precision_recall_f1,
-)
+from .metrics import accuracy
 from .mlp import MLPClassifier
 from .naive_bayes import CategoricalNB, GaussianNB
-from .preprocessing import MinMaxScaler, OneHotEncoder, StandardScaler
+from .preprocessing import OneHotEncoder, StandardScaler
 from .tree import DecisionTreeClassifier
-from .validation import KFold, cross_val_score, train_test_split
+from .validation import KFold
 
 __all__ = [
     "AutoMLClassifier",
@@ -53,18 +47,11 @@ __all__ = [
     "KNeighborsClassifier",
     "LogisticRegression",
     "accuracy",
-    "balanced_accuracy",
-    "confusion_matrix",
-    "log_loss",
-    "precision_recall_f1",
     "MLPClassifier",
     "CategoricalNB",
     "GaussianNB",
-    "MinMaxScaler",
     "OneHotEncoder",
     "StandardScaler",
     "DecisionTreeClassifier",
     "KFold",
-    "cross_val_score",
-    "train_test_split",
 ]

@@ -12,6 +12,7 @@ seconds, so the search result is a pure function of the data and the seed.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -29,6 +30,8 @@ from .naive_bayes import CategoricalNB, GaussianNB
 from .preprocessing import OneHotEncoder, StandardScaler
 from .tree import DecisionTreeClassifier
 from .validation import KFold
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -217,12 +220,14 @@ class AutoMLClassifier(Estimator):
             pipeline = _Pipeline(spec).fit(matrix, labels)
             return [accuracy(labels, pipeline.predict(matrix))]
         scores: List[float] = []
-        splitter = KFold(n_splits=n_splits, shuffle=True, rng=rng)
+        splitter = KFold(n_splits=n_splits, rng=rng)
         for train_indices, test_indices in splitter.split(n_samples):
             pipeline = _Pipeline(spec)
             try:
                 pipeline.fit(matrix[train_indices], labels[train_indices])
-            except Exception:
+            except Exception as exc:
+                _log.warning("auto-ML candidate %s dropped: a fold fit raised "
+                             "%s", spec.name, type(exc).__name__)
                 return []
             predictions = pipeline.predict(matrix[test_indices])
             scores.append(accuracy(labels[test_indices], predictions))

@@ -56,15 +56,6 @@ class Estimator:
                 params[name] = getattr(self, name)
         return params
 
-    def set_params(self, **params: Any) -> "Estimator":
-        """Set constructor parameters in place and return self."""
-        valid = self.get_params()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"{type(self).__name__} has no parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
     def clone(self) -> "Estimator":
         """Return an unfitted copy with the same parameters."""
         return type(self)(**copy.deepcopy(self.get_params()))

@@ -1,8 +1,8 @@
-"""Classification metrics for model selection and attack evaluation."""
+"""Classification accuracy for model selection."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -21,56 +21,3 @@ def accuracy(true_labels: Sequence, predicted: Sequence) -> float:
         raise ValueError("cannot compute accuracy of empty arrays")
     return float(np.mean(true_arr == pred_arr))
 
-
-def confusion_matrix(true_labels: Sequence, predicted: Sequence,
-                     classes: Optional[Sequence] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(matrix, classes)`` where ``matrix[i, j]`` counts true ``i`` → predicted ``j``."""
-    true_arr = np.asarray(true_labels)
-    pred_arr = np.asarray(predicted)
-    if classes is None:
-        classes = np.unique(np.concatenate([true_arr, pred_arr]))
-    else:
-        classes = np.asarray(classes)
-    index = {label: position for position, label in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=int)
-    for true_value, predicted_value in zip(true_arr, pred_arr):
-        matrix[index[true_value], index[predicted_value]] += 1
-    return matrix, classes
-
-
-def precision_recall_f1(true_labels: Sequence, predicted: Sequence,
-                        positive_label=1) -> Dict[str, float]:
-    """Binary precision/recall/F1 for the given positive label."""
-    true_arr = np.asarray(true_labels)
-    pred_arr = np.asarray(predicted)
-    true_positive = float(np.sum((pred_arr == positive_label) & (true_arr == positive_label)))
-    false_positive = float(np.sum((pred_arr == positive_label) & (true_arr != positive_label)))
-    false_negative = float(np.sum((pred_arr != positive_label) & (true_arr == positive_label)))
-    precision = true_positive / (true_positive + false_positive) if (true_positive + false_positive) else 0.0
-    recall = true_positive / (true_positive + false_negative) if (true_positive + false_negative) else 0.0
-    f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}
-
-
-def balanced_accuracy(true_labels: Sequence, predicted: Sequence) -> float:
-    """Mean of per-class recalls (robust to class imbalance)."""
-    true_arr = np.asarray(true_labels)
-    pred_arr = np.asarray(predicted)
-    if true_arr.size == 0:
-        raise ValueError("cannot compute balanced accuracy of empty arrays")
-    recalls = []
-    for label in np.unique(true_arr):
-        mask = true_arr == label
-        recalls.append(float(np.mean(pred_arr[mask] == label)))
-    return float(np.mean(recalls))
-
-
-def log_loss(true_labels: Sequence, probabilities: np.ndarray,
-             classes: Sequence, epsilon: float = 1e-12) -> float:
-    """Multi-class cross-entropy of predicted probabilities."""
-    true_arr = np.asarray(true_labels)
-    prob_arr = np.clip(np.asarray(probabilities, dtype=float), epsilon, 1.0)
-    class_index = {label: position for position, label in enumerate(classes)}
-    picked = np.array([prob_arr[row, class_index[label]]
-                       for row, label in enumerate(true_arr)])
-    return float(-np.mean(np.log(picked)))

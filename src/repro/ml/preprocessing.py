@@ -8,7 +8,7 @@ raw codes for trees and naive Bayes).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -32,30 +32,6 @@ class StandardScaler:
             raise NotFittedError("StandardScaler must be fitted before transform")
         matrix = check_features(features, n_features=self.mean_.shape[0])
         return (matrix - self.mean_) / self.scale_
-
-    def fit_transform(self, features: Sequence) -> np.ndarray:
-        """Fit and immediately transform."""
-        return self.fit(features).transform(features)
-
-
-class MinMaxScaler:
-    """Scale features into the ``[0, 1]`` range."""
-
-    def fit(self, features: Sequence) -> "MinMaxScaler":
-        """Learn per-feature minimum and maximum."""
-        matrix = check_features(features)
-        self.min_ = matrix.min(axis=0)
-        span = matrix.max(axis=0) - self.min_
-        span[span == 0.0] = 1.0
-        self.span_ = span
-        return self
-
-    def transform(self, features: Sequence) -> np.ndarray:
-        """Apply the learned scaling."""
-        if not hasattr(self, "min_"):
-            raise NotFittedError("MinMaxScaler must be fitted before transform")
-        matrix = check_features(features, n_features=self.min_.shape[0])
-        return (matrix - self.min_) / self.span_
 
     def fit_transform(self, features: Sequence) -> np.ndarray:
         """Fit and immediately transform."""
@@ -103,9 +79,3 @@ class OneHotEncoder:
         """Fit and immediately transform."""
         return self.fit(features).transform(features)
 
-    @property
-    def n_output_features(self) -> int:
-        """Total width of the one-hot expansion."""
-        if not hasattr(self, "categories_"):
-            raise NotFittedError("OneHotEncoder must be fitted first")
-        return int(sum(len(c) for c in self.categories_))

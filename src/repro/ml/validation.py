@@ -1,80 +1,25 @@
-"""Dataset splitting and cross-validation utilities."""
+"""Cross-validation fold generator."""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .base import Estimator
-from .metrics import accuracy
-
-
-def train_test_split(features: Sequence, labels: Sequence, test_fraction: float = 0.25,
-                     rng: Optional[np.random.Generator] = None,
-                     stratify: bool = False
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a dataset into train and test parts.
-
-    Args:
-        features: Sample matrix.
-        labels: Label vector.
-        test_fraction: Fraction of samples placed into the test part.
-        rng: NumPy random generator (fresh default generator when omitted).
-        stratify: Preserve the label distribution in both parts.
-
-    Returns:
-        ``(train_features, test_features, train_labels, test_labels)``.
-
-    Raises:
-        ValueError: if ``test_fraction`` is outside ``(0, 1)`` or the split
-            would leave either part empty.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be strictly between 0 and 1")
-    feature_arr = np.asarray(features)
-    label_arr = np.asarray(labels)
-    if feature_arr.shape[0] != label_arr.shape[0]:
-        raise ValueError("features and labels must have the same length")
-    rng = rng or np.random.default_rng()
-    n_samples = feature_arr.shape[0]
-    n_test = max(1, int(round(n_samples * test_fraction)))
-    if n_test >= n_samples:
-        raise ValueError("split would leave an empty training set")
-
-    if stratify:
-        test_indices: List[int] = []
-        for label in np.unique(label_arr):
-            label_indices = np.flatnonzero(label_arr == label)
-            permuted = rng.permutation(label_indices)
-            count = max(1, int(round(len(label_indices) * test_fraction)))
-            test_indices.extend(permuted[:count].tolist())
-        test_mask = np.zeros(n_samples, dtype=bool)
-        test_mask[test_indices] = True
-    else:
-        order = rng.permutation(n_samples)
-        test_mask = np.zeros(n_samples, dtype=bool)
-        test_mask[order[:n_test]] = True
-
-    return (feature_arr[~test_mask], feature_arr[test_mask],
-            label_arr[~test_mask], label_arr[test_mask])
-
 
 class KFold:
-    """K-fold cross-validation index generator.
+    """K-fold cross-validation index generator over a shuffled sample order.
 
     Args:
         n_splits: Number of folds (>= 2).
-        shuffle: Shuffle the sample order before folding.
-        rng: NumPy random generator used when shuffling.
+        rng: NumPy random generator that draws the shuffle.
     """
 
-    def __init__(self, n_splits: int = 5, shuffle: bool = True,
+    def __init__(self, n_splits: int = 5,
                  rng: Optional[np.random.Generator] = None) -> None:
         if n_splits < 2:
             raise ValueError("n_splits must be at least 2")
         self.n_splits = n_splits
-        self.shuffle = shuffle
         self.rng = rng or np.random.default_rng()
 
     def split(self, n_samples: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -85,9 +30,7 @@ class KFold:
         """
         if n_samples < self.n_splits:
             raise ValueError("cannot split fewer samples than folds")
-        indices = np.arange(n_samples)
-        if self.shuffle:
-            indices = self.rng.permutation(indices)
+        indices = self.rng.permutation(n_samples)
         folds = np.array_split(indices, self.n_splits)
         for position in range(self.n_splits):
             test_indices = folds[position]
@@ -95,23 +38,3 @@ class KFold:
                 [folds[i] for i in range(self.n_splits) if i != position])
             yield train_indices, test_indices
 
-
-def cross_val_score(model: Estimator, features: Sequence, labels: Sequence,
-                    n_splits: int = 5,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Return the accuracy of ``model`` on each cross-validation fold.
-
-    The model is cloned for every fold, so the passed instance is left
-    untouched.
-    """
-    feature_arr = np.asarray(features, dtype=float)
-    label_arr = np.asarray(labels)
-    n_samples = feature_arr.shape[0]
-    splitter = KFold(n_splits=min(n_splits, max(2, n_samples)), shuffle=True, rng=rng)
-    scores = []
-    for train_indices, test_indices in splitter.split(n_samples):
-        fold_model = model.clone()
-        fold_model.fit(feature_arr[train_indices], label_arr[train_indices])
-        predictions = fold_model.predict(feature_arr[test_indices])
-        scores.append(accuracy(label_arr[test_indices], predictions))
-    return np.array(scores)

@@ -21,7 +21,6 @@ from .operations import (
     decode_operator,
     encode_operator,
     is_lockable,
-    lockable_operators,
     normalize_operator,
     operator_class,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "decode_operator",
     "encode_operator",
     "is_lockable",
-    "lockable_operators",
     "normalize_operator",
     "operator_class",
     "OperationSite",

@@ -132,17 +132,6 @@ class Design:
         """Names of key signals present in the design (empty when unlocked)."""
         return {self.key_port} if self.key_port else set()
 
-    def key_bit(self, index: int) -> KeyBit:
-        """Return the key record at ``index``.
-
-        Raises:
-            KeyError: if no key bit with that index exists.
-        """
-        for bit in self.key_bits:
-            if bit.index == index:
-                return bit
-        raise KeyError(f"no key bit with index {index}")
-
     # --------------------------------------------------------------- analysis
 
     def sites(self, module: Optional[ast.Module] = None) -> SiteCollection:

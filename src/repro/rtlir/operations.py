@@ -17,7 +17,7 @@ data-driven attack relies on.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet
 
 #: Binary operators that ASSURE-style operation obfuscation may lock.  These
 #: are the word-level dataflow operators; purely boolean "glue" (``&&``,
@@ -107,7 +107,3 @@ def normalize_operator(op: str) -> str:
         return "~^"
     return op
 
-
-def lockable_operators() -> List[str]:
-    """Return the lockable operators in their canonical (encoding) order."""
-    return [op for op in OPERATOR_ENCODING if op in LOCKABLE_OPERATORS]

@@ -69,13 +69,6 @@ class OperationGraph:
         """Return all signal nodes."""
         return [n for n in self.graph.nodes if isinstance(n, SignalNode)]
 
-    def fanout(self, signal: str) -> int:
-        """Return the out-degree of a signal node (0 if the signal is unknown)."""
-        node = SignalNode(signal)
-        if node not in self.graph:
-            return 0
-        return self.graph.out_degree(node)
-
     def depth(self) -> int:
         """Return the longest path length (dataflow depth) ignoring cycles."""
         acyclic = self._acyclic_view()

@@ -42,11 +42,6 @@ class EquivalenceReport:
         """True when no output differed on any tested vector."""
         return self.mismatches == 0
 
-    @property
-    def corruption_rate(self) -> float:
-        """Fraction of vectors with at least one differing output."""
-        return self.mismatches / self.vectors if self.vectors else 0.0
-
 
 class CombinationalSimulator:
     """Evaluate the combinational outputs of a design, one vector at a time.

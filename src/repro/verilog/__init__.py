@@ -15,20 +15,10 @@ Typical usage::
 
 from . import ast_nodes as ast
 from .codegen import CodeGenerator, generate
-from .errors import CodegenError, LexerError, ParseError, TransformError, VerilogError
+from .errors import CodegenError, LexerError, ParseError, VerilogError
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse, parse_expression, parse_module
 from .preprocess import Preprocessor, PreprocessorError, preprocess
-from .visitor import (
-    NodeTransformer,
-    NodeVisitor,
-    count_nodes,
-    find_all,
-    find_parent_map,
-    replace_node,
-    walk,
-    walk_with_parent,
-)
 
 __all__ = [
     "ast",
@@ -37,7 +27,6 @@ __all__ = [
     "CodegenError",
     "LexerError",
     "ParseError",
-    "TransformError",
     "VerilogError",
     "Lexer",
     "tokenize",
@@ -48,12 +37,4 @@ __all__ = [
     "Preprocessor",
     "PreprocessorError",
     "preprocess",
-    "NodeTransformer",
-    "NodeVisitor",
-    "count_nodes",
-    "find_all",
-    "find_parent_map",
-    "replace_node",
-    "walk",
-    "walk_with_parent",
 ]

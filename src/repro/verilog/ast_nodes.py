@@ -6,8 +6,7 @@ with ``key ? (a + b) : (a - b)``), and the code generator in
 :mod:`repro.verilog.codegen` renders the mutated tree back to Verilog source.
 
 Every node derives from :class:`Node` and declares its child fields in
-``_fields``; this powers the generic traversal utilities in
-:mod:`repro.verilog.visitor`.
+``_fields``; this powers :meth:`Node.children` and :meth:`Node.iter_tree`.
 """
 
 from __future__ import annotations
@@ -644,10 +643,6 @@ class Module(Node):
             if port.name == name:
                 return port
         return None
-
-    def items_of_type(self, node_type: type) -> List[ModuleItem]:
-        """Return all body items of the given type."""
-        return [item for item in self.items if isinstance(item, node_type)]
 
 
 class Source(Node):

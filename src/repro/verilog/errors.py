@@ -34,7 +34,3 @@ class ParseError(VerilogError):
 
 class CodegenError(VerilogError):
     """Raised when an AST node cannot be rendered back to Verilog source."""
-
-
-class TransformError(VerilogError):
-    """Raised when an AST transformation receives an unexpected node shape."""

@@ -202,14 +202,14 @@ class TestResumableStore:
         assert all(0.0 <= sample.value <= 100.0 for sample in samples)
 
     def test_figures_and_report_read_from_store(self, tmp_path):
-        from repro.eval import experiment_report_from_store, figure6_from_store
+        from repro.eval import figure6_from_store, store_report
 
         store = ResultsStore(tmp_path / "store")
         Runner(quick_scenario(), store=store).run()
         data = figure6_from_store(store)
         assert set(data.per_benchmark) == {"SASC"}
         assert set(data.average) == {"assure", "era"}
-        report = experiment_report_from_store(store)
+        report = store_report(store)
         assert "Average KPA" in report and "SASC" in report
 
 

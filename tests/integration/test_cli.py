@@ -415,14 +415,14 @@ class TestReportJson:
 
         # Round trip: the JSON numbers equal the figure builders' output.
         from repro.api import ResultsStore
-        from repro.eval import axis_sweeps_from_store, figure6_from_store
+        from repro.eval import axis_sweeps_from_records, figure6_from_store
 
         fig6 = figure6_from_store(ResultsStore(store))
         assert payload["figure6"]["average"] == fig6.average
         assert payload["figure6"]["per_benchmark"] == fig6.per_benchmark
 
-        sweeps = {s.axis: s for s in axis_sweeps_from_store(
-            ResultsStore(store))}
+        sweeps = {s.axis: s for s in axis_sweeps_from_records(
+            ResultsStore(store).records())}
         assert {entry["axis"] for entry in payload["axis_sweeps"]} \
             == set(sweeps)
         for entry in payload["axis_sweeps"]:

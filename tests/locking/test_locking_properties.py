@@ -12,8 +12,6 @@ from repro.locking import (
     ERALocker,
     HRALocker,
     LockingSession,
-    key_to_int,
-    int_to_key,
     odt_from_design,
 )
 
@@ -109,14 +107,3 @@ class TestAlgorithmInvariants:
         for bit in locked.key_bits:
             assert locked.correct_key[bit.index] == bit.correct_value
 
-
-class TestKeyProperties:
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
-    @settings(max_examples=100, deadline=None)
-    def test_key_int_roundtrip(self, bits):
-        assert int_to_key(key_to_int(bits), len(bits)) == bits
-
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_int_key_roundtrip(self, value):
-        assert key_to_int(int_to_key(value, 32)) == value

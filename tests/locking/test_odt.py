@@ -84,11 +84,6 @@ class TestBalanceQueries:
         odt.add_operation("/")
         assert odt.fully_balanced(affected_only=True)
 
-    def test_imbalance_summary(self):
-        odt = make_odt({"+": 5, "-": 2})
-        summary = odt.imbalance_summary()
-        assert summary[("+", "-")] == 3
-
 
 class TestVectors:
     def test_vector_absolute_values(self):

@@ -1,5 +1,7 @@
 """Unit tests for the budgeted auto-ML search."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,28 @@ class TestSearch:
         model = AutoMLClassifier(time_budget=5.0, candidates=roster)
         model.fit(features, labels)
         assert model.best_model_name == "only_tree"
+
+    def test_raising_candidate_is_dropped_with_a_warning(self, categorical_dataset,
+                                                         caplog):
+        features, labels = categorical_dataset
+
+        class BrokenTree(DecisionTreeClassifier):
+            def fit(self, features, labels):
+                raise FloatingPointError("diverged")
+
+        roster = [CandidateSpec("broken_tree", BrokenTree),
+                  CandidateSpec("only_tree",
+                                lambda: DecisionTreeClassifier(max_depth=3))]
+        model = AutoMLClassifier(time_budget=5.0, candidates=roster,
+                                 random_state=0)
+        with caplog.at_level(logging.WARNING, logger="repro.ml.automl"):
+            model.fit(features, labels)
+        assert [r.spec.name for r in model.leaderboard_] == ["only_tree"]
+        warnings = [record.getMessage() for record in caplog.records
+                    if record.name == "repro.ml.automl"]
+        assert len(warnings) == 1
+        assert "broken_tree" in warnings[0]
+        assert "FloatingPointError" in warnings[0]
 
     def test_invalid_time_budget(self):
         with pytest.raises(ValueError):

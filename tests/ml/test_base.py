@@ -67,20 +67,13 @@ class TestNumerics:
 
 
 class TestEstimatorInterface:
-    def test_get_set_params_and_clone(self):
+    def test_get_params_and_clone(self):
         model = DecisionTreeClassifier(max_depth=3, min_samples_leaf=2)
         params = model.get_params()
         assert params["max_depth"] == 3
         clone = model.clone()
         assert clone is not model
         assert clone.get_params() == params
-        model.set_params(max_depth=7)
-        assert model.max_depth == 7
-        assert clone.max_depth == 3
-
-    def test_set_unknown_param_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianNB().set_params(bogus=1)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):

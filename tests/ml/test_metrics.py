@@ -1,15 +1,8 @@
 """Unit tests for classification metrics."""
 
-import numpy as np
 import pytest
 
-from repro.ml.metrics import (
-    accuracy,
-    balanced_accuracy,
-    confusion_matrix,
-    log_loss,
-    precision_recall_f1,
-)
+from repro.ml.metrics import accuracy
 
 
 class TestAccuracy:
@@ -27,55 +20,3 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy([], [])
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        matrix, classes = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        assert list(classes) == [0, 1]
-        assert matrix[0, 0] == 1   # true 0 predicted 0
-        assert matrix[0, 1] == 1   # true 0 predicted 1
-        assert matrix[1, 1] == 2
-
-    def test_explicit_class_order(self):
-        matrix, classes = confusion_matrix([1, 1], [1, 1], classes=[0, 1])
-        assert matrix[0].sum() == 0
-        assert matrix[1, 1] == 2
-
-
-class TestPrecisionRecallF1:
-    def test_values(self):
-        scores = precision_recall_f1([1, 1, 0, 0], [1, 0, 1, 0])
-        assert scores["precision"] == pytest.approx(0.5)
-        assert scores["recall"] == pytest.approx(0.5)
-        assert scores["f1"] == pytest.approx(0.5)
-
-    def test_no_positive_predictions(self):
-        scores = precision_recall_f1([1, 1], [0, 0])
-        assert scores["precision"] == 0.0
-        assert scores["recall"] == 0.0
-        assert scores["f1"] == 0.0
-
-
-class TestBalancedAccuracy:
-    def test_imbalanced_case(self):
-        true = [0] * 90 + [1] * 10
-        predicted = [0] * 100
-        assert accuracy(true, predicted) == pytest.approx(0.9)
-        assert balanced_accuracy(true, predicted) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            balanced_accuracy([], [])
-
-
-class TestLogLoss:
-    def test_confident_correct_is_small(self):
-        probabilities = np.array([[0.99, 0.01], [0.01, 0.99]])
-        loss = log_loss([0, 1], probabilities, classes=[0, 1])
-        assert loss < 0.05
-
-    def test_confident_wrong_is_large(self):
-        probabilities = np.array([[0.01, 0.99]])
-        loss = log_loss([0], probabilities, classes=[0, 1])
-        assert loss > 3.0

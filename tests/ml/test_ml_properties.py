@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as npst
 
 from repro.ml import CategoricalNB, DecisionTreeClassifier, GaussianNB, accuracy
 from repro.ml.base import one_hot, sigmoid, softmax
-from repro.ml.metrics import balanced_accuracy
 
 _float_matrices = npst.arrays(
     dtype=float,
@@ -51,11 +50,6 @@ class TestMetricProperties:
         value = accuracy(labels, predictions)
         assert 0.0 <= value <= 1.0
         assert accuracy(labels, labels) == 1.0
-
-    @given(st.lists(st.integers(0, 2), min_size=2, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_balanced_accuracy_perfect_prediction(self, labels):
-        assert balanced_accuracy(labels, labels) == 1.0
 
 
 class TestClassifierProperties:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import MinMaxScaler, OneHotEncoder, StandardScaler
+from repro.ml import OneHotEncoder, StandardScaler
 from repro.ml.base import NotFittedError
 
 
@@ -29,24 +29,6 @@ class TestStandardScaler:
         assert scaler.transform([[5.0]])[0, 0] == pytest.approx(0.0)
 
 
-class TestMinMaxScaler:
-    def test_range_is_zero_one(self):
-        data = np.array([[1.0, -5.0], [3.0, 5.0], [2.0, 0.0]])
-        scaled = MinMaxScaler().fit_transform(data)
-        assert scaled.min() >= 0.0
-        assert scaled.max() <= 1.0
-        assert scaled[0, 0] == pytest.approx(0.0)
-        assert scaled[1, 0] == pytest.approx(1.0)
-
-    def test_constant_column(self):
-        scaled = MinMaxScaler().fit_transform([[7.0], [7.0]])
-        assert np.allclose(scaled, 0.0)
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            MinMaxScaler().transform([[1.0]])
-
-
 class TestOneHotEncoder:
     def test_basic_expansion(self):
         data = np.array([[1, 10], [2, 10], [1, 20]])
@@ -54,7 +36,6 @@ class TestOneHotEncoder:
         expanded = encoder.transform(data)
         # Column 0 has 2 categories, column 1 has 2 categories -> 4 outputs.
         assert expanded.shape == (3, 4)
-        assert encoder.n_output_features == 4
         assert np.allclose(expanded.sum(axis=1), 2.0)
 
     def test_unknown_category_maps_to_zero_block(self):
@@ -74,5 +55,3 @@ class TestOneHotEncoder:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             OneHotEncoder().transform([[1]])
-        with pytest.raises(NotFittedError):
-            OneHotEncoder().n_output_features

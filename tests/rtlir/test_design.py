@@ -57,12 +57,6 @@ class TestKeyBits:
         assert len(text) == 3
         assert text == "".join(str(b) for b in reversed(locked.correct_key))
 
-    def test_key_bit_lookup(self, mixer_design, rng):
-        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 2).design
-        assert locked.key_bit(1).index == 1
-        with pytest.raises(KeyError):
-            locked.key_bit(99)
-
     def test_key_names(self, mixer_design, rng):
         assert mixer_design.key_names() == set()
         locked = AssureLocker("serial", rng=rng).lock(mixer_design, 1).design

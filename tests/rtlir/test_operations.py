@@ -3,13 +3,11 @@
 import pytest
 
 from repro.rtlir.operations import (
-    LOCKABLE_OPERATORS,
     NO_OPERATION,
     OPERATOR_ENCODING,
     decode_operator,
     encode_operator,
     is_lockable,
-    lockable_operators,
     normalize_operator,
     operator_class,
 )
@@ -24,13 +22,6 @@ class TestLockability:
     @pytest.mark.parametrize("op", ["&&", "||", "===", "!=="])
     def test_control_glue_is_not_lockable(self, op):
         assert not is_lockable(op)
-
-    def test_lockable_operators_listing(self):
-        listed = lockable_operators()
-        assert set(listed) == set(LOCKABLE_OPERATORS)
-        # Canonical order follows the encoding table.
-        codes = [OPERATOR_ENCODING[op] for op in listed]
-        assert codes == sorted(codes)
 
 
 class TestEncoding:

@@ -21,11 +21,6 @@ class TestGraphConstruction:
         # Six chained additions produce a long dependency path.
         assert graph.depth() >= 6
 
-    def test_fanout(self, plus_chain_design):
-        graph = build_operation_graph(plus_chain_design.top)
-        assert graph.fanout("i0") >= 2
-        assert graph.fanout("does_not_exist") == 0
-
     def test_statistics_keys(self, mixer_design):
         stats = build_operation_graph(mixer_design.top).statistics()
         assert set(stats) == {"num_operations", "num_signals", "num_edges",
