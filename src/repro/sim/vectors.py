@@ -73,7 +73,13 @@ def batch_to_vectors(batch: Dict[str, List[int]], n: int) -> List[Dict[str, int]
 
 
 def random_key(width: int, rng: random.Random) -> List[int]:
-    """Draw a uniformly random key of ``width`` bits (LSB first)."""
+    """Draw a uniformly random key of ``width`` bits (LSB first).
+
+    Raises:
+        ValueError: for a negative ``width``.
+    """
+    if width < 0:
+        raise ValueError("key width must be non-negative")
     return [rng.randint(0, 1) for _ in range(width)]
 
 

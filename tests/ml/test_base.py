@@ -1,5 +1,7 @@
 """Unit tests for the ML base utilities."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from repro.ml.base import (
     sigmoid,
     softmax,
 )
-from repro.ml import DecisionTreeClassifier, GaussianNB
+from repro.ml import AutoMLClassifier, DecisionTreeClassifier, GaussianNB, default_candidates
+
+_ROSTER = default_candidates(random_state=0)
 
 
 class TestValidation:
@@ -74,6 +78,20 @@ class TestEstimatorInterface:
         clone = model.clone()
         assert clone is not model
         assert clone.get_params() == params
+
+    @pytest.mark.parametrize("factory", [spec.factory for spec in _ROSTER]
+                             + [lambda: AutoMLClassifier(time_budget=2, random_state=0)],
+                             ids=[spec.name for spec in _ROSTER] + ["automl"])
+    def test_clone_is_unfitted_with_every_constructor_param(self, factory):
+        model = factory()
+        init_params = set(inspect.signature(type(model).__init__).parameters) - {"self"}
+        assert set(model.get_params()) == init_params
+        model.fit(np.array([[0, 1], [1, 0], [0, 0], [1, 1]] * 3),
+                  np.array([0, 1, 0, 1] * 3))
+        clone = model.clone()
+        assert type(clone) is type(model)
+        assert clone.get_params() == model.get_params()
+        assert not hasattr(clone, "classes_")
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):

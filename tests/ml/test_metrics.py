@@ -1,5 +1,6 @@
 """Unit tests for classification metrics."""
 
+import numpy as np
 import pytest
 
 from repro.ml.metrics import accuracy
@@ -20,3 +21,9 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy([], [])
+
+    def test_string_labels(self):
+        assert accuracy(["+", "-", "*"], ["+", "*", "*"]) == pytest.approx(2 / 3)
+
+    def test_numpy_inputs(self):
+        assert accuracy(np.array([0, 1, 1, 1]), np.array([0, 1, 1, 0])) == 0.75

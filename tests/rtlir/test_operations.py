@@ -3,7 +3,9 @@
 import pytest
 
 from repro.rtlir.operations import (
+    LOCKABLE_OPERATORS,
     NO_OPERATION,
+    OPERATOR_CLASSES,
     OPERATOR_ENCODING,
     decode_operator,
     encode_operator,
@@ -22,6 +24,13 @@ class TestLockability:
     @pytest.mark.parametrize("op", ["&&", "||", "===", "!=="])
     def test_control_glue_is_not_lockable(self, op):
         assert not is_lockable(op)
+
+    def test_every_lockable_operator_has_one_class(self):
+        # Every lockable operator has exactly one class and a stable code.
+        assert set().union(*OPERATOR_CLASSES.values()) == LOCKABLE_OPERATORS
+        assert sum(len(members) for members in OPERATOR_CLASSES.values()) \
+            == len(LOCKABLE_OPERATORS)
+        assert LOCKABLE_OPERATORS <= set(OPERATOR_ENCODING)
 
 
 class TestEncoding:

@@ -1,0 +1,76 @@
+"""Unit tests for the seeded vector and key samplers."""
+
+import random
+
+import pytest
+
+from repro.locking import AssureLocker
+from repro.sim.vectors import (
+    batch_to_vectors,
+    input_signals,
+    output_signals,
+    random_input_batch,
+    random_key,
+    random_vector_batch,
+    random_wrong_key,
+)
+
+
+class TestSignals:
+    def test_input_signals_in_port_order_with_widths(self, mixer_design):
+        assert input_signals(mixer_design) == [
+            ("clk", 1), ("rst_n", 1), ("a", 8), ("b", 8), ("c", 8), ("d", 8)]
+
+    def test_key_port_is_not_an_input_signal(self, mixer_design, rng):
+        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 2).design
+        names = [name for name, _ in input_signals(locked)]
+        assert locked.key_port not in names
+        assert names == [name for name, _ in input_signals(mixer_design)]
+
+    def test_output_signals(self, mixer_design):
+        assert output_signals(mixer_design) == [("y", 8), ("z", 8)]
+
+
+class TestVectorBatch:
+    @pytest.mark.parametrize("width", [1, 4, 32, 64])
+    def test_values_fit_their_width(self, width):
+        batch = random_vector_batch([("x", width)], random.Random(3), 200)
+        assert len(batch["x"]) == 200
+        assert all(0 <= value < 2 ** width for value in batch["x"])
+
+    def test_batch_matches_successive_single_draws(self):
+        signals = [("a", 8), ("b", 3)]
+        batch = random_vector_batch(signals, random.Random(11), 5)
+        rng = random.Random(11)
+        singles = [random_vector_batch(signals, rng, 1) for _ in range(5)]
+        assert batch == {name: [single[name][0] for single in singles]
+                         for name, _ in signals}
+
+    def test_zero_vectors(self):
+        assert random_vector_batch([("a", 4)], random.Random(0), 0) == {"a": []}
+
+    def test_batch_to_vectors_splits_lanes(self):
+        batch = {"a": [1, 2, 3], "b": [4, 5, 6]}
+        assert batch_to_vectors(batch, 3) == [
+            {"a": 1, "b": 4}, {"a": 2, "b": 5}, {"a": 3, "b": 6}]
+
+    def test_input_batch_draws_every_data_input(self, mixer_design):
+        batch = random_input_batch(mixer_design, random.Random(5), 4)
+        assert batch == random_vector_batch(
+            input_signals(mixer_design), random.Random(5), 4)
+
+
+class TestWrongKey:
+    @pytest.mark.parametrize("correct", [[0], [1], [1, 0], [0, 1, 1, 0] * 4])
+    def test_wrong_key_differs_and_keeps_width(self, correct):
+        rng = random.Random(9)
+        for _ in range(20):
+            wrong = random_wrong_key(correct, rng)
+            assert wrong != correct
+            assert len(wrong) == len(correct)
+            assert set(wrong) <= {0, 1}
+
+    def test_wrong_key_deterministic_with_seed(self):
+        correct = random_key(12, random.Random(1))
+        assert (random_wrong_key(correct, random.Random(2))
+                == random_wrong_key(correct, random.Random(2)))
