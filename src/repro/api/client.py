@@ -30,8 +30,7 @@ import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .protocol import (Event, ProtocolError, Request, Response,
-                       decode_server_message, encode)
+from .protocol import Event, Request, decode_server_message, encode
 
 #: Signature of the watch-event callback: ``on_event(data_dict)``.
 EventFn = Callable[[Dict], None]

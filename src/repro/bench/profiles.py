@@ -24,7 +24,7 @@ Profile shapes follow the functional character of each core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 

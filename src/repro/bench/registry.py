@@ -6,13 +6,7 @@ from typing import Dict, List, Optional
 
 from ..rtlir.design import Design
 from .generators import alternating_network, plus_network, profile_design
-from .profiles import (
-    BENCHMARK_PROFILES,
-    EVALUATION_ORDER,
-    SYNTHETIC_PROFILES,
-    BenchmarkProfile,
-    all_profiles,
-)
+from .profiles import EVALUATION_ORDER, BenchmarkProfile, all_profiles
 
 
 class UnknownBenchmarkError(KeyError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..attacks.kpa import KpaSample, aggregate_by
+from ..attacks.kpa import RANDOM_GUESS_KPA, KpaSample, aggregate_by
 from .figures import PAPER_AVERAGE_KPA
 from .tables import average_kpa_text, kpa_table_text
 
@@ -46,7 +46,7 @@ def shape_checks(average: Mapping[str, float],
     if era is not None:
         checks["era_random"] = ShapeCheck(
             claim="ERA average KPA stays near the random-guess line",
-            holds=abs(era - 50.0) <= tolerance,
+            holds=abs(era - RANDOM_GUESS_KPA) <= tolerance,
             detail=f"measured {era:.1f} %, paper {PAPER_AVERAGE_KPA['era']:.1f} %",
         )
     if assure is not None and era is not None:
@@ -74,7 +74,8 @@ def shape_checks(average: Mapping[str, float],
 
     if per_benchmark and "N_1023" in per_benchmark:
         balanced = per_benchmark["N_1023"]
-        worst = max(abs(value - 50.0) for value in balanced.values())
+        worst = max(abs(value - RANDOM_GUESS_KPA)
+                    for value in balanced.values())
         checks["n1023_balanced"] = ShapeCheck(
             claim="the fully balanced N_1023 is ~50 % KPA for every algorithm",
             holds=worst <= 1.5 * tolerance,

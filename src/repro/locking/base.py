@@ -29,9 +29,10 @@ from typing import Dict, List, Optional, Sequence
 
 from ..rtlir.design import DEFAULT_KEY_PORT, Design, KeyBit
 from ..rtlir.operations import normalize_operator
+from ..rtlir.sites import SiteCollection
 from ..verilog import ast_nodes as ast
 from ..verilog.transform import clone, unique_name
-from .odt import OperationDistributionTable, odt_from_design
+from .odt import OperationDistributionTable
 from .pairs import PairTable, default_pair_table
 
 
@@ -108,19 +109,23 @@ class LockingSession:
         # range's msb is replaced in place as key bits come and go.
         self._key_port_node: Optional[ast.Port] = None
         self._key_range: Optional[ast.Range] = None
-        self.odt: OperationDistributionTable = odt_from_design(design, self.pair_table)
+        # One site walk feeds both the ODT and the registry: nothing below
+        # mutates the design before the registry is built.
+        sites = design.sites()
+        self.odt: OperationDistributionTable = OperationDistributionTable(
+            sites.count_by_operator(), self.pair_table)
         if design.is_locked:
             # Pairs already present in a locked design count as affected.
             self._mark_existing_locks_affected()
         self.actions: List[LockAction] = []
         self._ops: List[OpRef] = []
         self._ops_by_type: Dict[str, List[OpRef]] = {}
-        self._build_registry()
+        self._build_registry(sites)
 
     # --------------------------------------------------------------- registry
 
-    def _build_registry(self) -> None:
-        for site in self.design.sites():
+    def _build_registry(self, sites: SiteCollection) -> None:
+        for site in sites:
             if site.key_controlled:
                 continue
             ref = OpRef(node=site.node, op=site.op, parent=site.parent,

@@ -17,7 +17,7 @@ dummy type ``T'`` that ASSURE inserts next to it.  Two tables are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..rtlir.operations import LOCKABLE_OPERATORS, normalize_operator
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import inspect
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .base import Estimator, check_features, check_features_labels, encode_labels

@@ -11,14 +11,18 @@ The graph is used for
 
 Nodes are either *signal* nodes (named wires/regs/ports) or *operation* nodes
 (one per lockable operation site).  Edges point from producers to consumers.
+
+The graph is a :class:`DataflowGraph`, which keeps nodes and edges in
+insertion order as ``networkx.DiGraph`` does; the few graph algorithms the
+analyses need (cycle search, topological sort, longest path, connected
+components) are exact ports of networkx's, so every order they yield, and
+with it every serial ASSURE lock, is the one networkx would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from ..verilog import ast_nodes as ast
 from .sites import OperationSite, SiteCollection, collect_sites
@@ -45,15 +49,67 @@ class OperationNode:
         return f"op{self.index}:{self.op}"
 
 
+class DataflowGraph:
+    """A directed graph whose nodes and edges keep their insertion order.
+
+    ``succ[u]`` and ``pred[v]`` map each node to its successors and
+    predecessors, as dicts used as ordered sets (the values are None).
+    Iterating the graph yields the nodes in insertion order, and a node's
+    successors come in the order their edges were added: the orders of
+    ``networkx.DiGraph``, on which the ports below rely.
+    """
+
+    def __init__(self) -> None:
+        self.succ: Dict[Hashable, Dict[Hashable, None]] = {}
+        self.pred: Dict[Hashable, Dict[Hashable, None]] = {}
+
+    def add_node(self, node: Hashable) -> None:
+        if node not in self.succ:
+            self.succ[node] = {}
+            self.pred[node] = {}
+
+    def add_edge(self, tail: Hashable, head: Hashable) -> None:
+        """Add ``tail -> head``, adding either end that is new (tail first)."""
+        self.add_node(tail)
+        self.add_node(head)
+        self.succ[tail][head] = None
+        self.pred[head][tail] = None
+
+    def remove_edge(self, tail: Hashable, head: Hashable) -> None:
+        del self.succ[tail][head]
+        del self.pred[head][tail]
+
+    def copy(self) -> DataflowGraph:
+        other = DataflowGraph()
+        other.succ = {node: dict(heads) for node, heads in self.succ.items()}
+        other.pred = {node: dict(tails) for node, tails in self.pred.items()}
+        return other
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.succ)
+
+    def __len__(self) -> int:
+        return len(self.succ)
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.succ
+
+    def number_of_edges(self) -> int:
+        return sum(len(heads) for heads in self.succ.values())
+
+    def out_degree(self, node: Hashable) -> int:
+        return len(self.succ[node])
+
+
 class OperationGraph:
     """Dataflow graph of a single module.
 
     Attributes:
-        graph: The underlying :class:`networkx.DiGraph`.
+        graph: The underlying :class:`DataflowGraph`.
         sites: The operation sites the graph was built from.
     """
 
-    def __init__(self, graph: nx.DiGraph, sites: SiteCollection,
+    def __init__(self, graph: DataflowGraph, sites: SiteCollection,
                  module: ast.Module) -> None:
         self.graph = graph
         self.sites = sites
@@ -63,20 +119,17 @@ class OperationGraph:
 
     def operation_nodes(self) -> List[OperationNode]:
         """Return all operation nodes."""
-        return [n for n in self.graph.nodes if isinstance(n, OperationNode)]
+        return [n for n in self.graph if isinstance(n, OperationNode)]
 
     def signal_nodes(self) -> List[SignalNode]:
         """Return all signal nodes."""
-        return [n for n in self.graph.nodes if isinstance(n, SignalNode)]
+        return [n for n in self.graph if isinstance(n, SignalNode)]
 
     def depth(self) -> int:
         """Return the longest path length (dataflow depth) ignoring cycles."""
-        acyclic = self._acyclic_view()
-        if acyclic.number_of_nodes() == 0:
-            return 0
-        return nx.dag_longest_path_length(acyclic)
+        return _longest_path_length(self._acyclic_view())
 
-    def _acyclic_view(self) -> nx.DiGraph:
+    def _acyclic_view(self) -> DataflowGraph:
         """The graph with cycles broken: drop each found cycle's first edge.
 
         The graph is copied at the first removal only; an acyclic graph is
@@ -100,7 +153,7 @@ class OperationGraph:
         """
         acyclic = self._acyclic_view()
         order: Dict[int, int] = {}
-        for position, node in enumerate(nx.topological_sort(acyclic)):
+        for position, node in enumerate(_topological_order(acyclic)):
             if isinstance(node, OperationNode):
                 order[node.index] = position
         return sorted(self.sites,
@@ -113,27 +166,25 @@ class OperationGraph:
         named signal).  This is the "network of + operations" view of Fig. 4.
         """
         wanted = {site.index for site in self.sites if site.op == operator}
-        projected = nx.Graph()
-        projected.add_nodes_from(wanted)
-        undirected = self.graph.to_undirected(as_view=True)
+        linked: Dict[int, Set[int]] = {index: set() for index in wanted}
         for index in wanted:
             source = OperationNode(index, operator)
-            if source not in undirected:
+            if source not in self.graph:
                 continue
-            for neighbour in undirected.neighbors(source):
-                targets = self._reachable_ops(neighbour, wanted, operator)
-                for target in targets:
+            for neighbour in _neighbours(self.graph, source):
+                for target in self._reachable_ops(neighbour, wanted):
                     if target != index:
-                        projected.add_edge(index, target)
-        return [set(component) for component in nx.connected_components(projected)]
+                        linked[index].add(target)
+                        linked[target].add(index)
+        return _connected_components(linked)
 
-    def _reachable_ops(self, start, wanted: Set[int], operator: str) -> Set[int]:
+    def _reachable_ops(self, start, wanted: Set[int]) -> Set[int]:
         found: Set[int] = set()
         if isinstance(start, OperationNode) and start.index in wanted:
             found.add(start.index)
             return found
         if isinstance(start, SignalNode):
-            for neighbour in self.graph.to_undirected(as_view=True).neighbors(start):
+            for neighbour in _neighbours(self.graph, start):
                 if isinstance(neighbour, OperationNode) and neighbour.index in wanted:
                     found.add(neighbour.index)
         return found
@@ -154,11 +205,79 @@ class OperationGraph:
         }
 
 
+def _neighbours(graph: DataflowGraph, node: Hashable) -> Iterator[Hashable]:
+    """Successors, then predecessors, of ``node`` (edge direction ignored)."""
+    yield from graph.succ[node]
+    yield from graph.pred[node]
+
+
+def _topological_order(graph: DataflowGraph) -> List[Hashable]:
+    """``list(nx.topological_sort(graph))``: Kahn's algorithm by generations.
+
+    The first generation is the nodes without predecessors, in node order;
+    each later one collects, in the order the previous generation's
+    successor lists are walked, the nodes whose last predecessor it removed.
+    """
+    indegree = {node: len(tails) for node, tails in graph.pred.items()}
+    generation = [node for node, degree in indegree.items() if degree == 0]
+    order: List[Hashable] = []
+    while generation:
+        order.extend(generation)
+        following = []
+        for node in generation:
+            for child in graph.succ[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    following.append(child)
+        generation = following
+    if len(order) != len(graph):
+        raise ValueError("the graph has a cycle")
+    return order
+
+
+def _longest_path_length(graph: DataflowGraph) -> int:
+    """``nx.dag_longest_path_length(graph)``: edges on a longest path (0 if empty).
+
+    networkx walks the topological order, gives each node the longest
+    distance over its predecessors plus one (0 at a source) and returns the
+    length of the path ending at the farthest node; with unit weights that
+    length is the largest distance.
+    """
+    distance: Dict[Hashable, int] = {}
+    for node in _topological_order(graph):
+        distance[node] = max((distance[tail] + 1 for tail in graph.pred[node]),
+                             default=0)
+    return max(distance.values(), default=0)
+
+
+def _connected_components(linked: Dict[int, Set[int]]) -> List[Set[int]]:
+    """``list(nx.connected_components(g))`` of the undirected graph ``linked``.
+
+    ``linked`` maps each node, in node order, to its neighbours.  Components
+    come in the order of their first node.
+    """
+    seen: Set[int] = set()
+    components: List[Set[int]] = []
+    for start in linked:
+        if start in seen:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            for neighbour in linked[frontier.pop()]:
+                if neighbour not in component:
+                    component.add(neighbour)
+                    frontier.append(neighbour)
+        seen.update(component)
+        components.append(component)
+    return components
+
+
 #: Sentinel of an exhausted successor iterator in :func:`_find_cycle`.
 _EXHAUSTED = object()
 
 
-def _find_cycle(graph: nx.DiGraph) -> Optional[List[Tuple[object, object]]]:
+def _find_cycle(graph: DataflowGraph) -> Optional[List[Tuple[object, object]]]:
     """``nx.find_cycle(graph)`` in one pass over the edges; None if acyclic.
 
     An exact port of networkx's default (``source=None``,
@@ -246,7 +365,7 @@ def build_operation_graph(module: ast.Module,
     """
     if sites is None:
         sites = collect_sites(module, key_names)
-    graph = nx.DiGraph()
+    graph = DataflowGraph()
 
     site_by_node: Dict[int, OperationSite] = {id(s.node): s for s in sites}
 

@@ -12,7 +12,7 @@ two-valued simplification is documented and deterministic).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..verilog import ast_nodes as ast
 

@@ -11,7 +11,7 @@ Every node derives from :class:`Node` and declares its child fields in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 
 class Node:

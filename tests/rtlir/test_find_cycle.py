@@ -1,30 +1,41 @@
-"""Differential tests of the linear cycle search behind ASSURE's serial order.
+"""Differential tests of the dataflow graph against networkx.
 
-``repro.rtlir.opgraph._find_cycle`` ports ``nx.find_cycle`` without its
-quadratic re-walks of explored nodes.  It must return networkx's cycle
-exactly, so the edges the cycle breaker removes — and therefore
-``topological_site_order`` and every serial ASSURE lock — stay the same.
+``repro.rtlir.opgraph`` keeps its own insertion-ordered ``DataflowGraph``
+and ports the networkx algorithms its analyses need: ``find_cycle``
+(without its quadratic re-walks of explored nodes), ``topological_sort``,
+``dag_longest_path_length`` and ``connected_components``.  Each must give
+networkx's result exactly, so the edges the cycle breaker removes — and
+therefore ``topological_site_order`` and every serial ASSURE lock — stay
+the same.  networkx is only the test's reference; the package never
+imports it.
 """
 
 import random
 from collections import Counter
 from types import SimpleNamespace
 
-import networkx as nx
+import pytest
 
-from repro.rtlir.opgraph import (OperationGraph, OperationNode, SignalNode,
-                                 _find_cycle)
+from repro.rtlir.opgraph import (DataflowGraph, OperationGraph, OperationNode,
+                                 SignalNode, _find_cycle, _topological_order)
+
+nx = pytest.importorskip("networkx")
 
 SEEDS = range(300)
 
 
-def random_digraph(seed: int) -> nx.DiGraph:
-    """A seeded random digraph: shuffled node and edge insertion order,
-    self-loops and cycles, or a DAG (a third of the seeds)."""
+def random_graphs(seed: int):
+    """A seeded random digraph, built twice in the same insertion order.
+
+    Returns ``(reference, graph)``: the ``nx.DiGraph`` and the
+    ``DataflowGraph``.  Node and edge order are shuffled; the graph has
+    self-loops and cycles, or is a DAG (a third of the seeds).  Operation
+    nodes alternate between ``+`` and ``*``.
+    """
     rng = random.Random(seed)
     count = rng.randint(1, 24)
-    nodes = [OperationNode(i, "+") if rng.random() < 0.5 else SignalNode(f"s{i}")
-             for i in range(count)]
+    nodes = [OperationNode(i, "+*"[i % 2]) if rng.random() < 0.5
+             else SignalNode(f"s{i}") for i in range(count)]
     dag = seed % 3 == 0
     edges = []
     for _ in range(rng.randint(0, 3 * count)):
@@ -34,10 +45,15 @@ def random_digraph(seed: int) -> nx.DiGraph:
         edges.append((nodes[u], nodes[v]))
     rng.shuffle(nodes)
     rng.shuffle(edges)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    return graph
+    reference = nx.DiGraph()
+    reference.add_nodes_from(nodes)
+    reference.add_edges_from(edges)
+    graph = DataflowGraph()
+    for node in nodes:
+        graph.add_node(node)
+    for edge in edges:
+        graph.add_edge(*edge)
+    return reference, graph
 
 
 def networkx_cycle(graph: nx.DiGraph):
@@ -47,7 +63,7 @@ def networkx_cycle(graph: nx.DiGraph):
         return None
 
 
-def removed_edges(graph: nx.DiGraph, find):
+def removed_edges(graph, find):
     """The edges a cycle breaker removes, one per found cycle, in order."""
     graph = graph.copy()
     removed = []
@@ -59,57 +75,122 @@ def removed_edges(graph: nx.DiGraph, find):
         graph.remove_edge(*cycle[0][:2])
 
 
-def operation_graph(graph: nx.DiGraph) -> OperationGraph:
-    sites = [SimpleNamespace(index=node.index) for node in graph
+def operation_graph(graph: DataflowGraph) -> OperationGraph:
+    sites = [SimpleNamespace(index=node.index, op=node.op) for node in graph
              if isinstance(node, OperationNode)]
     return OperationGraph(graph, sites, module=None)
 
 
-def reference_site_order(graph: nx.DiGraph):
-    """``topological_site_order`` as computed with ``nx.find_cycle``."""
+def reference_acyclic(graph: nx.DiGraph) -> nx.DiGraph:
+    """``graph`` with cycles broken by ``nx.find_cycle``."""
     acyclic = graph.copy()
     for edge in removed_edges(graph, networkx_cycle):
         acyclic.remove_edge(*edge)
-    order = {node.index: position
-             for position, node in enumerate(nx.topological_sort(acyclic))
+    return acyclic
+
+
+def reference_site_order(graph: nx.DiGraph):
+    """``topological_site_order`` as computed with networkx."""
+    order = {node.index: position for position, node
+             in enumerate(nx.topological_sort(reference_acyclic(graph)))
              if isinstance(node, OperationNode)}
     return sorted((node.index for node in graph
                    if isinstance(node, OperationNode)),
                   key=lambda index: (order.get(index, len(order)), index))
 
 
+def reference_depth(graph: nx.DiGraph) -> int:
+    """``depth()`` as computed with ``nx.dag_longest_path_length``."""
+    acyclic = reference_acyclic(graph)
+    return nx.dag_longest_path_length(acyclic) if len(acyclic) else 0
+
+
+def reference_network(graph: nx.DiGraph, operator: str):
+    """``connected_operation_network`` as computed with networkx."""
+    wanted = {node.index for node in graph
+              if isinstance(node, OperationNode) and node.op == operator}
+    projected = nx.Graph()
+    projected.add_nodes_from(wanted)
+    undirected = graph.to_undirected(as_view=True)
+    for index in wanted:
+        for neighbour in undirected.neighbors(OperationNode(index, operator)):
+            if isinstance(neighbour, SignalNode):
+                reached = [node for node in undirected.neighbors(neighbour)
+                           if isinstance(node, OperationNode)]
+            else:
+                reached = [neighbour]
+            projected.add_edges_from((index, node.index) for node in reached
+                                     if node.index in wanted
+                                     and node.index != index)
+    return list(nx.connected_components(projected))
+
+
+#: Each analysis on the package graph next to its networkx reference.
+ANALYSES = {
+    "topological_order": (
+        lambda graph: _topological_order(operation_graph(graph)._acyclic_view()),
+        lambda reference: list(nx.topological_sort(reference_acyclic(reference)))),
+    "depth": (lambda graph: operation_graph(graph).depth(), reference_depth),
+    "plus_network": (
+        lambda graph: operation_graph(graph).connected_operation_network("+"),
+        lambda reference: reference_network(reference, "+")),
+    "times_network": (
+        lambda graph: operation_graph(graph).connected_operation_network("*"),
+        lambda reference: reference_network(reference, "*")),
+}
+
+
+def check_analysis(name: str) -> None:
+    """Compare one analysis with its networkx reference on every seed."""
+    analysis, reference_analysis = ANALYSES[name]
+    for seed in SEEDS:
+        reference, graph = random_graphs(seed)
+        assert analysis(graph) == reference_analysis(reference), (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSES))
+def test_analysis_matches_networkx(name):
+    check_analysis(name)
+
+
 def test_port_matches_networkx():
     for seed in SEEDS:
-        graph = random_digraph(seed)
-        assert _find_cycle(graph) == networkx_cycle(graph), seed
+        reference, graph = random_graphs(seed)
+        assert _find_cycle(graph) == networkx_cycle(reference), seed
         assert (removed_edges(graph, _find_cycle)
-                == removed_edges(graph, networkx_cycle)), seed
+                == removed_edges(reference, networkx_cycle)), seed
         assert ([site.index for site in
                  operation_graph(graph).topological_site_order()]
-                == reference_site_order(graph)), seed
+                == reference_site_order(reference)), seed
 
 
 def test_seeds_cover_cycles_self_loops_and_dags():
-    graphs = [random_digraph(seed) for seed in SEEDS]
+    graphs = [random_graphs(seed)[0] for seed in SEEDS]
     assert sum(networkx_cycle(graph) is None for graph in graphs) >= 50
     assert sum(any(u == v for u, v in graph.edges) for graph in graphs) >= 50
     assert sum(len(removed_edges(graph, networkx_cycle)) > 1
                for graph in graphs) >= 50
+    assert sum(len(reference_network(graph, "+")) > 1
+               for graph in graphs) >= 50
+    assert sum(any(len(component) > 1
+                   for component in reference_network(graph, "+"))
+               for graph in graphs) >= 50
 
 
 def test_acyclic_view_leaves_the_graph_alone():
-    graph = random_digraph(0)
-    assert networkx_cycle(graph) is None
+    _, graph = random_graphs(0)
+    assert _find_cycle(graph) is None
     assert operation_graph(graph)._acyclic_view() is graph
-    cyclic = nx.DiGraph([(SignalNode("a"), SignalNode("b")),
-                         (SignalNode("b"), SignalNode("a"))])
+    cyclic = DataflowGraph()
+    cyclic.add_edge(SignalNode("a"), SignalNode("b"))
+    cyclic.add_edge(SignalNode("b"), SignalNode("a"))
     view = operation_graph(cyclic)._acyclic_view()
     assert view is not cyclic and cyclic.number_of_edges() == 2
     assert view.number_of_edges() == 1
 
 
-def counting_digraph():
-    """A DiGraph that counts every successor it yields, per edge."""
+def counting_graph(source: DataflowGraph):
+    """A copy of ``source`` that counts every successor it yields, per edge."""
     examined = Counter()
 
     class CountingSuccessors(dict):
@@ -123,19 +204,15 @@ def counting_digraph():
                 examined[id(self), head] += 1
                 yield head, data
 
-    class CountingDiGraph(nx.DiGraph):
-        adjlist_inner_dict_factory = CountingSuccessors
-
-    return CountingDiGraph(), examined
+    graph = source.copy()
+    graph.succ = {node: CountingSuccessors(heads)
+                  for node, heads in graph.succ.items()}
+    return graph, examined
 
 
 def test_one_call_examines_each_edge_at_most_once():
     for seed in SEEDS:
-        graph, examined = counting_digraph()
-        source = random_digraph(seed)
-        graph.add_nodes_from(source)
-        graph.add_edges_from(source.edges)
-        examined.clear()
+        graph, examined = counting_graph(random_graphs(seed)[1])
         _find_cycle(graph)
         assert max(examined.values(), default=0) <= 1, seed
 
@@ -143,11 +220,13 @@ def test_one_call_examines_each_edge_at_most_once():
 def test_reversed_chain_is_one_pass():
     # Inserting a chain's nodes sink-first makes every start node re-walk
     # the explored suffix in networkx; the port examines each edge once.
-    graph, examined = counting_digraph()
+    chain = DataflowGraph()
     nodes = [SignalNode(f"n{i}") for i in range(200)]
-    graph.add_nodes_from(reversed(nodes))
-    graph.add_edges_from(zip(nodes, nodes[1:]))
-    examined.clear()
+    for node in reversed(nodes):
+        chain.add_node(node)
+    for edge in zip(nodes, nodes[1:]):
+        chain.add_edge(*edge)
+    graph, examined = counting_graph(chain)
     assert _find_cycle(graph) is None
     assert sum(examined.values()) == graph.number_of_edges()
     assert set(examined.values()) == {1}

@@ -1,9 +1,7 @@
 """Unit tests for the dataflow operation graph."""
 
-from repro.rtlir import Design, OperationNode, SignalNode, build_operation_graph
+from repro.rtlir import OperationNode, SignalNode, build_operation_graph
 from repro.verilog.parser import parse_module
-
-from ..conftest import MIXER_SOURCE, PLUS_CHAIN_SOURCE
 
 
 class TestGraphConstruction:
