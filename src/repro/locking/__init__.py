@@ -17,7 +17,7 @@ from .base import LockAction, LockingError, LockingSession, OpRef
 from .era import ERALocker
 from .hra import GreedyLocker, HRALocker
 from .key import flip_bits
-from .lockstep import lock_step, undo_step
+from .lockstep import lock_step
 from .metrics import (
     AvalancheReport,
     FunctionalCorruptionReport,
@@ -54,7 +54,6 @@ __all__ = [
     "HRALocker",
     "flip_bits",
     "lock_step",
-    "undo_step",
     "AvalancheReport",
     "FunctionalCorruptionReport",
     "MetricPoint",

@@ -107,8 +107,10 @@ class AssureLocker:
         exploits/contends with when building the training set.  The round
         draws its selection and key values from this locker's rng, as
         :meth:`lock` does, so relocking a session over a copy of a design
-        yields the same design as ``lock(design, key_budget)``.
-        ``session.undo_last(len(actions))`` undoes the round.
+        yields the same design as ``lock(design, key_budget)``.  A
+        random-selection round draws exactly what :func:`random_round_draws`
+        replays, which is how the SnapShot training set is built without
+        relocking any design.
 
         Args:
             session: Session over the design to relock; it must use this

@@ -7,8 +7,11 @@
   legitimate relocking targets, Fig. 3b),
 * the live :class:`~repro.locking.odt.OperationDistributionTable`,
 * the key-bit records and the key input port of the design,
-* an undo stack so heuristics can tentatively apply a lock, evaluate the
-  security metric and roll back (Algorithm 4, line 17).
+* the record of every action applied in this session.
+
+There is no undo: HRA scores its trial steps on the ODT alone (see
+:mod:`repro.locking.hra`), and each primitive checks its input before it
+consumes a key bit, so one that raises leaves the design unchanged.
 
 Three locking primitives are provided, mirroring ASSURE's three techniques:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..rtlir.design import DEFAULT_KEY_PORT, Design, KeyBit
 from ..rtlir.operations import normalize_operator
@@ -68,17 +71,12 @@ class OpRef:
 
 @dataclass
 class LockAction:
-    """Undo record for one applied locking primitive."""
+    """Record of one applied locking primitive."""
 
     kind: str
     key_bits: List[KeyBit]
-    parent: ast.Node
-    original: ast.Expression
-    replacement: ast.Expression
     real_op: Optional[str] = None
     dummy_op: Optional[str] = None
-    dummy_ref: Optional[OpRef] = None
-    real_ref: Optional[OpRef] = None
     metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -106,7 +104,7 @@ class LockingSession:
         self.pair_table = pair_table or default_pair_table()
         self.rng = rng or random.Random()
         # The key port and the range this session installed on it; the
-        # range's msb is replaced in place as key bits come and go.
+        # range's msb is replaced in place as key bits are added.
         self._key_port_node: Optional[ast.Port] = None
         self._key_range: Optional[ast.Range] = None
         # One site walk feeds both the ODT and the registry: nothing below
@@ -136,17 +134,6 @@ class LockingSession:
     def _register(self, ref: OpRef) -> None:
         self._ops.append(ref)
         self._ops_by_type.setdefault(ref.op, []).append(ref)
-
-    def _unregister(self, ref: OpRef) -> None:
-        # Undo is LIFO and every registration appends, so the reference to
-        # drop is the tail of both lists.
-        same_type = self._ops_by_type.get(ref.op)
-        if (not self._ops or self._ops[-1] is not ref
-                or not same_type or same_type[-1] is not ref):
-            raise LockingError("operation registry undo is only supported "
-                               "in LIFO order")
-        self._ops.pop()
-        same_type.pop()
 
     def _mark_existing_locks_affected(self) -> None:
         for bit in self.design.key_bits:
@@ -201,43 +188,23 @@ class LockingSession:
         port.width = self._key_range
         self._key_port_node = port
 
-    def _remove_key_port_if_unused(self) -> None:
-        if self.design.key_width == 0 and self.design.key_port is not None:
-            port = self.design.top.find_port(self.design.key_port)
-            if port is not None:
-                self.design.top.ports.remove(port)
-            self.design.key_port = None
-            self._key_port_node = None
-            self._key_range = None
-
     def _consume_key_bit(self, kind: str, correct_value: int,
                          real_op: Optional[str] = None,
                          dummy_op: Optional[str] = None,
                          metadata: Optional[Dict[str, object]] = None) -> KeyBit:
-        self._ensure_key_port()
+        # KeyBit rejects a value other than 0/1; build it before the key
+        # port exists, so a rejected value leaves the design unchanged.
         bit = KeyBit(index=self.design.key_width, kind=kind,
                      correct_value=correct_value, real_op=real_op,
                      dummy_op=dummy_op, metadata=dict(metadata or {}))
+        self._ensure_key_port()
         self.design.key_bits.append(bit)
         self._update_key_port_width()
-        # Every session mutation passes through here or _release_key_bits;
-        # dropping the memoized fingerprint keeps the plan cache honest even
-        # when a lock/undo/relock sequence restores the cheap mutation token
-        # (same key width and item count, different netlist).
+        # Every session mutation passes through here; dropping the memoized
+        # fingerprint keeps the plan cache honest without trusting the cheap
+        # mutation token (see Design.fingerprint).
         self.design.invalidate_fingerprint()
         return bit
-
-    def _release_key_bits(self, bits: Sequence[KeyBit]) -> None:
-        for bit in reversed(bits):
-            if not self.design.key_bits or self.design.key_bits[-1] is not bit:
-                # Undo must be LIFO; anything else corrupts key indices.
-                raise LockingError("undo is only supported in LIFO order")
-            self.design.key_bits.pop()
-        if self.design.key_width:
-            self._update_key_port_width()
-        else:
-            self._remove_key_port_if_unused()
-        self.design.invalidate_fingerprint()
 
     def _key_bit_expr(self, index: int) -> ast.Expression:
         assert self.design.key_port is not None
@@ -264,11 +231,11 @@ class LockingSession:
                 studies of Fig. 4.
 
         Returns:
-            The :class:`LockAction` undo record.
+            The :class:`LockAction` record.
 
         Raises:
             LockingError: if the reference is stale (its parent no longer
-                contains the node).
+                contains the node); the design is then left unchanged.
         """
         real_node = ref.node
         real_op = ref.op
@@ -281,6 +248,10 @@ class LockingSession:
         key_value = self.rng.randint(0, 1) if correct_value is None else int(correct_value)
         if key_value not in (0, 1):
             raise LockingError("correct_value must be 0 or 1")
+        if not _holds(ref.parent, real_node):
+            raise LockingError(
+                f"stale operation reference: parent no longer contains the "
+                f"{real_op!r} node")
 
         bit = self._consume_key_bit("operation", key_value, real_op=real_op,
                                     dummy_op=dummy_op)
@@ -289,16 +260,10 @@ class LockingSession:
             ternary = ast.TernaryOp(cond, real_node, dummy_node)
         else:
             ternary = ast.TernaryOp(cond, dummy_node, real_node)
-
-        if not ref.parent.replace_child(real_node, ternary):
-            self._release_key_bits([bit])
-            raise LockingError(
-                f"stale operation reference: parent no longer contains the "
-                f"{real_op!r} node")
+        ref.parent.replace_child(real_node, ternary)
 
         # Registry bookkeeping: the real node now lives under the ternary and
         # the dummy node becomes a selectable operation of the design.
-        old_parent = ref.parent
         ref.parent = ternary
         ref.lock_count += 1
         dummy_ref = OpRef(node=dummy_node, op=dummy_op, parent=ternary,
@@ -308,10 +273,8 @@ class LockingSession:
         self.odt.add_operation(dummy_op)  # also marks the dummy's pair
         self.odt.mark_affected(real_op)
 
-        action = LockAction(kind="operation", key_bits=[bit], parent=old_parent,
-                            original=real_node, replacement=ternary,
-                            real_op=real_op, dummy_op=dummy_op,
-                            dummy_ref=dummy_ref, real_ref=ref)
+        action = LockAction(kind="operation", key_bits=[bit],
+                            real_op=real_op, dummy_op=dummy_op)
         self.actions.append(action)
         return action
 
@@ -338,8 +301,7 @@ class LockingSession:
         replacement = ast.BinaryOp("^", base, key_expr)
         statement.cond = replacement
 
-        action = LockAction(kind="branch", key_bits=[bit], parent=statement,
-                            original=original, replacement=replacement)
+        action = LockAction(kind="branch", key_bits=[bit])
         self.actions.append(action)
         return action
 
@@ -354,12 +316,14 @@ class LockingSession:
 
         Raises:
             LockingError: if the literal contains x/z bits or the parent does
-                not contain it.
+                not contain it; the design is then left unchanged.
         """
         try:
             value = constant.as_int()
         except ValueError as exc:
             raise LockingError(str(exc)) from exc
+        if not _holds(parent, constant):
+            raise LockingError("parent node does not contain the constant to lock")
         width = constant.width or max(value.bit_length(), 1)
 
         bits: List[KeyBit] = []
@@ -379,51 +343,17 @@ class LockingSession:
             replacement = ast.PartSelect(ast.Identifier(key_name),
                                          ast.IntConst(str(high)),
                                          ast.IntConst(str(low)))
-        if not parent.replace_child(constant, replacement):
-            self._release_key_bits(bits)
-            raise LockingError("parent node does not contain the constant to lock")
+        parent.replace_child(constant, replacement)
 
-        action = LockAction(kind="constant", key_bits=bits, parent=parent,
-                            original=constant, replacement=replacement,
+        action = LockAction(kind="constant", key_bits=bits,
                             metadata={"value": value, "width": width})
         self.actions.append(action)
         return action
 
-    # ------------------------------------------------------------------- undo
 
-    def undo(self, action: LockAction) -> None:
-        """Undo ``action``.  Only the most recent action can be undone."""
-        if not self.actions or self.actions[-1] is not action:
-            raise LockingError("undo is only supported in LIFO order")
-        self.actions.pop()
-
-        if action.kind == "operation":
-            if not action.parent.replace_child(action.replacement, action.original):
-                raise LockingError("failed to undo operation lock: parent changed")
-            assert action.real_ref is not None and action.dummy_ref is not None
-            action.real_ref.parent = action.parent
-            action.real_ref.lock_count -= 1
-            self._unregister(action.dummy_ref)
-            assert action.dummy_op is not None
-            self.odt.remove_operation(action.dummy_op)
-        elif action.kind == "branch":
-            statement = action.parent
-            assert isinstance(statement, ast.IfStatement)
-            statement.cond = action.original
-        elif action.kind == "constant":
-            if not action.parent.replace_child(action.replacement, action.original):
-                raise LockingError("failed to undo constant lock: parent changed")
-        else:  # pragma: no cover - defensive
-            raise LockingError(f"unknown action kind {action.kind!r}")
-
-        self._release_key_bits(action.key_bits)
-
-    def undo_last(self, count: int = 1) -> None:
-        """Undo the last ``count`` actions (most recent first)."""
-        for _ in range(count):
-            if not self.actions:
-                raise LockingError("no actions left to undo")
-            self.undo(self.actions[-1])
+def _holds(parent: ast.Node, node: ast.Node) -> bool:
+    """True if ``node`` is a direct child of ``parent`` (by identity)."""
+    return any(child is node for child in parent.children())
 
 
 def _negate_condition(cond: ast.Expression) -> ast.Expression:

@@ -6,9 +6,12 @@ budget.  In every iteration it either
 * (with probability 1/2) picks a random pair and applies a *balanced* lock
   step (pair mode), which injects randomness and thwarts reversal of the
   locking procedure, or
-* evaluates a tentative lock step for every valid pair, measures the global
-  security metric ``M_g_sec`` it would achieve, undoes the trial, and then
-  commits the step with the highest metric gain (steepest ascent).
+* plans a tentative lock step for every valid pair, measures the global
+  security metric ``M_g_sec`` it would achieve, and then commits the step
+  with the highest metric gain (steepest ascent).  A trial is scored on the
+  ODT counts plus its planned dummies, so it never edits the design and
+  needs no ``UndoLock``; as locking and undoing the step would, it still
+  marks its pair as affected.
 
 Setting ``greedy=True`` removes the random branch entirely; this is the
 *Greedy* variant discussed in Section 4.4, which needs fewer key bits to
@@ -23,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ..rtlir.design import Design
 from .base import LockingSession
-from .lockstep import lock_step, undo_step
+from .lockstep import lock_step, plan_step
 from .metrics import MetricTracker, global_metric
 from .pairs import PairTable, default_pair_table
 from .result import LockResult
@@ -122,22 +125,33 @@ class HRALocker:
     def _best_pair_index(self, session: LockingSession,
                          valid_pairs: List[Tuple[str, str]],
                          initial_vector) -> int:
-        """Trial-lock every pair and return the index with the best ``M_g_sec``.
+        """Score a trial step of every pair and return the best ``M_g_sec``.
 
-        Implements lines 12-22 of Algorithm 4: each candidate step is applied,
-        evaluated with the (monotonic) global metric and undone again.
+        Implements lines 12-22 of Algorithm 4.  Each trial plans the step
+        :func:`lock_step` would apply, makes the key-value draws its locks
+        would make, and evaluates the (monotonic) global metric on the ODT
+        counts plus the planned dummies.  The design and the ODT counts are
+        left alone; the trial's pair stays marked affected, as it would after
+        locking and undoing the step.
         """
+        odt = session.odt
         order = list(range(len(valid_pairs)))
         self.rng.shuffle(order)
         best_metric = -1.0
         best_index = order[0]
         for index in order:
-            lock_type = valid_pairs[index][0]
-            bits, actions = lock_step(session, lock_type, pair_mode=False)
-            if bits == 0:
+            locks = plan_step(session, valid_pairs[index][0])
+            if not locks:
                 continue
-            metric = global_metric(session.odt, initial_vector)
-            undo_step(session, actions)
+            # LockingSession.add_pair draws one key value per lock from the
+            # session rng; keep these draws in step with it.
+            for _ in locks:
+                session.rng.randint(0, 1)
+            trial = odt.with_operations(dummy_op for _, dummy_op in locks)
+            metric = global_metric(trial, initial_vector)
+            for ref, dummy_op in locks:
+                odt.mark_affected(ref.op)
+                odt.mark_affected(dummy_op)
             if metric > best_metric:
                 best_metric = metric
                 best_index = index

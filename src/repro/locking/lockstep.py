@@ -1,6 +1,6 @@
 """The common locking step shared by ERA and HRA (Algorithm 1 of the paper).
 
-``lock_step`` balances one locking pair by a single fine-grained action:
+One step balances one locking pair by a single fine-grained action:
 
 * if the selected type ``T`` is over-represented (``ODT[T] > 0``), a dummy of
   the partner type ``T'`` is added next to an existing ``T`` operation,
@@ -9,8 +9,11 @@
 * otherwise (or when *pair mode* is requested), both directions are applied at
   once, which keeps the pair balanced while still consuming key bits.
 
-The ODT bookkeeping happens inside :meth:`LockingSession.add_pair`, so this
-function only encodes the selection logic of Algorithm 1.
+:func:`plan_step` makes the step's draws and decision and returns the locks
+it would add; :func:`lock_step` applies them.  HRA scores its trial steps on
+the plan alone (``M_g_sec`` reads only the ODT counts), so a trial never
+edits the design.  The ODT bookkeeping of an applied lock happens inside
+:meth:`LockingSession.add_pair`.
 """
 
 from __future__ import annotations
@@ -18,28 +21,34 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..rtlir.operations import normalize_operator
-from .base import LockAction, LockingError, LockingSession
+from .base import LockAction, LockingError, LockingSession, OpRef
 
 
-def lock_step(session: LockingSession, lock_type: str,
-              pair_mode: bool = False) -> Tuple[int, List[LockAction]]:
-    """Apply one locking step for operation type ``lock_type`` (Algorithm 1).
+def plan_step(session: LockingSession, lock_type: str,
+              pair_mode: bool = False) -> List[Tuple[OpRef, str]]:
+    """Draw and decide one locking step for ``lock_type`` (Algorithm 1).
+
+    Draws one operation of ``lock_type`` and one of its partner type from
+    ``session.rng`` (each only when such operations exist) and reads the
+    ODT sign; the design is left alone.
 
     Args:
-        session: Active locking session (mutated).
+        session: Active locking session.
         lock_type: The operation type ``T`` selected by the caller.
         pair_mode: The ``P`` flag of Algorithm 1.  When ``True`` the balanced
             double-lock branch is forced regardless of the ODT value.
 
     Returns:
-        ``(bits_used, actions)`` — the number of key bits consumed and the
-        undo records of the applied locks.  ``(0, [])`` is returned when the
-        design contains no operation that could implement the requested step
-        (e.g. a pair with no occurrences at all).
+        The ``(operation, dummy operator)`` locks the step adds, in the order
+        they are applied.  Empty when the design contains no operation that
+        could implement the requested step (e.g. a pair with no occurrences
+        at all).
 
     Raises:
-        LockingError: if the session's pair table has no pairing for
-            ``lock_type``.
+        LockingError: if the ODT reports an excess or deficit that no
+            operation of the design can balance.
+        repro.locking.pairs.PairingError: if the session's pair table has no
+            pairing for ``lock_type``.
     """
     lock_type = normalize_operator(lock_type)
     partner = session.pair_table.dummy_of(lock_type)
@@ -51,29 +60,39 @@ def lock_step(session: LockingSession, lock_type: str,
     selected_type = rng.choice(ops_of_type) if ops_of_type else None
     selected_partner = rng.choice(ops_of_partner) if ops_of_partner else None
 
-    actions: List[LockAction] = []
     if odt[lock_type] > 0 and not pair_mode:
         if selected_type is None:
             raise LockingError(
                 f"ODT reports excess of {lock_type!r} but no such operation exists")
-        actions.append(session.add_pair(selected_type, dummy_op=partner))
-    elif odt[lock_type] < 0 and not pair_mode:
+        return [(selected_type, partner)]
+    if odt[lock_type] < 0 and not pair_mode:
         if selected_partner is None:
             raise LockingError(
                 f"ODT reports deficit of {lock_type!r} but no {partner!r} "
                 f"operation exists")
-        actions.append(session.add_pair(selected_partner, dummy_op=lock_type))
-    else:
-        if selected_type is None or selected_partner is None:
-            return 0, []
-        actions.append(session.add_pair(selected_type, dummy_op=partner))
-        actions.append(session.add_pair(selected_partner, dummy_op=lock_type))
-
-    bits_used = sum(action.bits_used for action in actions)
-    return bits_used, actions
+        return [(selected_partner, lock_type)]
+    if selected_type is None or selected_partner is None:
+        return []
+    return [(selected_type, partner), (selected_partner, lock_type)]
 
 
-def undo_step(session: LockingSession, actions: List[LockAction]) -> None:
-    """Undo a previously applied :func:`lock_step` (``UndoLock`` of Alg. 4)."""
-    for action in reversed(actions):
-        session.undo(action)
+def lock_step(session: LockingSession, lock_type: str,
+              pair_mode: bool = False) -> Tuple[int, List[LockAction]]:
+    """Apply one locking step for operation type ``lock_type`` (Algorithm 1).
+
+    Args:
+        session: Active locking session (mutated).
+        lock_type: The operation type ``T`` selected by the caller.
+        pair_mode: The ``P`` flag of Algorithm 1 (see :func:`plan_step`).
+
+    Returns:
+        ``(bits_used, actions)`` — the number of key bits consumed and the
+        records of the applied locks.  ``(0, [])`` is returned when the
+        design contains no operation that could implement the requested step.
+
+    Raises:
+        LockingError: as :func:`plan_step`.
+    """
+    actions = [session.add_pair(ref, dummy_op=dummy_op)
+               for ref, dummy_op in plan_step(session, lock_type, pair_mode)]
+    return sum(action.bits_used for action in actions), actions

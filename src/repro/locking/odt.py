@@ -13,7 +13,8 @@ what distinguishes the restricted metric ``M_r_sec`` from the global metric
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+import copy
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -104,27 +105,24 @@ class OperationDistributionTable:
         if mark_affected:
             self.mark_affected(op)
 
-    def remove_operation(self, op: str) -> None:
-        """Record that one operation of type ``op`` was removed (undo support)."""
-        if not self.pair_table.has_pair(op):
-            current = self._unpaired.get(op, 0)
-            if current <= 0:
-                raise ValueError(f"cannot remove operator {op!r}: count is zero")
-            self._unpaired[op] = current - 1
-            return
-        current = self._counts.get(op, 0)
-        if current <= 0:
-            raise ValueError(f"cannot remove operator {op!r}: count is zero")
-        self._counts[op] = current - 1
-
     def mark_affected(self, op: str) -> None:
         """Mark the pair containing ``op`` as affected by locking."""
         if self.pair_table.has_pair(op):
             self._affected.add(frozenset(self.pair_table.pair_of(op)))
 
-    def clear_affected(self) -> None:
-        """Reset the affected-pair tracking."""
-        self._affected.clear()
+    def with_operations(self, ops: Iterable[str]) -> "OperationDistributionTable":
+        """Return a copy with one more operation of each type in ``ops``.
+
+        The copy reads what this table would read after those operations
+        were added; this table is left unchanged.
+        """
+        trial = copy.copy(self)
+        trial._counts = dict(self._counts)
+        trial._unpaired = dict(self._unpaired)
+        trial._affected = set(self._affected)
+        for op in ops:
+            trial.add_operation(op)
+        return trial
 
     # ---------------------------------------------------------------- vectors
 

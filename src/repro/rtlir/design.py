@@ -157,8 +157,9 @@ class Design:
 
         The value is memoized per instance behind a cheap mutation token
         (source object identity, key width, top-module item count).  The
-        token alone is *not* a content guarantee — a lock → undo → relock
-        sequence can restore it while the netlist differs — so
+        token alone is *not* a content guarantee — in-place AST surgery
+        such as swapping an operator leaves it unchanged while the netlist
+        differs — so
         :class:`~repro.locking.base.LockingSession` additionally calls
         :meth:`invalidate_fingerprint` on every mutation it performs.  Any
         other in-place AST surgery must do the same before the design is

@@ -5,8 +5,7 @@ The graph is used for
 * *serial* operation selection in ASSURE (operations ordered by their
   topological position in the dataflow, mirroring the paper's "serial manner
   w.r.t. the design topology"),
-* structural statistics (fan-out, dataflow depth, connected operation
-  networks such as the ``+``-network of Fig. 4),
+* structural statistics (fan-out, dataflow depth),
 * the extra context features of the SnapShot locality extractor.
 
 Nodes are either *signal* nodes (named wires/regs/ports) or *operation* nodes
@@ -14,9 +13,9 @@ Nodes are either *signal* nodes (named wires/regs/ports) or *operation* nodes
 
 The graph is a :class:`DataflowGraph`, which keeps nodes and edges in
 insertion order as ``networkx.DiGraph`` does; the few graph algorithms the
-analyses need (cycle search, topological sort, longest path, connected
-components) are exact ports of networkx's, so every order they yield, and
-with it every serial ASSURE lock, is the one networkx would give.
+analyses need (cycle search, topological sort, longest path) are exact
+ports of networkx's, so every order they yield, and with it every serial
+ASSURE lock, is the one networkx would give.
 """
 
 from __future__ import annotations
@@ -159,36 +158,6 @@ class OperationGraph:
         return sorted(self.sites,
                       key=lambda s: (order.get(s.index, len(order)), s.index))
 
-    def connected_operation_network(self, operator: str) -> List[Set[int]]:
-        """Return connected components of operation sites with the given operator.
-
-        Two sites are connected when one feeds the other (possibly through a
-        named signal).  This is the "network of + operations" view of Fig. 4.
-        """
-        wanted = {site.index for site in self.sites if site.op == operator}
-        linked: Dict[int, Set[int]] = {index: set() for index in wanted}
-        for index in wanted:
-            source = OperationNode(index, operator)
-            if source not in self.graph:
-                continue
-            for neighbour in _neighbours(self.graph, source):
-                for target in self._reachable_ops(neighbour, wanted):
-                    if target != index:
-                        linked[index].add(target)
-                        linked[target].add(index)
-        return _connected_components(linked)
-
-    def _reachable_ops(self, start, wanted: Set[int]) -> Set[int]:
-        found: Set[int] = set()
-        if isinstance(start, OperationNode) and start.index in wanted:
-            found.add(start.index)
-            return found
-        if isinstance(start, SignalNode):
-            for neighbour in _neighbours(self.graph, start):
-                if isinstance(neighbour, OperationNode) and neighbour.index in wanted:
-                    found.add(neighbour.index)
-        return found
-
     def statistics(self) -> Dict[str, float]:
         """Return a dictionary of structural statistics of the dataflow graph."""
         op_nodes = self.operation_nodes()
@@ -203,12 +172,6 @@ class OperationGraph:
                 if sig_nodes else 0.0
             ),
         }
-
-
-def _neighbours(graph: DataflowGraph, node: Hashable) -> Iterator[Hashable]:
-    """Successors, then predecessors, of ``node`` (edge direction ignored)."""
-    yield from graph.succ[node]
-    yield from graph.pred[node]
 
 
 def _topological_order(graph: DataflowGraph) -> List[Hashable]:
@@ -248,29 +211,6 @@ def _longest_path_length(graph: DataflowGraph) -> int:
         distance[node] = max((distance[tail] + 1 for tail in graph.pred[node]),
                              default=0)
     return max(distance.values(), default=0)
-
-
-def _connected_components(linked: Dict[int, Set[int]]) -> List[Set[int]]:
-    """``list(nx.connected_components(g))`` of the undirected graph ``linked``.
-
-    ``linked`` maps each node, in node order, to its neighbours.  Components
-    come in the order of their first node.
-    """
-    seen: Set[int] = set()
-    components: List[Set[int]] = []
-    for start in linked:
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            for neighbour in linked[frontier.pop()]:
-                if neighbour not in component:
-                    component.add(neighbour)
-                    frontier.append(neighbour)
-        seen.update(component)
-        components.append(component)
-    return components
 
 
 #: Sentinel of an exhausted successor iterator in :func:`_find_cycle`.

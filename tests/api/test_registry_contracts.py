@@ -17,9 +17,11 @@ Two more contracts make a locked design worth attacking at all:
 
 * a wrong key corrupts the outputs, and
 * one attack relock round keeps the design transparent under its full
-  correct key, leaves the design it copied alone, and undoing the round
-  restores the design; this holds on generated designs and on every
-  benchmark locked by every locker.
+  correct key, leaves the design it copied alone, and its new key bits
+  read exactly the rows that replaying the round's draws over the
+  target's candidate operations gives, the exactness the type-level
+  training set of ``TrainingSetBuilder.build`` rests on; this holds on
+  generated designs and on every benchmark locked by every locker.
 
 And every benchmark locked by every locker simulates the same on the
 compiled bit-parallel plan as on the scalar AST oracle, which shares no
@@ -58,11 +60,13 @@ from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
                                 make_metric, metric_names)
 from repro.attacks.baselines import RandomGuessAttack
+from repro.attacks.locality import LocalityExtractor, operation_code
 from repro.bench import benchmark_names, load_benchmark
 from repro.bench.generators import profile_design
 from repro.bench.profiles import BenchmarkProfile
 from repro.cli import _design_from_key_metadata, main
 from repro.locking import AssureLocker
+from repro.locking.assure import random_round_draws
 from repro.locking.base import LockingSession
 from repro.locking.metrics import functional_corruption
 from repro.rtlir import Design
@@ -212,7 +216,7 @@ LOCKING_CASES = [(locker, seed) for locker in LOCKER_NAMES
 
 
 def check_locking_contract(locker: str, seed: int) -> None:
-    """Wrong keys corrupt; a relock round is transparent and undoes."""
+    """Wrong keys corrupt; a relock round is transparent and replays."""
     design = profile_design(LOCKING_PROFILE, seed=seed)
     budget = design.num_operations() // 2
     locked = make_locker(locker, random.Random(seed)).lock(design, budget)
@@ -226,13 +230,18 @@ def check_locking_contract(locker: str, seed: int) -> None:
 
 def check_relock_round(design: Design, locked: Design, budget: int,
                        seed: int, label: str) -> None:
-    """Relock a session over a copy of ``locked``: transparent, undoable.
+    """Relock a session over a copy of ``locked``: transparent, replayable.
 
-    ``design`` is the unlocked original ``locked`` was made from.
+    ``design`` is the unlocked original ``locked`` was made from.  The
+    round's new key bits, read back with ``extract_matrix``, must be the
+    rows that ``random_round_draws`` with the round's rng gives over the
+    codes of the target's candidate operations.
     """
     target = state(locked)
     session = LockingSession(locked.copy())
-    before = state(session.design)
+    table = session.pair_table
+    codes = [[operation_code(ref.op), operation_code(table.dummy_of(ref.op))]
+             for ref in session.all_ops() if table.has_pair(ref.op)]
     actions = AssureLocker(selection="random", rng=random.Random(seed + 1),
                            track_metrics=False).relock(session,
                                                        key_budget=budget)
@@ -243,8 +252,16 @@ def check_relock_round(design: Design, locked: Design, budget: int,
                                vectors=16, rng=random.Random(seed))
     assert report.equivalent, \
         f"relocking {label} broke it: {report.first_mismatch}"
-    session.undo_last(len(actions))
-    assert state(session.design) == before, "undoing the round left changes"
+    draws = random_round_draws(random.Random(seed + 1), len(codes), budget)
+    features, labels = LocalityExtractor().extract_matrix(
+        relocked, range(locked.key_width, relocked.key_width))
+    assert len(actions) == len(draws)
+    assert labels.tolist() == [value for _, value in draws], \
+        f"relocking {label}: key values differ from the replayed draws"
+    assert features.tolist() == [
+        codes[position] if value else codes[position][::-1]
+        for position, value in draws], \
+        f"relocking {label}: localities differ from the replayed draws"
 
 
 @pytest.mark.parametrize("locker,seed", LOCKING_CASES,
@@ -337,7 +354,7 @@ def test_locked_benchmark_plan_holds_only_live_steps(design_name, locker):
 
 
 def check_benchmark_relock(benchmark: str, locker: str) -> None:
-    """A relock round of a locked benchmark is transparent and undoes."""
+    """A relock round of a locked benchmark is transparent and replays."""
     design = load_benchmark(benchmark, scale=0.1, seed=0)
     budget = max(1, design.num_operations() // 2)
     locked = make_locker(locker, random.Random(0)).lock(design,

@@ -1,12 +1,12 @@
 """Unit tests for the core locking primitives (LockingSession)."""
 
-import dataclasses
 import random
 
 import pytest
 
-from repro.locking import AssureLocker, LockingError, LockingSession
+from repro.locking import LockingError, LockingSession
 from repro.rtlir import Design
+from repro.rtlir.design import DEFAULT_KEY_PORT
 from repro.verilog import ast
 from repro.verilog.parser import parse_module
 
@@ -43,24 +43,24 @@ class TestOperationLocking:
         assert action.bits_used == 1
         assert mixer_design.key_width == 1
         assert mixer_design.key_port is not None
-        ternary = action.replacement
+        ternary = ref.parent
         assert isinstance(ternary, ast.TernaryOp)
         branch_ops = {ternary.true_value.op, ternary.false_value.op}
         assert branch_ops == {"+", "-"}
 
     def test_ternary_branch_matches_key_value(self, session, mixer_design):
         ref = session.ops_of_type("+")[0]
-        action = session.add_pair(ref, correct_value=1)
-        assert action.replacement.true_value is action.original
+        session.add_pair(ref, correct_value=1)
+        assert ref.parent.true_value is ref.node
         other = session.ops_of_type("*")[0]
-        action0 = session.add_pair(other, correct_value=0)
-        assert action0.replacement.false_value is action0.original
+        session.add_pair(other, correct_value=0)
+        assert other.parent.false_value is other.node
 
     def test_custom_dummy_operator(self, session):
         ref = session.ops_of_type("+")[0]
         action = session.add_pair(ref, dummy_op="*")
         assert action.dummy_op == "*"
-        assert action.replacement.true_value.op in {"+", "*"}
+        assert ref.parent.true_value.op in {"+", "*"}
 
     def test_key_port_width_tracks_bits(self, session, mixer_design):
         for index in range(3):
@@ -76,9 +76,9 @@ class TestOperationLocking:
 
     def test_dummy_operands_are_clones(self, session):
         ref = session.ops_of_type("+")[0]
-        action = session.add_pair(ref, correct_value=1)
-        dummy = action.replacement.false_value
-        real = action.original
+        session.add_pair(ref, correct_value=1)
+        dummy = ref.parent.false_value
+        real = ref.node
         assert dummy.left is not real.left
         assert dummy.right is not real.right
 
@@ -96,10 +96,12 @@ class TestOperationLocking:
         ref = session.ops_of_type("+")[0]
         # Manually replace the node behind the session's back.
         ref.parent.replace_child(ref.node, ast.Identifier("oops"))
+        text = mixer_design.to_verilog()
+        registry = _registry(session)
         with pytest.raises(LockingError):
             session.add_pair(ref)
-        # The failed attempt must not leave a dangling key bit.
-        assert mixer_design.key_width == 0
+        # The failed attempt must leave the design and the session alone.
+        _assert_unchanged(session, text, registry)
 
 
 class TestBranchLocking:
@@ -124,6 +126,16 @@ class TestBranchLocking:
         assert action.key_bits[0].correct_value == 0
         # With value 0 the original comparison survives inside the XOR.
         assert "(a > b)" in mixer_design.to_verilog()
+
+    def test_key_value_other_than_0_or_1_rejected(self, mixer_design, rng):
+        session = LockingSession(mixer_design, rng=rng)
+        branch = [node for node in mixer_design.top.iter_tree()
+                  if isinstance(node, ast.IfStatement)][0]
+        text = mixer_design.to_verilog()
+        registry = _registry(session)
+        with pytest.raises(ValueError):
+            session.lock_branch(branch, correct_value=2)
+        _assert_unchanged(session, text, registry)
 
     def test_relational_negation(self, mixer_design, rng):
         session = LockingSession(mixer_design, rng=rng)
@@ -167,127 +179,39 @@ class TestConstantLocking:
             "module cx (input [3:0] a, output [3:0] y); assign y = a & 4'b1x0x; endmodule")
         session = LockingSession(design, rng=rng)
         assign = design.top.items[0]
+        text = design.to_verilog()
         with pytest.raises(LockingError):
             session.lock_constant(assign.rhs, assign.rhs.right)
-        assert design.key_width == 0
+        _assert_unchanged(session, text, _registry(session))
 
-
-class TestUndo:
-    def test_undo_operation_restores_text_and_odt(self, mixer_design, rng):
-        original_text = mixer_design.to_verilog()
-        session = LockingSession(mixer_design, rng=rng)
-        original_odt = session.odt["+"]
-        action = session.add_pair(session.ops_of_type("+")[0])
-        session.undo(action)
-        assert mixer_design.to_verilog() == original_text
-        assert mixer_design.key_width == 0
-        assert mixer_design.key_port is None
-        assert session.odt["+"] == original_odt
-        assert len(session.ops_of_type("-")) == 1  # only the original '-'
-
-    def test_undo_branch_and_constant(self, rng):
-        design = Design.from_verilog("""
-        module m (input [3:0] a, b, output reg [3:0] y);
-          always @(*) begin
-            if (a > b) y = a + 4'd3; else y = b;
-          end
-        endmodule
-        """)
-        original = design.to_verilog()
+    def test_constant_outside_the_parent_rejected(self, rng):
+        design = Design.from_verilog(
+            "module cp (input [3:0] a, output [3:0] y, output [3:0] z);"
+            " assign y = a & 4'd5; assign z = a | 4'd6; endmodule")
         session = LockingSession(design, rng=rng)
-        branch = [n for n in design.top.iter_tree()
-                  if isinstance(n, ast.IfStatement)][0]
-        action = session.lock_branch(branch)
-        session.undo(action)
-        assert design.to_verilog() == original
-
-    def test_undo_must_be_lifo(self, session):
-        first = session.add_pair(session.ops_of_type("+")[0])
-        session.add_pair(session.ops_of_type("*")[0])
-        with pytest.raises(LockingError):
-            session.undo(first)
-
-    def test_undo_last_multiple(self, mixer_design, rng):
-        original = mixer_design.to_verilog()
-        session = LockingSession(mixer_design, rng=rng)
-        session.add_pair(session.ops_of_type("+")[0])
-        session.add_pair(session.ops_of_type("*")[0])
-        session.undo_last(2)
-        assert mixer_design.to_verilog() == original
-
-    def test_undo_with_nothing_to_undo(self, session):
-        with pytest.raises(LockingError):
-            session.undo_last(1)
-
-    def test_undo_removes_its_own_ref_among_equal_twins(self, session):
-        action = session.add_pair(session.ops_of_type("+")[0])
-        dummy = action.dummy_ref
-        twin = dataclasses.replace(dummy)
-        # Register the twin ahead of the dummy: a by-value ``list.remove``
-        # would drop the twin and leave the undone dummy registered.
-        session._ops.insert(0, twin)
-        session._ops_by_type[twin.op].insert(0, twin)
-        session.undo(action)
-        assert any(ref is twin for ref in session.all_ops())
-        assert any(ref is twin for ref in session.ops_of_type(twin.op))
-        assert all(ref is not dummy for ref in session.all_ops())
-        assert all(ref is not dummy for ref in session.ops_of_type(dummy.op))
-
-    def test_out_of_order_unregister_rejected(self, session):
-        first = session.add_pair(session.ops_of_type("+")[0])
-        session.add_pair(session.ops_of_type("*")[0])
-        registry = session.all_ops()
-        with pytest.raises(LockingError):
-            session._unregister(first.dummy_ref)
-        assert session.all_ops() == registry
-
-    def test_undoing_a_relock_round_keeps_the_actions_before_it(
-            self, mixer_design):
-        target = AssureLocker("serial", rng=random.Random(0)).lock(
-            mixer_design, key_budget=2).design
-        session = LockingSession(target.copy())
-        session.add_pair(session.ops_of_type("+")[0])
-        locked_text = session.design.to_verilog()
-        actions = AssureLocker("random", rng=random.Random(7)).relock(
-            session, key_budget=2)
-        assert len(actions) == 2
-        session.undo_last(len(actions))
-        assert len(session.actions) == 1
-        assert session.design.to_verilog() == locked_text
-
-    def test_undoing_a_relock_round_restores_the_session(self, mixer_design):
-        target = AssureLocker("serial", rng=random.Random(0)).lock(
-            mixer_design, key_budget=2).design
-        session = LockingSession(target.copy())
-        design = session.design
-        fingerprint = design.fingerprint()
+        first, second = design.top.items
+        text = design.to_verilog()
         registry = _registry(session)
-        by_type = {op: [id(ref) for ref in session.ops_of_type(op)]
-                   for op in ("+", "-", "*", "/", "<<", ">>", "^", "&", "|")}
-        counts, unpaired, _ = _odt_state(session.odt)
-        counts, unpaired = dict(counts), dict(unpaired)
+        # The constant of the second assignment is not a child of the first.
+        with pytest.raises(LockingError):
+            session.lock_constant(first.rhs, second.rhs.right)
+        _assert_unchanged(session, text, registry)
+        # The session still locks the constant where it lives.
+        session.lock_constant(second.rhs, second.rhs.right)
+        assert design.key_width == 4
+        assert _key_port_width(design) == 4
 
-        actions = AssureLocker("random", rng=random.Random(7)).relock(
-            session, key_budget=6)
-        assert len(actions) == 6
-        assert _key_port_width(design) == design.key_width == 8
-        session.undo_last(len(actions))
 
-        assert session.actions == []
-        assert design._fingerprint is None
-        assert design.fingerprint() == fingerprint
-        assert design.to_verilog() == target.to_verilog()
-        assert design.key_bits == target.key_bits
-        assert design.key_port == target.key_port
-        assert _key_port_width(design) == design.key_width == 2
-        # Same registry entries, same objects, same order: a fresh session
-        # on the restored design would register exactly these.
-        assert _registry(session) == registry
-        assert _registry(session) == _registry(LockingSession(design))
-        for op, refs in by_type.items():
-            assert [id(ref) for ref in session.ops_of_type(op)] == refs
-        # Undo restores the ODT counts; affected marks stay set.
-        assert _odt_state(session.odt)[:2] == (counts, unpaired)
+def _assert_unchanged(session, text, registry):
+    """A primitive that raised left no trace in the design or the session."""
+    design = session.design
+    assert design.to_verilog() == text
+    assert design.key_width == 0
+    assert design.key_bits == []
+    assert design.key_port is None
+    assert all(port.name != DEFAULT_KEY_PORT for port in design.top.ports)
+    assert session.actions == []
+    assert _registry(session) == registry
 
 
 def _key_port_width(design):
@@ -297,10 +221,6 @@ def _key_port_width(design):
 def _registry(session):
     return [(id(ref.node), ref.op, id(ref.parent), ref.is_dummy,
              ref.lock_count) for ref in session.all_ops()]
-
-
-def _odt_state(odt):
-    return odt._counts, odt._unpaired, odt._affected
 
 
 class TestKeyPortWidth:
@@ -330,9 +250,7 @@ class TestKeyPortWidth:
                   if any(c is constant for c in n.children())][0]
         session.lock_constant(parent, constant)
         assert _key_port_width(design) == design.key_width == 7
-        session.undo_last(2)
-        assert _key_port_width(design) == design.key_width == 2
-        assert "[1:0]" in design.to_verilog()
+        assert "[6:0]" in design.to_verilog()
 
     def test_second_session_on_the_same_design(self, mixer_design, rng):
         first = LockingSession(mixer_design, rng=rng)

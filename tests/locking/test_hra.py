@@ -6,7 +6,16 @@ import pytest
 
 from repro.bench import plus_network
 from repro.eval.figures import figure5_design
-from repro.locking import GreedyLocker, HRALocker, global_metric, odt_from_design
+from repro.locking import (
+    ORIGINAL_ASSURE_TABLE,
+    GreedyLocker,
+    HRALocker,
+    LockingSession,
+    global_metric,
+    lock_step,
+    odt_from_design,
+)
+from repro.rtlir import Design
 
 
 class TestBudgetDiscipline:
@@ -86,3 +95,71 @@ class TestMetricGuidance:
     def test_tracking_disabled(self, mixer_design, rng):
         result = HRALocker(rng=rng, track_metrics=False).lock(mixer_design, 4)
         assert result.tracker is None
+
+
+class TestTrialSteps:
+    """HRA scores its trial steps on the ODT and never edits the design."""
+
+    def test_trials_leave_design_and_counts_alone(self, mixer_design):
+        locker = HRALocker(rng=random.Random(4))
+        session = LockingSession(mixer_design, rng=locker.rng)
+        text = mixer_design.to_verilog()
+        vector = session.odt.vector()
+        registry = [id(ref) for ref in session.all_ops()]
+        pairs = locker._valid_pairs(session)
+        index = locker._best_pair_index(session, pairs, vector)
+        assert 0 <= index < len(pairs)
+        assert mixer_design.to_verilog() == text
+        assert mixer_design.key_width == 0
+        assert mixer_design.key_port is None
+        assert list(session.odt.vector()) == list(vector)
+        assert [id(ref) for ref in session.all_ops()] == registry
+        assert session.actions == []
+
+    def test_trials_mark_their_pairs_affected(self, mixer_design):
+        # A trial marks its pair affected, as locking and undoing the step
+        # would; the M_r_sec series reads that mark.
+        locker = HRALocker(rng=random.Random(4))
+        session = LockingSession(mixer_design, rng=locker.rng)
+        assert session.odt.affected_pairs() == []
+        pairs = locker._valid_pairs(session)
+        locker._best_pair_index(session, pairs, session.odt.vector())
+        assert sorted(session.odt.affected_pairs()) == sorted(pairs)
+
+    def test_best_pair_has_the_best_applied_metric(self, mixer_design):
+        # The chosen pair's step, applied for real, scores at least as well
+        # as any other pair's step applied from the same rng state.
+        locker = HRALocker(rng=random.Random(6))
+        session = LockingSession(mixer_design.copy(), rng=locker.rng)
+        initial = session.odt.vector()
+        pairs = locker._valid_pairs(session)
+        best = locker._best_pair_index(session, pairs, initial)
+
+        def applied_metric(index):
+            trial = LockingSession(mixer_design.copy(),
+                                   rng=random.Random(0))
+            lock_step(trial, pairs[index][0])
+            return global_metric(trial.odt, initial)
+
+        assert applied_metric(best) == max(applied_metric(index)
+                                           for index in range(len(pairs)))
+
+    @pytest.mark.parametrize("table", [None, ORIGINAL_ASSURE_TABLE],
+                             ids=["symmetric", "assure-original"])
+    def test_trial_marks_what_the_applied_step_marks(self, table):
+        # Under the leaky table a '*' step adds a '+' dummy, which marks
+        # the ('+', '-') pair as well as ('*', '+').
+        design = Design.from_verilog("""
+        module marks (input [7:0] a, b, c, output [7:0] x, y);
+          assign x = (a * b) * (b * c);
+          assign y = (a ^ c) & b;
+        endmodule
+        """)
+        locker = HRALocker(pair_table=table, rng=random.Random(1))
+        for pair in locker._valid_pairs(LockingSession(design, table)):
+            trial = LockingSession(design.copy(), table, random.Random(2))
+            locker._best_pair_index(trial, [pair], trial.odt.vector())
+            applied = LockingSession(design.copy(), table, random.Random(2))
+            lock_step(applied, pair[0])
+            assert (trial.odt.affected_pairs()
+                    == applied.odt.affected_pairs()), pair

@@ -12,8 +12,12 @@ from repro.locking import (
     ERALocker,
     HRALocker,
     LockingSession,
+    default_pair_table,
+    global_metric,
+    lock_step,
     odt_from_design,
 )
+from repro.locking.lockstep import plan_step
 
 #: Operators the random profiles draw from (kept small so designs stay tiny).
 _PROFILE_OPS = ["+", "-", "*", "/", "<<", ">>", "&", "|", "^", "=="]
@@ -38,16 +42,24 @@ def build_design(profile, seed):
 class TestSessionInvariants:
     @given(profile=small_profiles(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)
-    def test_lock_then_undo_is_identity(self, profile, seed):
+    def test_planned_step_scores_like_the_applied_step(self, profile, seed):
+        # HRA scores a trial on the plan; the counts it scores must be the
+        # ones the applied step leaves, with the design untouched.
         design = build_design(profile, seed)
-        original = design.to_verilog()
-        session = LockingSession(design, rng=random.Random(seed))
-        refs = session.all_ops()
-        actions = [session.add_pair(ref) for ref in refs[: min(4, len(refs))]]
-        for action in reversed(actions):
-            session.undo(action)
-        assert design.to_verilog() == original
-        assert design.key_width == 0
+        text = design.to_verilog()
+        for lock_type, _ in default_pair_table().unordered_pairs():
+            planned = LockingSession(design, rng=random.Random(seed))
+            applied = LockingSession(design.copy(), rng=random.Random(seed))
+            initial = planned.odt.vector()
+            locks = plan_step(planned, lock_type)
+            trial = planned.odt.with_operations(op for _, op in locks)
+            bits, _ = lock_step(applied, lock_type)
+            assert bits == len(locks)
+            assert list(trial.vector()) == list(applied.odt.vector())
+            assert (global_metric(trial, initial)
+                    == global_metric(applied.odt, initial))
+            assert design.to_verilog() == text
+            assert design.key_width == 0
 
     @given(profile=small_profiles(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)

@@ -1,24 +1,29 @@
 """Unit tests for the common locking step (Algorithm 1)."""
 
+import random
+
 import pytest
 
-from repro.locking import LockingError, LockingSession, lock_step, undo_step
+from repro.locking import LockingError, LockingSession, lock_step
+from repro.locking.lockstep import plan_step
 from repro.rtlir import Design
+
+
+IMBALANCED_SOURCE = """
+module imb (input [7:0] a, b, c, output [7:0] x, y);
+  wire [7:0] t0 = a + b;
+  wire [7:0] t1 = t0 + c;
+  wire [7:0] t2 = t1 + a;
+  wire [7:0] t3 = a - b;
+  assign x = t2;
+  assign y = t3;
+endmodule
+"""
 
 
 @pytest.fixture
 def imbalanced_session(rng):
-    design = Design.from_verilog("""
-    module imb (input [7:0] a, b, c, output [7:0] x, y);
-      wire [7:0] t0 = a + b;
-      wire [7:0] t1 = t0 + c;
-      wire [7:0] t2 = t1 + a;
-      wire [7:0] t3 = a - b;
-      assign x = t2;
-      assign y = t3;
-    endmodule
-    """)
-    return LockingSession(design, rng=rng)
+    return LockingSession(Design.from_verilog(IMBALANCED_SOURCE), rng=rng)
 
 
 class TestPositiveImbalance:
@@ -85,22 +90,60 @@ class TestPairMode:
         assert actions == []
 
 
-class TestUndoStep:
-    def test_undo_step_restores_everything(self, imbalanced_session):
+class TestPlan:
+    """``plan_step`` makes the step's draws; ``lock_step`` applies them."""
+
+    @pytest.mark.parametrize("lock_type,pair_mode",
+                             [("+", False), ("-", False), ("+", True)])
+    def test_plan_leaves_the_session_alone(self, imbalanced_session,
+                                           lock_type, pair_mode):
         session = imbalanced_session
         design = session.design
-        text_before = design.to_verilog()
-        odt_before = session.odt["+"]
-        bits, actions = lock_step(session, "+", pair_mode=True)
-        assert bits == 2
-        undo_step(session, actions)
-        assert design.to_verilog() == text_before
-        assert session.odt["+"] == odt_before
+        text = design.to_verilog()
+        odt_text = session.odt.to_text()
+        registry = [id(ref) for ref in session.all_ops()]
+        locks = plan_step(session, lock_type, pair_mode=pair_mode)
+        assert len(locks) == (2 if pair_mode else 1)
+        assert design.to_verilog() == text
         assert design.key_width == 0
+        assert session.odt.to_text() == odt_text
+        assert [id(ref) for ref in session.all_ops()] == registry
+
+    @pytest.mark.parametrize("lock_type,pair_mode",
+                             [("+", False), ("-", False), ("+", True)])
+    def test_lock_step_applies_its_plan(self, lock_type, pair_mode):
+        planned = _imbalanced(seed=3)
+        applied = _imbalanced(seed=3)
+        locks = plan_step(planned, lock_type, pair_mode=pair_mode)
+        bits, actions = lock_step(applied, lock_type, pair_mode=pair_mode)
+        assert bits == len(actions) == len(locks)
+        position = {id(ref): index
+                    for index, ref in enumerate(planned.all_ops())}
+        for (ref, dummy_op), action in zip(locks, actions):
+            assert (ref.op, dummy_op) == (action.real_op, action.dummy_op)
+            # lock_step locked the operation the plan drew (the registry
+            # only appends, so positions stay valid).
+            assert applied.all_ops()[position[id(ref)]].lock_count == 1
+        # Both sessions drew the same selections; lock_step's rng is then
+        # one key value per lock further along.
+        for _ in locks:
+            planned.rng.randint(0, 1)
+        assert planned.rng.getstate() == applied.rng.getstate()
+
+    def test_missing_operations_plan_nothing(self, imbalanced_session):
+        assert plan_step(imbalanced_session, "<<", pair_mode=True) == []
 
     def test_inconsistent_odt_detected(self, imbalanced_session):
         session = imbalanced_session
         # Corrupt the ODT so it claims an excess of '<<' with no such ops.
         session.odt.add_operation("<<", mark_affected=False)
         with pytest.raises(LockingError):
+            plan_step(session, "<<", pair_mode=False)
+        with pytest.raises(LockingError):
             lock_step(session, "<<", pair_mode=False)
+        assert session.design.key_width == 0
+
+
+def _imbalanced(seed):
+    design = Design.from_verilog(IMBALANCED_SOURCE)
+    return LockingSession(design, rng=random.Random(seed))

@@ -1,7 +1,6 @@
 """Unit tests for the operation distribution table."""
 
 import numpy as np
-import pytest
 
 from repro.locking.odt import OperationDistributionTable, odt_from_design
 from repro.locking.pairs import ORIGINAL_ASSURE_TABLE, make_symmetric
@@ -41,17 +40,11 @@ class TestValues:
 
 
 class TestMutation:
-    def test_add_and_remove_roundtrip(self):
+    def test_add_operation(self):
         odt = make_odt({"+": 3, "-": 1})
         odt.add_operation("-")
         assert odt["+"] == 1
-        odt.remove_operation("-")
-        assert odt["+"] == 2
-
-    def test_remove_below_zero_raises(self):
-        odt = make_odt({"+": 1})
-        with pytest.raises(ValueError):
-            odt.remove_operation("-")
+        assert odt.count("-") == 2
 
     def test_affected_tracking(self):
         odt = make_odt({"+": 3, "-": 1, "*": 2})
@@ -60,13 +53,42 @@ class TestMutation:
         assert ("+", "-") in odt.affected_pairs() or ("-", "+") in odt.affected_pairs()
         assert odt.is_affected("+")
         assert not odt.is_affected("*")
-        odt.clear_affected()
-        assert odt.affected_pairs() == []
 
     def test_add_without_marking_affected(self):
         odt = make_odt({"+": 1})
         odt.add_operation("-", mark_affected=False)
         assert not odt.is_affected("+")
+
+
+class TestWithOperations:
+    def test_copy_counts_the_added_operations(self):
+        odt = make_odt({"+": 3, "-": 1, "*": 2, "&&": 1})
+        trial = odt.with_operations(["-", "-", "/", "&&"])
+        assert trial["+"] == 0
+        assert trial["*"] == 1
+        assert trial.count("&&") == 0
+        assert "&&:2" in trial.to_text()
+        assert trial.is_affected("+") and trial.is_affected("*")
+
+    def test_table_is_left_unchanged(self):
+        odt = make_odt({"+": 3, "-": 1, "*": 2, "&&": 1})
+        odt.mark_affected("<<")
+        text = odt.to_text()
+        vector = list(odt.vector())
+        trial = odt.with_operations(["-", "/", "&&"])
+        trial.mark_affected("^")
+        assert odt.to_text() == text
+        assert list(odt.vector()) == vector
+        assert odt.affected_pairs() == [odt.pair_table.pair_of("<<")]
+
+    def test_copy_matches_adding_in_place(self):
+        odt = make_odt({"+": 5, "*": 1, "<<": 2})
+        added = ["-", "-", "*", ">>"]
+        trial = odt.with_operations(added)
+        for op in added:
+            odt.add_operation(op)
+        assert trial.to_text() == odt.to_text()
+        assert list(trial.vector()) == list(odt.vector())
 
 
 class TestBalanceQueries:

@@ -2,11 +2,10 @@
 
 ``repro.rtlir.opgraph`` keeps its own insertion-ordered ``DataflowGraph``
 and ports the networkx algorithms its analyses need: ``find_cycle``
-(without its quadratic re-walks of explored nodes), ``topological_sort``,
-``dag_longest_path_length`` and ``connected_components``.  Each must give
-networkx's result exactly, so the edges the cycle breaker removes — and
-therefore ``topological_site_order`` and every serial ASSURE lock — stay
-the same.  networkx is only the test's reference; the package never
+(without its quadratic re-walks of explored nodes), ``topological_sort``
+and ``dag_longest_path_length``.  Each must give networkx's result
+exactly, so the edges the cycle breaker removes — and therefore
+``topological_site_order`` and every serial ASSURE lock — stay the same.  networkx is only the test's reference; the package never
 imports it.
 """
 
@@ -105,38 +104,12 @@ def reference_depth(graph: nx.DiGraph) -> int:
     return nx.dag_longest_path_length(acyclic) if len(acyclic) else 0
 
 
-def reference_network(graph: nx.DiGraph, operator: str):
-    """``connected_operation_network`` as computed with networkx."""
-    wanted = {node.index for node in graph
-              if isinstance(node, OperationNode) and node.op == operator}
-    projected = nx.Graph()
-    projected.add_nodes_from(wanted)
-    undirected = graph.to_undirected(as_view=True)
-    for index in wanted:
-        for neighbour in undirected.neighbors(OperationNode(index, operator)):
-            if isinstance(neighbour, SignalNode):
-                reached = [node for node in undirected.neighbors(neighbour)
-                           if isinstance(node, OperationNode)]
-            else:
-                reached = [neighbour]
-            projected.add_edges_from((index, node.index) for node in reached
-                                     if node.index in wanted
-                                     and node.index != index)
-    return list(nx.connected_components(projected))
-
-
 #: Each analysis on the package graph next to its networkx reference.
 ANALYSES = {
     "topological_order": (
         lambda graph: _topological_order(operation_graph(graph)._acyclic_view()),
         lambda reference: list(nx.topological_sort(reference_acyclic(reference)))),
     "depth": (lambda graph: operation_graph(graph).depth(), reference_depth),
-    "plus_network": (
-        lambda graph: operation_graph(graph).connected_operation_network("+"),
-        lambda reference: reference_network(reference, "+")),
-    "times_network": (
-        lambda graph: operation_graph(graph).connected_operation_network("*"),
-        lambda reference: reference_network(reference, "*")),
 }
 
 
@@ -169,11 +142,6 @@ def test_seeds_cover_cycles_self_loops_and_dags():
     assert sum(networkx_cycle(graph) is None for graph in graphs) >= 50
     assert sum(any(u == v for u, v in graph.edges) for graph in graphs) >= 50
     assert sum(len(removed_edges(graph, networkx_cycle)) > 1
-               for graph in graphs) >= 50
-    assert sum(len(reference_network(graph, "+")) > 1
-               for graph in graphs) >= 50
-    assert sum(any(len(component) > 1
-                   for component in reference_network(graph, "+"))
                for graph in graphs) >= 50
 
 

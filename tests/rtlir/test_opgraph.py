@@ -63,24 +63,7 @@ class TestTopologicalOrder:
         assert graph.depth() >= 0
 
 
-class TestOperationNetworks:
-    def test_plus_network_is_connected(self, plus_chain_design):
-        graph = build_operation_graph(plus_chain_design.top)
-        components = graph.connected_operation_network("+")
-        assert len(components) == 1
-        assert len(components[0]) == 6
-
-    def test_disjoint_networks_detected(self):
-        module = parse_module("""
-            module split (input [3:0] a, b, c, d, output [3:0] x, y);
-              assign x = a + b;
-              assign y = c + d;
-            endmodule
-        """)
-        graph = build_operation_graph(module)
-        components = graph.connected_operation_network("+")
-        assert len(components) == 2
-
+class TestGraphNodes:
     def test_node_dataclasses(self):
         assert SignalNode("x") == SignalNode("x")
         assert OperationNode(0, "+") != OperationNode(1, "+")

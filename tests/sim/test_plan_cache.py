@@ -67,20 +67,19 @@ class TestFingerprint:
         design.invalidate_fingerprint()
         assert design.fingerprint() == before
 
-    def test_lock_undo_relock_never_reuses_stale_fingerprint(self):
-        # The memo token (key width, item count) returns to its prior value
-        # across lock -> fingerprint -> undo -> lock-a-different-op, but the
-        # netlist differs; LockingSession must invalidate explicitly.
+    def test_session_locks_drop_the_memoized_fingerprint(self):
+        # LockingSession invalidates on every mutation instead of trusting
+        # the memo token, so each lock's fingerprint is read off the netlist.
         from repro.locking.base import LockingSession
 
         design = load_benchmark("FIR", scale=0.15, seed=0)
         session = LockingSession(design, rng=random.Random(0))
-        candidates = session.all_ops()
-        first = session.add_pair(candidates[0])
-        locked_first = design.fingerprint()
-        session.undo(first)
-        session.add_pair(candidates[1])
-        assert design.fingerprint() != locked_first
+        seen = {design.fingerprint()}
+        for ref in session.all_ops()[:3]:
+            session.add_pair(ref)
+            assert design._fingerprint is None
+            seen.add(design.fingerprint())
+        assert len(seen) == 4
 
 
 class TestTouch:
