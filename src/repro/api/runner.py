@@ -109,10 +109,9 @@ def _load_base_design(benchmark: str, scale: float, seed: int):
     This is the first of the runner's two per-process caches: every job of
     a benchmark shares one generated base design, and :func:`_lock_cell`
     then shares each locked cell of it.  Sharing is safe because nothing
-    mutates a cached object: lockers copy the design
-    (:meth:`~repro.rtlir.design.Design.copy`) before mutating it
-    (``in_place`` defaults to False), and nothing downstream of the lock
-    mutates the locked design.  Both caches are bounded LRUs of
+    mutates a cached object: every locker locks a copy of the design
+    (:meth:`~repro.rtlir.design.Design.copy`), and nothing downstream of
+    the lock mutates the locked design.  Both caches are bounded LRUs of
     ``_CACHE_SIZE`` entries under one lock.
     """
     from ..bench import load_benchmark
@@ -339,9 +338,8 @@ class Runner:
             unknown-component error.
         resume: Skip jobs whose store record already exists (on by default).
         progress: Optional ``progress(done, total, record)`` callback fired
-            after every completed (or skipped) job — the same liveness-hook
-            convention as :meth:`SnapShotAttack.attack_many`.  A raising
-            hook is logged and ignored: an observer must not abort the run.
+            after every completed (or skipped) job.  A raising hook is
+            logged and ignored: an observer must not abort the run.
         retries: Extra attempts per job after a transient failure (0 = fail
             into quarantine immediately).  Defaults to the scenario's
             ``retries`` field, else 0.

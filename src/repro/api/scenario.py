@@ -458,14 +458,12 @@ class Scenario:
 
     # ------------------------------------------------------------- validation
 
-    def validate(self, registries: bool = True) -> "Scenario":
+    def validate(self) -> "Scenario":
         """Validate the scenario beyond per-field checks.
 
-        Args:
-            registries: Also check every component name against the live
-                registries and every benchmark against the benchmark
-                registry (on by default; turn off to describe scenarios for
-                components registered later).
+        Checks every component name against the live registries and every
+        benchmark against the benchmark registry.  A scenario of components
+        registered later is built with ``from_dict(validate=False)``.
 
         Raises:
             ScenarioError: naming duplicates or unknown components.
@@ -480,28 +478,27 @@ class Scenario:
         metric_ids = [spec.name for spec in self.metrics]
         _require(len(set(metric_ids)) == len(metric_ids),
                  "duplicate metrics in scenario")
-        if registries:
-            from ..bench import benchmark_names
-            known_benchmarks = set(benchmark_names())
-            for benchmark in self.benchmarks:
-                _require(benchmark in known_benchmarks,
-                         f"unknown benchmark {benchmark!r}; available: "
-                         f"{', '.join(sorted(known_benchmarks))}")
-            known_lockers = set(locker_names(include_aliases=True))
-            for spec in self.lockers:
-                _require(spec.algorithm in known_lockers,
-                         f"unknown locking algorithm {spec.algorithm!r}; "
-                         f"registered: {', '.join(sorted(known_lockers))}")
-            known_attacks = set(attack_names(include_aliases=True))
-            for attack_id in attack_ids:
-                _require(attack_id in known_attacks,
-                         f"unknown attack {attack_id!r}; registered: "
-                         f"{', '.join(sorted(known_attacks))}")
-            known_metrics = set(metric_names(include_aliases=True))
-            for metric_id in metric_ids:
-                _require(metric_id in known_metrics,
-                         f"unknown metric {metric_id!r}; registered: "
-                         f"{', '.join(sorted(known_metrics))}")
+        from ..bench import benchmark_names
+        known_benchmarks = set(benchmark_names())
+        for benchmark in self.benchmarks:
+            _require(benchmark in known_benchmarks,
+                     f"unknown benchmark {benchmark!r}; available: "
+                     f"{', '.join(sorted(known_benchmarks))}")
+        known_lockers = set(locker_names(include_aliases=True))
+        for spec in self.lockers:
+            _require(spec.algorithm in known_lockers,
+                     f"unknown locking algorithm {spec.algorithm!r}; "
+                     f"registered: {', '.join(sorted(known_lockers))}")
+        known_attacks = set(attack_names(include_aliases=True))
+        for attack_id in attack_ids:
+            _require(attack_id in known_attacks,
+                     f"unknown attack {attack_id!r}; registered: "
+                     f"{', '.join(sorted(known_attacks))}")
+        known_metrics = set(metric_names(include_aliases=True))
+        for metric_id in metric_ids:
+            _require(metric_id in known_metrics,
+                     f"unknown metric {metric_id!r}; registered: "
+                     f"{', '.join(sorted(known_metrics))}")
         return self
 
     # ------------------------------------------------------------ (de)serialise

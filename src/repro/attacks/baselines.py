@@ -68,11 +68,10 @@ class MajorityVoteAttack:
 
     name = "majority-vote"
 
-    def __init__(self, rounds: int = 20, relock_budget: Optional[int] = None,
+    def __init__(self, rounds: int = 20,
                  pair_table: Optional[PairTable] = None,
                  rng: Optional[random.Random] = None) -> None:
         self.rounds = rounds
-        self.relock_budget = relock_budget
         self.pair_table = pair_table
         self.rng = rng or random.Random()
 
@@ -81,7 +80,6 @@ class MajorityVoteAttack:
         if not target.is_locked:
             raise ValueError("the target design must be locked")
         builder = TrainingSetBuilder(rounds=self.rounds,
-                                     relock_budget=self.relock_budget,
                                      pair_table=self.pair_table,
                                      rng=random.Random(self.rng.getrandbits(64)))
         training = builder.build(target)

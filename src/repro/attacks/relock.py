@@ -18,10 +18,9 @@ round.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from ..locking.assure import random_round_draws
 from ..locking.pairs import PairTable, default_pair_table
 from ..rtlir.design import Design
 from .locality import operation_code
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -57,31 +54,26 @@ class TrainingSet:
 class TrainingSetBuilder:
     """Build a SnapShot training set by relocking the target design.
 
+    Each relocking round adds as many key bits as the target already has
+    (the same budget the defender used).
+
     Args:
-        relock_budget: Key bits added per relocking round (positive);
-            defaults to the number of key bits already present in the target
-            (i.e. the same budget the defender used).
         rounds: Number of relocking rounds.
         pair_table: Pair table used for relocking (the attacker knows the
             locking scheme, threat-model assumption 2).
         rng: Random source.
     """
 
-    def __init__(self, relock_budget: Optional[int] = None, rounds: int = 20,
+    def __init__(self, rounds: int = 20,
                  pair_table: Optional[PairTable] = None,
                  rng: Optional[random.Random] = None) -> None:
         if rounds < 1:
             raise ValueError("at least one relocking round is required")
-        if relock_budget is not None and relock_budget < 1:
-            raise ValueError("relock_budget must be positive")
-        self.relock_budget = relock_budget
         self.rounds = rounds
         self.pair_table = pair_table
         self.rng = rng or random.Random()
 
-    def build(self, target: Design,
-              progress: Optional[Callable[[int, int], None]] = None
-              ) -> TrainingSet:
+    def build(self, target: Design) -> TrainingSet:
         """Relock ``target`` ``rounds`` times and extract labelled localities.
 
         A row is the code of the locked operation and the code of its dummy,
@@ -96,11 +88,6 @@ class TrainingSetBuilder:
 
         Args:
             target: The locked design to self-reference against.
-            progress: Optional callback invoked as ``progress(done, rounds)``
-                after every relocking round — long sweeps (the paper uses
-                1000 rounds) can report liveness without threading state
-                through the attack.  A raising hook is logged and ignored:
-                an observer must not abort the sweep.
 
         Raises:
             ValueError: if the target is not locked (there is nothing to
@@ -108,8 +95,7 @@ class TrainingSetBuilder:
         """
         if not target.is_locked:
             raise ValueError("the target design must be locked")
-        budget = (target.key_width if self.relock_budget is None
-                  else self.relock_budget)
+        budget = target.key_width
         table = self.pair_table or default_pair_table()
         codes = np.array(
             [(operation_code(site.op), operation_code(table.dummy_of(site.op)))
@@ -118,26 +104,14 @@ class TrainingSetBuilder:
             dtype=float).reshape(-1, 2)
         positions: List[int] = []
         values: List[int] = []
-        for round_index in range(self.rounds):
+        for _ in range(self.rounds):
             draws = random_round_draws(random.Random(self.rng.getrandbits(64)),
                                        len(codes), budget)
             positions.extend(position for position, _ in draws)
             values.extend(value for _, value in draws)
-            _report_progress(progress, round_index + 1, self.rounds)
         labels = np.array(values, dtype=int)
         picked = codes[np.array(positions, dtype=int)]
         features = np.where(labels[:, None] == 1, picked, picked[:, ::-1])
         return TrainingSet(features=features, labels=labels, rounds=self.rounds,
                            bits_per_round=budget)
 
-
-def _report_progress(progress: Optional[Callable[[int, int], None]],
-                     done: int, rounds: int) -> None:
-    """Call ``progress(done, rounds)``; a raising hook is logged and ignored."""
-    if progress is None:
-        return
-    try:
-        progress(done, rounds)
-    except Exception:
-        _log.warning("progress hook raised on round %d/%d; continuing",
-                     done, rounds, exc_info=True)

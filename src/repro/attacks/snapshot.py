@@ -15,11 +15,10 @@ The attack is oracle-less and purely structural:
 
 from __future__ import annotations
 
-import logging
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +30,11 @@ from .kpa import kpa
 from .locality import LocalityExtractor
 from .relock import TrainingSet, TrainingSetBuilder
 
-_log = logging.getLogger(__name__)
+#: Cap on the training localities handed to the model; a larger training set
+#: is subsampled uniformly.  The statistical signal (operation-pair
+#: frequencies) is kept while the model-search cost stays bounded on very
+#: large targets.
+MAX_TRAINING_SAMPLES = 20000
 
 
 @dataclass
@@ -77,17 +80,13 @@ class SnapShotAttack:
             the per-iteration auto-ml search of the paper).
         rounds: Relocking rounds used to assemble the training set (the paper
             uses 1000; the default here is laptop-friendly and configurable).
-        relock_budget: Key bits per relocking round (defaults to the target's
-            own key width).
+            Each round adds as many key bits as the target has.
         pair_table: Pair table assumed by the attacker for relocking.
         time_budget: Auto-ML search budget in roster candidates, cheapest
             first (only used for the default model).  The search has no
             wall-clock deadline, so the attack result is a pure function of
-            the target and ``rng``.
-        max_training_samples: Cap on the number of training localities handed
-            to the model; larger training sets are subsampled uniformly.  The
-            statistical signal (operation-pair frequencies) is preserved while
-            the model-search cost stays bounded on very large targets.
+            the target and ``rng``.  At most :data:`MAX_TRAINING_SAMPLES`
+            training localities reach the model.
         functional_vectors: When positive, the predicted key is additionally
             validated functionally: the target is simulated under the
             predicted and the correct key as one key sweep over this many
@@ -102,22 +101,16 @@ class SnapShotAttack:
     name = "snapshot-rtl"
 
     def __init__(self, model: Optional[Estimator] = None, rounds: int = 20,
-                 relock_budget: Optional[int] = None,
                  pair_table: Optional[PairTable] = None,
                  time_budget: float = 10.0,
-                 max_training_samples: int = 20000,
                  functional_vectors: int = 0,
                  rng: Optional[random.Random] = None) -> None:
-        if max_training_samples < 1:
-            raise ValueError("max_training_samples must be positive")
         if functional_vectors < 0:
             raise ValueError("functional_vectors must be non-negative")
         self.model = model
         self.rounds = rounds
-        self.relock_budget = relock_budget
         self.pair_table = pair_table
         self.time_budget = time_budget
-        self.max_training_samples = max_training_samples
         self.functional_vectors = functional_vectors
         self.rng = rng or random.Random()
 
@@ -126,7 +119,6 @@ class SnapShotAttack:
     def build_training_set(self, target: Design) -> TrainingSet:
         """Step 1+2: relock the target and extract labelled localities."""
         builder = TrainingSetBuilder(
-            relock_budget=self.relock_budget,
             rounds=self.rounds,
             pair_table=self.pair_table,
             rng=random.Random(self.rng.getrandbits(64)),
@@ -143,10 +135,10 @@ class SnapShotAttack:
                 random_state=self.rng.randrange(2 ** 31),
             )
         features, labels = training_set.features, training_set.labels
-        if features.shape[0] > self.max_training_samples:
+        if features.shape[0] > MAX_TRAINING_SAMPLES:
             generator = np.random.default_rng(self.rng.randrange(2 ** 31))
             keep = generator.choice(features.shape[0],
-                                    size=self.max_training_samples,
+                                    size=MAX_TRAINING_SAMPLES,
                                     replace=False)
             features, labels = features[keep], labels[keep]
         model.fit(features, labels)
@@ -232,39 +224,6 @@ class SnapShotAttack:
                 rng=random.Random(seed))
         except SimulationError:
             return None
-
-    def attack_many(self, targets: Sequence[Design],
-                    algorithm: Optional[str] = None,
-                    progress: Optional[
-                        Callable[[int, int, AttackResult], None]] = None,
-                    ) -> List[AttackResult]:
-        """Attack a list of locked samples (e.g. one benchmark locked N times).
-
-        Functional validation of every target draws its plan from the
-        process-wide cache (:func:`repro.sim.get_plan`), so samples sharing
-        a netlist — and repeated sweeps over the same sample list — compile
-        once instead of once per attack.
-
-        Args:
-            targets: Locked designs to attack in order.
-            algorithm: Optional locking-algorithm name recorded per result.
-            progress: Optional callback invoked as
-                ``progress(done, total, result)`` after every completed
-                attack — the liveness hook for long sweeps.  A raising hook
-                is logged and ignored: an observer must not abort the sweep.
-        """
-        results: List[AttackResult] = []
-        for index, target in enumerate(targets):
-            result = self.attack(target, algorithm=algorithm)
-            results.append(result)
-            if progress is not None:
-                try:
-                    progress(index + 1, len(targets), result)
-                except Exception:
-                    _log.warning("progress hook raised on target %d/%d; "
-                                 "continuing", index + 1, len(targets),
-                                 exc_info=True)
-        return results
 
 
 # ---------------------------------------------------------------------------

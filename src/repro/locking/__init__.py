@@ -3,7 +3,7 @@
 Public entry points:
 
 * :class:`~repro.locking.assure.AssureLocker` — baseline ASSURE locking
-  (serial or random operation selection, plus branch/constant obfuscation).
+  (serial or random operation selection).
 * :class:`~repro.locking.era.ERALocker` — Exact ML-Resilient Algorithm.
 * :class:`~repro.locking.hra.HRALocker` / :class:`~repro.locking.hra.GreedyLocker`
   — Heuristic ML-Resilient Algorithm and its deterministic variant.

@@ -1,11 +1,9 @@
 """ASSURE-style RTL locking (the baseline scheme the paper builds upon).
 
-The locker implements the three ASSURE techniques:
-
-* **operation obfuscation** — wrap a real operation and a dummy operation in a
-  key-controlled ternary (the focus of the paper and of the attacks),
-* **branch obfuscation** — XOR branch conditions with key bits,
-* **constant obfuscation** — move literals into the key.
+The locker implements ASSURE's operation obfuscation: it wraps a real
+operation and a dummy operation in a key-controlled ternary.  That is the
+technique the paper evaluates and attacks; ASSURE's branch and constant
+obfuscation are not reproduced.
 
 Two operation-selection strategies are supported:
 
@@ -27,8 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..rtlir.design import Design
 from ..rtlir.opgraph import build_operation_graph
-from ..verilog import ast_nodes as ast
-from .base import LockAction, LockingError, LockingSession, OpRef
+from .base import LockAction, LockingSession, OpRef
 from .metrics import MetricTracker
 from .pairs import PairTable, default_pair_table
 from .result import LockResult
@@ -63,14 +60,12 @@ class AssureLocker:
 
     # ----------------------------------------------------------------- locking
 
-    def lock(self, design: Design, key_budget: int,
-             in_place: bool = False) -> LockResult:
-        """Lock ``key_budget`` operations of ``design``.
+    def lock(self, design: Design, key_budget: int) -> LockResult:
+        """Lock ``key_budget`` operations of a copy of ``design``.
 
         Args:
             design: Design to lock (already-locked designs are relocked).
             key_budget: Number of operation-locking key bits to insert.
-            in_place: Mutate ``design`` instead of working on a copy.
 
         Returns:
             A :class:`~repro.locking.result.LockResult`.
@@ -78,18 +73,17 @@ class AssureLocker:
         Raises:
             ValueError: for a negative key budget.
         """
-        target = design if in_place else design.copy()
+        target = design.copy()
         session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
         tracker = MetricTracker(session.odt.vector()) if self.track_metrics else None
         existing_bits = len(target.key_bits)
-        bits_used, locked, candidates = self._add_pairs(session, key_budget,
-                                                        tracker)
+        locked, candidates = self._add_pairs(session, key_budget, tracker)
         new_bits = target.key_bits[existing_bits:]
         return LockResult(
             design=target,
             algorithm=f"{self.name}-{self.selection}",
             key_budget=key_budget,
-            bits_used=bits_used,
+            bits_used=locked,
             new_key_bits=list(new_bits),
             tracker=tracker,
             statistics={
@@ -108,9 +102,9 @@ class AssureLocker:
         draws its selection and key values from this locker's rng, as
         :meth:`lock` does, so relocking a session over a copy of a design
         yields the same design as ``lock(design, key_budget)``.  A
-        random-selection round draws exactly what :func:`random_round_draws`
-        replays, which is how the SnapShot training set is built without
-        relocking any design.
+        random-selection round locks what :func:`random_round_draws` draws,
+        which is how the SnapShot training set is built without relocking
+        any design.
 
         Args:
             session: Session over the design to relock; it must use this
@@ -128,47 +122,34 @@ class AssureLocker:
         return session.actions[depth:]
 
     def _add_pairs(self, session: LockingSession, key_budget: int,
-                   tracker: Optional[MetricTracker] = None
-                   ) -> Tuple[int, int, int]:
+                   tracker: Optional[MetricTracker] = None) -> Tuple[int, int]:
         """Lock candidates in selection order until ``key_budget`` bits are used.
 
-        Returns ``(bits_used, locked operations, candidate operations)``.
+        Each lock costs one key bit, whose value comes from this locker's
+        rng, not the session's: relocking rounds with their own rngs share
+        one session.  Returns ``(locked operations, candidate operations)``.
 
         Raises:
             ValueError: for a negative key budget.
         """
         if key_budget < 0:
             raise ValueError("key budget must be non-negative")
-        # random_round_draws replays the random-selection draws of this
-        # method and _ordered_candidates; keep the two in step.
-        candidates = self._ordered_candidates(session)
-        bits_used = 0
-        locked = 0
-        for ref in candidates:
-            if bits_used >= key_budget:
-                break
-            if not self.pair_table.has_pair(ref.op):
-                continue
-            # Key values come from this locker's rng, not the session's:
-            # relocking rounds with their own rngs share one session.
-            action = session.add_pair(ref,
-                                      correct_value=self.rng.randint(0, 1))
-            bits_used += action.bits_used
-            locked += 1
+        candidates = [ref for ref in session.all_ops()
+                      if self.pair_table.has_pair(ref.op)]
+        if self.selection == "random":
+            locks = [(candidates[position], value) for position, value
+                     in random_round_draws(self.rng, len(candidates),
+                                           key_budget)]
+        else:
+            locks = [(ref, self.rng.randint(0, 1)) for ref
+                     in self._serial_order(session, candidates)[:key_budget]]
+        for bits_used, (ref, value) in enumerate(locks, 1):
+            session.add_pair(ref, correct_value=value)
             if tracker is not None:
                 tracker.record(session.odt, bits_used)
-        return bits_used, locked, len(candidates)
+        return len(locks), len(candidates)
 
     # ----------------------------------------------------- selection strategies
-
-    def _ordered_candidates(self, session: LockingSession) -> List[OpRef]:
-        refs = [ref for ref in session.all_ops()
-                if self.pair_table.has_pair(ref.op)]
-        if self.selection == "random":
-            shuffled = list(refs)
-            self.rng.shuffle(shuffled)
-            return shuffled
-        return self._serial_order(session, refs)
 
     def _serial_order(self, session: LockingSession,
                       refs: Sequence[OpRef]) -> List[OpRef]:
@@ -183,63 +164,6 @@ class AssureLocker:
                                                                   fallback),
                                              ref.op))
 
-    # -------------------------------------------------- other ASSURE techniques
-
-    def lock_constants(self, design: Design, max_constants: int,
-                       in_place: bool = False) -> LockResult:
-        """Apply constant obfuscation to up to ``max_constants`` literals."""
-        if max_constants < 0:
-            raise ValueError("max_constants must be non-negative")
-        target = design if in_place else design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
-        existing_bits = len(target.key_bits)
-        bits_used = 0
-        locked = 0
-        for parent, constant in _lockable_constants(target):
-            if locked >= max_constants:
-                break
-            try:
-                action = session.lock_constant(parent, constant)
-            except LockingError:
-                continue
-            bits_used += action.bits_used
-            locked += 1
-        return LockResult(
-            design=target,
-            algorithm=f"{self.name}-constant",
-            key_budget=max_constants,
-            bits_used=bits_used,
-            new_key_bits=list(target.key_bits[existing_bits:]),
-            tracker=None,
-            statistics={"locked_constants": float(locked)},
-        )
-
-    def lock_branches(self, design: Design, max_branches: int,
-                      in_place: bool = False) -> LockResult:
-        """Apply branch obfuscation to up to ``max_branches`` if-conditions."""
-        if max_branches < 0:
-            raise ValueError("max_branches must be non-negative")
-        target = design if in_place else design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
-        existing_bits = len(target.key_bits)
-        bits_used = 0
-        locked = 0
-        for statement in _lockable_branches(target):
-            if locked >= max_branches:
-                break
-            action = session.lock_branch(statement)
-            bits_used += action.bits_used
-            locked += 1
-        return LockResult(
-            design=target,
-            algorithm=f"{self.name}-branch",
-            key_budget=max_branches,
-            bits_used=bits_used,
-            new_key_bits=list(target.key_bits[existing_bits:]),
-            tracker=None,
-            statistics={"locked_branches": float(locked)},
-        )
-
 
 def random_round_draws(rng: random.Random, candidates: int,
                        key_budget: int) -> List[Tuple[int, int]]:
@@ -248,9 +172,9 @@ def random_round_draws(rng: random.Random, candidates: int,
     A random :class:`AssureLocker` round over a session whose ``candidates``
     lockable operations all have a pair (and so each cost one key bit)
     shuffles them once and then draws one key value per lock, for the first
-    ``key_budget`` of them (:meth:`AssureLocker._add_pairs`).  This returns
-    those draws, taken from ``rng`` in the same order, as ``(candidate
-    position, key value)`` per locked operation, oldest first.
+    ``key_budget`` of them.  This returns those draws as ``(candidate
+    position, key value)`` per locked operation, oldest first;
+    :meth:`AssureLocker._add_pairs` locks exactly these.
 
     Raises:
         ValueError: for a negative key budget.
@@ -260,49 +184,6 @@ def random_round_draws(rng: random.Random, candidates: int,
     order = list(range(candidates))
     rng.shuffle(order)
     return [(position, rng.randint(0, 1)) for position in order[:key_budget]]
-
-
-def _lockable_constants(design: Design):
-    """Yield ``(parent, IntConst)`` pairs eligible for constant obfuscation."""
-    key_names = design.key_names()
-    for item in design.top.items:
-        if isinstance(item, ast.ContinuousAssign):
-            yield from _constants_under(item, "rhs", key_names)
-        elif isinstance(item, (ast.AlwaysBlock, ast.InitialBlock)):
-            for node in item.statement.iter_tree():
-                if isinstance(node, (ast.BlockingAssign, ast.NonBlockingAssign)):
-                    yield from _constants_under(node, "rhs", key_names)
-
-
-def _constants_under(parent: ast.Node, attr: str, key_names):
-    expr = getattr(parent, attr)
-    if isinstance(expr, ast.IntConst):
-        yield parent, expr
-        return
-    if expr is None:
-        return
-    for node, node_parent in _walk_with_parent(expr, parent):
-        if isinstance(node, ast.IntConst) and not isinstance(
-                node_parent, (ast.Range, ast.BitSelect, ast.PartSelect,
-                              ast.IndexedPartSelect, ast.Replication)):
-            yield node_parent, node
-
-
-def _walk_with_parent(node: ast.Node, parent: ast.Node):
-    yield node, parent
-    for child in node.children():
-        yield from _walk_with_parent(child, node)
-
-
-def _lockable_branches(design: Design) -> List[ast.IfStatement]:
-    """Return the if-statements of the top module eligible for branch locking."""
-    branches: List[ast.IfStatement] = []
-    for item in design.top.items:
-        if isinstance(item, (ast.AlwaysBlock, ast.InitialBlock)):
-            for node in item.statement.iter_tree():
-                if isinstance(node, ast.IfStatement):
-                    branches.append(node)
-    return branches
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,21 @@
 * the record of every action applied in this session.
 
 There is no undo: HRA scores its trial steps on the ODT alone (see
-:mod:`repro.locking.hra`), and each primitive checks its input before it
-consumes a key bit, so one that raises leaves the design unchanged.
+:mod:`repro.locking.hra`), and :meth:`LockingSession.add_pair` checks its
+input before it consumes a key bit, so a call that raises leaves the design
+unchanged.
 
-Three locking primitives are provided, mirroring ASSURE's three techniques:
-
-* :meth:`LockingSession.add_pair` — operation obfuscation (``AddPair`` of
-  Algorithm 1): wrap a real operation and a freshly created dummy operation in
-  a key-controlled ternary.
-* :meth:`LockingSession.lock_branch` — branch obfuscation: XOR a branch
-  condition with a key bit (inverting the condition when the bit is 1).
-* :meth:`LockingSession.lock_constant` — constant obfuscation: move a literal
-  into the key.
+The one locking primitive is ASSURE's operation obfuscation,
+:meth:`LockingSession.add_pair` (``AddPair`` of Algorithm 1): wrap a real
+operation and a freshly created dummy operation in a key-controlled ternary.
+ASSURE's branch and constant obfuscation are not reproduced; the paper's
+attacks and metrics read operation pairs only.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..rtlir.design import DEFAULT_KEY_PORT, Design, KeyBit
@@ -77,7 +74,6 @@ class LockAction:
     key_bits: List[KeyBit]
     real_op: Optional[str] = None
     dummy_op: Optional[str] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
     def bits_used(self) -> int:
@@ -188,15 +184,11 @@ class LockingSession:
         port.width = self._key_range
         self._key_port_node = port
 
-    def _consume_key_bit(self, kind: str, correct_value: int,
-                         real_op: Optional[str] = None,
-                         dummy_op: Optional[str] = None,
-                         metadata: Optional[Dict[str, object]] = None) -> KeyBit:
-        # KeyBit rejects a value other than 0/1; build it before the key
-        # port exists, so a rejected value leaves the design unchanged.
-        bit = KeyBit(index=self.design.key_width, kind=kind,
+    def _consume_key_bit(self, correct_value: int, real_op: str,
+                         dummy_op: str) -> KeyBit:
+        bit = KeyBit(index=self.design.key_width, kind="operation",
                      correct_value=correct_value, real_op=real_op,
-                     dummy_op=dummy_op, metadata=dict(metadata or {}))
+                     dummy_op=dummy_op)
         self._ensure_key_port()
         self.design.key_bits.append(bit)
         self._update_key_port_width()
@@ -226,9 +218,8 @@ class LockingSession:
             ref: Reference to the real operation to lock.
             dummy_op: Dummy operator; defaults to the pair partner of the real
                 operator in the session's pair table.
-            correct_value: Force the correct key-bit value (0 or 1) instead of
-                drawing it at random.  Used by tests and by the selection
-                studies of Fig. 4.
+            correct_value: The correct key-bit value (0 or 1); drawn from the
+                session rng when omitted.  The lockers pass their own draws.
 
         Returns:
             The :class:`LockAction` record.
@@ -253,8 +244,7 @@ class LockingSession:
                 f"stale operation reference: parent no longer contains the "
                 f"{real_op!r} node")
 
-        bit = self._consume_key_bit("operation", key_value, real_op=real_op,
-                                    dummy_op=dummy_op)
+        bit = self._consume_key_bit(key_value, real_op, dummy_op)
         cond = self._key_bit_expr(bit.index)
         if key_value == 1:
             ternary = ast.TernaryOp(cond, real_node, dummy_node)
@@ -278,98 +268,7 @@ class LockingSession:
         self.actions.append(action)
         return action
 
-    # ---------------------------------------------------------- branch locking
-
-    def lock_branch(self, statement: ast.IfStatement,
-                    correct_value: Optional[int] = None) -> LockAction:
-        """Lock the condition of an ``if`` statement with a key bit.
-
-        With correct key value 0 the condition is simply XOR-ed with the key
-        bit; with correct key value 1 the condition is inverted first, so the
-        XOR with the key restores the original truth value (the paper's
-        ``a > b`` → ``(a <= b) ^ K`` example).
-        """
-        original = statement.cond
-        key_value = self.rng.randint(0, 1) if correct_value is None else int(correct_value)
-        bit = self._consume_key_bit("branch", key_value)
-        key_expr = self._key_bit_expr(bit.index)
-
-        if key_value == 1:
-            base = _negate_condition(clone(original))
-        else:
-            base = clone(original)
-        replacement = ast.BinaryOp("^", base, key_expr)
-        statement.cond = replacement
-
-        action = LockAction(kind="branch", key_bits=[bit])
-        self.actions.append(action)
-        return action
-
-    # --------------------------------------------------------- constant locking
-
-    def lock_constant(self, parent: ast.Node, constant: ast.IntConst) -> LockAction:
-        """Replace a literal with key bits (constant obfuscation).
-
-        The literal's value becomes part of the correct key: a ``w``-bit
-        constant consumes ``w`` key bits whose correct values spell the
-        constant.
-
-        Raises:
-            LockingError: if the literal contains x/z bits or the parent does
-                not contain it; the design is then left unchanged.
-        """
-        try:
-            value = constant.as_int()
-        except ValueError as exc:
-            raise LockingError(str(exc)) from exc
-        if not _holds(parent, constant):
-            raise LockingError("parent node does not contain the constant to lock")
-        width = constant.width or max(value.bit_length(), 1)
-
-        bits: List[KeyBit] = []
-        for offset in range(width):
-            bit_value = (value >> offset) & 1
-            bits.append(self._consume_key_bit(
-                "constant", bit_value,
-                metadata={"constant": constant.value, "offset": offset}))
-
-        key_name = self.design.key_port
-        assert key_name is not None
-        low = bits[0].index
-        high = bits[-1].index
-        if width == 1:
-            replacement: ast.Expression = self._key_bit_expr(low)
-        else:
-            replacement = ast.PartSelect(ast.Identifier(key_name),
-                                         ast.IntConst(str(high)),
-                                         ast.IntConst(str(low)))
-        parent.replace_child(constant, replacement)
-
-        action = LockAction(kind="constant", key_bits=bits,
-                            metadata={"value": value, "width": width})
-        self.actions.append(action)
-        return action
-
 
 def _holds(parent: ast.Node, node: ast.Node) -> bool:
     """True if ``node`` is a direct child of ``parent`` (by identity)."""
     return any(child is node for child in parent.children())
-
-
-def _negate_condition(cond: ast.Expression) -> ast.Expression:
-    """Return the logical negation of a condition expression.
-
-    Relational comparisons are negated by swapping the operator (``a > b`` →
-    ``a <= b``), equality by toggling ``==``/``!=``; anything else is wrapped
-    in a logical NOT.
-    """
-    negations = {
-        ">": "<=", "<=": ">",
-        "<": ">=", ">=": "<",
-        "==": "!=", "!=": "==",
-    }
-    if isinstance(cond, ast.BinaryOp) and cond.op in negations:
-        return ast.BinaryOp(negations[cond.op], cond.left, cond.right)
-    if isinstance(cond, ast.UnaryOp) and cond.op == "!":
-        return cond.operand
-    return ast.UnaryOp("!", cond)

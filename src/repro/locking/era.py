@@ -47,8 +47,7 @@ class ERALocker:
         self.rng = rng or random.Random()
         self.track_metrics = track_metrics
 
-    def lock(self, design: Design, key_budget: int,
-             in_place: bool = False) -> LockResult:
+    def lock(self, design: Design, key_budget: int) -> LockResult:
         """Lock ``design`` with at least ``key_budget`` key bits (Algorithm 3).
 
         Raises:
@@ -56,7 +55,7 @@ class ERALocker:
         """
         if key_budget < 0:
             raise ValueError("key budget must be non-negative")
-        target = design if in_place else design.copy()
+        target = design.copy()
         session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
         tracker = MetricTracker(session.odt.vector()) if self.track_metrics else None
 

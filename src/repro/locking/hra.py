@@ -53,8 +53,7 @@ class HRALocker:
         self.greedy = greedy
         self.track_metrics = track_metrics
 
-    def lock(self, design: Design, key_budget: int,
-             in_place: bool = False) -> LockResult:
+    def lock(self, design: Design, key_budget: int) -> LockResult:
         """Lock ``design`` within ``key_budget`` key bits (Algorithm 4).
 
         Raises:
@@ -62,7 +61,7 @@ class HRALocker:
         """
         if key_budget < 0:
             raise ValueError("key budget must be non-negative")
-        target = design if in_place else design.copy()
+        target = design.copy()
         session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
         initial_vector = session.odt.vector()
         tracker = MetricTracker(initial_vector) if self.track_metrics else None
@@ -128,11 +127,11 @@ class HRALocker:
         """Score a trial step of every pair and return the best ``M_g_sec``.
 
         Implements lines 12-22 of Algorithm 4.  Each trial plans the step
-        :func:`lock_step` would apply, makes the key-value draws its locks
-        would make, and evaluates the (monotonic) global metric on the ODT
-        counts plus the planned dummies.  The design and the ODT counts are
-        left alone; the trial's pair stays marked affected, as it would after
-        locking and undoing the step.
+        :func:`lock_step` would apply, with all of its draws, and evaluates
+        the (monotonic) global metric on the ODT counts plus the planned
+        dummies.  The design and the ODT counts are left alone; the trial's
+        pair stays marked affected, as it would after locking and undoing
+        the step.
         """
         odt = session.odt
         order = list(range(len(valid_pairs)))
@@ -143,13 +142,9 @@ class HRALocker:
             locks = plan_step(session, valid_pairs[index][0])
             if not locks:
                 continue
-            # LockingSession.add_pair draws one key value per lock from the
-            # session rng; keep these draws in step with it.
-            for _ in locks:
-                session.rng.randint(0, 1)
-            trial = odt.with_operations(dummy_op for _, dummy_op in locks)
+            trial = odt.with_operations(dummy_op for _, dummy_op, _ in locks)
             metric = global_metric(trial, initial_vector)
-            for ref, dummy_op in locks:
+            for ref, dummy_op, _ in locks:
                 odt.mark_affected(ref.op)
                 odt.mark_affected(dummy_op)
             if metric > best_metric:

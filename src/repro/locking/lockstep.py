@@ -9,10 +9,11 @@ One step balances one locking pair by a single fine-grained action:
 * otherwise (or when *pair mode* is requested), both directions are applied at
   once, which keeps the pair balanced while still consuming key bits.
 
-:func:`plan_step` makes the step's draws and decision and returns the locks
-it would add; :func:`lock_step` applies them.  HRA scores its trial steps on
-the plan alone (``M_g_sec`` reads only the ODT counts), so a trial never
-edits the design.  The ODT bookkeeping of an applied lock happens inside
+:func:`plan_step` makes all of the step's draws (the operations, then one
+key value per lock) and its decision, and returns the locks it would add;
+:func:`lock_step` applies them.  HRA scores its trial steps on the plan
+alone (``M_g_sec`` reads only the ODT counts), so a trial never edits the
+design.  The ODT bookkeeping of an applied lock happens inside
 :meth:`LockingSession.add_pair`.
 """
 
@@ -25,12 +26,13 @@ from .base import LockAction, LockingError, LockingSession, OpRef
 
 
 def plan_step(session: LockingSession, lock_type: str,
-              pair_mode: bool = False) -> List[Tuple[OpRef, str]]:
+              pair_mode: bool = False) -> List[Tuple[OpRef, str, int]]:
     """Draw and decide one locking step for ``lock_type`` (Algorithm 1).
 
     Draws one operation of ``lock_type`` and one of its partner type from
-    ``session.rng`` (each only when such operations exist) and reads the
-    ODT sign; the design is left alone.
+    ``session.rng`` (each only when such operations exist), reads the ODT
+    sign, and then draws one correct key value per lock from the same rng;
+    the design is left alone.
 
     Args:
         session: Active locking session.
@@ -39,10 +41,10 @@ def plan_step(session: LockingSession, lock_type: str,
             double-lock branch is forced regardless of the ODT value.
 
     Returns:
-        The ``(operation, dummy operator)`` locks the step adds, in the order
-        they are applied.  Empty when the design contains no operation that
-        could implement the requested step (e.g. a pair with no occurrences
-        at all).
+        The ``(operation, dummy operator, key value)`` locks the step adds,
+        in the order they are applied.  Empty when the design contains no
+        operation that could implement the requested step (e.g. a pair with
+        no occurrences at all).
 
     Raises:
         LockingError: if the ODT reports an excess or deficit that no
@@ -64,16 +66,18 @@ def plan_step(session: LockingSession, lock_type: str,
         if selected_type is None:
             raise LockingError(
                 f"ODT reports excess of {lock_type!r} but no such operation exists")
-        return [(selected_type, partner)]
-    if odt[lock_type] < 0 and not pair_mode:
+        locks = [(selected_type, partner)]
+    elif odt[lock_type] < 0 and not pair_mode:
         if selected_partner is None:
             raise LockingError(
                 f"ODT reports deficit of {lock_type!r} but no {partner!r} "
                 f"operation exists")
-        return [(selected_partner, lock_type)]
-    if selected_type is None or selected_partner is None:
-        return []
-    return [(selected_type, partner), (selected_partner, lock_type)]
+        locks = [(selected_partner, lock_type)]
+    elif selected_type is None or selected_partner is None:
+        locks = []
+    else:
+        locks = [(selected_type, partner), (selected_partner, lock_type)]
+    return [(ref, dummy_op, rng.randint(0, 1)) for ref, dummy_op in locks]
 
 
 def lock_step(session: LockingSession, lock_type: str,
@@ -93,6 +97,7 @@ def lock_step(session: LockingSession, lock_type: str,
     Raises:
         LockingError: as :func:`plan_step`.
     """
-    actions = [session.add_pair(ref, dummy_op=dummy_op)
-               for ref, dummy_op in plan_step(session, lock_type, pair_mode)]
+    actions = [session.add_pair(ref, dummy_op=dummy_op, correct_value=value)
+               for ref, dummy_op, value in plan_step(session, lock_type,
+                                                     pair_mode)]
     return sum(action.bits_used for action in actions), actions

@@ -96,14 +96,16 @@ class OperationDistributionTable:
 
     # --------------------------------------------------------------- mutation
 
-    def add_operation(self, op: str, mark_affected: bool = True) -> None:
-        """Record that one new operation of type ``op`` was added to the design."""
+    def add_operation(self, op: str) -> None:
+        """Record that one new operation of type ``op`` was added to the design.
+
+        The pair containing ``op`` is marked as affected by locking.
+        """
         if not self.pair_table.has_pair(op):
             self._unpaired[op] = self._unpaired.get(op, 0) + 1
             return
         self._counts[op] = self._counts.get(op, 0) + 1
-        if mark_affected:
-            self.mark_affected(op)
+        self.mark_affected(op)
 
     def mark_affected(self, op: str) -> None:
         """Mark the pair containing ``op`` as affected by locking."""

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..verilog import ast_nodes as ast
 from ..verilog.codegen import generate
 from ..verilog.parser import parse
+from ..verilog.preprocess import Preprocessor, preprocess
 from ..verilog.transform import clone
 from .sites import SiteCollection, collect_sites
 
@@ -39,8 +40,9 @@ class KeyBit:
         correct_value: The key-bit value that restores original functionality.
         real_op: For operation locking, the operator of the real operation.
         dummy_op: For operation locking, the operator of the dummy operation.
-        metadata: Free-form extra information (e.g. the constant value that a
-            constant-obfuscation bit hides, or the locking round).
+
+    The lockers write only ``operation`` bits; the other two kinds are
+    accepted because key files are outside input.
     """
 
     index: int
@@ -48,7 +50,6 @@ class KeyBit:
     correct_value: int
     real_op: Optional[str] = None
     dummy_op: Optional[str] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("operation", "branch", "constant"):
@@ -88,14 +89,23 @@ class Design:
     @classmethod
     def from_verilog(cls, text: str, top_name: Optional[str] = None,
                      name: Optional[str] = None) -> "Design":
-        """Parse Verilog source text into an (unlocked) design."""
-        return cls(parse(text), top_name=top_name, name=name)
+        """Preprocess and parse Verilog source text into an (unlocked) design.
+
+        Raises:
+            repro.verilog.PreprocessorError: for a malformed directive, an
+                unresolvable ```include`` or an undefined macro.
+        """
+        return cls(parse(preprocess(text)), top_name=top_name, name=name)
 
     @classmethod
     def from_file(cls, path: Path, top_name: Optional[str] = None) -> "Design":
-        """Read and parse a Verilog file."""
+        """Read, preprocess and parse a Verilog file.
+
+        ```include`` files are searched for in the file's directory.
+        """
         path = Path(path)
-        return cls.from_verilog(path.read_text(), top_name=top_name, name=path.stem)
+        return cls(parse(Preprocessor().process_file(path)),
+                   top_name=top_name, name=path.stem)
 
     # -------------------------------------------------------------- accessors
 
@@ -215,11 +225,10 @@ class Design:
         The parser, the benchmark generators and every locker build trees;
         AST surgery that shares one node between two parents would leave
         the copy with two distinct nodes where the original has one.  Each
-        key bit is copied with its own ``metadata`` dict, and the copy
-        starts without a memoized fingerprint.
+        key bit is copied, and the copy starts without a memoized
+        fingerprint.
         """
-        key_bits = [dataclasses.replace(bit, metadata=dict(bit.metadata))
-                    for bit in self.key_bits]
+        key_bits = [dataclasses.replace(bit) for bit in self.key_bits]
         return Design(clone(self.source), top_name=self.top_name,
                       key_port=self.key_port, key_bits=key_bits,
                       name=self.name)

@@ -266,7 +266,12 @@ class Range(Node):
         self.lsb = lsb
 
     def width(self) -> Optional[int]:
-        """Return the constant width of the range if both bounds are literals."""
+        """Return the constant width of the range if both bounds are constant.
+
+        A bound is constant when it is a literal or ``+``/``-``/``*`` of
+        constant bounds, such as the ``4-1`` a ```define W 4`` leaves of
+        ``[`W-1:0]``.
+        """
         try:
             msb = _const_value(self.msb)
             lsb = _const_value(self.lsb)
@@ -280,6 +285,13 @@ class Range(Node):
 def _const_value(expr: Expression) -> Optional[int]:
     if isinstance(expr, IntConst):
         return expr.as_int()
+    if isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*"):
+        left, right = _const_value(expr.left), _const_value(expr.right)
+        if left is None or right is None:
+            return None
+        if expr.op == "+":
+            return left + right
+        return left - right if expr.op == "-" else left * right
     return None
 
 

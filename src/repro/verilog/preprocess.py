@@ -10,7 +10,14 @@ lexing so the strict lexer/parser only ever see plain Verilog:
 * every other directive (```timescale``, ```default_nettype``, ...) is dropped.
 
 Macro expansion is textual and repeated until a fixed point (with a recursion
-guard), matching how simple cores use ```define`` for named constants.
+guard), matching how simple cores use ```define`` for named constants.  A use
+of a macro that is not defined raises :class:`PreprocessorError`.  Comments
+are dropped first, so a directive or a macro use inside one is ignored.
+
+Every line the preprocessor drops (a directive, or a line of an inactive
+conditional branch) becomes an empty line, and a comment leaves its line
+breaks, so line numbers in parse errors still match the file; only an
+```include`` adds lines.
 """
 
 from __future__ import annotations
@@ -22,11 +29,16 @@ from typing import Dict, List, Optional, Sequence
 from .errors import VerilogError
 
 _MACRO_USE = re.compile(r"`([A-Za-z_][A-Za-z0-9_$]*)")
+#: A string literal (kept as it is) or a comment (dropped).
+_STRING_OR_COMMENT = re.compile(
+    r'"(?:\\.|[^"\\\n])*"|//[^\n]*|/\*.*?\*/', re.S)
+_DIRECTIVE = re.compile(r"`[A-Za-z_0-9$]*")
 _MAX_EXPANSION_ROUNDS = 32
 
 
 class PreprocessorError(VerilogError):
-    """Raised for malformed directives or unresolvable includes."""
+    """Raised for malformed directives, unresolvable includes or undefined
+    macros."""
 
 
 class Preprocessor:
@@ -49,7 +61,8 @@ class Preprocessor:
 
     def process(self, text: str, source_dir: Optional[Path] = None) -> str:
         """Return ``text`` with directives handled and macros expanded."""
-        lines = self._process_lines(text.splitlines(), source_dir)
+        lines = self._process_lines(_strip_comments(text).splitlines(),
+                                    source_dir)
         return "\n".join(lines) + ("\n" if text.endswith("\n") or lines else "")
 
     def process_file(self, path: Path) -> str:
@@ -68,45 +81,45 @@ class Preprocessor:
         for raw_line in lines:
             stripped = raw_line.strip()
             active = all(condition_stack)
-
-            if stripped.startswith("`ifdef") or stripped.startswith("`ifndef"):
+            if not stripped.startswith("`"):
+                output.append(self._expand_macros(raw_line) if active else "")
+                continue
+            # A directive line: what it leaves in the output is one empty
+            # line, or the lines of an included file.
+            directive = _DIRECTIVE.match(stripped).group(0)
+            if directive in ("`ifdef", "`ifndef"):
                 parts = stripped.split()
                 if len(parts) < 2:
                     raise PreprocessorError(f"malformed directive: {stripped!r}")
                 defined = parts[1] in self._defines
-                wanted = defined if parts[0] == "`ifdef" else not defined
-                condition_stack.append(wanted)
-                continue
-            if stripped.startswith("`else"):
+                condition_stack.append(defined if directive == "`ifdef"
+                                       else not defined)
+            elif directive == "`else":
                 if not condition_stack:
                     raise PreprocessorError("`else without matching `ifdef")
                 condition_stack[-1] = not condition_stack[-1]
-                continue
-            if stripped.startswith("`endif"):
+            elif directive == "`endif":
                 if not condition_stack:
                     raise PreprocessorError("`endif without matching `ifdef")
                 condition_stack.pop()
-                continue
-
-            if not active:
-                continue
-
-            if stripped.startswith("`define"):
+            elif not active:
+                pass
+            elif directive == "`define":
                 self._handle_define(stripped)
-                continue
-            if stripped.startswith("`undef"):
+            elif directive == "`undef":
                 parts = stripped.split()
                 if len(parts) >= 2:
                     self._defines.pop(parts[1], None)
-                continue
-            if stripped.startswith("`include"):
+            elif directive == "`include":
                 output.extend(self._handle_include(stripped, source_dir))
                 continue
-            if stripped.startswith("`"):
-                # `timescale, `default_nettype, `resetall, ...: drop the line.
+            elif directive[1:] in self._defines:
+                # A line that opens with a macro use is text, not a directive.
+                output.append(self._expand_macros(raw_line))
                 continue
-
-            output.append(self._expand_macros(raw_line))
+            # Any other directive (`timescale, `default_nettype, ...) is
+            # dropped as well.
+            output.append("")
 
         if condition_stack:
             raise PreprocessorError("unterminated `ifdef block")
@@ -121,10 +134,7 @@ class Preprocessor:
         if "(" in name:
             raise PreprocessorError(
                 f"function-like macro {name!r} is not supported by this subset")
-        value = parts[1] if len(parts) > 1 else ""
-        # Strip trailing line comments from the macro body.
-        value = value.split("//", 1)[0].rstrip()
-        self._defines[name] = value
+        self._defines[name] = parts[1].rstrip() if len(parts) > 1 else ""
 
     def _handle_include(self, line: str, source_dir: Optional[Path]) -> List[str]:
         match = re.search(r'`include\s+"([^"]+)"', line)
@@ -137,7 +147,7 @@ class Preprocessor:
         for directory in search_dirs:
             candidate = directory / filename
             if candidate.exists():
-                nested = candidate.read_text().splitlines()
+                nested = _strip_comments(candidate.read_text()).splitlines()
                 return self._process_lines(nested, candidate.parent)
         raise PreprocessorError(f"cannot resolve `include \"{filename}\"")
 
@@ -154,10 +164,16 @@ class Preprocessor:
 
     def _substitute(self, match: "re.Match[str]") -> str:
         name = match.group(1)
-        if name in self._defines:
-            return self._defines[name]
-        # Unknown macro use: leave it; the lexer will flag it if it matters.
-        return match.group(0)
+        if name not in self._defines:
+            raise PreprocessorError(f"undefined macro `{name}")
+        return self._defines[name]
+
+
+def _strip_comments(text: str) -> str:
+    """Drop the comments of ``text``, keeping their line breaks."""
+    return _STRING_OR_COMMENT.sub(
+        lambda match: (match.group(0) if match.group(0).startswith('"')
+                       else "\n" * match.group(0).count("\n")), text)
 
 
 def preprocess(text: str, include_dirs: Optional[Sequence[Path]] = None,

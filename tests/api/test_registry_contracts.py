@@ -433,7 +433,7 @@ def test_locked_benchmark_files_read_back(design_name, locker, tmp_path):
 
 
 def mutable_parts(design: Design):
-    """``{id: object}`` of every AST node, list, key bit and metadata dict."""
+    """``{id: object}`` of every AST node, list and key bit."""
     parts = {}
     for node in design.source.iter_tree():
         assert id(node) not in parts, \
@@ -443,7 +443,6 @@ def mutable_parts(design: Design):
                      if isinstance(value, list))
     for bit in design.key_bits:
         parts[id(bit)] = bit
-        parts[id(bit.metadata)] = bit.metadata
     return parts
 
 
@@ -463,8 +462,8 @@ def check_copy_contract(benchmark: str, locker: str) -> None:
     assert not shared, \
         f"the copy shares {[type(original[i]).__name__ for i in shared]}"
 
-    make_locker(locker, random.Random(6)).lock(duplicate, BUDGET,
-                                               in_place=True)
+    AssureLocker("random", rng=random.Random(6)).relock(
+        LockingSession(duplicate), BUDGET)
     assert duplicate.key_width > locked.key_width
     assert locked.to_verilog() == text, "locking the copy changed the original"
     assert state(locked)[2] == bits

@@ -6,7 +6,26 @@ import pytest
 
 from repro.attacks import LocalityExtractor
 from repro.locking import AssureLocker, LockingSession
-from repro.rtlir import Design, encode_operator
+from repro.rtlir import Design, KeyBit, encode_operator
+from repro.rtlir.operations import NO_OPERATION
+from repro.verilog import parse
+
+#: ``(kind, Verilog)`` of key bits no locker writes but a key file may name:
+#: key bit 0 of port ``k`` XOR-ed into a branch condition, standing in for
+#: a literal, or selecting a ternary of two operations.  Each reads as
+#: ``NO_OPERATION`` twice, whatever the bit drives.
+NON_OPERATION_BITS = [
+    ("branch", "module b (input clk, input [7:0] a, input [0:0] k, "
+               "output reg y); always @(posedge clk) "
+               "if ((a > 8'd1) ^ k[0]) y <= 1; else y <= 0; endmodule"),
+    ("constant", "module c (input [3:0] a, input [0:0] k, output [3:0] y); "
+                 "assign y = a + k[0]; endmodule"),
+    ("branch", "module t (input [3:0] a, input [3:0] b, input [0:0] k, "
+               "output [3:0] y); assign y = k[0] ? a + b : a - b; endmodule"),
+    ("constant", "module u (input [3:0] a, input [3:0] b, input [0:0] k, "
+                 "output [3:0] y); assign y = k[0] ? a * b : a / b; "
+                 "endmodule"),
+]
 
 
 class TestExtraction:
@@ -68,19 +87,13 @@ class TestNestedAndNonOperationBits:
         for locality in localities:
             assert set(locality.features.astype(int)) <= codes
 
-    def test_branch_locking_bit_has_no_pair_features(self, mixer_design, rng):
-        locker = AssureLocker(rng=rng)
-        locked = locker.lock_branches(mixer_design, max_branches=1).design
-        locality = LocalityExtractor().extract(locked)[0]
-        assert locality.kind == "branch"
-        assert locality.features.tolist() == [0.0, 0.0]
-
-    def test_constant_locking_bits_have_no_pair_features(self, rng):
-        design = Design.from_verilog(
-            "module c (input [3:0] a, output [3:0] y); assign y = a + 4'd5; endmodule")
-        locker = AssureLocker(rng=rng)
-        locked = locker.lock_constants(design, max_constants=1).design
-        localities = LocalityExtractor().extract(locked)
-        assert len(localities) == 4
-        assert all(loc.kind == "constant" for loc in localities)
-        assert all(loc.features.tolist() == [0.0, 0.0] for loc in localities)
+    @pytest.mark.parametrize("kind,source", NON_OPERATION_BITS,
+                             ids=[f"{kind}-{index}" for index, (kind, _)
+                                  in enumerate(NON_OPERATION_BITS)])
+    def test_non_operation_bit_has_no_pair_features(self, kind, source):
+        design = Design(parse(source), key_port="k",
+                        key_bits=[KeyBit(index=0, kind=kind, correct_value=1)])
+        locality = LocalityExtractor().extract(design)[0]
+        assert locality.kind == kind
+        assert locality.label == 1
+        assert locality.features.tolist() == [NO_OPERATION, NO_OPERATION]

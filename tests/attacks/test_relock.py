@@ -13,28 +13,59 @@ from repro.attacks.locality import _key_bit_index
 from repro.bench import benchmark_names, load_benchmark
 from repro.locking import (ORIGINAL_ASSURE_TABLE, AssureLocker, ERALocker,
                            LockingSession)
-from repro.rtlir import Design
-from repro.verilog import ast
+from repro.rtlir import Design, KeyBit
+from repro.verilog import ast, parse
 
 #: One assign of nested operations: relocking an outer operation clones the
 #: ternaries an earlier lock of the same round put inside its operands, so
-#: one key bit of the round can occur several times.  ``z`` holds the
-#: target's own lock, which leaves every operation of ``y`` lockable.
+#: one key bit of the round can occur several times.  The ``z`` outputs hold
+#: the target's own six locks, so a round relocks six of ``y``'s seven
+#: operations.
 NESTED_SOURCE = """
-module nested (input [7:0] a, b, c, d, output [7:0] y, z);
+module nested (input [7:0] a, b, c, d, output [7:0] y, z0, z1, z2, z3, z4, z5);
   assign y = ((a + b) * (c - d)) ^ ((a & b) | (c + d));
-  assign z = c / d;
+  assign z0 = c / d;
+  assign z1 = a / b;
+  assign z2 = a / c;
+  assign z3 = b / d;
+  assign z4 = a / d;
+  assign z5 = b / c;
 endmodule
 """
 
-#: A module with one if-statement and no binary operation.
-BRANCH_ONLY_SOURCE = """
-module branchy (input s, input [7:0] a, b, output reg [7:0] y);
+#: ``(kind, Verilog)`` of targets with a key port ``k`` whose key bits, of
+#: a kind no locker writes, a key file names: every bit is ``kind``.  No
+#: operation of these targets can be relocked: they have none, or the only
+#: one reads the key.
+NOTHING_TO_RELOCK = [
+    ("branch", """
+module branchy (input [0:0] k, input [7:0] a, b, output reg [7:0] y);
   always @(*) begin
-    if (s) y = a; else y = b;
+    if (k[0]) y = a; else y = b;
   end
 endmodule
+"""),
+    ("constant", """
+module masked (input [3:0] k, input [7:0] a, output [7:0] y);
+  assign y = a + k;
+endmodule
+"""),
+]
+
+#: A target with one relockable operation (``a + b``) and eight key bits:
+#: the ``^`` reads the key, so it is no relocking candidate.
+FEWER_CANDIDATES_THAN_BITS = """
+module masked_sum (input [7:0] k, input [7:0] a, b, output [7:0] y);
+  assign y = (a + b) ^ k;
+endmodule
 """
+
+
+def _key_file_target(source, kind, width):
+    """A target as a key file describes it: port ``k``, ``width`` bits."""
+    return Design(parse(source), key_port="k",
+                  key_bits=[KeyBit(index=index, kind=kind, correct_value=1)
+                            for index in range(width)])
 
 
 class TestTrainingSetBuilder:
@@ -46,12 +77,6 @@ class TestTrainingSetBuilder:
         with pytest.raises(ValueError):
             TrainingSetBuilder(rounds=0)
 
-    @pytest.mark.parametrize("relock_budget", [0, -1])
-    def test_non_positive_relock_budget_rejected(self, relock_budget):
-        """Regression: a zero budget used to fall back to the key width."""
-        with pytest.raises(ValueError):
-            TrainingSetBuilder(relock_budget=relock_budget)
-
     def test_training_set_size(self, mixer_design, rng):
         target = AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
         training = TrainingSetBuilder(rounds=6, rng=random.Random(1)).build(target)
@@ -60,12 +85,6 @@ class TestTrainingSetBuilder:
         assert training.size == 30
         assert training.features.shape == (30, 2)
         assert training.labels.shape == (30,)
-
-    def test_explicit_relock_budget(self, mixer_design, rng):
-        target = AssureLocker("serial", rng=rng).lock(mixer_design, 3).design
-        training = TrainingSetBuilder(rounds=4, relock_budget=2,
-                                      rng=random.Random(2)).build(target)
-        assert training.size == 8
 
     def test_target_not_mutated(self, mixer_design, rng):
         target = AssureLocker("serial", rng=rng).lock(mixer_design, 4).design
@@ -87,24 +106,6 @@ class TestTrainingSetBuilder:
         training = TrainingSetBuilder(rounds=2,
                                       rng=random.Random(5)).build(target)
         assert training.features.shape[1] == LocalityExtractor.n_features
-
-    def test_build_survives_a_raising_progress_hook(self, mixer_design, rng,
-                                                    caplog):
-        """Regression: an observer callback must not abort the rounds."""
-        target = AssureLocker("serial", rng=rng).lock(mixer_design, 4).design
-        calls = []
-
-        def bad_hook(done, rounds):
-            calls.append(done)
-            raise RuntimeError("observer bug")
-
-        with caplog.at_level("WARNING"):
-            training = TrainingSetBuilder(
-                rounds=3, rng=random.Random(6)).build(target,
-                                                      progress=bad_hook)
-        assert training.rounds == 3
-        assert calls == [1, 2, 3]
-        assert "progress hook raised" in caplog.text
 
 
 class TestSignalContent:
@@ -136,22 +137,14 @@ class TestSignalContent:
 #: The training rows against relocking a fresh copy of the target every
 #: round: every benchmark at ROWS_SCALE is locked by every registered
 #: locker under each table of PAIR_TABLES, once per seed of ROWS_SEEDS, then
-#: relocked for ROWS_ROUNDS rounds with every budget of RELOCK_BUDGETS.
+#: relocked for ROWS_ROUNDS rounds.  Each round adds as many key bits as
+#: the target has.
 ROWS_SCALE = 0.1
 ROWS_SEEDS = (5,)
 ROWS_ROUNDS = 2
 
 #: Relock pair tables: the fixed symmetric default and the leaky original.
 PAIR_TABLES = (None, ORIGINAL_ASSURE_TABLE)
-
-#: Relock budgets per target: its key width, a small fixed budget, and more
-#: bits than the target has operations (so every candidate is locked).
-RELOCK_BUDGETS = (
-    lambda target: target.key_width,
-    lambda target: 3,
-    lambda target: target.num_operations() + 1,
-)
-
 
 def _has_duplicates(design, bits):
     """True when a key bit of the round controls more than one ternary."""
@@ -162,17 +155,19 @@ def _has_duplicates(design, bits):
     return any(counts[bit] > 1 for bit in wanted)
 
 
-def _check_rows(target, table, budget, rounds, seed):
+def _check_rows(target, table, rounds, seed):
     """The training set equals the fresh-copy reference bit for bit.
 
-    The reference locks a fresh copy of ``target`` in every round and reads
-    the new key bits with ``extract_matrix``.  Returns the number of
-    reference rounds in which a new key bit controls more than one ternary.
+    The reference locks a fresh copy of ``target`` with its own key width
+    in every round and reads the new key bits with ``extract_matrix``.
+    Returns the number of reference rounds in which a new key bit controls
+    more than one ternary.
     """
     extractor = LocalityExtractor()
     training = TrainingSetBuilder(
-        relock_budget=budget, rounds=rounds, pair_table=table,
+        rounds=rounds, pair_table=table,
         rng=random.Random(seed)).build(target)
+    budget = target.key_width
     master = random.Random(seed)
     features, labels, duplicated = [], [], 0
     for _ in range(rounds):
@@ -196,14 +191,13 @@ def _check_rows(target, table, budget, rounds, seed):
     return duplicated
 
 
-def _check_benchmark(name, locker, table, seed, budgets):
-    """Lock benchmark ``name`` with ``locker``; check its rows per budget."""
+def _check_benchmark(name, locker, table, seed):
+    """Lock benchmark ``name`` with ``locker``; check its rows."""
     design = load_benchmark(name, scale=ROWS_SCALE, seed=seed)
     budget = key_budget(0.5, name, locker, design.num_operations())
     target = make_locker(locker, rng=random.Random(seed),
                          pair_table=table).lock(design, budget).design
-    for relock_budget in budgets:
-        _check_rows(target, table, relock_budget(target), ROWS_ROUNDS, seed)
+    _check_rows(target, table, ROWS_ROUNDS, seed)
 
 
 class TestTypeLevelPairRows:
@@ -214,14 +208,13 @@ class TestTypeLevelPairRows:
         for locker in locker_names():
             for table in PAIR_TABLES:
                 for seed in ROWS_SEEDS:
-                    _check_benchmark(name, locker, table, seed,
-                                     RELOCK_BUDGETS)
+                    _check_benchmark(name, locker, table, seed)
 
-    def test_a_round_that_locks_nothing_keeps_the_row_shape(self):
-        # A branch-locked target with no binary operation to relock.
-        design = Design.from_verilog(BRANCH_ONLY_SOURCE)
-        target = AssureLocker(rng=random.Random(0)).lock_branches(
-            design, 1).design
+    @pytest.mark.parametrize("kind,source", NOTHING_TO_RELOCK,
+                             ids=[kind for kind, _ in NOTHING_TO_RELOCK])
+    def test_a_round_that_locks_nothing_keeps_the_row_shape(self, kind,
+                                                            source):
+        target = _key_file_target(source, kind, width=1)
         training = TrainingSetBuilder(rounds=2,
                                       rng=random.Random(1)).build(target)
         assert training.features.shape == (0, LocalityExtractor.n_features)
@@ -232,8 +225,21 @@ class TestTypeLevelPairRows:
     def test_nested_rounds_that_duplicate_key_bits(self):
         design = Design.from_verilog(NESTED_SOURCE)
         session = LockingSession(design, rng=random.Random(0))
-        session.add_pair(session.ops_of_type("/")[0])
-        duplicated = _check_rows(design, None, budget=6, rounds=300, seed=11)
+        for ref in session.ops_of_type("/"):
+            session.add_pair(ref)
+        assert design.key_width == 6
+        duplicated = _check_rows(design, None, rounds=400, seed=11)
         # The clone trap: relocking an outer operation clones the ternaries
         # an earlier pair of the same round put inside its operands.
         assert duplicated > 100
+
+    @pytest.mark.parametrize("table", PAIR_TABLES,
+                             ids=lambda table: table and table.name)
+    def test_more_key_bits_than_candidates_locks_every_candidate(self, table):
+        target = _key_file_target(FEWER_CANDIDATES_THAN_BITS, "constant",
+                                  width=8)
+        _check_rows(target, table, rounds=20, seed=3)
+        training = TrainingSetBuilder(rounds=20, pair_table=table,
+                                      rng=random.Random(3)).build(target)
+        assert training.bits_per_round == 8
+        assert training.size == 20

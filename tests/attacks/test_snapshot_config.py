@@ -1,55 +1,69 @@
-"""Tests for SnapShot configuration knobs (training-set capping, budgets)."""
+"""Tests for SnapShot's fixed settings (training-set cap, relock budget)."""
 
 import random
 
-import pytest
+import numpy as np
 
 from repro.attacks import SnapShotAttack
+from repro.attacks.snapshot import MAX_TRAINING_SAMPLES
 from repro.locking import AssureLocker
 from repro.ml import CategoricalNB, KNeighborsClassifier
 
 
-class TestTrainingSetCap:
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            SnapShotAttack(max_training_samples=0)
+class RecordingNB(CategoricalNB):
+    """Categorical NB that keeps the rows it was fitted on."""
 
-    def test_large_training_set_is_subsampled(self, mixer_design, rng):
-        target = AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
-        attack = SnapShotAttack(model=CategoricalNB(), rounds=10,
-                                max_training_samples=17,
+    def fit(self, features, labels):
+        self.seen = (features.copy(), labels.copy())
+        return super().fit(features, labels)
+
+
+def _five_bit_target(mixer_design, rng):
+    return AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
+
+
+class TestTrainingSetCap:
+    def test_training_set_over_the_cap_is_subsampled(self, mixer_design, rng):
+        target = _five_bit_target(mixer_design, rng)
+        rounds = MAX_TRAINING_SAMPLES // 5 + 1
+        attack = SnapShotAttack(model=RecordingNB(), rounds=rounds,
                                 rng=random.Random(0))
         training = attack.build_training_set(target)
-        assert training.size == 50  # the builder itself is not capped
+        assert training.size == MAX_TRAINING_SAMPLES + 5
         model = attack.train_model(training)
-        # The model was fitted (on the capped subsample) and predicts bits.
-        predictions = attack.predict_key(model, target)
-        assert len(predictions) == 5
+        # The attack's rng drew the builder's seed, then the subsample's.
+        replay = random.Random(0)
+        replay.getrandbits(64)
+        keep = np.random.default_rng(replay.randrange(2 ** 31)).choice(
+            training.size, size=MAX_TRAINING_SAMPLES, replace=False)
+        features, labels = model.seen
+        assert np.array_equal(features, training.features[keep])
+        assert np.array_equal(labels, training.labels[keep])
 
-    def test_cap_does_not_change_result_shape(self, mixer_design, rng):
-        target = AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
-        capped = SnapShotAttack(model=CategoricalNB(), rounds=10,
-                                max_training_samples=20,
-                                rng=random.Random(1)).attack(target)
-        uncapped = SnapShotAttack(model=CategoricalNB(), rounds=10,
-                                  rng=random.Random(1)).attack(target)
-        assert capped.key_width == uncapped.key_width
-        assert 0.0 <= capped.kpa <= 100.0
+    def test_training_set_at_the_cap_is_fitted_whole(self, mixer_design, rng):
+        target = _five_bit_target(mixer_design, rng)
+        attack = SnapShotAttack(model=RecordingNB(),
+                                rounds=MAX_TRAINING_SAMPLES // 5,
+                                rng=random.Random(0))
+        training = attack.build_training_set(target)
+        assert training.size == MAX_TRAINING_SAMPLES
+        features, labels = attack.train_model(training).seen
+        assert np.array_equal(features, training.features)
+        assert np.array_equal(labels, training.labels)
 
 
-class TestExplicitRelockBudget:
-    def test_relock_budget_propagates_to_metadata(self, mixer_design, rng):
+class TestRelockBudget:
+    def test_relock_budget_is_the_target_key_width(self, mixer_design, rng):
         target = AssureLocker("serial", rng=rng).lock(mixer_design, 6).design
         attack = SnapShotAttack(model=CategoricalNB(), rounds=5,
-                                relock_budget=3, rng=random.Random(2))
+                                rng=random.Random(2))
         result = attack.attack(target)
-        assert result.metadata["relock_budget"] == 3
-        assert result.training_size == 15
+        assert result.metadata["relock_budget"] == 6
+        assert result.training_size == 30
 
 
 class TestKnnChunking:
     def test_chunked_prediction_matches_unchunked(self):
-        import numpy as np
         rng = np.random.default_rng(0)
         features = rng.integers(0, 4, size=(600, 3)).astype(float)
         labels = (features[:, 0] > 1).astype(int)

@@ -14,7 +14,6 @@ import random
 import pytest
 
 import repro.sim as sim_package
-from repro.attacks import TrainingSetBuilder
 from repro.attacks.kpa import functional_kpa
 from repro.bench import load_benchmark
 from repro.locking import (
@@ -98,14 +97,6 @@ class TestSeededResultsMatchScalarEngine:
                                           rng=random.Random(10)))
         assert batch_report == scalar_report
         assert any(batch_report.per_bit)
-
-    def test_training_set_builder_reports_progress(self):
-        locked = _locked_md5()
-        seen = []
-        builder = TrainingSetBuilder(rounds=3, rng=random.Random(12))
-        builder.build(locked, progress=lambda done, total:
-                      seen.append((done, total)))
-        assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
 class TestPinnedValues:

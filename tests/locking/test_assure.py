@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from repro.api import make_locker
+from repro.api.scenario import key_budget
+from repro.bench import benchmark_names, load_benchmark
 from repro.locking import AssureLocker, LockingSession
-from repro.locking.pairs import ORIGINAL_ASSURE_TABLE
-from repro.rtlir import Design
+from repro.locking.assure import random_round_draws
+from repro.locking.pairs import ORIGINAL_ASSURE_TABLE, SYMMETRIC_PAIR_TABLE
 from repro.verilog import ast
 
 
@@ -36,11 +39,11 @@ class TestOperationLocking:
         AssureLocker("serial", rng=rng).lock(mixer_design, key_budget=3)
         assert mixer_design.to_verilog() == before
 
-    def test_in_place_locking(self, mixer_design, rng):
-        result = AssureLocker("serial", rng=rng).lock(mixer_design, key_budget=3,
-                                                      in_place=True)
-        assert result.design is mixer_design
-        assert mixer_design.key_width == 3
+    def test_lock_returns_a_copy(self, mixer_design, rng):
+        result = AssureLocker("serial", rng=rng).lock(mixer_design, key_budget=3)
+        assert result.design is not mixer_design
+        assert result.design.key_width == 3
+        assert mixer_design.key_width == 0
 
     def test_dummy_operator_follows_pair_table(self, mixer_design, rng):
         result = AssureLocker("serial", rng=rng).lock(mixer_design, key_budget=6)
@@ -153,35 +156,63 @@ class TestRelocking:
             AssureLocker("random", rng=rng).relock(session, key_budget=-1)
 
 
-class TestOtherTechniques:
-    def test_constant_obfuscation(self, rng):
-        design = Design.from_verilog("""
-        module c (input [7:0] a, output [7:0] x, y);
-          assign x = a + 8'd37;
-          assign y = a ^ 8'hF0;
-        endmodule
-        """)
-        result = AssureLocker(rng=rng).lock_constants(design, max_constants=2)
-        assert result.bits_used == 16
-        assert all(bit.kind == "constant" for bit in result.design.key_bits)
-        text = result.design.to_verilog().lower()
-        assert "8'd37" not in text
-        assert "8'hf0" not in text
+#: The draw checks lock every benchmark at DRAW_SCALE with a DRAW_FRACTION
+#: budget, once per seed of DRAW_SEEDS.
+DRAW_SCALE, DRAW_FRACTION, DRAW_SEEDS = 0.1, 0.75, (0, 1, 2)
 
-    def test_branch_obfuscation(self, mixer_design, rng):
-        result = AssureLocker(rng=rng).lock_branches(mixer_design, max_branches=2)
-        assert result.bits_used == 2
-        assert all(bit.kind == "branch" for bit in result.design.key_bits)
 
-    def test_branch_budget_zero(self, mixer_design, rng):
-        result = AssureLocker(rng=rng).lock_branches(mixer_design, max_branches=0)
-        assert result.bits_used == 0
+def _draw_cases(name, algorithm):
+    """``(seed, design, budget, locked result)`` per seed of DRAW_SEEDS."""
+    for seed in DRAW_SEEDS:
+        design = load_benchmark(name, scale=DRAW_SCALE, seed=seed)
+        budget = key_budget(DRAW_FRACTION, name, algorithm,
+                            design.num_operations())
+        result = make_locker(algorithm, random.Random(seed)).lock(design,
+                                                                  budget)
+        yield seed, design, budget, result
 
-    def test_negative_limits_rejected(self, mixer_design, rng):
-        with pytest.raises(ValueError):
-            AssureLocker(rng=rng).lock_constants(mixer_design, -1)
-        with pytest.raises(ValueError):
-            AssureLocker(rng=rng).lock_branches(mixer_design, -2)
+
+def _bits(design):
+    return [(bit.real_op, bit.dummy_op, bit.correct_value)
+            for bit in design.key_bits]
+
+
+class TestRoundDraws:
+    """Each ASSURE selection draws its round in one documented order."""
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_random_lock_locks_its_round_draws(self, name):
+        for seed, design, budget, result in _draw_cases(name, "assure-random"):
+            candidates = [site.op for site in design.sites()
+                          if not site.key_controlled
+                          and SYMMETRIC_PAIR_TABLE.has_pair(site.op)]
+            draws = random_round_draws(random.Random(seed), len(candidates),
+                                       budget)
+            assert _bits(result.design) == [
+                (candidates[position],
+                 SYMMETRIC_PAIR_TABLE.dummy_of(candidates[position]), value)
+                for position, value in draws], (name, seed)
+            # The same draws applied by hand lock the same netlist.
+            replay = design.copy()
+            session = LockingSession(replay)
+            refs = [ref for ref in session.all_ops()
+                    if SYMMETRIC_PAIR_TABLE.has_pair(ref.op)]
+            for position, value in draws:
+                session.add_pair(refs[position], correct_value=value)
+            assert result.design.to_verilog() == replay.to_verilog(), \
+                (name, seed)
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_serial_lock_draws_one_key_value_per_lock(self, name):
+        for seed, design, budget, result in _draw_cases(name, "assure"):
+            candidates = sum(1 for site in design.sites()
+                             if not site.key_controlled
+                             and SYMMETRIC_PAIR_TABLE.has_pair(site.op))
+            replay = random.Random(seed)
+            assert result.bits_used == min(budget, candidates)
+            assert ([value for _, _, value in _bits(result.design)]
+                    == [replay.randint(0, 1)
+                        for _ in range(result.bits_used)]), (name, seed)
 
 
 class TestMetricsTracking:

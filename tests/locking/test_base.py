@@ -8,9 +8,6 @@ from repro.locking import LockingError, LockingSession
 from repro.rtlir import Design
 from repro.rtlir.design import DEFAULT_KEY_PORT
 from repro.verilog import ast
-from repro.verilog.parser import parse_module
-
-from ..conftest import MIXER_SOURCE
 
 
 @pytest.fixture
@@ -104,102 +101,42 @@ class TestOperationLocking:
         _assert_unchanged(session, text, registry)
 
 
-class TestBranchLocking:
-    def test_branch_lock_inverts_on_one(self, mixer_design, rng):
+class TestKeyValues:
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_key_value_other_than_0_or_1_rejected(self, mixer_design, rng,
+                                                  value):
         session = LockingSession(mixer_design, rng=rng)
-        branch = [node for node in mixer_design.top.iter_tree()
-                  if isinstance(node, ast.IfStatement)][0]
-        original_cond = branch.cond
-        action = session.lock_branch(branch, correct_value=1)
-        assert action.kind == "branch"
-        assert isinstance(branch.cond, ast.BinaryOp)
-        assert branch.cond.op == "^"
-        assert mixer_design.key_bits[0].kind == "branch"
-        assert branch.cond is not original_cond
-
-    def test_branch_lock_keeps_condition_on_zero(self, mixer_design, rng):
-        session = LockingSession(mixer_design, rng=rng)
-        branch = [node for node in mixer_design.top.iter_tree()
-                  if isinstance(node, ast.IfStatement)][1]
-        cond_text_before = mixer_design.to_verilog()
-        action = session.lock_branch(branch, correct_value=0)
-        assert action.key_bits[0].correct_value == 0
-        # With value 0 the original comparison survives inside the XOR.
-        assert "(a > b)" in mixer_design.to_verilog()
-
-    def test_key_value_other_than_0_or_1_rejected(self, mixer_design, rng):
-        session = LockingSession(mixer_design, rng=rng)
-        branch = [node for node in mixer_design.top.iter_tree()
-                  if isinstance(node, ast.IfStatement)][0]
         text = mixer_design.to_verilog()
         registry = _registry(session)
-        with pytest.raises(ValueError):
-            session.lock_branch(branch, correct_value=2)
+        with pytest.raises(LockingError):
+            session.add_pair(session.ops_of_type("+")[0], correct_value=value)
         _assert_unchanged(session, text, registry)
 
-    def test_relational_negation(self, mixer_design, rng):
+    def test_omitted_key_value_is_drawn_from_the_session_rng(self,
+                                                             mixer_design):
+        session = LockingSession(mixer_design, rng=random.Random(7))
+        for ref in session.ops_of_type("+"):
+            session.add_pair(ref)
+        replay = random.Random(7)
+        assert ([bit.correct_value for bit in mixer_design.key_bits]
+                == [replay.randint(0, 1) for _ in range(3)])
+
+    def test_given_key_value_draws_nothing(self, mixer_design):
+        rng = random.Random(7)
         session = LockingSession(mixer_design, rng=rng)
-        branch = [node for node in mixer_design.top.iter_tree()
-                  if isinstance(node, ast.IfStatement)][1]
-        session.lock_branch(branch, correct_value=1)
-        # 'a > b' must be inverted to 'a <= b' (paper's example).
-        assert "(a <= b)" in mixer_design.to_verilog()
+        for value, ref in zip((1, 0, 1), session.ops_of_type("+")):
+            session.add_pair(ref, correct_value=value)
+        assert [bit.correct_value for bit in mixer_design.key_bits] == [1, 0, 1]
+        assert rng.random() == random.Random(7).random()
 
-
-class TestConstantLocking:
-    def test_constant_lock_multi_bit(self, rng):
-        module_text = """
-        module consts (input [7:0] a, output [7:0] y);
-          assign y = a + 8'h5A;
-        endmodule
-        """
-        design = Design.from_verilog(module_text)
-        session = LockingSession(design, rng=rng)
-        assign = design.top.items[0]
-        constant = assign.rhs.right
-        action = session.lock_constant(assign.rhs, constant)
-        assert action.bits_used == 8
-        assert design.key_width == 8
-        # The correct key bits spell the hidden constant 0x5A.
-        value = sum(bit.correct_value << i for i, bit in enumerate(design.key_bits))
-        assert value == 0x5A
-        assert "8'h5a" not in design.to_verilog().lower()
-
-    def test_constant_lock_single_bit(self, rng):
-        design = Design.from_verilog(
-            "module c1 (input a, output y); assign y = a ^ 1'b1; endmodule")
-        session = LockingSession(design, rng=rng)
-        assign = design.top.items[0]
-        action = session.lock_constant(assign.rhs, assign.rhs.right)
-        assert action.bits_used == 1
-        assert design.key_bits[0].correct_value == 1
-
-    def test_constant_with_unknown_bits_rejected(self, rng):
-        design = Design.from_verilog(
-            "module cx (input [3:0] a, output [3:0] y); assign y = a & 4'b1x0x; endmodule")
-        session = LockingSession(design, rng=rng)
-        assign = design.top.items[0]
-        text = design.to_verilog()
-        with pytest.raises(LockingError):
-            session.lock_constant(assign.rhs, assign.rhs.right)
-        _assert_unchanged(session, text, _registry(session))
-
-    def test_constant_outside_the_parent_rejected(self, rng):
-        design = Design.from_verilog(
-            "module cp (input [3:0] a, output [3:0] y, output [3:0] z);"
-            " assign y = a & 4'd5; assign z = a | 4'd6; endmodule")
-        session = LockingSession(design, rng=rng)
-        first, second = design.top.items
-        text = design.to_verilog()
-        registry = _registry(session)
-        # The constant of the second assignment is not a child of the first.
-        with pytest.raises(LockingError):
-            session.lock_constant(first.rhs, second.rhs.right)
-        _assert_unchanged(session, text, registry)
-        # The session still locks the constant where it lives.
-        session.lock_constant(second.rhs, second.rhs.right)
-        assert design.key_width == 4
-        assert _key_port_width(design) == 4
+    def test_key_bit_records_the_pair(self, session, mixer_design):
+        action = session.add_pair(session.ops_of_type("*")[0],
+                                  correct_value=0)
+        bit = mixer_design.key_bits[0]
+        assert action.key_bits == [bit]
+        assert (bit.index, bit.kind, bit.correct_value, bit.real_op,
+                bit.dummy_op) == (0, "operation", 0, "*", "/")
+        assert (action.real_op, action.dummy_op) == ("*", "/")
 
 
 def _assert_unchanged(session, text, registry):
@@ -224,33 +161,24 @@ def _registry(session):
 
 
 class TestKeyPortWidth:
-    """Every public primitive leaves the key port ``key_width`` bits wide."""
+    """``add_pair`` leaves the key port ``key_width`` bits wide."""
 
-    def test_standalone_primitives(self, rng):
+    def test_each_add_pair_widens_the_port_by_one_bit(self, rng):
         design = Design.from_verilog("""
-        module m (input [3:0] a, b, output reg [3:0] y, output [3:0] z);
+        module m (input [3:0] a, b, output [3:0] z);
           assign z = (a + b) ^ (a - b);
-          always @(*) begin
-            if (a > b) y = a + 4'd3; else y = b;
-          end
         endmodule
         """)
         session = LockingSession(design, rng=rng)
-        session.add_pair(session.ops_of_type("+")[0])
+        plus = session.ops_of_type("+")[0]
+        session.add_pair(plus)
         assert _key_port_width(design) == design.key_width == 1
         session.add_pair(session.ops_of_type("-")[0])
         assert _key_port_width(design) == design.key_width == 2
-        branch = [n for n in design.top.iter_tree()
-                  if isinstance(n, ast.IfStatement)][0]
-        session.lock_branch(branch)
+        # Relocking the now nested real operation.
+        session.add_pair(plus)
         assert _key_port_width(design) == design.key_width == 3
-        constant = [n for n in design.top.iter_tree()
-                    if isinstance(n, ast.IntConst) and n.value == "4'd3"][0]
-        parent = [n for n in design.top.iter_tree()
-                  if any(c is constant for c in n.children())][0]
-        session.lock_constant(parent, constant)
-        assert _key_port_width(design) == design.key_width == 7
-        assert "[6:0]" in design.to_verilog()
+        assert "[2:0]" in design.to_verilog()
 
     def test_second_session_on_the_same_design(self, mixer_design, rng):
         first = LockingSession(mixer_design, rng=rng)

@@ -52,9 +52,12 @@ class TestSessionInvariants:
             applied = LockingSession(design.copy(), rng=random.Random(seed))
             initial = planned.odt.vector()
             locks = plan_step(planned, lock_type)
-            trial = planned.odt.with_operations(op for _, op in locks)
-            bits, _ = lock_step(applied, lock_type)
+            trial = planned.odt.with_operations(op for _, op, _ in locks)
+            bits, actions = lock_step(applied, lock_type)
             assert bits == len(locks)
+            assert ([value for _, _, value in locks]
+                    == [action.key_bits[0].correct_value
+                        for action in actions])
             assert list(trial.vector()) == list(applied.odt.vector())
             assert (global_metric(trial, initial)
                     == global_metric(applied.odt, initial))

@@ -91,7 +91,7 @@ class TestPairMode:
 
 
 class TestPlan:
-    """``plan_step`` makes the step's draws; ``lock_step`` applies them."""
+    """``plan_step`` makes all of the step's draws; ``lock_step`` applies them."""
 
     @pytest.mark.parametrize("lock_type,pair_mode",
                              [("+", False), ("-", False), ("+", True)])
@@ -119,16 +119,29 @@ class TestPlan:
         assert bits == len(actions) == len(locks)
         position = {id(ref): index
                     for index, ref in enumerate(planned.all_ops())}
-        for (ref, dummy_op), action in zip(locks, actions):
-            assert (ref.op, dummy_op) == (action.real_op, action.dummy_op)
+        for (ref, dummy_op, value), action in zip(locks, actions):
+            assert ((ref.op, dummy_op, value) == (action.real_op,
+                    action.dummy_op, action.key_bits[0].correct_value))
             # lock_step locked the operation the plan drew (the registry
             # only appends, so positions stay valid).
             assert applied.all_ops()[position[id(ref)]].lock_count == 1
-        # Both sessions drew the same selections; lock_step's rng is then
-        # one key value per lock further along.
-        for _ in locks:
-            planned.rng.randint(0, 1)
+        # The plan made every draw of the step: applying it draws nothing.
         assert planned.rng.getstate() == applied.rng.getstate()
+
+    @pytest.mark.parametrize("lock_type,pair_mode",
+                             [("+", False), ("-", False), ("+", True)])
+    def test_plan_draws_key_values_after_the_operations(self, lock_type,
+                                                        pair_mode):
+        session = _imbalanced(seed=5)
+        partner = session.pair_table.dummy_of(lock_type)
+        replay = random.Random(5)
+        chosen = [replay.choice(session.ops_of_type(lock_type)),
+                  replay.choice(session.ops_of_type(partner))]
+        locks = plan_step(session, lock_type, pair_mode=pair_mode)
+        assert {id(ref) for ref, _, _ in locks} <= {id(ref) for ref in chosen}
+        assert ([value for _, _, value in locks]
+                == [replay.randint(0, 1) for _ in locks])
+        assert session.rng.getstate() == replay.getstate()
 
     def test_missing_operations_plan_nothing(self, imbalanced_session):
         assert plan_step(imbalanced_session, "<<", pair_mode=True) == []
@@ -136,7 +149,7 @@ class TestPlan:
     def test_inconsistent_odt_detected(self, imbalanced_session):
         session = imbalanced_session
         # Corrupt the ODT so it claims an excess of '<<' with no such ops.
-        session.odt.add_operation("<<", mark_affected=False)
+        session.odt.add_operation("<<")
         with pytest.raises(LockingError):
             plan_step(session, "<<", pair_mode=False)
         with pytest.raises(LockingError):

@@ -54,10 +54,17 @@ class TestMutation:
         assert odt.is_affected("+")
         assert not odt.is_affected("*")
 
-    def test_add_without_marking_affected(self):
-        odt = make_odt({"+": 1})
-        odt.add_operation("-", mark_affected=False)
+    def test_add_marks_only_its_own_pair(self):
+        odt = make_odt({"+": 1, "*": 1})
+        odt.add_operation("/")
+        assert odt.affected_pairs() in ([("*", "/")], [("/", "*")])
         assert not odt.is_affected("+")
+
+    def test_add_unpaired_operation_marks_nothing(self):
+        odt = make_odt({"+": 1, "&&": 1})
+        odt.add_operation("&&")
+        assert odt.affected_pairs() == []
+        assert "&&:2" in odt.to_text()
 
 
 class TestWithOperations:

@@ -15,7 +15,6 @@ from repro.attacks.kpa import functional_kpa, kpa
 from repro.bench import load_benchmark
 from repro.locking import (
     AssureLocker,
-    ERALocker,
     flip_bits,
     functional_corruption,
     key_bit_sensitivity,
@@ -208,13 +207,15 @@ class TestReviewRegressions:
         """Enabling functional_vectors must not change bit-level KPA results."""
         _, locked_a = _locked_benchmark("SASC", seed=7)
         _, locked_b = _locked_benchmark("SASC", seed=7)
-        plain = SnapShotAttack(rounds=4, time_budget=0.5,
-                               rng=random.Random(11)).attack_many([locked_a,
-                                                                   locked_b])
-        validated = SnapShotAttack(rounds=4, time_budget=0.5,
-                                   functional_vectors=16,
-                                   rng=random.Random(11)).attack_many(
-            [locked_a, locked_b])
+        plain_attack = SnapShotAttack(rounds=4, time_budget=0.5,
+                                      rng=random.Random(11))
+        plain = [plain_attack.attack(target)
+                 for target in (locked_a, locked_b)]
+        validated_attack = SnapShotAttack(rounds=4, time_budget=0.5,
+                                          functional_vectors=16,
+                                          rng=random.Random(11))
+        validated = [validated_attack.attack(target)
+                     for target in (locked_a, locked_b)]
         for before, after in zip(plain, validated):
             assert before.predicted_key == after.predicted_key
             assert before.kpa == after.kpa

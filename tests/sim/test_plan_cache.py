@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.bench import load_benchmark, plus_network
-from repro.locking import AssureLocker
+from repro.locking import AssureLocker, LockingSession
 from repro.rtlir import Design
 from repro.sim import (
     BatchCompileError,
@@ -47,9 +47,9 @@ class TestFingerprint:
     def test_locking_mutation_changes_fingerprint(self):
         design = load_benchmark("FIR", scale=0.15, seed=0)
         before = design.fingerprint()
-        locker = AssureLocker("serial", rng=random.Random(0),
-                              track_metrics=False)
-        locker.lock(design, key_budget=4, in_place=True)
+        AssureLocker("serial", rng=random.Random(0)).relock(
+            LockingSession(design), key_budget=4)
+        assert design.key_width == 4
         assert design.fingerprint() != before
 
     def test_key_metadata_does_not_affect_fingerprint(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import locker_names, make_locker
 from repro.bench import plus_network, profile_design
 from repro.bench.profiles import BenchmarkProfile
 from repro.locking import AssureLocker, ERALocker, HRALocker, flip_bits
@@ -132,14 +133,16 @@ class TestLockingFunctionalContract:
                                    vectors=30, rng=random.Random(4))
         assert report.equivalent
 
-    def test_constant_locking_preserves_function(self, rng):
+    @pytest.mark.parametrize("locker", locker_names())
+    def test_locking_around_literals_preserves_function(self, locker):
         design = Design.from_verilog("""
-        module c (input [7:0] a, output [7:0] y);
+        module c (input [7:0] a, b, output [7:0] y, z);
           assign y = (a + 8'd37) ^ 8'h0F;
+          assign z = (b - 8'd5) & (a + 8'd1);
         endmodule
         """)
-        from repro.locking import AssureLocker
-        locked = AssureLocker(rng=rng).lock_constants(design, max_constants=2)
+        locked = make_locker(locker, random.Random(3)).lock(design, 4)
+        assert locked.design.key_width >= 4
         report = check_equivalence(design, locked.design,
                                    key=locked.design.correct_key,
                                    vectors=30, rng=random.Random(5))

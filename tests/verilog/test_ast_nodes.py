@@ -1,7 +1,20 @@
 """Unit tests for AST child iteration, tree walks and child replacement."""
 
+import pytest
+
 from repro.verilog import ast
 from repro.verilog.parser import parse_expression, parse_module
+
+#: ``(msb, lsb, width)``: range bounds as Verilog text and the constant
+#: width they give (``None`` when a bound is not constant).
+RANGE_CASES = [
+    ("7", "0", 8),
+    ("4-1", "0", 4),
+    ("2*4-1", "0", 8),
+    ("0", "3+4", 8),
+    ("W-1", "0", None),
+    ("8/2", "0", None),
+]
 
 
 class TestReplaceChild:
@@ -48,3 +61,12 @@ class TestTreeWalk:
         ops = sorted(node.op for node in module.iter_tree()
                      if isinstance(node, ast.BinaryOp))
         assert ops == ["+", "-", "^"]
+
+
+class TestRangeWidth:
+    @pytest.mark.parametrize("msb,lsb,width", RANGE_CASES,
+                             ids=[f"[{msb}:{lsb}]" for msb, lsb, _
+                                  in RANGE_CASES])
+    def test_constant_bounds_give_the_width(self, msb, lsb, width):
+        bounds = ast.Range(parse_expression(msb), parse_expression(lsb))
+        assert bounds.width() == width

@@ -17,9 +17,20 @@ class TestDefines:
 
     def test_undef(self):
         text = "`define A 1\n`undef A\nwire x = `A;\n"
-        # After undef the macro use stays verbatim (flagged later by the lexer
-        # if it matters); the preprocessor must not crash.
-        assert "`A" in preprocess(text)
+        with pytest.raises(PreprocessorError, match="undefined macro `A"):
+            preprocess(text)
+
+    def test_comments_are_dropped_with_their_line_breaks(self):
+        text = ('`define A 1 // `B\n/* `ifdef C\n`D */ wire a = `A;\n'
+                'wire s = "// kept"; // `E\n')
+        assert preprocess(text).split("\n") == [
+            "", "", ' wire a = 1;', 'wire s = "// kept"; ', ""]
+
+    def test_dropped_lines_keep_the_line_count(self):
+        text = ("`timescale 1ns/1ps\n`define A 1\n`ifdef B\nwire b;\n"
+                "`else\nwire c = `A;\n`endif\nwire d;\n")
+        assert preprocess(text).split("\n") == [
+            "", "", "", "", "", "wire c = 1;", "", "wire d;", ""]
 
     def test_define_with_comment_in_body(self):
         text = "`define W 16 // bus width\nwire [`W-1:0] d;\n"
