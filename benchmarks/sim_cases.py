@@ -199,7 +199,7 @@ def _sweep_inputs(design: Design, rng: random.Random, keys: int,
     """One plan, one shared batch and one key list; ``run(**options)``
     makes a zero-argument ``run_sweep`` path over them."""
     simulator = BatchSimulator(design)
-    batch = simulator.random_batch(rng, vectors)
+    batch = random_input_batch(design, rng, vectors)
     key_list = [random_key(design.key_width, rng) for _ in range(keys)]
 
     def run(**options) -> Callable[[], List[dict]]:
@@ -254,7 +254,7 @@ def _key_flips_setup(design: Design, rng: random.Random, sizes: Sizes):
     # re-runs only each flipped bit's cone.
     n = sizes.vn_vectors
     simulator = BatchSimulator(design)
-    batch = simulator.random_batch(rng, n)
+    batch = random_input_batch(design, rng, n)
     zeros = [0] * design.key_width
     keys = [zeros] + [zeros[:index] + [1] + zeros[index + 1:]
                       for index in range(design.key_width)]

@@ -113,7 +113,8 @@ def test_operation_census_n2046(benchmark, n2046_design):
 def test_scalar_simulation_locked_md5(benchmark, locked_md5):
     simulator = CombinationalSimulator(locked_md5)
     key = locked_md5.correct_key
-    vectors = [simulator.random_vector(random.Random(0)) for _ in range(32)]
+    vectors = batch_to_vectors(
+        random_input_batch(locked_md5, random.Random(0), 1), 1) * 32
 
     def run():
         return [simulator.run(v, key=key) for v in vectors]
@@ -125,7 +126,7 @@ def test_scalar_simulation_locked_md5(benchmark, locked_md5):
 def test_batch_simulation_locked_md5(benchmark, locked_md5):
     simulator = BatchSimulator(locked_md5)
     key = locked_md5.correct_key
-    batch = simulator.random_batch(random.Random(0), 256)
+    batch = random_input_batch(locked_md5, random.Random(0), 256)
 
     outputs = benchmark(simulator.run_batch, batch, key=key, n=256)
     assert all(len(values) == 256 for values in outputs.values())
@@ -200,7 +201,7 @@ def test_key_sweep_bit_identical_to_scalar_oracle(request, fixture_name):
 
 def test_key_sweep_throughput_era_md5(benchmark, era_locked_md5):
     simulator = BatchSimulator(era_locked_md5)
-    batch = simulator.random_batch(random.Random(0), 32)
+    batch = random_input_batch(era_locked_md5, random.Random(0), 32)
     rng = random.Random(1)
     keys = [random_key(era_locked_md5.key_width, rng) for _ in range(64)]
 
@@ -282,7 +283,7 @@ def test_pipelined_sweep_memory_gate_at_million_lanes(results_dir,
     keys_n, vectors, max_lanes = 2048, 512, 65536
     simulator = BatchSimulator(era_locked_i2c)
     rng = random.Random(0)
-    batch = simulator.random_batch(rng, vectors)
+    batch = random_input_batch(era_locked_i2c, rng, vectors)
     keys = [random_key(era_locked_i2c.key_width, rng) for _ in range(keys_n)]
 
     tracemalloc.start()

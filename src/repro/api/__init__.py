@@ -112,7 +112,6 @@ __all__ = [
     "JobOutcome",
     "TransientJobError",
     "classify_failure",
-    "register_transient_error",
     "FaultPlan",
     "FaultSpec",
     "FaultPlanError",
@@ -157,7 +156,6 @@ _LAZY = {
     "JobOutcome": "backends",
     "TransientJobError": "backends",
     "classify_failure": "backends",
-    "register_transient_error": "backends",
     "FaultPlan": "faults",
     "FaultSpec": "faults",
     "FaultPlanError": "faults",

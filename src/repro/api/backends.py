@@ -35,17 +35,17 @@ Fault-tolerance primitives shared with the runner:
   exponential backoff (the delay of ``(job, attempt)`` is a pure function
   of the policy seed, so retry schedules reproduce).
 * :func:`classify_failure` — transient-vs-permanent classification of a
-  failed attempt.  Crashes and timeouts are transient by definition;
-  exceptions are classified by name against :data:`TRANSIENT_ERROR_NAMES`
-  (extensible via :func:`register_transient_error`), because tracebacks
-  cross process boundaries as text.
-* :class:`TransientJobError` — raise this from a component to mark a
-  failure as retryable regardless of the name list.
+  failed attempt.  Crashes and timeouts are transient by definition; an
+  exception is classified where :func:`_run_attempt` catches it, by type:
+  a :class:`TransientJobError` (or a subclass) or a class named in
+  :data:`TRANSIENT_ERROR_NAMES` is transient.  The verdict travels home
+  in the :class:`JobOutcome`, next to the traceback text.
+* :class:`TransientJobError` — raise this (or a subclass) from a
+  component to mark a failure as retryable regardless of the name list.
 """
 
 from __future__ import annotations
 
-import re
 import signal
 import time
 import traceback
@@ -74,9 +74,9 @@ class TransientJobError(RuntimeError):
     """
 
 
-#: Exception *names* whose failures classify as transient.  Names, not
-#: types, because worker failures arrive as formatted tracebacks; extend
-#: with :func:`register_transient_error`.
+#: Names of the exception classes whose failures classify as transient,
+#: matched against the raised class's own name (not its bases, so an
+#: ``OSError`` subclass such as ``FileNotFoundError`` stays permanent).
 TRANSIENT_ERROR_NAMES = {
     "TransientJobError",
     "InjectedTransientError",
@@ -93,57 +93,19 @@ TRANSIENT_ERROR_NAMES = {
     "BrokenExecutor",
 }
 
-_EXCEPTION_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)(?::|$)")
 
-#: Suffixes that mark a bare identifier as an exception class name.
-_EXCEPTION_SUFFIXES = ("Error", "Exception", "Timeout", "Interrupt")
-
-
-def register_transient_error(name: str) -> str:
-    """Add an exception name to the transient classification set.
-
-    Returns the name, so it can be used as a tiny decorator-style helper::
-
-        register_transient_error("FlakyOracleError")
-    """
-    TRANSIENT_ERROR_NAMES.add(name)
-    return name
-
-
-def exception_name_from_traceback(error: str) -> str:
-    """Extract the raising exception's bare class name from traceback text.
-
-    Scans bottom-up for the first ``SomeError: ...`` line and strips any
-    module qualification.  An identifier counts as an exception name when
-    it carries a conventional suffix (``...Error``/``...Exception``/...) or
-    is module-qualified — ``traceback`` prints non-builtin exceptions fully
-    qualified (``concurrent.futures.process.BrokenProcessPool``), which is
-    how suffix-less names are recognised.  Returns ``""`` when nothing
-    matches (e.g. a hand-written error message).
-    """
-    for line in reversed(error.strip().splitlines()):
-        found = _EXCEPTION_LINE.match(line.strip())
-        if not found:
-            continue
-        name = found.group(1)
-        if name.endswith(_EXCEPTION_SUFFIXES) or "." in name:
-            return name.rsplit(".", 1)[-1]
-    return ""
-
-
-def classify_failure(kind: str, error: str = "") -> str:
+def classify_failure(outcome: JobOutcome) -> str:
     """Classify one failed attempt as ``"transient"`` or ``"permanent"``.
 
     Lost workers (``crash``) and hung jobs (``timeout``) are always
-    transient — the next attempt runs on a fresh worker.  ``error``
-    failures are classified by the raising exception's name against
-    :data:`TRANSIENT_ERROR_NAMES`; anything unrecognised is permanent, so
-    a poison job burns one attempt, not the whole retry budget.
+    transient — the next attempt runs on a fresh worker.  An ``error`` is
+    transient when :func:`_run_attempt` found its exception transient
+    (``outcome.transient``); anything else is permanent, so a poison job
+    burns one attempt, not the whole retry budget.
     """
-    if kind in ("crash", "timeout"):
+    if outcome.kind in ("crash", "timeout") or outcome.transient:
         return "transient"
-    name = exception_name_from_traceback(error)
-    return "transient" if name in TRANSIENT_ERROR_NAMES else "permanent"
+    return "permanent"
 
 
 @dataclass(frozen=True)
@@ -206,6 +168,8 @@ class JobOutcome:
         kind: One of :data:`OUTCOME_KINDS`.
         record: The completed record (``kind == "ok"`` only).
         error: Traceback or diagnostic text (failures only).
+        transient: Whether the exception of an ``error`` outcome is
+            transient (see :func:`classify_failure`).
     """
 
     index: int
@@ -214,6 +178,7 @@ class JobOutcome:
     kind: str = "ok"
     record: Optional[Dict] = None
     error: Optional[str] = None
+    transient: bool = False
 
     @property
     def ok(self) -> bool:
@@ -262,7 +227,10 @@ def _run_attempt(index: int, job: JobSpec, attempt: int, delay: float,
 
     ``on_start`` receives the monotonic start time once the backoff is
     over, just before the body runs.  A raising body becomes an ``error``
-    outcome carrying its traceback; a returning one an ``ok`` outcome.
+    outcome carrying its traceback and whether the exception is transient:
+    a :class:`TransientJobError` (or a subclass), or a class named in
+    :data:`TRANSIENT_ERROR_NAMES`.  A returning body becomes an ``ok``
+    outcome.
     """
     from .runner import execute_job
 
@@ -272,9 +240,12 @@ def _run_attempt(index: int, job: JobSpec, attempt: int, delay: float,
     try:
         record = execute_job(job, fault_plan=fault_plan, attempt=attempt,
                              in_worker=in_worker)
-    except Exception:
+    except Exception as exc:
+        transient = (isinstance(exc, TransientJobError)
+                     or type(exc).__name__ in TRANSIENT_ERROR_NAMES)
         return JobOutcome(index=index, job_id=job.job_id, attempt=attempt,
-                          kind="error", error=traceback.format_exc())
+                          kind="error", error=traceback.format_exc(),
+                          transient=transient)
     return JobOutcome(index=index, job_id=job.job_id, attempt=attempt,
                       record=record)
 

@@ -537,8 +537,7 @@ class Runner:
                         continue
                     outcome = failed[index]
                     attempts[index] += 1
-                    classification = classify_failure(outcome.kind,
-                                                      outcome.error or "")
+                    classification = classify_failure(outcome)
                     if (classification == "transient"
                             and attempts[index] < policy.attempts):
                         _log.warning(

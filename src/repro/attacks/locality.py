@@ -11,7 +11,7 @@ paper's ``[C1, C2]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def _key_controlled_nodes(design: Design) -> Dict[int, Tuple[int, int]]:
     assert key_port is not None
     pairs: Dict[int, Tuple[int, int]] = {}
     for item in design.top.items:
-        for node in _walk(item):
+        for node in item.iter_tree():
             if not isinstance(node, ast.TernaryOp):
                 continue
             index = _key_bit_index(node.cond, key_port)
@@ -161,11 +161,3 @@ def _key_controlled_nodes(design: Design) -> Dict[int, Tuple[int, int]]:
                                 _branch_operation_code(node.false_value))
     return pairs
 
-
-def _walk(root: ast.Node) -> Iterator[ast.Node]:
-    """Yield ``root``'s subtree in pre-order."""
-    stack: List[ast.Node] = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(list(node.children())))

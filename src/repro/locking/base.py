@@ -70,7 +70,6 @@ class OpRef:
 class LockAction:
     """Record of one applied locking primitive."""
 
-    kind: str
     key_bits: List[KeyBit]
     real_op: Optional[str] = None
     dummy_op: Optional[str] = None
@@ -263,7 +262,7 @@ class LockingSession:
         self.odt.add_operation(dummy_op)  # also marks the dummy's pair
         self.odt.mark_affected(real_op)
 
-        action = LockAction(kind="operation", key_bits=[bit],
+        action = LockAction(key_bits=[bit],
                             real_op=real_op, dummy_op=dummy_op)
         self.actions.append(action)
         return action

@@ -1,15 +1,21 @@
 """Combinational RTL simulation: functional checks for locked designs.
 
-Two engines, cross-checked against each other:
+One simulation surface over two engines, cross-checked against each other:
 
-* :class:`CombinationalSimulator` — the scalar engine: one input vector at a
-  time, walking the design's expression ASTs.  It shares no code with the
-  compiled plans, so it is the independent reference oracle and the
-  fallback for constructs the plan compiler cannot express.
-* :class:`BatchSimulator` — the bit-parallel *fast path*: N vectors at once,
+* :class:`BatchSimulator` — the bit-parallel engine: N vectors at once,
   bit-sliced into Python integers, executing the compiled :class:`EvalPlan`
   of the staged plan compiler in :mod:`repro.sim.plan` (IR → passes →
   executor).
+* :class:`CombinationalSimulator` — the scalar engine: one input vector at a
+  time, walking the design's expression ASTs.  It shares no code with the
+  compiled plans, so it is the independent reference oracle, and it
+  simulates the designs the plan compiler cannot express.
+
+Both have ``run``, ``run_batch`` and ``sweep_differences`` with the same
+arguments and the same results.  No caller picks one:
+:func:`check_equivalence` and :func:`sweep_differences` take the design's
+cached batch engine, and the scalar engine when compiling the design raises
+:class:`BatchCompileError`.
 
 :func:`compile_plan` always runs the same five passes in one order —
 dead-assignment pruning, constant folding, common-subexpression
@@ -19,11 +25,10 @@ subexpressions of key-dependent assignments into their own steps, so
 instead of once per S×V sweep lane) and lowering — and counts what they
 did in ``plan.stats``.
 
-Both validate the locking contract — with the correct key the locked design
-is functionally equivalent to the original, with a wrong key the outputs are
-corrupted.  :func:`check_equivalence` and :func:`output_corruption` use the
-batch engine by default and fall back to the scalar oracle for constructs the
-plan compiler cannot express.
+The two module functions check the locking contract: with the correct key the locked design
+is functionally equivalent to the original (:func:`check_equivalence`),
+with a wrong key the outputs are corrupted (:func:`sweep_differences` over
+the correct and a wrong key).
 
 On top of per-vector batching, three layers serve the metric and attack hot
 loops:
@@ -33,8 +38,7 @@ loops:
   pass instead of N batch calls, reduced to how many lanes and output bits
   of each point differ from point 0, counted by XOR and popcount on the
   slice words without unpacking a lane; output corruption, key-bit
-  sensitivity, input avalanche and functional KPA all run on it, and
-  designs the plan compiler cannot express fall back to the scalar engine.
+  sensitivity, input avalanche and functional KPA all run on it.
   A key sweep whose later points each flip at most one key bit of point
   0's key (key-bit sensitivity) takes the *cone path*: one V-lane pass of
   the whole plan under point 0's key, then per point only the flipped
@@ -47,7 +51,8 @@ loops:
   :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`, so
   equivalence checks, metrics, KPA and SnapShot stop recompiling one design,
 * :mod:`repro.sim.vectors` — the single seeded random-vector/key sampler all
-  consumers draw from, making sweeps reproducible from one ``rng``.
+  consumers and both engines draw from, making sweeps reproducible from one
+  ``rng``.
 """
 
 from .evaluator import ExpressionEvaluator, SimulationError, mask
@@ -74,11 +79,9 @@ from .plan_cache import (
     plan_cache_info,
 )
 from .simulator import (
-    ENGINES,
     CombinationalSimulator,
     EquivalenceReport,
     check_equivalence,
-    output_corruption,
     sweep_differences,
 )
 from .vectors import (
@@ -98,9 +101,7 @@ __all__ = [
     "CombinationalSimulator",
     "EquivalenceReport",
     "check_equivalence",
-    "output_corruption",
     "sweep_differences",
-    "ENGINES",
     "DEFAULT_LANE_BITS_BUDGET",
     "BatchCompileError",
     "BatchSimulator",

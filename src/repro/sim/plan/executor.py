@@ -47,7 +47,6 @@ values.
 
 from __future__ import annotations
 
-import random
 from itertools import repeat
 from typing import (Collection, Dict, FrozenSet, Iterable, List,
                     Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
@@ -517,6 +516,28 @@ def check_key(key: Sequence[int], width: int) -> None:
             raise SimulationError(f"key bit {position} is not 0/1")
 
 
+def check_lanes(inputs: Mapping[str, Sequence[int]],
+                n: Optional[int]) -> int:
+    """The lane count of a ``run_batch`` call; both engines call it.
+
+    Returns ``n``, else the length every input shares.
+
+    Raises:
+        SimulationError: for an input whose length differs, or no lane.
+    """
+    lanes = n
+    for name, values in inputs.items():
+        if lanes is None:
+            lanes = len(values)
+        elif len(values) != lanes:
+            raise SimulationError(
+                f"input {name!r} has {len(values)} lanes, expected {lanes}")
+    if lanes is None or lanes < 1:
+        raise SimulationError("batch needs at least one lane "
+                              "(pass inputs or n)")
+    return lanes
+
+
 # ---------------------------------------------------------------------------
 # Lane limits (memory-bounded pipelined execution)
 # ---------------------------------------------------------------------------
@@ -961,16 +982,7 @@ class BatchSimulator:
                 a bit that is not 0/1 (:func:`check_key`), or a
                 non-positive ``max_lanes``.
         """
-        lanes = n
-        for name, values in inputs.items():
-            if lanes is None:
-                lanes = len(values)
-            elif len(values) != lanes:
-                raise SimulationError(
-                    f"input {name!r} has {len(values)} lanes, expected {lanes}")
-        if lanes is None or lanes < 1:
-            raise SimulationError("batch needs at least one lane "
-                                  "(pass inputs or n)")
+        lanes = check_lanes(inputs, n)
         limit = self._resolve_max_lanes(max_lanes)
         if lanes > limit:
             return self._run_batch_chunked(inputs, key, lanes, limit)
@@ -1321,17 +1333,3 @@ class BatchSimulator:
         batch = {name: [value] for name, value in inputs.items()}
         outputs = self.run_batch(batch, key=key, n=1)
         return {name: values[0] for name, values in outputs.items()}
-
-    def random_batch(self, rng: random.Random,
-                     n: int) -> Dict[str, List[int]]:
-        """Draw ``n`` random vectors for every data input (key port excluded).
-
-        Delegates to :func:`repro.sim.vectors.random_vector_batch`, which
-        consumes the random stream in exactly the same order as ``n`` calls
-        to :meth:`CombinationalSimulator.random_vector`, so a shared ``rng``
-        seed produces identical test vectors on both engines.
-        """
-        from ..vectors import random_vector_batch
-        signals = [(name, self.width_of(name)) for name in self.plan.inputs
-                   if name != self.plan.key_port]
-        return random_vector_batch(signals, rng, n)

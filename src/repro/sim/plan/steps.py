@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ...verilog import ast_nodes as ast
+from ...verilog.codegen import generate
 from ..evaluator import SimulationError
 
 #: Working width of intermediate results (mirrors ExpressionEvaluator).
@@ -222,19 +223,34 @@ def expression_reads(expr: ast.Expression) -> FrozenSet[str]:
 
 
 def _declared_widths(module: ast.Module) -> Dict[str, int]:
+    """Each port's and net's declared width (1 bit without a range).
+
+    Raises:
+        SimulationError: for a range whose bounds are not constant, such as
+            ``[W-1:0]`` of a parameter ``W`` (parameters are not resolved).
+    """
     widths: Dict[str, int] = {}
     for port in module.ports:
-        widths[port.name] = port.width.width() if port.width else 1
+        widths[port.name] = _range_width(port.name, port.width)
     for item in module.items:
         if isinstance(item, ast.NetDeclaration):
-            width = item.width.width() if item.width else 1
             for name in item.names:
-                widths[name] = width or 1
+                widths[name] = _range_width(name, item.width)
         elif isinstance(item, ast.PortDeclaration):
-            width = item.width.width() if item.width else 1
             for name in item.names:
-                widths.setdefault(name, width or 1)
-    return {name: (width if width else 1) for name, width in widths.items()}
+                widths.setdefault(name, _range_width(name, item.width))
+    return widths
+
+
+def _range_width(name: str, declared: Optional[ast.Range]) -> int:
+    if declared is None:
+        return 1
+    width = declared.width()
+    if width is None:
+        raise SimulationError(
+            f"signal {name!r} has a range that is not constant: "
+            f"[{generate(declared.msb)}:{generate(declared.lsb)}]")
+    return width
 
 
 def _ordered_assignments(module: ast.Module

@@ -1,12 +1,10 @@
 """Seeded random-vector and key sampling shared by every simulation consumer.
 
-Before this module existed, :mod:`repro.locking.metrics` and
-:mod:`repro.attacks.kpa` each rolled their own input-vector loops.  Both
-now draw through the helpers below, which consume the ``random.Random``
-stream in one canonical order — *vector-major, input-minor*, key port
-excluded — so a shared seed produces identical test vectors everywhere: in
-the scalar oracle, in the batch engine, and across the scalar fallback of the
-sweep API.
+Every consumer — :func:`~repro.sim.check_equivalence`, the metrics of
+:mod:`repro.locking.metrics`, :mod:`repro.attacks.kpa` — draws through the
+helpers below, which consume the ``random.Random`` stream in one canonical
+order — *vector-major, input-minor*, key port excluded — so a shared seed
+produces identical test vectors whichever engine simulates them.
 """
 
 from __future__ import annotations
@@ -59,9 +57,9 @@ def random_input_batch(design: Design, rng: random.Random,
                        n: int) -> Dict[str, List[int]]:
     """Draw ``n`` random vectors for every data input of ``design``.
 
-    Unlike :meth:`BatchSimulator.random_batch <repro.sim.plan.BatchSimulator.random_batch>`
-    this never compiles a plan, so it also serves designs that only the
-    scalar engine can simulate.
+    The one input sampler of both engines: inputs in port order, each at
+    its declared width (:func:`input_signals`).  It never compiles a plan,
+    so it also serves designs that only the scalar engine can simulate.
     """
     return random_vector_batch(input_signals(design), rng, n)
 

@@ -38,10 +38,20 @@ class Node:
                         yield item
 
     def iter_tree(self) -> Iterator["Node"]:
-        """Yield this node and every descendant in pre-order."""
+        """Yield this node and every descendant in pre-order.
+
+        The walk keeps a stack of child iterators instead of recursing, so
+        a deep tree costs no interpreter recursion.
+        """
         yield self
-        for child in self.children():
-            yield from child.iter_tree()
+        stack = [self.children()]
+        while stack:
+            for node in stack[-1]:
+                yield node
+                stack.append(node.children())
+                break
+            else:
+                stack.pop()
 
     def replace_child(self, old: "Node", new: "Node") -> bool:
         """Replace the direct child ``old`` by ``new``.

@@ -8,6 +8,9 @@ convergence, quarantine, the ledger, pool timeouts) lives in
 ``test_fault_injection.py``.
 """
 
+from concurrent.futures import BrokenExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.api import (
@@ -18,15 +21,18 @@ from repro.api import (
     Scenario,
     ScenarioError,
 )
+from repro.api import runner as runner_module
 from repro.api.backends import (
+    JobOutcome,
     ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
     TRANSIENT_ERROR_NAMES,
+    TransientJobError,
+    _run_attempt,
     classify_failure,
-    exception_name_from_traceback,
-    register_transient_error,
 )
+from repro.api.faults import InjectedCrashError, InjectedTransientError
 
 
 def quick_scenario(**overrides):
@@ -109,45 +115,103 @@ class TestRetryPolicy:
         assert RetryPolicy(retries=2, backoff_base=0.0).delay("job", 2) == 0.0
 
 
+class FlakyOracleError(TransientJobError):
+    """A third-party transient failure: a subclass, not a listed name."""
+
+
+class FlakierOracleError(FlakyOracleError):
+    """A subclass two levels below :class:`TransientJobError`."""
+
+
+class NotListedError(RuntimeError):
+    """A permanent failure whose base is not transient either."""
+
+
+#: Exceptions a job raises, held as data: (id, exception, classification
+#: of the ``error`` outcome).  Every name of ``TRANSIENT_ERROR_NAMES`` is
+#: transient, subclasses of ``TransientJobError`` are transient, and a
+#: subclass of a listed class is not (no widening by the class hierarchy).
+RAISED = [
+    ("transient-job-error", TransientJobError("try again"), "transient"),
+    ("subclass", FlakyOracleError("oracle away"), "transient"),
+    ("subclass-of-subclass", FlakierOracleError("oracle away"),
+     "transient"),
+    ("injected-transient", InjectedTransientError("injected"), "transient"),
+    ("injected-crash", InjectedCrashError("injected"), "transient"),
+    ("timeout", TimeoutError("slow"), "transient"),
+    ("connection", ConnectionError("peer"), "transient"),
+    ("connection-reset", ConnectionResetError("peer went away"),
+     "transient"),
+    ("connection-refused", ConnectionRefusedError("nobody home"),
+     "transient"),
+    ("broken-pipe", BrokenPipeError("pipe"), "transient"),
+    ("eof", EOFError("eof"), "transient"),
+    ("os", OSError("disk"), "transient"),
+    ("io", IOError("disk"), "transient"),
+    ("broken-process-pool", BrokenProcessPool("pool"), "transient"),
+    ("broken-executor", BrokenExecutor("pool"), "transient"),
+    ("runtime", RuntimeError("boom"), "permanent"),
+    ("value", ValueError("bad"), "permanent"),
+    ("key", KeyError("missing"), "permanent"),
+    ("file-not-found", FileNotFoundError("no such file"), "permanent"),
+    ("not-listed-subclass", NotListedError("boom"), "permanent"),
+]
+
+
+def _attempt(monkeypatch, exc):
+    """The outcome of one attempt of a job whose body raises ``exc``."""
+    def raise_it(job, **_):
+        raise exc
+
+    monkeypatch.setattr(runner_module, "execute_job", raise_it)
+    job = quick_scenario().expand()[0]
+    return _run_attempt(0, job, 0, 0.0, None, False, lambda _at: None)
+
+
 class TestClassification:
     def test_crash_and_timeout_are_always_transient(self):
-        assert classify_failure("crash") == "transient"
-        assert classify_failure("timeout", "whatever text") == "transient"
+        for kind in ("crash", "timeout"):
+            outcome = JobOutcome(index=0, job_id="job", attempt=0, kind=kind,
+                                 error="whatever text")
+            assert classify_failure(outcome) == "transient"
 
-    def test_error_classification_by_exception_name(self):
-        transient = ("Traceback (most recent call last):\n"
-                     '  File "x.py", line 1, in f\n'
-                     "ConnectionResetError: peer went away\n")
-        permanent = ("Traceback (most recent call last):\n"
-                     '  File "x.py", line 1, in f\n'
-                     "RuntimeError: boom\n")
-        assert classify_failure("error", transient) == "transient"
-        assert classify_failure("error", permanent) == "permanent"
+    @pytest.mark.parametrize("exc,expected", [case[1:] for case in RAISED],
+                             ids=[case[0] for case in RAISED])
+    def test_error_classification_by_exception_type(self, monkeypatch, exc,
+                                                    expected):
+        outcome = _attempt(monkeypatch, exc)
+        assert outcome.kind == "error"
+        assert type(exc).__name__ in outcome.error
+        assert classify_failure(outcome) == expected
 
-    def test_qualified_exception_names_are_stripped(self):
-        error = ("Traceback (most recent call last):\n"
-                 "concurrent.futures.process.BrokenProcessPool: "
-                 "A process in the process pool was terminated\n")
-        assert exception_name_from_traceback(error) == "BrokenProcessPool"
-        assert classify_failure("error", error) == "transient"
-
-    def test_unrecognisable_text_is_permanent(self):
-        assert exception_name_from_traceback("segfault, probably") == ""
-        assert classify_failure("error", "segfault, probably") == "permanent"
-
-    def test_register_transient_error_extends_the_set(self):
-        name = register_transient_error("FlakyOracleTestError")
-        try:
-            assert classify_failure(
-                "error", "FlakyOracleTestError: oracle away") == "transient"
-        finally:
-            TRANSIENT_ERROR_NAMES.discard(name)
+    def test_every_listed_name_is_a_case(self):
+        # IOError is an alias of OSError: no class carries the name.
+        listed = {type(case[1]).__name__ for case in RAISED} \
+            & TRANSIENT_ERROR_NAMES
+        assert listed == TRANSIENT_ERROR_NAMES - {"IOError"}
 
     def test_transient_job_error_subclasses_classify_transient(self):
-        # The documented opt-in: raise TransientJobError from a component.
-        assert "TransientJobError" in TRANSIENT_ERROR_NAMES
-        assert classify_failure(
-            "error", "TransientJobError: try again") == "transient"
+        """A subclass raised by a job retries through the Runner, and a
+        permanent failure is quarantined after one attempt."""
+        from repro.api.registry import METRICS, register_metric
+
+        calls = []
+
+        @register_metric("flaky-oracle-test")
+        def _flaky(design, rng=None, **_):
+            calls.append(1)
+            if len(calls) == 1:
+                raise FlakyOracleError("oracle away")
+            return {"ok": True}
+
+        scenario = quick_scenario(lockers=(LockerSpec("era"),), attacks=(),
+                                  metrics=(MetricSpec("flaky-oracle-test"),))
+        try:
+            report = Runner(scenario, retries=1).run()
+        finally:
+            METRICS.unregister("flaky-oracle-test")
+        assert report.failures == []
+        assert report.executed == 1 and len(calls) == 2
 
 
 class TestSerialTimeout:

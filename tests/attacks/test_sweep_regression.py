@@ -24,7 +24,10 @@ from repro.locking import (
     key_bit_sensitivity,
 )
 from repro.rtlir import Design, KeyBit
-from repro.sim import check_equivalence, output_corruption
+from repro.sim import (CombinationalSimulator, EquivalenceReport,
+                       batch_to_vectors, check_equivalence,
+                       random_input_batch, sweep_differences)
+from tests.sim.test_batch_regression import refuse_plans
 
 #: Pinned literals (exact rationals of deterministic integer simulations).
 PINNED_WRONG_KEY_FKPA = 3.125
@@ -34,18 +37,18 @@ PINNED_SENSITIVITY = [0.8125, 0.0, 0.0, 0.0]
 def _run_on_both_engines(fn):
     """Run ``fn`` once on the batch sweep and once forced through scalar.
 
-    :func:`repro.sim.sweep_differences` is forced onto its scalar engine;
-    the run must call it, or it would compare batch to batch.
+    :func:`repro.sim.sweep_differences` is replaced by
+    :meth:`CombinationalSimulator.sweep_differences`; the run must call it,
+    or it would compare batch to batch.
     """
     batch_result = fn()
     original_differences = sim_package.sweep_differences
     forced = []
 
-    def scalar_differences(design, inputs, keys=None, bindings=None, n=None,
-                           engine="batch"):
+    def scalar_differences(design, inputs, keys=None, bindings=None, n=None):
         forced.append("sweep_differences")
-        return original_differences(design, inputs, keys=keys,
-                                    bindings=bindings, n=n, engine="scalar")
+        return CombinationalSimulator(design).sweep_differences(
+            inputs, keys=keys, bindings=bindings, n=n)
 
     sim_package.sweep_differences = scalar_differences
     try:
@@ -156,29 +159,87 @@ def _oddball_locked():
     return design
 
 
+def scalar_report(original, locked, key, vectors, rng):
+    """The report of :func:`check_equivalence`, from
+    :class:`CombinationalSimulator` called directly, one vector at a time."""
+    reference = CombinationalSimulator(original)
+    candidate = CombinationalSimulator(locked)
+    common = set(reference.output_names) & set(candidate.output_names)
+    inputs = batch_to_vectors(random_input_batch(original, rng, vectors),
+                              vectors)
+    mismatches, first = 0, None
+    for vector in inputs:
+        expected = reference.run(vector)
+        actual = candidate.run(vector, key=key)
+        diff = sorted(name for name in common
+                      if expected[name] != actual[name])
+        if diff:
+            mismatches += 1
+            first = first or {"inputs": vector, "outputs": diff,
+                              "expected": {n: expected[n] for n in diff},
+                              "actual": {n: actual[n] for n in diff}}
+    return EquivalenceReport(vectors, mismatches, first)
+
+
+#: Checks of the uncompilable design held as data: (id, bits flipped in
+#: the correct key, vectors, seed).  Both designs take the scalar path.
+FALLBACK_CASES = [
+    ("correct-key", (), 24, 3),
+    ("flip-bit-0", (0,), 24, 4),
+    ("flip-bit-1", (1,), 7, 5),
+    ("flip-both", (0, 1), 24, 6),
+    ("one-vector", (0, 1), 1, 7),
+]
+
+
 class TestUncompilableDesignFallback:
-    def test_check_equivalence_matches_scalar_engine(self):
+    @pytest.mark.parametrize("flips,vectors,seed",
+                             [case[1:] for case in FALLBACK_CASES],
+                             ids=[case[0] for case in FALLBACK_CASES])
+    def test_check_equivalence_matches_scalar_engine(self, flips, vectors,
+                                                     seed):
         original = Design.from_verilog(UNCOMPILABLE_ORIGINAL)
         locked = _oddball_locked()
-        key = locked.correct_key
-        batch = check_equivalence(original, locked, key=key, vectors=24,
-                                  rng=random.Random(3), engine="batch")
-        scalar = check_equivalence(original, locked, key=key, vectors=24,
-                                   rng=random.Random(3), engine="scalar")
-        assert batch.mismatches == scalar.mismatches
-        assert batch.first_mismatch == scalar.first_mismatch
-        assert batch.equivalent
+        key = flip_bits(locked.correct_key, list(flips))
+        report = check_equivalence(original, locked, key=key,
+                                   vectors=vectors, rng=random.Random(seed))
+        assert report == scalar_report(original, locked, key, vectors,
+                                       random.Random(seed))
+        assert report.equivalent == (not flips)
 
-    def test_output_corruption_matches_scalar_engine(self):
+    @pytest.mark.parametrize("flips,vectors,seed",
+                             [case[1:] for case in FALLBACK_CASES],
+                             ids=[case[0] for case in FALLBACK_CASES])
+    def test_sweep_differences_matches_scalar_engine(self, flips, vectors,
+                                                     seed):
         locked = _oddball_locked()
         correct = locked.correct_key
-        wrong = flip_bits(correct, [0, 1])
-        batch = output_corruption(locked, correct, wrong, vectors=24,
-                                  rng=random.Random(4), engine="batch")
-        scalar = output_corruption(locked, correct, wrong, vectors=24,
-                                   rng=random.Random(4), engine="scalar")
-        assert batch == scalar
-        assert batch > 0.0
+        batch = random_input_batch(locked, random.Random(seed), vectors)
+        keys = [correct, flip_bits(correct, list(flips)), correct]
+        counted = sweep_differences(locked, batch, keys=keys, n=vectors)
+        assert counted == CombinationalSimulator(locked).sweep_differences(
+            batch, keys=keys, n=vectors)
+        assert counted.lanes[1] == counted.bits[1] == 0
+        assert (counted.lanes[0] > 0) == bool(flips)
+
+    def test_refused_plans_take_the_same_path(self, monkeypatch):
+        """A design the compiler refuses gives the batch engine's report and
+        counts on the scalar engine."""
+        original = load_benchmark("MD5", scale=0.15, seed=0)
+        locked = _locked_md5()
+        wrong = flip_bits(locked.correct_key, range(0, locked.key_width, 2))
+        batch = random_input_batch(locked, random.Random(8), 24)
+        keys = [locked.correct_key, wrong]
+        fast = (check_equivalence(original, locked, key=wrong, vectors=24,
+                                  rng=random.Random(9)),
+                sweep_differences(locked, batch, keys=keys, n=24))
+        refused = refuse_plans(monkeypatch)
+        slow = (check_equivalence(original, locked, key=wrong, vectors=24,
+                                  rng=random.Random(9)),
+                sweep_differences(locked, batch, keys=keys, n=24))
+        assert refused == [original, locked, locked]
+        assert fast == slow
+        assert not fast[0].equivalent and fast[1].lanes[0] > 0
 
     def test_metric_consumers_fall_back_per_key(self):
         locked = _oddball_locked()

@@ -36,7 +36,7 @@ class TestOperationLocking:
     def test_add_pair_creates_key_controlled_ternary(self, session, mixer_design):
         ref = session.ops_of_type("+")[0]
         action = session.add_pair(ref)
-        assert action.kind == "operation"
+        assert (action.real_op, action.dummy_op) == ("+", "-")
         assert action.bits_used == 1
         assert mixer_design.key_width == 1
         assert mixer_design.key_port is not None

@@ -20,7 +20,10 @@ from repro.locking import (
     key_bit_sensitivity,
 )
 from repro.bench import plus_network
-from repro.sim import check_equivalence, output_corruption
+import repro.sim.plan_cache
+from repro.sim import (BatchCompileError, CombinationalSimulator,
+                       check_equivalence, sweep_differences)
+from repro.sim.vectors import random_input_batch
 
 from benchmarks import sim_cases
 from benchmarks.sim_cases import (ENGINES, Case, Sizes, assert_outputs_match,
@@ -38,29 +41,46 @@ def _locked_benchmark(name, seed=0, scale=0.15):
     return design, locked
 
 
+def refuse_plans(monkeypatch):
+    """From here on, compiling any design raises ``BatchCompileError``, so
+    ``repro.sim`` simulates every design on the scalar engine; returns the
+    list of designs refused."""
+    refused = []
+
+    def refuse(design):
+        refused.append(design)
+        raise BatchCompileError("plans refused by the test")
+
+    monkeypatch.setattr(repro.sim.plan_cache, "cached_simulator", refuse)
+    return refused
+
+
 class TestEngineEqualityOnSeedProfiles:
     @pytest.mark.parametrize("name", PROFILES)
-    def test_equivalence_reports_identical(self, name):
+    def test_equivalence_reports_identical(self, name, monkeypatch):
         design, locked = _locked_benchmark(name)
         key = locked.correct_key
         batch = check_equivalence(design, locked, key=key, vectors=40,
-                                  rng=random.Random(1), engine="batch")
+                                  rng=random.Random(1))
+        refused = refuse_plans(monkeypatch)
         scalar = check_equivalence(design, locked, key=key, vectors=40,
-                                   rng=random.Random(1), engine="scalar")
+                                   rng=random.Random(1))
+        assert refused == [design, locked]
         assert batch.vectors == scalar.vectors
         assert batch.mismatches == scalar.mismatches
         assert batch.first_mismatch == scalar.first_mismatch
         assert batch.equivalent
 
     @pytest.mark.parametrize("name", PROFILES)
-    def test_wrong_key_reports_identical(self, name):
+    def test_wrong_key_reports_identical(self, name, monkeypatch):
         design, locked = _locked_benchmark(name)
         correct = locked.correct_key
         wrong = flip_bits(correct, range(0, len(correct), 2))
         batch = check_equivalence(design, locked, key=wrong, vectors=30,
-                                  rng=random.Random(2), engine="batch")
+                                  rng=random.Random(2))
+        refuse_plans(monkeypatch)
         scalar = check_equivalence(design, locked, key=wrong, vectors=30,
-                                   rng=random.Random(2), engine="scalar")
+                                   rng=random.Random(2))
         assert batch.mismatches == scalar.mismatches
         assert batch.first_mismatch == scalar.first_mismatch
 
@@ -69,20 +89,11 @@ class TestEngineEqualityOnSeedProfiles:
         _, locked = _locked_benchmark(name)
         correct = locked.correct_key
         wrong = flip_bits(correct, range(len(correct)))
-        batch = output_corruption(locked, correct, wrong, vectors=40,
-                                  rng=random.Random(3), engine="batch")
-        scalar = output_corruption(locked, correct, wrong, vectors=40,
-                                   rng=random.Random(3), engine="scalar")
-        assert batch == scalar
-
-    def test_unknown_engine_rejected(self):
-        design, locked = _locked_benchmark("FIR")
-        with pytest.raises(ValueError):
-            check_equivalence(design, locked, key=locked.correct_key,
-                              engine="turbo")
-        with pytest.raises(ValueError):
-            output_corruption(locked, locked.correct_key,
-                              locked.correct_key, engine="turbo")
+        batch = random_input_batch(locked, random.Random(3), 40)
+        keys = [correct, wrong]
+        assert sweep_differences(locked, batch, keys=keys, n=40) \
+            == CombinationalSimulator(locked).sweep_differences(
+                batch, keys=keys, n=40)
 
 
 class TestFunctionalMetrics:

@@ -97,7 +97,7 @@ class TestChunkedBitIdentity:
     def test_key_sweep_matrix(self, max_lanes):
         locked = _locked(algorithm="era")
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(1), BASE)
+        batch = random_input_batch(locked, random.Random(1), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=2)
         reference = simulator.run_sweep(batch, keys=keys, n=BASE)
         chunked = simulator.run_sweep(batch, keys=keys, n=BASE,
@@ -110,7 +110,7 @@ class TestChunkedBitIdentity:
     def test_hoisted_and_flat_schedules(self, schedule, max_lanes):
         locked = _scheduled(*schedule)
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(3), BASE)
+        batch = random_input_batch(locked, random.Random(3), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=4)
         chunked = simulator.run_sweep(batch, keys=keys, n=BASE,
                                       max_lanes=max_lanes)
@@ -124,7 +124,7 @@ class TestChunkedBitIdentity:
         data = [name for name in simulator.input_names
                 if name != locked.key_port]
         swept_name = data[0]
-        base = simulator.random_batch(random.Random(5), BASE)
+        base = random_input_batch(locked, random.Random(5), BASE)
         shared = {name: values for name, values in base.items()
                   if name != swept_name}
         bindings = [{swept_name: point % 4} for point in range(POINTS)]
@@ -147,7 +147,7 @@ class TestChunkedBitIdentity:
     def test_ragged_last_tile_against_per_key_loop(self):
         locked = _locked(algorithm="era")
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(7), BASE)
+        batch = random_input_batch(locked, random.Random(7), BASE)
         keys = _random_keys(locked.key_width, 7, seed=8)
         # 3-point tiles over 7 points: tiles of 3, 3, and 1.
         swept = simulator.run_sweep(batch, keys=keys, n=BASE,
@@ -158,7 +158,7 @@ class TestChunkedBitIdentity:
     def test_run_batch_chunking(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(9), 10)
+        batch = random_input_batch(locked, random.Random(9), 10)
         (key,) = _random_keys(locked.key_width, 1, seed=10)
         reference = simulator.run_batch(batch, key=key, n=10)
         for cap in (1, 3, 4, 10, 1 << 30):
@@ -178,7 +178,7 @@ class TestOutputKeyOrder:
     def test_result_keys_match_plan_outputs(self, schedule):
         locked = _scheduled(*schedule)
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(11), 4)
+        batch = random_input_batch(locked, random.Random(11), 4)
         keys = _random_keys(locked.key_width, 3, seed=12)
         for point in simulator.run_sweep(batch, keys=keys, n=4):
             assert list(point) == list(simulator.plan.outputs)
@@ -186,7 +186,7 @@ class TestOutputKeyOrder:
     def test_key_order_identical_across_paths(self):
         locked = _scheduled(*SCHEDULES[0])
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(13), 4)
+        batch = random_input_batch(locked, random.Random(13), 4)
         keys = _random_keys(locked.key_width, 3, seed=14)
         orders = set()
         for max_lanes in (None, BASE):
@@ -202,7 +202,7 @@ class TestLaneLimitResolution:
     def test_rejects_nonpositive_cap(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(15), 4)
+        batch = random_input_batch(locked, random.Random(15), 4)
         keys = _random_keys(locked.key_width, 2, seed=16)
         with pytest.raises(SimulationError):
             simulator.run_sweep(batch, keys=keys, n=4, max_lanes=0)
@@ -222,7 +222,7 @@ class TestLaneLimitResolution:
     def test_unscoped_sweep_is_tiled_at_the_plan_cap(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(17), BASE)
+        batch = random_input_batch(locked, random.Random(17), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=18)
         reference = simulator.run_sweep(batch, keys=keys, n=BASE)
         counted = simulator.sweep_differences(batch, keys=keys, n=BASE)
@@ -237,7 +237,7 @@ class TestLaneLimitResolution:
     def test_explicit_arg_overrides_plan_cap(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(19), BASE)
+        batch = random_input_batch(locked, random.Random(19), BASE)
         keys = _random_keys(locked.key_width, POINTS, seed=20)
         reference = simulator.run_sweep(batch, keys=keys, n=BASE)
         with _plan_cap(simulator.plan, BASE), _recorded_tiles() as tiles:
@@ -318,7 +318,7 @@ class TestConsumerThreading:
     def test_unlocked_sweep_with_bindings_chunks(self):
         design = plus_network(16, n_inputs=4, name="plus16c")
         simulator = BatchSimulator(design)
-        base = simulator.random_batch(random.Random(27), 6)
+        base = random_input_batch(design, random.Random(27), 6)
         shared = {name: values for name, values in base.items()
                   if name != "in0"}
         bindings = [{"in0": value} for value in range(5)]

@@ -13,6 +13,7 @@ from repro.sim import (
     clear_plan_cache,
     get_plan,
     plan_cache_info,
+    random_input_batch,
 )
 from repro.sim import plan_cache
 
@@ -148,7 +149,7 @@ class TestPlanCache:
         design = _locked_md5()
         simulator = cached_simulator(design)
         assert simulator.plan is get_plan(design)
-        batch = simulator.random_batch(random.Random(0), 4)
+        batch = random_input_batch(design, random.Random(0), 4)
         from repro.sim import BatchSimulator
         direct = BatchSimulator(design)
         assert simulator.run_batch(batch, key=design.correct_key, n=4) == \

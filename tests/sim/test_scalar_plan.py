@@ -53,7 +53,8 @@ class TestThreeWayAgreement:
                               track_metrics=False).lock(design,
                                                         budget).design
         scalar = CombinationalSimulator(locked)
-        vector = scalar.random_vector(random.Random(3))
+        (vector,) = batch_to_vectors(
+            random_input_batch(locked, random.Random(3), 1), 1)
         zeros = [0] * locked.key_width
         assert scalar.run(vector) == scalar.run(vector, key=zeros)
         assert BatchSimulator(locked).run(vector) == scalar.run(vector)

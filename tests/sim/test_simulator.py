@@ -10,10 +10,13 @@ from repro.bench.profiles import BenchmarkProfile
 from repro.locking import AssureLocker, ERALocker, HRALocker, flip_bits
 from repro.rtlir import Design
 from repro.sim import (
+    BatchSimulator,
     CombinationalSimulator,
     SimulationError,
     check_equivalence,
-    output_corruption,
+    input_signals,
+    random_input_batch,
+    sweep_differences,
 )
 
 ADDER_SOURCE = """
@@ -78,17 +81,80 @@ class TestSimulatorBasics:
         with pytest.raises(SimulationError):
             CombinationalSimulator(design)
 
-    def test_random_vector_respects_widths(self, adder_design, rng):
-        simulator = CombinationalSimulator(adder_design)
-        vector = simulator.random_vector(rng)
-        assert set(vector) == {"a", "b", "c"}
-        assert all(0 <= value < 256 for value in vector.values())
+    def test_random_input_batch_respects_widths(self, adder_design, rng):
+        batch = random_input_batch(adder_design, rng, 16)
+        assert set(batch) == {"a", "b", "c"}
+        assert all(0 <= value < 256
+                   for values in batch.values() for value in values)
 
     def test_benchmark_design_simulates(self):
         design = plus_network(12, n_inputs=4, name="plus12")
         simulator = CombinationalSimulator(design)
         outputs = simulator.run({"in0": 1, "in1": 2, "in2": 3, "in3": 4})
         assert "out" in outputs
+
+
+#: Declared ranges held as data: (id, Verilog of a module with input
+#: ``a`` and output ``y = a + 1``, width of ``a``).
+CONSTANT_RANGES = [
+    ("literal", "module m (input [3:0] a, output [3:0] y);"
+                " assign y = a + 1; endmodule", 4),
+    ("folded", "module m (input [4-1:0] a, output [3:0] y);"
+               " assign y = a + 1; endmodule", 4),
+    ("macro", "`define W 4\nmodule m (input [`W-1:0] a, output [`W-1:0] y);"
+              " assign y = a + 1; endmodule", 4),
+    ("ascending", "module m (input [0:5] a, output [5:0] y);"
+                  " assign y = a + 1; endmodule", 6),
+    ("no-range", "module m (input a, output [1:0] y);"
+                 " assign y = a + 1; endmodule", 1),
+]
+
+#: Ranges that are not constant: (id, Verilog, the SimulationError
+#: message every engine and ``input_signals`` raise).  Parameters are not
+#: resolved, so a range that reads one is rejected, not read as 1 bit.
+NON_CONSTANT_RANGES = [
+    ("parameter-port", "module m #(parameter W = 4) (input [W-1:0] a,"
+                       " output [W-1:0] y); assign y = a + 1; endmodule",
+     "signal 'a' has a range that is not constant: [(W - 1):0]"),
+    ("parameter-output", "module m #(parameter W = 4) (input [3:0] a,"
+                         " output [W:0] y); assign y = a + 1; endmodule",
+     "signal 'y' has a range that is not constant: [W:0]"),
+    ("localparam-wire", "module m (input [3:0] a, output [3:0] y);"
+                        " localparam K = 2; wire [K:0] t; assign t = a;"
+                        " assign y = t + 1; endmodule",
+     "signal 't' has a range that is not constant: [K:0]"),
+    ("port-declaration", "module m (a, y); parameter W = 4;"
+                         " input [W-1:0] a; output [3:0] y;"
+                         " assign y = a + 1; endmodule",
+     "signal 'a' has a range that is not constant: [(W - 1):0]"),
+]
+
+#: Every reader of the declared widths.
+WIDTH_READERS = {"scalar": CombinationalSimulator, "batch": BatchSimulator,
+                 "input_signals": input_signals}
+
+
+class TestDeclaredWidths:
+    @pytest.mark.parametrize("source,width",
+                             [case[1:] for case in CONSTANT_RANGES],
+                             ids=[case[0] for case in CONSTANT_RANGES])
+    def test_constant_ranges(self, source, width):
+        design = Design.from_verilog(source)
+        assert input_signals(design) == [("a", width)]
+        for engine in (CombinationalSimulator, BatchSimulator):
+            simulator = engine(design)
+            assert simulator.width_of("a") == width
+            assert simulator.run({"a": 1})["y"] == 2
+
+    @pytest.mark.parametrize("reader", sorted(WIDTH_READERS))
+    @pytest.mark.parametrize("source,message",
+                             [case[1:] for case in NON_CONSTANT_RANGES],
+                             ids=[case[0] for case in NON_CONSTANT_RANGES])
+    def test_non_constant_ranges_raise(self, reader, source, message):
+        design = Design.from_verilog(source)
+        with pytest.raises(SimulationError) as excinfo:
+            WIDTH_READERS[reader](design)
+        assert str(excinfo.value) == message
 
 
 class TestLockingFunctionalContract:
@@ -110,9 +176,10 @@ class TestLockingFunctionalContract:
                               track_metrics=False).lock(adder_design, 5)
         correct = locked.design.correct_key
         wrong = flip_bits(correct, range(len(correct)))
-        rate = output_corruption(locked.design, correct, wrong,
-                                 vectors=40, rng=random.Random(2))
-        assert rate > 0.5
+        batch = random_input_batch(locked.design, random.Random(2), 40)
+        differences = sweep_differences(locked.design, batch,
+                                        keys=[correct, wrong], n=40)
+        assert differences.lanes[0] / 40 > 0.5
 
     def test_single_flipped_bit_changes_behaviour(self, adder_design):
         locked = AssureLocker("serial", rng=random.Random(1),

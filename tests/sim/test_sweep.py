@@ -46,7 +46,7 @@ class TestRunSweep:
     def test_equals_per_key_batch_loop(self, algorithm):
         locked = _locked(algorithm=algorithm)
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(1), 16)
+        batch = random_input_batch(locked, random.Random(1), 16)
         keys = _random_keys(locked.key_width, 12, seed=2)
         swept = simulator.run_sweep(batch, keys=keys, n=16)
         loop = [simulator.run_batch(batch, key=key, n=16) for key in keys]
@@ -55,7 +55,7 @@ class TestRunSweep:
     def test_equals_scalar_oracle(self):
         locked = _locked(algorithm="era")
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(3), 8)
+        batch = random_input_batch(locked, random.Random(3), 8)
         keys = [locked.correct_key] + _random_keys(locked.key_width, 5, 4)
         swept = simulator.run_sweep(batch, keys=keys, n=8)
         assert swept == _scalar_sweep(locked, batch, keys, 8)
@@ -63,7 +63,7 @@ class TestRunSweep:
     def test_single_point_equals_run_batch(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(5), 4)
+        batch = random_input_batch(locked, random.Random(5), 4)
         key = locked.correct_key
         (point,) = simulator.run_sweep(batch, keys=[key], n=4)
         assert point == simulator.run_batch(batch, key=key, n=4)
@@ -71,7 +71,7 @@ class TestRunSweep:
     def test_input_bindings_broadcast_per_point(self):
         design = plus_network(16, n_inputs=4, name="plus16")
         simulator = BatchSimulator(design)
-        base = simulator.random_batch(random.Random(6), 6)
+        base = random_input_batch(design, random.Random(6), 6)
         shared = {name: values for name, values in base.items()
                   if name != "in0"}
         bindings = [{"in0": 0}, {"in0": 7}, {}]
@@ -87,7 +87,7 @@ class TestRunSweep:
         data = [name for name in simulator.input_names
                 if name != locked.key_port]
         swept_name = data[0]
-        base = simulator.random_batch(random.Random(7), 4)
+        base = random_input_batch(locked, random.Random(7), 4)
         shared = {name: values for name, values in base.items()
                   if name != swept_name}
         keys = _random_keys(locked.key_width, 3, 8)
@@ -100,7 +100,7 @@ class TestRunSweep:
     def test_rejects_invalid_key_bits(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(13), 2)
+        batch = random_input_batch(locked, random.Random(13), 2)
         bad = [[2] * locked.key_width]
         with pytest.raises(SimulationError):
             simulator.run_sweep(batch, keys=bad, n=2)
@@ -156,8 +156,8 @@ class TestScalarOracle:
         batch = random_input_batch(locked, random.Random(22), 6)
         keys = [[1, 0], [0, 1], [1, 1]]
         counted = sweep_differences(locked, batch, keys=keys, n=6)
-        assert counted == sweep_differences(locked, batch, keys=keys, n=6,
-                                            engine="scalar")
+        assert counted == CombinationalSimulator(locked).sweep_differences(
+            batch, keys=keys, n=6)
         reference, *others = _scalar_sweep(locked, batch, keys, 6)
         assert counted.lanes == [len(differing_lanes(reference, outputs))
                                  for outputs in others]

@@ -6,8 +6,9 @@ Its counts must equal what the value path gives — ``run_sweep``, then
 ``differing_lanes`` and the per-lane ``bit_count`` of the XOR against
 point 0 — for every tiling, key and binding sweeps, hoisted outputs,
 and base widths that are and are not whole bytes.  The
-module-level :func:`repro.sim.sweep_differences` must give the same counts
-on its scalar engine, which is also the fallback for uncompilable designs.
+module-level :func:`repro.sim.sweep_differences` and
+:meth:`CombinationalSimulator.sweep_differences` (the engine of
+uncompilable designs) must give the same counts.
 Sweeps of single-bit key flips take the cone path and run no tile; their
 counts are held to both references in one case table (``CONE_CASES``).
 A tile's point block is V rounded up to whole bytes; at base widths that
@@ -116,6 +117,35 @@ BAD_KEYS = [
 ]
 
 
+#: Bad batches of ``run_batch`` held as data: (id, arguments, the
+#: SimulationError message every engine raises; ``{top}`` is the design's
+#: top module).
+BAD_BATCHES = [
+    ("ragged-inputs", {"inputs": {"a": [1, 2], "b": [3]}},
+     "input 'b' has 1 lanes, expected 2"),
+    ("n-disagrees-with-inputs", {"inputs": {"a": [1, 2]}, "n": 3},
+     "input 'a' has 2 lanes, expected 3"),
+    ("no-lanes", {"inputs": {}},
+     "batch needs at least one lane (pass inputs or n)"),
+    ("zero-lanes", {"inputs": {}, "n": 0},
+     "batch needs at least one lane (pass inputs or n)"),
+    ("unknown-input", {"inputs": {"zz": [1]}},
+     "'zz' is not an input of {top!r}"),
+]
+
+#: Good batches of ``run_batch``: (id, arguments).  Missing inputs are 0
+#: in every lane; without a key the key port is 0.
+GOOD_BATCHES = [
+    ("all-inputs", {"inputs": {"a": [1, 200, 255], "b": [7, 8, 250]},
+                    "key": [1, 0]}),
+    ("wrong-key", {"inputs": {"a": [1, 200, 255], "b": [7, 8, 250]},
+                   "key": [0, 1]}),
+    ("missing-input", {"inputs": {"a": [3, 4]}, "key": [1, 1]}),
+    ("lanes-from-n", {"inputs": {}, "n": 4, "key": [0, 0]}),
+    ("no-key", {"inputs": {"b": [9]}}),
+]
+
+
 def _locked_md5(seed=0, scale=0.15):
     design = load_benchmark("MD5", scale=scale, seed=seed)
     budget = max(1, int(0.75 * design.num_operations()))
@@ -186,7 +216,7 @@ class TestKeySweeps:
         locked = _locked_md5()
         simulator = BatchSimulator(locked)
         rng = random.Random(1)
-        batch = simulator.random_batch(rng, 64)
+        batch = random_input_batch(locked, rng, 64)
         keys = [locked.correct_key] + [random_key(locked.key_width, rng)
                                        for _ in range(POINTS - 1)]
         counted = _assert_matches(simulator, 64, lane_cap, inputs=batch,
@@ -200,14 +230,14 @@ class TestKeySweeps:
         locked = _locked_md5()
         simulator = BatchSimulator(locked)
         rng = random.Random(base)
-        batch = simulator.random_batch(rng, base)
+        batch = random_input_batch(locked, rng, base)
         keys = [random_key(locked.key_width, rng) for _ in range(POINTS)]
         _assert_matches(simulator, base, lane_cap, inputs=batch, keys=keys)
 
     def test_identical_keys_differ_nowhere(self):
         locked = _locked_md5()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(2), 64)
+        batch = random_input_batch(locked, random.Random(2), 64)
         counted = simulator.sweep_differences(
             batch, keys=[locked.correct_key] * POINTS, n=64)
         assert counted == SweepDifferences(tuple(simulator.output_names),
@@ -217,7 +247,7 @@ class TestKeySweeps:
     def test_single_point_has_nothing_to_compare(self):
         locked = _locked_md5()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(3), 64)
+        batch = random_input_batch(locked, random.Random(3), 64)
         counted = simulator.sweep_differences(
             batch, keys=[locked.correct_key], n=64)
         assert counted.lanes == [] and counted.bits == []
@@ -248,7 +278,7 @@ class TestBindingSweeps:
         swept = data[0]
         rng = random.Random(base + 1)
         batch = {name: values for name, values
-                 in simulator.random_batch(rng, base).items()
+                 in random_input_batch(locked, rng, base).items()
                  if name != swept}
         bindings = [{swept: rng.getrandbits(simulator.width_of(swept))}
                     for _ in range(POINTS)]
@@ -270,8 +300,8 @@ class TestEntryPoint:
         batch = random_input_batch(locked, rng, base)
         keys = [random_key(locked.key_width, rng) for _ in range(4)]
         fast = sweep_differences(locked, batch, keys=keys, n=base)
-        slow = sweep_differences(locked, batch, keys=keys, n=base,
-                                 engine="scalar")
+        slow = CombinationalSimulator(locked).sweep_differences(
+            batch, keys=keys, n=base)
         assert fast == slow
 
     def test_scalar_engine_supports_bindings(self):
@@ -282,8 +312,8 @@ class TestEntryPoint:
         keys = [locked.correct_key, [0, 0], [1, 1], [0, 1]]
         fast = sweep_differences(locked, batch, keys=keys,
                                  bindings=bindings, n=33)
-        slow = sweep_differences(locked, batch, keys=keys,
-                                 bindings=bindings, n=33, engine="scalar")
+        slow = CombinationalSimulator(locked).sweep_differences(
+            batch, keys=keys, bindings=bindings, n=33)
         assert fast == slow
         assert any(fast.bits)
 
@@ -295,8 +325,8 @@ class TestEntryPoint:
         keys = [correct, flip_bits(correct, [0]), flip_bits(correct, [1]),
                 flip_bits(correct, [0, 1])]
         counted = sweep_differences(locked, batch, keys=keys, n=24)
-        scalar = sweep_differences(locked, batch, keys=keys, n=24,
-                                   engine="scalar")
+        scalar = CombinationalSimulator(locked).sweep_differences(
+            batch, keys=keys, n=24)
         assert counted == scalar
         assert counted.outputs == ("y", "z")
         assert all(lanes > 0 for lanes in counted.lanes)
@@ -304,16 +334,14 @@ class TestEntryPoint:
     def test_rejects_bad_requests(self):
         locked = _locked_md5()
         batch = random_input_batch(locked, random.Random(6), 8)
-        with pytest.raises(ValueError):
-            sweep_differences(locked, batch, keys=[locked.correct_key],
-                              engine="turbo")
         unlocked = load_benchmark("MD5", scale=0.15, seed=0)
-        for engine in ("batch", "scalar"):
+        for sweep in (sweep_differences,
+                      lambda design, *args, **kwargs: CombinationalSimulator(
+                          design).sweep_differences(*args, **kwargs)):
             with pytest.raises(SimulationError):
-                sweep_differences(unlocked, batch, keys=[[0]], n=8,
-                                  engine=engine)
+                sweep(unlocked, batch, keys=[[0]], n=8)
             with pytest.raises(SimulationError):
-                sweep_differences(locked, batch, n=8, engine=engine)
+                sweep(locked, batch, n=8)
 
 
 class TestBadSweeps:
@@ -336,10 +364,10 @@ class TestBadSweeps:
         with pytest.raises(SimulationError) as excinfo:
             if engine == "run_sweep":
                 BatchSimulator(design).run_sweep(**sweep)
+            elif engine == "scalar":
+                CombinationalSimulator(design).sweep_differences(**sweep)
             else:
-                sweep_differences(design, **sweep,
-                                  engine="scalar" if engine == "scalar"
-                                  else "batch")
+                sweep_differences(design, **sweep)
         assert str(excinfo.value) == message.format(top=design.top_name)
 
 
@@ -364,6 +392,34 @@ class TestBadKeys:
                     {"a": [1, 2, 3]}, key=key,
                     max_lanes=1 if engine == "batch-chunked" else None)
         assert str(excinfo.value) == message
+
+
+class TestRunBatch:
+    """``run_batch`` of both engines: one lane check (``check_lanes``), one
+    message, and the same outputs."""
+
+    @pytest.mark.parametrize("engine", ["batch", "batch-chunked", "scalar"])
+    @pytest.mark.parametrize("batch,message",
+                             [case[1:] for case in BAD_BATCHES],
+                             ids=[case[0] for case in BAD_BATCHES])
+    def test_every_engine_raises_the_same_error(self, engine, batch,
+                                                message):
+        design = _split_locked()
+        with pytest.raises(SimulationError) as excinfo:
+            if engine == "scalar":
+                CombinationalSimulator(design).run_batch(**batch)
+            else:
+                BatchSimulator(design).run_batch(
+                    **batch, max_lanes=1 if engine == "batch-chunked"
+                    else None)
+        assert str(excinfo.value) == message.format(top=design.top_name)
+
+    @pytest.mark.parametrize("batch", [case[1] for case in GOOD_BATCHES],
+                             ids=[case[0] for case in GOOD_BATCHES])
+    def test_scalar_engine_equals_the_batch_engine(self, batch):
+        design = _split_locked()
+        assert CombinationalSimulator(design).run_batch(**batch) \
+            == BatchSimulator(design).run_batch(**batch)
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +517,14 @@ def run_cone_case(design, base, point0, flips, tiled):
     if flips == "each":
         flips = [(bit,) for bit in range(width)] + [()]
     keys = [key0] + [flip_bits(key0, list(bits)) for bits in flips]
-    batch = simulator.random_batch(rng, base)
+    batch = random_input_batch(design, rng, base)
     with _recorded_tiles() as tiles:
         counted = simulator.sweep_differences(batch, keys=keys, n=base)
     assert bool(tiles) == tiled
     runs = simulator.run_sweep(batch, keys=keys, n=base)
     assert (counted.lanes, counted.bits) == _expected(runs, base)
-    assert counted == sweep_differences(design, batch, keys=keys, n=base,
-                                        engine="scalar")
+    assert counted == CombinationalSimulator(design).sweep_differences(
+        batch, keys=keys, n=base)
     for index, bits in enumerate(flips):
         if not bits:
             assert counted.lanes[index] == counted.bits[index] == 0
@@ -508,7 +564,7 @@ class TestConePath:
         design = _custom_locked("whole")
         simulator = BatchSimulator(design)
         rng = random.Random(7)
-        batch = simulator.random_batch(rng, 64)
+        batch = random_input_batch(design, rng, 64)
         keys = [[0, 0, 0], [1, 0, 0], [0, 0, 1]]
         budget = 32 * plan_lane_bits(simulator.plan)
         with mock.patch.object(executor, "DEFAULT_LANE_BITS_BUDGET", budget), \
@@ -528,9 +584,8 @@ class TestConePath:
             counted = simulator.sweep_differences(batch, keys=keys,
                                                   bindings=bindings, n=16)
         assert tiles
-        assert counted == sweep_differences(design, batch, keys=keys,
-                                            bindings=bindings, n=16,
-                                            engine="scalar")
+        assert counted == CombinationalSimulator(design).sweep_differences(
+            batch, keys=keys, bindings=bindings, n=16)
 
     def test_cones_are_computed_once_per_plan(self):
         plan = BatchSimulator(_custom_locked("dynamic")).plan
@@ -614,9 +669,8 @@ def run_padded_case(base, keyed, bound, lane_cap):
         for name, value in (bindings[point] if bound else {}).items():
             point_inputs[name] = [value] * base
         assert run == simulator.run_batch(point_inputs, key=key, n=base)
-    assert counted == sweep_differences(design, batch, keys=keys,
-                                        bindings=bindings, n=base,
-                                        engine="scalar")
+    assert counted == CombinationalSimulator(design).sweep_differences(
+        batch, keys=keys, bindings=bindings, n=base)
     assert any(counted.lanes)
 
 

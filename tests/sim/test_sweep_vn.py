@@ -20,7 +20,8 @@ from repro.sim.plan.executor import (
     classify_steps,
     sweep_schedule,
 )
-from repro.sim.vectors import random_key, random_vector_batch
+from repro.sim.vectors import (random_input_batch, random_key,
+                                random_vector_batch)
 from repro.sim.evaluator import SimulationError, mask
 
 
@@ -45,7 +46,7 @@ class TestHoistedKeySweeps:
     def test_either_schedule_equals_loop(self, name, hoisted):
         locked = _locked(name)
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(1), 16)
+        batch = random_input_batch(locked, random.Random(1), 16)
         keys = [random_key(locked.key_width, random.Random(2))
                 for _ in range(12)]
         swept = simulator.run_sweep(batch, keys=keys, n=16)
@@ -57,7 +58,7 @@ class TestHoistedKeySweeps:
         locked = _locked()
         plan = compile_plan(locked)
         simulator = BatchSimulator(locked, plan=plan)
-        batch = simulator.random_batch(random.Random(3), 8)
+        batch = random_input_batch(locked, random.Random(3), 8)
         rng = random.Random(4)
         keys = [random_key(locked.key_width, rng) for _ in range(6)]
         swept = simulator.run_sweep(batch, keys=keys, n=8)
@@ -71,7 +72,7 @@ class TestHoistedKeySweeps:
         """512 base lanes × 8 points crosses every vectorised threshold."""
         locked = _locked("SASC")
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(5), 512)
+        batch = random_input_batch(locked, random.Random(5), 512)
         keys = [random_key(locked.key_width, random.Random(6))
                 for _ in range(8)]
         swept = simulator.run_sweep(batch, keys=keys, n=512)
@@ -105,7 +106,7 @@ class TestSharedKeyAndBindingSweeps:
     def test_binding_sweep_on_unlocked_design(self):
         design = plus_network(24, n_inputs=4, name="plus_vn")
         simulator = BatchSimulator(design)
-        base = simulator.random_batch(random.Random(8), 6)
+        base = random_input_batch(design, random.Random(8), 6)
         shared = {name: values for name, values in base.items()
                   if name != "in2"}
         bindings = [{"in2": 0}, {"in2": 9}, {}]
@@ -121,7 +122,7 @@ class TestSharedKeyAndBindingSweeps:
         data = [name for name in simulator.input_names
                 if name != locked.key_port]
         swept = data[-1]
-        base = simulator.random_batch(random.Random(9), 4)
+        base = random_input_batch(locked, random.Random(9), 4)
         shared = {name: values for name, values in base.items()
                   if name != swept}
         keys = [random_key(locked.key_width, random.Random(10))
@@ -171,7 +172,7 @@ class TestScheduleAndClassifier:
     def test_validation_errors_survive_hoisting(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        batch = simulator.random_batch(random.Random(11), 4)
+        batch = random_input_batch(locked, random.Random(11), 4)
         with pytest.raises(SimulationError):
             simulator.run_sweep(batch, keys=[[2] * locked.key_width], n=4)
         with pytest.raises(SimulationError):

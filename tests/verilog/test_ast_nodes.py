@@ -16,6 +16,24 @@ RANGE_CASES = [
     ("8/2", "0", None),
 ]
 
+#: Expressions whose ``iter_tree`` order is held to a recursive pre-order
+#: reference.
+WALK_CASES = [
+    "a",
+    "(a + b) * c",
+    "c ? a : b",
+    "{a, b, {2{c}}}",
+    "a[3:0] + b[i] - c[j +: 2]",
+    "f(a, b + c) - ~d",
+    "((a + b) * (c - d)) ^ (e ? f + 1 : g)",
+]
+
+
+def _recursive_pre_order(node):
+    yield node
+    for child in node.children():
+        yield from _recursive_pre_order(child)
+
 
 class TestReplaceChild:
     def test_replace_child_in_list_field(self):
@@ -61,6 +79,37 @@ class TestTreeWalk:
         ops = sorted(node.op for node in module.iter_tree()
                      if isinstance(node, ast.BinaryOp))
         assert ops == ["+", "-", "^"]
+
+
+    @pytest.mark.parametrize("text", WALK_CASES)
+    def test_iter_tree_equals_the_recursive_walk(self, text):
+        expr = parse_expression(text)
+        walked = list(expr.iter_tree())
+        reference = list(_recursive_pre_order(expr))
+        assert len(walked) == len(reference)
+        assert all(a is b for a, b in zip(walked, reference))
+
+    def test_iter_tree_of_a_module_equals_the_recursive_walk(self):
+        module = parse_module("""
+            module m (input [3:0] a, b, output [3:0] y, z);
+              wire [3:0] t = a + b;
+              assign y = t[1] ? t - a : ~t;
+              assign z = {t, a} ^ b;
+            endmodule
+        """)
+        walked = list(module.iter_tree())
+        reference = list(_recursive_pre_order(module))
+        assert len(walked) == len(reference)
+        assert all(a is b for a, b in zip(walked, reference))
+
+    def test_deep_tree_needs_no_recursion(self):
+        # A chain far deeper than the interpreter's recursion limit.
+        root = ast.Identifier("a")
+        for _ in range(5000):
+            root = ast.BinaryOp("+", root, ast.Identifier("b"))
+        walked = list(root.iter_tree())
+        assert len(walked) == 10001
+        assert walked[0] is root and walked[-1].name == "b"
 
 
 class TestRangeWidth:
