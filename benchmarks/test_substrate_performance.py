@@ -114,7 +114,7 @@ def test_scalar_simulation_locked_md5(benchmark, locked_md5):
     simulator = CombinationalSimulator(locked_md5)
     key = locked_md5.correct_key
     vectors = batch_to_vectors(
-        random_input_batch(locked_md5, random.Random(0), 1), 1) * 32
+        random_input_batch(locked_md5, random.Random(0), 32), 32)
 
     def run():
         return [simulator.run(v, key=key) for v in vectors]

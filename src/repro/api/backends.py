@@ -25,6 +25,16 @@ rounds, backoff, quarantine, the failure ledger.
   with SIGTERM's default action, so a killed worker dies instead of raising
   an interrupt the parent would mistake for its own.
 
+The pool outlives a round inside a :func:`pool_scope`: the runner opens
+one around all rounds of a run, and each scenario-server thread one for its
+whole life, so consecutive rounds, runs and scenarios reuse one set of warm
+workers (and the caches in each of them).  The pool is built at the first
+round that needs it and rebuilt after a round that lost a worker, killed a
+hung job or was interrupted, when the worker count changes, or when a
+worker or the manager died while idle.  Every message carries its round's
+token, and the parent drops the messages of any other round.  Outside a
+scope a pool lives for one round.
+
 Both executors run each attempt through the same body
 (:func:`_run_attempt`): backoff sleep, ``execute_job``, and an ``ok`` or
 ``error`` outcome.
@@ -47,14 +57,16 @@ Fault-tolerance primitives shared with the runner:
 from __future__ import annotations
 
 import signal
+import threading
 import time
 import traceback
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from queue import Empty
 from random import Random
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from .scenario import JobSpec
 
@@ -69,8 +81,8 @@ class TransientJobError(RuntimeError):
     """A job failure that is worth retrying (I/O blips, contention, ...).
 
     Components executed by the runner may raise this (or a subclass) to opt
-    a failure into the retry budget explicitly; any exception whose name is
-    in :data:`TRANSIENT_ERROR_NAMES` classifies the same way.
+    a failure into the retry budget explicitly; an exception whose class
+    name is in :data:`TRANSIENT_ERROR_NAMES` classifies the same way.
     """
 
 
@@ -78,7 +90,6 @@ class TransientJobError(RuntimeError):
 #: matched against the raised class's own name (not its bases, so an
 #: ``OSError`` subclass such as ``FileNotFoundError`` stays permanent).
 TRANSIENT_ERROR_NAMES = {
-    "TransientJobError",
     "InjectedTransientError",
     "InjectedCrashError",
     "TimeoutError",
@@ -88,7 +99,6 @@ TRANSIENT_ERROR_NAMES = {
     "BrokenPipeError",
     "EOFError",
     "OSError",
-    "IOError",
     "BrokenProcessPool",
     "BrokenExecutor",
 }
@@ -337,17 +347,126 @@ def _init_worker(channel) -> None:
 
 
 def _pool_worker(index: int, job: JobSpec, attempt: int, delay: float,
-                 fault_plan) -> None:
+                 fault_plan, token: int) -> None:
     """Worker entry point: execute one job, streaming its messages.
 
-    The job sends a ``("start", index, monotonic)`` heartbeat before its
-    body and a ``("done", outcome)`` message after it, so the parent
-    commits results as they happen and can tell a hung job (start without
-    done, heartbeat overdue) from a lost one (no messages at all).
+    The job sends a ``("start", token, index, monotonic)`` heartbeat before
+    its body and a ``("done", token, outcome)`` message after it, so the
+    parent commits results as they happen and can tell a hung job (start
+    without done, heartbeat overdue) from a lost one (no messages at all).
+    ``token`` names the round: job indices restart at 0 in every scenario,
+    so the parent drops every message of another round.
     """
-    outcome = _run_attempt(index, job, attempt, delay, fault_plan, True,
-                           lambda at: _channel.put(("start", index, at)))
-    _channel.put(("done", outcome))
+    outcome = _run_attempt(
+        index, job, attempt, delay, fault_plan, True,
+        lambda at: _channel.put(("start", token, index, at)))
+    _channel.put(("done", token, outcome))
+
+
+class WarmPool:
+    """Pool workers and their message queue, kept open between rounds.
+
+    Nothing starts until a round needs a pool (:meth:`acquire`), so opening
+    a :func:`pool_scope` starts no process.  The attributes are ``None``
+    (``workers`` 0) while the pool is closed.
+
+    Attributes:
+        executor: The ``ProcessPoolExecutor`` of the open pool.
+        manager: The ``multiprocessing`` manager that serves the channel.
+        channel: The manager queue its workers report through.
+        workers: Worker count of the open pool.
+        rounds: Rounds started on this pool object so far; the latest is
+            the token of the round now running.
+    """
+
+    def __init__(self) -> None:
+        self.manager = None
+        self.channel = None
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self.workers = 0
+        self.rounds = 0
+
+    def acquire(self, workers: int) -> int:
+        """Open or reuse a pool of ``workers`` workers; return a round token.
+
+        The open pool is reused only with the same worker count and while
+        every process of it — each worker and the manager — is alive: an
+        idle worker killed between two rounds would otherwise fail the next
+        round's jobs.  Any other pool is closed and a new one built.
+        """
+        if self.executor is not None and (workers != self.workers
+                                          or not self._alive()):
+            self.close()
+        if self.executor is None:
+            import multiprocessing
+
+            self.manager = multiprocessing.Manager()
+            self.channel = self.manager.Queue()
+            self.executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(self.channel,))
+            self.workers = workers
+        self.rounds += 1
+        return self.rounds
+
+    def processes(self) -> List:
+        """The open pool's worker processes (none before its first task)."""
+        return list((getattr(self.executor, "_processes", None)
+                     or {}).values())
+
+    def _alive(self) -> bool:
+        return (not getattr(self.executor, "_broken", False)
+                and self.manager._process.is_alive()
+                and all(process.is_alive() for process in self.processes()))
+
+    def close(self, kill: bool = False) -> None:
+        """Shut the pool down; the next :meth:`acquire` builds a new one.
+
+        ``kill`` terminates the workers instead of waiting for their tasks
+        (an interrupted round: a worker may be mid-job or hung).  Either
+        way every worker is joined, so no process outlives the pool.
+        """
+        if self.executor is None:
+            return
+        processes = self.processes()
+        if kill:
+            for process in processes:
+                process.terminate()
+        self.executor.shutdown(wait=not kill, cancel_futures=True)
+        for process in processes:
+            process.join()
+        self.manager.shutdown()
+        self.manager = self.channel = self.executor = None
+        self.workers = 0
+
+
+#: Per thread: the :class:`WarmPool` of the open :func:`pool_scope`.
+_scope = threading.local()
+
+
+@contextmanager
+def pool_scope() -> Iterator[WarmPool]:
+    """Keep the calling thread's pool workers warm until the scope ends.
+
+    Inside a scope, every :meth:`ProcessPoolBackend.run_round` of this
+    thread runs on the scope's :class:`WarmPool`, so consecutive rounds and
+    runs share one set of worker processes with their per-process caches.
+    A nested scope does nothing but yield the open pool.  Leaving the
+    outermost scope shuts the pool down and joins its workers.
+    :meth:`~repro.api.runner.Runner.run` opens a scope around its rounds,
+    and each :class:`~repro.api.server.ScenarioServer` worker thread one
+    for its whole life.
+    """
+    pool = getattr(_scope, "pool", None)
+    if pool is not None:
+        yield pool
+        return
+    pool = _scope.pool = WarmPool()
+    try:
+        yield pool
+    finally:
+        _scope.pool = None
+        pool.close()
 
 
 class ProcessPoolBackend:
@@ -376,33 +495,47 @@ class ProcessPoolBackend:
     POLL_SECONDS = 0.2
 
     def run_round(self, round_: ExecutionRound) -> None:
-        """Execute one round on a fresh pool (see class docstring)."""
-        import multiprocessing
+        """Execute one round on the calling thread's warm pool.
 
-        with multiprocessing.Manager() as manager:
-            self._run_pool(round_, manager.Queue())
+        Inside a :func:`pool_scope` the round runs on the scope's pool,
+        built at the first pool round, and a clean round leaves it open
+        for the next.  The round closes it, so that the next round builds
+        a fresh one, when a worker was lost, a hung job was killed, or an
+        interrupt (or a server cancel) passed through the round.  Outside
+        any scope the pool lives for this one round.
+        """
+        with pool_scope() as pool:
+            token = pool.acquire(round_.workers)
+            try:
+                clean = self._run_pool(round_, pool, token)
+            except BaseException:
+                pool.close(kill=True)
+                raise
+            if not clean:
+                pool.close()
 
-    def _run_pool(self, round_: ExecutionRound, channel) -> None:
+    def _run_pool(self, round_: ExecutionRound, pool: WarmPool,
+                  token: int) -> bool:
+        """Run the round's jobs; True when the pool is fit for reuse."""
+        executor = pool.executor
+        channel = pool.channel
         done: set = set()
         started: Dict[int, float] = {}
         hung: set = set()
         errors: Dict[int, str] = {}
         order = sorted(round_.jobs,
                        key=lambda i: (-_job_cost(round_.jobs[i]), i))
-        pool = ProcessPoolExecutor(max_workers=round_.workers,
-                                   initializer=_init_worker,
-                                   initargs=(channel,))
         try:
             pending = {
-                pool.submit(_pool_worker, index, round_.jobs[index],
-                            round_.attempts.get(index, 0),
-                            round_.delays.get(index, 0.0),
-                            round_.fault_plan): index
+                executor.submit(_pool_worker, index, round_.jobs[index],
+                                round_.attempts.get(index, 0),
+                                round_.delays.get(index, 0.0),
+                                round_.fault_plan, token): index
                 for index in order}
             while pending:
                 finished, _ = wait(pending, timeout=self.POLL_SECONDS,
                                    return_when=FIRST_COMPLETED)
-                self._drain(channel, round_, done, started)
+                self._drain(channel, token, round_, done, started)
                 for future in finished:
                     index = pending.pop(future)
                     try:
@@ -416,21 +549,21 @@ class ProcessPoolBackend:
         except BaseException:
             # SIGTERM/SIGINT land here as KeyboardInterrupt/SystemExit
             # (``cli run`` and ``cli serve`` convert SIGTERM).  Graceful
-            # exit means: commit everything the workers already reported,
-            # then *kill* the in-flight workers — a default shutdown would
-            # block on them (possibly forever, if one is hung), and their
-            # half-finished jobs re-execute on resume anyway.  The runner's
-            # ``finally`` block then writes the manifest, so the store the
-            # stopped process leaves behind is cleanly resumable.
-            self._drain(channel, round_, done, started)
-            for process in list(getattr(pool, "_processes", {}).values()):
-                process.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
+            # exit means: commit everything the workers already reported;
+            # ``run_round`` then *kills* the in-flight workers — a default
+            # shutdown would block on them (possibly forever, if one is
+            # hung), and their half-finished jobs re-execute on resume
+            # anyway.  The runner's ``finally`` block then writes the
+            # manifest, so the store the stopped process leaves behind is
+            # cleanly resumable.
+            self._drain(channel, token, round_, done, started)
             raise
-        pool.shutdown(wait=True)
-        # Messages may still be in flight when the pool breaks; one final
-        # drain after shutdown collects them.
-        self._drain(channel, round_, done, started)
+        clean = not errors and not hung
+        if not clean:
+            # Messages may still be in flight when the pool breaks; the
+            # drain after the shutdown collects them.
+            executor.shutdown(wait=True)
+        self._drain(channel, token, round_, done, started)
         for index in order:
             if index in done:
                 continue
@@ -450,26 +583,34 @@ class ProcessPoolBackend:
                     error=errors.get(
                         index, f"worker lost before finishing job "
                                f"{job_id!r}")))
+        return clean
 
-    def _drain(self, channel, round_: ExecutionRound, done: set,
+    def _drain(self, channel, token: int, round_: ExecutionRound, done: set,
                started: Dict[int, float]) -> None:
-        """Consume queued worker messages, emitting finished outcomes."""
+        """Consume queued worker messages, emitting finished outcomes.
+
+        A message of another round (its token differs) is dropped: on a
+        warm pool it can only be a leftover, and its job index may name a
+        different job of this round.
+        """
         while True:
             try:
                 message = channel.get_nowait()
             except Empty:
                 return
-            if message[0] == "start":
-                started[message[1]] = message[2]
+            if message[1] != token:
                 continue
-            outcome = message[1]
+            if message[0] == "start":
+                started[message[2]] = message[3]
+                continue
+            outcome = message[2]
             if outcome.index not in done:
                 done.add(outcome.index)
                 round_.emit(outcome)
 
-    def _kill_overdue(self, pool: ProcessPoolExecutor,
-                      round_: ExecutionRound, done: set,
-                      started: Dict[int, float], hung: set) -> None:
+    def _kill_overdue(self, pool: WarmPool, round_: ExecutionRound,
+                      done: set, started: Dict[int, float],
+                      hung: set) -> None:
         """Kill the pool when any in-flight job's heartbeat is overdue.
 
         The grace margin over ``job_timeout`` absorbs scheduling noise so a
@@ -485,5 +626,5 @@ class ProcessPoolBackend:
         if not overdue:
             return
         hung.update(overdue)
-        for process in list(getattr(pool, "_processes", {}).values()):
+        for process in pool.processes():
             process.terminate()

@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .backends import (ExecutionRound, JobOutcome, ProcessPoolBackend,
-                       RetryPolicy, SerialBackend, classify_failure)
+                       RetryPolicy, SerialBackend, classify_failure,
+                       pool_scope)
 from .registry import locker_factory, make_attack, make_locker, make_metric
 from .scenario import JobSpec, Scenario
 from .store import ResultsStore
@@ -460,6 +461,11 @@ class Runner:
         :attr:`RunReport.failures`, and skipped by later resumes until the
         retry budget is raised.
 
+        On the pool, every round of the run shares one set of warm
+        workers (:func:`~repro.api.backends.pool_scope`); inside an outer
+        scope, such as a scenario-server thread's, the run uses that
+        scope's pool.
+
         Raises:
             StoreError: as :meth:`plan` does.
         """
@@ -508,46 +514,49 @@ class Runner:
         attempts: Dict[int, int] = {index: 0 for index in pending}
 
         try:
-            while pending:
-                indices = sorted(pending)
-                delays = {i: policy.delay(pending[i].job_id, attempts[i])
-                          for i in indices}
-                failed: Dict[int, JobOutcome] = {}
+            # One pool for every round of the run: a retry round reuses the
+            # warm workers unless an earlier round broke them.
+            with pool_scope():
+                while pending:
+                    indices = sorted(pending)
+                    delays = {i: policy.delay(pending[i].job_id, attempts[i])
+                              for i in indices}
+                    failed: Dict[int, JobOutcome] = {}
 
-                def emit(outcome: JobOutcome,
-                         _failed: Dict[int, JobOutcome] = failed) -> None:
-                    nonlocal done
-                    if outcome.ok:
-                        done += 1
-                        self._commit(report, pending[outcome.index],
-                                     outcome.record, done, len(jobs),
-                                     attempt=outcome.attempt)
-                    else:
-                        _failed[outcome.index] = outcome
+                    def emit(outcome: JobOutcome,
+                             _failed: Dict[int, JobOutcome] = failed) -> None:
+                        nonlocal done
+                        if outcome.ok:
+                            done += 1
+                            self._commit(report, pending[outcome.index],
+                                         outcome.record, done, len(jobs),
+                                         attempt=outcome.attempt)
+                        else:
+                            _failed[outcome.index] = outcome
 
-                executor.run_round(ExecutionRound(
-                    jobs=pending, attempts=attempts, delays=delays,
-                    workers=self.jobs, job_timeout=job_timeout,
-                    fault_plan=self.fault_plan, emit=emit))
+                    executor.run_round(ExecutionRound(
+                        jobs=pending, attempts=attempts, delays=delays,
+                        workers=self.jobs, job_timeout=job_timeout,
+                        fault_plan=self.fault_plan, emit=emit))
 
-                for index in indices:
-                    job = pending[index]
-                    if job.job_id in report.records:
+                    for index in indices:
+                        job = pending[index]
+                        if job.job_id in report.records:
+                            del pending[index]
+                            continue
+                        outcome = failed[index]
+                        attempts[index] += 1
+                        classification = classify_failure(outcome)
+                        if (classification == "transient"
+                                and attempts[index] < policy.attempts):
+                            _log.warning(
+                                "job %r failed transiently (%s, attempt "
+                                "%d/%d); retrying", job.job_id, outcome.kind,
+                                attempts[index], policy.attempts)
+                            continue
                         del pending[index]
-                        continue
-                    outcome = failed[index]
-                    attempts[index] += 1
-                    classification = classify_failure(outcome)
-                    if (classification == "transient"
-                            and attempts[index] < policy.attempts):
-                        _log.warning(
-                            "job %r failed transiently (%s, attempt %d/%d); "
-                            "retrying", job.job_id, outcome.kind,
-                            attempts[index], policy.attempts)
-                        continue
-                    del pending[index]
-                    self._quarantine(report, job, outcome,
-                                     attempts[index], classification)
+                        self._quarantine(report, job, outcome,
+                                         attempts[index], classification)
         finally:
             # Whatever happened, everything committed so far is resumable:
             # the manifest reflects the records on disk, and the ledger

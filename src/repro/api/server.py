@@ -8,7 +8,15 @@ connect over a newline-delimited-JSON socket (Unix domain socket by
 default, TCP optional), submit scenarios, and every run executes through
 the existing :class:`~repro.api.runner.Runner` / executor /
 :class:`~repro.api.store.ResultsStore` stack *in this process*, so all
-requests share one warm plan cache and one base-design cache.
+requests share one warm plan cache and one base-design cache.  With
+``run_jobs > 1`` each worker thread also keeps one pool of ``run_jobs``
+worker processes warm for its whole life
+(:func:`~repro.api.backends.pool_scope`): later runs reuse the same
+processes and, in each of them, its own bounded caches (8 base designs, 8
+locked cells, 128 plans).  The ``ping``/``status`` plan-cache counts cover
+the server process only.  Pool workers fork when a thread's first pool run
+starts, so components must be registered at import time, as the
+:class:`~repro.api.runner.Runner` docstring requires.
 
 Mechanics:
 
@@ -55,6 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
+from .backends import pool_scope
 from .protocol import (MAX_REQUEST_BYTES, PROTOCOL_VERSION, Event,
                        ProtocolError, Request, Response, decode_request,
                        encode)
@@ -168,6 +177,11 @@ class ScenarioServer:
         run_jobs: Worker *processes* each run may use (the Runner's
             ``jobs`` argument).  Default 1: serial in-process execution,
             which keeps every simulation inside the warm-cache process.
+            Above 1, each worker thread keeps ``run_jobs`` warm pool
+            workers from its first pool run until the server stops (each
+            worker with its own bounded caches: 8 designs, 8 locked cells,
+            128 plans); a pool that a run broke is rebuilt for the next
+            one, and :meth:`stop` joins every worker.
 
     Raises:
         ValueError: for a non-positive ``workers``/``run_jobs`` or both
@@ -608,27 +622,31 @@ class ScenarioServer:
     # ----------------------------------------------------------- worker loop
 
     def _worker_loop(self) -> None:
-        while True:
-            job_id = self._queue.get()
-            if job_id is None:
-                return  # shutdown sentinel
-            with self._lock:
-                job = self._jobs[job_id]
-            with job.cond:
-                if job.state != "queued":
-                    continue  # cancelled while queued
-                job.state = "running"
-                job.started_at = time.time()
-            try:
-                self._run_job(job)
-            except JobCancelled:
-                job.transition("cancelled", finished_at=time.time())
-                _log.info("job %s cancelled (store %s stays resumable)",
-                          job.job_id, job.store_path)
-            except Exception:
-                job.transition("failed", finished_at=time.time(),
-                               error=traceback.format_exc())
-                _log.exception("job %s failed", job.job_id)
+        # The thread's pool scope keeps its ``run_jobs`` workers warm from
+        # one run to the next; leaving it at the shutdown sentinel joins
+        # them, so a stopped server leaves no process behind.
+        with pool_scope():
+            while True:
+                job_id = self._queue.get()
+                if job_id is None:
+                    return  # shutdown sentinel
+                with self._lock:
+                    job = self._jobs[job_id]
+                with job.cond:
+                    if job.state != "queued":
+                        continue  # cancelled while queued
+                    job.state = "running"
+                    job.started_at = time.time()
+                try:
+                    self._run_job(job)
+                except JobCancelled:
+                    job.transition("cancelled", finished_at=time.time())
+                    _log.info("job %s cancelled (store %s stays resumable)",
+                              job.job_id, job.store_path)
+                except Exception:
+                    job.transition("failed", finished_at=time.time(),
+                                   error=traceback.format_exc())
+                    _log.exception("job %s failed", job.job_id)
 
     def _run_job(self, job: ServerJob) -> None:
         """Execute one submitted scenario through the library runner."""

@@ -185,10 +185,9 @@ class TestClassification:
         assert classify_failure(outcome) == expected
 
     def test_every_listed_name_is_a_case(self):
-        # IOError is an alias of OSError: no class carries the name.
         listed = {type(case[1]).__name__ for case in RAISED} \
             & TRANSIENT_ERROR_NAMES
-        assert listed == TRANSIENT_ERROR_NAMES - {"IOError"}
+        assert listed == TRANSIENT_ERROR_NAMES
 
     def test_transient_job_error_subclasses_classify_transient(self):
         """A subclass raised by a job retries through the Runner, and a
