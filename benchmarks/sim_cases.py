@@ -21,6 +21,7 @@ case-table test runs :func:`run_cases`, fails through
 from __future__ import annotations
 
 import random
+import statistics
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -94,8 +95,8 @@ class Comparison:
     Attributes:
         case: The measured case.
         design: Reported design name.
-        baseline_seconds: Best wall time of the baseline path.
-        candidate_seconds: Best wall time of the candidate path.
+        baseline_seconds: Median wall time of one baseline call.
+        candidate_seconds: Median wall time of one candidate call.
         outputs_match: True when both paths produced identical outputs.
         counters: Case-specific sizes and plan counters.
         baseline_peak_bytes: ``tracemalloc`` peak of one baseline run
@@ -362,14 +363,43 @@ CASES: Tuple[Case, ...] = (ENGINES, KEY_SWEEPS, SWEEP_VN, PIPELINED_SWEEP,
                            KEY_FLIPS)
 
 
-def _best_time(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """Best-of-``repeats`` wall time (suppresses scheduler noise)."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
+#: Wall time of one timing sample: a path faster than this is looped
+#: until one sample holds about this much work.
+SAMPLE_SECONDS = 0.1
+
+
+def _sample(fn: Callable[[], object], loops: int) -> float:
+    """Mean wall time of one call over ``loops`` back-to-back calls."""
+    start = time.perf_counter()
+    for _ in range(loops):
+        fn()
+    return (time.perf_counter() - start) / loops
+
+
+def _median_times(baseline: Callable[[], object],
+                  candidate: Callable[[], object], repeats: int
+                  ) -> Tuple[float, object, float, object]:
+    """Median per-call times and outputs of two paths, timed interleaved.
+
+    One untimed call of each path gives its outputs and its loop count.
+    Then ``repeats`` rounds each time one sample of both paths, in
+    alternating order, so a slow spell of the host falls on both paths
+    instead of on whichever ran during it.
+    """
+    paths = (baseline, candidate)
+    outputs, loops = [], []
+    for fn in paths:
         start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        outputs.append(fn())
+        once = time.perf_counter() - start
+        loops.append(max(1, round(SAMPLE_SECONDS / max(once, 1e-6))))
+    samples: Tuple[List[float], List[float]] = ([], [])
+    for round_index in range(repeats):
+        order = (0, 1) if round_index % 2 == 0 else (1, 0)
+        for index in order:
+            samples[index].append(_sample(paths[index], loops[index]))
+    return (statistics.median(samples[0]), outputs[0],
+            statistics.median(samples[1]), outputs[1])
 
 
 def _peak_bytes(fn: Callable[[], object]) -> int:
@@ -387,12 +417,16 @@ def compare(case: Case, design: Design, sizes: Sizes = Sizes(),
             label: Optional[str] = None) -> Comparison:
     """Time ``case``'s two paths on ``design`` and cross-check their outputs.
 
+    The two paths are timed interleaved, each sample looped to about
+    :data:`SAMPLE_SECONDS` of work, and each path's median is reported.
+
     Args:
         case: Row of the case table to run.
         design: Design to measure (locked for ``locked_only`` cases).
         sizes: Workload sizes.
         rng: Random source for input vectors and key hypotheses.
-        repeats: Timing repetitions; the best time of each path is kept.
+        repeats: Timing samples of each path, taken interleaved; the
+            median of each path is kept (see :data:`SAMPLE_SECONDS`).
         label: Reported design name (defaults to ``design.name``).
 
     Raises:
@@ -405,8 +439,9 @@ def compare(case: Case, design: Design, sizes: Sizes = Sizes(),
         raise ValueError(f"the {case.name} case requires a locked design")
     baseline, candidate, counters = case.setup(
         design, rng or random.Random(0), sizes)
-    baseline_seconds, baseline_outputs = _best_time(baseline, repeats)
-    candidate_seconds, candidate_outputs = _best_time(candidate, repeats)
+    (baseline_seconds, baseline_outputs,
+     candidate_seconds, candidate_outputs) = _median_times(
+        baseline, candidate, repeats)
     result = Comparison(case=case, design=label or design.name,
                         baseline_seconds=baseline_seconds,
                         candidate_seconds=candidate_seconds,
@@ -427,7 +462,7 @@ def run_cases(sizes: Sizes = Sizes(), scale: float = 0.25, seed: int = 0,
         sizes: Workload sizes.
         scale: Benchmark scale of the suites.
         seed: Seed of the suites and of every comparison's rng.
-        repeats: Timing repetitions (best time kept).
+        repeats: Timing samples per path (median kept).
     """
     return {case.name: [compare(case, design, sizes, rng=random.Random(seed),
                                 repeats=repeats, label=label)

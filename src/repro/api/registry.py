@@ -12,7 +12,10 @@ through one of three process-wide registries:
   ``attack(design, algorithm=None) -> AttackResult`` method,
 * ``METRICS`` — metric callables evaluated on a locked design as
   ``metric(design, rng=None, **options)`` returning a JSON-serialisable
-  value (number or dict).
+  value (number or dict).  A metric registers the declared range of each
+  numeric field it returns (:data:`Bound`, read back with
+  :func:`metric_bounds`); the registry contracts check every packaged
+  metric's fields against them.
 
 Built-in components register themselves with the decorators below at import
 time of their defining modules (:mod:`repro.locking`, :mod:`repro.attacks`,
@@ -33,7 +36,12 @@ helpers lazily import the built-in packages to guarantee registration.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+
+#: Declared range of one numeric field of a metric result, ``(low,
+#: high)``, both inclusive; a list field bounds each of its items.  Either
+#: end may be a callable of the evaluated design (e.g. its key width).
+Bound = Tuple[object, object]
 
 
 class UnknownComponentError(ValueError):
@@ -56,12 +64,13 @@ class Registry:
         self.kind = kind
         self._factories: Dict[str, Callable] = {}
         self._aliases: Dict[str, str] = {}
+        self._bounds: Dict[str, Dict[str, Bound]] = {}
 
     # ------------------------------------------------------------ registration
 
     def register(self, name: str, factory: Optional[Callable] = None, *,
-                 aliases: Iterable[str] = (),
-                 replace: bool = False) -> Callable:
+                 aliases: Iterable[str] = (), replace: bool = False,
+                 bounds: Optional[Mapping[str, Bound]] = None) -> Callable:
         """Register ``factory`` under ``name`` (decorator when omitted).
 
         Args:
@@ -72,6 +81,8 @@ class Registry:
                 :meth:`names`).
             replace: Allow overwriting an existing entry (off by default so
                 accidental name collisions fail loudly).
+            bounds: ``{field: (low, high)}`` of the numeric fields the
+                component returns (metrics; see :data:`Bound`).
 
         Raises:
             ValueError: for empty names or (without ``replace``) duplicates.
@@ -84,6 +95,9 @@ class Registry:
                 raise ValueError(
                     f"{self.kind} {name!r} is already registered")
             self._factories[name] = fn
+            self._bounds.pop(name, None)
+            if bounds is not None:
+                self._bounds[name] = dict(bounds)
             for alias in aliases:
                 if not replace and (alias in self._factories
                                     or alias in self._aliases):
@@ -100,6 +114,7 @@ class Registry:
         """Remove a canonical name and every alias pointing at it."""
         canonical = self._aliases.get(name, name)
         self._factories.pop(canonical, None)
+        self._bounds.pop(canonical, None)
         for alias in [a for a, target in self._aliases.items()
                       if target == canonical or a == name]:
             del self._aliases[alias]
@@ -120,6 +135,17 @@ class Registry:
                 f"unknown {self.kind} {name!r}; registered: "
                 f"{', '.join(self.names()) or '(none)'}")
         return factory
+
+    def bounds(self, name: str) -> Optional[Dict[str, Bound]]:
+        """The field bounds ``name`` (or an alias) was registered with, or
+        ``None`` when it declared none.
+
+        Raises:
+            UnknownComponentError: for unknown names.
+        """
+        self.get(name)
+        bounds = self._bounds.get(self._aliases.get(name, name))
+        return None if bounds is None else dict(bounds)
 
     def names(self) -> List[str]:
         """Sorted canonical names currently registered."""
@@ -158,9 +184,17 @@ def register_attack(name: str, *, aliases: Iterable[str] = (),
 
 
 def register_metric(name: str, *, aliases: Iterable[str] = (),
-                    replace: bool = False) -> Callable:
-    """Decorator registering a metric callable under ``name``."""
-    return METRICS.register(name, aliases=aliases, replace=replace)
+                    replace: bool = False,
+                    bounds: Optional[Mapping[str, Bound]] = None
+                    ) -> Callable:
+    """Decorator registering a metric callable under ``name``.
+
+    ``bounds`` declares ``{field: (low, high)}`` for every numeric field
+    of the dict the metric returns (see :data:`Bound`).  A metric without
+    them registers, but fails the registry contracts.
+    """
+    return METRICS.register(name, aliases=aliases, replace=replace,
+                            bounds=bounds)
 
 
 def _ensure_builtins() -> None:
@@ -217,6 +251,16 @@ def make_metric(name: str) -> Callable:
     """
     _ensure_builtins()
     return METRICS.get(name)
+
+
+def metric_bounds(name: str) -> Optional[Dict[str, Bound]]:
+    """The field bounds the metric ``name`` declared (``None``: none).
+
+    Raises:
+        UnknownComponentError: for unregistered metric names.
+    """
+    _ensure_builtins()
+    return METRICS.bounds(name)
 
 
 def locker_names(include_aliases: bool = False) -> List[str]:

@@ -289,7 +289,10 @@ def key_bit_sensitivity(design, vectors: int = 32,
     differs from the base key in one bit, so the sweep takes the cone path:
     the plan runs once on the vectors under the all-zero key, and each
     flip re-runs only the fan-out cone of its bit; the differing lanes are
-    counted on the bit-sliced outputs.  Designs the plan compiler cannot
+    counted on the bit-sliced outputs.  The base key and each flipped key
+    are the same on every lane of their pass, so every locking mux of the
+    plan runs only the operation its key bit selects, never its dummy.
+    Designs the plan compiler cannot
     express fall back to a per-key scalar loop with identical numbers.
 
     Raises:
@@ -370,7 +373,8 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
     flipped output bits are counted on the bit-sliced outputs.  Because
     every point binds the *same* key, sweep value-numbering treats the whole
     key cone as point-invariant: only the probed signal's fan-out cone is
-    re-evaluated per flip point.  Locked designs are evaluated under their
+    re-evaluated per flip point, and every locking mux runs only the
+    operation the shared key selects.  Locked designs are evaluated under their
     correct key (or ``key``), so the profile measures the *functional*
     avalanche of the design, not key corruption (see
     :func:`functional_corruption` for that).
@@ -441,8 +445,19 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
 
 from ..api.registry import register_metric  # noqa: E402
 
+#: A fraction of vectors, lanes or output bits.
+_FRACTION = (0.0, 1.0)
 
-@register_metric("corruption", aliases=("functional-corruption",))
+
+def _key_width(design) -> int:
+    return design.key_width
+
+
+@register_metric("corruption", aliases=("functional-corruption",),
+                 bounds={"mean_corruption": _FRACTION,
+                         "min_corruption": _FRACTION,
+                         "avalanche": _FRACTION,
+                         "per_key_rates": _FRACTION})
 def _corruption_metric(design, rng: Optional[random.Random] = None,
                        vectors: int = 32, wrong_keys: int = 4,
                        **_: object) -> Dict[str, object]:
@@ -455,7 +470,9 @@ def _corruption_metric(design, rng: Optional[random.Random] = None,
             "per_key_rates": list(report.per_key_rates)}
 
 
-@register_metric("key-sensitivity", aliases=("key_bit_sensitivity",))
+@register_metric("key-sensitivity", aliases=("key_bit_sensitivity",),
+                 bounds={"per_bit": _FRACTION, "mean": _FRACTION,
+                         "dead_bits": (0, _key_width)})
 def _key_sensitivity_metric(design, rng: Optional[random.Random] = None,
                             vectors: int = 32,
                             **_: object) -> Dict[str, object]:
@@ -466,7 +483,10 @@ def _key_sensitivity_metric(design, rng: Optional[random.Random] = None,
             "dead_bits": sum(1 for value in per_bit if value == 0.0)}
 
 
-@register_metric("avalanche", aliases=("avalanche_sensitivity",))
+@register_metric("avalanche", aliases=("avalanche_sensitivity",),
+                 bounds={"mean": _FRACTION, "max": _FRACTION,
+                         "min": _FRACTION, "per_bit": _FRACTION,
+                         "lanes_changed": _FRACTION})
 def _avalanche_metric(design, rng: Optional[random.Random] = None,
                       vectors: int = 16, signal: Optional[str] = None,
                       **_: object) -> Dict[str, object]:

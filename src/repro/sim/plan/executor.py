@@ -167,7 +167,14 @@ def _nonzero(a: Slices) -> int:
 
 def _mux(cond: int, true_value: Slices, false_value: Slices,
          full: int) -> Slices:
-    """Lane-select ``cond ? true_value : false_value``."""
+    """Lane-select ``cond ? true_value : false_value``.
+
+    Returns ``max(len(true_value), len(false_value))`` slices.  With
+    ``cond == full`` (or ``0``) the result is ``true_value`` (or
+    ``false_value``) zero-extended to that width, since every operand
+    slice is already masked to ``full``; a compiled ternary takes that
+    shortcut itself and runs only the live branch.
+    """
     n = max(len(true_value), len(false_value))
     inv = cond ^ full
     lt, lf = len(true_value), len(false_value)

@@ -6,6 +6,15 @@ bookkeeping happens at compile time: every compiled expression carries the
 exact number of slices it produces, so the runtime never touches slices that
 are provably zero.
 
+A ternary whose condition is the same on every lane of a pass runs only the
+branch it selects, padded to the ternary's width; the other branch is dead
+and never runs.  A locking mux ``k[i] ? a OP1 b : a OP2 b`` is such a
+ternary on every pass that binds one value of ``k[i]`` to all its lanes:
+a ``run_batch`` under one key, the base pass and each single-flip cone of
+a key-flip sweep, an avalanche sweep under one key, and a sweep tile whose
+points agree on ``k[i]``.  Only a condition that differs between lanes
+evaluates both branches and selects per lane (``executor._mux``).
+
 The compiler consumes the annotations the analysis passes computed:
 
 * ``shared`` structural keys (the CSE pass) — every subexpression whose key
@@ -178,13 +187,20 @@ class ExpressionCompiler:
             cond, _ = self.compile(expr.cond)
             true_fn, wt = self.compile(expr.true_value)
             false_fn, wf = self.compile(expr.false_value)
+            n = max(wt, wf)
 
             def ternary(env: Dict[str, Slices], full: int) -> Slices:
                 m = kernels._nonzero(cond(env, full))
+                # A condition uniform over the lanes selects one branch
+                # whole; the other is dead and never runs.
+                if m == full:
+                    return kernels._fit(true_fn(env, full), n)
+                if m == 0:
+                    return kernels._fit(false_fn(env, full), n)
                 return kernels._mux(m, true_fn(env, full),
                                     false_fn(env, full), full)
 
-            return ternary, max(wt, wf)
+            return ternary, n
 
         if isinstance(expr, ast.Concat):
             parts = []

@@ -44,12 +44,17 @@ lets :meth:`Design.copy` clone it structurally: the copy renders and
 fingerprints the same, shares no node, list, key bit or metadata dict with
 the original, and locking it in place leaves the original alone.
 
+Every packaged metric declares bounds for exactly the numeric fields it
+returns, and on every benchmark locked by every locker each number lies
+inside them; a metric registered without bounds fails.
+
 The cases are data drawn from the live registries, run through one helper
 per contract, so no plugin of the package can register without passing
 them.
 """
 
 import dataclasses
+import functools
 import itertools
 import random
 from unittest import mock
@@ -58,7 +63,7 @@ import pytest
 
 from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
-                                make_metric, metric_names)
+                                make_metric, metric_names, register_metric)
 from repro.attacks.baselines import RandomGuessAttack
 from repro.attacks.locality import LocalityExtractor, operation_code
 from repro.bench import benchmark_names, load_benchmark
@@ -567,3 +572,92 @@ def check_release_rule(benchmark: str, locker: str) -> None:
 def test_tiled_sweeps_drop_values_after_their_last_reader(design_name,
                                                           locker):
     check_release_rule(design_name, locker)
+
+
+#: ``(metric, benchmark, locker)``: every packaged metric on every
+#: benchmark locked by every packaged locker, one locked design per run of
+#: three metrics.
+METRIC_NAMES = packaged(METRICS, metric_names())
+BOUNDS_CASES = [(metric, name, locker) for name, locker in SIMULATION_CASES
+                for metric in METRIC_NAMES]
+
+
+@functools.lru_cache(maxsize=1)
+def locked_benchmark(benchmark: str, locker: str) -> Design:
+    design = load_benchmark(benchmark, scale=0.1, seed=0)
+    budget = max(1, design.num_operations() // 2)
+    return make_locker(locker, random.Random(0)).lock(design, budget).design
+
+
+def numbers(value):
+    """The numbers of a numeric field or list field (``None``: the field
+    is not numeric)."""
+    def is_number(item):
+        return isinstance(item, (int, float)) and not isinstance(item, bool)
+
+    if is_number(value):
+        return [value]
+    if isinstance(value, list) and all(is_number(item) for item in value):
+        return value
+    return None
+
+
+def check_metric_bounds(name: str, design: Design) -> None:
+    """Every numeric field the metric returns has declared bounds, every
+    declared field is returned, and every number lies in its bounds."""
+    bounds = METRICS.bounds(name)
+    assert bounds is not None, f"metric {name!r} declares no bounds"
+    result = make_metric(name)(design, rng=random.Random(7),
+                               **METRIC_OPTIONS)
+    label = f"metric {name!r} on {design.name}"
+    numeric = {field for field, value in result.items()
+               if numbers(value) is not None}
+    assert numeric <= set(bounds), \
+        f"{label}: no bounds declared for {sorted(numeric - set(bounds))}"
+    assert set(bounds) <= numeric, \
+        f"{label}: declared bounds of {sorted(set(bounds) - numeric)}, " \
+        "which it does not return as numbers"
+    for field, ends in bounds.items():
+        low, high = (end(design) if callable(end) else end for end in ends)
+        outside = [value for value in numbers(result[field])
+                   if not low <= value <= high]
+        assert not outside, \
+            f"{label}: {field} = {outside} outside [{low}, {high}]"
+
+
+@pytest.mark.parametrize("metric,design_name,locker", BOUNDS_CASES,
+                         ids=[f"{metric}-{name}-{locker}"
+                              for metric, name, locker in BOUNDS_CASES])
+def test_metric_stays_inside_its_declared_bounds(metric, design_name,
+                                                 locker):
+    check_metric_bounds(metric, locked_benchmark(design_name, locker))
+
+
+#: ``(what a bad metric returns, its bounds, the message)``.
+BAD_METRICS = [
+    ({"rate": 0.5}, None, "declares no bounds"),
+    ({"rate": 0.5, "count": 3}, {"rate": (0.0, 1.0)},
+     r"no bounds declared for \['count'\]"),
+    ({"rate": 0.5}, {"rate": (0.0, 1.0), "gone": (0, 1)},
+     r"declared bounds of \['gone'\]"),
+    ({"rate": 1.5}, {"rate": (0.0, 1.0)}, r"rate = \[1.5\] outside"),
+    ({"rates": [0.5, -0.25]}, {"rates": (0.0, 1.0)},
+     r"rates = \[-0.25\] outside"),
+    ({"dead": 99}, {"dead": (0, lambda design: design.key_width)},
+     r"dead = \[99\] outside \[0, 4\]"),
+]
+
+
+@pytest.mark.parametrize("result,bounds,message", BAD_METRICS,
+                         ids=[message for _, _, message in BAD_METRICS])
+def test_a_metric_outside_its_bounds_is_caught(result, bounds, message):
+    @register_metric("test-bounded-metric", bounds=bounds)
+    def bad_metric(design, **_):
+        return dict(result)
+
+    design = lock("assure", Design.from_verilog(MIXER_SOURCE, name="mixer"))
+    try:
+        with pytest.raises(AssertionError, match=message):
+            check_metric_bounds("test-bounded-metric", design.design)
+    finally:
+        METRICS.unregister("test-bounded-metric")
