@@ -14,7 +14,7 @@ through one of three process-wide registries:
   ``metric(design, rng=None, **options)`` returning a JSON-serialisable
   value (number or dict).  A metric registers the declared range of each
   numeric field it returns (:data:`Bound`, read back with
-  :func:`metric_bounds`); the registry contracts check every packaged
+  ``METRICS.bounds(name)``); the registry contracts check every packaged
   metric's fields against them.
 
 Built-in components register themselves with the decorators below at import
@@ -251,16 +251,6 @@ def make_metric(name: str) -> Callable:
     """
     _ensure_builtins()
     return METRICS.get(name)
-
-
-def metric_bounds(name: str) -> Optional[Dict[str, Bound]]:
-    """The field bounds the metric ``name`` declared (``None``: none).
-
-    Raises:
-        UnknownComponentError: for unregistered metric names.
-    """
-    _ensure_builtins()
-    return METRICS.bounds(name)
 
 
 def locker_names(include_aliases: bool = False) -> List[str]:

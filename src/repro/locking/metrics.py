@@ -292,8 +292,8 @@ def key_bit_sensitivity(design, vectors: int = 32,
     counted on the bit-sliced outputs.  The base key and each flipped key
     are the same on every lane of their pass, so every locking mux of the
     plan runs only the operation its key bit selects, never its dummy.
-    Designs the plan compiler cannot
-    express fall back to a per-key scalar loop with identical numbers.
+    Designs the plan compiler cannot express fall back to a per-key scalar
+    loop with identical numbers.
 
     Raises:
         ValueError: if the design is not locked or ``vectors`` is not
@@ -374,9 +374,9 @@ def avalanche_sensitivity(design, signal: Optional[str] = None,
     every point binds the *same* key, sweep value-numbering treats the whole
     key cone as point-invariant: only the probed signal's fan-out cone is
     re-evaluated per flip point, and every locking mux runs only the
-    operation the shared key selects.  Locked designs are evaluated under their
-    correct key (or ``key``), so the profile measures the *functional*
-    avalanche of the design, not key corruption (see
+    operation the shared key selects.  Locked designs are evaluated under
+    their correct key (or ``key``), so the profile measures the
+    *functional* avalanche of the design, not key corruption (see
     :func:`functional_corruption` for that).
 
     Designs the plan compiler cannot express fall back to a scalar per-point

@@ -151,19 +151,16 @@ def hand_written(name: str, width: int) -> Design:
 def run_case(design: Design, simulator: BatchSimulator, path: str, keys):
     """Run one path; return ``(plan result, scalar engine result)``."""
     scalar = CombinationalSimulator(design)
+    if path in ("cones", "differences"):
+        return (simulator.sweep_differences(INPUTS, keys=keys, n=LANES),
+                scalar.sweep_differences(INPUTS, keys=keys, n=LANES))
     vectors = batch_to_vectors(INPUTS, LANES)
+    per_key = [{name: [scalar.run(vector, key=key)[name]
+                       for vector in vectors]
+                for name in scalar.output_names} for key in keys]
     if path == "batch":
-        return (simulator.run_batch(INPUTS, key=keys[0], n=LANES),
-                {name: [scalar.run(vector, key=keys[0])[name]
-                        for vector in vectors]
-                 for name in scalar.output_names})
-    if path == "tiles":
-        return (simulator.run_sweep(INPUTS, keys=keys, n=LANES),
-                [{name: [scalar.run(vector, key=key)[name]
-                         for vector in vectors]
-                  for name in scalar.output_names} for key in keys])
-    return (simulator.sweep_differences(INPUTS, keys=keys, n=LANES),
-            scalar.sweep_differences(INPUTS, keys=keys, n=LANES))
+        return simulator.run_batch(INPUTS, key=keys[0], n=LANES), per_key[0]
+    return simulator.run_sweep(INPUTS, keys=keys, n=LANES), per_key
 
 
 def check_case(name: str, path: str, keys, muls: int, divmods: int) -> None:
