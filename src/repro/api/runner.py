@@ -107,6 +107,9 @@ def _cached(cache: "OrderedDict[Tuple, object]", key: Tuple,
 def _load_base_design(benchmark: str, scale: float, seed: int):
     """Load a benchmark once per process and share it across jobs.
 
+    Returns ``(design, design.num_operations())``; the count, a walk over
+    every operation site, is taken once when the entry is built.
+
     This is the first of the runner's two per-process caches: every job of
     a benchmark shares one generated base design, and :func:`_lock_cell`
     then shares each locked cell of it.  Sharing is safe because nothing
@@ -117,8 +120,11 @@ def _load_base_design(benchmark: str, scale: float, seed: int):
     """
     from ..bench import load_benchmark
 
-    return _cached(_design_cache, (benchmark, scale, seed),
-                   lambda: load_benchmark(benchmark, scale=scale, seed=seed))
+    def load():
+        design = load_benchmark(benchmark, scale=scale, seed=seed)
+        return design, design.num_operations()
+
+    return _cached(_design_cache, (benchmark, scale, seed), load)
 
 
 def _lock_cell(job: JobSpec, design, budget: int):
@@ -189,8 +195,8 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
     if fault_plan is not None:
         fault_plan.apply(job.job_id, attempt, in_worker=in_worker)
     started = time.perf_counter()
-    design = _load_base_design(job.benchmark, job.scale, job.seed)
-    num_operations = design.num_operations()
+    design, num_operations = _load_base_design(job.benchmark, job.scale,
+                                               job.seed)
     budget = key_budget_for(job, num_operations)
 
     locked = _lock_cell(job, design, budget)

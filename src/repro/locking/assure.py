@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..rtlir.design import Design
 from ..rtlir.opgraph import build_operation_graph
+from ..sim.vectors import random_bits
 from .base import LockAction, LockingSession, OpRef
 from .metrics import MetricTracker
 from .pairs import PairTable, default_pair_table
@@ -141,8 +142,8 @@ class AssureLocker:
                      in random_round_draws(self.rng, len(candidates),
                                            key_budget)]
         else:
-            locks = [(ref, self.rng.randint(0, 1)) for ref
-                     in self._serial_order(session, candidates)[:key_budget]]
+            chosen = self._serial_order(session, candidates)[:key_budget]
+            locks = list(zip(chosen, random_bits(self.rng, len(chosen))))
         for bits_used, (ref, value) in enumerate(locks, 1):
             session.add_pair(ref, correct_value=value)
             if tracker is not None:
@@ -183,7 +184,8 @@ def random_round_draws(rng: random.Random, candidates: int,
         raise ValueError("key budget must be non-negative")
     order = list(range(candidates))
     rng.shuffle(order)
-    return [(position, rng.randint(0, 1)) for position in order[:key_budget]]
+    chosen = order[:key_budget]
+    return list(zip(chosen, random_bits(rng, len(chosen))))
 
 
 # ---------------------------------------------------------------------------

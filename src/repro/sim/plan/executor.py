@@ -4,8 +4,8 @@ This module holds the *runtime* of the plan pipeline — everything that
 happens after compilation:
 
 * the bit-slice ALU primitives (ripple-carry add, shift-and-add multiply,
-  restoring division, barrel shifters, mask-select muxes) the compiled
-  closures call into,
+  restoring division over the slices the partial remainder can occupy,
+  barrel shifters, mask-select muxes) the compiled closures call into,
 * the lane packers (:func:`pack_values` / :func:`unpack_values`), and
 * :class:`BatchSimulator` — N input vectors per bit-parallel pass
   (:meth:`~BatchSimulator.run_batch`) and S×V (key, input) sweep lanes per
@@ -120,24 +120,69 @@ def _mul(a: Slices, b: Slices, n: int) -> Slices:
 
 
 def _divmod(a: Slices, b: Slices, full: int) -> Tuple[Slices, Slices]:
-    """Restoring division; lanes dividing by zero yield quotient/remainder 0."""
-    n, nb = len(a), len(b)
-    nonzero = 0
-    for s in b:
-        nonzero |= s
-    if n == 0 or nb == 0 or nonzero == 0:
-        return [0] * n, [0] * nb
-    remainder = [0] * (nb + 1)
+    """Restoring division over the live remainder slices only.
+
+    Returns ``len(a)`` quotient and ``len(b)`` remainder slices; lanes
+    dividing by zero yield quotient and remainder 0.
+
+    The all-zero high slices of both operands are dropped first (they
+    shift in zeros and subtract nothing), leaving ``nb`` divisor slices.
+    After ``t`` dividend bits have been shifted in, the partial remainder
+    is below ``2**t`` and, once restored, below the divisor, so it fits in
+    ``w = min(t, nb + 1)`` slices.  Each step therefore subtracts over
+    those ``w`` slices plus the borrow bit, reading ``~b`` computed once
+    per call.  A lane whose divisor has a set bit at position ``w`` or
+    higher (``above[w]``, a suffix OR of the divisor's slices) exceeds the
+    remainder and borrows whatever the ``w``-slice difference says.  Only
+    the ``w`` live slices are restored, and a step in which no lane's
+    divisor fits in ``w`` slices is skipped.  Zero-divisor lanes never
+    subtract; their remainder slices are masked to 0 at the end.
+    """
+    n, nb_out = len(a), len(b)
+    nb = nb_out
+    while nb and b[nb - 1] == 0:
+        nb -= 1
+    top = n
+    while top and a[top - 1] == 0:
+        top -= 1
+    if top == 0 or nb == 0:
+        return [0] * n, [0] * nb_out
+    above = [0] * (nb + 2)
+    for j in range(nb - 1, -1, -1):
+        above[j] = above[j + 1] | b[j]
+    nonzero = above[0]
+    # fits[w]: nonzero-divisor lanes whose divisor is below 2**w.
+    fits = [nonzero ^ high for high in above]
+    # Bit nb of the divisor is 0, so its complement slice is ``full``.
+    inverted = [s ^ full for s in b[:nb]]
+    inverted.append(full)
     quotient = [0] * n
-    for i in range(n - 1, -1, -1):
-        remainder = [a[i]] + remainder[:nb]
-        trial = _sub(remainder, b, nb + 1, full)
-        no_borrow = trial[nb] ^ full
-        quotient[i] = no_borrow & nonzero
-        keep = no_borrow ^ full
-        remainder = [(t & no_borrow) | (r & keep)
-                     for t, r in zip(trial, remainder)]
-    return quotient, [s & nonzero for s in remainder[:nb]]
+    remainder: Slices = []
+    for i in range(top - 1, -1, -1):
+        remainder.insert(0, a[i])
+        w = len(remainder)
+        if w > nb + 1:
+            # Slice nb of a restored remainder is 0 on every lane that
+            # divides by nonzero; zero-divisor lanes are masked below.
+            remainder.pop()
+            w -= 1
+        candidates = fits[w]
+        if not candidates:
+            continue
+        # Trial remainder - b over w slices; ``flips[k]`` is the trial
+        # slice XOR the remainder slice, ``c`` ends as the carry out of
+        # slice w - 1, which is set exactly when bit w does not borrow.
+        c = full
+        flips = []
+        for r, nbk in zip(remainder, inverted):
+            flips.append(nbk ^ c)
+            c = (r & nbk) | (c & (r ^ nbk))
+        q = c & candidates
+        if q:
+            quotient[i] = q
+            remainder = [r ^ (f & q) for r, f in zip(remainder, flips)]
+    out = [s & nonzero for s in remainder[:nb]]
+    return quotient, out + [0] * (nb_out - len(out))
 
 
 def _less_than(a: Slices, b: Slices, full: int) -> int:

@@ -70,6 +70,24 @@ def batch_to_vectors(batch: Dict[str, List[int]], n: int) -> List[Dict[str, int]
             for lane in range(n)]
 
 
+def random_bits(rng: random.Random, count: int) -> List[int]:
+    """Draw ``count`` uniform bits, each exactly as ``rng.randint(0, 1)``.
+
+    ``randint(0, 1)`` draws ``getrandbits(2)`` until the value is below 2
+    (``Random._randbelow(2)``); this makes the same draws without its
+    three Python frames per bit, so the bits and the state ``rng`` is
+    left in are those of ``count`` ``randint(0, 1)`` calls.
+    """
+    getrandbits = rng.getrandbits
+    bits = []
+    for _ in range(count):
+        bit = getrandbits(2)
+        while bit > 1:
+            bit = getrandbits(2)
+        bits.append(bit)
+    return bits
+
+
 def random_key(width: int, rng: random.Random) -> List[int]:
     """Draw a uniformly random key of ``width`` bits (LSB first).
 
@@ -78,7 +96,7 @@ def random_key(width: int, rng: random.Random) -> List[int]:
     """
     if width < 0:
         raise ValueError("key width must be non-negative")
-    return [rng.randint(0, 1) for _ in range(width)]
+    return random_bits(rng, width)
 
 
 def random_wrong_key(correct: Sequence[int],

@@ -435,9 +435,15 @@ class TestProcessCaches:
 
         import repro.bench
 
+        class Loaded(tuple):
+            # Stands in for a design: the cache entry counts its operations.
+            def num_operations(self):
+                return self[2] + 10
+
         monkeypatch.setattr(runner_module, "_CACHE_SIZE", 1)
         monkeypatch.setattr(repro.bench, "load_benchmark",
-                            lambda name, scale, seed: (name, scale, seed))
+                            lambda name, scale, seed: Loaded((name, scale,
+                                                              seed)))
         errors = []
 
         class Name(str):
@@ -453,7 +459,8 @@ class TestProcessCaches:
             try:
                 for number in range(500):
                     key = (names[(thread + number) % 3], 1.0, number % 2)
-                    assert runner_module._load_base_design(*key) == key
+                    assert runner_module._load_base_design(*key) == (
+                        key, key[2] + 10)
             except Exception as exc:  # reported below with the thread
                 errors.append((thread, repr(exc)))
 
@@ -509,6 +516,30 @@ class TestProcessCaches:
             attacks=(), metrics=(MetricSpec("avalanche", {"vectors": 4}),))
         execute_job(other.expand()[0])
         assert len(locks) == 5
+
+    def test_jobs_of_one_design_count_its_operations_once(
+            self, runner_module, monkeypatch):
+        from collections import Counter
+
+        from repro.rtlir.design import Design
+
+        walks = Counter()
+        num_operations = Design.num_operations
+
+        def counting_num_operations(design):
+            walks[id(design)] += 1
+            return num_operations(design)
+
+        monkeypatch.setattr(Design, "num_operations", counting_num_operations)
+        scenario = quick_scenario(
+            attacks=(), samples=2,
+            metrics=(MetricSpec("avalanche", {"vectors": 4}),))
+        records = [execute_job(job) for job in scenario.expand()]
+        assert len(records) == 4
+        (design, count), = runner_module._design_cache.values()
+        assert walks[id(design)] == 1
+        assert count == num_operations(design)
+        assert {record["num_operations"] for record in records} == {count}
 
     def test_serial_run_goes_in_expansion_order_and_locks_each_cell_once(
             self, runner_module, monkeypatch):

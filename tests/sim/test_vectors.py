@@ -9,6 +9,7 @@ from repro.sim.vectors import (
     batch_to_vectors,
     input_signals,
     output_signals,
+    random_bits,
     random_input_batch,
     random_key,
     random_vector_batch,
@@ -74,3 +75,24 @@ class TestWrongKey:
         correct = random_key(12, random.Random(1))
         assert (random_wrong_key(correct, random.Random(2))
                 == random_wrong_key(correct, random.Random(2)))
+
+
+#: ``(seed, count)`` pairs: every count at three seeds.
+BIT_DRAWS = [(seed, count) for seed in (0, 1, 12345)
+             for count in (0, 1, 7, 64, 1000)]
+
+
+class TestRandomBits:
+    """``random_bits`` is ``count`` calls of ``rng.randint(0, 1)``."""
+
+    @pytest.mark.parametrize("seed,count", BIT_DRAWS)
+    def test_same_bits_and_state_as_randint(self, seed, count):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        bits = random_bits(drawn, count)
+        assert bits == [reference.randint(0, 1) for _ in range(count)]
+        assert drawn.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed,count", BIT_DRAWS)
+    def test_random_key_draws_the_same_bits(self, seed, count):
+        assert random_key(count, random.Random(seed)) == random_bits(
+            random.Random(seed), count)
