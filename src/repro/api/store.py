@@ -20,10 +20,9 @@ line); a line truncated by a crash mid-append is skipped on read.
 
 A second run of the same scenario against an existing store skips every job
 whose record is already present (zero jobs executed on a complete store).
-The figure/table builders in :mod:`repro.eval` read aggregated KPA data
-straight from a store via :meth:`ResultsStore.kpa_samples`, and
-``repro.cli report <store>`` renders the full report — figures, per-axis
-sweep tables, measured wall time — without re-running anything.
+:meth:`ResultsStore.snapshot` reads everything a report shows in one pass,
+and ``repro.cli report <store>`` renders the full report from it — figures,
+per-axis sweep tables, measured wall time — without re-running anything.
 
 The manifest summarises every record with its measured wall time and
 carries the expanded ``total_jobs`` count, so a store also answers "is this
@@ -35,9 +34,10 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Collection, Dict, Iterable, Iterator, List, Mapping,
-                    Optional)
+                    Optional, Tuple)
 
 from .scenario import Scenario
 
@@ -86,9 +86,10 @@ def write_json_atomic(path: Path, payload: object) -> Path:
 def kpa_samples_from_records(records: Iterable[Mapping]) -> List:
     """Flatten attack job records into ``KpaSample`` objects.
 
-    The single aggregation path shared by :meth:`ResultsStore.kpa_samples`
-    and :meth:`repro.api.runner.RunReport.kpa_samples`, so the record schema
-    is interpreted in exactly one place.
+    The single aggregation path shared by the store reports
+    (:mod:`repro.eval.reporting`) and
+    :meth:`repro.api.runner.RunReport.kpa_samples`, so the record schema is
+    interpreted in exactly one place.
     """
     from ..attacks.kpa import KpaSample
 
@@ -113,6 +114,32 @@ def kpa_samples_from_records(records: Iterable[Mapping]) -> List:
 
 class StoreError(RuntimeError):
     """Raised for unreadable or inconsistent store contents."""
+
+
+def latest_failure_per_job(entries: Iterable[Dict]) -> Dict[str, Dict]:
+    """``{job_id: latest ledger entry}`` over failure-ledger entries."""
+    latest: Dict[str, Dict] = {}
+    for entry in entries:
+        job_id = entry.get("job_id")
+        if isinstance(job_id, str):
+            latest[job_id] = entry
+    return latest
+
+
+@dataclass(frozen=True)
+class StoreSnapshot:
+    """Everything a report shows, read by :meth:`ResultsStore.snapshot`.
+
+    ``scenario`` is the manifest's, else the stamped one; ``records`` are
+    the readable records in job-id order, ``unreadable`` the other ids.
+    """
+
+    manifest: Optional[Dict]
+    scenario: Optional[Scenario]
+    records: List[Dict]
+    unreadable: List[str]
+    failures: List[Dict]
+    completion: Optional[Dict]
 
 
 class ResultsStore:
@@ -257,12 +284,7 @@ class ResultsStore:
 
     def failed_job_ids(self) -> Dict[str, Dict]:
         """``{job_id: latest ledger entry}`` of every quarantined job."""
-        latest: Dict[str, Dict] = {}
-        for entry in self.failures():
-            job_id = entry.get("job_id")
-            if isinstance(job_id, str):
-                latest[job_id] = entry
-        return latest
+        return latest_failure_per_job(self.failures())
 
     def compact_failures(self, drop: Collection[str] = ()) -> int:
         """Rewrite the ledger to its latest entry per job, dropping ids.
@@ -282,9 +304,9 @@ class ResultsStore:
         if not self.failures_path.exists():
             return 0
         entries = self.failures()
-        latest = self.failed_job_ids()
-        keep = [entry for job_id, entry in latest.items()
-                if job_id not in set(drop)]
+        keep = [entry for job_id, entry
+                in latest_failure_per_job(entries).items()
+                if job_id not in drop]
         removed = len(entries) - len(keep)
         if not keep:
             self.failures_path.unlink()
@@ -353,6 +375,23 @@ class ResultsStore:
         for job_id in self.job_ids():
             yield self.load(job_id)
 
+    def _read_records(self) -> Tuple[Dict[str, Dict], List[str]]:
+        """``({job_id: record}, unreadable ids)``, each record loaded once.
+
+        An unreadable record (kill mid-write, bad sector) is logged and
+        skipped; a resume re-executes it.
+        """
+        records: Dict[str, Dict] = {}
+        unreadable: List[str] = []
+        for job_id in self.job_ids():
+            try:
+                records[job_id] = self.load(job_id)
+            except StoreError:
+                _log.warning("skipping unreadable record %r in %s",
+                             job_id, self.root)
+                unreadable.append(job_id)
+        return records, unreadable
+
     # --------------------------------------------------------------- manifest
 
     def write_manifest(self, scenario: Scenario,
@@ -367,25 +406,16 @@ class ResultsStore:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         expanded = {job.job_id for job in scenario.expand()}
-        summaries = []
-        for job_id in self.job_ids():
-            try:
-                record = self.load(job_id)
-            except StoreError:
-                # A record corrupted on disk (kill mid-write, bad sector) is
-                # the resume path's problem; the manifest still summarises
-                # every readable one.
-                _log.warning("skipping unreadable record %r while writing "
-                             "the manifest of %s", job_id, self.root)
-                continue
-            summaries.append({
-                "job_id": job_id,
-                "kind": record.get("kind"),
-                "benchmark": record.get("benchmark"),
-                "locker": record.get("locker"),
-                "sample": record.get("sample"),
-                "elapsed_seconds": record.get("elapsed_seconds"),
-            })
+        # A record corrupted on disk is the resume path's problem; the
+        # manifest still summarises every readable one.
+        summaries = [{
+            "job_id": job_id,
+            "kind": record.get("kind"),
+            "benchmark": record.get("benchmark"),
+            "locker": record.get("locker"),
+            "sample": record.get("sample"),
+            "elapsed_seconds": record.get("elapsed_seconds"),
+        } for job_id, record in self._read_records()[0].items()]
         quarantined = sorted(job_id for job_id in self.failed_job_ids()
                              if job_id in expanded)
         manifest = {
@@ -443,49 +473,45 @@ class ResultsStore:
                 f"corrupt scenario stamp {self.scenario_stamp_path}: {exc}"
             ) from exc
 
+    def snapshot(self) -> StoreSnapshot:
+        """Read everything a report shows, each file at most once.
+
+        The stamp is read only when the manifest is missing, corrupt or
+        lacks ``total_jobs``; a corrupt one degrades like a missing one.
+        :attr:`StoreSnapshot.completion` counts an unreadable record as
+        outstanding, as :meth:`repro.api.Runner.plan` re-executes it.
+        """
+        try:
+            manifest: Optional[Dict] = self.manifest()
+        except StoreError:
+            manifest = None
+        total = manifest.get("total_jobs") if manifest is not None else None
+        stamped = None
+        if total is None:
+            try:
+                stamped = self.stamped_scenario()
+            except StoreError:
+                pass  # corrupt stamp: treat like a missing one
+            if stamped is not None:
+                total = len(stamped.expand())
+        # validate=False: a store must stay reportable even when the
+        # components that produced it are not registered here.
+        scenario = (Scenario.from_dict(manifest["scenario"], validate=False)
+                    if manifest is not None else stamped)
+        records, unreadable = self._read_records()
+        completion = None if total is None else {
+            "records": len(records), "total": total,
+            "complete": len(records) >= total}
+        return StoreSnapshot(manifest=manifest, scenario=scenario,
+                             records=list(records.values()),
+                             unreadable=unreadable, failures=self.failures(),
+                             completion=completion)
+
     def completion(self) -> Optional[Dict]:
         """``{"records", "total", "complete"}`` state of the store, if known.
 
         The expected total comes from the manifest's ``total_jobs`` (or, for
         manifest-less stores, by expanding the stamped scenario); ``None``
-        when neither source exists — record counting is still possible via
-        :meth:`job_ids` in that case.
+        when neither source exists.  See :meth:`snapshot` for the rule.
         """
-        records = len(self.job_ids())
-        total: Optional[int] = None
-        if self.manifest_path.exists():
-            try:
-                total = self.manifest().get("total_jobs")
-            except StoreError:
-                total = None  # corrupt manifest: fall back to the stamp
-        if total is None:
-            try:
-                stamped = self.stamped_scenario()
-            except StoreError:
-                stamped = None  # corrupt stamp: treat like a missing one
-            if stamped is not None:
-                total = len(stamped.expand())
-        if total is None:
-            return None
-        return {"records": records, "total": total,
-                "complete": records >= total}
-
-    # ------------------------------------------------------------ aggregation
-
-    def kpa_samples(self) -> List:
-        """Flatten every stored attack record into a ``KpaSample`` list.
-
-        The figure and table builders consume this list.
-        """
-        return kpa_samples_from_records(self.records())
-
-    def metric_values(self, metric: Optional[str] = None) -> List[Dict]:
-        """Stored metric records, optionally filtered by metric name."""
-        values = []
-        for record in self.records():
-            if record.get("kind") != "metric":
-                continue
-            if metric is not None and record.get("metric") != metric:
-                continue
-            values.append(record)
-        return values
+        return self.snapshot().completion

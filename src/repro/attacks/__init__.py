@@ -14,7 +14,6 @@ from .kpa import (
     KpaAggregate,
     KpaSample,
     aggregate_by,
-    average_kpa,
     functional_kpa,
     kpa,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "KpaAggregate",
     "KpaSample",
     "aggregate_by",
-    "average_kpa",
     "functional_kpa",
     "kpa",
     "FEATURE_SETS",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -123,11 +123,3 @@ def aggregate_by(samples: Sequence[KpaSample],
     for sample in samples:
         groups.setdefault(getattr(sample, key), []).append(sample.value)
     return {name: KpaAggregate.from_values(values) for name, values in groups.items()}
-
-
-def average_kpa(per_benchmark: Mapping[str, float]) -> float:
-    """Unweighted average KPA over benchmarks (the Fig. 6b aggregation)."""
-    values = list(per_benchmark.values())
-    if not values:
-        raise ValueError("no benchmark KPA values to average")
-    return float(np.mean(values))

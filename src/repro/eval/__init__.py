@@ -1,21 +1,21 @@
 """Evaluation harness: figure builders, reports and tables.
 
 The Fig. 6 runs themselves are scenarios executed by :mod:`repro.api`; this
-package turns their records into figures and text.
+package turns their records into figures and text.  A store report reads
+the store once (:func:`~repro.eval.reporting.store_context`); its Fig. 6a
+and 6b tables are the ``figure6`` block of :func:`store_report_json`.
 """
 
 from .figures import (
     AXIS_ORDER,
     PAPER_AVERAGE_KPA,
     AxisSweepData,
-    Figure6Data,
     ObservationPool,
     TrajectoryData,
     figure4_observation_analysis,
     figure5_design,
     figure5_surface,
     figure5_trajectories,
-    figure6_from_store,
     axis_sweeps_from_records,
 )
 from .reporting import (
@@ -40,14 +40,12 @@ __all__ = [
     "PAPER_AVERAGE_KPA",
     "AXIS_ORDER",
     "AxisSweepData",
-    "Figure6Data",
     "ObservationPool",
     "TrajectoryData",
     "figure4_observation_analysis",
     "figure5_design",
     "figure5_surface",
     "figure5_trajectories",
-    "figure6_from_store",
     "axis_sweeps_from_records",
     "ShapeCheck",
     "kpa_tables_from_samples",

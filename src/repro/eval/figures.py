@@ -9,9 +9,9 @@ library is required.
   ``+``-network).
 * :func:`figure5_surface` and :func:`figure5_trajectories` — the metric
   search-space and metric-evolution views of Fig. 5.
-* :func:`figure6_from_store` — the per-benchmark and average KPA of Fig. 6,
-  read from the results store of a scenario run (``repro-lock evaluate``
-  or ``run``).
+* :func:`axis_sweeps_from_records` — KPA along the matrix axes of a
+  scenario run.  The Fig. 6 tables themselves come from the store reports
+  (:func:`repro.eval.store_report_json`'s ``figure6`` block).
 """
 
 from __future__ import annotations
@@ -308,32 +308,6 @@ def figure5_trajectories(plus_imbalance: int = 25, shift_imbalance: int = 10,
         assert result.tracker is not None
         trajectories[name] = TrajectoryData.from_tracker(name, result.tracker)
     return trajectories
-
-
-# ---------------------------------------------------------------------------
-# Figure 6 — KPA of SnapShot vs. ASSURE / HRA / ERA
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Figure6Data:
-    """Per-benchmark and average KPA (Fig. 6a and 6b)."""
-
-    per_benchmark: Dict[str, Dict[str, float]]
-    average: Dict[str, float]
-
-
-def figure6_from_store(store) -> Figure6Data:
-    """Build the Fig. 6 data from a :class:`repro.api.ResultsStore`.
-
-    Reads the per-job KPA records written by a scenario run instead of
-    re-running anything, so figures can be (re)built long after the run —
-    and incrementally while a resumable run is still filling the store.
-    """
-    from .reporting import kpa_tables_from_samples
-
-    per_benchmark, average = kpa_tables_from_samples(store.kpa_samples())
-    return Figure6Data(per_benchmark=per_benchmark, average=average)
 
 
 # ---------------------------------------------------------------------------

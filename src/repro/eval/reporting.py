@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..api.store import (StoreError, StoreSnapshot, kpa_samples_from_records,
+                         latest_failure_per_job)
 from ..attacks.kpa import RANDOM_GUESS_KPA, KpaSample, aggregate_by
-from .figures import PAPER_AVERAGE_KPA
+from .figures import PAPER_AVERAGE_KPA, AxisSweepData, axis_sweeps_from_records
 from .tables import average_kpa_text, kpa_table_text
 
 
@@ -99,8 +102,10 @@ def kpa_tables_from_samples(samples: Sequence[KpaSample],
 
     Works on any :class:`~repro.attacks.kpa.KpaSample` list (e.g.
     :meth:`repro.api.RunReport.kpa_samples` or
-    :meth:`repro.api.ResultsStore.kpa_samples`); both tables keep the
-    samples' first-seen order.
+    :func:`repro.api.store.kpa_samples_from_records` over a store's
+    records); both tables keep the samples' first-seen order.  Each
+    algorithm's average is the mean over its samples, so a benchmark with
+    more samples weighs more.
     """
     grouped: Dict[str, Dict[str, List[float]]] = {}
     for sample in samples:
@@ -131,48 +136,52 @@ def report_from_samples(samples: Sequence[KpaSample],
             benchmarks not listed follow in sample order.
     """
     per_benchmark, average = kpa_tables_from_samples(samples)
-    if algorithms is None:
-        algorithms = sorted(average)
-    rank = {name: index for index, name in enumerate(benchmarks or ())}
-    per_benchmark = dict(sorted(per_benchmark.items(),
-                                key=lambda item: rank.get(item[0], len(rank))))
-    return _render_report(per_benchmark, average, list(algorithms))
+    return _render_report(per_benchmark, average, algorithms, benchmarks)
 
 
-def store_context(store) -> tuple:
-    """Shared (manifest, scenario, records) loading of the store reports.
+@dataclass(frozen=True)
+class ReportContext:
+    """One store snapshot and the aggregates both store reports render."""
+
+    snapshot: StoreSnapshot
+    per_benchmark: Dict[str, Dict[str, float]]
+    average: Dict[str, float]
+    axis_sweeps: List[AxisSweepData]
+    benchmark_axis_sweeps: List[AxisSweepData]
+    metric_counts: Dict[str, int]
+
+
+def store_context(store) -> ReportContext:
+    """Read ``store`` once and gather what its reports show.
+
+    Pass the result as ``context`` to :func:`store_report` and
+    :func:`store_report_json`: both then render the same disk state, and
+    neither reads the store again.
 
     Raises:
-        StoreError: when the store has neither records nor a scenario stamp
-            (i.e. it is not a results store at all).
+        StoreError: when the store has no job records (readable or not),
+            no manifest and no scenario stamp (i.e. it is not a results
+            store at all).
     """
-    from ..api.store import StoreError
-
-    try:
-        manifest = store.manifest()
-    except StoreError:
-        manifest = None
-    scenario = None
-    if manifest is not None:
-        from ..api.scenario import Scenario
-
-        # validate=False: a store must stay reportable even when the
-        # components that produced it are not registered here.
-        scenario = Scenario.from_dict(manifest["scenario"], validate=False)
-    else:
-        try:
-            scenario = store.stamped_scenario()
-        except StoreError:
-            scenario = None  # corrupt stamp: report from raw records
-    records = list(store.records())
-    if scenario is None and not records:
+    snapshot = store.snapshot()
+    records = snapshot.records
+    if snapshot.scenario is None and not records and not snapshot.unreadable:
         raise StoreError(
             f"{store.root} is not a results store: no job records, no "
             "manifest and no scenario stamp")
-    return manifest, scenario, records
+    per_benchmark, average = kpa_tables_from_samples(
+        kpa_samples_from_records(records))
+    return ReportContext(
+        snapshot=snapshot, per_benchmark=per_benchmark, average=average,
+        axis_sweeps=axis_sweeps_from_records(records),
+        benchmark_axis_sweeps=axis_sweeps_from_records(records,
+                                                       per_benchmark=True),
+        metric_counts=dict(Counter(str(record.get("metric"))
+                                   for record in records
+                                   if record.get("kind") == "metric")))
 
 
-def store_report_json(store, context: Optional[tuple] = None) -> Dict:
+def store_report_json(store, context: Optional[ReportContext] = None) -> Dict:
     """Machine-readable counterpart of :func:`store_report`.
 
     Everything :func:`store_report` renders as text — the Fig. 6 KPA
@@ -181,25 +190,20 @@ def store_report_json(store, context: Optional[tuple] = None) -> Dict:
     JSON-serialisable dictionary, so downstream tooling (plotting, paper
     tables, regression dashboards) can consume a store without scraping
     the text report.  ``repro.cli report <store> --json`` writes it to
-    disk.
+    disk.  An ``unreadable`` list of job ids appears only when some record
+    does not parse.
 
     Args:
         store: The results store to report on.
-        context: A ``(manifest, scenario, records)`` triple from a prior
-            :func:`store_context` call, so one disk read can feed both the
-            text and the JSON report; loaded from ``store`` when omitted.
+        context: A prior :func:`store_context` result, so one disk read
+            feeds both the text and the JSON report; read from ``store``
+            when omitted.
 
     Raises:
         StoreError: when the store is not a results store at all.
     """
-    from ..api.store import kpa_samples_from_records
-    from .figures import axis_sweeps_from_records
-
-    manifest, scenario, records = context if context is not None \
-        else store_context(store)
-    samples = kpa_samples_from_records(records)
-    per_benchmark, average = kpa_tables_from_samples(samples) \
-        if samples else ({}, {})
+    context = context if context is not None else store_context(store)
+    snapshot, scenario = context.snapshot, context.snapshot.scenario
 
     def sweep_payload(sweep) -> Dict:
         return {
@@ -217,32 +221,29 @@ def store_report_json(store, context: Optional[tuple] = None) -> Dict:
             ],
         }
 
-    metric_counts: Dict[str, int] = {}
-    for record in records:
-        if record.get("kind") == "metric":
-            name = str(record.get("metric"))
-            metric_counts[name] = metric_counts.get(name, 0) + 1
-
-    return {
+    data = {
         "store": str(store.root),
         "scenario": scenario.to_dict() if scenario is not None else None,
         "scenario_fingerprint": (scenario.fingerprint()
                                  if scenario is not None else None),
-        "completion": store.completion(),
-        "figure6": {"per_benchmark": per_benchmark, "average": average},
-        "axis_sweeps": [sweep_payload(sweep) for sweep
-                        in axis_sweeps_from_records(records)],
+        "completion": snapshot.completion,
+        "figure6": {"per_benchmark": context.per_benchmark,
+                    "average": context.average},
+        "axis_sweeps": [sweep_payload(sweep)
+                        for sweep in context.axis_sweeps],
         "benchmark_axis_sweeps": [sweep_payload(sweep) for sweep
-                                  in axis_sweeps_from_records(
-                                      records, per_benchmark=True)],
-        "metric_records": metric_counts,
-        "timing": (manifest.get("jobs", [])
-                   if manifest is not None else []),
-        "failures": store.failures(),
+                                  in context.benchmark_axis_sweeps],
+        "metric_records": context.metric_counts,
+        "timing": (snapshot.manifest.get("jobs", [])
+                   if snapshot.manifest is not None else []),
+        "failures": snapshot.failures,
     }
+    if snapshot.unreadable:
+        data["unreadable"] = snapshot.unreadable
+    return data
 
 
-def store_report(store, context: Optional[tuple] = None) -> str:
+def store_report(store, context: Optional[ReportContext] = None) -> str:
     """Render the full ``repro.cli report`` text for a results store.
 
     Everything comes from disk — records, manifest, scenario stamp — and
@@ -253,20 +254,23 @@ def store_report(store, context: Optional[tuple] = None) -> str:
       falls back to the scenario stamp for the workload description,
     * a partially filled store reports over the records it has and flags
       the run as PARTIAL with the outstanding job count,
+    * an unreadable record is skipped, named in one line and counted as
+      outstanding (a resume re-executes it),
     * sections render only when their data exists (KPA tables need attack
       records, sweep tables need matrix axes, the timing table needs a
       manifest).
+
+    ``context`` is as in :func:`store_report_json`.
 
     Raises:
         StoreError: when the store has neither records nor a scenario stamp
             (i.e. it is not a results store at all).
     """
-    from ..api.store import kpa_samples_from_records
-    from .figures import axis_sweeps_from_records
     from .tables import axis_sweep_table_text, timing_table_text
 
-    manifest, scenario, records = context if context is not None \
-        else store_context(store)
+    context = context if context is not None else store_context(store)
+    snapshot = context.snapshot
+    manifest, scenario = snapshot.manifest, snapshot.scenario
 
     parts: List[str] = [f"Results store: {store.root}"]
     if scenario is not None:
@@ -277,8 +281,8 @@ def store_report(store, context: Optional[tuple] = None) -> str:
             rendered = "; ".join(f"{axis}={values}"
                                  for axis, values in axes.items())
             parts.append(f"Matrix axes: {rendered}")
-    quarantined_ids = store.failed_job_ids()
-    completion = store.completion()
+    quarantined_ids = latest_failure_per_job(snapshot.failures)
+    completion = snapshot.completion
     if completion is not None:
         outstanding = completion["total"] - completion["records"]
         # Quarantined jobs are skipped by a plain resume, so the PARTIAL
@@ -302,38 +306,34 @@ def store_report(store, context: Optional[tuple] = None) -> str:
         parts.append(f"Records: {completion['records']}/{completion['total']}"
                      f" ({state})")
     else:
-        parts.append(f"Records: {len(records)} (expected total unknown — "
-                     "no manifest or scenario stamp)")
+        parts.append(f"Records: {len(snapshot.records)} (expected total "
+                     "unknown — no manifest or scenario stamp)")
+    if snapshot.unreadable:
+        parts.append(f"Unreadable records: {len(snapshot.unreadable)} "
+                     "(skipped; 'repro-lock run' re-executes them)")
     if manifest is None:
         parts.append("Note: no manifest (run interrupted?) — reporting from "
                      "raw records" + ("" if scenario is None
                                       else " and the scenario stamp"))
 
-    samples = kpa_samples_from_records(records)
-    if samples:
+    per_benchmark = context.per_benchmark
+    if per_benchmark:
         algorithms = ([spec.algorithm for spec in scenario.lockers]
                       if scenario is not None else None)
         benchmarks = scenario.benchmarks if scenario is not None else None
-        parts += ["", report_from_samples(samples, algorithms=algorithms,
-                                          benchmarks=benchmarks)]
+        parts += ["", _render_report(per_benchmark, context.average,
+                                     algorithms, benchmarks)]
 
-    for sweep in axis_sweeps_from_records(records):
-        parts += ["", axis_sweep_table_text(sweep)]
-
+    sweeps = list(context.axis_sweeps)
     # Per-(benchmark, axis) views add information only when the records
     # span more than one benchmark; otherwise they would duplicate the
     # aggregates above.
-    benchmarks = {record.get("benchmark") for record in records
-                  if record.get("kind") == "attack"}
-    if len(benchmarks) > 1:
-        for sweep in axis_sweeps_from_records(records, per_benchmark=True):
-            parts += ["", axis_sweep_table_text(sweep)]
+    if len(per_benchmark) > 1:
+        sweeps += context.benchmark_axis_sweeps
+    for sweep in sweeps:
+        parts += ["", axis_sweep_table_text(sweep)]
 
-    metric_counts: Dict[str, int] = {}
-    for record in records:
-        if record.get("kind") == "metric":
-            name = str(record.get("metric"))
-            metric_counts[name] = metric_counts.get(name, 0) + 1
+    metric_counts = context.metric_counts
     if metric_counts:
         rendered = ", ".join(f"{name} ({count})"
                              for name, count in sorted(metric_counts.items()))
@@ -360,7 +360,13 @@ def store_report(store, context: Optional[tuple] = None) -> str:
 
 def _render_report(per_benchmark: Mapping[str, Mapping[str, float]],
                    average: Mapping[str, float],
-                   algorithms: Sequence[str]) -> str:
+                   algorithms: Optional[Sequence[str]],
+                   benchmarks: Optional[Sequence[str]]) -> str:
+    if algorithms is None:
+        algorithms = sorted(average)
+    rank = {name: index for index, name in enumerate(benchmarks or ())}
+    per_benchmark = dict(sorted(per_benchmark.items(),
+                                key=lambda item: rank.get(item[0], len(rank))))
     ordered = {name: average[name] for name in algorithms if name in average}
     ordered.update({name: value for name, value in average.items()
                     if name not in ordered})

@@ -195,20 +195,22 @@ class TestResumableStore:
         assert store.job_ids() == []
 
     def test_kpa_samples_from_store(self, tmp_path):
+        from repro.api.store import kpa_samples_from_records
+
         store = ResultsStore(tmp_path / "store")
         Runner(quick_scenario(), store=store).run()
-        samples = store.kpa_samples()
+        samples = kpa_samples_from_records(store.records())
         assert {sample.algorithm for sample in samples} == {"assure", "era"}
         assert all(0.0 <= sample.value <= 100.0 for sample in samples)
 
     def test_figures_and_report_read_from_store(self, tmp_path):
-        from repro.eval import figure6_from_store, store_report
+        from repro.eval import store_report, store_report_json
 
         store = ResultsStore(tmp_path / "store")
         Runner(quick_scenario(), store=store).run()
-        data = figure6_from_store(store)
-        assert set(data.per_benchmark) == {"SASC"}
-        assert set(data.average) == {"assure", "era"}
+        figure6 = store_report_json(store)["figure6"]
+        assert set(figure6["per_benchmark"]) == {"SASC"}
+        assert set(figure6["average"]) == {"assure", "era"}
         report = store_report(store)
         assert "Average KPA" in report and "SASC" in report
 

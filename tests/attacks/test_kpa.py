@@ -7,7 +7,6 @@ from repro.attacks.kpa import (
     KpaAggregate,
     KpaSample,
     aggregate_by,
-    average_kpa,
     kpa,
 )
 
@@ -65,7 +64,21 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_by(self._samples(), key="model")
 
-    def test_average_kpa(self):
-        assert average_kpa({"MD5": 80.0, "SHA256": 70.0}) == 75.0
-        with pytest.raises(ValueError):
-            average_kpa({})
+    def test_report_average_is_sample_weighted(self, tmp_path):
+        """The Fig. 6b average of a store report is the mean over every
+        sample of a locker, so a benchmark with more samples weighs more
+        (here 70 %, where the mean of the per-benchmark means is 60 %)."""
+        from repro.api import ResultsStore
+        from repro.eval import store_report_json
+
+        store = ResultsStore(tmp_path / "store")
+        values = [("MD5", 80.0)] * 3 + [("SHA256", 40.0)]
+        for index, (benchmark, value) in enumerate(values):
+            store.save(f"job{index}", {
+                "kind": "attack", "benchmark": benchmark,
+                "locker": "assure", "attack": "snapshot",
+                "result": {"kpa": value, "correct_key": [0, 1]}})
+        figure6 = store_report_json(store)["figure6"]
+        assert figure6["per_benchmark"] == {"MD5": {"assure": 80.0},
+                                            "SHA256": {"assure": 40.0}}
+        assert figure6["average"] == {"assure": 70.0}

@@ -415,11 +415,14 @@ class TestReportJson:
 
         # Round trip: the JSON numbers equal the figure builders' output.
         from repro.api import ResultsStore
-        from repro.eval import axis_sweeps_from_records, figure6_from_store
+        from repro.api.store import kpa_samples_from_records
+        from repro.eval import (axis_sweeps_from_records,
+                                kpa_tables_from_samples)
 
-        fig6 = figure6_from_store(ResultsStore(store))
-        assert payload["figure6"]["average"] == fig6.average
-        assert payload["figure6"]["per_benchmark"] == fig6.per_benchmark
+        per_benchmark, average = kpa_tables_from_samples(
+            kpa_samples_from_records(ResultsStore(store).records()))
+        assert payload["figure6"]["average"] == average
+        assert payload["figure6"]["per_benchmark"] == per_benchmark
 
         sweeps = {s.axis: s for s in axis_sweeps_from_records(
             ResultsStore(store).records())}

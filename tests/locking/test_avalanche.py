@@ -148,5 +148,6 @@ class TestMetricRegistration:
         store = ResultsStore(tmp_path / "store")
         report = Runner(scenario, store=store).run()
         assert report.executed == 1
-        (record,) = store.metric_values("avalanche")
+        (record,) = [record for record in store.records()
+                     if record.get("metric") == "avalanche"]
         assert record["result"]["per_bit"]
