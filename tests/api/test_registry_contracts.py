@@ -13,6 +13,15 @@ that cell.  That is only sound when
   predicted key, KPA, model and functional KPA (records, resume and the
   server's dedup by scenario fingerprint all rest on this).
 
+What a record says about the key is read off the result, not trusted:
+
+* a lock reports as ``new_key_bits`` exactly the last ``bits_used`` key
+  bits of its locked design, and
+* an attack's ``correct_key`` is the locked design's key, its ``kpa`` and
+  ``per_bit_correct`` are those of its predicted key against it, and the
+  ``result`` block of the job record holds the attack result's fields, in
+  their declared order.
+
 Two more contracts make a locked design worth attacking at all:
 
 * a wrong key corrupts the outputs, and
@@ -61,9 +70,12 @@ from unittest import mock
 
 import pytest
 
+from repro.api import runner
 from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
                                 make_metric, metric_names, register_metric)
+from repro.api.scenario import AttackSpec, JobSpec, LockerSpec
+from repro.attacks import kpa
 from repro.attacks.baselines import RandomGuessAttack
 from repro.attacks.locality import LocalityExtractor, operation_code
 from repro.bench import benchmark_names, load_benchmark
@@ -138,6 +150,11 @@ def check_contract(kind: str, name: str, locker: str) -> None:
         assert state(again.design) == state(locked.design), \
             "the same seed gave a different locked design or key"
         assert again.design.correct_key == locked.design.correct_key
+        key_bits = locked.design.key_bits
+        assert locked.bits_used == len(locked.new_key_bits)
+        assert locked.new_key_bits == key_bits[len(key_bits)
+                                               - locked.bits_used:], \
+            f"locker {name!r} reports key bits its design does not end with"
         return
     locked_state = state(locked.design)
     if kind == "metric":
@@ -154,8 +171,36 @@ def check_contract(kind: str, name: str, locker: str) -> None:
                 == (second.predicted_key, second.kpa, second.model_name,
                     second.functional_kpa)), \
             f"attack {name!r} gave two results for one seed"
+        correct = locked.design.correct_key
+        assert first.correct_key == correct
+        assert first.kpa == kpa(first.predicted_key, correct)
+        assert first.per_bit_correct == [
+            p == c for p, c in zip(first.predicted_key, correct)]
+        check_record(name, locker, base, locked)
     assert state(locked.design) == locked_state, \
         f"{kind} {name!r} mutated the locked design"
+
+
+def check_record(name: str, locker: str, base: Design, locked) -> None:
+    """The job record's ``result`` block is the attack result's fields."""
+    spec = AttackSpec(name, rounds=ATTACK_OPTIONS["rounds"],
+                      time_budget=ATTACK_OPTIONS["time_budget"],
+                      functional_vectors=ATTACK_OPTIONS["functional_vectors"])
+    job = JobSpec(kind="attack", benchmark=base.name,
+                  locker=LockerSpec(locker), sample=0, seed=5, scale=1.0,
+                  attack=spec)
+    with mock.patch.object(runner, "_load_base_design",
+                           return_value=(base, base.num_operations())), \
+            mock.patch.object(runner, "_lock_cell", return_value=locked):
+        record = runner.execute_job(job)
+    result = make_attack(name, random.Random(job.attack_seed),
+                         **ATTACK_OPTIONS).attack(locked.design,
+                                                  algorithm=locker)
+    fields = {field.name: getattr(result, field.name)
+              for field in dataclasses.fields(result)}
+    assert list(record["result"]) == list(fields)
+    assert record["result"] == fields, \
+        f"the record of attack {name!r} differs from its result"
 
 
 @pytest.mark.parametrize("kind,name,locker", CASES,

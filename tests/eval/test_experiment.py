@@ -8,7 +8,7 @@ from repro.api import AttackSpec, LockerSpec, Runner, Scenario, make_locker
 from repro.api.scenario import key_budget
 from repro.bench import load_benchmark
 from repro.eval import kpa_tables_from_samples
-from repro.locking import AssureLocker, ERALocker, GreedyLocker, HRALocker
+from repro.locking import AssureLocker, ERALocker, HRALocker
 
 
 def fig6_scenario(algorithms=("assure", "era"), samples=2, rounds=6,
@@ -34,7 +34,8 @@ class TestMakeLocker:
         assert make_locker("assure", rng).selection == "serial"
         assert make_locker("assure-random", rng).selection == "random"
         assert isinstance(make_locker("hra", rng), HRALocker)
-        assert isinstance(make_locker("greedy", rng), GreedyLocker)
+        greedy = make_locker("greedy", rng)
+        assert isinstance(greedy, HRALocker) and greedy.greedy
         assert isinstance(make_locker("era", rng), ERALocker)
 
     def test_unknown_algorithm(self):

@@ -8,7 +8,6 @@ from repro.bench import plus_network
 from repro.eval.figures import figure5_design
 from repro.locking import (
     ORIGINAL_ASSURE_TABLE,
-    GreedyLocker,
     HRALocker,
     LockingSession,
     global_metric,
@@ -53,13 +52,15 @@ class TestMetricGuidance:
 
     def test_greedy_reaches_full_security_with_exact_budget(self):
         design = figure5_design(10, 4, seed=2)
-        result = GreedyLocker(rng=random.Random(0)).lock(design, key_budget=14)
+        locker = HRALocker(rng=random.Random(0), greedy=True)
+        result = locker.lock(design, key_budget=14)
         assert result.tracker.final_global == pytest.approx(100.0)
         assert result.bits_used == 14
         assert odt_from_design(result.design).fully_balanced()
 
     def test_greedy_never_uses_pair_mode(self, mixer_design):
-        result = GreedyLocker(rng=random.Random(1)).lock(mixer_design, key_budget=6)
+        locker = HRALocker(rng=random.Random(1), greedy=True)
+        result = locker.lock(mixer_design, key_budget=6)
         assert result.statistics["random_steps"] == 0
         assert result.algorithm == "greedy"
 
@@ -82,7 +83,8 @@ class TestMetricGuidance:
                     return point.key_bits
             return budget + 1
 
-        greedy_bits = bits_to_full(GreedyLocker(rng=random.Random(5)))
+        greedy_bits = bits_to_full(HRALocker(rng=random.Random(5),
+                                             greedy=True))
         hra_bits = bits_to_full(HRALocker(rng=random.Random(5)))
         assert greedy_bits <= hra_bits
 
