@@ -6,10 +6,13 @@ through one of three process-wide registries:
 * ``LOCKERS`` — locking-algorithm factories (``assure``, ``hra``, ``era``,
   ...), called as ``factory(rng, pair_table=None, track_metrics=False,
   **options)`` and returning an object with a
-  ``lock(design, key_budget) -> LockResult`` method,
+  ``lock(design, key_budget) -> LockResult`` method (the built-ins inherit
+  it from :class:`repro.locking.Locker`),
 * ``ATTACKS`` — attack factories (``snapshot``, ``majority``, ...), called as
   ``factory(rng, **options)`` and returning an object with an
-  ``attack(design, algorithm=None) -> AttackResult`` method,
+  ``attack(design, algorithm=None) -> AttackResult`` method (the built-ins
+  inherit it from :class:`repro.attacks.Attack`, which scores the
+  predicted key),
 * ``METRICS`` — metric callables evaluated on a locked design as
   ``metric(design, rng=None, **options)`` returning a JSON-serialisable
   value (number or dict).  A metric registers the declared range of each
@@ -20,13 +23,29 @@ through one of three process-wide registries:
 Built-in components register themselves with the decorators below at import
 time of their defining modules (:mod:`repro.locking`, :mod:`repro.attacks`,
 :mod:`repro.locking.metrics`); third-party or experimental algorithms plug in
-the same way without touching ``eval/``::
+the same way without touching ``eval/``.  A locker built on the frame
+states only its selection loop; :meth:`~repro.locking.Locker.lock` copies
+the design, opens the session, tracks the metrics and reports the new key
+bits::
 
     from repro.api import register_locker
+    from repro.locking import Locker
 
-    @register_locker("my-locker")
-    def make_my_locker(rng, pair_table=None, track_metrics=False):
-        return MyLocker(rng=rng)
+    class FirstOpsLocker(Locker):
+        algorithm = "first-ops"
+
+        def lock_session(self, session, key_budget, tracker=None):
+            refs = [ref for ref in session.all_ops()
+                    if self.pair_table.has_pair(ref.op)][:key_budget]
+            for bits, ref in enumerate(refs, 1):
+                session.add_pair(ref, correct_value=self.rng.randint(0, 1))
+                if tracker is not None:
+                    tracker.record(session.odt, bits)
+            return {"locked_operations": float(len(refs))}
+
+    @register_locker("first-ops")
+    def make_first_ops(rng, pair_table=None, track_metrics=False, **_):
+        return FirstOpsLocker(pair_table, rng, track_metrics)
 
 This module is deliberately import-light (no intra-package imports) so the
 component modules can import the decorators without cycles; the lookup

@@ -52,7 +52,7 @@ import random
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .backends import (ExecutionRound, JobOutcome, ProcessPoolBackend,
@@ -234,17 +234,7 @@ def execute_job(job: JobSpec, fault_plan=None, attempt: int = 0,
                              **spec.options)
         result = attack.attack(locked.design, algorithm=job.locker.algorithm)
         record["attack"] = spec.name
-        record["result"] = _json_safe({
-            "design_name": result.design_name,
-            "predicted_key": list(result.predicted_key),
-            "correct_key": list(result.correct_key),
-            "kpa": result.kpa,
-            "model_name": result.model_name,
-            "training_size": result.training_size,
-            "per_bit_correct": list(result.per_bit_correct),
-            "metadata": dict(result.metadata),
-            "functional_kpa": result.functional_kpa,
-        })
+        record["result"] = _json_safe(asdict(result))
     else:
         assert job.metric is not None
         spec_m = job.metric

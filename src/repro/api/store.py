@@ -26,7 +26,7 @@ per-axis sweep tables, measured wall time — without re-running anything.
 
 The manifest summarises every record with its measured wall time and
 carries the expanded ``total_jobs`` count, so a store also answers "is this
-run complete?" (:meth:`ResultsStore.completion`).
+run complete?" (:attr:`StoreSnapshot.completion`).
 """
 
 from __future__ import annotations
@@ -450,10 +450,6 @@ class ResultsStore:
             raise StoreError(
                 f"corrupt manifest {self.manifest_path}: {exc}") from exc
 
-    def scenario(self) -> Scenario:
-        """The scenario recorded in the manifest (validated)."""
-        return Scenario.from_dict(self.manifest()["scenario"])
-
     def stamped_scenario(self) -> Optional[Scenario]:
         """The scenario from the *stamp* file, or ``None`` if never stamped.
 
@@ -506,12 +502,3 @@ class ResultsStore:
                              records=list(records.values()),
                              unreadable=unreadable, failures=self.failures(),
                              completion=completion)
-
-    def completion(self) -> Optional[Dict]:
-        """``{"records", "total", "complete"}`` state of the store, if known.
-
-        The expected total comes from the manifest's ``total_jobs`` (or, for
-        manifest-less stores, by expanding the stamped scenario); ``None``
-        when neither source exists.  See :meth:`snapshot` for the rule.
-        """
-        return self.snapshot().completion

@@ -1,14 +1,20 @@
 """Oracle-less attacks on RTL locking.
 
+* :class:`~repro.attacks.snapshot.Attack` — the frame of every attack: it
+  refuses an unlocked target and scores the predicted key into an
+  :class:`~repro.attacks.snapshot.AttackResult`.
 * :class:`~repro.attacks.snapshot.SnapShotAttack` — the paper's ML-driven
   structural attack adapted to RTL.
 * :class:`~repro.attacks.baselines.MajorityVoteAttack`,
   :class:`~repro.attacks.baselines.PairAsymmetryAttack`,
-  :class:`~repro.attacks.baselines.RandomGuessAttack` — non-ML baselines.
+  :class:`~repro.attacks.baselines.RandomGuessAttack` — non-ML baselines;
+  :func:`~repro.attacks.baselines.pair_votes` is the pair-majority vote
+  table of the ``majority`` attack and of Fig. 4.
 * :mod:`~repro.attacks.kpa` — the Key Prediction Accuracy metric.
 """
 
-from .baselines import MajorityVoteAttack, PairAsymmetryAttack, RandomGuessAttack
+from .baselines import (MajorityVoteAttack, PairAsymmetryAttack,
+                        RandomGuessAttack, pair_votes)
 from .kpa import (
     RANDOM_GUESS_KPA,
     KpaAggregate,
@@ -19,12 +25,13 @@ from .kpa import (
 )
 from .locality import FEATURE_SETS, Locality, LocalityExtractor
 from .relock import TrainingSet, TrainingSetBuilder
-from .snapshot import AttackResult, SnapShotAttack
+from .snapshot import Attack, AttackResult, SnapShotAttack
 
 __all__ = [
     "MajorityVoteAttack",
     "PairAsymmetryAttack",
     "RandomGuessAttack",
+    "pair_votes",
     "RANDOM_GUESS_KPA",
     "KpaAggregate",
     "KpaSample",
@@ -36,6 +43,7 @@ __all__ = [
     "LocalityExtractor",
     "TrainingSet",
     "TrainingSetBuilder",
+    "Attack",
     "AttackResult",
     "SnapShotAttack",
 ]

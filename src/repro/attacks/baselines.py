@@ -21,13 +21,12 @@ import numpy as np
 from ..locking.pairs import ORIGINAL_ASSURE_TABLE, PairTable
 from ..rtlir.design import Design
 from ..rtlir.operations import NO_OPERATION, decode_operator
-from .kpa import kpa
 from .locality import LocalityExtractor
 from .relock import TrainingSetBuilder
-from .snapshot import AttackResult
+from .snapshot import Attack, AttackResult
 
 
-class RandomGuessAttack:
+class RandomGuessAttack(Attack):
     """Predict every key bit by an unbiased coin flip."""
 
     name = "random-guess"
@@ -35,35 +34,40 @@ class RandomGuessAttack:
     def __init__(self, rng: Optional[random.Random] = None) -> None:
         self.rng = rng or random.Random()
 
-    def attack(self, target: Design, algorithm: Optional[str] = None) -> AttackResult:
-        """Guess the key of ``target`` uniformly at random."""
-        if not target.is_locked:
-            raise ValueError("the target design must be locked")
-        correct = target.correct_key
-        predicted = [self.rng.randint(0, 1) for _ in correct]
-        return AttackResult(
-            design_name=target.name,
-            predicted_key=predicted,
-            correct_key=correct,
-            kpa=kpa(predicted, correct),
-            model_name=self.name,
-            training_size=0,
-            per_bit_correct=[p == c for p, c in zip(predicted, correct)],
-            metadata={"locking_algorithm": algorithm or "unknown"},
-        )
+    def _attack(self, target: Design, algorithm: str) -> AttackResult:
+        predicted = [self.rng.randint(0, 1) for _ in range(target.key_width)]
+        return self.score(target, predicted, 0,
+                          metadata={"locking_algorithm": algorithm})
 
 
-class MajorityVoteAttack:
+def pair_votes(features: np.ndarray, labels: np.ndarray
+               ) -> Dict[Tuple[float, float], Dict[int, int]]:
+    """Count the key values seen with each ``(C1, C2)`` pair of localities.
+
+    Returns ``{(C1, C2): {key value: count}}``, pairs and key values in the
+    order they are first seen.  The ``majority`` attack and Fig. 4's
+    observation pools read their pair-majority rules off this table; each
+    states its own rule for a tie.
+    """
+    votes: Dict[Tuple[float, float], Dict[int, int]] = {}
+    for row, label in zip(features, labels):
+        counts = votes.setdefault((row[0], row[1]), {})
+        counts[int(label)] = counts.get(int(label), 0) + 1
+    return votes
+
+
+class MajorityVoteAttack(Attack):
     """Lookup-table attacker over observed operation pairs.
 
     The attacker relocks the target (like SnapShot) but instead of training a
     model it simply records, for every observed ``(C1, C2)`` pair, which key
-    value occurred more often, and replays that majority on the target.
+    value occurred more often (:func:`pair_votes`), and replays that
+    majority on the target.
 
-    A pair seen equally often with key values 0 and 1 predicts 0, because
-    ``round(np.mean(...))`` rounds the tied 0.5 half to even.  Fig. 4's
-    :func:`~repro.eval.figures._replay_pair_majority` instead scores such a
-    tie 0.5; stored records depend on both rules.
+    A pair seen equally often with key values 0 and 1 predicts 0, as
+    ``round(0.5)`` rounds half to even.  Fig. 4's
+    :func:`~repro.eval.figures._replay_pair_majority` reads the same vote
+    table but scores such a tie 0.5; stored records depend on both rules.
     """
 
     name = "majority-vote"
@@ -75,20 +79,15 @@ class MajorityVoteAttack:
         self.pair_table = pair_table
         self.rng = rng or random.Random()
 
-    def attack(self, target: Design, algorithm: Optional[str] = None) -> AttackResult:
+    def _attack(self, target: Design, algorithm: str) -> AttackResult:
         """Build the pair-majority table from relocking and predict the key."""
-        if not target.is_locked:
-            raise ValueError("the target design must be locked")
         builder = TrainingSetBuilder(rounds=self.rounds,
                                      pair_table=self.pair_table,
                                      rng=random.Random(self.rng.getrandbits(64)))
         training = builder.build(target)
-
-        votes: Dict[Tuple[float, float], List[int]] = {}
-        for features, label in zip(training.features, training.labels):
-            votes.setdefault((features[0], features[1]), []).append(int(label))
-        majority = {pair: int(round(np.mean(values)))
-                    for pair, values in votes.items()}
+        majority = {pair: int(counts.get(1, 0) > counts.get(0, 0))
+                    for pair, counts in pair_votes(training.features,
+                                                   training.labels).items()}
 
         target_features, _ = LocalityExtractor().extract_matrix(target)
         predicted = []
@@ -98,21 +97,12 @@ class MajorityVoteAttack:
                 predicted.append(majority[pair])
             else:
                 predicted.append(self.rng.randint(0, 1))
-        correct = target.correct_key
-        return AttackResult(
-            design_name=target.name,
-            predicted_key=predicted,
-            correct_key=correct,
-            kpa=kpa(predicted, correct),
-            model_name=self.name,
-            training_size=training.size,
-            per_bit_correct=[p == c for p, c in zip(predicted, correct)],
-            metadata={"locking_algorithm": algorithm or "unknown",
-                      "distinct_pairs": len(majority)},
-        )
+        return self.score(target, predicted, training.size,
+                          metadata={"locking_algorithm": algorithm,
+                                    "distinct_pairs": len(majority)})
 
 
-class PairAsymmetryAttack:
+class PairAsymmetryAttack(Attack):
     """The training-free attack against the leaky ASSURE pair table (Sec. 3.2).
 
     Args:
@@ -128,10 +118,8 @@ class PairAsymmetryAttack:
         self.pair_table = pair_table
         self.rng = rng or random.Random()
 
-    def attack(self, target: Design, algorithm: Optional[str] = None) -> AttackResult:
+    def _attack(self, target: Design, algorithm: str) -> AttackResult:
         """Predict each key bit from pair-table asymmetry alone."""
-        if not target.is_locked:
-            raise ValueError("the target design must be locked")
         localities = LocalityExtractor().extract(target)
         predicted: List[int] = []
         resolved = 0
@@ -142,19 +130,11 @@ class PairAsymmetryAttack:
             else:
                 predicted.append(decision)
                 resolved += 1
-        correct = target.correct_key
-        return AttackResult(
-            design_name=target.name,
-            predicted_key=predicted,
-            correct_key=correct,
-            kpa=kpa(predicted, correct),
-            model_name=self.name,
-            training_size=0,
-            per_bit_correct=[p == c for p, c in zip(predicted, correct)],
-            metadata={"locking_algorithm": algorithm or "unknown",
+        return self.score(
+            target, predicted, 0,
+            metadata={"locking_algorithm": algorithm,
                       "resolved_bits": resolved,
-                      "resolved_fraction": resolved / max(len(localities), 1)},
-        )
+                      "resolved_fraction": resolved / max(len(localities), 1)})
 
     def _decide(self, true_code: float, false_code: float) -> Optional[int]:
         """Return the key value revealed by table asymmetry, or None."""

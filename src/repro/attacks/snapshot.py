@@ -71,7 +71,59 @@ class AttackResult:
         return len(self.correct_key)
 
 
-class SnapShotAttack:
+class Attack:
+    """The frame every attack shares; an attack states how it predicts.
+
+    :meth:`attack` refuses an unlocked target and hands the rest to the
+    subclass's ``_attack(target, algorithm)``, which returns
+    :meth:`score` of its predicted key.
+    """
+
+    #: The ``model_name`` :meth:`score` reports by default.
+    name: str
+
+    def attack(self, target: Design,
+               algorithm: Optional[str] = None) -> AttackResult:
+        """Attack one locked design and score its predicted key.
+
+        Args:
+            target: The locked design under attack.
+            algorithm: Optional name of the locking algorithm (recorded in
+                the result metadata as ``locking_algorithm``).
+
+        Raises:
+            ValueError: if the target design is not locked.
+        """
+        if not target.is_locked:
+            raise ValueError("the target design must be locked")
+        return self._attack(target, algorithm or "unknown")
+
+    def _attack(self, target: Design, algorithm: str) -> AttackResult:
+        raise NotImplementedError
+
+    def score(self, target: Design, predicted: List[int], training_size: int,
+              metadata: Dict[str, object], model_name: Optional[str] = None,
+              functional_kpa: Optional[float] = None) -> AttackResult:
+        """The result of predicting ``predicted`` for the target's key.
+
+        ``correct_key``, ``kpa`` and ``per_bit_correct`` are read off the
+        target's correct key; ``model_name`` defaults to the attack's name.
+        """
+        correct = target.correct_key
+        return AttackResult(
+            design_name=target.name,
+            predicted_key=predicted,
+            correct_key=correct,
+            kpa=kpa(predicted, correct),
+            model_name=self.name if model_name is None else model_name,
+            training_size=training_size,
+            per_bit_correct=[p == c for p, c in zip(predicted, correct)],
+            metadata=metadata,
+            functional_kpa=functional_kpa,
+        )
+
+
+class SnapShotAttack(Attack):
     """Oracle-less, ML-driven structural attack on RTL operation locking.
 
     Args:
@@ -152,47 +204,24 @@ class SnapShotAttack:
 
     # ------------------------------------------------------------------ attack
 
-    def attack(self, target: Design,
-               algorithm: Optional[str] = None) -> AttackResult:
-        """Run the full attack flow against one locked design.
-
-        Args:
-            target: The locked design under attack.
-            algorithm: Optional name of the locking algorithm (recorded in the
-                result metadata for reporting).
-
-        Raises:
-            ValueError: if the target design is not locked.
-        """
-        if not target.is_locked:
-            raise ValueError("the target design must be locked")
-
+    def _attack(self, target: Design, algorithm: str) -> AttackResult:
+        """Run the full attack flow against one locked design."""
         training_set = self.build_training_set(target)
         model = self.train_model(training_set)
         predicted = self.predict_key(model, target)
-        correct = target.correct_key
-        per_bit = [int(p) == int(c) for p, c in zip(predicted, correct)]
         functional = self.validate_functionally(target, predicted)
-
         model_name = getattr(model, "best_model_name", type(model).__name__)
-        return AttackResult(
-            design_name=target.name,
-            predicted_key=predicted,
-            correct_key=correct,
-            kpa=kpa(predicted, correct),
-            model_name=str(model_name),
-            training_size=training_set.size,
-            per_bit_correct=per_bit,
+        return self.score(
+            target, predicted, training_set.size,
             metadata={
                 "rounds": training_set.rounds,
                 "relock_budget": training_set.bits_per_round,
                 # The only feature set; kept so records keep their shape.
                 "feature_set": "pair",
-                "locking_algorithm": algorithm or "unknown",
+                "locking_algorithm": algorithm,
                 "training_label_balance": training_set.label_balance(),
             },
-            functional_kpa=functional,
-        )
+            model_name=str(model_name), functional_kpa=functional)
 
     def validate_functionally(self, target: Design,
                               predicted: Sequence[int]) -> Optional[float]:

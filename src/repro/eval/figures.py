@@ -22,12 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..attacks.baselines import pair_votes
 from ..attacks.locality import LocalityExtractor
 from ..bench.generators import plus_network, profile_design
 from ..bench.profiles import BenchmarkProfile
 from ..locking.assure import AssureLocker
 from ..locking.era import ERALocker
-from ..locking.hra import GreedyLocker, HRALocker
+from ..locking.hra import HRALocker
 from ..locking.metrics import MetricTracker, metric_surface
 from ..rtlir.design import Design
 from ..rtlir.operations import decode_operator
@@ -188,17 +189,18 @@ def _training_round(locked_target: Design, scenario: str, budget: int,
 
 def _accumulate_observations(pool: ObservationPool, features: np.ndarray,
                              labels: np.ndarray) -> None:
-    for row, label in zip(features, labels):
+    for codes, counts in pair_votes(features, labels).items():
         try:
-            true_op = decode_operator(int(row[0]))
-            false_op = decode_operator(int(row[1]))
+            pair = (decode_operator(int(codes[0])),
+                    decode_operator(int(codes[1])))
         except KeyError:
             continue
-        pair = (true_op, false_op)
-        pool.pair_label_counts.setdefault(pair, {}).setdefault(int(label), 0)
-        pool.pair_label_counts[pair][int(label)] += 1
-        real_op = true_op if int(label) == 1 else false_op
-        pool.real_operator_counts[real_op] = pool.real_operator_counts.get(real_op, 0) + 1
+        pooled = pool.pair_label_counts.setdefault(pair, {})
+        for label, count in counts.items():
+            pooled[label] = pooled.get(label, 0) + count
+            real_op = pair[0] if label == 1 else pair[1]
+            pool.real_operator_counts[real_op] = (
+                pool.real_operator_counts.get(real_op, 0) + count)
 
 
 def _replay_pair_majority(pool: ObservationPool, test_features: np.ndarray,
@@ -208,7 +210,8 @@ def _replay_pair_majority(pool: ObservationPool, test_features: np.ndarray,
     Pairs never observed during training, and pairs whose observations are
     perfectly tied, contribute the 0.5 expectation of a coin flip.  (The
     ``majority`` attack, :class:`~repro.attacks.baselines.MajorityVoteAttack`,
-    predicts 0 on such a tie instead; stored records depend on both rules.)
+    reads the same :func:`~repro.attacks.baselines.pair_votes` table but
+    predicts 0 on such a tie; stored records depend on both rules.)
     """
     correct = 0.0
     total = 0
@@ -301,7 +304,8 @@ def figure5_trajectories(plus_imbalance: int = 25, shift_imbalance: int = 10,
     lockers = {
         "era": ERALocker(rng=random.Random(seed + 1), track_metrics=True),
         "hra": HRALocker(rng=random.Random(seed + 2), track_metrics=True),
-        "greedy": GreedyLocker(rng=random.Random(seed + 3), track_metrics=True),
+        "greedy": HRALocker(rng=random.Random(seed + 3), greedy=True,
+                            track_metrics=True),
     }
     for name, locker in lockers.items():
         result = locker.lock(design, key_budget=budget)

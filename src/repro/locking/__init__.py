@@ -2,20 +2,23 @@
 
 Public entry points:
 
+* :class:`~repro.locking.base.Locker` — the frame of every locker: it
+  locks a copy of the design in one session, tracks the metrics and
+  reports the new key bits; a locker states only its selection loop.
 * :class:`~repro.locking.assure.AssureLocker` — baseline ASSURE locking
   (serial or random operation selection).
 * :class:`~repro.locking.era.ERALocker` — Exact ML-Resilient Algorithm.
-* :class:`~repro.locking.hra.HRALocker` / :class:`~repro.locking.hra.GreedyLocker`
-  — Heuristic ML-Resilient Algorithm and its deterministic variant.
+* :class:`~repro.locking.hra.HRALocker` — Heuristic ML-Resilient Algorithm;
+  ``greedy=True`` is its deterministic Greedy variant.
 * :func:`~repro.locking.metrics.global_metric` /
   :func:`~repro.locking.metrics.restricted_metric` — the learning-resilience
   security metrics.
 """
 
 from .assure import AssureLocker
-from .base import LockAction, LockingError, LockingSession, OpRef
+from .base import LockAction, Locker, LockingError, LockingSession, OpRef
 from .era import ERALocker
-from .hra import GreedyLocker, HRALocker
+from .hra import HRALocker
 from .key import flip_bits
 from .lockstep import lock_step
 from .metrics import (
@@ -46,11 +49,11 @@ from .result import LockResult
 __all__ = [
     "AssureLocker",
     "LockAction",
+    "Locker",
     "LockingError",
     "LockingSession",
     "OpRef",
     "ERALocker",
-    "GreedyLocker",
     "HRALocker",
     "flip_bits",
     "lock_step",

@@ -21,21 +21,19 @@ pairing of Section 3.2.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..rtlir.design import Design
 from ..rtlir.opgraph import build_operation_graph
 from ..sim.vectors import random_bits
-from .base import LockAction, LockingSession, OpRef
+from .base import LockAction, Locker, LockingSession, OpRef
 from .metrics import MetricTracker
-from .pairs import PairTable, default_pair_table
-from .result import LockResult
+from .pairs import PairTable
 
 #: Selection strategies understood by :class:`AssureLocker`.
 SELECTION_MODES = ("serial", "random")
 
 
-class AssureLocker:
+class AssureLocker(Locker):
     """ASSURE operation locking with serial or random selection.
 
     Args:
@@ -45,8 +43,6 @@ class AssureLocker:
         track_metrics: Record the security-metric trajectory during locking.
     """
 
-    name = "assure"
-
     def __init__(self, selection: str = "serial",
                  pair_table: Optional[PairTable] = None,
                  rng: Optional[random.Random] = None,
@@ -54,44 +50,13 @@ class AssureLocker:
         if selection not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {selection!r}; "
                              f"expected one of {SELECTION_MODES}")
+        super().__init__(pair_table, rng, track_metrics)
         self.selection = selection
-        self.pair_table = pair_table or default_pair_table()
-        self.rng = rng or random.Random()
-        self.track_metrics = track_metrics
 
-    # ----------------------------------------------------------------- locking
-
-    def lock(self, design: Design, key_budget: int) -> LockResult:
-        """Lock ``key_budget`` operations of a copy of ``design``.
-
-        Args:
-            design: Design to lock (already-locked designs are relocked).
-            key_budget: Number of operation-locking key bits to insert.
-
-        Returns:
-            A :class:`~repro.locking.result.LockResult`.
-
-        Raises:
-            ValueError: for a negative key budget.
-        """
-        target = design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
-        tracker = MetricTracker(session.odt.vector()) if self.track_metrics else None
-        existing_bits = len(target.key_bits)
-        locked, candidates = self._add_pairs(session, key_budget, tracker)
-        new_bits = target.key_bits[existing_bits:]
-        return LockResult(
-            design=target,
-            algorithm=f"{self.name}-{self.selection}",
-            key_budget=key_budget,
-            bits_used=locked,
-            new_key_bits=list(new_bits),
-            tracker=tracker,
-            statistics={
-                "locked_operations": float(locked),
-                "candidate_operations": float(candidates),
-            },
-        )
+    @property
+    def algorithm(self) -> str:
+        """``assure-serial`` or ``assure-random``."""
+        return f"assure-{self.selection}"
 
     def relock(self, session: LockingSession,
                key_budget: int) -> List[LockAction]:
@@ -118,23 +83,21 @@ class AssureLocker:
         Raises:
             ValueError: for a negative key budget.
         """
+        if key_budget < 0:
+            raise ValueError("key budget must be non-negative")
         depth = len(session.actions)
-        self._add_pairs(session, key_budget)
+        self.lock_session(session, key_budget)
         return session.actions[depth:]
 
-    def _add_pairs(self, session: LockingSession, key_budget: int,
-                   tracker: Optional[MetricTracker] = None) -> Tuple[int, int]:
+    def lock_session(self, session: LockingSession, key_budget: int,
+                     tracker: Optional[MetricTracker] = None
+                     ) -> Dict[str, float]:
         """Lock candidates in selection order until ``key_budget`` bits are used.
 
         Each lock costs one key bit, whose value comes from this locker's
         rng, not the session's: relocking rounds with their own rngs share
-        one session.  Returns ``(locked operations, candidate operations)``.
-
-        Raises:
-            ValueError: for a negative key budget.
+        one session.
         """
-        if key_budget < 0:
-            raise ValueError("key budget must be non-negative")
         candidates = [ref for ref in session.all_ops()
                       if self.pair_table.has_pair(ref.op)]
         if self.selection == "random":
@@ -148,7 +111,8 @@ class AssureLocker:
             session.add_pair(ref, correct_value=value)
             if tracker is not None:
                 tracker.record(session.odt, bits_used)
-        return len(locks), len(candidates)
+        return {"locked_operations": float(len(locks)),
+                "candidate_operations": float(len(candidates))}
 
     # ----------------------------------------------------- selection strategies
 
@@ -175,7 +139,7 @@ def random_round_draws(rng: random.Random, candidates: int,
     shuffles them once and then draws one key value per lock, for the first
     ``key_budget`` of them.  This returns those draws as ``(candidate
     position, key value)`` per locked operation, oldest first;
-    :meth:`AssureLocker._add_pairs` locks exactly these.
+    :meth:`AssureLocker.lock_session` locks exactly these.
 
     Raises:
         ValueError: for a negative key budget.

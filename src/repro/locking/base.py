@@ -19,6 +19,11 @@ The one locking primitive is ASSURE's operation obfuscation,
 operation and a freshly created dummy operation in a key-controlled ternary.
 ASSURE's branch and constant obfuscation are not reproduced; the paper's
 attacks and metrics read operation pairs only.
+
+:class:`Locker` is the frame of every locker: :meth:`Locker.lock` copies
+the design, opens a session on the copy, tracks the metrics and reports the
+key bits the run added, and a locker states only its selection loop,
+:meth:`Locker.lock_session`.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from ..rtlir.operations import normalize_operator
 from ..rtlir.sites import SiteCollection
 from ..verilog import ast_nodes as ast
 from ..verilog.transform import clone, unique_name
+from .metrics import MetricTracker
 from .odt import OperationDistributionTable
 from .pairs import PairTable, default_pair_table
+from .result import LockResult
 
 
 class LockingError(RuntimeError):
@@ -266,6 +273,62 @@ class LockingSession:
                             real_op=real_op, dummy_op=dummy_op)
         self.actions.append(action)
         return action
+
+
+class Locker:
+    """The frame every locker shares; a locker states its selection loop.
+
+    Args:
+        pair_table: Locking-pair table (fixed symmetric table by default).
+        rng: Random source of the selection and of the key values.
+        track_metrics: Record the security-metric trajectory (Fig. 5b data).
+
+    A subclass sets :attr:`algorithm` and implements :meth:`lock_session`.
+    """
+
+    #: The :attr:`LockResult.algorithm` of this locker's runs.
+    algorithm: str
+
+    def __init__(self, pair_table: Optional[PairTable] = None,
+                 rng: Optional[random.Random] = None,
+                 track_metrics: bool = True) -> None:
+        self.pair_table = pair_table or default_pair_table()
+        self.rng = rng or random.Random()
+        self.track_metrics = track_metrics
+
+    def lock(self, design: Design, key_budget: int) -> LockResult:
+        """Lock a copy of ``design`` with ``key_budget`` key bits.
+
+        The copy gets one :class:`LockingSession` drawing from this
+        locker's rng, the key bits the run appends are its
+        ``new_key_bits`` and count as its ``bits_used``.
+
+        Raises:
+            ValueError: for a negative key budget.
+        """
+        if key_budget < 0:
+            raise ValueError("key budget must be non-negative")
+        target = design.copy()
+        session = LockingSession(target, pair_table=self.pair_table,
+                                 rng=self.rng)
+        tracker = (MetricTracker(session.odt.vector())
+                   if self.track_metrics else None)
+        existing_bits = len(target.key_bits)
+        statistics = self.lock_session(session, key_budget, tracker)
+        new_bits = target.key_bits[existing_bits:]
+        return LockResult(design=target, algorithm=self.algorithm,
+                          key_budget=key_budget, bits_used=len(new_bits),
+                          new_key_bits=new_bits, tracker=tracker,
+                          statistics=statistics)
+
+    def lock_session(self, session: LockingSession, key_budget: int,
+                     tracker: Optional[MetricTracker] = None
+                     ) -> Dict[str, float]:
+        """Lock the session's design; return the run's ``statistics``.
+
+        ``tracker``, when given, records the metrics after each step.
+        """
+        raise NotImplementedError
 
 
 def _holds(parent: ast.Node, node: ast.Node) -> bool:

@@ -19,53 +19,33 @@ Algorithm 1, which adds one dummy of each type and therefore preserves
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, Optional
 
-from ..rtlir.design import Design
-from .base import LockingSession
-from .lockstep import lock_step
+from .base import Locker, LockingSession
+from .lockstep import lock_step, valid_pairs
 from .metrics import MetricTracker
-from .pairs import PairTable, default_pair_table
-from .result import LockResult
+from .pairs import PairTable
 
 
-class ERALocker:
-    """Exact ML-resilient locking.
+class ERALocker(Locker):
+    """Exact ML-resilient locking: at least ``key_budget`` bits (Algorithm 3).
 
-    Args:
-        pair_table: Locking-pair table (fixed symmetric table by default).
-        rng: Random source used for pair/type selection and key values.
-        track_metrics: Record the metric trajectory (Fig. 5b data).
+    Takes the arguments of :class:`~repro.locking.base.Locker`; its rng
+    draws the pairs, their types and the key values.
     """
 
-    name = "era"
+    algorithm = "era"
 
-    def __init__(self, pair_table: Optional[PairTable] = None,
-                 rng: Optional[random.Random] = None,
-                 track_metrics: bool = True) -> None:
-        self.pair_table = pair_table or default_pair_table()
-        self.rng = rng or random.Random()
-        self.track_metrics = track_metrics
-
-    def lock(self, design: Design, key_budget: int) -> LockResult:
-        """Lock ``design`` with at least ``key_budget`` key bits (Algorithm 3).
-
-        Raises:
-            ValueError: for a negative key budget.
-        """
-        if key_budget < 0:
-            raise ValueError("key budget must be non-negative")
-        target = design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
-        tracker = MetricTracker(session.odt.vector()) if self.track_metrics else None
-
-        valid_pairs = self._valid_pairs(session)
-        existing_bits = len(target.key_bits)
+    def lock_session(self, session: LockingSession, key_budget: int,
+                     tracker: Optional[MetricTracker] = None
+                     ) -> Dict[str, float]:
+        """Balance random pairs until ``key_budget`` bits are used."""
+        pairs = valid_pairs(session)
         bits_used = 0
         rounds = 0
 
-        while bits_used < key_budget and valid_pairs:
-            pair = self.rng.choice(valid_pairs)
+        while bits_used < key_budget and pairs:
+            pair = self.rng.choice(pairs)
             lock_type = self.rng.choice(pair)
             rounds += 1
 
@@ -74,7 +54,7 @@ class ERALocker:
                 # M_r_sec at 100 while still consuming key bits.
                 bits, _ = lock_step(session, lock_type, pair_mode=True)
                 if bits == 0:
-                    valid_pairs = [p for p in valid_pairs if p != pair]
+                    pairs = [p for p in pairs if p != pair]
                     continue
                 bits_used += bits
             else:
@@ -84,25 +64,7 @@ class ERALocker:
 
             if tracker is not None:
                 tracker.record(session.odt, bits_used)
-
-        new_bits = target.key_bits[existing_bits:]
-        return LockResult(
-            design=target,
-            algorithm=self.name,
-            key_budget=key_budget,
-            bits_used=bits_used,
-            new_key_bits=list(new_bits),
-            tracker=tracker,
-            statistics={"rounds": float(rounds)},
-        )
-
-    def _valid_pairs(self, session: LockingSession) -> List[Tuple[str, str]]:
-        """Pairs for which the design contains at least one operation."""
-        pairs = []
-        for first, second in self.pair_table.unordered_pairs():
-            if session.ops_of_type(first) or session.ops_of_type(second):
-                pairs.append((first, second))
-        return pairs
+        return {"rounds": float(rounds)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,67 +22,58 @@ reverse.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..rtlir.design import Design
-from .base import LockingSession
-from .lockstep import lock_step, plan_step
+from .base import Locker, LockingSession
+from .lockstep import lock_step, plan_step, valid_pairs
 from .metrics import MetricTracker, global_metric
-from .pairs import PairTable, default_pair_table
-from .result import LockResult
+from .pairs import PairTable
 
 
-class HRALocker:
-    """Heuristic ML-resilient locking.
+class HRALocker(Locker):
+    """Heuristic ML-resilient locking within ``key_budget`` (Algorithm 4).
 
     Args:
         pair_table: Locking-pair table (fixed symmetric table by default).
         rng: Random source for the randomised decisions and key values.
-        greedy: Disable the random branch (the Greedy variant of Section 4.4).
+        greedy: Disable the random branch (the Greedy variant of Section 4.4,
+            whose runs report the algorithm ``greedy``).
         track_metrics: Record the metric trajectory (Fig. 5b data).
     """
-
-    name = "hra"
 
     def __init__(self, pair_table: Optional[PairTable] = None,
                  rng: Optional[random.Random] = None,
                  greedy: bool = False,
                  track_metrics: bool = True) -> None:
-        self.pair_table = pair_table or default_pair_table()
-        self.rng = rng or random.Random()
+        super().__init__(pair_table, rng, track_metrics)
         self.greedy = greedy
-        self.track_metrics = track_metrics
 
-    def lock(self, design: Design, key_budget: int) -> LockResult:
-        """Lock ``design`` within ``key_budget`` key bits (Algorithm 4).
+    @property
+    def algorithm(self) -> str:
+        """``greedy`` for the Greedy variant, ``hra`` otherwise."""
+        return "greedy" if self.greedy else "hra"
 
-        Raises:
-            ValueError: for a negative key budget.
-        """
-        if key_budget < 0:
-            raise ValueError("key budget must be non-negative")
-        target = design.copy()
-        session = LockingSession(target, pair_table=self.pair_table, rng=self.rng)
+    def lock_session(self, session: LockingSession, key_budget: int,
+                     tracker: Optional[MetricTracker] = None
+                     ) -> Dict[str, float]:
+        """Take random or steepest-ascent steps within ``key_budget`` bits."""
         initial_vector = session.odt.vector()
-        tracker = MetricTracker(initial_vector) if self.track_metrics else None
-
-        valid_pairs = self._valid_pairs(session)
-        existing_bits = len(target.key_bits)
+        pairs = valid_pairs(session)
         bits_used = 0
         iterations = 0
         random_steps = 0
 
-        while bits_used < key_budget and valid_pairs:
+        while bits_used < key_budget and pairs:
             iterations += 1
             pair_mode = (not self.greedy) and bool(self.rng.randint(0, 1))
             if pair_mode:
                 random_steps += 1
-                selected = self.rng.randrange(len(valid_pairs))
+                selected = self.rng.randrange(len(pairs))
             else:
-                selected = self._best_pair_index(session, valid_pairs,
+                selected = self._best_pair_index(session, pairs,
                                                  initial_vector)
 
-            lock_type = valid_pairs[selected][0]
+            lock_type = pairs[selected][0]
             bits, _actions = lock_step(session, lock_type, pair_mode=pair_mode)
             if bits == 0 and pair_mode:
                 # The balanced double-lock needs operations of both types; on
@@ -91,38 +82,16 @@ class HRALocker:
             if bits == 0:
                 # The selected pair has no operations to attach dummies to;
                 # drop it from the valid set and continue.
-                valid_pairs = [p for i, p in enumerate(valid_pairs) if i != selected]
+                pairs = [p for i, p in enumerate(pairs) if i != selected]
                 continue
             bits_used += bits
             if tracker is not None:
                 tracker.record(session.odt, bits_used)
-
-        new_bits = target.key_bits[existing_bits:]
-        algorithm = "greedy" if self.greedy else self.name
-        return LockResult(
-            design=target,
-            algorithm=algorithm,
-            key_budget=key_budget,
-            bits_used=bits_used,
-            new_key_bits=list(new_bits),
-            tracker=tracker,
-            statistics={
-                "iterations": float(iterations),
-                "random_steps": float(random_steps),
-            },
-        )
-
-    # ------------------------------------------------------------- internals
-
-    def _valid_pairs(self, session: LockingSession) -> List[Tuple[str, str]]:
-        pairs = []
-        for first, second in self.pair_table.unordered_pairs():
-            if session.ops_of_type(first) or session.ops_of_type(second):
-                pairs.append((first, second))
-        return pairs
+        return {"iterations": float(iterations),
+                "random_steps": float(random_steps)}
 
     def _best_pair_index(self, session: LockingSession,
-                         valid_pairs: List[Tuple[str, str]],
+                         pairs: List[Tuple[str, str]],
                          initial_vector) -> int:
         """Score a trial step of every pair and return the best ``M_g_sec``.
 
@@ -134,12 +103,12 @@ class HRALocker:
         the step.
         """
         odt = session.odt
-        order = list(range(len(valid_pairs)))
+        order = list(range(len(pairs)))
         self.rng.shuffle(order)
         best_metric = -1.0
         best_index = order[0]
         for index in order:
-            locks = plan_step(session, valid_pairs[index][0])
+            locks = plan_step(session, pairs[index][0])
             if not locks:
                 continue
             trial = odt.with_operations(dummy_op for _, dummy_op, _ in locks)
@@ -151,18 +120,6 @@ class HRALocker:
                 best_metric = metric
                 best_index = index
         return best_index
-
-
-class GreedyLocker(HRALocker):
-    """The deterministic Greedy variant of HRA (``P`` always false)."""
-
-    name = "greedy"
-
-    def __init__(self, pair_table: Optional[PairTable] = None,
-                 rng: Optional[random.Random] = None,
-                 track_metrics: bool = True) -> None:
-        super().__init__(pair_table=pair_table, rng=rng, greedy=True,
-                         track_metrics=track_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +139,7 @@ def _make_hra(rng: random.Random, pair_table: Optional[PairTable] = None,
 
 @register_locker("greedy")
 def _make_greedy(rng: random.Random, pair_table: Optional[PairTable] = None,
-                 track_metrics: bool = False, **_: object) -> GreedyLocker:
+                 track_metrics: bool = False, **_: object) -> HRALocker:
     """Deterministic Greedy variant of HRA."""
-    return GreedyLocker(pair_table=pair_table, rng=rng,
-                        track_metrics=track_metrics)
+    return HRALocker(pair_table=pair_table, rng=rng, greedy=True,
+                     track_metrics=track_metrics)

@@ -14,7 +14,8 @@ key value per lock) and its decision, and returns the locks it would add;
 :func:`lock_step` applies them.  HRA scores its trial steps on the plan
 alone (``M_g_sec`` reads only the ODT counts), so a trial never edits the
 design.  The ODT bookkeeping of an applied lock happens inside
-:meth:`LockingSession.add_pair`.
+:meth:`LockingSession.add_pair`.  Both lockers choose among the
+:func:`valid_pairs` of the design.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from typing import List, Tuple
 
 from ..rtlir.operations import normalize_operator
 from .base import LockAction, LockingError, LockingSession, OpRef
+
+
+def valid_pairs(session: LockingSession) -> List[Tuple[str, str]]:
+    """Pairs of the session's table with an operation in the design."""
+    return [(first, second)
+            for first, second in session.pair_table.unordered_pairs()
+            if session.ops_of_type(first) or session.ops_of_type(second)]
 
 
 def plan_step(session: LockingSession, lock_type: str,

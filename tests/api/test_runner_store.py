@@ -131,7 +131,7 @@ class TestResumableStore:
         assert manifest["total_records"] == 2
         assert {entry["job_id"] for entry in manifest["jobs"]} == \
             set(store.job_ids())
-        assert store.scenario() == scenario
+        assert store.snapshot().scenario == scenario
 
     def test_failed_jobs_do_not_discard_completed_ones(self, tmp_path):
         from repro.api import MetricSpec
@@ -329,16 +329,16 @@ class TestManifestCostData:
     def test_completion_states(self, tmp_path):
         scenario = quick_scenario()
         store = ResultsStore(tmp_path / "store")
-        assert store.completion() is None  # nothing on disk at all
+        assert store.snapshot().completion is None  # nothing on disk at all
         Runner(scenario, store=store).run()
-        assert store.completion() == {"records": 2, "total": 2,
-                                      "complete": True}
+        assert store.snapshot().completion == {"records": 2, "total": 2,
+                                               "complete": True}
         for summary in store.manifest()["jobs"]:
             assert set(summary) == {"job_id", "kind", "benchmark", "locker",
                                     "sample", "elapsed_seconds"}
             assert summary["elapsed_seconds"] > 0
         store.record_path(store.job_ids()[0]).unlink()
-        completion = store.completion()
+        completion = store.snapshot().completion
         assert completion["records"] == 1 and not completion["complete"]
 
     def test_completion_falls_back_to_the_stamp(self, tmp_path):
@@ -348,8 +348,8 @@ class TestManifestCostData:
         Runner(scenario, store=store).run()
         store.manifest_path.unlink()
         assert store.stamped_scenario() is not None
-        assert store.completion() == {"records": 2, "total": 2,
-                                      "complete": True}
+        assert store.snapshot().completion == {"records": 2, "total": 2,
+                                               "complete": True}
 
     def test_corrupt_manifest_degrades_not_crashes(self, tmp_path):
         """A truncated manifest (killed mid-run before the atomic write
@@ -361,8 +361,8 @@ class TestManifestCostData:
         store.manifest_path.write_text('{"version": 1, "jobs": [tru')
         with pytest.raises(StoreError, match="corrupt manifest"):
             store.manifest()
-        assert store.completion() == {"records": 2, "total": 2,
-                                      "complete": True}
+        assert store.snapshot().completion == {"records": 2, "total": 2,
+                                               "complete": True}
         from repro.eval import store_report
 
         report = store_report(store)

@@ -14,6 +14,7 @@ from repro.locking import (
     lock_step,
     odt_from_design,
 )
+from repro.locking.lockstep import valid_pairs
 from repro.rtlir import Design
 
 
@@ -108,7 +109,7 @@ class TestTrialSteps:
         text = mixer_design.to_verilog()
         vector = session.odt.vector()
         registry = [id(ref) for ref in session.all_ops()]
-        pairs = locker._valid_pairs(session)
+        pairs = valid_pairs(session)
         index = locker._best_pair_index(session, pairs, vector)
         assert 0 <= index < len(pairs)
         assert mixer_design.to_verilog() == text
@@ -124,7 +125,7 @@ class TestTrialSteps:
         locker = HRALocker(rng=random.Random(4))
         session = LockingSession(mixer_design, rng=locker.rng)
         assert session.odt.affected_pairs() == []
-        pairs = locker._valid_pairs(session)
+        pairs = valid_pairs(session)
         locker._best_pair_index(session, pairs, session.odt.vector())
         assert sorted(session.odt.affected_pairs()) == sorted(pairs)
 
@@ -134,7 +135,7 @@ class TestTrialSteps:
         locker = HRALocker(rng=random.Random(6))
         session = LockingSession(mixer_design.copy(), rng=locker.rng)
         initial = session.odt.vector()
-        pairs = locker._valid_pairs(session)
+        pairs = valid_pairs(session)
         best = locker._best_pair_index(session, pairs, initial)
 
         def applied_metric(index):
@@ -158,7 +159,7 @@ class TestTrialSteps:
         endmodule
         """)
         locker = HRALocker(pair_table=table, rng=random.Random(1))
-        for pair in locker._valid_pairs(LockingSession(design, table)):
+        for pair in valid_pairs(LockingSession(design, table)):
             trial = LockingSession(design.copy(), table, random.Random(2))
             locker._best_pair_index(trial, [pair], trial.odt.vector())
             applied = LockingSession(design.copy(), table, random.Random(2))

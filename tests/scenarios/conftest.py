@@ -103,7 +103,7 @@ def _run_plain_case(case: Dict, scenario: Scenario, store_root: Path,
 
     # Store-level invariants: the manifest exists and agrees with the run.
     assert store.manifest_path.exists()
-    completion = store.completion()
+    completion = store.snapshot().completion
     assert completion is not None
     assert completion["records"] == expected_records
     assert completion["complete"] == expect.get("complete", quarantined == 0)
