@@ -64,8 +64,8 @@ class MajorityVoteAttack(Attack):
     value occurred more often (:func:`pair_votes`), and replays that
     majority on the target.
 
-    A pair seen equally often with key values 0 and 1 predicts 0, as
-    ``round(0.5)`` rounds half to even.  Fig. 4's
+    Only a strict majority of 1s predicts 1, so a pair seen equally often
+    with key values 0 and 1 predicts 0.  Fig. 4's
     :func:`~repro.eval.figures._replay_pair_majority` reads the same vote
     table but scores such a tie 0.5; stored records depend on both rules.
     """

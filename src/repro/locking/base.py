@@ -153,11 +153,6 @@ class LockingSession:
         """Return references to every operation currently in the design."""
         return list(self._ops)
 
-    @property
-    def bits_used(self) -> int:
-        """Total key bits consumed by this session (excludes pre-existing bits)."""
-        return sum(action.bits_used for action in self.actions)
-
     # ------------------------------------------------------------ key plumbing
 
     def _ensure_key_port(self) -> str:
