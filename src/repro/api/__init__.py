@@ -51,7 +51,7 @@ Minimal usage::
 
     scenario = Scenario.from_file("scenario.json")
     report = Runner(scenario, store=ResultsStore("runs/demo"), jobs=2).run()
-    print(report.average_kpa())
+    print(f"{report.executed} of {report.total} job(s) executed")
 
 The registry decorators are importable *before* the heavyweight pipeline
 modules load (``from repro.api import register_locker`` pulls in no

@@ -70,12 +70,6 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from .scenario import JobSpec
 
-#: Fate of one job attempt: completed, raised, lost with its worker, or hung.
-OUTCOME_KINDS = ("ok", "error", "crash", "timeout")
-
-#: Classifications returned by :func:`classify_failure`.
-CLASSIFICATIONS = ("transient", "permanent")
-
 
 class TransientJobError(RuntimeError):
     """A job failure that is worth retrying (I/O blips, contention, ...).

@@ -13,8 +13,8 @@ Minimal usage::
 
     with ScenarioClient("runs/server.sock") as client:
         submitted = client.submit(scenario_dict)
-        final = client.wait(submitted["job_id"],
-                            on_event=lambda e: print(e["done"], e["total"]))
+        final = client.watch(submitted["job_id"],
+                             on_event=lambda e: print(e["done"], e["total"]))
         print(client.report(job_id=submitted["job_id"])["report"])
 
 The client is transport only: scenario validation happens server-side (an
@@ -238,9 +238,6 @@ class ScenarioClient:
         summary.
         """
         return self.call("watch", {"job_id": job_id}, on_event=on_event)
-
-    #: ``wait`` is ``watch`` by another name: block until the job is done.
-    wait = watch
 
     def cancel(self, job_id: str) -> Dict:
         """Cancel a queued job now, or a running one at its next boundary."""

@@ -308,14 +308,6 @@ class RunReport:
 
         return kpa_samples_from_records(self.records.values())
 
-    def average_kpa(self) -> Dict[str, float]:
-        """``{locker: mean KPA over all attack records}`` (Fig. 6b style)."""
-        from ..attacks.kpa import aggregate_by
-
-        return {name: agg.mean
-                for name, agg in aggregate_by(self.kpa_samples(),
-                                              key="algorithm").items()}
-
 
 class Runner:
     """Expands a scenario into jobs and executes them.

@@ -13,7 +13,6 @@ from .registry import (
     benchmark_names,
     get_profile,
     load_benchmark,
-    load_suite,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "benchmark_names",
     "get_profile",
     "load_benchmark",
-    "load_suite",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..rtlir.design import Design
 from .generators import alternating_network, plus_network, profile_design
@@ -63,25 +63,11 @@ def load_benchmark(name: str, scale: float = 1.0,
     return profile_design(scaled, seed=seed)
 
 
-def load_suite(names: Optional[List[str]] = None, scale: float = 1.0,
-               seed: Optional[int] = None) -> Dict[str, Design]:
-    """Load a dictionary of benchmark designs.
-
-    Args:
-        names: Benchmarks to load (default: the full evaluation suite).
-        scale: Scale factor passed to :func:`load_benchmark`.
-        seed: Generation seed.
-    """
-    return {name: load_benchmark(name, scale=scale, seed=seed)
-            for name in (names or benchmark_names())}
-
-
 __all__ = [
     "UnknownBenchmarkError",
     "benchmark_names",
     "get_profile",
     "load_benchmark",
-    "load_suite",
     "BENCHMARK_PROFILES",
     "SYNTHETIC_PROFILES",
     "EVALUATION_ORDER",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from collections import Counter
@@ -789,11 +790,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStdoutGuard:
+    """``sys.stdout`` while a command runs: once a write finds the reader
+    gone (``repro-lock run ... | head -1``), the file descriptor is pointed
+    at :data:`os.devnull`, so no later write or flush can raise again."""
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def _discard(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    return args.func(args)
+    """CLI entry point; returns the process exit code.
+
+    A closed stdout does not change it: the command runs to the end with
+    its remaining output discarded, and returns what it would have.
+    """
+    stdout = sys.stdout
+    sys.stdout = _ClosedStdoutGuard(stdout)
+    try:
+        parser = build_parser()
+        args = parser.parse_args(list(argv) if argv is not None else None)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,6 @@ from .assure import AssureLocker
 from .base import LockAction, Locker, LockingError, LockingSession, OpRef
 from .era import ERALocker
 from .hra import HRALocker
-from .key import flip_bits
 from .lockstep import lock_step
 from .metrics import (
     AvalancheReport,
@@ -55,7 +54,6 @@ __all__ = [
     "OpRef",
     "ERALocker",
     "HRALocker",
-    "flip_bits",
     "lock_step",
     "AvalancheReport",
     "FunctionalCorruptionReport",

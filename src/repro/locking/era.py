@@ -52,14 +52,14 @@ class ERALocker(Locker):
             if session.odt[lock_type] == 0:
                 # Degenerate (already balanced) pair: one balanced step keeps
                 # M_r_sec at 100 while still consuming key bits.
-                bits, _ = lock_step(session, lock_type, pair_mode=True)
+                bits = lock_step(session, lock_type, pair_mode=True)
                 if bits == 0:
                     pairs = [p for p in pairs if p != pair]
                     continue
                 bits_used += bits
             else:
                 while abs(session.odt[lock_type]) > 0:
-                    bits, _ = lock_step(session, lock_type, pair_mode=False)
+                    bits = lock_step(session, lock_type, pair_mode=False)
                     bits_used += bits
 
             if tracker is not None:

@@ -74,11 +74,11 @@ class HRALocker(Locker):
                                                  initial_vector)
 
             lock_type = pairs[selected][0]
-            bits, _actions = lock_step(session, lock_type, pair_mode=pair_mode)
+            bits = lock_step(session, lock_type, pair_mode=pair_mode)
             if bits == 0 and pair_mode:
                 # The balanced double-lock needs operations of both types; on
                 # a one-sided pair fall back to the ordinary balancing step.
-                bits, _actions = lock_step(session, lock_type, pair_mode=False)
+                bits = lock_step(session, lock_type, pair_mode=False)
             if bits == 0:
                 # The selected pair has no operations to attach dummies to;
                 # drop it from the valid set and continue.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..rtlir.operations import normalize_operator
-from .base import LockAction, LockingError, LockingSession, OpRef
+from .base import LockingError, LockingSession, OpRef
 
 
 def valid_pairs(session: LockingSession) -> List[Tuple[str, str]]:
@@ -89,7 +89,7 @@ def plan_step(session: LockingSession, lock_type: str,
 
 
 def lock_step(session: LockingSession, lock_type: str,
-              pair_mode: bool = False) -> Tuple[int, List[LockAction]]:
+              pair_mode: bool = False) -> int:
     """Apply one locking step for operation type ``lock_type`` (Algorithm 1).
 
     Args:
@@ -98,14 +98,13 @@ def lock_step(session: LockingSession, lock_type: str,
         pair_mode: The ``P`` flag of Algorithm 1 (see :func:`plan_step`).
 
     Returns:
-        ``(bits_used, actions)`` — the number of key bits consumed and the
-        records of the applied locks.  ``(0, [])`` is returned when the
-        design contains no operation that could implement the requested step.
+        The number of key bits consumed: 0 when the design contains no
+        operation that could implement the requested step.
 
     Raises:
         LockingError: as :func:`plan_step`.
     """
-    actions = [session.add_pair(ref, dummy_op=dummy_op, correct_value=value)
+    return sum(session.add_pair(ref, dummy_op=dummy_op,
+                                correct_value=value).bits_used
                for ref, dummy_op, value in plan_step(session, lock_type,
-                                                     pair_mode)]
-    return sum(action.bits_used for action in actions), actions
+                                                     pair_mode))

@@ -85,15 +85,6 @@ class OperationDistributionTable:
         """True if the pair containing ``op`` is perfectly balanced."""
         return self.value(op) == 0
 
-    def fully_balanced(self, affected_only: bool = False) -> bool:
-        """True if every (affected) pair is balanced."""
-        for first, _second in self.pairs():
-            if affected_only and not self.is_affected(first):
-                continue
-            if self.value(first) != 0:
-                return False
-        return True
-
     # --------------------------------------------------------------- mutation
 
     def add_operation(self, op: str) -> None:

@@ -78,26 +78,6 @@ class PairTable:
 
     # ------------------------------------------------------------- properties
 
-    def is_symmetric(self) -> bool:
-        """True when ``dummy_of(dummy_of(T)) == T`` for every entry."""
-        for real, dummy in self.mapping.items():
-            if self.mapping.get(dummy) != real:
-                return False
-        return True
-
-    def asymmetric_entries(self) -> List[Tuple[str, str]]:
-        """Return the ``(real, dummy)`` entries that break symmetry.
-
-        These are exactly the leakage points of Section 3.2: when ``(T, T')``
-        is in the table but ``(T', T)`` is not, an attacker observing the pair
-        ``{T, T'}`` knows ``T`` must be the real operation.
-        """
-        leaks: List[Tuple[str, str]] = []
-        for real, dummy in self.mapping.items():
-            if self.mapping.get(dummy) != real:
-                leaks.append((real, dummy))
-        return leaks
-
     def unordered_pairs(self) -> List[Tuple[str, str]]:
         """Return the distinct unordered pairs ``{T, T'}`` of the table.
 

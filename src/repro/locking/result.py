@@ -35,11 +35,6 @@ class LockResult:
     statistics: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def exceeded_budget(self) -> bool:
-        """True when more key bits were used than the budget allowed."""
-        return self.bits_used > self.key_budget
-
-    @property
     def correct_key(self) -> List[int]:
         """Correct values of the key bits introduced by this run."""
         return [bit.correct_value for bit in self.new_key_bits]

@@ -15,7 +15,6 @@ from .base import (
     check_features_labels,
     encode_labels,
     one_hot,
-    sigmoid,
     softmax,
 )
 from .boosting import AdaBoostClassifier
@@ -40,7 +39,6 @@ __all__ = [
     "check_features_labels",
     "encode_labels",
     "one_hot",
-    "sigmoid",
     "softmax",
     "AdaBoostClassifier",
     "RandomForestClassifier",

@@ -132,13 +132,3 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exponentials = np.exp(shifted)
     return exponentials / np.sum(exponentials, axis=-1, keepdims=True)
-
-
-def sigmoid(values: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    positive = values >= 0
-    result = np.empty_like(values, dtype=float)
-    result[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
-    exp_values = np.exp(values[~positive])
-    result[~positive] = exp_values / (1.0 + exp_values)
-    return result

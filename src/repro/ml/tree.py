@@ -168,14 +168,3 @@ class DecisionTreeClassifier(Estimator):
             return 1 + max(_depth(node.left), _depth(node.right))
 
         return _depth(self._root)
-
-    def n_leaves(self) -> int:
-        """Return the number of leaves of the fitted tree."""
-        self._check_fitted("_root")
-
-        def _count(node: _TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return _count(node.left) + _count(node.right)
-
-        return _count(self._root)

@@ -194,22 +194,6 @@ class Design:
         """Drop the memoized fingerprint after in-place AST mutation."""
         self._fingerprint = None
 
-    def touch(self) -> "Design":
-        """Mark the design as mutated after *direct* AST surgery.
-
-        :class:`~repro.locking.base.LockingSession` invalidates the
-        fingerprint on every mutation it performs, but tests, examples and
-        ad-hoc tooling that edit the AST directly (swapping an operator,
-        rewiring an assignment) bypass it.  Such edits can leave the cheap
-        mutation token unchanged — same source identity, key width and
-        item count — so a stale :meth:`fingerprint` would keep serving the
-        *old* compiled plan from the process-wide cache.  Call ``touch()``
-        after any such edit (it returns ``self`` so it chains into
-        simulation calls).
-        """
-        self.invalidate_fingerprint()
-        return self
-
     # ------------------------------------------------------------- conversion
 
     def to_verilog(self) -> str:

@@ -47,11 +47,6 @@ class OperationSite:
     in_locked_branch: bool = False
     key_controlled: bool = False
 
-    @property
-    def is_original(self) -> bool:
-        """True when the site is not part of an existing locking pair."""
-        return not self.in_locked_branch
-
 
 @dataclass
 class SiteCollection:
@@ -78,10 +73,6 @@ class SiteCollection:
     def count_by_operator(self) -> Dict[str, int]:
         """Return the number of sites per operator."""
         return {op: len(sites) for op, sites in self.by_operator().items()}
-
-    def originals(self) -> List[OperationSite]:
-        """Return only the sites that are not part of an existing locking pair."""
-        return [site for site in self.sites if site.is_original]
 
     def operators(self) -> Set[str]:
         """Return the set of operators present in the collection."""

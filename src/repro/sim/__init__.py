@@ -13,9 +13,8 @@ One simulation surface over two engines, cross-checked against each other:
 
 Both have ``run``, ``run_batch`` and ``sweep_differences`` with the same
 arguments and the same results.  No caller picks one:
-:func:`check_equivalence` and :func:`sweep_differences` take the design's
-cached batch engine, and the scalar engine when compiling the design raises
-:class:`BatchCompileError`.
+:func:`sweep_differences` takes the design's cached batch engine, and the
+scalar engine when compiling the design raises :class:`BatchCompileError`.
 
 :func:`compile_plan` always runs the same five passes in one order —
 dead-assignment pruning, constant folding, common-subexpression
@@ -24,11 +23,6 @@ subexpressions of key-dependent assignments into their own steps, so
 :meth:`BatchSimulator.run_sweep` evaluates them once per V-lane base batch
 instead of once per S×V sweep lane) and lowering — and counts what they
 did in ``plan.stats``.
-
-The two module functions check the locking contract: with the correct key the locked design
-is functionally equivalent to the original (:func:`check_equivalence`),
-with a wrong key the outputs are corrupted (:func:`sweep_differences` over
-the correct and a wrong key).
 
 On top of per-vector batching, three layers serve the metric and attack hot
 loops:
@@ -80,8 +74,6 @@ from .plan_cache import (
 )
 from .simulator import (
     CombinationalSimulator,
-    EquivalenceReport,
-    check_equivalence,
     sweep_differences,
 )
 from .vectors import (
@@ -99,8 +91,6 @@ __all__ = [
     "SimulationError",
     "mask",
     "CombinationalSimulator",
-    "EquivalenceReport",
-    "check_equivalence",
     "sweep_differences",
     "DEFAULT_LANE_BITS_BUDGET",
     "BatchCompileError",

@@ -980,11 +980,6 @@ class BatchSimulator:
     # ------------------------------------------------------------- accessors
 
     @property
-    def input_names(self) -> List[str]:
-        """Primary input names (including the key port of a locked design)."""
-        return list(self.plan.inputs)
-
-    @property
     def output_names(self) -> List[str]:
         """Primary output names driven by combinational logic."""
         return list(self.plan.outputs)

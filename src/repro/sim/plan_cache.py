@@ -12,8 +12,9 @@ keyed by :meth:`Design.fingerprint() <repro.rtlir.design.Design.fingerprint>`:
   stale entry simply ages out of the LRU.  One rule keeps the fingerprint
   current: :class:`~repro.locking.base.LockingSession` invalidates it on
   every mutation it performs, and any other in-place AST edit calls
-  :meth:`Design.touch() <repro.rtlir.design.Design.touch>` before the
-  design is simulated again,
+  :meth:`Design.invalidate_fingerprint()
+  <repro.rtlir.design.Design.invalidate_fingerprint>` before the design is
+  simulated again,
 * designs the plan compiler rejects are cached negatively, so scalar-fallback
   paths pay the failed compile once instead of per call.
 """

@@ -6,13 +6,8 @@ compiled plans of the bit-parallel :class:`~repro.sim.plan.BatchSimulator`,
 which makes it the independent reference oracle of the cross-check suites
 and the engine of designs the plan compiler cannot express.
 
-:func:`check_equivalence` and :func:`sweep_differences` take no engine: each
-runs a design's cached batch engine, or the scalar one when the design does
-not compile.  They validate the functional contract of locking:
-
-* with the **correct key** the locked design computes the original function,
-* with a **wrong key** the outputs (generally) differ — the output-corruption
-  property that makes locking useful in the first place.
+:func:`sweep_differences` takes no engine: it runs a design's cached batch
+engine, or the scalar one when the design does not compile.
 
 Sequential logic (always blocks) is outside this simulator's scope; designs
 containing always blocks can still be simulated for their combinational
@@ -21,8 +16,6 @@ outputs, the registered outputs are simply not reported.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..rtlir.design import Design
@@ -32,21 +25,7 @@ from .plan import BatchCompileError, BatchSimulator
 from .plan.executor import (SweepDifferences, check_key, check_lanes,
                             check_sweep)
 from .plan.steps import _declared_widths, _ordered_assignments
-from .vectors import batch_to_vectors, random_input_batch
-
-
-@dataclass
-class EquivalenceReport:
-    """Result of comparing two designs over random input vectors."""
-
-    vectors: int
-    mismatches: int
-    first_mismatch: Optional[Dict[str, object]] = None
-
-    @property
-    def equivalent(self) -> bool:
-        """True when no output differed on any tested vector."""
-        return self.mismatches == 0
+from .vectors import batch_to_vectors
 
 
 class CombinationalSimulator:
@@ -72,11 +51,6 @@ class CombinationalSimulator:
         self._assignments, _ = _ordered_assignments(module)
 
     # ------------------------------------------------------------- accessors
-
-    @property
-    def input_names(self) -> List[str]:
-        """Primary input names (including the key port of a locked design)."""
-        return list(self._inputs)
 
     @property
     def output_names(self) -> List[str]:
@@ -198,47 +172,6 @@ def _simulator(design: Design
         return plan_cache.cached_simulator(design)
     except BatchCompileError:
         return CombinationalSimulator(design)
-
-
-def check_equivalence(original: Design, locked: Design, key: Sequence[int],
-                      vectors: int = 50,
-                      rng: Optional[random.Random] = None
-                      ) -> EquivalenceReport:
-    """Compare a locked design under ``key`` against the original design.
-
-    Args:
-        original: The unlocked reference design.
-        locked: The locked design.
-        key: Key-bit values applied to the locked design.
-        vectors: Number of random input vectors to test, drawn from ``rng``
-            by :func:`~repro.sim.vectors.random_input_batch` of ``original``.
-        rng: Random source for the input vectors.
-
-    Returns:
-        An :class:`EquivalenceReport`; ``report.equivalent`` is the verdict.
-    """
-    if vectors < 1:
-        return EquivalenceReport(vectors=vectors, mismatches=0)
-    reference, candidate = _simulator(original), _simulator(locked)
-    common = set(reference.output_names) & set(candidate.output_names)
-    batch = random_input_batch(original, rng or random.Random(), vectors)
-    expected = reference.run_batch(batch, n=vectors)
-    actual = candidate.run_batch(batch, key=key, n=vectors)
-    mismatches = 0
-    first: Optional[Dict[str, object]] = None
-    for lane in range(vectors):
-        diff = sorted(name for name in common
-                      if expected[name][lane] != actual[name][lane])
-        if diff:
-            mismatches += 1
-            if first is None:
-                first = {"inputs": {name: values[lane]
-                                    for name, values in batch.items()},
-                         "outputs": diff,
-                         "expected": {n: expected[n][lane] for n in diff},
-                         "actual": {n: actual[n][lane] for n in diff}}
-    return EquivalenceReport(vectors=vectors, mismatches=mismatches,
-                             first_mismatch=first)
 
 
 def sweep_differences(design: Design, inputs: Mapping[str, Sequence[int]],

@@ -1,7 +1,7 @@
 """Seeded random-vector and key sampling shared by every simulation consumer.
 
-Every consumer — :func:`~repro.sim.check_equivalence`, the metrics of
-:mod:`repro.locking.metrics`, :mod:`repro.attacks.kpa` — draws through the
+Every consumer — the metrics of :mod:`repro.locking.metrics` and
+:mod:`repro.attacks.kpa` — draws through the
 helpers below, which consume the ``random.Random`` stream in one canonical
 order — *vector-major, input-minor*, key port excluded — so a shared seed
 produces identical test vectors whichever engine simulates them.

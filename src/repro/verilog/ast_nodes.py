@@ -11,7 +11,7 @@ Every node derives from :class:`Node` and declares its child fields in
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple
 
 
 class Node:
@@ -655,10 +655,6 @@ class Module(Node):
 
     # Convenience accessors -------------------------------------------------
 
-    def port_names(self) -> List[str]:
-        """Return the ordered list of port names."""
-        return [port.name for port in self.ports]
-
     def find_port(self, name: str) -> Optional[Port]:
         """Return the port named ``name`` or ``None``."""
         for port in self.ports:
@@ -688,7 +684,3 @@ class Source(Node):
         if not self.modules:
             raise ValueError("source contains no modules")
         return self.modules[0]
-
-
-#: Type alias used by a few helper APIs.
-AnyAssign = Union[ContinuousAssign, BlockingAssign, NonBlockingAssign]

@@ -88,12 +88,12 @@ from repro.locking.base import LockingSession
 from repro.locking.metrics import functional_corruption
 from repro.rtlir import Design
 from repro.sim import (BatchSimulator, CombinationalSimulator,
-                       batch_to_vectors, check_equivalence, differing_lanes,
-                       input_signals, plan_lane_bits, random_input_batch,
-                       random_wrong_key)
+                       batch_to_vectors, differing_lanes, input_signals,
+                       plan_lane_bits, random_input_batch, random_wrong_key)
 from repro.sim.plan import compile_plan, executor
 from repro.sim.plan.executor import batch_release
 from repro.verilog import ast_nodes as ast
+from tests.helpers import check_equivalence
 
 from ..conftest import MIXER_SOURCE
 

@@ -99,7 +99,7 @@ class TestRoundTrip:
                                                   tmp_path):
         scenario = tiny_scenario()
         submitted = client.submit(scenario)
-        final = client.wait(submitted["job_id"])
+        final = client.watch(submitted["job_id"])
         assert final["state"] == "done"
 
         local = ResultsStore(tmp_path / "local")
@@ -118,7 +118,7 @@ class TestRoundTrip:
                 submitted = [client.submit(scenario)
                              for scenario in scenarios]
                 for entry in submitted:
-                    assert client.wait(entry["job_id"])["state"] == "done"
+                    assert client.watch(entry["job_id"])["state"] == "done"
         finally:
             instance.stop()
         for index, (scenario, entry) in enumerate(zip(scenarios, submitted)):
@@ -130,7 +130,7 @@ class TestRoundTrip:
     def test_resubmission_dedups_in_memory(self, server, client):
         scenario = tiny_scenario()
         first = client.submit(scenario)
-        client.wait(first["job_id"])
+        client.watch(first["job_id"])
         second = client.submit(scenario)
         assert second["deduplicated"]
         assert second["job_id"] == first["job_id"]
@@ -146,7 +146,7 @@ class TestRoundTrip:
         try:
             with ScenarioClient(first_server.address) as client:
                 first = client.submit(scenario)
-                assert client.wait(first["job_id"])["executed"] == 1
+                assert client.watch(first["job_id"])["executed"] == 1
         finally:
             first_server.stop()
 
@@ -158,7 +158,7 @@ class TestRoundTrip:
             with ScenarioClient(second_server.address) as client:
                 second = client.submit(scenario)
                 assert not second["deduplicated"]
-                final = client.wait(second["job_id"])
+                final = client.watch(second["job_id"])
                 assert final["state"] == "done"
                 assert final["executed"] == 0
                 assert final["skipped"] == final["total"] == 1
@@ -187,14 +187,14 @@ class TestWarmPlanCache:
         # across submissions*: a second, non-deduplicated submission that
         # simulates the same designs must add 0 plan-cache misses.
         first = client.submit(metric_scenario(name="warm-a", vectors=4))
-        assert client.wait(first["job_id"])["state"] == "done"
+        assert client.watch(first["job_id"])["state"] == "done"
         before = client.ping()["plan_cache"]
 
         # Different fingerprint (different name + metric options), same
         # locked design: a real second run, served entirely from cache.
         second = client.submit(metric_scenario(name="warm-b", vectors=8))
         assert not second["deduplicated"]
-        final = client.wait(second["job_id"])
+        final = client.watch(second["job_id"])
         assert final["state"] == "done" and final["executed"] == 1
 
         after = client.status(second["job_id"])["plan_cache"]
@@ -206,7 +206,7 @@ class TestWarmPlanCache:
         stats = client.ping()["plan_cache"]
         assert set(stats) == {"hits", "misses", "size", "maxsize"}
         submitted = client.submit(metric_scenario(name="warm-stats"))
-        client.wait(submitted["job_id"])
+        client.watch(submitted["job_id"])
         status = client.status(submitted["job_id"])
         assert set(status["plan_cache"]) == set(stats)
 
@@ -311,14 +311,14 @@ class TestCancelAndShutdown:
         victim = client.submit(tiny_scenario(name="victim", seed=11))
         cancelled = client.cancel(victim["job_id"])
         assert cancelled["state"] == "cancelled"
-        final = client.wait(victim["job_id"])
+        final = client.watch(victim["job_id"])
         assert final["state"] == "cancelled"
         # The blocker is unaffected.
-        assert client.wait(blocker["job_id"])["state"] == "done"
+        assert client.watch(blocker["job_id"])["state"] == "done"
 
     def test_cancel_terminal_job_is_a_no_op(self, server, client):
         submitted = client.submit(tiny_scenario())
-        client.wait(submitted["job_id"])
+        client.watch(submitted["job_id"])
         result = client.cancel(submitted["job_id"])
         assert result["state"] == "done"
         assert result["changed"] is False
@@ -334,7 +334,7 @@ class TestCancelAndShutdown:
             assert status["state"] in ("queued", "running", "done")
             assert {job["job_id"] for job in other.jobs()} == {
                 running["job_id"], queued["job_id"]}
-        assert client.wait(queued["job_id"])["state"] == "done"
+        assert client.watch(queued["job_id"])["state"] == "done"
 
     def test_shutdown_rejects_new_submissions(self, tmp_path):
         instance = ScenarioServer(runs_root=tmp_path / "runs")
@@ -376,7 +376,7 @@ class TestCancelAndShutdown:
 
     def test_watch_finished_job_replays_history(self, server, client):
         submitted = client.submit(tiny_scenario())
-        client.wait(submitted["job_id"])
+        client.watch(submitted["job_id"])
         events = []
         final = client.watch(submitted["job_id"], on_event=events.append)
         assert final["state"] == "done"

@@ -108,7 +108,7 @@ def runs_on_a_server(tmp_path):
             runs = []
             for seed in (3, 4):
                 job = client.submit(pid_scenario(seed=seed))
-                final = client.wait(job["job_id"])
+                final = client.watch(job["job_id"])
                 assert final["state"] == "done"
                 runs.append(store_records(final["store"]))
     finally:
@@ -238,7 +238,7 @@ def stop_server(tmp_path, mode):
         with ScenarioClient(server.address) as client:
             if mode == "drain":
                 job = client.submit(quick_scenario())
-                assert client.wait(job["job_id"])["state"] == "done"
+                assert client.watch(job["job_id"])["state"] == "done"
             else:
                 job = client.submit(pid_scenario())
                 wait_until(lambda: client.status(job["job_id"])["done"] >= 1)

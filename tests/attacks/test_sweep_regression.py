@@ -19,14 +19,13 @@ from repro.bench import load_benchmark
 from repro.locking import (
     AssureLocker,
     avalanche_sensitivity,
-    flip_bits,
     functional_corruption,
     key_bit_sensitivity,
 )
 from repro.rtlir import Design, KeyBit
-from repro.sim import (CombinationalSimulator, EquivalenceReport,
-                       batch_to_vectors, check_equivalence,
+from repro.sim import (CombinationalSimulator, batch_to_vectors,
                        random_input_batch, sweep_differences)
+from tests.helpers import EquivalenceReport, check_equivalence, flip_bits
 from tests.sim.test_batch_regression import refuse_plans
 
 #: Pinned literals (exact rationals of deterministic integer simulations).

@@ -574,6 +574,45 @@ SERVICE_SCENARIO = json.dumps({
 })
 
 
+#: Runs whose stdout reader is gone before the first write: (id, extra
+#: flags, the exit status the run returns with stdout open).
+CLOSED_STDOUT_RUNS = [
+    ("clean", (), 0),
+    ("quarantined", ("--retries", "1", "--fault-plan", "poison"), 1),
+]
+
+
+@pytest.mark.parametrize("flags, status",
+                         [run[1:] for run in CLOSED_STDOUT_RUNS],
+                         ids=[run[0] for run in CLOSED_STDOUT_RUNS])
+def test_closed_stdout_keeps_the_exit_status(tmp_path, capsys, flags,
+                                             status):
+    """``repro-lock run ... | head -1``: no traceback, the run's own status."""
+    import os
+    import subprocess
+    import sys
+
+    paths, store = _store_state(tmp_path, capsys, ())
+    src_root = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        process = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run",
+             str(paths["scenario"]), "--store", str(store), "-q",
+             *(str(paths.get(flag, flag)) for flag in flags)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert process.returncode == status, process.stderr
+    assert "Traceback" not in process.stderr
+    assert len(list((store / "jobs").glob("*.json"))) == 2 - status
+
+
 class TestServiceCommands:
     """`submit`/`status`/`watch`/`report --remote` against a live server."""
 
@@ -705,7 +744,7 @@ class TestServeCommand:
             address = json.loads(ready_file.read_text())["address"]
             with ScenarioClient(address) as client:
                 submitted = client.submit(scenario_path)
-                final = client.wait(submitted["job_id"])
+                final = client.watch(submitted["job_id"])
                 assert final["state"] == "done"
             process.send_signal(signal.SIGTERM)
             _, stderr = process.communicate(timeout=60)

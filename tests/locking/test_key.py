@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.locking.key import flip_bits
 from repro.sim.vectors import random_key
+from tests.helpers import flip_bits
 
 
 class TestGeneration:

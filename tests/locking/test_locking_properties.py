@@ -53,11 +53,11 @@ class TestSessionInvariants:
             initial = planned.odt.vector()
             locks = plan_step(planned, lock_type)
             trial = planned.odt.with_operations(op for _, op, _ in locks)
-            bits, actions = lock_step(applied, lock_type)
+            bits = lock_step(applied, lock_type)
             assert bits == len(locks)
-            assert ([value for _, _, value in locks]
-                    == [action.key_bits[0].correct_value
-                        for action in actions])
+            assert ([(op, value) for _, op, value in locks]
+                    == [(key_bit.dummy_op, key_bit.correct_value)
+                        for key_bit in applied.design.key_bits])
             assert list(trial.vector()) == list(applied.odt.vector())
             assert (global_metric(trial, initial)
                     == global_metric(applied.odt, initial))

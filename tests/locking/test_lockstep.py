@@ -30,19 +30,18 @@ class TestPositiveImbalance:
     def test_excess_type_gets_dummy_partner(self, imbalanced_session):
         session = imbalanced_session
         assert session.odt["+"] == 2
-        bits, actions = lock_step(session, "+", pair_mode=False)
+        bits = lock_step(session, "+", pair_mode=False)
         assert bits == 1
-        assert len(actions) == 1
-        assert actions[0].real_op == "+"
-        assert actions[0].dummy_op == "-"
+        [key_bit] = session.design.key_bits
+        assert key_bit.real_op == "+"
+        assert key_bit.dummy_op == "-"
         assert session.odt["+"] == 1
 
     def test_repeated_steps_reach_balance(self, imbalanced_session):
         session = imbalanced_session
         total = 0
         while abs(session.odt["+"]) > 0:
-            bits, _ = lock_step(session, "+")
-            total += bits
+            total += lock_step(session, "+")
         assert total == 2
         assert session.odt.is_balanced("+")
 
@@ -53,10 +52,11 @@ class TestNegativeImbalance:
         # '-' is the under-represented type (ODT[-] == -2): a '-' dummy must be
         # paired with an existing '+' operation.
         assert session.odt["-"] == -2
-        bits, actions = lock_step(session, "-", pair_mode=False)
+        bits = lock_step(session, "-", pair_mode=False)
         assert bits == 1
-        assert actions[0].real_op == "+"
-        assert actions[0].dummy_op == "-"
+        [key_bit] = session.design.key_bits
+        assert key_bit.real_op == "+"
+        assert key_bit.dummy_op == "-"
         assert session.odt["-"] == -1
 
 
@@ -64,9 +64,9 @@ class TestPairMode:
     def test_pair_mode_locks_both_directions(self, imbalanced_session):
         session = imbalanced_session
         before = session.odt["+"]
-        bits, actions = lock_step(session, "+", pair_mode=True)
+        bits = lock_step(session, "+", pair_mode=True)
         assert bits == 2
-        assert len(actions) == 2
+        assert session.design.key_width == 2
         # Balance is unchanged: one '+' dummy and one '-' dummy were added.
         assert session.odt["+"] == before
 
@@ -80,14 +80,14 @@ class TestPairMode:
         endmodule
         """)
         session = LockingSession(design, rng=rng)
-        bits, _ = lock_step(session, "+", pair_mode=False)
+        bits = lock_step(session, "+", pair_mode=False)
         assert bits == 2
         assert session.odt.is_balanced("+")
 
     def test_missing_operations_return_zero(self, imbalanced_session):
-        bits, actions = lock_step(imbalanced_session, "<<", pair_mode=True)
+        bits = lock_step(imbalanced_session, "<<", pair_mode=True)
         assert bits == 0
-        assert actions == []
+        assert imbalanced_session.design.key_bits == []
 
 
 class TestPlan:
@@ -115,13 +115,15 @@ class TestPlan:
         planned = _imbalanced(seed=3)
         applied = _imbalanced(seed=3)
         locks = plan_step(planned, lock_type, pair_mode=pair_mode)
-        bits, actions = lock_step(applied, lock_type, pair_mode=pair_mode)
-        assert bits == len(actions) == len(locks)
+        bits = lock_step(applied, lock_type, pair_mode=pair_mode)
+        key_bits = applied.design.key_bits
+        assert bits == len(key_bits) == len(locks)
         position = {id(ref): index
                     for index, ref in enumerate(planned.all_ops())}
-        for (ref, dummy_op, value), action in zip(locks, actions):
-            assert ((ref.op, dummy_op, value) == (action.real_op,
-                    action.dummy_op, action.key_bits[0].correct_value))
+        for (ref, dummy_op, value), key_bit in zip(locks, key_bits):
+            assert ((ref.op, dummy_op, value)
+                    == (key_bit.real_op, key_bit.dummy_op,
+                        key_bit.correct_value))
             # lock_step locked the operation the plan drew (the registry
             # only appends, so positions stay valid).
             assert applied.all_ops()[position[id(ref)]].lock_count == 1

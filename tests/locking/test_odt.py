@@ -104,14 +104,13 @@ class TestBalanceQueries:
         assert odt.is_balanced("+")
         assert not odt.is_balanced("*")
 
-    def test_fully_balanced_global_and_affected(self):
+    def test_adding_the_partner_balances_an_affected_pair(self):
         odt = make_odt({"+": 2, "-": 2, "*": 1})
-        assert not odt.fully_balanced()
-        assert odt.fully_balanced(affected_only=True)  # nothing affected yet
         odt.mark_affected("*")
-        assert not odt.fully_balanced(affected_only=True)
+        assert odt.is_affected("/") and not odt.is_affected("+")
+        assert not odt.is_balanced("*")
         odt.add_operation("/")
-        assert odt.fully_balanced(affected_only=True)
+        assert odt.is_balanced("*") and odt.is_balanced("/")
 
 
 class TestVectors:

@@ -13,10 +13,20 @@ from repro.locking.pairs import (
 from repro.rtlir.operations import LOCKABLE_OPERATORS
 
 
+def asymmetric_entries(table):
+    """The ``(real, dummy)`` entries whose dummy does not pair back.
+
+    These are the leakage points of Section 3.2: when ``(T, T')`` is in the
+    table but ``(T', T)`` is not, an attacker observing the pair ``{T, T'}``
+    knows ``T`` must be the real operation.
+    """
+    return [(real, dummy) for real, dummy in table.mapping.items()
+            if table.mapping.get(dummy) != real]
+
+
 class TestSymmetricTable:
     def test_is_symmetric(self):
-        assert SYMMETRIC_PAIR_TABLE.is_symmetric()
-        assert SYMMETRIC_PAIR_TABLE.asymmetric_entries() == []
+        assert asymmetric_entries(SYMMETRIC_PAIR_TABLE) == []
 
     def test_every_lockable_operator_has_a_pair(self):
         for op in LOCKABLE_OPERATORS:
@@ -50,20 +60,20 @@ class TestSymmetricTable:
 
 class TestOriginalTable:
     def test_is_asymmetric(self):
-        assert not ORIGINAL_ASSURE_TABLE.is_symmetric()
+        assert asymmetric_entries(ORIGINAL_ASSURE_TABLE)
 
     def test_leakage_points_from_the_paper(self):
         # "* is paired with a +, but + is also paired with -" (Section 3.2).
         assert ORIGINAL_ASSURE_TABLE.dummy_of("*") == "+"
         assert ORIGINAL_ASSURE_TABLE.dummy_of("+") == "-"
-        leaks = dict(ORIGINAL_ASSURE_TABLE.asymmetric_entries())
+        leaks = dict(asymmetric_entries(ORIGINAL_ASSURE_TABLE))
         assert "*" in leaks
         # Leakage also exists for modulo, power, division and xor.
         for leaky_op in ("%", "**", "/", "^"):
             assert leaky_op in leaks
 
     def test_symmetric_subset_not_reported_as_leaky(self):
-        leaks = dict(ORIGINAL_ASSURE_TABLE.asymmetric_entries())
+        leaks = dict(asymmetric_entries(ORIGINAL_ASSURE_TABLE))
         assert "<<" not in leaks
         assert "==" not in leaks
 

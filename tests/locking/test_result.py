@@ -18,13 +18,12 @@ class TestLockResult:
         assert relock.correct_key == [bit.correct_value
                                       for bit in relock.design.key_bits[3:]]
 
-    def test_exceeded_budget_flag(self, plus_chain_design, rng):
+    def test_only_era_may_exceed_the_budget(self, plus_chain_design, rng):
         era = ERALocker(rng=rng).lock(plus_chain_design, 2)
-        assert era.bits_used > 2
-        assert era.exceeded_budget
+        assert era.bits_used > era.key_budget == 2
         assure = AssureLocker("serial", rng=random.Random(2)).lock(
             plus_chain_design, 2)
-        assert not assure.exceeded_budget
+        assert assure.bits_used == assure.key_budget == 2
 
     def test_summary_without_tracker(self):
         design = Design.from_verilog(MIXER_SOURCE)

@@ -12,7 +12,6 @@ from repro.ml.base import (
     check_features_labels,
     encode_labels,
     one_hot,
-    sigmoid,
     softmax,
 )
 from repro.ml import AutoMLClassifier, DecisionTreeClassifier, GaussianNB, default_candidates
@@ -63,11 +62,9 @@ class TestNumerics:
         assert np.allclose(probabilities.sum(axis=1), 1.0)
         assert not np.any(np.isnan(probabilities))
 
-    def test_sigmoid_bounds_and_stability(self):
-        values = np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0])
-        result = sigmoid(values)
-        assert np.all(result >= 0.0) and np.all(result <= 1.0)
-        assert result[2] == pytest.approx(0.5)
+    def test_softmax_of_equal_logits_is_uniform(self):
+        probabilities = softmax(np.zeros((2, 4)))
+        assert np.array_equal(probabilities, np.full((2, 4), 0.25))
 
 
 class TestEstimatorInterface:

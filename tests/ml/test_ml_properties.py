@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.ml import CategoricalNB, DecisionTreeClassifier, GaussianNB, accuracy
-from repro.ml.base import one_hot, sigmoid, softmax
+from repro.ml.base import one_hot, softmax
 
 _float_matrices = npst.arrays(
     dtype=float,
@@ -23,14 +23,11 @@ class TestNumericProperties:
         assert np.allclose(probabilities.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(probabilities >= 0.0)
 
-    @given(npst.arrays(dtype=float, shape=st.integers(1, 50),
-                       elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    @given(_float_matrices, st.floats(-50, 50, allow_nan=False))
     @settings(max_examples=100, deadline=None)
-    def test_sigmoid_bounds_and_monotonicity(self, values):
-        result = sigmoid(values)
-        assert np.all(result >= 0.0) and np.all(result <= 1.0)
-        order = np.argsort(values)
-        assert np.all(np.diff(result[order]) >= -1e-12)
+    def test_softmax_is_shift_invariant(self, matrix, shift):
+        assert np.allclose(softmax(matrix + shift), softmax(matrix),
+                           atol=1e-12)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)

@@ -15,19 +15,19 @@ from repro.attacks.kpa import functional_kpa, kpa
 from repro.bench import load_benchmark
 from repro.locking import (
     AssureLocker,
-    flip_bits,
     functional_corruption,
     key_bit_sensitivity,
 )
 from repro.bench import plus_network
 import repro.sim.plan_cache
 from repro.sim import (BatchCompileError, CombinationalSimulator,
-                       check_equivalence, sweep_differences)
+                       sweep_differences)
 from repro.sim.vectors import random_input_batch
 
 from benchmarks import sim_cases
 from benchmarks.sim_cases import (ENGINES, Case, Sizes, assert_outputs_match,
                                   compare, run_cases)
+from tests.helpers import check_equivalence, flip_bits
 
 #: Seed benchmark profiles covered by the engine-equality regression.
 PROFILES = ["MD5", "FIR", "SASC"]

@@ -38,7 +38,6 @@ def _cross_check(design, vectors, seed, key=None):
     """Assert batch == scalar on every lane and every output."""
     scalar = CombinationalSimulator(design)
     batch = BatchSimulator(design)
-    assert batch.input_names == scalar.input_names
     assert batch.output_names == scalar.output_names
 
     packed = random_input_batch(design, random.Random(seed), vectors)

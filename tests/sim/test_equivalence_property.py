@@ -17,7 +17,7 @@ from repro.bench.generators import profile_design
 from repro.bench.profiles import BenchmarkProfile
 from repro.api.registry import locker_names, make_locker
 from repro.locking import AssureLocker
-from repro.sim import check_equivalence
+from tests.helpers import check_equivalence
 
 #: Operators drawn by the random profiles; division/modulo are included to
 #: exercise the divide-by-zero convention as well.

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 from repro.bench import load_benchmark, plus_network
-from repro.locking import AssureLocker, ERALocker, flip_bits
+from repro.locking import AssureLocker, ERALocker
 from repro.sim import (
     BatchSimulator,
     CombinationalSimulator,
@@ -34,6 +34,7 @@ from repro.sim import (
 )
 from repro.sim.plan import executor
 from repro.sim.plan.executor import sweep_schedule
+from tests.helpers import flip_bits
 
 #: Lane caps exercised against 12 points x 8 base lanes (96 lanes total):
 #: single-point tiles, a ragged last tile (5+5+2 points), and a cap far above
@@ -121,7 +122,7 @@ class TestChunkedBitIdentity:
     def test_bindings_and_shared_key(self, max_lanes):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        data = [name for name in simulator.input_names
+        data = [name for name in simulator.plan.inputs
                 if name != locked.key_port]
         swept_name = data[0]
         base = random_input_batch(locked, random.Random(5), BASE)

@@ -99,17 +99,17 @@ class TestTouch:
         assert isinstance(item.rhs, ast.BinaryOp)
         return design, item.rhs
 
-    def test_touch_invalidates_after_direct_ast_edit(self):
+    def test_invalidation_after_direct_ast_edit(self):
         design, node = self._design_and_op_node()
         before = design.fingerprint()
         node.op = "-"
         # Direct surgery leaves the cheap mutation token unchanged...
         assert design.fingerprint() == before
-        # ...until the design is touched.
-        assert design.touch() is design
+        # ...until the fingerprint is invalidated.
+        design.invalidate_fingerprint()
         assert design.fingerprint() != before
 
-    def test_stale_plan_cannot_be_served_after_touch(self):
+    def test_stale_plan_cannot_be_served_after_invalidation(self):
         from repro.sim import cached_simulator
 
         design, node = self._design_and_op_node()
@@ -117,18 +117,20 @@ class TestTouch:
         assert plus["y"] == 9
 
         node.op = "-"
-        design.touch()
+        design.invalidate_fingerprint()
         minus = cached_simulator(design).run({"a": 7, "b": 2})
         assert minus["y"] == 5, "stale '+' plan must not be served"
         # The scalar oracle agrees with the freshly compiled plan.
         from repro.sim import CombinationalSimulator
         assert CombinationalSimulator(design).run({"a": 7, "b": 2})["y"] == 5
 
-    def test_touch_is_idempotent_on_unmutated_designs(self):
+    def test_invalidation_is_idempotent_on_unmutated_designs(self):
         design, _ = self._design_and_op_node()
         before = design.fingerprint()
-        assert design.touch().fingerprint() == before
-        assert get_plan(design) is get_plan(design.touch())
+        plan = get_plan(design)
+        design.invalidate_fingerprint()
+        assert design.fingerprint() == before
+        assert get_plan(design) is plan
 
 
 class TestPlanCache:
@@ -187,7 +189,7 @@ class TestPlanCache:
                               track_metrics=False).lock(design, budget).design
         from repro.attacks.kpa import functional_kpa
         from repro.locking import key_bit_sensitivity
-        from repro.sim import check_equivalence
+        from tests.helpers import check_equivalence
 
         check_equivalence(design, locked, key=locked.correct_key, vectors=8,
                           rng=random.Random(1))

@@ -84,7 +84,7 @@ class TestRunSweep:
     def test_keys_and_bindings_combine(self):
         locked = _locked()
         simulator = BatchSimulator(locked)
-        data = [name for name in simulator.input_names
+        data = [name for name in simulator.plan.inputs
                 if name != locked.key_port]
         swept_name = data[0]
         base = random_input_batch(locked, random.Random(7), 4)

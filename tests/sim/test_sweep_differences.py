@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 
 from repro.bench import load_benchmark
-from repro.locking import AssureLocker, ERALocker, HRALocker, flip_bits
+from repro.locking import AssureLocker, ERALocker, HRALocker
 from repro.rtlir import Design, KeyBit
 from repro.sim import (
     BatchSimulator,
@@ -40,6 +40,7 @@ from repro.sim.plan import executor
 from repro.sim.plan.executor import (_replicate, block_lanes, key_cones,
                                      sweep_schedule)
 from tests.attacks.test_sweep_regression import UNCOMPILABLE, _oddball_locked
+from tests.helpers import flip_bits
 from tests.sim.test_pipelined_sweep import _recorded_tiles
 
 #: Base widths: whole bytes (byte-repeat tiling, byte popcounts) and not.
@@ -273,7 +274,7 @@ class TestBindingSweeps:
     def test_bindings_with_per_point_keys(self, base, lane_cap):
         locked = _locked_md5()
         simulator = BatchSimulator(locked)
-        data = [name for name in simulator.input_names
+        data = [name for name in simulator.plan.inputs
                 if name != locked.key_port]
         swept = data[0]
         rng = random.Random(base + 1)

@@ -86,7 +86,7 @@ class TestSharedKeyAndBindingSweeps:
         locked = _locked()
         simulator = BatchSimulator(locked)
         signals = [(name, simulator.width_of(name))
-                   for name in simulator.input_names
+                   for name in simulator.plan.inputs
                    if name != locked.key_port]
         probe = signals[0][0]
         context = random_vector_batch(signals[1:], random.Random(7), 8)
@@ -119,7 +119,7 @@ class TestSharedKeyAndBindingSweeps:
     def test_keys_and_bindings_combine_under_hoisting(self):
         locked = _locked("SASC")
         simulator = BatchSimulator(locked)
-        data = [name for name in simulator.input_names
+        data = [name for name in simulator.plan.inputs
                 if name != locked.key_port]
         swept = data[-1]
         base = random_input_batch(locked, random.Random(9), 4)

@@ -3,9 +3,11 @@
 A deletion tends to leave its helpers behind: a private function, class,
 constant or method that nothing names any more.  This :mod:`ast` scan, run
 beside ``tests/test_unused_imports.py``, reports them.  A definition counts
-as named when a ``Name`` read, an attribute read or an import of its name
-appears anywhere in ``src/repro`` outside the definition itself (name-based:
-a read of ``_helper`` in one module counts for every ``_helper``).
+as named when a ``Name`` read, an attribute read, an import of its name or
+a by-name read (:func:`references`) appears anywhere in ``src/repro``
+outside the definition itself (name-based: a read of ``_helper`` in one
+module counts for every ``_helper``).  ``tests/test_dead_public_names.py``
+runs the same walk over public names.
 
 Scanned are the top-level ``def``/``class`` statements and the plain
 assignments of each module, and the methods of its top-level classes,
@@ -17,13 +19,17 @@ decorated definitions, such as the registry factories that
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: A by-name target such as ``"repro.sim.vectors:random_input_batch"``.
+_QUALNAME = re.compile(r"[A-Za-z_][\w.]*:[A-Za-z_][\w.]*")
 
 
 def _is_private(name: str) -> bool:
@@ -31,38 +37,63 @@ def _is_private(name: str) -> bool:
             and not (name.startswith("__") and name.endswith("__")))
 
 
-def references(tree: ast.AST) -> Counter:
-    """How often each name is read, read as an attribute or imported."""
+def references(tree: ast.AST, imports: bool = True) -> Counter:
+    """How often each name is read, read as an attribute or imported.
+
+    A name also counts as read when it is the string argument of
+    ``getattr``/``hasattr`` or a part of a ``"module:qualname"`` string
+    (the form by-name targets such as tracer entry points take).
+    ``imports=False`` leaves ``from x import name`` out, for a package
+    ``__init__`` whose imports only re-export.
+    """
     counts: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             counts[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and imports:
             counts.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            counts[node.args[1].value] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _QUALNAME.fullmatch(node.value)):
+            counts.update(node.value.split(":")[1].split("."))
     return counts
 
 
-def private_definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """``(name, node)`` of each private definition the scan covers."""
+def definitions(tree: ast.Module, wanted: Callable[[str], bool],
+                method_decorators: Tuple[str, ...] = ()
+                ) -> Iterator[Tuple[str, ast.AST]]:
+    """``(name, node)`` of each definition whose name is ``wanted``.
+
+    Covered are the undecorated top-level functions and classes, the plain
+    assignments of the module and the methods of its top-level classes
+    that are undecorated or decorated only by ``method_decorators``.
+    """
     for statement in tree.body:
         if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-            if not statement.decorator_list and _is_private(statement.name):
+            if not statement.decorator_list and wanted(statement.name):
                 yield statement.name, statement
             if isinstance(statement, ast.ClassDef):
                 for member in statement.body:
                     if (isinstance(member, (ast.FunctionDef,
                                             ast.AsyncFunctionDef))
-                            and not member.decorator_list
-                            and _is_private(member.name)):
+                            and all(isinstance(decorator, ast.Name)
+                                    and decorator.id in method_decorators
+                                    for decorator in member.decorator_list)
+                            and wanted(member.name)):
                         yield member.name, member
         elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
             targets = (statement.targets if isinstance(statement, ast.Assign)
                        else [statement.target])
             for target in targets:
-                if isinstance(target, ast.Name) and _is_private(target.id):
+                if isinstance(target, ast.Name) and wanted(target.id):
                     yield target.id, statement
 
 
@@ -78,7 +109,7 @@ def dead_private_names(sources: Dict[str, str]) -> List[str]:
         total.update(references(tree))
     dead = []
     for label, tree in trees.items():
-        for name, node in private_definitions(tree):
+        for name, node in definitions(tree, _is_private):
             if total[name] - references(node)[name] <= 0:
                 dead.append(f"{label}: {name} (line {node.lineno})")
     return dead

@@ -24,7 +24,7 @@ class TestModuleStructure:
             module m (input clk, input [7:0] a, b, output reg [3:0] y);
             endmodule
         """)
-        assert module.port_names() == ["clk", "a", "b", "y"]
+        assert [port.name for port in module.ports] == ["clk", "a", "b", "y"]
         assert module.find_port("clk").direction == "input"
         assert module.find_port("a").width.width() == 8
         # b inherits the direction/width of the preceding declaration
