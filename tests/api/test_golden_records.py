@@ -32,6 +32,22 @@ GOLDEN = {
         6, "604730540ede6bf1ff14092bd8f1589cec36fc8cb13f873ea4dd7c068b5f1423"),
 }
 
+#: A SnapShot scenario at ``time_budget`` 12, so the auto-ML search runs the
+#: whole roster (logistic regression and the MLP included) and not only the
+#: naive Bayes candidates the example scenarios reach.
+FULL_BUDGET = {
+    "name": "full-budget",
+    "benchmarks": ["SASC"],
+    "lockers": [{"algorithm": "assure", "key_budget_fraction": 0.75},
+                {"algorithm": "era", "key_budget_fraction": 0.75}],
+    "attacks": [{"name": "snapshot", "rounds": 20, "time_budget": 12}],
+    "samples": 1,
+    "scale": 0.15,
+    "seed": 1,
+}
+FULL_BUDGET_GOLDEN = (
+    2, "4897372763ceb7bf79e41b6ca22ac458afae871b738d200d92591654ca2f0f90")
+
 def record_digest(store: ResultsStore) -> str:
     """SHA-256 over the store's ``(job_id, record)`` pairs, timing removed."""
     rows = []
@@ -54,3 +70,11 @@ def test_example_records_match_golden_digest(example, tmp_path):
     assert len(store.job_ids()) == records
     assert record_digest(store) == digest
 
+
+def test_full_budget_records_match_golden_digest(tmp_path):
+    records, digest = FULL_BUDGET_GOLDEN
+    store = ResultsStore(tmp_path / "store")
+    report = Runner(Scenario.from_dict(FULL_BUDGET), store=store,
+                    jobs=1).run()
+    assert report.executed == records
+    assert record_digest(store) == digest
