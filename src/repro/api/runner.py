@@ -53,7 +53,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .backends import (ExecutionRound, JobOutcome, ProcessPoolBackend,
                        RetryPolicy, SerialBackend, classify_failure,
@@ -500,6 +500,9 @@ class Runner:
         job_timeout = self._resolve_timeout()
         pending: Dict[int, JobSpec] = dict(plan.todo)
         attempts: Dict[int, int] = {index: 0 for index in pending}
+        # Jobs whose record the corrupt fault truncated after the write: the
+        # report holds them, the store does not.
+        corrupted: Set[str] = set()
 
         try:
             # One pool for every round of the run: a retry round reuses the
@@ -518,7 +521,7 @@ class Runner:
                             done += 1
                             self._commit(report, pending[outcome.index],
                                          outcome.record, done, len(jobs),
-                                         attempt=outcome.attempt)
+                                         outcome.attempt, corrupted)
                         else:
                             _failed[outcome.index] = outcome
 
@@ -548,12 +551,16 @@ class Runner:
         finally:
             # Whatever happened, everything committed so far is resumable:
             # the manifest reflects the records on disk, and the ledger
-            # only keeps entries for jobs that still lack a record.
+            # only keeps entries for jobs that still lack a record.  The
+            # records the run holds are not read back.
             if self.store is not None:
                 self.store.compact_failures(drop=set(report.records))
+                held = {job_id: record
+                        for job_id, record in report.records.items()
+                        if job_id not in corrupted}
                 self.store.write_manifest(self.scenario,
                                           executed=report.executed,
-                                          skipped=report.skipped)
+                                          skipped=report.skipped, held=held)
         # The pool completes jobs in its own dispatch order; consumers (the
         # Fig. 6 tables among them) see expansion order either way.
         report.records = {job.job_id: report.records[job.job_id]
@@ -563,7 +570,8 @@ class Runner:
     # ------------------------------------------------------------ committing
 
     def _commit(self, report: RunReport, job: JobSpec, record: Dict,
-                done: int, total: int, attempt: int = 0) -> None:
+                done: int, total: int, attempt: int,
+                corrupted: Set[str]) -> None:
         report.records[job.job_id] = record
         report.executed += 1
         if self.store is not None:
@@ -576,6 +584,7 @@ class Runner:
                 from .faults import corrupt_record_file
 
                 corrupt_record_file(path)
+                corrupted.add(job.job_id)
         self._fire_progress(done, total, record)
 
     def _fire_progress(self, done: int, total: int, record: Dict) -> None:

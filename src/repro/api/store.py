@@ -375,15 +375,22 @@ class ResultsStore:
         for job_id in self.job_ids():
             yield self.load(job_id)
 
-    def _read_records(self) -> Tuple[Dict[str, Dict], List[str]]:
+    def _read_records(self, held: Optional[Mapping[str, Mapping]] = None
+                      ) -> Tuple[Dict[str, Dict], List[str]]:
         """``({job_id: record}, unreadable ids)``, each record loaded once.
 
-        An unreadable record (kill mid-write, bad sector) is logged and
-        skipped; a resume re-executes it.
+        Records in ``held`` (the caller's copies of records on disk) are
+        taken from it instead of being read again.  An unreadable record
+        (kill mid-write, bad sector) is logged and skipped; a resume
+        re-executes it.
         """
         records: Dict[str, Dict] = {}
         unreadable: List[str] = []
+        held = held or {}
         for job_id in self.job_ids():
+            if job_id in held:
+                records[job_id] = held[job_id]
+                continue
             try:
                 records[job_id] = self.load(job_id)
             except StoreError:
@@ -394,15 +401,16 @@ class ResultsStore:
 
     # --------------------------------------------------------------- manifest
 
-    def write_manifest(self, scenario: Scenario,
-                       executed: int, skipped: int) -> Path:
+    def write_manifest(self, scenario: Scenario, executed: int, skipped: int,
+                       held: Mapping[str, Mapping]) -> Path:
         """Write the aggregate manifest for a (finished or interrupted) run.
 
         Each job summary carries the measured ``elapsed_seconds`` of its
         record (``repro.cli report`` renders them per benchmark × locker).
         ``total_jobs`` is the expanded size of the scenario; a store with
         fewer records than that is a *partial* run (interrupted or still
-        filling).
+        filling).  ``held`` maps job ids to the run's copies of their
+        records on disk; only the other records on disk are read.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         expanded = {job.job_id for job in scenario.expand()}
@@ -415,7 +423,7 @@ class ResultsStore:
             "locker": record.get("locker"),
             "sample": record.get("sample"),
             "elapsed_seconds": record.get("elapsed_seconds"),
-        } for job_id, record in self._read_records()[0].items()]
+        } for job_id, record in self._read_records(held)[0].items()]
         quarantined = sorted(job_id for job_id in self.failed_job_ids()
                              if job_id in expanded)
         manifest = {

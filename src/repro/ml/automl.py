@@ -8,6 +8,15 @@ package: it evaluates the first ``time_budget`` candidate configurations of
 a cheapest-first roster with k-fold cross-validation and refits the best
 candidate on the full training set.  The budget counts candidates, not
 seconds, so the search result is a pure function of the data and the seed.
+
+The search groups the training rows once (:class:`~repro.ml.base.GroupedRows`):
+a SnapShot training set of thousands of rows holds a handful of distinct
+ones.  Every fold and the final refit hand their subset of the groups to
+the candidate; the naive Bayes, tree, forest and boosting candidates fit
+from its count table, and the others from its rows, bit for bit the rows
+of the set.  A row-wise candidate (:attr:`~repro.ml.base.Estimator.row_wise`)
+predicts each distinct row of a test fold once, and its accuracy is read
+off the fold's count table.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .base import Estimator, check_features, check_features_labels
+from .base import Estimator, GroupedRows, check_features
 from .boosting import AdaBoostClassifier
 from .forest import RandomForestClassifier
 from .knn import KNeighborsClassifier
@@ -122,7 +131,13 @@ class _Pipeline:
         return matrix
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "_Pipeline":
-        self.model.fit(self._prepare_fit(features), labels)
+        return self.fit_grouped(GroupedRows.from_rows(features, labels))
+
+    def fit_grouped(self, data: GroupedRows) -> "_Pipeline":
+        if self.encoder is None and self.scaler is None:
+            self.model.fit_grouped(data)
+        else:
+            self.model.fit(self._prepare_fit(data.rows()), data.labels())
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -130,6 +145,20 @@ class _Pipeline:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return self.model.predict_proba(self._prepare_predict(features))
+
+
+def _score(pipeline: _Pipeline, data: GroupedRows) -> float:
+    """Accuracy of ``pipeline`` on the rows of ``data``.
+
+    A row-wise model predicts each distinct row once, and its correct
+    predictions are read off the count table.  The accuracy is the same
+    float either way: an integer count over the number of rows.
+    """
+    if not pipeline.model.row_wise:
+        return accuracy(data.labels(), pipeline.predict(data.rows()))
+    predicted = pipeline.predict(data.distinct)
+    hits = predicted[:, None] == data.classes[None, :]
+    return float(data.counts()[hits].sum() / data.n_samples)
 
 
 class AutoMLClassifier(Estimator):
@@ -161,8 +190,8 @@ class AutoMLClassifier(Estimator):
 
     def fit(self, features, labels) -> "AutoMLClassifier":
         """Search the candidate roster and refit the winner on all data."""
-        matrix, label_arr = check_features_labels(features, labels)
-        self.classes_ = np.unique(label_arr)
+        data = GroupedRows.from_rows(features, labels)
+        self.classes_ = data.classes
         roster = (self.candidates if self.candidates is not None
                   else default_candidates(self.random_state))
         roster = roster[: max(1, int(round(self.time_budget)))]
@@ -172,7 +201,7 @@ class AutoMLClassifier(Estimator):
 
         for spec in roster:
             started = time.monotonic()
-            scores = self._evaluate(spec, matrix, label_arr, rng)
+            scores = self._evaluate(spec, data, rng)
             elapsed = time.monotonic() - started
             if not scores:
                 continue
@@ -185,7 +214,7 @@ class AutoMLClassifier(Estimator):
             raise RuntimeError("auto-ML search evaluated no candidate successfully")
         self.best_result_ = self._select_winner(self.leaderboard_)
         self.leaderboard_.sort(key=lambda result: result.mean_score, reverse=True)
-        self.best_pipeline_ = _Pipeline(self.best_result_.spec).fit(matrix, label_arr)
+        self.best_pipeline_ = _Pipeline(self.best_result_.spec).fit_grouped(data)
         return self
 
     @staticmethod
@@ -210,27 +239,25 @@ class AutoMLClassifier(Estimator):
                 return result
         return best
 
-    def _evaluate(self, spec: CandidateSpec, matrix: np.ndarray,
-                  labels: np.ndarray, rng: np.random.Generator) -> List[float]:
-        n_samples = matrix.shape[0]
+    def _evaluate(self, spec: CandidateSpec, data: GroupedRows,
+                  rng: np.random.Generator) -> List[float]:
+        n_samples = data.n_samples
         n_splits = min(self.n_splits, n_samples) if n_samples >= 2 else 0
         if n_splits < 2:
             # Too little data to cross-validate: fit on everything and score
             # on the training data (better than failing outright).
-            pipeline = _Pipeline(spec).fit(matrix, labels)
-            return [accuracy(labels, pipeline.predict(matrix))]
+            return [_score(_Pipeline(spec).fit_grouped(data), data)]
         scores: List[float] = []
         splitter = KFold(n_splits=n_splits, rng=rng)
         for train_indices, test_indices in splitter.split(n_samples):
             pipeline = _Pipeline(spec)
             try:
-                pipeline.fit(matrix[train_indices], labels[train_indices])
+                pipeline.fit_grouped(data.subset(train_indices))
             except Exception as exc:
                 _log.warning("auto-ML candidate %s dropped: a fold fit raised "
                              "%s", spec.name, type(exc).__name__)
                 return []
-            predictions = pipeline.predict(matrix[test_indices])
-            scores.append(accuracy(labels[test_indices], predictions))
+            scores.append(_score(pipeline, data.subset(test_indices)))
         return scores
 
     # ------------------------------------------------------------- prediction

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +30,23 @@ class Estimator:
     attribute of the same name so :meth:`get_params`/:meth:`clone` work.
     """
 
+    #: True when a row's predictions depend on that row's values alone, bit
+    #: for bit, so a caller may predict each distinct row once and scatter
+    #: the result back to its duplicates.
+    row_wise = False
+
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "Estimator":
         """Fit the model.  Must be overridden."""
         raise NotImplementedError
+
+    def fit_grouped(self, data: "GroupedRows") -> "Estimator":
+        """Fit on a grouped training set.
+
+        The default fits on the rows the groups stand for, which are the
+        original rows bit for bit; estimators that fit from counts override
+        it.
+        """
+        return self.fit(data.rows(), data.labels())
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict class labels (argmax of :meth:`predict_proba` by default)."""
@@ -118,6 +133,89 @@ def encode_labels(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     classes, encoded = np.unique(labels, return_inverse=True)
     return classes, encoded
+
+
+def group_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a float matrix exactly.
+
+    Rows are compared by their bit patterns after one lexsort, so
+    ``distinct[inverse]`` reproduces ``matrix`` bit for bit.
+
+    Returns:
+        ``(distinct, inverse)``: the distinct rows in lexicographic order of
+        their bits, and the index into ``distinct`` of every row.
+    """
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
+    n_rows = bits.shape[0]
+    order = (np.lexsort(bits.T[::-1]) if bits.shape[1]
+             else np.arange(n_rows))
+    ordered = bits[order]
+    starts = np.ones(n_rows, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(n_rows, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return matrix[order[starts]], inverse
+
+
+@dataclass(frozen=True)
+class GroupedRows:
+    """A labelled training set as a table of distinct rows.
+
+    Row ``i`` of the set is ``distinct[groups[i]]`` with label
+    ``classes[codes[i]]``.  Every distinct row and every class occurs at
+    least once, so ``classes`` is what :func:`encode_labels` returns for the
+    set's labels.
+
+    Attributes:
+        distinct: The distinct rows, ``(n_groups, n_features)``.
+        groups: Index into ``distinct`` of every row.
+        codes: Index into ``classes`` of every row's label.
+        classes: The sorted labels present.
+    """
+
+    distinct: np.ndarray
+    groups: np.ndarray
+    codes: np.ndarray
+    classes: np.ndarray
+
+    @classmethod
+    def from_rows(cls, features: Sequence, labels: Sequence) -> "GroupedRows":
+        """Validate a training set (:func:`check_features_labels`) and group it."""
+        matrix, label_array = check_features_labels(features, labels)
+        classes, codes = encode_labels(label_array)
+        distinct, groups = group_rows(matrix)
+        return cls(distinct, groups, codes, classes)
+
+    @property
+    def n_samples(self) -> int:
+        """Number of rows the set stands for."""
+        return int(self.groups.shape[0])
+
+    def subset(self, indices: np.ndarray) -> "GroupedRows":
+        """The rows at ``indices``, without the groups and classes they miss."""
+        groups = self.groups[indices]
+        codes = self.codes[indices]
+        rows_present = np.bincount(groups, minlength=len(self.distinct)) > 0
+        classes_present = np.bincount(codes, minlength=len(self.classes)) > 0
+        return GroupedRows(self.distinct[rows_present],
+                           (np.cumsum(rows_present) - 1)[groups],
+                           (np.cumsum(classes_present) - 1)[codes],
+                           self.classes[classes_present])
+
+    def counts(self) -> np.ndarray:
+        """``(n_groups, n_classes)`` integer count of each (row, label) pair."""
+        n_classes = len(self.classes)
+        return np.bincount(self.groups * n_classes + self.codes,
+                           minlength=len(self.distinct) * n_classes
+                           ).reshape(len(self.distinct), n_classes)
+
+    def rows(self) -> np.ndarray:
+        """The rows of the set, in order."""
+        return self.distinct[self.groups]
+
+    def labels(self) -> np.ndarray:
+        """The labels of the set, in order."""
+        return self.classes[self.codes]
 
 
 def one_hot(encoded: np.ndarray, n_classes: int) -> np.ndarray:

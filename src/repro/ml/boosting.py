@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
 
-from .base import Estimator, check_features, check_features_labels, encode_labels
+from .base import Estimator, GroupedRows, check_features, group_rows
 from .tree import DecisionTreeClassifier
 
 
@@ -20,6 +21,8 @@ class AdaBoostClassifier(Estimator):
         random_state: Seed for the weak learners' feature sampling.
     """
 
+    row_wise = True
+
     def __init__(self, n_estimators: int = 50, max_depth: int = 1,
                  learning_rate: float = 1.0,
                  random_state: Optional[int] = None) -> None:
@@ -32,11 +35,20 @@ class AdaBoostClassifier(Estimator):
 
     def fit(self, features, labels) -> "AdaBoostClassifier":
         """Run boosting rounds, reweighting misclassified samples."""
-        matrix, label_arr = check_features_labels(features, labels)
-        self.classes_, encoded = encode_labels(label_arr)
+        return self.fit_grouped(GroupedRows.from_rows(features, labels))
+
+    def fit_grouped(self, data: GroupedRows) -> "AdaBoostClassifier":
+        """Boost on the rows of a grouped training set.
+
+        The sample weights stay per row.  Each learner fits on the count
+        table of its weighted resample and predicts each distinct row once.
+        """
+        self.classes_ = data.classes
+        encoded = data.codes
         n_classes = len(self.classes_)
-        self.n_features_ = matrix.shape[1]
-        n_samples = matrix.shape[0]
+        self.n_features_ = data.distinct.shape[1]
+        n_samples = data.n_samples
+        coded = replace(data, classes=np.arange(n_classes))
         rng = np.random.default_rng(self.random_state)
 
         weights = np.full(n_samples, 1.0 / n_samples)
@@ -50,8 +62,8 @@ class AdaBoostClassifier(Estimator):
                 max_depth=self.max_depth,
                 random_state=int(rng.integers(0, 2 ** 31 - 1)),
             )
-            learner.fit(matrix[indices], encoded[indices])
-            predictions = learner.predict(matrix)
+            learner.fit_grouped(coded.subset(indices))
+            predictions = learner.predict(data.distinct)[data.groups]
 
             incorrect = predictions != encoded
             error = float(np.sum(weights * incorrect))
@@ -74,7 +86,7 @@ class AdaBoostClassifier(Estimator):
             # Fall back to a single unweighted learner so predict always works.
             learner = DecisionTreeClassifier(max_depth=self.max_depth,
                                              random_state=self.random_state)
-            learner.fit(matrix, encoded)
+            learner.fit_grouped(coded)
             self.estimators_.append(learner)
             self.estimator_weights_.append(1.0)
         return self
@@ -83,12 +95,12 @@ class AdaBoostClassifier(Estimator):
         """Return normalised weighted votes as class probabilities."""
         self._check_fitted("estimators_")
         matrix = check_features(features, n_features=self.n_features_)
+        distinct, inverse = group_rows(matrix)
         n_classes = len(self.classes_)
-        votes = np.zeros((matrix.shape[0], n_classes))
+        rows = np.arange(distinct.shape[0])
+        votes = np.zeros((distinct.shape[0], n_classes))
         for learner, weight in zip(self.estimators_, self.estimator_weights_):
-            predictions = learner.predict(matrix).astype(int)
-            for row, code in enumerate(predictions):
-                votes[row, code] += weight
+            votes[rows, learner.predict(distinct).astype(int)] += weight
         total = votes.sum(axis=1, keepdims=True)
         total[total == 0.0] = 1.0
-        return votes / total
+        return (votes / total)[inverse]

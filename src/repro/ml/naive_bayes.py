@@ -12,7 +12,8 @@ from typing import List
 
 import numpy as np
 
-from .base import Estimator, check_features, check_features_labels, encode_labels
+from .base import (Estimator, GroupedRows, check_features, check_features_labels,
+                   encode_labels)
 
 
 class GaussianNB(Estimator):
@@ -22,6 +23,8 @@ class GaussianNB(Estimator):
         var_smoothing: Fraction of the largest feature variance added to all
             variances for numerical stability.
     """
+
+    row_wise = True
 
     def __init__(self, var_smoothing: float = 1e-9) -> None:
         self.var_smoothing = var_smoothing
@@ -73,6 +76,8 @@ class CategoricalNB(Estimator):
         alpha: Laplace smoothing strength.
     """
 
+    row_wise = True
+
     def __init__(self, alpha: float = 1.0) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -80,21 +85,27 @@ class CategoricalNB(Estimator):
 
     def fit(self, features, labels) -> "CategoricalNB":
         """Count category/class co-occurrences per feature."""
-        matrix, label_arr = check_features_labels(features, labels)
-        self.classes_, encoded = encode_labels(label_arr)
-        n_classes = len(self.classes_)
-        self.n_features_ = matrix.shape[1]
+        return self.fit_grouped(GroupedRows.from_rows(features, labels))
 
-        self.priors_ = np.bincount(encoded, minlength=n_classes) / matrix.shape[0]
+    def fit_grouped(self, data: GroupedRows) -> "CategoricalNB":
+        """Sum the count table per feature category.
+
+        The sums are integers, so they equal the counts of a walk over the
+        rows.
+        """
+        table = data.counts()
+        self.classes_ = data.classes
+        self.n_features_ = data.distinct.shape[1]
+
+        self.priors_ = table.sum(axis=0) / data.n_samples
         self.categories_: List[np.ndarray] = []
         self.log_prob_: List[np.ndarray] = []
         for column in range(self.n_features_):
-            categories = np.unique(matrix[:, column])
-            counts = np.zeros((n_classes, len(categories)))
-            for class_code in range(n_classes):
-                values = matrix[encoded == class_code, column]
-                for position, category in enumerate(categories):
-                    counts[class_code, position] = np.sum(values == category)
+            categories, positions = np.unique(data.distinct[:, column],
+                                              return_inverse=True)
+            counts = np.zeros((len(self.classes_), len(categories)),
+                              dtype=table.dtype)
+            np.add.at(counts.T, positions, table)
             smoothed = counts + self.alpha
             probabilities = smoothed / smoothed.sum(axis=1, keepdims=True)
             self.categories_.append(categories)

@@ -3,7 +3,9 @@
 The tree grows greedily on the Gini impurity with axis-aligned threshold
 splits, supports depth / minimum-sample constraints, optional per-split
 feature subsampling (used by the random forest), and exposes impurity-based
-feature importances.
+feature importances.  It fits from the (distinct row x class) count table of
+its training set and predicts each distinct query row once, so its cost
+follows the number of distinct rows rather than the number of rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import Estimator, check_features, check_features_labels, encode_labels
+from .base import Estimator, GroupedRows, check_features, group_rows
 
 
 @dataclass
@@ -42,6 +44,14 @@ def _gini(class_counts: np.ndarray) -> float:
 class DecisionTreeClassifier(Estimator):
     """Greedy CART decision tree.
 
+    The tree fits from the count table of its training set
+    (:class:`~repro.ml.base.GroupedRows`): every node holds distinct rows and
+    their per-class counts, and a split is scored on the counts summed per
+    feature value.  It grows the same tree as a walk over the rows, because
+    the counts are the same integers, the candidate thresholds are the same
+    midpoints in the same order, and the feature subsample is drawn at the
+    same nodes (for finite features; NaNs count as one value here).
+
     Args:
         max_depth: Maximum tree depth (None for unlimited).
         min_samples_split: Minimum samples required to attempt a split.
@@ -50,6 +60,8 @@ class DecisionTreeClassifier(Estimator):
             ``"sqrt"`` = square root of the feature count).
         random_state: Seed controlling the feature subsampling.
     """
+
+    row_wise = True
 
     def __init__(self, max_depth: Optional[int] = None, min_samples_split: int = 2,
                  min_samples_leaf: int = 1, max_features=None,
@@ -64,12 +76,15 @@ class DecisionTreeClassifier(Estimator):
 
     def fit(self, features, labels) -> "DecisionTreeClassifier":
         """Grow the tree on the training data."""
-        matrix, label_arr = check_features_labels(features, labels)
-        self.classes_, encoded = encode_labels(label_arr)
-        self.n_features_ = matrix.shape[1]
+        return self.fit_grouped(GroupedRows.from_rows(features, labels))
+
+    def fit_grouped(self, data: GroupedRows) -> "DecisionTreeClassifier":
+        """Grow the tree on the count table of a grouped training set."""
+        self.classes_ = data.classes
+        self.n_features_ = data.distinct.shape[1]
         self._rng = np.random.default_rng(self.random_state)
         self.feature_importances_ = np.zeros(self.n_features_)
-        self._root = self._grow(matrix, encoded, depth=0)
+        self._root = self._grow(data.distinct, data.counts(), depth=0)
         total = self.feature_importances_.sum()
         if total > 0:
             self.feature_importances_ = self.feature_importances_ / total
@@ -82,31 +97,40 @@ class DecisionTreeClassifier(Estimator):
             return max(1, int(np.sqrt(self.n_features_)))
         return max(1, min(int(self.max_features), self.n_features_))
 
-    def _grow(self, matrix: np.ndarray, encoded: np.ndarray, depth: int) -> _TreeNode:
-        counts = np.bincount(encoded, minlength=len(self.classes_)).astype(float)
+    def _grow(self, rows: np.ndarray, table: np.ndarray, depth: int) -> _TreeNode:
+        """Grow a node on distinct ``rows`` with their per-class ``table``."""
+        counts = table.sum(axis=0).astype(float)
+        n_samples = int(table.sum())
         prediction = counts / counts.sum()
         node = _TreeNode(prediction=prediction)
 
         if (self.max_depth is not None and depth >= self.max_depth) \
-                or matrix.shape[0] < self.min_samples_split \
-                or np.unique(encoded).size == 1:
+                or n_samples < self.min_samples_split \
+                or np.count_nonzero(counts) == 1:
             return node
 
-        split = self._best_split(matrix, encoded, counts)
+        split = self._best_split(rows, table, counts, n_samples)
         if split is None:
             return node
         feature, threshold, gain, left_mask = split
-        self.feature_importances_[feature] += gain * matrix.shape[0]
+        self.feature_importances_[feature] += gain * n_samples
 
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow(matrix[left_mask], encoded[left_mask], depth + 1)
-        node.right = self._grow(matrix[~left_mask], encoded[~left_mask], depth + 1)
+        node.left = self._grow(rows[left_mask], table[left_mask], depth + 1)
+        node.right = self._grow(rows[~left_mask], table[~left_mask], depth + 1)
         return node
 
-    def _best_split(self, matrix: np.ndarray, encoded: np.ndarray,
-                    counts: np.ndarray):
-        n_samples = matrix.shape[0]
+    def _best_split(self, rows: np.ndarray, table: np.ndarray,
+                    counts: np.ndarray, n_samples: int):
+        """The best ``(feature, threshold, gain, left mask)``, or None.
+
+        A split's gain depends only on the class counts on either side, so
+        the candidates are the midpoints between adjacent distinct values
+        of a feature, scored on the cumulative counts of the values up to
+        them.  The counts are integers, so they equal the ones a walk over
+        the sorted rows would add up.
+        """
         parent_impurity = _gini(counts)
         best = None
         best_gain = 1e-12
@@ -114,28 +138,25 @@ class DecisionTreeClassifier(Estimator):
         candidate_features = self._rng.permutation(self.n_features_)[
             :self._n_split_features()]
         for feature in candidate_features:
-            values = matrix[:, feature]
-            order = np.argsort(values, kind="mergesort")
-            sorted_values = values[order]
-            sorted_labels = encoded[order]
-
-            left_counts = np.zeros_like(counts)
-            right_counts = counts.copy()
-            for position in range(n_samples - 1):
-                label = sorted_labels[position]
-                left_counts[label] += 1
-                right_counts[label] -= 1
-                if sorted_values[position] == sorted_values[position + 1]:
-                    continue
-                n_left = position + 1
+            values = rows[:, feature]
+            distinct_values, positions = np.unique(values, return_inverse=True)
+            per_value = np.zeros((len(distinct_values), table.shape[1]),
+                                 dtype=table.dtype)
+            np.add.at(per_value, positions, table)
+            cumulative = np.cumsum(per_value, axis=0)
+            for position in range(len(distinct_values) - 1):
+                n_left = int(cumulative[position].sum())
                 n_right = n_samples - n_left
                 if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
                     continue
+                left_counts = cumulative[position].astype(float)
+                right_counts = counts - left_counts
                 impurity = (n_left * _gini(left_counts)
                             + n_right * _gini(right_counts)) / n_samples
                 gain = parent_impurity - impurity
                 if gain > best_gain:
-                    threshold = (sorted_values[position] + sorted_values[position + 1]) / 2.0
+                    threshold = (distinct_values[position]
+                                 + distinct_values[position + 1]) / 2.0
                     best_gain = gain
                     best = (int(feature), float(threshold), float(gain),
                             values <= threshold)
@@ -144,19 +165,23 @@ class DecisionTreeClassifier(Estimator):
     # ------------------------------------------------------------- prediction
 
     def predict_proba(self, features) -> np.ndarray:
-        """Return class probabilities from the reached leaves."""
+        """Return class probabilities from the reached leaves.
+
+        Each distinct row walks the tree once; duplicates share its leaf.
+        """
         self._check_fitted("_root")
         matrix = check_features(features, n_features=self.n_features_)
-        probabilities = np.zeros((matrix.shape[0], len(self.classes_)))
-        for row in range(matrix.shape[0]):
+        distinct, inverse = group_rows(matrix)
+        probabilities = np.zeros((distinct.shape[0], len(self.classes_)))
+        for row, values in enumerate(distinct):
             node = self._root
             while not node.is_leaf:
-                if matrix[row, node.feature] <= node.threshold:
+                if values[node.feature] <= node.threshold:
                     node = node.left
                 else:
                     node = node.right
             probabilities[row] = node.prediction
-        return probabilities
+        return probabilities[inverse]
 
     def depth(self) -> int:
         """Return the depth of the fitted tree."""

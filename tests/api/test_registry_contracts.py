@@ -57,6 +57,12 @@ Every packaged metric declares bounds for exactly the numeric fields it
 returns, and on every benchmark locked by every locker each number lies
 inside them; a metric registered without bounds fails.
 
+Every benchmark locked by every packaged locker built on
+:class:`~repro.locking.AssureLocker` has no key bit whose locality reads the
+same operation code in both branches (C1 = C2): ASSURE pairs each operation
+with a dummy of another type.  HRA has such bits, where a later step locks
+an earlier dummy, so the contract is one of ASSURE's selection.
+
 The cases are data drawn from the live registries, run through one helper
 per contract, so no plugin of the package can register without passing
 them.
@@ -74,7 +80,7 @@ from repro.api import runner
 from repro.api.registry import (ATTACKS, LOCKERS, METRICS, attack_names,
                                 locker_names, make_attack, make_locker,
                                 make_metric, metric_names, register_metric)
-from repro.api.scenario import AttackSpec, JobSpec, LockerSpec
+from repro.api.scenario import AttackSpec, JobSpec, LockerSpec, key_budget
 from repro.attacks import kpa
 from repro.attacks.baselines import RandomGuessAttack
 from repro.attacks.locality import LocalityExtractor, operation_code
@@ -706,3 +712,38 @@ def test_a_metric_outside_its_bounds_is_caught(result, bounds, message):
             check_metric_bounds("test-bounded-metric", design.design)
     finally:
         METRICS.unregister("test-bounded-metric")
+
+
+#: Packaged lockers built on :class:`AssureLocker`.
+ASSURE_LOCKERS = [name for name in LOCKER_NAMES
+                  if isinstance(make_locker(name, random.Random(0)),
+                                AssureLocker)]
+EQUAL_CODE_CASES = list(itertools.product(benchmark_names(), ASSURE_LOCKERS,
+                                          (1, 2)))
+
+
+def equal_code_bits(benchmark: str, locker: str, seed: int):
+    """Key bits whose locality has C1 = C2, with ``benchmark`` at scale
+    0.15 locked by ``locker`` at a 75 % key budget."""
+    design = load_benchmark(benchmark, scale=0.15, seed=seed)
+    budget = key_budget(0.75, benchmark, locker, design.num_operations())
+    locked = make_locker(locker, random.Random(seed)).lock(design,
+                                                           budget).design
+    return [locality.key_index
+            for locality in LocalityExtractor().extract(locked)
+            if locality.features[0] == locality.features[1]]
+
+
+def test_assure_lockers_are_found():
+    assert sorted(ASSURE_LOCKERS) == ["assure", "assure-random"]
+
+
+@pytest.mark.parametrize("design_name,locker,seed", EQUAL_CODE_CASES,
+                         ids=[f"{name}-{locker}-{seed}"
+                              for name, locker, seed in EQUAL_CODE_CASES])
+def test_assure_targets_have_no_equal_code_bits(design_name, locker, seed):
+    assert equal_code_bits(design_name, locker, seed) == []
+
+
+def test_hra_targets_do_have_equal_code_bits():
+    assert equal_code_bits("N_2046", "hra", 1)

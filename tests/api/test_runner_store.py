@@ -370,6 +370,54 @@ class TestManifestCostData:
         assert "Average KPA" in report and "no manifest" in report
 
 
+class TestManifestFromHeldRecords:
+    """The manifest is written from the records the run holds.
+
+    Its reference is the same manifest written with nothing held, which
+    reads every record back from disk.
+    """
+
+    @staticmethod
+    def run_counting_loads(scenario, store, **options):
+        from unittest import mock
+
+        with mock.patch.object(store, "load", wraps=store.load) as load:
+            report = Runner(scenario, store=store, **options).run()
+        return report, load.call_count
+
+    @staticmethod
+    def assert_manifest_matches_disk(store, scenario, report):
+        written = store.manifest_path.read_bytes()
+        store.write_manifest(scenario, executed=report.executed,
+                             skipped=report.skipped, held={})
+        assert store.manifest_path.read_bytes() == written
+
+    def test_a_fresh_run_reads_no_record_and_a_resume_reads_each_once(
+            self, tmp_path):
+        scenario = quick_scenario(samples=2)
+        store = ResultsStore(tmp_path / "store")
+        first, loads = self.run_counting_loads(scenario, store)
+        assert (first.executed, loads) == (4, 0)
+        self.assert_manifest_matches_disk(store, scenario, first)
+        second, loads = self.run_counting_loads(scenario, store)
+        assert (second.skipped, loads) == (4, 4)
+        self.assert_manifest_matches_disk(store, scenario, second)
+
+    def test_a_record_corrupted_after_its_write_stays_out(self, tmp_path):
+        from repro.api.faults import FaultPlan, FaultSpec
+
+        scenario = quick_scenario()
+        store = ResultsStore(tmp_path / "store")
+        plan = FaultPlan(faults=(FaultSpec("corrupt", rate=1.0,
+                                           match="assure"),))
+        report, _ = self.run_counting_loads(scenario, store,
+                                            fault_plan=plan)
+        assert report.executed == 2
+        manifest = store.manifest()
+        assert [entry["locker"] for entry in manifest["jobs"]] == ["era"]
+        self.assert_manifest_matches_disk(store, scenario, report)
+
+
 class TestFailureLedgerConcurrency:
     def test_concurrent_appends_never_interleave(self, tmp_path):
         """Parallel writers sharing one ledger produce only whole lines.
