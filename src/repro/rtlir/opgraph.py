@@ -148,11 +148,17 @@ class OperationGraph:
 
         This order is used by ASSURE's *serial* selection: operations closer
         to the primary inputs are locked first, and the order is deterministic
-        for a given design.
+        for a given design.  Kahn's order of the graph itself is taken
+        first; cycles are broken (:meth:`_acyclic_view`) only when that
+        order leaves nodes out, which it does exactly when the graph has a
+        cycle.  An acyclic graph is its own acyclic view, so the order is
+        the same either way.
         """
-        acyclic = self._acyclic_view()
+        nodes = _kahn_order(self.graph)
+        if len(nodes) != len(self.graph):
+            nodes = _topological_order(self._acyclic_view())
         order: Dict[int, int] = {}
-        for position, node in enumerate(_topological_order(acyclic)):
+        for position, node in enumerate(nodes):
             if isinstance(node, OperationNode):
                 order[node.index] = position
         return sorted(self.sites,
@@ -174,8 +180,8 @@ class OperationGraph:
         }
 
 
-def _topological_order(graph: DataflowGraph) -> List[Hashable]:
-    """``list(nx.topological_sort(graph))``: Kahn's algorithm by generations.
+def _kahn_order(graph: DataflowGraph) -> List[Hashable]:
+    """Kahn's algorithm by generations; nodes on or behind a cycle are left out.
 
     The first generation is the nodes without predecessors, in node order;
     each later one collects, in the order the previous generation's
@@ -193,6 +199,12 @@ def _topological_order(graph: DataflowGraph) -> List[Hashable]:
                 if indegree[child] == 0:
                     following.append(child)
         generation = following
+    return order
+
+
+def _topological_order(graph: DataflowGraph) -> List[Hashable]:
+    """``list(nx.topological_sort(graph))``: :func:`_kahn_order` of a DAG."""
+    order = _kahn_order(graph)
     if len(order) != len(graph):
         raise ValueError("the graph has a cycle")
     return order

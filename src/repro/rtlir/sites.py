@@ -79,16 +79,14 @@ class SiteCollection:
         return {site.op for site in self.sites}
 
 
-#: AST node types whose subtrees never contain lockable dataflow operations.
-_EXCLUDED_CONTEXTS = (ast.Range, ast.ParamDeclaration, ast.SensitivityItem)
-
-
-def _is_key_reference(expr: ast.Expression, key_names: Set[str]) -> bool:
+def _is_key_reference(expr: ast.Node, key_names: Set[str]) -> bool:
     """Return True if ``expr`` reads one of the key signals."""
-    for node in expr.iter_tree():
-        if isinstance(node, ast.Identifier) and node.name in key_names:
-            return True
-    return False
+    if not key_names:
+        return False
+    if isinstance(expr, ast.Identifier):
+        return expr.name in key_names
+    return any(isinstance(node, ast.Identifier) and node.name in key_names
+               for node in expr.iter_tree())
 
 
 class _SiteCollector:
@@ -169,60 +167,63 @@ class _SiteCollector:
         return
 
     def _walk(self, expr: ast.Expression, parent: ast.Node,
-              container: ast.ModuleItem, depth: int, locked: bool) -> None:
-        if isinstance(expr, _EXCLUDED_CONTEXTS):
-            return
+              container: ast.ModuleItem, depth: int, locked: bool) -> bool:
+        """Collect the sites of ``expr``; return whether its subtree reads a key.
+
+        The answer covers the whole subtree, the parts the walk does not
+        descend into (select targets and bounds, replication counts,
+        excluded contexts) included, so a site's ``key_controlled`` and a
+        ternary's locked branches come from this one walk.
+        """
+        keys = self._key_names
+        if isinstance(expr, ast.Identifier):
+            return expr.name in keys
         if isinstance(expr, ast.BinaryOp):
             op = normalize_operator(expr.op)
+            site = None
             if is_lockable(op):
-                key_controlled = (
-                    _is_key_reference(expr.left, self._key_names)
-                    or _is_key_reference(expr.right, self._key_names)
-                )
-                self.sites.append(
-                    OperationSite(
-                        node=expr,
-                        op=op,
-                        index=len(self.sites),
-                        parent=parent,
-                        container=container,
-                        depth=depth,
-                        in_locked_branch=locked,
-                        key_controlled=key_controlled,
-                    )
-                )
-            self._walk(expr.left, expr, container, depth + 1, locked)
-            self._walk(expr.right, expr, container, depth + 1, locked)
-            return
+                site = OperationSite(node=expr, op=op, index=len(self.sites),
+                                     parent=parent, container=container,
+                                     depth=depth, in_locked_branch=locked)
+                self.sites.append(site)
+            reads = self._walk(expr.left, expr, container, depth + 1, locked)
+            reads |= self._walk(expr.right, expr, container, depth + 1, locked)
+            if site is not None:
+                site.key_controlled = reads
+            return reads
         if isinstance(expr, ast.TernaryOp):
-            branch_locked = locked or _is_key_reference(expr.cond, self._key_names)
-            self._walk(expr.cond, expr, container, depth + 1, locked)
-            self._walk(expr.true_value, expr, container, depth + 1, branch_locked)
-            self._walk(expr.false_value, expr, container, depth + 1, branch_locked)
-            return
+            reads = self._walk(expr.cond, expr, container, depth + 1, locked)
+            branch_locked = locked or reads
+            reads |= self._walk(expr.true_value, expr, container, depth + 1,
+                                branch_locked)
+            reads |= self._walk(expr.false_value, expr, container, depth + 1,
+                                branch_locked)
+            return reads
         if isinstance(expr, ast.UnaryOp):
-            self._walk(expr.operand, expr, container, depth + 1, locked)
-            return
+            return self._walk(expr.operand, expr, container, depth + 1, locked)
         if isinstance(expr, ast.Concat):
+            reads = False
             for part in expr.parts:
-                self._walk(part, expr, container, depth + 1, locked)
-            return
+                reads |= self._walk(part, expr, container, depth + 1, locked)
+            return reads
         if isinstance(expr, ast.Replication):
-            self._walk(expr.value, expr, container, depth + 1, locked)
-            return
+            reads = self._walk(expr.value, expr, container, depth + 1, locked)
+            return reads or _is_key_reference(expr.count, keys)
         if isinstance(expr, ast.BitSelect):
-            self._walk(expr.index, expr, container, depth + 1, locked)
-            return
-        if isinstance(expr, ast.PartSelect):
-            return
+            reads = self._walk(expr.index, expr, container, depth + 1, locked)
+            return reads or _is_key_reference(expr.target, keys)
         if isinstance(expr, ast.IndexedPartSelect):
-            self._walk(expr.base, expr, container, depth + 1, locked)
-            return
+            reads = self._walk(expr.base, expr, container, depth + 1, locked)
+            return (reads or _is_key_reference(expr.target, keys)
+                    or _is_key_reference(expr.width, keys))
         if isinstance(expr, ast.FunctionCall):
+            reads = False
             for arg in expr.args:
-                self._walk(arg, expr, container, depth + 1, locked)
-            return
-        # Identifiers and literals carry no operations.
+                reads |= self._walk(arg, expr, container, depth + 1, locked)
+            return reads
+        # Part-selects, literals and structural nodes (ranges, parameter
+        # values, sensitivity items) carry no lockable dataflow operation.
+        return bool(expr._fields) and _is_key_reference(expr, keys)
 
 
 def collect_sites(module: ast.Module,

@@ -58,19 +58,23 @@ class ExpressionCompiler:
             sweep executor hoists it all the same, since it reads no
             point-varying source.
         key_port: The design's key port, whose reads are recorded per bit.
+        key_memo: The build's structural-key memo (see
+            :func:`~repro.sim.plan.steps.structural_key`), shared with the
+            passes that ran before lowering.
     """
 
     def __init__(self, widths: Mapping[str, int],
                  default_width: int = WORKING_WIDTH,
                  shared: FrozenSet[tuple] = frozenset(),
                  invariant: FrozenSet[tuple] = frozenset(),
-                 key_port: Optional[str] = None) -> None:
+                 key_port: Optional[str] = None, *,
+                 key_memo: Dict[int, tuple]) -> None:
         self.widths = dict(widths)
         self.default_width = default_width
         self.shared = shared
         self.invariant = invariant
         self.key_port = key_port
-        self._key_memo: Dict[int, tuple] = {}
+        self._key_memo = key_memo
         self._hoist_slots: Dict[tuple, Tuple[str, int]] = {}
         self._cse_count = 0
         self._vn_count = 0

@@ -55,7 +55,10 @@ class PlanBuild:
     AST expression, topologically ordered) with each assignment's read set
     (``reads``, itself excluded) plus analysis annotations (``shared``,
     ``invariant_keys``); afterwards it is the ``steps`` list of lowered
-    :class:`~repro.sim.plan.steps.Step` objects.
+    :class:`~repro.sim.plan.steps.Step` objects.  ``key_memo`` is the one
+    structural-key memo (node id → key) of the ``cse``, ``sweep-vn`` and
+    ``lower`` passes: ``fold`` runs before them, and no later pass makes
+    or drops a node, so every id it holds names a live node of the IR.
     """
 
     top_name: str
@@ -67,6 +70,7 @@ class PlanBuild:
     key_port: Optional[str]
     shared: FrozenSet[tuple] = frozenset()
     invariant_keys: FrozenSet[tuple] = frozenset()
+    key_memo: Dict[int, tuple] = field(default_factory=dict)
     steps: Optional[List[Step]] = None
     outputs: List[str] = field(default_factory=list)
     cse_steps: int = 0
@@ -230,8 +234,8 @@ def _fold(build: PlanBuild) -> None:
 
 def _cse(build: PlanBuild) -> None:
     """Mark subexpressions occurring more than once for shared lowering."""
-    build.shared = shared_subexpressions(expr for _, expr
-                                         in build.assignments)
+    build.shared = shared_subexpressions(
+        (expr for _, expr in build.assignments), build.key_memo)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +282,9 @@ def _sweep_vn(build: PlanBuild) -> None:
         if build.reads[name] & dependent:
             dependent.add(name)
             collect(expr)
-    build.invariant_keys = frozenset(structural_key(node, {}) for node
-                                     in found if _worth_hoisting(node))
+    build.invariant_keys = frozenset(structural_key(node, build.key_memo)
+                                     for node in found
+                                     if _worth_hoisting(node))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +297,8 @@ def _lower(build: PlanBuild) -> None:
     compiler = ExpressionCompiler(build.widths,
                                   shared=build.shared,
                                   invariant=build.invariant_keys,
-                                  key_port=build.key_port)
+                                  key_port=build.key_port,
+                                  key_memo=build.key_memo)
     steps: List[Step] = []
     driven: Set[str] = set()
     for name, expr in build.assignments:

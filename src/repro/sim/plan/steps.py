@@ -189,15 +189,27 @@ def structural_key(expr: ast.Expression, memo: Dict[int, tuple]) -> tuple:
     return key
 
 
-def shared_subexpressions(exprs: Iterable[ast.Expression]) -> FrozenSet[tuple]:
-    """Structural keys of hoistable subexpressions occurring more than once."""
-    memo: Dict[int, tuple] = {}
+def shared_subexpressions(exprs: Iterable[ast.Expression],
+                          memo: Dict[int, tuple]) -> FrozenSet[tuple]:
+    """Structural keys of hoistable subexpressions occurring more than once.
+
+    One walk over an explicit node stack; ``memo`` is the structural-key
+    memo (see :func:`structural_key`), and the keys computed here stay in it
+    for the passes after this one.
+    """
     counts: Dict[tuple, int] = {}
-    for expr in exprs:
-        for node in expr.iter_tree():
-            if isinstance(node, HOISTABLE):
-                key = structural_key(node, memo)
-                counts[key] = counts.get(key, 0) + 1
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, HOISTABLE):
+            key = structural_key(node, memo)
+            counts[key] = counts.get(key, 0) + 1
+        for name in node._fields:
+            child = getattr(node, name)
+            if isinstance(child, list):
+                stack.extend(child)
+            elif child is not None:
+                stack.append(child)
     return frozenset(key for key, count in counts.items() if count > 1)
 
 
@@ -213,8 +225,20 @@ def static_int(expr: ast.Expression) -> Optional[int]:
 
 def expression_reads(expr: ast.Expression) -> FrozenSet[str]:
     """Names of every signal an expression reads (identifier leaves)."""
-    return frozenset(node.name for node in expr.iter_tree()
-                     if isinstance(node, ast.Identifier))
+    names = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Identifier):
+            names.add(node.name)
+            continue
+        for name in node._fields:
+            child = getattr(node, name)
+            if isinstance(child, list):
+                stack.extend(child)
+            elif child is not None:
+                stack.append(child)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,26 @@ from typing import List
 
 from . import ast_nodes as ast
 
-#: Attribute values that are immutable and can be shared by a clone.
-_ATOMS = (str, int, float, type(None))
+#: Types of attribute values that are immutable and can be shared by a clone.
+_ATOMS = frozenset((str, int, float, bool, type(None)))
 
 
 def clone(node: ast.Node) -> ast.Node:
     """Return a deep copy of an AST subtree.
 
-    The copy is structural: every attribute of every node is copied, child
-    nodes and lists recursively, so the clone shares no node and no mutable
-    attribute with ``node``.  Nodes hold only strings, numbers, ``None``,
-    child nodes and lists of those, which makes this several times cheaper
-    than :func:`copy.deepcopy` and its memo; any other attribute value is
+    The copy is structural: a node's attributes are copied in one call,
+    then every child node and list is replaced by its copy, recursively,
+    so the clone shares no node and no mutable attribute with ``node``.
+    Nodes hold only strings, numbers, ``None``, child nodes and lists of
+    those, which makes this several times cheaper than
+    :func:`copy.deepcopy` and its memo; any other attribute value is
     still deep-copied.
     """
     copied = object.__new__(type(node))
-    copied.__dict__ = {name: value if isinstance(value, _ATOMS)
-                       else _clone_value(value)
-                       for name, value in vars(node).items()}
+    attributes = copied.__dict__ = node.__dict__.copy()
+    for name, value in node.__dict__.items():
+        if type(value) not in _ATOMS:
+            attributes[name] = _clone_value(value)
     return copied
 
 
@@ -38,7 +40,7 @@ def _clone_value(value: object) -> object:
     if isinstance(value, ast.Node):
         return clone(value)
     if isinstance(value, list):
-        return [item if isinstance(item, _ATOMS) else _clone_value(item)
+        return [item if type(item) in _ATOMS else _clone_value(item)
                 for item in value]
     return copy.deepcopy(value)
 

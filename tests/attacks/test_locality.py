@@ -28,6 +28,26 @@ NON_OPERATION_BITS = [
 ]
 
 
+#: ``(name, assignments, {key bit: (C1, C2) operators})`` of hand-written
+#: nested key muxes on key port ``k``.  A branch that is itself a key mux
+#: reads as its true branch, down to the first operation; a key bit whose
+#: ternary occurs twice keeps its last occurrence in pre-order.
+NESTED_MUXES = [
+    ("nest-in-true-branch",
+     "assign y = k[0] ? (k[1] ? a ^ b : a ~^ b) : a + b;",
+     {0: ("^", "+"), 1: ("^", "~^")}),
+    ("nest-in-false-branch",
+     "assign y = k[0] ? a + b : (k[1] ? a - b : a * b);",
+     {0: ("+", "-"), 1: ("-", "*")}),
+    ("double-nest",
+     "assign y = k[0] ? (k[1] ? (k[2] ? a & b : a | b) : a ^ b) : a + b;",
+     {0: ("&", "+"), 1: ("&", "^"), 2: ("&", "|")}),
+    ("ternary-occurs-twice",
+     "assign y = k[0] ? a + b : a - b; assign z = k[0] ? a & b : a | b;",
+     {0: ("&", "|")}),
+]
+
+
 class TestExtraction:
     def test_unlocked_design_rejected(self, mixer_design):
         with pytest.raises(ValueError):
@@ -97,3 +117,18 @@ class TestNestedAndNonOperationBits:
         assert locality.kind == kind
         assert locality.label == 1
         assert locality.features.tolist() == [NO_OPERATION, NO_OPERATION]
+
+    @pytest.mark.parametrize("assignments,expected",
+                             [case[1:] for case in NESTED_MUXES],
+                             ids=[case[0] for case in NESTED_MUXES])
+    def test_nested_mux_rows(self, assignments, expected):
+        source = ("module n (input [3:0] a, input [3:0] b, input [2:0] k, "
+                  f"output [3:0] y, output [3:0] z); {assignments} endmodule")
+        design = Design(parse(source), key_port="k",
+                        key_bits=[KeyBit(index=index, kind="operation",
+                                         correct_value=0)
+                                  for index in sorted(expected)])
+        rows = {locality.key_index: tuple(locality.features.astype(int))
+                for locality in LocalityExtractor().extract(design)}
+        assert rows == {index: (encode_operator(c1), encode_operator(c2))
+                        for index, (c1, c2) in expected.items()}

@@ -46,6 +46,21 @@ class TestClone:
         assert not nodes & clone_nodes
         assert not mutables & clone_mutables
 
+    def test_clone_copies_lists_that_hold_no_nodes(self):
+        # ``names`` is a list of strings outside ``_fields``: the one-call
+        # attribute copy would share it unless the clone replaces it too.
+        decl = ast.NetDeclaration("wire", ["x", "y"],
+                                  width=ast.Range(ast.IntConst("7"),
+                                                  ast.IntConst("0")),
+                                  signed=True)
+        cloned = clone(decl)
+        assert cloned.names == ["x", "y"] and cloned.names is not decl.names
+        assert cloned.array_dims == [] and cloned.array_dims is not decl.array_dims
+        assert cloned.width is not decl.width
+        assert (cloned.net_type, cloned.signed) == ("wire", True)
+        cloned.names.append("z")
+        assert decl.names == ["x", "y"]
+
     def test_clone_copies_attributes_outside_fields(self):
         expr = ast.BinaryOp("+", ast.Identifier("a"), ast.IntConst("1"))
         expr.annotations = {"origin": ["parser"]}
