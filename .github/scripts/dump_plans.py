@@ -13,7 +13,13 @@ compiles its plan and writes one canonical JSON file per plan to
 * ``stats``: the plan's ``PlanStats``;
 * ``outputs``: the plan's output names;
 * ``values``: every output's value on 64 seeded input vectors, under the
-  correct key and under the key with every bit flipped.
+  correct key and under the key with every bit flipped;
+* ``sweeps``: the ``sweep_differences`` counts (differing lanes and
+  flipped output bits per point after point 0) on the same vectors: each
+  single key bit flipped against the all-zero key (the key-sensitivity
+  shape, which takes the cone path), 4 seeded wrong keys against the
+  correct key (the corruption shape) and each bit of the widest data input
+  flipped under the correct key (the avalanche shape).
 
 Run it with ``PYTHONPATH=src`` from two checkouts (or under two
 ``PYTHONHASHSEED`` values) and compare the directories with ``diff -r``:
@@ -30,11 +36,47 @@ from repro.api.registry import locker_names, make_locker
 from repro.bench import benchmark_names, load_benchmark
 from repro.sim import BatchSimulator
 from repro.sim.plan.passes import compile_plan
-from repro.sim.vectors import random_input_batch
+from repro.sim.vectors import input_signals, random_input_batch, \
+    random_wrong_key
 
 SCALES = (0.1, 0.3)
 SEED = 1
 VECTORS = 64
+WRONG_KEYS = 4
+
+
+def counts(differences) -> dict:
+    """The JSON form of one ``SweepDifferences``."""
+    return {"lanes": differences.lanes, "bits": differences.bits}
+
+
+def sweep_dump(simulator: BatchSimulator, locked, batch: dict) -> dict:
+    """Sweep counts of the key-sensitivity, corruption and avalanche
+    shapes on ``batch``."""
+    width = locked.key_width
+    zeros = [0] * width
+    flips = [zeros] + [zeros[:bit] + [1] + zeros[bit + 1:]
+                       for bit in range(width)]
+    correct = locked.correct_key
+    rng = random.Random(SEED)
+    wrong = [correct] + [random_wrong_key(correct, rng)
+                         for _ in range(WRONG_KEYS)]
+    signal, signal_width = max(input_signals(locked),
+                               key=lambda pair: pair[1])
+    context = {name: values for name, values in batch.items()
+               if name != signal}
+    base = batch[signal][0]
+    bindings = [{signal: base}] + [{signal: base ^ 1 << bit}
+                                   for bit in range(signal_width)]
+    return {
+        "key_bits": counts(simulator.sweep_differences(
+            batch, keys=flips, n=VECTORS)),
+        "corruption": counts(simulator.sweep_differences(
+            batch, keys=wrong, n=VECTORS)),
+        "avalanche": dict(counts(simulator.sweep_differences(
+            context, keys=[correct] * len(bindings), bindings=bindings,
+            n=VECTORS)), signal=signal),
+    }
 
 
 def plan_dump(benchmark: str, scale: float, locker: str) -> dict:
@@ -58,6 +100,7 @@ def plan_dump(benchmark: str, scale: float, locker: str) -> dict:
         "values": {name: simulator.run_batch(batch, key=key, n=VECTORS)
                    for name, key in (("correct", correct),
                                      ("flipped", flipped))},
+        "sweeps": sweep_dump(simulator, locked, batch),
     }
 
 

@@ -288,8 +288,9 @@ def key_bit_sensitivity(design, vectors: int = 32,
     cached plan (:func:`repro.sim.sweep_differences`).  Each flipped key
     differs from the base key in one bit, so the sweep takes the cone path:
     the plan runs once on the vectors under the all-zero key, and each
-    flip re-runs only the fan-out cone of its bit; the differing lanes are
-    counted on the bit-sliced outputs.  The base key and each flipped key
+    flip re-runs, in place on that pass, only the steps of its bit's
+    fan-out cone whose inputs the flip changed; the differing lanes are
+    counted on the outputs it changed, on their bit slices.  The base key and each flipped key
     are the same on every lane of their pass, so every locking mux of the
     plan runs only the operation its key bit selects, never its dummy.
     Designs the plan compiler cannot express fall back to a per-key scalar

@@ -131,10 +131,14 @@ class OperationGraph:
     def _acyclic_view(self) -> DataflowGraph:
         """The graph with cycles broken: drop each found cycle's first edge.
 
-        The graph is copied at the first removal only; an acyclic graph is
-        returned as is, and callers only read the result.
+        Kahn's order is taken first: when it keeps every node the graph
+        has no cycle and is returned as is, with no cycle search.  Else
+        the graph is copied at the first removal; callers only read the
+        result.
         """
         graph = self.graph
+        if len(_kahn_order(graph)) == len(graph):
+            return graph
         while True:
             cycle = _find_cycle(graph)
             if cycle is None:

@@ -35,8 +35,9 @@ loops:
   sensitivity, input avalanche and functional KPA all run on it.
   A key sweep whose later points each flip at most one key bit of point
   0's key (key-bit sensitivity) takes the *cone path*: one V-lane pass of
-  the whole plan under point 0's key, then per point only the flipped
-  bit's fan-out cone, with bit-identical counts.
+  the whole plan under point 0's key, then per point only the steps of
+  the flipped bit's fan-out cone whose inputs the flip changed, with
+  bit-identical counts.
   A lane cap (the plan's own cap from :func:`auto_max_lanes`, or the
   ``max_lanes`` argument of :meth:`BatchSimulator.run_sweep`, the value
   form of the same sweep) streams million-lane sweeps through fixed-size

@@ -12,8 +12,9 @@ happens after compilation:
   pass, counted as how far each sweep point's outputs differ from point 0's
   (:meth:`~BatchSimulator.sweep_differences`, by XOR and popcount on the
   slice words without unpacking a lane — what the metrics and functional
-  KPA call; sweeps of single-bit key flips re-run only the flipped bit's
-  fan-out cone, :func:`key_cones`) or unpacked into per-point values
+  KPA call; sweeps of single-bit key flips re-run only the steps of the
+  flipped bit's fan-out cone, :func:`key_cones`, whose inputs the flip
+  changed) or unpacked into per-point values
   (:meth:`~BatchSimulator.run_sweep`, the value form the tests and
   benchmarks check the counts and the per-key loop against).
 
@@ -47,7 +48,6 @@ values.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import (Collection, Dict, FrozenSet, Iterable, List,
                     Mapping, NamedTuple, Optional, Sequence, Set, Tuple)
 
@@ -667,8 +667,7 @@ def release_schedule(steps: Sequence[Step], keep: Collection[str]) -> Release:
 def execute_steps(steps: Sequence[Step], env: Dict[str, Slices], full: int,
                   release: Iterable[Tuple[str, ...]]) -> None:
     """Run ``steps`` in order, writing each result into ``env`` and
-    dropping the names of ``release`` (see :func:`release_schedule`;
-    ``repeat(())`` drops nothing)."""
+    dropping the names of ``release`` (see :func:`release_schedule`)."""
     for step, dead in zip(steps, release):
         env[step.target] = _fit(step.fn(env, full), step.width)
         for name in dead:
@@ -766,13 +765,11 @@ class _KeyCones(NamedTuple):
     Attributes:
         steps: Per key bit, the steps that read it, directly or
             transitively, in plan order (its fan-out cone).
-        outputs: Per key bit, the plan outputs its cone writes.
         base_release: The release schedule of the cone path's base pass:
             it keeps the outputs and every name a key-dependent step reads.
     """
 
     steps: List[List[Step]]
-    outputs: List[List[str]]
     base_release: Release
 
 
@@ -789,8 +786,6 @@ def key_cones(plan: EvalPlan) -> _KeyCones:
         return cones
     width = plan.width_of(plan.key_port)
     steps: List[List[Step]] = [[] for _ in range(width)]
-    outputs: List[List[str]] = [[] for _ in range(width)]
-    is_output = set(plan.outputs)
     keep: Set[str] = set(plan.outputs)
     masks: Dict[str, int] = {}
     for step in plan.steps:
@@ -803,15 +798,11 @@ def key_cones(plan: EvalPlan) -> _KeyCones:
             continue
         masks[step.target] = bits
         keep.update(step.reads)
-        output = step.target in is_output
         while bits:
             low = bits & -bits
-            bit = low.bit_length() - 1
-            steps[bit].append(step)
-            if output:
-                outputs[bit].append(step.target)
+            steps[low.bit_length() - 1].append(step)
             bits ^= low
-    cones = _KeyCones(steps, outputs, release_schedule(plan.steps, keep))
+    cones = _KeyCones(steps, release_schedule(plan.steps, keep))
     plan._key_cones = cones  # type: ignore[attr-defined]
     return cones
 
@@ -1174,18 +1165,23 @@ class BatchSimulator:
         Point-invariant outputs are equal on every point, so they contribute
         nothing.
 
-        **Single-bit key flips evaluate only their cone.**  A key sweep
+        **Single-bit key flips run only what they change.**  A key sweep
         without bindings in which every later point's key differs from
         point 0's in at most one bit, with V at or under the plan's lane
         cap, takes the cone path instead of the tiles: the whole plan runs
         once on the V lanes under point 0's key, keeping the outputs and
-        every value a cone reads, and each point flipping bit ``i``
-        re-runs only bit ``i``'s fan-out cone (:func:`key_cones`) on a copy
-        of what that cone reads, with key slice ``i`` inverted.  Only the
-        cone's outputs are compared; a point equal to point 0 runs nothing.
-        Every step outside the cone reads values the flip leaves unchanged
-        and the kernels are lane-parallel, so the counts are those of the
-        tiles.
+        every value a cone reads.  Each point flipping bit ``i`` then walks
+        bit ``i``'s fan-out cone (:func:`key_cones`) in place on that pass,
+        with key slice ``i`` inverted: a cone step runs only if it reads
+        bit ``i`` directly or a name this flip has changed, and its target
+        counts as changed only if the result differs from the base value
+        (a target the base pass released always does).  Only the changed
+        outputs are compared, and the base values and the key slice are
+        put back before the next flip; a point equal to point 0 runs
+        nothing.  A step is a pure function of its ``reads`` and its
+        ``key_bits``, and the kernels are lane-parallel, so a step that is
+        skipped would recompute its base value and the counts are those of
+        the tiles.
 
         Returns:
             A :class:`SweepDifferences` over ``plan.outputs`` whose ``lanes``
@@ -1273,24 +1269,42 @@ class BatchSimulator:
             cones = key_cones(self.plan)
             full = (1 << check.base) - 1
             port = self.plan.key_port
+            outputs = set(self.plan.outputs)
             env = self._base_env(inputs, (), check.key_bits[0], full)
             execute_steps(self.plan.steps, env, full, cones.base_release)
+            base_key = env[port]
             for bit in counted:
-                if bit < 0 or not cones.steps[bit]:
+                if bit < 0:
                     continue
-                point_env = dict(env)
-                key = list(env[port])
+                key = list(base_key)
                 key[bit] ^= full
-                point_env[port] = key
-                execute_steps(cones.steps[bit], point_env, full, repeat(()))
+                env[port] = key
+                # Base values of the targets this flip changed.
+                changed: Dict[str, Optional[Slices]] = {}
                 any_difference = flipped = 0
-                for name in cones.outputs[bit]:
-                    for word, expected in zip(point_env[name], env[name]):
-                        difference = word ^ expected
-                        if difference:
-                            any_difference |= difference
-                            flipped += difference.bit_count()
+                for step in cones.steps[bit]:
+                    if bit not in step.key_bits \
+                            and changed.keys().isdisjoint(step.reads):
+                        continue
+                    value = _fit(step.fn(env, full), step.width)
+                    before = env.get(step.target)
+                    if value == before:
+                        continue
+                    changed[step.target] = before
+                    env[step.target] = value
+                    if step.target in outputs:
+                        for word, expected in zip(value, before):
+                            difference = word ^ expected
+                            if difference:
+                                any_difference |= difference
+                                flipped += difference.bit_count()
                 counted[bit] = (any_difference.bit_count(), flipped)
+                for name, before in changed.items():
+                    if before is None:
+                        del env[name]
+                    else:
+                        env[name] = before
+                env[port] = base_key
         return SweepDifferences(tuple(self.plan.outputs),
                                 [counted[bit][0] for bit in flips],
                                 [counted[bit][1] for bit in flips])

@@ -41,15 +41,32 @@ def random_vector_batch(signals: Sequence[Tuple[str, int]],
                         rng: random.Random, n: int) -> Dict[str, List[int]]:
     """Draw ``n`` random vectors for the given ``(name, width)`` signals.
 
-    The stream is consumed vector-major and signal-minor: drawing one batch
-    of ``n`` vectors advances ``rng`` exactly as far as ``n`` successive
-    single-vector draws, so scalar loops and batch calls sharing a seed see
-    the same data.
+    The values are those of ``rng.getrandbits(width)`` called vector-major
+    and signal-minor, so one batch of ``n`` vectors equals ``n`` successive
+    single-vector draws and leaves ``rng`` in the same state.  They are
+    drawn in one ``getrandbits`` call of 32 bits per Mersenne word and cut
+    with numpy: CPython's ``getrandbits(k)`` takes ⌈k/32⌉ 32-bit words
+    (none for ``k = 0``), low word first, and keeps only the top bits of
+    its last word, so a draw of whole words keeps every bit of each.
     """
-    batch: Dict[str, List[int]] = {name: [] for name, _ in signals}
-    for _ in range(n):
-        for name, width in signals:
-            batch[name].append(rng.getrandbits(width))
+    import numpy as np
+
+    counts = [(width + 31) // 32 for _, width in signals]
+    row = sum(counts)
+    words = np.frombuffer(
+        rng.getrandbits(32 * row * n).to_bytes(4 * row * n, "little"),
+        dtype="<u4").reshape(n, row)
+    batch: Dict[str, List[int]] = {}
+    column = 0
+    for (name, width), count in zip(signals, counts):
+        # Top word first: it keeps its top bits, the lower words all 32.
+        value = np.zeros(n, dtype=np.uint64 if count <= 2 else object)
+        shift = 32 * count - width
+        for index in reversed(range(column, column + count)):
+            value = value << 32 | words[:, index] >> shift
+            shift = 0
+        batch[name] = value.tolist()
+        column += count
     return batch
 
 

@@ -9,7 +9,8 @@ design: a structural copy (``clone``), a site collection
 of a shared host; a count does not.  The counts below are those of one
 ASSURE SnapShot job and one metric job of the same cell on MD5 at scale
 0.3, run through ``execute_job`` with empty caches, and of the serial
-order on every registered benchmark, whose dataflow has no cycle to break.
+order and the design analysis on every registered benchmark, whose
+dataflow has no cycle to break.
 """
 
 import random
@@ -23,7 +24,7 @@ from repro.api import AttackSpec, LockerSpec, MetricSpec, Scenario, execute_job
 from repro.api import runner
 from repro.bench import benchmark_names, load_benchmark
 from repro.locking import AssureLocker
-from repro.rtlir import opgraph
+from repro.rtlir import analyze_design, opgraph
 from repro.rtlir.sites import collect_sites
 from repro.sim import clear_plan_cache
 from repro.sim.plan.passes import compile_plan
@@ -102,4 +103,11 @@ def test_serial_order_searches_no_cycle(design_name):
     budget = max(1, design.num_operations() // 2)
     walks = count_walks(lambda: AssureLocker(
         "serial", rng=random.Random(1)).lock(design, budget))
+    assert walks["_find_cycle"] == 0
+
+
+@pytest.mark.parametrize("design_name", benchmark_names())
+def test_design_analysis_searches_no_cycle(design_name):
+    design = load_benchmark(design_name, scale=0.3, seed=1)
+    walks = count_walks(lambda: analyze_design(design))
     assert walks["_find_cycle"] == 0

@@ -189,6 +189,34 @@ def test_acyclic_view_leaves_the_graph_alone():
     assert view.number_of_edges() == 1
 
 
+def test_depth_searches_for_a_cycle_only_on_cyclic_graphs():
+    for seed in SEEDS:
+        reference, graph = random_graphs(seed)
+        cyclic = networkx_cycle(reference) is not None
+        with mock.patch("repro.rtlir.opgraph._find_cycle",
+                        wraps=_find_cycle) as find:
+            depth = operation_graph(graph).depth()
+        assert depth == reference_depth(reference), seed
+        assert (find.call_count > 0) == cyclic, seed
+
+
+def test_cyclic_graph_keeps_its_depth():
+    # a -> b -> c -> a closes a loop, c -> d -> e hangs a tail off it;
+    # breaking the loop's first found edge (a -> b) leaves b -> c -> a
+    # and c -> d -> e, whose longest path b -> c -> d -> e has 3 edges.
+    a, b, c, d, e = (SignalNode(name) for name in "abcde")
+    edges = [(a, b), (b, c), (c, a), (c, d), (d, e)]
+    graph = DataflowGraph()
+    for edge in edges:
+        graph.add_edge(*edge)
+    reference = nx.DiGraph(edges)
+    with mock.patch("repro.rtlir.opgraph._find_cycle",
+                    wraps=_find_cycle) as find:
+        assert operation_graph(graph).depth() == 3
+    assert find.call_count == 2
+    assert reference_depth(reference) == 3
+
+
 def counting_graph(source: DataflowGraph):
     """A copy of ``source`` that counts every successor it yields, per edge."""
     examined = Counter()

@@ -456,11 +456,66 @@ module part (input [7:0] a, input [7:0] b, input [7:0] lock_key,
 endmodule
 """
 
+#: Bit 0's mux picks ``a + b`` or ``(a | b) + (a & b)``, equal on every
+#: lane: a flip of bit 0 changes ``t`` nowhere.
+EQUAL_BRANCHES = """
+module equal (input [7:0] a, input [7:0] b, input [1:0] lock_key,
+              output [7:0] x, output [7:0] y);
+  wire [7:0] t;
+  assign t = lock_key[0] ? (a + b) : ((a | b) + (a & b));
+  assign x = t ^ a;
+  assign y = lock_key[1] ? (a - b) : (a * b);
+endmodule
+"""
+
+#: ``a + b`` and ``a - b`` share bit 0, so a flip of key bit 0 changes
+#: ``t`` but not ``m``: it is masked before ``x`` and reaches ``y``.
+MASKED = """
+module masked (input [7:0] a, input [7:0] b, input [1:0] lock_key,
+               output [7:0] x, output [7:0] y);
+  wire [7:0] t;
+  wire [7:0] m;
+  assign t = lock_key[0] ? (a + b) : (a - b);
+  assign m = {7'd0, t[0]};
+  assign x = m + b;
+  assign y = lock_key[1] ? (t ^ a) : (t | a);
+endmodule
+"""
+
+#: ``u`` reads key bit 1 only, downstream of bit 0's ``t``; ``v`` reads
+#: key bit 2 only, beside it.
+OTHER_BITS = """
+module other (input [7:0] a, input [7:0] b, input [2:0] lock_key,
+              output [7:0] x);
+  wire [7:0] t;
+  wire [7:0] u;
+  wire [7:0] v;
+  assign t = lock_key[0] ? (a + b) : (a ^ b);
+  assign u = lock_key[1] ? (t + a) : (t - a);
+  assign v = lock_key[2] ? (a & b) : (a | b);
+  assign x = u ^ v;
+endmodule
+"""
+
+#: One step reads key bit 0 in two muxes (a bit- and a part-select, so
+#: CSE leaves both in ``x``).
+TWO_MUXES = """
+module twice (input [7:0] a, input [7:0] b, input [1:0] lock_key,
+              output [7:0] x, output [7:0] y);
+  assign x = (lock_key[0] ? a : b) - (lock_key[0:0] ? b : a);
+  assign y = lock_key[1] ? (x + a) : (x & b);
+endmodule
+"""
+
 #: Per custom design, the key bits each assignment reads directly.
 KEY_READS = {
     "whole": (WHOLE_KEY, {"x": {0, 1, 2}, "y": {1}}),
     "dynamic": (DYNAMIC_KEY, {"x": {0, 1, 2, 3}, "y": {2}}),
     "part": (PART_KEY, {"x": {1, 2, 3}, "y": {0}, "z": {5, 6}}),
+    "equal": (EQUAL_BRANCHES, {"t": {0}, "x": set(), "y": {1}}),
+    "masked": (MASKED, {"t": {0}, "m": set(), "x": set(), "y": {1}}),
+    "other": (OTHER_BITS, {"t": {0}, "u": {1}, "v": {2}, "x": set()}),
+    "twice": (TWO_MUXES, {"x": {0}, "y": {1}}),
 }
 
 
@@ -507,6 +562,26 @@ CONE_CASES = [
 ]
 
 
+#: Cone work held as data: (id, design, flipped key bit, the targets of the
+#: cone steps the flip runs, in order, and whether nothing differs).  Each
+#: row flips one bit of a random point-0 key over 64 lanes.
+CONE_WORK_CASES = [
+    # t recomputes its base value, so x never runs.
+    ("equal-branches", "equal", 0, ["t"], True),
+    # m recomputes its base value, so x never runs; y differs.
+    ("masked-before-x", "masked", 0, ["t", "m", "y"], False),
+    # u reads only key bit 1 and runs because t changed; v is not in the
+    # cone of bit 0, and flipping bit 2 runs v and x only.
+    ("downstream-reads-other-bits", "other", 0, ["t", "u", "x"], False),
+    ("beside-reads-other-bits", "other", 2, ["v", "x"], False),
+    # x reads bit 0 twice and runs once.
+    ("one-step-two-muxes", "twice", 0, ["x", "y"], False),
+]
+
+#: Lanes of every cone-work row.
+CONE_WORK_LANES = 64
+
+
 def run_cone_case(design, base, point0, flips, tiled):
     """Counts of one single-flip sweep equal the tiles' and the scalar
     engine's; ``tiled`` says whether the sweep may run tiles."""
@@ -545,6 +620,33 @@ class TestConePath:
                                 tiled)
         assert any(counted.lanes)
 
+    @pytest.mark.parametrize("design,bit,ran,unchanged",
+                             [case[1:] for case in CONE_WORK_CASES],
+                             ids=[case[0] for case in CONE_WORK_CASES])
+    def test_a_flip_runs_only_the_steps_it_changes(self, design, bit, ran,
+                                                   unchanged):
+        locked = _custom_locked(design)
+        counted = run_cone_case(locked, CONE_WORK_LANES, "random", [(bit,)],
+                                False)
+        assert (counted.lanes == counted.bits == [0]) == unchanged
+        simulator = BatchSimulator(locked)
+        calls = []
+        for step in simulator.plan.steps:
+            def recorded(env, full, fn=step.fn, target=step.target):
+                calls.append(target)
+                return fn(env, full)
+            step.fn = recorded
+        rng = random.Random(CONE_WORK_LANES)
+        key0 = random_key(locked.key_width, rng)
+        batch = random_input_batch(locked, rng, CONE_WORK_LANES)
+        keys = [key0, flip_bits(key0, [bit])]
+        assert simulator.sweep_differences(
+            batch, keys=keys, n=CONE_WORK_LANES) == counted
+        # The base pass runs every step once; then the flip's cone work.
+        steps = simulator.plan.steps
+        assert calls[:len(steps)] == [step.target for step in steps]
+        assert calls[len(steps):] == ran
+
     @pytest.mark.parametrize("name", sorted(KEY_READS))
     def test_lowering_records_the_key_bits_read(self, name):
         plan = BatchSimulator(_custom_locked(name)).plan
@@ -556,8 +658,8 @@ class TestConePath:
     def test_unread_key_bit_has_an_empty_cone(self):
         plan = BatchSimulator(_custom_locked("part")).plan
         cones = key_cones(plan)
-        assert cones.steps[7] == [] and cones.outputs[7] == []
-        assert cones.outputs[5] == ["z"]
+        assert cones.steps[7] == []
+        assert [step.target for step in cones.steps[5]] == ["z"]
 
     def test_wide_base_takes_the_tiles(self):
         # Above the plan's lane cap, V lanes of every value would not fit

@@ -61,6 +61,44 @@ class TestVectorBatch:
             input_signals(mixer_design), random.Random(5), 4)
 
 
+def per_value_batch(signals, rng, n):
+    """The per-value loop: one ``getrandbits`` call per value, vector-major."""
+    batch = {name: [] for name, _ in signals}
+    for _ in range(n):
+        for name, width in signals:
+            batch[name].append(rng.getrandbits(width))
+    return batch
+
+
+#: Every word shape of ``getrandbits``: no word (0), the top bits of one,
+#: one whole word, whole words and the top bits of one more.
+MIXED_WIDTHS = [0, 1, 7, 31, 32, 33, 63, 64, 65, 512]
+
+#: ``(id, signals, n)``: the mixed list, and each width alone, at every n.
+BATCH_DRAWS = [(f"{label}-n{n}", signals, n)
+               for label, signals in
+               [("mixed", [(f"w{width}", width) for width in MIXED_WIDTHS])]
+               + [(f"w{width}", [("x", width)]) for width in MIXED_WIDTHS]
+               for n in (0, 1, 3, 2048)]
+
+
+class TestBatchDraw:
+    """One draw per batch gives the values and the rng state of the
+    per-value loop."""
+
+    @pytest.mark.parametrize("signals,n", [case[1:] for case in BATCH_DRAWS],
+                             ids=[case[0] for case in BATCH_DRAWS])
+    def test_same_values_and_state_as_the_per_value_loop(self, signals, n):
+        drawn, reference = random.Random(n), random.Random(n)
+        for _ in range(2):  # the second draw continues the same stream
+            batch = random_vector_batch(signals, drawn, n)
+            assert batch == per_value_batch(signals, reference, n)
+            assert drawn.getstate() == reference.getstate()
+            assert all(type(value) is int
+                       for values in batch.values() for value in values)
+        assert drawn.random() == reference.random()
+
+
 class TestWrongKey:
     @pytest.mark.parametrize("correct", [[0], [1], [1, 0], [0, 1, 1, 0] * 4])
     def test_wrong_key_differs_and_keeps_width(self, correct):
