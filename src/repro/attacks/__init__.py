@@ -7,14 +7,16 @@
   structural attack adapted to RTL.
 * :class:`~repro.attacks.baselines.MajorityVoteAttack`,
   :class:`~repro.attacks.baselines.PairAsymmetryAttack`,
-  :class:`~repro.attacks.baselines.RandomGuessAttack` — non-ML baselines;
-  :func:`~repro.attacks.baselines.pair_votes` is the pair-majority vote
-  table of the ``majority`` attack and of Fig. 4.
+  :class:`~repro.attacks.baselines.RandomGuessAttack` — non-ML baselines.
+* :class:`~repro.attacks.locality.LocalityExtractor` — a design's
+  ``[C1, C2]`` localities as one matrix;
+  :class:`~repro.attacks.relock.TrainingSetBuilder` — the relocked rows as
+  one count table (:attr:`~repro.attacks.relock.TrainingSet.data`).
 * :mod:`~repro.attacks.kpa` — the Key Prediction Accuracy metric.
 """
 
 from .baselines import (MajorityVoteAttack, PairAsymmetryAttack,
-                        RandomGuessAttack, pair_votes)
+                        RandomGuessAttack)
 from .kpa import (
     RANDOM_GUESS_KPA,
     KpaAggregate,
@@ -23,7 +25,7 @@ from .kpa import (
     functional_kpa,
     kpa,
 )
-from .locality import FEATURE_SETS, Locality, LocalityExtractor
+from .locality import FEATURE_SETS, LocalityExtractor
 from .relock import TrainingSet, TrainingSetBuilder
 from .snapshot import Attack, AttackResult, SnapShotAttack
 
@@ -31,7 +33,6 @@ __all__ = [
     "MajorityVoteAttack",
     "PairAsymmetryAttack",
     "RandomGuessAttack",
-    "pair_votes",
     "RANDOM_GUESS_KPA",
     "KpaAggregate",
     "KpaSample",
@@ -39,7 +40,6 @@ __all__ = [
     "functional_kpa",
     "kpa",
     "FEATURE_SETS",
-    "Locality",
     "LocalityExtractor",
     "TrainingSet",
     "TrainingSetBuilder",

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -40,34 +40,19 @@ class RandomGuessAttack(Attack):
                           metadata={"locking_algorithm": algorithm})
 
 
-def pair_votes(features: np.ndarray, labels: np.ndarray
-               ) -> Dict[Tuple[float, float], Dict[int, int]]:
-    """Count the key values seen with each ``(C1, C2)`` pair of localities.
-
-    Returns ``{(C1, C2): {key value: count}}``, pairs and key values in the
-    order they are first seen.  The ``majority`` attack and Fig. 4's
-    observation pools read their pair-majority rules off this table; each
-    states its own rule for a tie.
-    """
-    votes: Dict[Tuple[float, float], Dict[int, int]] = {}
-    for row, label in zip(features, labels):
-        counts = votes.setdefault((row[0], row[1]), {})
-        counts[int(label)] = counts.get(int(label), 0) + 1
-    return votes
-
-
 class MajorityVoteAttack(Attack):
     """Lookup-table attacker over observed operation pairs.
 
     The attacker relocks the target (like SnapShot) but instead of training a
     model it simply records, for every observed ``(C1, C2)`` pair, which key
-    value occurred more often (:func:`pair_votes`), and replays that
+    value occurred more often (the training set's count table,
+    :attr:`~repro.attacks.relock.TrainingSet.data`), and replays that
     majority on the target.
 
     Only a strict majority of 1s predicts 1, so a pair seen equally often
     with key values 0 and 1 predicts 0.  Fig. 4's
-    :func:`~repro.eval.figures._replay_pair_majority` reads the same vote
-    table but scores such a tie 0.5; stored records depend on both rules.
+    :func:`~repro.eval.figures._replay_pair_majority` counts the same pairs
+    but scores such a tie 0.5; stored records depend on both rules.
     """
 
     name = "majority-vote"
@@ -84,10 +69,11 @@ class MajorityVoteAttack(Attack):
         builder = TrainingSetBuilder(rounds=self.rounds,
                                      pair_table=self.pair_table,
                                      rng=random.Random(self.rng.getrandbits(64)))
-        training = builder.build(target)
-        majority = {pair: int(counts.get(1, 0) > counts.get(0, 0))
-                    for pair, counts in pair_votes(training.features,
-                                                   training.labels).items()}
+        data = builder.build(target).data
+        votes = np.zeros((len(data.distinct), 2), dtype=int)
+        votes[:, data.classes] = data.counts()
+        majority = {(row[0], row[1]): int(ones > zeros)
+                    for row, (zeros, ones) in zip(data.distinct, votes)}
 
         target_features, _ = LocalityExtractor().extract_matrix(target)
         predicted = []
@@ -97,7 +83,7 @@ class MajorityVoteAttack(Attack):
                 predicted.append(majority[pair])
             else:
                 predicted.append(self.rng.randint(0, 1))
-        return self.score(target, predicted, training.size,
+        return self.score(target, predicted, data.n_samples,
                           metadata={"locking_algorithm": algorithm,
                                     "distinct_pairs": len(majority)})
 
@@ -120,11 +106,11 @@ class PairAsymmetryAttack(Attack):
 
     def _attack(self, target: Design, algorithm: str) -> AttackResult:
         """Predict each key bit from pair-table asymmetry alone."""
-        localities = LocalityExtractor().extract(target)
+        features, _ = LocalityExtractor().extract_matrix(target)
         predicted: List[int] = []
         resolved = 0
-        for locality in localities:
-            decision = self._decide(locality.features[0], locality.features[1])
+        for row in features:
+            decision = self._decide(row[0], row[1])
             if decision is None:
                 predicted.append(self.rng.randint(0, 1))
             else:
@@ -134,7 +120,7 @@ class PairAsymmetryAttack(Attack):
             target, predicted, 0,
             metadata={"locking_algorithm": algorithm,
                       "resolved_bits": resolved,
-                      "resolved_fraction": resolved / max(len(localities), 1)})
+                      "resolved_fraction": resolved / max(len(features), 1)})
 
     def _decide(self, true_code: float, false_code: float) -> Optional[int]:
         """Return the key value revealed by table asymmetry, or None."""

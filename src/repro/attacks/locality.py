@@ -5,12 +5,13 @@ around a key input.  The RTL adaptation of the paper extracts, for every key
 bit ``K[i]``, the *key-controlled operation pair* ``[K[i], C1, C2]`` where
 ``C1``/``C2`` are integer encodings of the operations in the true/false branch
 of the key-controlled ternary.  The feature vector of a key bit is exactly the
-paper's ``[C1, C2]``.
+paper's ``[C1, C2]``.  The localities of a design have one form, a matrix:
+:meth:`LocalityExtractor.extract_matrix` returns one row per key bit, in
+index order, with the bit's correct value as its label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,34 +24,20 @@ from ..verilog import ast_nodes as ast
 FEATURE_SETS = ("pair",)
 
 
-@dataclass
-class Locality:
-    """The extracted locality of one key bit.
-
-    Attributes:
-        key_index: Key-bit position.
-        features: The ``[C1, C2]`` feature vector.
-        label: Correct key value (only meaningful to the defender / for KPA).
-        kind: Key-bit kind (``operation``, ``branch``, ``constant``).
-    """
-
-    key_index: int
-    features: np.ndarray
-    label: int
-    kind: str
-
-
 class LocalityExtractor:
     """Extract the ``[C1, C2]`` locality of every key bit of a locked design."""
 
     #: Width of the produced feature vectors.
     n_features = 2
 
-    # ------------------------------------------------------------ extraction
+    def extract_matrix(self, design: Design,
+                       key_indices: Optional[Sequence[int]] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """The localities of ``design`` as ``(features, labels)`` arrays.
 
-    def extract(self, design: Design,
-                key_indices: Optional[Sequence[int]] = None) -> List[Locality]:
-        """Extract the localities of ``design``.
+        Row ``i`` holds the ``[C1, C2]`` features and the correct key value
+        of the ``i``-th selected key bit in index order.  An empty selection
+        gives ``(0, 2)`` features and ``(0,)`` labels.
 
         Args:
             design: A locked design.
@@ -64,29 +51,13 @@ class LocalityExtractor:
             raise ValueError("cannot extract localities from an unlocked design")
         wanted = set(key_indices) if key_indices is not None else None
         pairs = _key_controlled_nodes(design)
-        localities = [
-            Locality(key_index=bit.index,
-                     features=np.array(_feature_row(bit, pairs), dtype=float),
-                     label=bit.correct_value, kind=bit.kind)
-            for bit in design.key_bits
-            if wanted is None or bit.index in wanted]
-        localities.sort(key=lambda loc: loc.key_index)
-        return localities
-
-    def as_matrix(self, localities: Sequence[Locality]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack localities into ``(features, labels)`` arrays."""
-        if not localities:
-            return (np.zeros((0, self.n_features)), np.zeros((0,), dtype=int))
-        features = np.vstack([loc.features for loc in localities])
-        labels = np.array([loc.label for loc in localities], dtype=int)
+        bits = sorted((bit for bit in design.key_bits
+                       if wanted is None or bit.index in wanted),
+                      key=lambda bit: bit.index)
+        features = np.array([_feature_row(bit, pairs) for bit in bits],
+                            dtype=float).reshape(-1, self.n_features)
+        labels = np.array([bit.correct_value for bit in bits], dtype=int)
         return features, labels
-
-    def extract_matrix(self, design: Design,
-                       key_indices: Optional[Sequence[int]] = None
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Convenience: :meth:`extract` followed by :meth:`as_matrix`."""
-        return self.as_matrix(self.extract(design, key_indices))
 
 
 def _feature_row(bit: KeyBit, pairs: Dict[int, Tuple[int, int]]

@@ -13,7 +13,10 @@ the target itself.  The rows are built at the type level, from each round's
 rng draws over the target's candidate operation types
 (:meth:`TrainingSetBuilder.build`): no design copy, no session and no AST
 edit, and still bit-identical to relocking a fresh copy of the target every
-round.
+round.  The rows have one form, a count table
+(:class:`~repro.ml.base.GroupedRows`): the distinct ``[C1, C2]`` rows, each
+row's group and its key value.  SnapShot's auto-ML fit and the
+``majority`` attack's pair vote both read it.
 """
 
 from __future__ import annotations
@@ -26,23 +29,39 @@ import numpy as np
 
 from ..locking.assure import random_round_draws
 from ..locking.pairs import PairTable, default_pair_table
+from ..ml.base import GroupedRows, group_rows
 from ..rtlir.design import Design
 from .locality import operation_code
 
 
 @dataclass
 class TrainingSet:
-    """Labelled localities assembled from relocked copies of the target."""
+    """Labelled localities assembled from relocked copies of the target.
 
-    features: np.ndarray
-    labels: np.ndarray
+    Attributes:
+        data: The rows as a count table of distinct ``[C1, C2]`` rows.
+        rounds: Number of relocking rounds.
+        bits_per_round: Key bits each round adds.
+    """
+
+    data: GroupedRows
     rounds: int
     bits_per_round: int
 
     @property
+    def features(self) -> np.ndarray:
+        """The ``[C1, C2]`` rows, in draw order."""
+        return self.data.rows()
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The key value of every row."""
+        return self.data.labels()
+
+    @property
     def size(self) -> int:
         """Number of training samples."""
-        return int(self.features.shape[0])
+        return self.data.n_samples
 
     def label_balance(self) -> float:
         """Fraction of samples with label 1 (0.5 = perfectly balanced)."""
@@ -84,7 +103,12 @@ class TrainingSetBuilder:
         (:func:`~repro.locking.assure.random_round_draws`) over those
         candidates' codes therefore yields exactly the rows that relocking a
         fresh copy of the target every round and extracting the new key
-        bits' localities would; ``target`` itself is never mutated.
+        bits' localities would; ``target`` itself is never mutated.  The
+        candidates' rows in both orientations are grouped once
+        (:func:`~repro.ml.base.group_rows`), each draw picks its group, and
+        the groups never drawn are dropped, which gives the table
+        :meth:`GroupedRows.from_rows <repro.ml.base.GroupedRows.from_rows>`
+        would build from the drawn rows.
 
         Args:
             target: The locked design to self-reference against.
@@ -110,8 +134,13 @@ class TrainingSetBuilder:
             positions.extend(position for position, _ in draws)
             values.extend(value for _, value in draws)
         labels = np.array(values, dtype=int)
-        picked = codes[np.array(positions, dtype=int)]
-        features = np.where(labels[:, None] == 1, picked, picked[:, ::-1])
-        return TrainingSet(features=features, labels=labels, rounds=self.rounds,
+        # Candidate p drawn with key value 1 is row p of the oriented table,
+        # drawn with 0 it is row n + p, its codes swapped.
+        distinct, groups = group_rows(np.vstack([codes, codes[:, ::-1]]))
+        rows = np.array(positions, dtype=int)
+        rows[labels == 0] += len(codes)
+        data = GroupedRows(distinct, groups[rows], labels, np.array([0, 1]))
+        # Every row, without the groups and classes never drawn.
+        return TrainingSet(data=data.subset(slice(None)), rounds=self.rounds,
                            bits_per_round=budget)
 

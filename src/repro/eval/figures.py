@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..attacks.baselines import pair_votes
 from ..attacks.locality import LocalityExtractor
 from ..bench.generators import plus_network, profile_design
 from ..bench.profiles import BenchmarkProfile
@@ -30,6 +29,7 @@ from ..locking.assure import AssureLocker
 from ..locking.era import ERALocker
 from ..locking.hra import HRALocker
 from ..locking.metrics import MetricTracker, metric_surface
+from ..ml.base import GroupedRows
 from ..rtlir.design import Design
 from ..rtlir.operations import decode_operator
 
@@ -189,14 +189,24 @@ def _training_round(locked_target: Design, scenario: str, budget: int,
 
 def _accumulate_observations(pool: ObservationPool, features: np.ndarray,
                              labels: np.ndarray) -> None:
-    for codes, counts in pair_votes(features, labels).items():
+    """Add one round's (pair, key value) counts to ``pool``.
+
+    Pairs with an undecodable code (``NO_OPERATION``) are skipped, and a
+    round without rows adds nothing.
+    """
+    if not len(labels):
+        return
+    data = GroupedRows.from_rows(features, labels)
+    for codes, counts in zip(data.distinct, data.counts().tolist()):
         try:
             pair = (decode_operator(int(codes[0])),
                     decode_operator(int(codes[1])))
         except KeyError:
             continue
         pooled = pool.pair_label_counts.setdefault(pair, {})
-        for label, count in counts.items():
+        for label, count in zip(data.classes.tolist(), counts):
+            if not count:
+                continue
             pooled[label] = pooled.get(label, 0) + count
             real_op = pair[0] if label == 1 else pair[1]
             pool.real_operator_counts[real_op] = (
@@ -210,8 +220,8 @@ def _replay_pair_majority(pool: ObservationPool, test_features: np.ndarray,
     Pairs never observed during training, and pairs whose observations are
     perfectly tied, contribute the 0.5 expectation of a coin flip.  (The
     ``majority`` attack, :class:`~repro.attacks.baselines.MajorityVoteAttack`,
-    reads the same :func:`~repro.attacks.baselines.pair_votes` table but
-    predicts 0 on such a tie; stored records depend on both rules.)
+    counts the same pairs but predicts 0 on such a tie; stored records
+    depend on both rules.)
     """
     correct = 0.0
     total = 0

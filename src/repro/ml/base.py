@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import inspect
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,7 +191,7 @@ class GroupedRows:
         """Number of rows the set stands for."""
         return int(self.groups.shape[0])
 
-    def subset(self, indices: np.ndarray) -> "GroupedRows":
+    def subset(self, indices: Union[np.ndarray, slice]) -> "GroupedRows":
         """The rows at ``indices``, without the groups and classes they miss."""
         groups = self.groups[indices]
         codes = self.codes[indices]

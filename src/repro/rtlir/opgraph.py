@@ -126,25 +126,27 @@ class OperationGraph:
 
     def depth(self) -> int:
         """Return the longest path length (dataflow depth) ignoring cycles."""
-        return _longest_path_length(self._acyclic_view())
+        return _longest_path_length(*self._acyclic_view())
 
-    def _acyclic_view(self) -> DataflowGraph:
-        """The graph with cycles broken: drop each found cycle's first edge.
+    def _acyclic_view(self) -> Tuple[DataflowGraph, List[Hashable]]:
+        """The graph with cycles broken, and its topological order.
 
+        Cycles are broken by dropping each found cycle's first edge.
         Kahn's order is taken first: when it keeps every node the graph
-        has no cycle and is returned as is, with no cycle search.  Else
-        the graph is copied at the first removal; callers only read the
+        has no cycle and is returned as is, with that order and no cycle
+        search.  Else the graph is copied before the first removal, and
+        the order is Kahn's order of the copy; callers only read the
         result.
         """
         graph = self.graph
-        if len(_kahn_order(graph)) == len(graph):
-            return graph
+        order = _kahn_order(graph)
+        if len(order) == len(graph):
+            return graph, order
+        graph = graph.copy()
         while True:
             cycle = _find_cycle(graph)
             if cycle is None:
-                return graph
-            if graph is self.graph:
-                graph = graph.copy()
+                return graph, _kahn_order(graph)
             graph.remove_edge(*cycle[0])
 
     def topological_site_order(self) -> List[OperationSite]:
@@ -152,15 +154,11 @@ class OperationGraph:
 
         This order is used by ASSURE's *serial* selection: operations closer
         to the primary inputs are locked first, and the order is deterministic
-        for a given design.  Kahn's order of the graph itself is taken
-        first; cycles are broken (:meth:`_acyclic_view`) only when that
-        order leaves nodes out, which it does exactly when the graph has a
-        cycle.  An acyclic graph is its own acyclic view, so the order is
-        the same either way.
+        for a given design.  The positions are those of the acyclic view's
+        order (:meth:`_acyclic_view`), which breaks cycles only when the
+        graph has one.
         """
-        nodes = _kahn_order(self.graph)
-        if len(nodes) != len(self.graph):
-            nodes = _topological_order(self._acyclic_view())
+        _, nodes = self._acyclic_view()
         order: Dict[int, int] = {}
         for position, node in enumerate(nodes):
             if isinstance(node, OperationNode):
@@ -190,6 +188,7 @@ def _kahn_order(graph: DataflowGraph) -> List[Hashable]:
     The first generation is the nodes without predecessors, in node order;
     each later one collects, in the order the previous generation's
     successor lists are walked, the nodes whose last predecessor it removed.
+    On a DAG it is ``list(nx.topological_sort(graph))``.
     """
     indegree = {node: len(tails) for node, tails in graph.pred.items()}
     generation = [node for node, degree in indegree.items() if degree == 0]
@@ -206,24 +205,17 @@ def _kahn_order(graph: DataflowGraph) -> List[Hashable]:
     return order
 
 
-def _topological_order(graph: DataflowGraph) -> List[Hashable]:
-    """``list(nx.topological_sort(graph))``: :func:`_kahn_order` of a DAG."""
-    order = _kahn_order(graph)
-    if len(order) != len(graph):
-        raise ValueError("the graph has a cycle")
-    return order
-
-
-def _longest_path_length(graph: DataflowGraph) -> int:
+def _longest_path_length(graph: DataflowGraph, order: List[Hashable]) -> int:
     """``nx.dag_longest_path_length(graph)``: edges on a longest path (0 if empty).
 
-    networkx walks the topological order, gives each node the longest
-    distance over its predecessors plus one (0 at a source) and returns the
-    length of the path ending at the farthest node; with unit weights that
-    length is the largest distance.
+    networkx walks the topological order (``order``, :func:`_kahn_order` of
+    the DAG ``graph``), gives each node the longest distance over its
+    predecessors plus one (0 at a source) and returns the length of the
+    path ending at the farthest node; with unit weights that length is the
+    largest distance.
     """
     distance: Dict[Hashable, int] = {}
-    for node in _topological_order(graph):
+    for node in order:
         distance[node] = max((distance[tail] + 1 for tail in graph.pred[node]),
                              default=0)
     return max(distance.values(), default=0)

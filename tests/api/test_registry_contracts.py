@@ -729,9 +729,9 @@ def equal_code_bits(benchmark: str, locker: str, seed: int):
     budget = key_budget(0.75, benchmark, locker, design.num_operations())
     locked = make_locker(locker, random.Random(seed)).lock(design,
                                                            budget).design
-    return [locality.key_index
-            for locality in LocalityExtractor().extract(locked)
-            if locality.features[0] == locality.features[1]]
+    features, _ = LocalityExtractor().extract_matrix(locked)
+    indices = sorted(bit.index for bit in locked.key_bits)
+    return [index for index, (c1, c2) in zip(indices, features) if c1 == c2]
 
 
 def test_assure_lockers_are_found():

@@ -4,13 +4,14 @@ A job loads its base design, locks it (ASSURE orders its serial selection
 by the dataflow's topology), and then attacks or measures the locked
 design, which compiles its simulation plan.  Each of those walks the whole
 design: a structural copy (``clone``), a site collection
-(``collect_sites``), a cycle search (``_find_cycle``) or a plan compile
-(``compile_plan``).  Wall time hides a walk that comes back in the noise
-of a shared host; a count does not.  The counts below are those of one
+(``collect_sites``), a cycle search (``_find_cycle``), a topological order
+(``_kahn_order``) or a plan compile (``compile_plan``).  Wall time hides a
+walk that comes back in the noise of a shared host; a count does not.  The counts below are those of one
 ASSURE SnapShot job and one metric job of the same cell on MD5 at scale
-0.3, run through ``execute_job`` with empty caches, and of the serial
-order and the design analysis on every registered benchmark, whose
-dataflow has no cycle to break.
+0.3, run through ``execute_job`` with empty caches, of the serial order
+and the design analysis on every registered benchmark, whose dataflow has
+no cycle to break, and of the topological orders one analysis of MD5 at
+full scale takes.
 """
 
 import random
@@ -39,6 +40,7 @@ WALKS = {
     "opgraph collect_sites": ("repro.rtlir.opgraph.collect_sites",
                               collect_sites),
     "_find_cycle": ("repro.rtlir.opgraph._find_cycle", opgraph._find_cycle),
+    "_kahn_order": ("repro.rtlir.opgraph._kahn_order", opgraph._kahn_order),
     "compile_plan (plan cache)": ("repro.sim.plan_cache.compile_plan",
                                   compile_plan),
     "compile_plan (simulator)": ("repro.sim.plan.passes.compile_plan",
@@ -73,6 +75,7 @@ ATTACK_WALKS = {
     "Design.sites": 3,
     "opgraph collect_sites": 1,
     "_find_cycle": 0,
+    "_kahn_order": 1,
     "compile_plan (plan cache)": 1,
     "compile_plan (simulator)": 0,
 }
@@ -111,3 +114,10 @@ def test_design_analysis_searches_no_cycle(design_name):
     design = load_benchmark(design_name, scale=0.3, seed=1)
     walks = count_walks(lambda: analyze_design(design))
     assert walks["_find_cycle"] == 0
+
+
+def test_md5_analysis_takes_one_topological_order():
+    # The acyclic view returns its order, so the depth does not sort again.
+    design = load_benchmark("MD5", scale=1.0, seed=1)
+    walks = count_walks(lambda: analyze_design(design))
+    assert walks["_kahn_order"] == 1

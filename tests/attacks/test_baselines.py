@@ -78,10 +78,10 @@ class TestPairAsymmetry:
         result = attack.attack(target)
         # Re-derive which bits were resolvable and check each one individually.
         from repro.attacks import LocalityExtractor
-        for locality, predicted, correct in zip(
-                LocalityExtractor().extract(target),
-                result.predicted_key, result.correct_key):
-            decision = attack._decide(locality.features[0], locality.features[1])
+        features, _ = LocalityExtractor().extract_matrix(target)
+        for row, predicted, correct in zip(features, result.predicted_key,
+                                           result.correct_key):
+            decision = attack._decide(row[0], row[1])
             if decision is not None:
                 assert predicted == correct
 

@@ -2,9 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.api import locker_names, make_locker
+from repro.api.scenario import key_budget
 from repro.attacks import LocalityExtractor
+from repro.attacks.locality import _feature_row, _key_controlled_nodes
+from repro.bench import benchmark_names, load_benchmark
 from repro.locking import AssureLocker, LockingSession
 from repro.rtlir import Design, KeyBit, encode_operator
 from repro.rtlir.operations import NO_OPERATION
@@ -51,36 +56,45 @@ NESTED_MUXES = [
 class TestExtraction:
     def test_unlocked_design_rejected(self, mixer_design):
         with pytest.raises(ValueError):
-            LocalityExtractor().extract(mixer_design)
+            LocalityExtractor().extract_matrix(mixer_design)
 
     def test_one_locality_per_key_bit(self, mixer_design, rng):
         locked = AssureLocker("serial", rng=rng).lock(mixer_design, 5).design
-        localities = LocalityExtractor().extract(locked)
-        assert len(localities) == 5
-        assert [loc.key_index for loc in localities] == list(range(5))
+        extractor = LocalityExtractor()
+        features, labels = extractor.extract_matrix(locked)
+        assert features.shape == (5, 2)
+        # Row i is key bit i's locality.
+        for index in range(5):
+            row, label = extractor.extract_matrix(locked, key_indices=[index])
+            assert np.array_equal(row, features[index:index + 1])
+            assert label.tolist() == [labels[index]]
 
     def test_pair_features_encode_branch_operators(self, mixer_design, rng):
         session = LockingSession(mixer_design, rng=rng)
         ref = session.ops_of_type("*")[0]
         session.add_pair(ref, correct_value=1)
-        locality = LocalityExtractor().extract(mixer_design)[0]
-        assert locality.label == 1
-        assert locality.features[0] == encode_operator("*")
-        assert locality.features[1] == encode_operator("/")
+        (row,), (label,) = LocalityExtractor().extract_matrix(mixer_design)
+        assert label == 1
+        assert row[0] == encode_operator("*")
+        assert row[1] == encode_operator("/")
 
     def test_false_branch_real_operation(self, mixer_design, rng):
         session = LockingSession(mixer_design, rng=rng)
         ref = session.ops_of_type("*")[0]
         session.add_pair(ref, correct_value=0)
-        locality = LocalityExtractor().extract(mixer_design)[0]
-        assert locality.label == 0
-        assert locality.features[0] == encode_operator("/")
-        assert locality.features[1] == encode_operator("*")
+        (row,), (label,) = LocalityExtractor().extract_matrix(mixer_design)
+        assert label == 0
+        assert row[0] == encode_operator("/")
+        assert row[1] == encode_operator("*")
 
     def test_extract_specific_indices(self, mixer_design, rng):
         locked = AssureLocker("serial", rng=rng).lock(mixer_design, 6).design
-        subset = LocalityExtractor().extract(locked, key_indices=[2, 4])
-        assert [loc.key_index for loc in subset] == [2, 4]
+        extractor = LocalityExtractor()
+        features, labels = extractor.extract_matrix(locked)
+        subset, subset_labels = extractor.extract_matrix(locked,
+                                                         key_indices=[2, 4])
+        assert np.array_equal(subset, features[[2, 4]])
+        assert np.array_equal(subset_labels, labels[[2, 4]])
 
     def test_matrix_shape_and_labels(self, mixer_design, rng):
         locked = AssureLocker("serial", rng=rng).lock(mixer_design, 4).design
@@ -88,11 +102,14 @@ class TestExtraction:
         assert features.shape == (4, 2)
         assert labels.tolist() == locked.correct_key
 
-    def test_empty_matrix(self):
-        extractor = LocalityExtractor()
-        features, labels = extractor.as_matrix([])
+    def test_empty_matrix(self, mixer_design, rng):
+        locked = AssureLocker("serial", rng=rng).lock(mixer_design, 4).design
+        features, labels = LocalityExtractor().extract_matrix(locked,
+                                                              key_indices=[])
         assert features.shape == (0, 2)
+        assert features.dtype == np.float64
         assert labels.shape == (0,)
+        assert labels.dtype == np.dtype(int)
 
 
 class TestNestedAndNonOperationBits:
@@ -101,11 +118,10 @@ class TestNestedAndNonOperationBits:
             plus_chain_design, 4)
         second = AssureLocker("random", rng=random.Random(1)).lock(
             first.design, 4)
-        localities = LocalityExtractor().extract(second.design)
-        assert len(localities) == 8
+        features, _ = LocalityExtractor().extract_matrix(second.design)
+        assert len(features) == 8
         codes = {encode_operator("+"), encode_operator("-")}
-        for locality in localities:
-            assert set(locality.features.astype(int)) <= codes
+        assert set(features.astype(int).ravel()) <= codes
 
     @pytest.mark.parametrize("kind,source", NON_OPERATION_BITS,
                              ids=[f"{kind}-{index}" for index, (kind, _)
@@ -113,10 +129,9 @@ class TestNestedAndNonOperationBits:
     def test_non_operation_bit_has_no_pair_features(self, kind, source):
         design = Design(parse(source), key_port="k",
                         key_bits=[KeyBit(index=0, kind=kind, correct_value=1)])
-        locality = LocalityExtractor().extract(design)[0]
-        assert locality.kind == kind
-        assert locality.label == 1
-        assert locality.features.tolist() == [NO_OPERATION, NO_OPERATION]
+        features, labels = LocalityExtractor().extract_matrix(design)
+        assert labels.tolist() == [1]
+        assert features.tolist() == [[NO_OPERATION, NO_OPERATION]]
 
     @pytest.mark.parametrize("assignments,expected",
                              [case[1:] for case in NESTED_MUXES],
@@ -128,7 +143,58 @@ class TestNestedAndNonOperationBits:
                         key_bits=[KeyBit(index=index, kind="operation",
                                          correct_value=0)
                                   for index in sorted(expected)])
-        rows = {locality.key_index: tuple(locality.features.astype(int))
-                for locality in LocalityExtractor().extract(design)}
+        features, _ = LocalityExtractor().extract_matrix(design)
+        rows = {index: tuple(row.astype(int))
+                for index, row in zip(sorted(expected), features)}
         assert rows == {index: (encode_operator(c1), encode_operator(c2))
                         for index, (c1, c2) in expected.items()}
+
+
+def per_bit_matrix(design, key_indices=None):
+    """``extract_matrix`` as the per-key-bit path built it.
+
+    One float array per selected key bit, sorted by index and stacked with
+    ``np.vstack``; an empty selection gives empty arrays of the same
+    shapes.
+    """
+    wanted = set(key_indices) if key_indices is not None else None
+    pairs = _key_controlled_nodes(design)
+    bits = sorted((bit for bit in design.key_bits
+                   if wanted is None or bit.index in wanted),
+                  key=lambda bit: bit.index)
+    if not bits:
+        return np.zeros((0, 2)), np.zeros((0,), dtype=int)
+    features = np.vstack([np.array(_feature_row(bit, pairs), dtype=float)
+                          for bit in bits])
+    return features, np.array([bit.correct_value for bit in bits], dtype=int)
+
+
+#: ``name: key indices`` of the selections checked on each locked design.
+SELECTIONS = {
+    "all": lambda indices: None,
+    "subset": lambda indices: indices[::2],
+    "unsorted-subset": lambda indices: indices[::-3],
+    "empty": lambda indices: [],
+}
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_extract_matrix_matches_the_per_bit_path(name):
+    extractor = LocalityExtractor()
+    for locker in locker_names():
+        design = load_benchmark(name, scale=0.1, seed=2)
+        budget = key_budget(0.5, name, locker, design.num_operations())
+        locked = make_locker(locker, random.Random(2)).lock(design,
+                                                            budget).design
+        indices = [bit.index for bit in locked.key_bits]
+        for selection, select in SELECTIONS.items():
+            case = (name, locker, selection)
+            features, labels = extractor.extract_matrix(
+                locked, key_indices=select(indices))
+            expected, expected_labels = per_bit_matrix(locked,
+                                                       select(indices))
+            assert features.dtype == expected.dtype, case
+            assert features.shape == expected.shape, case
+            assert features.tobytes() == expected.tobytes(), case
+            assert labels.dtype == expected_labels.dtype, case
+            assert np.array_equal(labels, expected_labels), case

@@ -16,6 +16,7 @@ from repro.attacks.relock import TrainingSet, TrainingSetBuilder
 from repro.bench import plus_network
 from repro.eval.figures import ObservationPool, _replay_pair_majority
 from repro.locking import AssureLocker
+from repro.ml.base import GroupedRows
 
 
 def majority_vote_on_tie(monkeypatch, correct_value):
@@ -24,7 +25,8 @@ def majority_vote_on_tie(monkeypatch, correct_value):
         plus_network(4, name="plus4"), 1).design
     target.key_bits[0].correct_value = correct_value
     row, = LocalityExtractor().extract_matrix(target)[0]
-    tied = TrainingSet(features=np.array([row, row]), labels=np.array([0, 1]),
+    tied = TrainingSet(data=GroupedRows.from_rows(np.array([row, row]),
+                                                  np.array([0, 1])),
                        rounds=1, bits_per_round=2)
     monkeypatch.setattr(TrainingSetBuilder, "build", lambda self, design: tied)
     result = MajorityVoteAttack(rounds=1, rng=random.Random(1)).attack(target)

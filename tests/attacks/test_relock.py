@@ -13,6 +13,7 @@ from repro.attacks.locality import _key_bit_index
 from repro.bench import benchmark_names, load_benchmark
 from repro.locking import (ORIGINAL_ASSURE_TABLE, AssureLocker, ERALocker,
                            LockingSession)
+from repro.ml.base import GroupedRows
 from repro.rtlir import Design, KeyBit
 from repro.verilog import ast, parse
 
@@ -158,6 +159,9 @@ def _has_duplicates(design, bits):
 def _check_rows(target, table, rounds, seed):
     """The training set equals the fresh-copy reference bit for bit.
 
+    Its rows and labels equal the reference's, and its count table equals
+    :meth:`GroupedRows.from_rows` of them.
+
     The reference locks a fresh copy of ``target`` with its own key width
     in every round and reads the new key bits with ``extract_matrix``.
     Returns the number of reference rounds in which a new key bit controls
@@ -188,6 +192,14 @@ def _check_rows(target, table, rounds, seed):
     assert training.features.shape == features.shape, case
     assert np.array_equal(training.features, features), case
     assert np.array_equal(training.labels, labels), case
+    # The count table is the one the rows group into, field by field, so
+    # every CV fold, bootstrap and subsample sees the same indices.
+    expected = GroupedRows.from_rows(features, labels)
+    for name in ("distinct", "groups", "codes", "classes"):
+        field, reference = getattr(training.data, name), getattr(expected, name)
+        assert field.dtype == reference.dtype, (case, name)
+        assert field.shape == reference.shape, (case, name)
+        assert field.tobytes() == reference.tobytes(), (case, name)
     return duplicated
 
 
@@ -221,6 +233,10 @@ class TestTypeLevelPairRows:
         assert training.features.dtype == np.float64
         assert training.labels.shape == (0,)
         assert training.labels.dtype == np.dtype(int)
+        assert training.size == 0
+        assert training.data.distinct.shape == (0,
+                                                LocalityExtractor.n_features)
+        assert training.data.classes.size == 0
 
     def test_nested_rounds_that_duplicate_key_bits(self):
         design = Design.from_verilog(NESTED_SOURCE)

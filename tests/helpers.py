@@ -1,20 +1,39 @@
-"""Helpers several test suites share: key flips and the equivalence check.
+"""Helpers several test suites share: key flips, the equivalence check and
+the pair-vote reference.
 
 :func:`check_equivalence` states the contract every locker keeps: under
 the correct key the locked design computes the original function.  It runs
 each design on its cached batch engine, or on the scalar one when the
 design does not compile.
+
+:func:`pair_votes` counts the key values of each ``(C1, C2)`` pair in a
+plain row loop; the ``majority`` attack and Fig. 4 count the same pairs
+from a :class:`~repro.ml.base.GroupedRows` table and are held to it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rtlir import Design
 from repro.sim.simulator import _simulator
 from repro.sim.vectors import random_input_batch
+
+
+def pair_votes(features: Sequence[Sequence[float]], labels: Sequence[int]
+               ) -> Dict[Tuple[float, float], Dict[int, int]]:
+    """Count the key values seen with each ``(C1, C2)`` pair of localities.
+
+    Returns ``{(C1, C2): {key value: count}}``, pairs and key values in the
+    order they are first seen.
+    """
+    votes: Dict[Tuple[float, float], Dict[int, int]] = {}
+    for row, label in zip(features, labels):
+        counts = votes.setdefault((row[0], row[1]), {})
+        counts[int(label)] = counts.get(int(label), 0) + 1
+    return votes
 
 
 def flip_bits(key: Sequence[int], positions: Iterable[int]) -> List[int]:

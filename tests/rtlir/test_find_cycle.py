@@ -8,10 +8,11 @@ exactly, so the edges the cycle breaker removes — and therefore
 ``topological_site_order`` and every serial ASSURE lock — stay the same.  networkx is only the test's reference; the package never
 imports it.
 
-``topological_site_order`` takes Kahn's order of the graph itself and
-breaks cycles only when that order leaves nodes out; it must give the
-order of the path that always breaks cycles first, and search for a cycle
-exactly on the cyclic graphs.
+``depth`` and ``topological_site_order`` read the order the acyclic view
+returns with its graph.  The view takes Kahn's order of the graph itself
+and breaks cycles only when that order leaves nodes out; the site order
+must be that of the path that always breaks cycles first, and a cycle is
+searched for exactly on the cyclic graphs.
 """
 
 import random
@@ -22,7 +23,7 @@ from unittest import mock
 import pytest
 
 from repro.rtlir.opgraph import (DataflowGraph, OperationGraph, OperationNode,
-                                 SignalNode, _find_cycle, _topological_order)
+                                 SignalNode, _find_cycle)
 
 nx = pytest.importorskip("networkx")
 
@@ -113,7 +114,7 @@ def reference_depth(graph: nx.DiGraph) -> int:
 #: Each analysis on the package graph next to its networkx reference.
 ANALYSES = {
     "topological_order": (
-        lambda graph: _topological_order(operation_graph(graph)._acyclic_view()),
+        lambda graph: operation_graph(graph)._acyclic_view()[1],
         lambda reference: list(nx.topological_sort(reference_acyclic(reference)))),
     "depth": (lambda graph: operation_graph(graph).depth(), reference_depth),
 }
@@ -147,7 +148,7 @@ def acyclic_view_site_order(graph: DataflowGraph):
     """``topological_site_order`` that always breaks cycles before sorting."""
     operations = operation_graph(graph)
     order = {node.index: position for position, node
-             in enumerate(_topological_order(operations._acyclic_view()))
+             in enumerate(operations._acyclic_view()[1])
              if isinstance(node, OperationNode)}
     return sorted((site.index for site in operations.sites),
                   key=lambda index: (order.get(index, len(order)), index))
@@ -180,13 +181,14 @@ def test_seeds_cover_cycles_self_loops_and_dags():
 def test_acyclic_view_leaves_the_graph_alone():
     _, graph = random_graphs(0)
     assert _find_cycle(graph) is None
-    assert operation_graph(graph)._acyclic_view() is graph
+    assert operation_graph(graph)._acyclic_view()[0] is graph
     cyclic = DataflowGraph()
     cyclic.add_edge(SignalNode("a"), SignalNode("b"))
     cyclic.add_edge(SignalNode("b"), SignalNode("a"))
-    view = operation_graph(cyclic)._acyclic_view()
+    view, order = operation_graph(cyclic)._acyclic_view()
     assert view is not cyclic and cyclic.number_of_edges() == 2
     assert view.number_of_edges() == 1
+    assert len(order) == len(view)
 
 
 def test_depth_searches_for_a_cycle_only_on_cyclic_graphs():
